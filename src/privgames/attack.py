@@ -8,7 +8,7 @@ scores fresh releases with the fitted model.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -35,12 +35,32 @@ class Query:
 
 @dataclass(frozen=True)
 class QueryBank:
-    """Frozen list of queries; the attack's feature map."""
+    """Frozen list of queries; the attack's feature map.
+
+    The bank is compiled once into ``matrix``, a ``(2*ncols, n_queries)``
+    0/1 array: column j marks query j's columns in rows ``0..ncols-1``
+    for an exact query and in rows ``ncols..2*ncols-1`` for an at-most
+    one.  ``sizes`` holds each query's number of marked rows.
+    """
 
     queries: tuple
     k_values: tuple
     ncols: int
     bank_seed: int
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)
+    sizes: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        d = self.ncols
+        # float32 sums of at most 2*ncols ones are exact integers.
+        matrix = np.zeros((2 * d, len(self.queries)), dtype=np.float32)
+        for j, q in enumerate(self.queries):
+            if not all(0 <= c < d for c in q.columns):
+                raise DomainError(f"query columns {q.columns} outside [0, {d})")
+            offset = 0 if q.kind == EXACT else d
+            matrix[[offset + c for c in q.columns], j] = 1.0
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "sizes", matrix.sum(axis=0))
 
 
 def _distinct_subsets(d, k, count, g):
@@ -104,6 +124,12 @@ def extract_features(d_syn, x, bank):
     Exact queries count rows equal to x on the subset; at-most queries
     count rows whose every subset value is <= x's.  The synthetic
     dataset must be non-empty so fractions are defined.
+
+    All queries are scored at once against the bank's compiled matrix:
+    each row's ``value == x`` and ``value <= x`` tests, side by side,
+    times ``bank.matrix`` give per query the number of its columns the
+    row passes, and the row matches where that equals ``bank.sizes``.
+    Every feature is an exact count divided by the row count.
     """
     if d_syn.n == 0:
         raise DomainError("cannot extract features from an empty dataset")
@@ -114,16 +140,9 @@ def extract_features(d_syn, x, bank):
         )
     xa = np.asarray(x, dtype=np.int64)
     values = d_syn.values
-    feats = np.empty(len(bank.queries))
-    for i, q in enumerate(bank.queries):
-        cols = list(q.columns)
-        sub = values[:, cols]
-        if q.kind == EXACT:
-            match = sub == xa[cols]
-        else:
-            match = sub <= xa[cols]
-        feats[i] = match.all(axis=1).mean()
-    return feats
+    passed = np.concatenate([values == xa, values <= xa], axis=1)
+    hits = passed.astype(np.float32) @ bank.matrix
+    return (hits == bank.sizes).mean(axis=0)
 
 
 def build_shadow_sets(d_aux, x, n, n_shadow, seed):
@@ -164,17 +183,14 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def train_meta_classifier(
-    features, labels, epochs=800, learning_rate=1.0, l2=1e-4, seed=0
-):
+def train_meta_classifier(features, labels, epochs=800, learning_rate=1.0, l2=1e-4):
     """Fit a logistic regression by full-batch proximal gradient descent.
 
     The cross-entropy gradient step is followed by the exact proximal
     shrinkage of the l2 penalty, so the update stays contractive for
     arbitrarily large l2 instead of diverging.  The bias is not
     penalized.  Weights start at zero, making the fit deterministic
-    given its inputs; ``seed`` is reserved for randomized variants and
-    currently inert.
+    given its inputs.
 
     Parameters
     ----------
@@ -218,7 +234,6 @@ def train_meta_classifier(
             "l2": l2,
             "n_examples": m,
             "n_features": d,
-            "seed": seed,
         },
     )
 

@@ -60,19 +60,32 @@ def _write_file(path, lines):
 def read_result_rows(path):
     """Parse a results file into (config_hash, ordered {record_id: auc})."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("# privgames-results v1 "):
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# privgames-results v1 "):
         raise ConfigError(f"{path}: not a version-1 results file")
     cfg_hash = ""
-    for token in lines[0].split(" "):
+    for token in lines[0][1].split(" "):
         if token.startswith("config="):
             cfg_hash = token[len("config="):]
-    if lines[1] != RESULTS_COLUMNS:
-        raise ConfigError(f"{path}: unexpected column header {lines[1]!r}")
+    if len(lines) < 2:
+        raise ConfigError(f"{path}: no column header after line {lines[0][0]}")
+    no, header = lines[1]
+    if header != RESULTS_COLUMNS:
+        raise ConfigError(f"{path}, line {no}: unexpected column header {header!r}")
+    ncols = RESULTS_COLUMNS.count(",") + 1
     rows = {}
-    for line in lines[2:]:
+    for no, line in lines[2:]:
         parts = line.split(",")
-        rows[parts[0]] = float(parts[3])
+        if len(parts) != ncols:
+            raise ConfigError(
+                f"{path}, line {no}: expected {ncols} fields, got {len(parts)}"
+            )
+        try:
+            rows[parts[0]] = float(parts[3])
+        except ValueError:
+            raise ConfigError(
+                f"{path}, line {no}: auc {parts[3]!r} is not a number"
+            ) from None
     return cfg_hash, rows
 
 

@@ -12,10 +12,8 @@ import os
 from dataclasses import dataclass
 
 from . import corpora, games, generators
+from .attack import DEFAULT_K_VALUES, DEFAULT_QUERIES_PER_K
 from .errors import ConfigError
-
-DEFAULT_K_VALUES = (1, 2, 3)
-DEFAULT_QUERIES_PER_K = 100
 
 
 @dataclass(frozen=True)

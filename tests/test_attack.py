@@ -114,6 +114,81 @@ def test_extract_features_range_in_unit_interval():
         assert (feats >= 0).all() and (feats <= 1).all()
 
 
+def reference_features(d_syn, x, bank):
+    """The per-query loop the compiled kernel replaced, kept as an oracle."""
+    xa = np.asarray(x, dtype=np.int64)
+    values = d_syn.values
+    feats = np.empty(len(bank.queries))
+    for i, q in enumerate(bank.queries):
+        cols = list(q.columns)
+        sub = values[:, cols]
+        if q.kind == attack.EXACT:
+            match = sub == xa[cols]
+        else:
+            match = sub <= xa[cols]
+        feats[i] = match.all(axis=1).mean()
+    return feats
+
+
+def test_extract_features_matches_reference_on_fixture():
+    d_syn, bank = features_fixture()
+    for x in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        got = attack.extract_features(d_syn, x, bank)
+        assert got.tobytes() == reference_features(d_syn, x, bank).tobytes()
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3, 5, 8, 17, 40, 63, 64, 65, 72])
+def test_extract_features_matches_reference_on_random_schemas(ncols):
+    g = rng(1000 + ncols)
+    for _ in range(4):
+        kinds = [
+            data.ORDERED if g.random() < 0.5 else data.CATEGORICAL
+            for _ in range(ncols)
+        ]
+        sizes = [int(g.integers(2, 6)) for _ in range(ncols)]
+        schema = schema_with_kinds(kinds, sizes)
+        k_max = min(ncols, 4)
+        k_values = tuple(sorted({int(k) for k in g.integers(1, k_max + 1, size=2)}))
+        bank = attack.make_query_bank(
+            schema, k_values=k_values, queries_per_k=int(g.integers(1, 60)),
+            seed=int(g.integers(0, 2**31)),
+        )
+        for _ in range(5):
+            n = int(g.integers(1, 300))
+            # Values drawn from a narrow range so multi-column queries
+            # still match some rows.
+            vals = np.column_stack([g.integers(0, min(s, 2), size=n) for s in sizes])
+            d_syn = data.Dataset(schema, vals)
+            x = tuple(int(g.integers(0, s)) for s in sizes)
+            got = attack.extract_features(d_syn, x, bank)
+            want = reference_features(d_syn, x, bank)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_bank_equality_ignores_compiled_matrix():
+    schema = schema_with_kinds(
+        [data.CATEGORICAL, data.ORDERED, data.ORDERED], [3, 4, 5]
+    )
+    a = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=3, seed=7)
+    b = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=3, seed=7)
+    assert a == b
+    assert a.matrix is not b.matrix
+    assert np.array_equal(a.matrix, b.matrix)
+    _, fixture = features_fixture()
+    assert fixture == features_fixture()[1]
+
+
+def test_bank_rejects_column_outside_schema():
+    with pytest.raises(DomainError):
+        attack.QueryBank(
+            queries=(attack.Query((2,), attack.EXACT),),
+            k_values=(1,),
+            ncols=2,
+            bank_seed=0,
+        )
+
+
 # ---------------------------------------------------------------- shadows
 
 

@@ -262,6 +262,36 @@ def test_compare_threshold_validation(tmp_path):
     assert cli.main(["compare", t, t, "--threshold", "1.5"]) == 2
 
 
+def test_compare_header_only_results_file_exits_2(tmp_path, capsys):
+    t = str(tmp_path / "t.csv")
+    ms = str(tmp_path / "ms.csv")
+    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)])
+    with open(ms, "w") as fh:
+        fh.write(
+            "# privgames-results v1 config=aaaaaaaaaaaa status=complete "
+            "generated=2026-01-01T00:00:00Z\n"
+        )
+    assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
+    err = capsys.readouterr().err
+    assert ms in err and "line 1" in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,traditional,200,high,0.1,0.2,0.3", "'high' is not a number"),
+    ("1,traditional,200", "expected 7 fields, got 3"),
+])
+def test_compare_malformed_row_exits_2(tmp_path, capsys, row, message):
+    t = str(tmp_path / "t.csv")
+    ms = str(tmp_path / "ms.csv")
+    write_results(t, "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.6)])
+    write_results(ms, "aaaaaaaaaaaa", [("0", 0.5)])
+    with open(ms, "a") as fh:
+        fh.write(row + "\n")
+    assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{ms}, line 4" in err and message in err
+
+
 def test_compare_on_real_run_outputs(tmp_path):
     cfg_path, out = toy_config(tmp_path)
     cli.main(["run", "--config", cfg_path])
