@@ -58,15 +58,17 @@ def _write_file(path, lines):
 
 
 def read_result_rows(path):
-    """Parse a results file into (config_hash, ordered {record_id: auc})."""
+    """Parse a results file into (config_hash, status, ordered {record_id: auc})."""
     with open(path, encoding="utf-8") as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("# privgames-results v1 "):
         raise ConfigError(f"{path}: not a version-1 results file")
-    cfg_hash = ""
+    fields = {}
     for token in lines[0][1].split(" "):
-        if token.startswith("config="):
-            cfg_hash = token[len("config="):]
+        key, _, value = token.partition("=")
+        fields[key] = value
+    cfg_hash = fields.get("config", "")
+    status = fields.get("status", "")
     if len(lines) < 2:
         raise ConfigError(f"{path}: no column header after line {lines[0][0]}")
     no, header = lines[1]
@@ -86,7 +88,7 @@ def read_result_rows(path):
             raise ConfigError(
                 f"{path}, line {no}: auc {parts[3]!r} is not a number"
             ) from None
-    return cfg_hash, rows
+    return cfg_hash, status, rows
 
 
 # ----------------------------------------------------------- environment
@@ -172,13 +174,9 @@ def game_config(cfg, kind, rid):
 
 
 def play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads):
-    gcfg = game_config(cfg, kind, rid)
-    if kind == games.TRADITIONAL:
-        return games.run_traditional(
-            x, d_eval, adversary, gcfg, record_id=str(rid), threads=threads
-        )
-    return games.run_model_seeded(
-        x, d_target, d_eval, adversary, gcfg, record_id=str(rid), threads=threads
+    return games.run_game(
+        x, d_eval, d_target, adversary, game_config(cfg, kind, rid),
+        record_id=str(rid), threads=threads,
     )
 
 
@@ -251,8 +249,8 @@ def _record_sort_key(rid):
 
 def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, log=print):
     """Join two result tables into the comparison file."""
-    hash_t, rows_t = read_result_rows(results_t)
-    hash_ms, rows_ms = read_result_rows(results_ms)
+    hash_t, status_t, rows_t = read_result_rows(results_t)
+    hash_ms, status_ms, rows_ms = read_result_rows(results_ms)
     if hash_t != hash_ms and not allow_mixed:
         raise ConfigError(
             f"result files carry different config hashes ({hash_t} vs {hash_ms}); "
@@ -270,7 +268,11 @@ def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, l
     ids = sorted(rows_t, key=_record_sort_key)
     pairs = [(rows_t[rid], rows_ms[rid]) for rid in ids]
     lines = [
-        _header("comparison", hash_t if hash_t == hash_ms else "mixed"),
+        _header(
+            "comparison",
+            hash_t if hash_t == hash_ms else "mixed",
+            "partial" if "partial" in (status_t, status_ms) else "complete",
+        ),
         COMPARISON_COLUMNS,
     ]
     for rid, (rt, rms) in zip(ids, pairs):
@@ -356,15 +358,10 @@ def convergence_table(cfg, threads=1, adversary_factory=None, log=print):
                         game_kind=kind,
                         reference_mode=cfg.reference_mode,
                     )
-                    if kind == games.TRADITIONAL:
-                        t = games.run_traditional(
-                            x, d_eval, adversary, gcfg, record_id=str(rid), threads=threads
-                        )
-                    else:
-                        t = games.run_model_seeded(
-                            x, d_target, d_eval, adversary, gcfg,
-                            record_id=str(rid), threads=threads,
-                        )
+                    t = games.run_game(
+                        x, d_eval, d_target, adversary, gcfg,
+                        record_id=str(rid), threads=threads,
+                    )
                     aucs.setdefault((kind, n_eval), []).append(risk.roc_auc(t).auc)
         for kind in cfg.game_kinds:
             for n_eval in cfg.n_eval_grid:

@@ -365,25 +365,16 @@ def split(pool, sizes, seed):
     )
 
 
-def sample_records(pool, n, seed, exclude=()):
+def sample_records(pool, n, seed):
     """Draw ``n`` records from ``pool`` uniformly without replacement.
 
-    ``exclude`` lists row indices that may not be drawn.  Raises
-    SizeError when fewer than ``n`` rows remain.
+    Raises SizeError when the pool has fewer than ``n`` rows.
     """
     if n < 0:
         raise SizeError("sample size must be non-negative")
-    if len(exclude):
-        mask = np.ones(pool.n, dtype=bool)
-        mask[np.asarray(list(exclude), dtype=np.int64)] = False
-        allowed = np.flatnonzero(mask)
-    else:
-        allowed = np.arange(pool.n)
-    if n > len(allowed):
-        raise SizeError(
-            f"requested {n} records but only {len(allowed)} are available"
-        )
-    idx = rng(seed).choice(allowed, size=n, replace=False)
+    if n > pool.n:
+        raise SizeError(f"requested {n} records but only {pool.n} are available")
+    idx = rng(seed).choice(pool.n, size=n, replace=False)
     return Dataset(pool.schema, pool.values[idx], validate=False)
 
 

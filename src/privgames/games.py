@@ -287,6 +287,21 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
     return _execute(config, record_id, adversary, x, build_run, threads)
 
 
+def run_game(x, d_eval, d_target, adversary, config, record_id="", threads=1):
+    """Play the game named by ``config.game_kind`` for one record.
+
+    The traditional game resamples from ``d_eval``; the model-seeded
+    game holds ``d_target`` fixed and draws references from ``d_eval``.
+    """
+    if config.game_kind == TRADITIONAL:
+        return run_traditional(
+            x, d_eval, adversary, config, record_id=record_id, threads=threads
+        )
+    return run_model_seeded(
+        x, d_target, d_eval, adversary, config, record_id=record_id, threads=threads
+    )
+
+
 def run_traditional_mixture(
     x, partials, adversary, config, record_id="", specs=None, threads=1
 ):

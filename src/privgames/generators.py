@@ -5,6 +5,13 @@ greedy structure search, the same network with Laplace-noised tables,
 and an analytic toy whose release is a single bit.  The toy exists so
 game-level estimates can be checked against closed-form error rates;
 the network kinds are the objects actually under evaluation.
+
+A network fit runs hundreds of times per evaluated record, on tables of
+a few dozen cells, so it is written as a fixed number of array passes:
+structure learning scores every column pair from one ``bincount`` and
+estimating the tables counts every column with one more.  Both produce
+exactly the bits of the per-pair / per-column definitions
+(``mutual_information`` and a ``ravel_multi_index`` count per column).
 """
 
 import json
@@ -127,6 +134,116 @@ def mutual_information(a, b, a_size, b_size):
     return float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
 
 
+def _concat(parts):
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+class _PairPlan:
+    """Index plan for the joint tables of every ordered column pair.
+
+    Ordered pair ``p = (a, b)`` owns the row-major ``(sizes[a], sizes[b])``
+    block at ``bounds[p]`` of one flat table, so a single ``bincount``
+    counts every pair.  The marginals live in one flat vector: pair p's
+    row sums (``pa``) then its column sums (``pb``).  They are reduced
+    the way ``joint.sum(axis=1)`` / ``joint.sum(axis=0)`` reduce one
+    block, which is what makes the MI values bit-identical to
+    ``mutual_information``:
+
+    * row sums: rows of equal length are stacked and reduced along the
+      last axis, the same contiguous (pairwise) sum numpy runs per row;
+    * column sums: a left fold down axis 0 of a ``(max_rows, k)`` gather
+      whose short columns are padded with the always-zero cell
+      ``ncells`` (adding 0.0 is exact);
+    * except that numpy reduces the lone column of an ``(A, 1)`` block
+      as one contiguous 1-D sum, so those columns are reduced as rows.
+
+    ``bounds[p]:bounds[p + 1]`` are the cell bounds of pair p; every
+    cell also knows its row-sum and column-sum slots in the marginals.
+    """
+
+    def __init__(self, sizes):
+        d = len(sizes)
+        pairs = [(a, b) for a in range(d) for b in range(d) if a != b]
+        self.pair_index = {pair: p for p, pair in enumerate(pairs)}
+        self.a_cols = np.array([a for a, _ in pairs], dtype=np.int64)
+        self.b_cols = np.array([b for _, b in pairs], dtype=np.int64)
+        self.b_sizes = np.array([sizes[b] for _, b in pairs], dtype=np.int64)
+        bounds = [0]
+        nmarg = 0
+        cell_row, cell_col = [], []
+        rows = {}  # row length -> ([gather blocks], [marginal slots])
+        col_blocks, col_slots = [], []
+        for a, b in pairs:
+            sa, sb = sizes[a], sizes[b]
+            block = bounds[-1] + np.arange(sa * sb, dtype=np.int64).reshape(sa, sb)
+            ra = nmarg + np.arange(sa, dtype=np.int64)
+            cb = nmarg + sa + np.arange(sb, dtype=np.int64)
+            nmarg += sa + sb
+            cell_row.append(np.repeat(ra, sb))
+            cell_col.append(np.tile(cb, sa))
+            gathers, slots = rows.setdefault(sb, ([], []))
+            gathers.append(block)
+            slots.append(ra)
+            if sb == 1:
+                gathers, slots = rows.setdefault(sa, ([], []))
+                gathers.append(block.T)
+                slots.append(cb)
+            else:
+                col_blocks.append(block.T)
+                col_slots.append(cb)
+            bounds.append(bounds[-1] + sa * sb)
+        self.ncells = bounds[-1]
+        self.bounds = np.array(bounds, dtype=np.int64)
+        self.nmarg = nmarg
+        self.cell_row = _concat(cell_row)
+        self.cell_col = _concat(cell_col)
+        self.row_groups = [
+            (np.concatenate(gathers), np.concatenate(slots))
+            for gathers, slots in rows.values()
+        ]
+        max_rows = max((blk.shape[1] for blk in col_blocks), default=1)
+        cols = np.full((sum(blk.shape[0] for blk in col_blocks), max_rows), self.ncells)
+        start = 0
+        for blk in col_blocks:
+            cols[start : start + blk.shape[0], : blk.shape[1]] = blk
+            start += blk.shape[0]
+        self.col_gather = np.ascontiguousarray(cols.T)
+        self.col_slots = _concat(col_slots)
+
+
+# A plan depends only on the column sizes, so it is built at the first fit
+# on a schema and shared after; threads racing on a miss build equal plans.
+_PAIR_PLANS = {}
+
+
+def _pair_plan(sizes):
+    plan = _PAIR_PLANS.get(sizes)
+    if plan is None:
+        plan = _PAIR_PLANS[sizes] = _PairPlan(sizes)
+    return plan
+
+
+def _pair_information(values, plan):
+    """Bit-identical ``mutual_information`` terms of every ordered pair.
+
+    Returns the flat array of nonzero-cell MI terms and, per pair, the
+    bounds of its contiguous slice; a pair's MI is ``np.add.reduce`` of
+    that slice, the same sum ``mutual_information`` takes.
+    """
+    codes = values[:, plan.a_cols] * plan.b_sizes + values[:, plan.b_cols]
+    codes += plan.bounds[:-1]
+    joint = np.bincount(codes.ravel(), minlength=plan.ncells + 1).astype(float)
+    joint /= values.shape[0]
+    marg = np.empty(plan.nmarg)
+    for gather, slots in plan.row_groups:
+        marg[slots] = joint[gather].sum(axis=1)
+    marg[plan.col_slots] = joint[plan.col_gather].sum(axis=0)
+    nz = np.flatnonzero(joint)
+    pj = joint[nz]
+    terms = pj * np.log(pj / (marg[plan.cell_row[nz]] * marg[plan.cell_col[nz]]))
+    return terms, np.searchsorted(nz, plan.bounds).tolist()
+
+
 def learn_structure(training, max_parents, seed, mi_floor=0.0):
     """Greedy Bayesian-network structure over the training columns.
 
@@ -135,27 +252,31 @@ def learn_structure(training, max_parents, seed, mi_floor=0.0):
     mutual information with the child, skipping candidates whose score
     falls below ``mi_floor``.  The visit order doubles as the sampling
     order.
+
+    The MI of every column pair comes from one pass over the data (see
+    ``_PairPlan``): one ``bincount`` for all joint tables, a few stacked
+    reductions for all marginals, and one elementwise pass for the
+    terms.  Each value equals ``mutual_information`` bit for bit.
     """
     if training.n == 0:
         raise FitError("cannot learn a structure from an empty dataset")
-    sizes = training.schema.sizes
     d = training.schema.ncols
     order = tuple(int(i) for i in rng(seed).permutation(d))
+    plan = _pair_plan(training.schema.sizes)
+    terms, bounds = _pair_information(training.values, plan)
+    pair_index = plan.pair_index
     parents = [None] * d
-    visited = []
-    for col in order:
+    for k, col in enumerate(order):
         scored = []
-        for cand in visited:
-            mi = mutual_information(
-                training.values[:, col], training.values[:, cand], sizes[col], sizes[cand]
-            )
+        for cand in order[:k]:
+            p = pair_index[col, cand]
+            mi = float(np.add.reduce(terms[bounds[p] : bounds[p + 1]]))
             if mi < mi_floor:
                 continue
             scored.append((mi, cand))
         # Highest MI first; ties broken by column index for determinism.
         scored.sort(key=lambda t: (-t[0], t[1]))
         parents[col] = tuple(c for _, c in scored[:max_parents])
-        visited.append(col)
     return Structure(order=order, parents=tuple(parents))
 
 
@@ -168,12 +289,7 @@ def _parent_combo_index(values, parents, parent_sizes):
 
 def _normalize_rows(counts, arity):
     totals = counts.sum(axis=1, keepdims=True)
-    probs = np.empty_like(counts)
-    zero = totals[:, 0] <= 0
-    nz = ~zero
-    probs[nz] = counts[nz] / totals[nz]
-    probs[zero] = 1.0 / arity
-    return probs
+    return np.divide(counts, totals, out=np.full_like(counts, 1.0 / arity), where=totals > 0)
 
 
 def estimate_tables(training, structure, smoothing):
@@ -182,23 +298,42 @@ def estimate_tables(training, structure, smoothing):
     Each cell gets ``(count + smoothing)``; rows whose total is zero
     (unseen parent combination with zero smoothing) fall back to
     uniform.
+
+    All columns are counted by one ``bincount``: column c's table is the
+    block at its own offset, and a row's cell in it is the C-order index
+    ``combo * arity + value`` with ``combo`` the row-major index of the
+    parent values, the integer ``ravel_multi_index`` computes.
     """
     if training.n == 0:
         raise FitError("cannot estimate tables from an empty dataset")
     sizes = training.schema.sizes
+    d = training.schema.ncols
+    depth = max((len(p) for p in structure.parents), default=0)
+    parent_cols = np.zeros((depth, d), dtype=np.int64)
+    strides = np.zeros((depth, d), dtype=np.int64)
+    offsets = np.empty(d, dtype=np.int64)
+    shapes = []
+    total = 0
+    for col, parents in enumerate(structure.parents):
+        stride = sizes[col]
+        for j in range(len(parents) - 1, -1, -1):
+            parent_cols[j, col] = parents[j]
+            strides[j, col] = stride
+            stride *= sizes[parents[j]]
+        offsets[col] = total
+        shapes.append((stride // sizes[col], sizes[col]))
+        total += stride
+    codes = training.values + offsets
+    for j in range(depth):
+        codes += training.values[:, parent_cols[j]] * strides[j]
+    flat = np.bincount(codes.ravel(), minlength=total).astype(float)
     tables = []
-    for col in range(training.schema.ncols):
-        parents = structure.parents[col]
-        parent_sizes = tuple(sizes[p] for p in parents)
-        n_combos = int(np.prod(parent_sizes)) if parents else 1
-        arity = sizes[col]
-        combo = _parent_combo_index(training.values, parents, parent_sizes)
-        flat = np.bincount(
-            combo * arity + training.values[:, col], minlength=n_combos * arity
-        ).astype(float)
-        counts = flat.reshape(n_combos, arity) + smoothing
+    for col, parents in enumerate(structure.parents):
+        n_combos, arity = shapes[col]
+        start = offsets[col]
+        counts = flat[start : start + n_combos * arity].reshape(n_combos, arity) + smoothing
         probs = _normalize_rows(counts, arity)
-        tables.append(Cpt(parents, parent_sizes, counts, probs))
+        tables.append(Cpt(parents, tuple(sizes[p] for p in parents), counts, probs))
     return tuple(tables)
 
 

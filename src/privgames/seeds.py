@@ -33,6 +33,11 @@ def fnv1a64(data):
     return h
 
 
+# fnv1a64 of each tag seen so far; tags are a small fixed vocabulary
+# (plus one per record id), so this stays small.
+_TAG_HASHES = {}
+
+
 def derive(seed, tag, index=0):
     """Derive the sub-seed of ``seed`` for the purpose named ``tag``.
 
@@ -48,12 +53,24 @@ def derive(seed, tag, index=0):
     Returns
     -------
     int
-        A 64-bit seed.
+        A 64-bit seed: ``splitmix64(splitmix64(splitmix64(seed) ^
+        fnv1a64(tag)) ^ index)``, with the three rounds written out inline
+        and the tag hash memoized, since this runs several times per game
+        round.
     """
-    s = splitmix64(seed & _MASK)
-    s = splitmix64(s ^ fnv1a64(tag.encode("utf-8")))
-    s = splitmix64(s ^ (index & _MASK))
-    return s
+    h = _TAG_HASHES.get(tag)
+    if h is None:
+        h = _TAG_HASHES[tag] = fnv1a64(tag.encode("utf-8"))
+    z = ((seed & _MASK) + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 31) ^ h) + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 31) ^ (index & _MASK)) + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 def rng(seed):

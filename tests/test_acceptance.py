@@ -334,8 +334,8 @@ def run_criterion_7(tmp_dir):
     cmp_path = os.path.join(out, "comparison.csv")
     assert cli.cmd_compare(results_t, results_ms, 0.8, cmp_path, log=silent) == 0
 
-    _, rows_t = cli.read_result_rows(results_t)
-    _, rows_ms = cli.read_result_rows(results_ms)
+    _, _, rows_t = cli.read_result_rows(results_t)
+    _, _, rows_ms = cli.read_result_rows(results_ms)
     max_gap = max(abs(rows_ms[r] - rows_t[r]) for r in rows_t)
     rmsd_value = float(cli.read_comparison_summary(cmp_path)["rmsd"])
     bodies = {

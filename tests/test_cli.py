@@ -74,7 +74,7 @@ def test_run_writes_results_and_transcripts(tmp_path):
 def test_run_results_match_transcripts(tmp_path):
     cfg_path, out = toy_config(tmp_path)
     cli.main(["run", "--config", cfg_path])
-    _, rows = cli.read_result_rows(os.path.join(out, "results_traditional.csv"))
+    _, _, rows = cli.read_result_rows(os.path.join(out, "results_traditional.csv"))
     for rid, auc in rows.items():
         t = games.load_transcript(
             os.path.join(out, "transcripts", f"record{rid}_traditional.txt")
@@ -133,7 +133,7 @@ def test_seed_override_changes_scores(tmp_path):
 def test_records_override(tmp_path):
     cfg_path, out = toy_config(tmp_path)
     cli.main(["run", "--config", cfg_path, "--records", "ids:7"])
-    _, rows = cli.read_result_rows(os.path.join(out, "results_traditional.csv"))
+    _, _, rows = cli.read_result_rows(os.path.join(out, "results_traditional.csv"))
     assert list(rows) == ["7"]
 
 
@@ -177,9 +177,9 @@ def test_missing_config_file_exit_code(tmp_path):
 # --------------------------------------------------------------- compare
 
 
-def write_results(path, cfg_hash, rows):
+def write_results(path, cfg_hash, rows, status="complete"):
     lines = [
-        f"# privgames-results v1 config={cfg_hash} status=complete generated=2026-01-01T00:00:00Z",
+        f"# privgames-results v1 config={cfg_hash} status={status} generated=2026-01-01T00:00:00Z",
         cli.RESULTS_COLUMNS,
     ]
     for rid, auc in rows:
@@ -243,6 +243,22 @@ def test_compare_mixed_hashes_refused_then_allowed(tmp_path, capsys):
     assert not os.path.exists(out)
     assert cli.main(["compare", t, ms, "--out", out, "--allow-mixed"]) == 0
     assert "config=mixed" in open(out).read().splitlines()[0]
+
+
+@pytest.mark.parametrize("status_t, status_ms, expected", [
+    ("complete", "complete", "complete"),
+    ("partial", "complete", "partial"),
+    ("complete", "partial", "partial"),
+])
+def test_compare_carries_partial_status(tmp_path, status_t, status_ms, expected):
+    t = str(tmp_path / "t.csv")
+    ms = str(tmp_path / "ms.csv")
+    out = str(tmp_path / "cmp.csv")
+    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)], status=status_t)
+    write_results(ms, "aaaaaaaaaaaa", [("0", 0.9)], status=status_ms)
+    assert cli.read_result_rows(ms)[1] == status_ms
+    assert cli.main(["compare", t, ms, "--out", out]) == 0
+    assert f"status={expected} " in open(out).read().splitlines()[0]
 
 
 def test_compare_mismatched_ids_lists_them(tmp_path, capsys):

@@ -203,20 +203,10 @@ def test_sample_records_basic():
     assert s == again
 
 
-def test_sample_records_exclude():
-    pool = make_pool(10)
-    for trial in range(25):
-        s = data.sample_records(pool, 7, seed=trial, exclude=(0, 1, 2))
-        vals = {r[0] for r in s.records()}
-        assert vals == {3, 4, 5, 6, 7, 8, 9}
-
-
 def test_sample_records_oversize():
     pool = make_pool(5)
     with pytest.raises(SizeError):
         data.sample_records(pool, 6, seed=0)
-    with pytest.raises(SizeError):
-        data.sample_records(pool, 4, seed=0, exclude=(0, 1))
 
 
 def test_sample_records_roughly_uniform():

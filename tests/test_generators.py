@@ -5,7 +5,7 @@ import pytest
 
 from privgames import data, generators
 from privgames.errors import DomainError, FitError, UnsupportedOperationError
-from privgames.seeds import rng
+from privgames.seeds import derive, rng
 
 from brute import brute_mi
 
@@ -197,6 +197,176 @@ def test_privatize_all_zero_row_becomes_uniform():
             assert np.allclose(noised[1].probs[1], [1 / 3, 1 / 3, 1 / 3])
             return
     raise AssertionError("no seed produced an all-clamped row")
+
+
+# ------------------------------------------- one-pass fit vs per-pair fit
+#
+# The fit path counts every column pair and every table in one pass.
+# These are the per-pair / per-column definitions it replaced; the fast
+# path must reproduce them bit for bit.
+
+
+def reference_learn_structure(training, max_parents, seed, mi_floor=0.0):
+    sizes = training.schema.sizes
+    d = training.schema.ncols
+    order = tuple(int(i) for i in rng(seed).permutation(d))
+    parents = [None] * d
+    visited = []
+    for col in order:
+        scored = []
+        for cand in visited:
+            mi = generators.mutual_information(
+                training.values[:, col], training.values[:, cand], sizes[col], sizes[cand]
+            )
+            if mi < mi_floor:
+                continue
+            scored.append((mi, cand))
+        scored.sort(key=lambda t: (-t[0], t[1]))
+        parents[col] = tuple(c for _, c in scored[:max_parents])
+        visited.append(col)
+    return generators.Structure(order=order, parents=tuple(parents))
+
+
+def reference_normalize_rows(counts, arity):
+    totals = counts.sum(axis=1, keepdims=True)
+    probs = np.empty_like(counts)
+    zero = totals[:, 0] <= 0
+    nz = ~zero
+    probs[nz] = counts[nz] / totals[nz]
+    probs[zero] = 1.0 / arity
+    return probs
+
+
+def reference_estimate_tables(training, structure, smoothing):
+    sizes = training.schema.sizes
+    tables = []
+    for col in range(training.schema.ncols):
+        parents = structure.parents[col]
+        parent_sizes = tuple(sizes[p] for p in parents)
+        n_combos = int(np.prod(parent_sizes)) if parents else 1
+        arity = sizes[col]
+        if parents:
+            combo = np.ravel_multi_index(
+                tuple(training.values[:, p] for p in parents), parent_sizes
+            )
+        else:
+            combo = np.zeros(training.n, dtype=np.int64)
+        flat = np.bincount(
+            combo * arity + training.values[:, col], minlength=n_combos * arity
+        ).astype(float)
+        counts = flat.reshape(n_combos, arity) + smoothing
+        probs = reference_normalize_rows(counts, arity)
+        tables.append(generators.Cpt(parents, parent_sizes, counts, probs))
+    return tuple(tables)
+
+
+def reference_privatize_tables(tables, epsilon, seed):
+    scale = (len(tables) * 2.0) / epsilon
+    out = []
+    for i, cpt in enumerate(tables):
+        g = rng(derive(seed, "privatize-col", i))
+        noisy = cpt.counts + g.laplace(0.0, scale, size=cpt.counts.shape)
+        clamped = np.maximum(noisy, 0.0)
+        arity = cpt.probs.shape[1]
+        out.append(
+            generators.Cpt(
+                cpt.parents, cpt.parent_sizes, clamped,
+                reference_normalize_rows(clamped, arity),
+            )
+        )
+    return tuple(out)
+
+
+def random_training(seed):
+    """A seeded random dataset over one of four schema families.
+
+    The families cover size-1 columns, columns with 8+ levels (where
+    numpy's sums switch to pairwise blocks), one column with 130+
+    levels, and duplicated columns whose MI ties exactly.
+    """
+    g = rng(seed)
+    family = seed % 4
+    d = int(g.integers(1, 9))
+    if family == 0:
+        sizes = [int(g.integers(1, 4)) for _ in range(d)]
+    elif family == 1:
+        sizes = [int(g.integers(8, 17)) for _ in range(d)]
+    elif family == 2:
+        sizes = [int(g.integers(1, 10)) for _ in range(d)] + [int(g.integers(130, 160))]
+    else:
+        sizes = [int(g.integers(1, 17)) for _ in range(d)]
+    n = int(g.integers(1, 300))
+    cols = [g.integers(0, s, size=n) for s in sizes]
+    if family == 3 or g.random() < 0.3:
+        src = int(g.integers(0, d))  # never the wide column: its tables would explode
+        sizes += [sizes[src], sizes[src]]
+        cols += [cols[src], cols[src].copy()]
+    schema = ordered_schema(*sizes)
+    return data.Dataset(schema, np.column_stack(cols))
+
+
+def assert_same_tables(fast, slow):
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert a.parents == b.parents
+        assert a.parent_sizes == b.parent_sizes
+        assert a.counts.shape == b.counts.shape
+        assert a.counts.tobytes() == b.counts.tobytes()
+        assert a.probs.tobytes() == b.probs.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_pass_mi_matches_mutual_information_bitwise(seed):
+    # Structure equality only notices MI differences at near-ties, so
+    # check every ordered pair's value bit for bit as well.
+    ds = random_training(seed)
+    sizes = ds.schema.sizes
+    plan = generators._pair_plan(sizes)
+    terms, bounds = generators._pair_information(ds.values, plan)
+    for (a, b), p in plan.pair_index.items():
+        fast = float(np.add.reduce(terms[bounds[p] : bounds[p + 1]]))
+        slow = generators.mutual_information(
+            ds.values[:, a], ds.values[:, b], sizes[a], sizes[b]
+        )
+        assert np.float64(fast).tobytes() == np.float64(slow).tobytes(), (a, b)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_pass_fit_matches_reference(seed):
+    ds = random_training(seed)
+    for max_parents in (1, 2, 3):
+        for mi_floor in (0.0, 0.01):
+            fit_seed = derive(seed, "structure", 10 * max_parents + int(mi_floor > 0))
+            st = generators.learn_structure(ds, max_parents, fit_seed, mi_floor)
+            assert st == reference_learn_structure(ds, max_parents, fit_seed, mi_floor)
+        for smoothing in (0.0, 0.3, 1.0):
+            tables = generators.estimate_tables(ds, st, smoothing)
+            assert_same_tables(tables, reference_estimate_tables(ds, st, smoothing))
+        noised = generators.privatize_tables(tables, 1.0, seed)
+        assert_same_tables(noised, reference_privatize_tables(tables, 1.0, seed))
+
+
+@pytest.mark.parametrize("kind", [generators.BAYNET, generators.PRIVBAYNET])
+def test_one_pass_fit_matches_reference_through_fit(kind):
+    for seed in range(8):
+        ds = random_training(100 + seed)
+        spec = generators.GeneratorSpec(
+            kind, max_parents=2, epsilon=0.5, smoothing=0.1, mi_floor=0.001
+        )
+        gen = generators.fit(spec, ds, seed=seed)
+        st = reference_learn_structure(ds, 2, derive(seed, "structure"), 0.001)
+        tables = reference_estimate_tables(ds, st, 0.1)
+        if kind == generators.PRIVBAYNET:
+            tables = reference_privatize_tables(tables, 0.5, derive(seed, "privatize"))
+        assert gen.structure == st
+        assert_same_tables(gen.tables, tables)
+
+
+def test_normalize_rows_zero_rows_fall_back_to_uniform():
+    counts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
+    probs = generators._normalize_rows(counts, 3)
+    assert probs.tobytes() == reference_normalize_rows(counts, 3).tobytes()
+    assert probs[0].tolist() == [1 / 3] * 3
 
 
 # -------------------------------------------------------------------- fit
