@@ -162,20 +162,21 @@ def build_adversary(cfg, bank, d_aux, x, seed):
     return attack.meta_classifier_adversary(meta, bank, x, n_syn=cfg.syn_size)
 
 
-def game_config(cfg, kind, rid):
+def game_config(cfg, kind, master_seed, n_eval):
     return games.GameConfig(
-        n_eval=cfg.n_eval,
+        n_eval=n_eval,
         dataset_size=cfg.target_size,
         generator_spec=cfg.generator_spec,
-        master_seed=derive(cfg.master_seed, f"game-{kind}", rid),
+        master_seed=master_seed,
         game_kind=kind,
         reference_mode=cfg.reference_mode,
     )
 
 
 def play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads):
+    seed = derive(cfg.master_seed, f"game-{kind}", rid)
     return games.run_game(
-        x, d_eval, d_target, adversary, game_config(cfg, kind, rid),
+        x, d_eval, d_target, adversary, game_config(cfg, kind, seed, cfg.n_eval),
         record_id=str(rid), threads=threads,
     )
 
@@ -350,14 +351,8 @@ def convergence_table(cfg, threads=1, adversary_factory=None, log=print):
             adversary = adversary_factory(rid, x, d_aux, bank, rep)
             for kind in cfg.game_kinds:
                 for n_eval in cfg.n_eval_grid:
-                    gcfg = games.GameConfig(
-                        n_eval=n_eval,
-                        dataset_size=cfg.target_size,
-                        generator_spec=cfg.generator_spec,
-                        master_seed=derive(derive(base, kind, n_eval), "rep", rep),
-                        game_kind=kind,
-                        reference_mode=cfg.reference_mode,
-                    )
+                    seed = derive(derive(base, kind, n_eval), "rep", rep)
+                    gcfg = game_config(cfg, kind, seed, n_eval)
                     t = games.run_game(
                         x, d_eval, d_target, adversary, gcfg,
                         record_id=str(rid), threads=threads,

@@ -9,7 +9,7 @@ under different configurations.
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import corpora, games, generators
 from .attack import DEFAULT_K_VALUES, DEFAULT_QUERIES_PER_K
@@ -45,38 +45,10 @@ class ExperimentConfig:
     repetitions: int = 0
 
     def snapshot(self):
-        d = {
-            "dataset": self.dataset,
-            "schema_sidecar": self.schema_sidecar,
-            "aux_size": self.aux_size,
-            "eval_size": self.eval_size,
-            "target_size": self.target_size,
-            "generator_spec": {
-                "kind": self.generator_spec.kind,
-                "max_parents": self.generator_spec.max_parents,
-                "epsilon": self.generator_spec.epsilon,
-                "p_in": self.generator_spec.p_in,
-                "p_out": self.generator_spec.p_out,
-                "smoothing": self.generator_spec.smoothing,
-                "mi_floor": self.generator_spec.mi_floor,
-            },
-            "n_shadow": self.n_shadow,
-            "k_values": list(self.k_values),
-            "queries_per_k": self.queries_per_k,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "l2": self.l2,
-            "syn_size": self.syn_size,
-            "n_eval": self.n_eval,
-            "game_kinds": list(self.game_kinds),
-            "reference_mode": self.reference_mode,
-            "record_selection": self.record_selection,
-            "master_seed": self.master_seed,
-            "high_risk_threshold": self.high_risk_threshold,
-            "rho": self.rho,
-            "n_eval_grid": list(self.n_eval_grid),
-            "repetitions": self.repetitions,
-        }
+        """Every field but ``out_dir``: where results land is not part of
+        what produced them."""
+        d = asdict(self)
+        del d["out_dir"]
         return d
 
     def config_hash(self):
@@ -85,7 +57,10 @@ class ExperimentConfig:
 
 def _get(parser, section, key, default=None, required=False):
     if parser.has_option(section, key):
-        return parser.get(section, key).strip()
+        try:
+            return parser.get(section, key).strip()
+        except configparser.Error as exc:
+            raise ConfigError(f"{section}.{key} is malformed: {exc}") from None
     if required:
         raise ConfigError(f"{section}.{key} is required")
     return default
@@ -185,7 +160,11 @@ def parse_record_selection(text):
 def load_experiment_config(path):
     """Parse and validate an experiment config file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # configparser spreads it over lines
+        raise ConfigError(f"{path}: malformed config file: {detail}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
 

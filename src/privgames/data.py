@@ -36,8 +36,8 @@ class Column:
     size : int
         Number of distinct values (cardinality or level count).
     labels : tuple of str, optional
-        Source string for each categorical index, for round-tripping.
-        Ordered columns serialize as their integer level and keep None.
+        Source string for each categorical index, in first-appearance
+        order.  Ordered columns keep None.
     """
 
     name: str
@@ -166,7 +166,8 @@ def parse_schema_sidecar(path):
 
     One line per column: ``name = kind`` or ``name = ordered:<levels>``
     or ``name = continuous:<bins>``.  Blank lines and ``#`` comments are
-    skipped.  Unknown kinds raise DomainError.
+    skipped.  Unknown kinds raise DomainError, and a count that is not an
+    integer raises CsvParseError naming the line.
     """
     hints = {}
     with open(path, encoding="utf-8") as fh:
@@ -185,11 +186,11 @@ def parse_schema_sidecar(path):
             if kind == CATEGORICAL:
                 hints[name] = ColumnHint(CATEGORICAL)
             elif kind == ORDERED:
-                hints[name] = ColumnHint(ORDERED, levels=int(arg) if arg else None)
+                levels = _parse_int(path, lineno, name, arg) if arg else None
+                hints[name] = ColumnHint(ORDERED, levels=levels)
             elif kind == "continuous":
-                hints[name] = ColumnHint(
-                    "continuous", bins=int(arg) if arg else DEFAULT_BINS
-                )
+                bins = _parse_int(path, lineno, name, arg) if arg else DEFAULT_BINS
+                hints[name] = ColumnHint("continuous", bins=bins)
             else:
                 raise DomainError(f"{path}: line {lineno}: unknown column kind {kind!r}")
     return hints
@@ -202,12 +203,10 @@ def _equal_frequency_edges(vals, bins):
     return np.quantile(vals, qs)
 
 
-def load_csv(path, schema=None, hints=None):
+def load_csv(path, hints=None):
     """Load a UTF-8 CSV with a header row into a Dataset.
 
-    With ``schema`` given, values are mapped through it and anything
-    outside its domain raises DomainError.  Otherwise the schema is
-    inferred: text columns become categoricals indexed in
+    The schema is inferred: text columns become categoricals indexed in
     first-appearance order, and ``hints`` (name -> ColumnHint) may
     declare ordered or continuous columns.  Rows whose field count
     disagrees with the header raise CsvParseError naming the line.
@@ -228,33 +227,6 @@ def load_csv(path, schema=None, hints=None):
 
     d = len(header)
     n = len(rows)
-    if schema is not None:
-        if schema.names != tuple(header):
-            raise DomainError(
-                f"{path}: header {tuple(header)} does not match schema names {schema.names}"
-            )
-        values = np.empty((n, d), dtype=np.int64)
-        for j, col in enumerate(schema.columns):
-            if col.kind == CATEGORICAL:
-                index = {lab: i for i, lab in enumerate(col.labels or ())}
-                for i, row in enumerate(rows):
-                    try:
-                        values[i, j] = index[row[j]]
-                    except KeyError:
-                        raise DomainError(
-                            f"{path}: line {i + 2}: value {row[j]!r} not in column {col.name!r}"
-                        )
-            else:
-                for i, row in enumerate(rows):
-                    v = _parse_int(path, i + 2, col.name, row[j])
-                    if v < 0 or v >= col.size:
-                        raise DomainError(
-                            f"{path}: line {i + 2}: value {v} outside column "
-                            f"{col.name!r} domain [0, {col.size - 1}]"
-                        )
-                    values[i, j] = v
-        return Dataset(schema, values, validate=False)
-
     hints = hints or {}
     columns = []
     values = np.empty((n, d), dtype=np.int64)
@@ -318,21 +290,6 @@ def _parse_float(path, lineno, name, text):
         raise CsvParseError(
             f"{path}: line {lineno}: column {name!r}: {text!r} is not a number"
         )
-
-
-def export_csv(dataset, path):
-    """Write a dataset back to CSV; inverse of load_csv for its schema."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.schema.names)
-        for i in range(dataset.n):
-            row = []
-            for v, col in zip(dataset.values[i], dataset.schema.columns):
-                if col.kind == CATEGORICAL:
-                    row.append(col.labels[v])
-                else:
-                    row.append(str(int(v)))
-            writer.writerow(row)
 
 
 def split(pool, sizes, seed):

@@ -79,19 +79,8 @@ class GameConfig:
         if self.reference_mode not in (REFERENCE_PER_RUN, REFERENCE_FIXED):
             raise ConfigError(f"unknown reference mode {self.reference_mode!r}")
 
-    def snapshot(self):
-        """JSON-compatible dict of every field."""
-        return {
-            "n_eval": self.n_eval,
-            "dataset_size": self.dataset_size,
-            "generator_spec": asdict(self.generator_spec),
-            "master_seed": self.master_seed,
-            "game_kind": self.game_kind,
-            "reference_mode": self.reference_mode,
-        }
-
     def config_hash(self):
-        return config_hash(self.snapshot())
+        return config_hash(asdict(self))
 
 
 def config_hash(snapshot):
@@ -117,7 +106,6 @@ class GameTranscript:
     runs: tuple
     record_id: str
     game_kind: str
-    config: dict
     config_hash: str
 
     def bits(self):
@@ -155,7 +143,6 @@ def _execute(config, record_id, adversary, x, build_run, threads):
         runs=tuple(runs),
         record_id=str(record_id),
         game_kind=config.game_kind,
-        config=config.snapshot(),
         config_hash=config.config_hash(),
     )
 
@@ -375,7 +362,7 @@ def transcript_to_text(transcript):
 
 
 def transcript_from_text(text):
-    """Inverse of transcript_to_text (config snapshot is not recoverable)."""
+    """Inverse of transcript_to_text."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or not lines[0].startswith("# privgames-transcript v1 "):
         raise ConfigError("not a version-1 transcript")
@@ -399,7 +386,6 @@ def transcript_from_text(text):
         runs=tuple(runs),
         record_id=fields.get("record", ""),
         game_kind=fields.get("game", ""),
-        config={},
         config_hash=fields.get("config", ""),
     )
 

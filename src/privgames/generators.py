@@ -14,7 +14,6 @@ exactly the bits of the per-pair / per-column definitions
 (``mutual_information`` and a ``ravel_multi_index`` count per column).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +114,6 @@ class FittedGenerator:
     structure: Structure = None
     tables: tuple = None
     toy_member: bool = None
-    fit_seed: int = 0
 
 
 def mutual_information(a, b, a_size, b_size):
@@ -374,9 +372,7 @@ def fit(spec, training, target_hint=None, seed=0):
         if target_hint is None:
             raise FitError("toy generator requires a target_hint record")
         member = data_mod.contains(training, target_hint)
-        return FittedGenerator(
-            spec, training.schema, toy_member=member, fit_seed=seed
-        )
+        return FittedGenerator(spec, training.schema, toy_member=member)
     if training.n == 0:
         raise FitError(f"{spec.kind} generator requires non-empty training data")
     d = training.schema.ncols
@@ -389,7 +385,7 @@ def fit(spec, training, target_hint=None, seed=0):
     tables = estimate_tables(training, structure, spec.smoothing)
     if spec.kind == PRIVBAYNET:
         tables = privatize_tables(tables, spec.epsilon, derive(seed, "privatize"))
-    return FittedGenerator(spec, training.schema, structure, tables, fit_seed=seed)
+    return FittedGenerator(spec, training.schema, structure, tables)
 
 
 def sample(gen, n, seed):
@@ -427,117 +423,3 @@ def release_bit(gen, seed):
         )
     p = gen.spec.p_in if gen.toy_member else gen.spec.p_out
     return int(rng(seed).random() < p)
-
-
-def _schema_to_doc(schema):
-    return [
-        {
-            "name": c.name,
-            "kind": c.kind,
-            "size": c.size,
-            "labels": list(c.labels) if c.labels is not None else None,
-        }
-        for c in schema.columns
-    ]
-
-
-def _schema_from_doc(doc):
-    cols = tuple(
-        data_mod.Column(
-            c["name"], c["kind"], c["size"],
-            tuple(c["labels"]) if c["labels"] is not None else None,
-        )
-        for c in doc
-    )
-    return data_mod.Schema(cols)
-
-
-def generator_to_text(gen):
-    """Serialize a fitted generator to one line of versioned JSON."""
-    spec = gen.spec
-    doc = {
-        "format": "privgames-generator",
-        "version": 1,
-        "spec": {
-            "kind": spec.kind,
-            "max_parents": spec.max_parents,
-            "epsilon": spec.epsilon,
-            "p_in": spec.p_in,
-            "p_out": spec.p_out,
-            "smoothing": spec.smoothing,
-            "mi_floor": spec.mi_floor,
-        },
-        "schema": _schema_to_doc(gen.schema),
-        "structure": None
-        if gen.structure is None
-        else {
-            "order": list(gen.structure.order),
-            "parents": [list(p) for p in gen.structure.parents],
-        },
-        "tables": None
-        if gen.tables is None
-        else [
-            {
-                "parents": list(c.parents),
-                "parent_sizes": list(c.parent_sizes),
-                "counts": c.counts.tolist(),
-                "probs": c.probs.tolist(),
-            }
-            for c in gen.tables
-        ],
-        "toy_member": gen.toy_member,
-        "fit_seed": gen.fit_seed,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def generator_from_text(text):
-    """Inverse of generator_to_text."""
-    doc = json.loads(text)
-    if doc.get("format") != "privgames-generator" or doc.get("version") != 1:
-        raise DomainError("not a version-1 generator document")
-    s = doc["spec"]
-    spec = GeneratorSpec(
-        kind=s["kind"],
-        max_parents=s["max_parents"],
-        epsilon=s["epsilon"],
-        p_in=s["p_in"],
-        p_out=s["p_out"],
-        smoothing=s["smoothing"],
-        mi_floor=s["mi_floor"],
-    )
-    schema = _schema_from_doc(doc["schema"])
-    structure = None
-    if doc["structure"] is not None:
-        structure = Structure(
-            order=tuple(doc["structure"]["order"]),
-            parents=tuple(tuple(p) for p in doc["structure"]["parents"]),
-        )
-    tables = None
-    if doc["tables"] is not None:
-        tables = tuple(
-            Cpt(
-                tuple(t["parents"]),
-                tuple(t["parent_sizes"]),
-                np.array(t["counts"], dtype=float).reshape(
-                    len(t["probs"]), len(t["probs"][0])
-                ),
-                np.array(t["probs"], dtype=float).reshape(
-                    len(t["probs"]), len(t["probs"][0])
-                ),
-            )
-            for t in doc["tables"]
-        )
-    return FittedGenerator(
-        spec, schema, structure, tables, doc["toy_member"], doc["fit_seed"]
-    )
-
-
-def save_generator(gen, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(generator_to_text(gen) + "\n")
-
-
-def load_generator(path):
-    with open(path, encoding="utf-8") as fh:
-        return generator_from_text(fh.read())

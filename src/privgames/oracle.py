@@ -93,20 +93,6 @@ def mixture_average_rates(components, weights):
     return (alpha, beta)
 
 
-def dpd_exact_for_enumerable_generator(fit_in, fit_out):
-    """Exact per-record risk curve for an enumerable release distribution.
-
-    ``fit_in`` is the release distribution when the target record is in
-    the training data, ``fit_out`` the distribution when it is not.  The
-    distinguishability of the two is exactly the optimal trade-off
-    between them, with the out-world playing the null.
-    """
-    curve = neyman_pearson_curve(fit_out, fit_in)
-    return TradeoffCurve(
-        points=curve.points, source=CurveSource("exact", "release distinguishability")
-    )
-
-
 def toy_release_distributions(p_in, p_out):
     """The toy's in/out release distributions over its released bit."""
     for name, p in (("p_in", p_in), ("p_out", p_out)):

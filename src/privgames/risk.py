@@ -44,11 +44,6 @@ class RiskEstimate:
     n_eval: int
     record_id: str
 
-    def radius(self, rho):
-        """Hoeffding radius at confidence 1 - rho for this transcript's
-        per-class sample size."""
-        return hoeffding_radius(self.n_eval // 2, rho)
-
 
 @dataclass(frozen=True)
 class CurveSource:

@@ -44,8 +44,7 @@ def make_transcript(bits, scores):
         for i, (b, s) in enumerate(zip(bits, scores))
     )
     return GameTranscript(
-        runs=runs, record_id="r", game_kind="traditional",
-        config={}, config_hash="0" * 12,
+        runs=runs, record_id="r", game_kind="traditional", config_hash="0" * 12,
     )
 
 

@@ -174,6 +174,35 @@ def test_missing_config_file_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "dataset = bundled:correlated_500\n",
+    "[data]\naux_size = 300\n\n[data]\neval_size = 200\n",
+    "[data]\naux_size = 300\naux_size = 200\n",
+], ids=["no-section-header", "duplicate-section", "duplicate-option"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("decl", ["ordered:abc", "continuous:x"])
+def test_malformed_sidecar_count_exits_1(tmp_path, capsys, decl):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("a,b\n1,x\n0,y\n2,x\n")
+    sidecar = tmp_path / "d.schema"
+    sidecar.write_text(f"# layout\na = {decl}\n")
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        f"[data]\ndataset = {csv_path}\nschema = {sidecar}\n"
+        "aux_size = 1\neval_size = 2\ntarget_size = 1\n\n[game]\nn_eval = 2\n"
+    )
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{sidecar}: line 2" in err
+
+
 # --------------------------------------------------------------- compare
 
 

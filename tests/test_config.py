@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from privgames import generators
 from privgames.config import (
     load_experiment_config,
     parse_record_selection,
 )
-from privgames.errors import ConfigError
+from privgames.errors import ConfigError, PrivGamesError
 
 MINIMAL = """
 [data]
@@ -116,6 +118,46 @@ def test_config_hash_changes_with_seed(tmp_path):
     assert a.config_hash() != b.config_hash()
 
 
+# The hash is written into the header of every output file, and compare
+# refuses to join files whose hashes differ, so these values must not move.
+PINNED_BASE = """
+[data]
+dataset = bundled:independent_1000
+aux_size = 300
+eval_size = 200
+target_size = 50
+
+[game]
+n_eval = 100
+"""
+
+PINNED = {
+    "independent": ("[generator]\nkind = independent\n", "e20af6023638"),
+    "baynet": (
+        "[generator]\nkind = baynet\nmax_parents = 2\nsmoothing = 0.5\n"
+        "mi_floor = 0.01\n\n[attack]\nk_values = 1,2\nqueries_per_k = 30\n",
+        "18a3b331dd2e",
+    ),
+    "privbaynet": (
+        "[generator]\nkind = privbaynet\nepsilon = 1.0\n\n[records]\nselection = first:4\n",
+        "8bd468baf359",
+    ),
+    "toy": (
+        "[generator]\nkind = toy\np_in = 0.8\np_out = 0.2\n\n"
+        "[convergence]\ngrid = 20,40\nrepetitions = 3\n",
+        "e3ab69b35f8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_config_hash_pinned(tmp_path, kind):
+    extra, expected = PINNED[kind]
+    cfg = load_experiment_config(write(tmp_path, PINNED_BASE + extra))
+    assert cfg.generator_spec.kind == kind
+    assert cfg.config_hash() == expected
+
+
 def test_missing_required_key_names_section_and_key(tmp_path):
     text = """
 [data]
@@ -217,3 +259,89 @@ def test_parse_record_selection_forms():
         parse_record_selection("first:0")
     with pytest.raises(ConfigError):
         parse_record_selection("random:-3")
+
+
+
+# Every key the loader reads, each set to a valid value.
+_FULL = """
+[data]
+dataset = bundled:independent_1000
+schema =
+aux_size = 300
+eval_size = 200
+target_size = 50
+[generator]
+kind = privbaynet
+max_parents = 2
+epsilon = 1.0
+p_in = 0.8
+p_out = 0.2
+smoothing = 0.5
+mi_floor = 0.01
+[attack]
+n_shadow = 20
+k_values = 1,2
+queries_per_k = 30
+epochs = 100
+learning_rate = 0.5
+l2 = 0.001
+syn_size = 40
+[game]
+n_eval = 100
+kinds = traditional,model_seeded
+reference_mode = fixed
+[records]
+selection = first:4
+[experiment]
+master_seed = 5
+[output]
+dir = results
+high_risk_threshold = 0.7
+rho = 0.1
+[convergence]
+grid = 20,40
+repetitions = 3
+"""
+_VALUE = st.one_of(
+    st.sampled_from(
+        ["0", "1", "-1", "3", "0.5", "nan", "inf", "1e999", "abc", "", "1,,x",
+         "ids:1,1", "random:0", "toy", "bogus", "bundled:nope", "%(x)s", "50%"]
+    ),
+    st.text(max_size=10),
+)
+_LINE = st.one_of(
+    st.sampled_from(["[data]", "[game]", "[generator]", "[data", "no equals sign"]),
+    st.builds("{} = {}".format, st.sampled_from(["n_eval", "kind", "rho"]), _VALUE),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def _ini_texts(draw):
+    """The full config with a few values replaced, lines inserted or deleted."""
+    lines = _FULL.strip().splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["value", "value", "insert", "delete"]))
+        if action == "value" and " =" in lines[i]:
+            lines[i] = lines[i].partition(" =")[0] + " = " + draw(_VALUE)
+        elif action == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, draw(_LINE))
+    return "\n".join(lines)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_ini_texts())
+def test_arbitrary_ini_returns_or_raises_privgames_error(tmp_path, text):
+    path = tmp_path / "exp.ini"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        load_experiment_config(str(path))
+    except PrivGamesError:
+        pass

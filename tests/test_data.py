@@ -70,14 +70,8 @@ def test_load_csv_first_appearance_indexing(tmp_path):
 def test_load_csv_roundtrip_with_duplicates(tmp_path):
     p = write(tmp_path / "t.csv", "pet,n\ndog,2\ncat,0\ndog,2\n")
     ds = data.load_csv(p, hints={"n": data.ColumnHint(data.ORDERED)})
-    out = tmp_path / "out.csv"
-    data.export_csv(ds, out)
-    again = data.load_csv(str(out), hints={"n": data.ColumnHint(data.ORDERED)})
-    assert again == ds
-    assert again.n == 3  # duplicates preserved
-    assert out.read_text(encoding="utf-8") == (tmp_path / "t.csv").read_text(
-        encoding="utf-8"
-    )
+    assert ds.n == 3  # duplicates preserved
+    assert ds.records() == [(0, 2), (1, 0), (0, 2)]
 
 
 def test_load_csv_reports_bad_arity_line(tmp_path):
@@ -97,19 +91,6 @@ def test_load_csv_header_only(tmp_path):
     ds = data.load_csv(p)
     assert ds.n == 0
     assert ds.schema.ncols == 2
-
-
-def test_load_csv_against_existing_schema(tmp_path):
-    schema = two_col_schema()
-    p = write(tmp_path / "t.csv", "color,level\nblue,3\nred,0\n")
-    ds = data.load_csv(p, schema=schema)
-    assert ds.records() == [(2, 3), (0, 0)]
-    bad = write(tmp_path / "bad.csv", "color,level\npink,0\n")
-    with pytest.raises(DomainError, match="pink"):
-        data.load_csv(bad, schema=schema)
-    high = write(tmp_path / "high.csv", "color,level\nred,9\n")
-    with pytest.raises(DomainError, match="level"):
-        data.load_csv(high, schema=schema)
 
 
 def test_load_csv_ordered_hints(tmp_path):

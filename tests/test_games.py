@@ -55,6 +55,15 @@ def test_config_hash_tracks_content():
     assert len(a.config_hash()) == 12
 
 
+def test_config_hash_pinned():
+    # Written into every transcript header; these values must not move.
+    spec = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=0.5)
+    a = games.GameConfig(200, 50, spec, 12345, games.MODEL_SEEDED, games.REFERENCE_FIXED)
+    assert a.config_hash() == "133aa4c687f7"
+    b = games.GameConfig(100, 4, toy_spec(), 7, games.TRADITIONAL)
+    assert b.config_hash() == "c815da991839"
+
+
 def test_balanced_bits():
     for n in (2, 10, 400):
         bits = games.balanced_bits(n, seed=3)

@@ -114,7 +114,7 @@ def test_dpd_exact_matches_toy_rates():
     # distinguishability curve, at the vertex for the bit-1 accept set.
     p_in, p_out = 0.8, 0.2
     fit_in, fit_out = oracle.toy_release_distributions(p_in, p_out)
-    curve = oracle.dpd_exact_for_enumerable_generator(fit_in, fit_out)
+    curve = oracle.neyman_pearson_curve(fit_out, fit_in)
     alpha, beta = oracle.toy_exact_rates(p_in, p_out)
     assert any(
         abs(a - alpha) <= 1e-12 and abs(b - beta) <= 1e-12 for a, b in curve.points
@@ -124,6 +124,6 @@ def test_dpd_exact_matches_toy_rates():
 
 def test_dpd_exact_identical_worlds_is_diagonal():
     fit_in, fit_out = oracle.toy_release_distributions(0.4, 0.4)
-    curve = oracle.dpd_exact_for_enumerable_generator(fit_in, fit_out)
+    curve = oracle.neyman_pearson_curve(fit_out, fit_in)
     for alpha, beta in curve.points:
         assert abs((1.0 - alpha) - beta) <= 1e-12

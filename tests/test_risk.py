@@ -22,7 +22,7 @@ def make_transcript(bits, scores, game_kind="traditional", record_id="r"):
         for i, (b, s) in enumerate(zip(bits, scores))
     )
     return GameTranscript(
-        runs=runs, record_id=record_id, game_kind=game_kind, config={}, config_hash="0" * 12
+        runs=runs, record_id=record_id, game_kind=game_kind, config_hash="0" * 12
     )
 
 
@@ -108,7 +108,6 @@ def test_risk_estimate_carries_context():
     assert est.game_kind == "model_seeded"
     assert est.record_id == "17"
     assert est.n_eval == 2
-    assert est.radius(0.2) == risk.hoeffding_radius(1, 0.2)
 
 
 # ----------------------------------------------------------------- radius
