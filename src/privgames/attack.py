@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import data as data_mod
-from . import generators
+from . import games, generators
 from .errors import ConfigError, DomainError, SizeError, TrainingError
 from .seeds import derive, rng
 
@@ -249,6 +249,19 @@ def attack_score(meta, d_syn, x, bank):
     return float(_sigmoid(feats @ w[:-1] + w[-1]))
 
 
+def _releases(gens, n, seeds):
+    """Each generator's sample of ``n`` rows, in order.
+
+    Releases are drawn in batches of at most ``generators.BATCH_ELEMENTS``
+    values and consumed one at a time, so a game's releases never all sit
+    in memory at once, nor do their feature arrays."""
+    if not gens:
+        return
+    size = max(1, generators.BATCH_ELEMENTS // (n * gens[0].schema.ncols))
+    for lo in range(0, len(gens), size):
+        yield from generators.sample_batch(gens[lo : lo + size], n, seeds[lo : lo + size])
+
+
 def train_attack(
     d_aux,
     x,
@@ -264,31 +277,40 @@ def train_attack(
     """Full shadow pipeline: sets, generators, features, classifier.
 
     Each shadow generator is fit on its own derived seed and sampled
-    once at size ``n``; the meta-classifier is trained on the resulting
-    feature matrix.  Deterministic given its arguments.
+    once at size ``n``, all shadows as one batch; the meta-classifier is
+    trained on the resulting feature matrix.  Deterministic given its
+    arguments.
     """
     sets = build_shadow_sets(d_aux, x, n, n_shadow, derive(seed, "shadow-sets"))
-    feats = []
-    labels = []
-    for i, (ds, label) in enumerate(sets):
-        gen = generators.fit(
-            spec, ds, target_hint=x, seed=derive(seed, "shadow-fit", i)
-        )
-        d_syn = generators.sample(gen, n, derive(seed, "shadow-sample", i))
-        feats.append(extract_features(d_syn, x, bank))
-        labels.append(label)
+    count = len(sets)
+    gens = generators.fit_batch(
+        [spec] * count,
+        [ds for ds, _ in sets],
+        [derive(seed, "shadow-fit", i) for i in range(count)],
+        target_hint=x,
+    )
+    releases = _releases(gens, n, [derive(seed, "shadow-sample", i) for i in range(count)])
+    feats = [extract_features(d_syn, x, bank) for d_syn in releases]
+    labels = [label for _, label in sets]
     return train_meta_classifier(
         np.array(feats), np.array(labels), epochs, learning_rate, l2
     )
 
 
+class _MetaClassifierAdversary(games.Adversary):
+    def __init__(self, meta, bank, x, n_syn):
+        self.meta = meta
+        self.bank = bank
+        self.x = x
+        self.n_syn = n_syn
+
+    def score_rounds(self, gens, seeds):
+        releases = _releases(gens, self.n_syn, seeds)
+        return [attack_score(self.meta, d_syn, self.x, self.bank) for d_syn in releases]
+
+
 def meta_classifier_adversary(meta, bank, x, n_syn):
-    """Adversary callable for the games: sample a release, score it."""
+    """Adversary for the games: sample a release per round, score it."""
     if n_syn < 1:
         raise DomainError("adversary needs a positive synthetic sample size")
-
-    def adversary(gen, seed):
-        d_syn = generators.sample(gen, n_syn, seed)
-        return attack_score(meta, d_syn, x, bank)
-
-    return adversary
+    return _MetaClassifierAdversary(meta, bank, x, n_syn)

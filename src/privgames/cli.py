@@ -59,8 +59,11 @@ def _write_file(path, lines):
 
 def read_result_rows(path):
     """Parse a results file into (config_hash, status, ordered {record_id: auc})."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines or not lines[0][1].startswith("# privgames-results v1 "):
         raise ConfigError(f"{path}: not a version-1 results file")
     fields = {}
@@ -195,7 +198,12 @@ def result_row(cfg, transcript):
 
 
 def cmd_run(cfg, threads=1, log=print):
-    """Execute the configured evaluation; returns a process exit code."""
+    """Execute the configured evaluation; returns a process exit code.
+
+    A record whose evaluation raises a PrivGamesError is logged and left
+    out of every output; the other records are still evaluated, and the
+    results are marked ``status=partial`` with exit code 1.
+    """
     _, d_aux, d_eval, d_target = load_environment(cfg)
     record_ids = select_record_ids(cfg, d_target)
     bank = build_bank(cfg, d_eval.schema)
@@ -208,28 +216,32 @@ def cmd_run(cfg, threads=1, log=print):
     rows = {kind: [] for kind in cfg.game_kinds}
     status = "complete"
     exit_code = 0
-    try:
-        for rid in record_ids:
-            x = d_target.record(rid)
+    for rid in record_ids:
+        # A record lands in the outputs with all its games or not at all;
+        # a failed record is logged and the next one still runs.
+        x = d_target.record(rid)
+        try:
             adversary = build_adversary(
                 cfg, bank, d_aux, x, derive(cfg.master_seed, "attack", rid)
             )
-            summary = []
-            for kind in cfg.game_kinds:
-                transcript = play_game(
-                    cfg, kind, rid, x, d_eval, d_target, adversary, threads
-                )
-                games.save_transcript(
-                    transcript,
-                    os.path.join(transcripts_dir, f"record{rid}_{kind}.txt"),
-                )
-                rows[kind].append(result_row(cfg, transcript))
-                summary.append(f"{kind} auc={risk.roc_auc(transcript).auc:.3f}")
-            log(f"record {rid}: " + ", ".join(summary))
-    except PrivGamesError as exc:
-        log(f"record evaluation failed: {exc}")
-        status = "partial"
-        exit_code = 1
+            transcripts = [
+                play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads)
+                for kind in cfg.game_kinds
+            ]
+            record_rows = [result_row(cfg, t) for t in transcripts]
+        except PrivGamesError as exc:
+            log(f"record evaluation failed: record {rid}: {exc}")
+            status = "partial"
+            exit_code = 1
+            continue
+        summary = []
+        for kind, transcript, row in zip(cfg.game_kinds, transcripts, record_rows):
+            games.save_transcript(
+                transcript, os.path.join(transcripts_dir, f"record{rid}_{kind}.txt")
+            )
+            rows[kind].append(row)
+            summary.append(f"{kind} auc={risk.roc_auc(transcript).auc:.3f}")
+        log(f"record {rid}: " + ", ".join(summary))
 
     for kind in cfg.game_kinds:
         path = os.path.join(cfg.out_dir, f"results_{kind}.csv")
@@ -462,7 +474,8 @@ def _add_run_style_options(sub):
     sub.add_argument(
         "--threads",
         type=int,
-        help=f"game rounds run in this many threads (default ${THREADS_ENV_VAR} or 1)",
+        help="split each game's batch of rounds into this many chunks, fit and "
+        f"scored in a thread pool (default ${THREADS_ENV_VAR} or 1)",
     )
 
 

@@ -170,14 +170,14 @@ def load_experiment_config(path):
 
     dataset = _get(parser, "data", "dataset", required=True)
     sidecar = _get(parser, "data", "schema", "")
-    csv_path, bundled_side = corpora.resolve_dataset(dataset)
+    # A bundled corpus's own sidecar is resolved when the data is loaded,
+    # not stored here: its path depends on where the package lives, and
+    # this config is hashed.
+    csv_path, _ = corpora.resolve_dataset(dataset)
     if not os.path.isfile(csv_path):
         raise ConfigError(f"data.dataset file not found: {csv_path}")
-    if sidecar:
-        if not os.path.isfile(sidecar):
-            raise ConfigError(f"data.schema file not found: {sidecar}")
-    elif bundled_side:
-        sidecar = bundled_side
+    if sidecar and not os.path.isfile(sidecar):
+        raise ConfigError(f"data.schema file not found: {sidecar}")
 
     aux_size = _get_int(parser, "data", "aux_size", required=True, minimum=1)
     eval_size = _get_int(parser, "data", "eval_size", required=True, minimum=1)

@@ -9,6 +9,7 @@ wrappers around an ``(n, d)`` int64 array.
 """
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,16 +162,27 @@ def validate_record(schema, x):
             )
 
 
+@contextmanager
+def _open_utf8(path, newline=None):
+    """Open a text file; bytes that are not UTF-8 raise CsvParseError."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def parse_schema_sidecar(path):
     """Read per-column hints from a key-value sidecar file.
 
     One line per column: ``name = kind`` or ``name = ordered:<levels>``
     or ``name = continuous:<bins>``.  Blank lines and ``#`` comments are
-    skipped.  Unknown kinds raise DomainError, and a count that is not an
-    integer raises CsvParseError naming the line.
+    skipped.  Unknown kinds raise DomainError; a count that is not an
+    integer raises CsvParseError naming the line, and bytes that are not
+    UTF-8 raise CsvParseError naming the file.
     """
     hints = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -209,9 +221,10 @@ def load_csv(path, hints=None):
     The schema is inferred: text columns become categoricals indexed in
     first-appearance order, and ``hints`` (name -> ColumnHint) may
     declare ordered or continuous columns.  Rows whose field count
-    disagrees with the header raise CsvParseError naming the line.
+    disagrees with the header raise CsvParseError naming the line, and
+    bytes that are not UTF-8 raise CsvParseError naming the file.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

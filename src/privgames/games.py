@@ -16,7 +16,14 @@ membership score.  The games differ only in how the dataset is built:
 Bits are balanced exactly (half 1, half 0) rather than i.i.d., so both
 empirical rates are estimated from n_eval / 2 rounds each.  Every round
 derives its own seed from the master seed and its index, which makes
-transcripts independent of execution order and safe to parallelize.
+transcripts independent of execution order and of how rounds are
+grouped.  So a game plays its rounds in batches: it builds every round's
+training dataset, fits all the batch's generators in one call
+(``generators.fit_batch``), and hands them to the adversary, which
+samples the releases in batched calls and scores the rounds one by one.
+A batch keeps its datasets within ``generators.BATCH_ELEMENTS`` values;
+with ``threads > 1`` the rounds are also cut into that many chunks, run
+in a thread pool.  The transcript is the same bytes either way.
 """
 
 import hashlib
@@ -125,22 +132,35 @@ def balanced_bits(n_eval, seed):
 def _execute(config, record_id, adversary, x, build_run, threads):
     bits = balanced_bits(config.n_eval, derive(config.master_seed, "bits"))
 
-    def one(i):
-        run_seed = derive(config.master_seed, "run", i)
-        b = int(bits[i])
-        ds, spec = build_run(i, b, run_seed)
-        gen = generators.fit(spec, ds, target_hint=x, seed=derive(run_seed, "fit"))
-        score = adversary(gen, derive(run_seed, "adversary"))
-        return GameRun(run_index=i, secret_bit=b, score=float(score), run_seed=run_seed)
+    def play(indices):
+        run_seeds = [derive(config.master_seed, "run", i) for i in indices]
+        secret = [int(bits[i]) for i in indices]
+        built = [build_run(i, b, s) for i, b, s in zip(indices, secret, run_seeds)]
+        gens = generators.fit_batch(
+            [spec for _, spec in built],
+            [ds for ds, _ in built],
+            [derive(s, "fit") for s in run_seeds],
+            target_hint=x,
+        )
+        scores = adversary.score_rounds(gens, [derive(s, "adversary") for s in run_seeds])
+        return [
+            GameRun(run_index=i, secret_bit=b, score=float(score), run_seed=s)
+            for i, b, score, s in zip(indices, secret, scores, run_seeds)
+        ]
 
-    indices = range(config.n_eval)
+    # A batch holds at most a ``threads``-th of the rounds, and training
+    # datasets of at most BATCH_ELEMENTS values.
+    n_eval = config.n_eval
+    cells = config.dataset_size * len(x)
+    size = max(1, min(generators.BATCH_ELEMENTS // cells, -(-n_eval // threads)))
+    batches = [range(i, min(i + size, n_eval)) for i in range(0, n_eval, size)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(one, indices))
+            played = list(pool.map(play, batches))
     else:
-        runs = [one(i) for i in indices]
+        played = [play(batch) for batch in batches]
     return GameTranscript(
-        runs=tuple(runs),
+        runs=tuple(run for batch in played for run in batch),
         record_id=str(record_id),
         game_kind=config.game_kind,
         config_hash=config.config_hash(),
@@ -181,12 +201,13 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
         Target record; must conform to the evaluation pool's schema.
     d_eval : Dataset
         Evaluation pool the per-round datasets are resampled from.
-    adversary : callable (FittedGenerator, seed) -> float
-        Returns a membership score in [0, 1].
+    adversary : Adversary
+        Scores each round's fitted generator in [0, 1].
     config : GameConfig
     record_id : str
     threads : int
-        Rounds run in a thread pool when > 1; the transcript is
+        When > 1, the rounds are split into this many chunks, each fit
+        and scored as one batch in a thread pool; the transcript is
         identical either way.
 
     Returns
@@ -330,22 +351,42 @@ def run_traditional_mixture(
     return _execute(config, record_id, adversary, x, build_run, threads)
 
 
+class Adversary:
+    """Membership scores for the rounds of a game.
+
+    ``score_rounds(gens, seeds)`` scores a batch of rounds from their
+    fitted generators and per-round adversary seeds; calling an
+    adversary on one generator scores a batch of one.
+    """
+
+    def score_rounds(self, gens, seeds):
+        raise NotImplementedError
+
+    def __call__(self, gen, seed):
+        return self.score_rounds([gen], [seed])[0]
+
+
+class _ToyBitAdversary(Adversary):
+    def score_rounds(self, gens, seeds):
+        return [float(bit) for bit in generators.release_bits(gens, seeds)]
+
+
+class _ConstantAdversary(Adversary):
+    def __init__(self, value):
+        self.value = float(value)
+
+    def score_rounds(self, gens, seeds):
+        return [self.value] * len(gens)
+
+
 def toy_bit_adversary():
     """Adversary for the toy generator: the released bit, as a score."""
-
-    def adversary(gen, seed):
-        return float(generators.release_bit(gen, seed))
-
-    return adversary
+    return _ToyBitAdversary()
 
 
 def constant_adversary(value):
     """Adversary that ignores the release; useful as a null baseline."""
-
-    def adversary(gen, seed):
-        return float(value)
-
-    return adversary
+    return _ConstantAdversary(value)
 
 
 def transcript_to_text(transcript):
@@ -362,26 +403,35 @@ def transcript_to_text(transcript):
 
 
 def transcript_from_text(text):
-    """Inverse of transcript_to_text."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith("# privgames-transcript v1 "):
+    """Inverse of transcript_to_text.
+
+    Raises ConfigError for text that is not a version-1 transcript, and
+    for a round row without four numeric fields, naming its line.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln]
+    if not lines or not lines[0][1].startswith("# privgames-transcript v1 "):
         raise ConfigError("not a version-1 transcript")
-    header, _, record_id = lines[0].partition(" record=")
+    header, _, record_id = lines[0][1].partition(" record=")
     fields = {"record": record_id}
     for token in header[2:].split(" ")[2:]:
         key, _, value = token.partition("=")
         fields[key] = value
     runs = []
-    for line in lines[2:]:
-        idx, bit, score, run_seed = line.split(",")
-        runs.append(
-            GameRun(
-                run_index=int(idx),
-                secret_bit=int(bit),
-                score=float(score),
-                run_seed=int(run_seed),
+    for no, line in lines[2:]:
+        row = line.split(",")
+        if len(row) != 4:
+            raise ConfigError(f"transcript line {no}: expected 4 fields, got {len(row)}")
+        try:
+            runs.append(
+                GameRun(
+                    run_index=int(row[0]),
+                    secret_bit=int(row[1]),
+                    score=float(row[2]),
+                    run_seed=int(row[3]),
+                )
             )
-        )
+        except ValueError:
+            raise ConfigError(f"transcript line {no}: {line!r} is not numeric") from None
     return GameTranscript(
         runs=tuple(runs),
         record_id=fields.get("record", ""),

@@ -6,15 +6,20 @@ and an analytic toy whose release is a single bit.  The toy exists so
 game-level estimates can be checked against closed-form error rates;
 the network kinds are the objects actually under evaluation.
 
-A network fit runs hundreds of times per evaluated record, on tables of
-a few dozen cells, so it is written as a fixed number of array passes:
-structure learning scores every column pair from one ``bincount`` and
-estimating the tables counts every column with one more.  Both produce
-exactly the bits of the per-pair / per-column definitions
-(``mutual_information`` and a ``ravel_multi_index`` count per column).
+A game fits and samples hundreds of networks per evaluated record, each
+on tables of a few dozen cells, so networks are fit and sampled in
+batches (``fit_batch``, ``sample_batch``) and every stage is a fixed
+number of array passes over the whole batch: structure learning scores
+every column pair of every network from one ``bincount``, estimating
+the tables counts every column of every network with one more, and
+sampling draws one column of every network per step.  Each network gets
+exactly the bits of the per-network definitions (``mutual_information``,
+a ``ravel_multi_index`` count per column, ancestral sampling column by
+column); ``fit``, ``sample`` and ``release_bit`` are batches of one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +33,10 @@ PRIVBAYNET = "privbaynet"
 TOY = "toy"
 
 _KINDS = (INDEPENDENT, BAYNET, PRIVBAYNET, TOY)
+
+# Most array elements one batched intermediate may hold: batches are
+# fit and sampled in chunks that stay within it.
+BATCH_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -107,13 +116,25 @@ class Cpt:
 
 @dataclass(frozen=True)
 class FittedGenerator:
-    """A generator fit on one training dataset."""
+    """A generator fit on one training dataset.
+
+    A network keeps its tables in the flat arrays of the batch it was
+    fit in: ``packed`` is that ``_TableBatch`` and the network's index
+    in it, and ``tables`` views them as one ``Cpt`` per column.
+    """
 
     spec: GeneratorSpec
     schema: object
     structure: Structure = None
-    tables: tuple = None
     toy_member: bool = None
+    packed: tuple = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def tables(self):
+        if self.packed is None:
+            return None
+        batch, b = self.packed
+        return batch.cpts(b, self.structure)
 
 
 def mutual_information(a, b, a_size, b_size):
@@ -224,22 +245,88 @@ def _pair_plan(sizes):
 def _pair_information(values, plan):
     """Bit-identical ``mutual_information`` terms of every ordered pair.
 
-    Returns the flat array of nonzero-cell MI terms and, per pair, the
-    bounds of its contiguous slice; a pair's MI is ``np.add.reduce`` of
-    that slice, the same sum ``mutual_information`` takes.
+    ``values`` is one ``(n, d)`` training table or a ``(B, n, d)`` batch
+    of them.  One ``bincount`` counts every pair table of every network;
+    network b's cells sit at offset ``b * (plan.ncells + 1)``, the last
+    one always zero.  Returns the flat array of nonzero-cell MI terms
+    and, with the leading shape of ``values``, the bounds of each pair's
+    contiguous slice: pair p of network b is
+    ``terms[bounds[b, p] : bounds[b, p + 1]]``, and its MI is
+    ``np.add.reduce`` of that slice, the same sum ``mutual_information``
+    takes.
+
+    Marginals are reduced as the plan describes, one network after
+    another along the batch axis: row sums as rows of a 2-D array
+    reduced along the last axis, column sums as a left fold down axis 0
+    of a ``(max_rows, B * k)`` gather.
     """
-    codes = values[:, plan.a_cols] * plan.b_sizes + values[:, plan.b_cols]
+    batch = values.reshape(-1, *values.shape[-2:])
+    nets, n, _ = batch.shape
+    width = plan.ncells + 1
+    net_cells = np.arange(nets, dtype=np.int64) * width
+    codes = batch[:, :, plan.a_cols] * plan.b_sizes + batch[:, :, plan.b_cols]
     codes += plan.bounds[:-1]
-    joint = np.bincount(codes.ravel(), minlength=plan.ncells + 1).astype(float)
-    joint /= values.shape[0]
-    marg = np.empty(plan.nmarg)
+    codes += net_cells[:, None, None]
+    joint = np.bincount(codes.ravel(), minlength=nets * width).astype(float)
+    joint /= n
+    marg = np.empty((nets, plan.nmarg))
+    by_net = joint.reshape(nets, width)
     for gather, slots in plan.row_groups:
-        marg[slots] = joint[gather].sum(axis=1)
-    marg[plan.col_slots] = joint[plan.col_gather].sum(axis=0)
+        sums = by_net[:, gather].reshape(-1, gather.shape[1]).sum(axis=1)
+        marg[:, slots] = sums.reshape(nets, -1)
+    cols = plan.col_gather[:, None, :] + net_cells[:, None]
+    sums = joint[cols.reshape(cols.shape[0], -1)].sum(axis=0)
+    marg[:, plan.col_slots] = sums.reshape(nets, -1)
     nz = np.flatnonzero(joint)
     pj = joint[nz]
-    terms = pj * np.log(pj / (marg[plan.cell_row[nz]] * marg[plan.cell_col[nz]]))
-    return terms, np.searchsorted(nz, plan.bounds).tolist()
+    net, cell = np.divmod(nz, width)
+    base = net * plan.nmarg
+    flat = marg.ravel()
+    terms = pj * np.log(pj / (flat[base + plan.cell_row[cell]] * flat[base + plan.cell_col[cell]]))
+    bounds = np.searchsorted(nz, net_cells[:, None] + plan.bounds)
+    return terms, bounds.reshape(*values.shape[:-2], -1)
+
+
+def _pair_mi(terms, bounds):
+    """``np.add.reduce`` of every pair slice, flat in (network, pair) order.
+
+    Slices of equal length are gathered into one ``(count, length)``
+    array and reduced along its last axis, the same pairwise sum numpy
+    runs on one slice; empty slices sum to 0.0.
+    """
+    starts = bounds[..., :-1].ravel()
+    lengths = (bounds[..., 1:] - bounds[..., :-1]).ravel()
+    mi = np.zeros(len(starts))
+    for length in np.unique(lengths).tolist():
+        if length:
+            sel = np.flatnonzero(lengths == length)
+            mi[sel] = terms[starts[sel, None] + np.arange(length)].sum(axis=1)
+    return mi
+
+
+def _learn_structures(values, sizes, max_parents, seeds, mi_floor):
+    """``learn_structure`` of every network of a ``(B, n, d)`` batch."""
+    d = len(sizes)
+    plan = _pair_plan(sizes)
+    terms, bounds = _pair_information(values, plan)
+    mi = _pair_mi(terms, bounds).reshape(len(seeds), -1).tolist()
+    pair_index = plan.pair_index
+    structures = []
+    for scores, seed in zip(mi, seeds):
+        order = tuple(rng(seed).permutation(d).tolist())
+        parents = [None] * d
+        for k, col in enumerate(order):
+            scored = []
+            for cand in order[:k]:
+                s = scores[pair_index[col, cand]]
+                if s < mi_floor:
+                    continue
+                scored.append((s, cand))
+            # Highest MI first; ties broken by column index for determinism.
+            scored.sort(key=lambda t: (-t[0], t[1]))
+            parents[col] = tuple(c for _, c in scored[:max_parents])
+        structures.append(Structure(order=order, parents=tuple(parents)))
+    return structures
 
 
 def learn_structure(training, max_parents, seed, mi_floor=0.0):
@@ -258,36 +345,186 @@ def learn_structure(training, max_parents, seed, mi_floor=0.0):
     """
     if training.n == 0:
         raise FitError("cannot learn a structure from an empty dataset")
-    d = training.schema.ncols
-    order = tuple(int(i) for i in rng(seed).permutation(d))
-    plan = _pair_plan(training.schema.sizes)
-    terms, bounds = _pair_information(training.values, plan)
-    pair_index = plan.pair_index
-    parents = [None] * d
-    for k, col in enumerate(order):
-        scored = []
-        for cand in order[:k]:
-            p = pair_index[col, cand]
-            mi = float(np.add.reduce(terms[bounds[p] : bounds[p + 1]]))
-            if mi < mi_floor:
-                continue
-            scored.append((mi, cand))
-        # Highest MI first; ties broken by column index for determinism.
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        parents[col] = tuple(c for _, c in scored[:max_parents])
-    return Structure(order=order, parents=tuple(parents))
-
-
-def _parent_combo_index(values, parents, parent_sizes):
-    if not parents:
-        return np.zeros(values.shape[0], dtype=np.int64)
-    cols = tuple(values[:, p] for p in parents)
-    return np.ravel_multi_index(cols, parent_sizes)
+    return _learn_structures(
+        training.values[None], training.schema.sizes, max_parents, [seed], mi_floor
+    )[0]
 
 
 def _normalize_rows(counts, arity):
     totals = counts.sum(axis=1, keepdims=True)
     return np.divide(counts, totals, out=np.full_like(counts, 1.0 / arity), where=totals > 0)
+
+
+def _starts(lengths):
+    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+
+
+class _TableBatch:
+    """The conditional probability tables of a batch of networks.
+
+    All networks share one schema.  Table ``t = b * d + c`` is column c
+    of network b: its ``(n_combos[t], arity[t])`` cells are the block at
+    ``cell_start[t]`` of the flat ``counts`` and ``probs`` arrays, laid
+    out exactly as the per-column table raveled, and its rows are batch
+    rows ``row_start[t]`` onward.  A record falls in row ``row_start[t]``
+    plus ``sum_j value[parent_cols[b, c, j]] * combo_strides[b, c, j]``,
+    the row-major parent combination ``ravel_multi_index`` computes;
+    unused parent slots have stride 0.
+    """
+
+    def __init__(self, sizes, structures):
+        nets = len(structures)
+        d = len(sizes)
+        self.d = d
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.orders = np.array([st.order for st in structures], dtype=np.int64)
+        depth = max((len(p) for st in structures for p in st.parents), default=0)
+        padded = np.array(
+            [[p + (-1,) * (depth - len(p)) for p in st.parents] for st in structures],
+            dtype=np.int64,
+        ).reshape(nets, d, depth)
+        used = padded >= 0
+        parent_sizes = np.where(used, self.sizes[padded], 1)
+        suffix = np.ones((nets, d, depth + 1), dtype=np.int64)
+        suffix[:, :, :depth] = np.cumprod(parent_sizes[:, :, ::-1], axis=2)[:, :, ::-1]
+        self.parent_cols = np.where(used, padded, 0)
+        self.combo_strides = suffix[:, :, 1:] * used
+        self.n_combos = suffix[:, :, 0].ravel()
+        self.arity = np.tile(self.sizes, nets)
+        self.cell_start = _starts(self.n_combos * self.arity)
+        self.row_start = _starts(self.n_combos)
+        self.counts = None
+        self.probs = None
+        self._cumulative = None
+
+    def count(self, values):
+        """Cell counts of every table of a ``(B, n, d)`` batch, from one
+        ``bincount``."""
+        nets, _, d = values.shape
+        codes = values + self.cell_start[:-1].reshape(nets, 1, d)
+        for j in range(self.parent_cols.shape[2]):
+            parent_values = np.take_along_axis(values, self.parent_cols[:, None, :, j], axis=2)
+            codes += parent_values * (self.combo_strides[:, None, :, j] * self.sizes)
+        return np.bincount(codes.ravel(), minlength=self.cell_start[-1]).astype(float)
+
+    def privatize(self, counts, epsilon, seeds):
+        """Laplace-noised counts clamped at zero; table c of network b
+        draws from ``rng(derive(seeds[b], "privatize-col", c))``."""
+        d = self.d
+        scale = (d * 2.0) / epsilon
+        cells = np.diff(self.cell_start).tolist()
+        noise = [
+            rng(derive(seed, "privatize-col", c)).laplace(0.0, scale, size=cells[b * d + c])
+            for b, seed in enumerate(seeds)
+            for c in range(d)
+        ]
+        return np.maximum(counts + np.concatenate(noise), 0.0)
+
+    def _rows(self):
+        """Flat index of the first cell, and the arity, of every row."""
+        table = np.repeat(np.arange(len(self.arity)), self.n_combos)
+        within = np.arange(self.row_start[-1]) - self.row_start[table]
+        return self.cell_start[table] + within * self.arity[table], self.arity[table]
+
+    def set_counts(self, counts):
+        """Store the final cell counts and their normalized rows."""
+        self.counts = counts
+        self.probs = self.normalize(counts)
+
+    def normalize(self, counts):
+        """``_normalize_rows`` of every table, bit for bit.
+
+        Rows are normalized in groups of equal arity, each a
+        ``(rows, arity)`` array, so every row total is the contiguous sum
+        a single table takes; zero-padding rows to one width would change
+        numpy's pairwise sums of rows with 8 or more cells.
+        """
+        first, arity = self._rows()
+        probs = np.empty_like(counts)
+        for a in np.unique(self.sizes).tolist():
+            cells = first[arity == a][:, None] + np.arange(a)
+            probs[cells] = _normalize_rows(counts[cells], a)
+        return probs
+
+    def cumulative(self):
+        """Cumulative row probabilities, zero-padded to the widest arity
+        and stored level-major: entry ``[level, row]``.
+
+        Padding repeats a row's last cumulative value, so it can only
+        add picks past the row's last level, which sampling clamps to
+        that level anyway.
+        """
+        if self._cumulative is None:
+            first, arity = self._rows()
+            width = np.arange(int(self.sizes.max()))
+            cells = np.where(width < arity[:, None], first[:, None] + width, len(self.probs))
+            cum = np.append(self.probs, 0.0)[cells].cumsum(axis=1)
+            self._cumulative = np.ascontiguousarray(cum.T)
+        return self._cumulative
+
+    def sample(self, nets, n, seeds):
+        """Ancestral samples, ``(len(nets), n, d)``, of the given networks.
+
+        Network i draws every uniform up front with
+        ``rng(seeds[i]).random((d, n))``, whose row k is the k-th
+        ``random(n)`` call of a column-by-column sampler.  Step k samples
+        the k-th column of every network's visit order at once: gather
+        each record's cumulative row, count the entries ``<= u``, clamp
+        to the column's last level.
+        """
+        k = len(nets)
+        d = self.d
+        cum = self.cumulative()
+        u = np.empty((k, d, n))
+        for i, seed in enumerate(seeds):
+            rng(seed).random(out=u[i])
+        values = np.zeros((k, d, n), dtype=np.int64)
+        each = np.arange(k)
+        orders = self.orders[nets]
+        row_start = self.row_start[:-1].reshape(-1, d)[nets]
+        parent_cols = self.parent_cols[nets]
+        strides = self.combo_strides[nets]
+        for step in range(d):
+            cols = orders[:, step]
+            rows = row_start[each, cols][:, None]
+            for j in range(parent_cols.shape[2]):
+                pv = values[each, parent_cols[each, cols, j]]
+                rows = rows + pv * strides[each, cols, j][:, None]
+            picked = (np.take(cum, rows, axis=1) <= u[:, step]).sum(axis=0)
+            values[each, cols] = np.minimum(picked, self.sizes[cols][:, None] - 1)
+        return np.ascontiguousarray(values.transpose(0, 2, 1))
+
+    def cpts(self, b, structure):
+        """Network b's tables, one ``Cpt`` per column, as views."""
+        sizes = self.sizes.tolist()
+        out = []
+        for c, parents in enumerate(structure.parents):
+            t = b * self.d + c
+            lo, hi = self.cell_start[t : t + 2].tolist()
+            shape = (int(self.n_combos[t]), sizes[c])
+            out.append(
+                Cpt(
+                    parents,
+                    tuple(sizes[p] for p in parents),
+                    self.counts[lo:hi].reshape(shape),
+                    self.probs[lo:hi].reshape(shape),
+                )
+            )
+        return tuple(out)
+
+
+def _spans(weights):
+    """Consecutive ``(lo, hi)`` ranges of items whose weights sum to at
+    most ``BATCH_ELEMENTS``; an item heavier than that is a range alone."""
+    spans = []
+    lo = total = 0
+    for i, w in enumerate(weights):
+        if i > lo and total + w > BATCH_ELEMENTS:
+            spans.append((lo, i))
+            lo, total = i, 0
+        total += w
+    spans.append((lo, len(weights)))
+    return spans
 
 
 def estimate_tables(training, structure, smoothing):
@@ -304,35 +541,9 @@ def estimate_tables(training, structure, smoothing):
     """
     if training.n == 0:
         raise FitError("cannot estimate tables from an empty dataset")
-    sizes = training.schema.sizes
-    d = training.schema.ncols
-    depth = max((len(p) for p in structure.parents), default=0)
-    parent_cols = np.zeros((depth, d), dtype=np.int64)
-    strides = np.zeros((depth, d), dtype=np.int64)
-    offsets = np.empty(d, dtype=np.int64)
-    shapes = []
-    total = 0
-    for col, parents in enumerate(structure.parents):
-        stride = sizes[col]
-        for j in range(len(parents) - 1, -1, -1):
-            parent_cols[j, col] = parents[j]
-            strides[j, col] = stride
-            stride *= sizes[parents[j]]
-        offsets[col] = total
-        shapes.append((stride // sizes[col], sizes[col]))
-        total += stride
-    codes = training.values + offsets
-    for j in range(depth):
-        codes += training.values[:, parent_cols[j]] * strides[j]
-    flat = np.bincount(codes.ravel(), minlength=total).astype(float)
-    tables = []
-    for col, parents in enumerate(structure.parents):
-        n_combos, arity = shapes[col]
-        start = offsets[col]
-        counts = flat[start : start + n_combos * arity].reshape(n_combos, arity) + smoothing
-        probs = _normalize_rows(counts, arity)
-        tables.append(Cpt(parents, tuple(sizes[p] for p in parents), counts, probs))
-    return tuple(tables)
+    batch = _TableBatch(training.schema.sizes, [structure])
+    batch.set_counts(batch.count(training.values[None]) + smoothing)
+    return batch.cpts(0, structure)
 
 
 def privatize_tables(tables, epsilon, seed):
@@ -346,18 +557,103 @@ def privatize_tables(tables, epsilon, seed):
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be > 0")
-    ncols = len(tables)
-    scale = (ncols * 2.0) / epsilon
-    out = []
-    for i, cpt in enumerate(tables):
-        g = rng(derive(seed, "privatize-col", i))
-        noisy = cpt.counts + g.laplace(0.0, scale, size=cpt.counts.shape)
-        clamped = np.maximum(noisy, 0.0)
-        arity = cpt.probs.shape[1]
-        out.append(
-            Cpt(cpt.parents, cpt.parent_sizes, clamped, _normalize_rows(clamped, arity))
-        )
-    return tuple(out)
+    sizes = tuple(cpt.probs.shape[1] for cpt in tables)
+    structure = Structure(
+        order=tuple(range(len(tables))), parents=tuple(cpt.parents for cpt in tables)
+    )
+    batch = _TableBatch(sizes, [structure])
+    counts = np.concatenate([cpt.counts.ravel() for cpt in tables])
+    batch.set_counts(batch.privatize(counts, epsilon, [seed]))
+    return batch.cpts(0, structure)
+
+
+def fit_batch(specs, trainings, seeds, target_hint=None):
+    """``fit(specs[i], trainings[i], target_hint, seeds[i])`` for every i.
+
+    Networks that share a spec, a schema and a row count are fit
+    together, each stage one pass over all of them, in chunks whose
+    intermediates stay within ``BATCH_ELEMENTS``; every network gets
+    the bits it would get fit alone.  Toy fits record membership of
+    ``target_hint`` in each training dataset.
+    """
+    if not len(specs) == len(trainings) == len(seeds):
+        raise DomainError("fit_batch needs one spec and one seed per training dataset")
+    groups = {}
+    for i, (spec, training) in enumerate(zip(specs, trainings)):
+        # Keyed by identity: equal objects in separate groups fit the same bits.
+        groups.setdefault((id(spec), id(training.schema), training.n), []).append(i)
+    gens = [None] * len(trainings)
+    for idx in groups.values():
+        spec = specs[idx[0]]
+        group = [trainings[i] for i in idx]
+        if spec.kind == TOY:
+            fitted = _fit_toys(spec, group, target_hint)
+        else:
+            fitted = _fit_networks(spec, group, [seeds[i] for i in idx])
+        for i, gen in zip(idx, fitted):
+            gens[i] = gen
+    return gens
+
+
+def _fit_toys(spec, trainings, target_hint):
+    if target_hint is None:
+        raise FitError("toy generator requires a target_hint record")
+    schema = trainings[0].schema
+    data_mod.validate_record(schema, target_hint)
+    x = np.asarray(target_hint, dtype=np.int64)
+    gens = []
+    for lo, hi in _spans([max(trainings[0].values.size, 1)] * len(trainings)):
+        values = np.stack([t.values for t in trainings[lo:hi]])
+        members = (values == x).all(axis=2).any(axis=1).tolist()
+        gens += [FittedGenerator(spec, schema, toy_member=m) for m in members]
+    return gens
+
+
+def _fit_networks(spec, trainings, seeds):
+    """Fit one network per training dataset; all share spec, schema and
+    row count."""
+    schema = trainings[0].schema
+    n = trainings[0].n
+    if n == 0:
+        raise FitError(f"{spec.kind} generator requires non-empty training data")
+    d = schema.ncols
+    widest = max(schema.sizes)
+    gens = []
+    for lo, hi in _spans([n * d * max(d - 1, 1)] * len(trainings)):
+        values = np.stack([t.values for t in trainings[lo:hi]])
+        if spec.kind == INDEPENDENT:
+            structures = [Structure(order=tuple(range(d)), parents=((),) * d)] * (hi - lo)
+        else:
+            structures = _learn_structures(
+                values, schema.sizes, spec.max_parents,
+                [derive(s, "structure") for s in seeds[lo:hi]], spec.mi_floor,
+            )
+        # Table chunks are weighed by their rows at the widest arity,
+        # the size of the padded cumulative table sampling builds.
+        weights = [n * d + widest * _n_rows(schema.sizes, st) for st in structures]
+        for tlo, thi in _spans(weights):
+            batch = _TableBatch(schema.sizes, structures[tlo:thi])
+            counts = batch.count(values[tlo:thi]) + spec.smoothing
+            if spec.kind == PRIVBAYNET:
+                privatize_seeds = [derive(s, "privatize") for s in seeds[lo + tlo : lo + thi]]
+                counts = batch.privatize(counts, spec.epsilon, privatize_seeds)
+            batch.set_counts(counts)
+            gens += [
+                FittedGenerator(spec, schema, st, packed=(batch, b))
+                for b, st in enumerate(structures[tlo:thi])
+            ]
+    return gens
+
+
+def _n_rows(sizes, structure):
+    """Table rows of a network: one per parent combination per column."""
+    rows = 0
+    for parents in structure.parents:
+        combos = 1
+        for p in parents:
+            combos *= sizes[p]
+        rows += combos
+    return rows
 
 
 def fit(spec, training, target_hint=None, seed=0):
@@ -366,26 +662,45 @@ def fit(spec, training, target_hint=None, seed=0):
     The toy kind ignores the training distribution entirely: it only
     records whether ``target_hint`` (required for it) appears in the
     training data, so an empty training dataset is acceptable.  The
-    other kinds require a non-empty training dataset.
+    other kinds require a non-empty training dataset.  A batch of one
+    of ``fit_batch``.
     """
-    if spec.kind == TOY:
-        if target_hint is None:
-            raise FitError("toy generator requires a target_hint record")
-        member = data_mod.contains(training, target_hint)
-        return FittedGenerator(spec, training.schema, toy_member=member)
-    if training.n == 0:
-        raise FitError(f"{spec.kind} generator requires non-empty training data")
-    d = training.schema.ncols
-    if spec.kind == INDEPENDENT:
-        structure = Structure(order=tuple(range(d)), parents=((),) * d)
-    else:
-        structure = learn_structure(
-            training, spec.max_parents, derive(seed, "structure"), spec.mi_floor
-        )
-    tables = estimate_tables(training, structure, spec.smoothing)
-    if spec.kind == PRIVBAYNET:
-        tables = privatize_tables(tables, spec.epsilon, derive(seed, "privatize"))
-    return FittedGenerator(spec, training.schema, structure, tables)
+    return fit_batch([spec], [training], [seed], target_hint)[0]
+
+
+def sample_batch(gens, n, seeds):
+    """``sample(gens[i], n, seeds[i])`` for every i.
+
+    Networks fit in one batch are sampled together (see
+    ``_TableBatch.sample``), in chunks whose intermediates stay within
+    ``BATCH_ELEMENTS``.
+    """
+    if n < 0:
+        raise DomainError("sample size must be non-negative")
+    if len(gens) != len(seeds):
+        raise DomainError("sample_batch needs one seed per generator")
+    if n == 0:
+        return [
+            data_mod.Dataset(g.schema, np.empty((0, g.schema.ncols)), validate=False)
+            for g in gens
+        ]
+    if any(g.spec.kind == TOY for g in gens):
+        raise UnsupportedOperationError("toy generator does not sample records")
+    out = [None] * len(gens)
+    groups = {}
+    for i, g in enumerate(gens):
+        groups.setdefault(id(g.packed[0]), []).append(i)
+    for idx in groups.values():
+        batch = gens[idx[0]].packed[0]
+        weight = n * (int(batch.sizes.max()) + 2 * batch.d)
+        for lo, hi in _spans([weight] * len(idx)):
+            sub = idx[lo:hi]
+            values = batch.sample(
+                [gens[i].packed[1] for i in sub], n, [seeds[i] for i in sub]
+            )
+            for i, v in zip(sub, values):
+                out[i] = data_mod.Dataset(gens[i].schema, v, validate=False)
+    return out
 
 
 def sample(gen, n, seed):
@@ -393,33 +708,25 @@ def sample(gen, n, seed):
 
     The toy kind releases a bit, not records, so asking it for a
     non-empty sample raises UnsupportedOperationError; ``n == 0``
-    returns an empty dataset for any kind.
+    returns an empty dataset for any kind.  A batch of one of
+    ``sample_batch``.
     """
-    if n < 0:
-        raise DomainError("sample size must be non-negative")
-    if n == 0:
-        return data_mod.Dataset(gen.schema, np.empty((0, gen.schema.ncols)), validate=False)
-    if gen.spec.kind == TOY:
-        raise UnsupportedOperationError("toy generator does not sample records")
-    g = rng(seed)
-    d = gen.schema.ncols
-    values = np.zeros((n, d), dtype=np.int64)
-    for col in gen.structure.order:
-        cpt = gen.tables[col]
-        combo = _parent_combo_index(values, cpt.parents, cpt.parent_sizes)
-        cum = np.cumsum(cpt.probs, axis=1)[combo]
-        u = g.random(n)
-        picked = (cum <= u[:, None]).sum(axis=1)
-        arity = cpt.probs.shape[1]
-        values[:, col] = np.minimum(picked, arity - 1)
-    return data_mod.Dataset(gen.schema, values, validate=False)
+    return sample_batch([gen], n, [seed])[0]
+
+
+def release_bits(gens, seeds):
+    """Each toy generator's release: 1 w.p. p_in for a member fit, p_out else."""
+    for gen in gens:
+        if gen.spec.kind != TOY:
+            raise UnsupportedOperationError(
+                f"{gen.spec.kind} generator does not release a bit"
+            )
+    return [
+        int(rng(seed).random() < (gen.spec.p_in if gen.toy_member else gen.spec.p_out))
+        for gen, seed in zip(gens, seeds)
+    ]
 
 
 def release_bit(gen, seed):
-    """The toy generator's release: 1 w.p. p_in for a member fit, p_out else."""
-    if gen.spec.kind != TOY:
-        raise UnsupportedOperationError(
-            f"{gen.spec.kind} generator does not release a bit"
-        )
-    p = gen.spec.p_in if gen.toy_member else gen.spec.p_out
-    return int(rng(seed).random() < p)
+    """The toy generator's release; a batch of one of ``release_bits``."""
+    return release_bits([gen], [seed])[0]

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from privgames import cli, games, risk
+from privgames import cli, games, generators, risk
 from privgames.config import load_experiment_config
 from privgames.errors import ConfigError, PrivGamesError
 
@@ -103,6 +103,48 @@ def test_run_threads_do_not_change_results(tmp_path):
     )
 
 
+RUN_GENERATORS = {
+    "baynet": "kind = baynet\nmax_parents = 2",
+    "privbaynet": "kind = privbaynet\nepsilon = 1.0\nmax_parents = 2\nsmoothing = 0.5",
+    "toy": "kind = toy\np_in = 0.8\np_out = 0.2",
+}
+
+
+def output_bodies(out):
+    """Body of every results file and transcript under ``out``, by name."""
+    paths = [os.path.join(out, f) for f in os.listdir(out) if f.endswith(".csv")]
+    tdir = os.path.join(out, "transcripts")
+    paths += [os.path.join(tdir, f) for f in os.listdir(tdir)]
+    return {os.path.relpath(p, out): body(p) for p in paths}
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_GENERATORS))
+def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
+    # The batched generator layer against the per-network reference
+    # functions, through a whole run: same result and transcript bytes,
+    # for 1 or 8 threads.
+    from reference import reference_fit_batch, reference_sample_batch
+
+    text = (
+        TOY_TEMPLATE.replace("kind = toy\np_in = 0.8\np_out = 0.2", RUN_GENERATORS[kind])
+        .replace("n_eval = 40", "n_eval = 24")
+        .replace("first:3", "ids:4,17")
+        + "\n[attack]\nn_shadow = 6\nqueries_per_k = 8\nsyn_size = 30\n"
+    )
+    outs = {}
+    for name, threads in (("batched", "1"), ("threaded", "8"), ("reference", "1")):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text.format(out=tmp_path / name))
+        if name == "reference":
+            monkeypatch.setattr(generators, "fit_batch", reference_fit_batch)
+            monkeypatch.setattr(generators, "sample_batch", reference_sample_batch)
+        assert cli.main(["run", "--config", str(path), "--threads", threads]) == 0
+        outs[name] = output_bodies(str(tmp_path / name))
+    assert len(outs["batched"]) == 2 + 4
+    assert outs["batched"] == outs["reference"]
+    assert outs["batched"] == outs["threaded"]
+
+
 def test_threads_env_var_used_as_default(tmp_path, monkeypatch):
     cfg_a, out_a = toy_config(tmp_path, "a")
     cfg_b, out_b = toy_config(tmp_path, "b")
@@ -163,11 +205,18 @@ def test_partial_failure_marks_status_and_exit_code(tmp_path, monkeypatch):
         return real(cfg_, kind, rid, *args, **kwargs)
 
     monkeypatch.setattr(cli, "play_game", failing)
-    assert cli.cmd_run(cfg, log=silent) == 1
-    lines = open(os.path.join(out, "results_traditional.csv")).read().splitlines()
-    assert "status=partial" in lines[0]
-    # Record 0 finished before the failure and is preserved.
-    assert len(lines) == 3
+    logged = []
+    assert cli.cmd_run(cfg, log=logged.append) == 1
+    for kind in ("traditional", "model_seeded"):
+        lines = open(os.path.join(out, f"results_{kind}.csv")).read().splitlines()
+        assert "status=partial" in lines[0]
+        # Records 0 and 2 run to completion on either side of the failure.
+        assert [line.split(",")[0] for line in lines[2:]] == ["0", "2"]
+    assert sorted(os.listdir(os.path.join(out, "transcripts"))) == [
+        f"record{rid}_{kind}.txt" for rid in (0, 2) for kind in ("model_seeded", "traditional")
+    ]
+    failures = [m for m in logged if m.startswith("record evaluation failed")]
+    assert len(failures) == 1 and "record 1" in failures[0]
 
 
 def test_missing_config_file_exit_code(tmp_path):
@@ -201,6 +250,24 @@ def test_malformed_sidecar_count_exits_1(tmp_path, capsys, decl):
     assert cli.main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{sidecar}: line 2" in err
+
+
+@pytest.mark.parametrize("bad", ["csv", "sidecar"])
+def test_non_utf8_input_exits_1(tmp_path, capsys, bad):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(b"a,b\n1,x\n0,y\n2,x\n")
+    sidecar = tmp_path / "d.schema"
+    sidecar.write_bytes(b"a = ordered\n")
+    broken = csv_path if bad == "csv" else sidecar
+    broken.write_bytes(broken.read_bytes() + b"\xff\n")
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        f"[data]\ndataset = {csv_path}\nschema = {sidecar}\n"
+        "aux_size = 1\neval_size = 2\ntarget_size = 1\n\n[game]\nn_eval = 2\n"
+    )
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{broken}: not UTF-8" in err
 
 
 # --------------------------------------------------------------- compare

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from privgames import generators
+from privgames import corpora, generators
 from privgames.config import (
     load_experiment_config,
     parse_record_selection,
@@ -156,6 +158,23 @@ def test_config_hash_pinned(tmp_path, kind):
     cfg = load_experiment_config(write(tmp_path, PINNED_BASE + extra))
     assert cfg.generator_spec.kind == kind
     assert cfg.config_hash() == expected
+
+
+def test_bundled_sidecar_hash_independent_of_install_path(tmp_path, monkeypatch):
+    # correlated_500 ships a sidecar; where the package lives must not
+    # leak into the hash, or two checkouts could not compare results.
+    path = write(tmp_path, MINIMAL)
+    cfg = load_experiment_config(path)
+    assert cfg.schema_sidecar == ""
+    assert cfg.config_hash() == "2afe915d9955"
+    moved = tmp_path / "elsewhere" / "corpora"
+    moved.mkdir(parents=True)
+    for suffix in (".csv", ".schema"):
+        src = corpora.corpus_path(corpora.CORRELATED)[: -len(".csv")] + suffix
+        (moved / f"{corpora.CORRELATED}{suffix}").write_bytes(Path(src).read_bytes())
+    monkeypatch.setattr(corpora, "_corpora_dir", lambda: moved)
+    assert corpora.sidecar_path(corpora.CORRELATED) == str(moved / "correlated_500.schema")
+    assert load_experiment_config(path).config_hash() == "2afe915d9955"
 
 
 def test_missing_required_key_names_section_and_key(tmp_path):

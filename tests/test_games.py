@@ -392,3 +392,16 @@ def test_transcript_header_carries_config_hash():
     )
     first = games.transcript_to_text(t).splitlines()[0]
     assert f"config={config.config_hash()}" in first
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,2", "line 4: expected 4 fields, got 2"),
+    ("x,1,0.5,3", "line 4: 'x,1,0.5,3' is not numeric"),
+])
+def test_transcript_malformed_row_names_line(row, message):
+    text = (
+        "# privgames-transcript v1 config=abc game=traditional n_eval=2 record=r\n"
+        f"run_index,secret_bit,score,run_seed\n0,1,0.5,9\n{row}\n"
+    )
+    with pytest.raises(ConfigError, match=message):
+        games.transcript_from_text(text)

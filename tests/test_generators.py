@@ -7,6 +7,15 @@ from privgames.errors import DomainError, FitError, UnsupportedOperationError
 from privgames.seeds import derive, rng
 
 from brute import brute_mi
+from reference import (
+    ReferenceGenerator,
+    reference_estimate_tables,
+    reference_fit,
+    reference_learn_structure,
+    reference_normalize_rows,
+    reference_privatize_tables,
+    reference_sample,
+)
 
 
 def ordered_schema(*sizes):
@@ -200,80 +209,9 @@ def test_privatize_all_zero_row_becomes_uniform():
 
 # ------------------------------------------- one-pass fit vs per-pair fit
 #
-# The fit path counts every column pair and every table in one pass.
-# These are the per-pair / per-column definitions it replaced; the fast
-# path must reproduce them bit for bit.
-
-
-def reference_learn_structure(training, max_parents, seed, mi_floor=0.0):
-    sizes = training.schema.sizes
-    d = training.schema.ncols
-    order = tuple(int(i) for i in rng(seed).permutation(d))
-    parents = [None] * d
-    visited = []
-    for col in order:
-        scored = []
-        for cand in visited:
-            mi = generators.mutual_information(
-                training.values[:, col], training.values[:, cand], sizes[col], sizes[cand]
-            )
-            if mi < mi_floor:
-                continue
-            scored.append((mi, cand))
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        parents[col] = tuple(c for _, c in scored[:max_parents])
-        visited.append(col)
-    return generators.Structure(order=order, parents=tuple(parents))
-
-
-def reference_normalize_rows(counts, arity):
-    totals = counts.sum(axis=1, keepdims=True)
-    probs = np.empty_like(counts)
-    zero = totals[:, 0] <= 0
-    nz = ~zero
-    probs[nz] = counts[nz] / totals[nz]
-    probs[zero] = 1.0 / arity
-    return probs
-
-
-def reference_estimate_tables(training, structure, smoothing):
-    sizes = training.schema.sizes
-    tables = []
-    for col in range(training.schema.ncols):
-        parents = structure.parents[col]
-        parent_sizes = tuple(sizes[p] for p in parents)
-        n_combos = int(np.prod(parent_sizes)) if parents else 1
-        arity = sizes[col]
-        if parents:
-            combo = np.ravel_multi_index(
-                tuple(training.values[:, p] for p in parents), parent_sizes
-            )
-        else:
-            combo = np.zeros(training.n, dtype=np.int64)
-        flat = np.bincount(
-            combo * arity + training.values[:, col], minlength=n_combos * arity
-        ).astype(float)
-        counts = flat.reshape(n_combos, arity) + smoothing
-        probs = reference_normalize_rows(counts, arity)
-        tables.append(generators.Cpt(parents, parent_sizes, counts, probs))
-    return tuple(tables)
-
-
-def reference_privatize_tables(tables, epsilon, seed):
-    scale = (len(tables) * 2.0) / epsilon
-    out = []
-    for i, cpt in enumerate(tables):
-        g = rng(derive(seed, "privatize-col", i))
-        noisy = cpt.counts + g.laplace(0.0, scale, size=cpt.counts.shape)
-        clamped = np.maximum(noisy, 0.0)
-        arity = cpt.probs.shape[1]
-        out.append(
-            generators.Cpt(
-                cpt.parents, cpt.parent_sizes, clamped,
-                reference_normalize_rows(clamped, arity),
-            )
-        )
-    return tuple(out)
+# The fit path counts every column pair and every table in one pass;
+# ``reference.py`` holds the per-pair / per-column definitions it
+# replaced, which the fast path must reproduce bit for bit.
 
 
 def random_training(seed):
@@ -366,6 +304,149 @@ def test_normalize_rows_zero_rows_fall_back_to_uniform():
     probs = generators._normalize_rows(counts, 3)
     assert probs.tobytes() == reference_normalize_rows(counts, 3).tobytes()
     assert probs[0].tolist() == [1 / 3] * 3
+
+
+# ------------------------------------------------ batched vs per-network
+#
+# fit_batch and sample_batch run each stage once over a whole batch of
+# networks; every network must get the bits of reference_fit and
+# reference_sample, whatever the batch size and wherever the element
+# budget cuts the batch into chunks.
+
+
+def random_batch(seed, count):
+    """``count`` training datasets over the schema of random_training(seed):
+    bootstrap resamples of its rows with one column redrawn, so
+    duplicated columns mostly stay duplicated."""
+    base = random_training(seed)
+    g = rng(derive(seed, "batch"))
+    out = [base]
+    for _ in range(count - 1):
+        vals = base.values[g.integers(0, base.n, size=base.n)].copy()
+        j = int(g.integers(0, base.schema.ncols))
+        vals[:, j] = g.integers(0, base.schema.sizes[j], size=base.n)
+        out.append(data.Dataset(base.schema, vals))
+    return out
+
+
+def assert_matches_reference(specs, trainings, seeds, n_syn=23):
+    gens = generators.fit_batch(specs, trainings, seeds)
+    syn_seeds = [derive(s, "sample") for s in seeds]
+    samples = generators.sample_batch(gens, n_syn, syn_seeds)
+    for gen, spec, training, seed, syn_seed, syn in zip(
+        gens, specs, trainings, seeds, syn_seeds, samples
+    ):
+        ref = reference_fit(spec, training, seed=seed)
+        assert gen.structure == ref.structure
+        assert_same_tables(gen.tables, ref.tables)
+        expected = reference_sample(ref, n_syn, syn_seed)
+        assert syn.values.tobytes() == expected.values.tobytes()
+
+
+BATCH_SIZES = (1, 2, 7)
+
+SPECS = (
+    generators.GeneratorSpec(generators.INDEPENDENT, smoothing=0.0),
+    *(
+        generators.GeneratorSpec(generators.BAYNET, max_parents=k, smoothing=sm)
+        for k in range(4)
+        for sm in (0.0, 1.0)
+    ),
+    generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=0.5),
+    generators.GeneratorSpec(
+        generators.PRIVBAYNET, max_parents=1, epsilon=2.0, smoothing=0.0, mi_floor=0.01
+    ),
+)
+
+
+@pytest.mark.parametrize("count", BATCH_SIZES)
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_pair_mi_matches_mutual_information(seed, count):
+    trainings = random_batch(seed, count)
+    sizes = trainings[0].schema.sizes
+    plan = generators._pair_plan(sizes)
+    values = np.stack([t.values for t in trainings])
+    terms, bounds = generators._pair_information(values, plan)
+    mi = generators._pair_mi(terms, bounds).reshape(count, -1)
+    for b, training in enumerate(trainings):
+        for (a, c), p in plan.pair_index.items():
+            slow = generators.mutual_information(
+                training.values[:, a], training.values[:, c], sizes[a], sizes[c]
+            )
+            assert mi[b, p].tobytes() == np.float64(slow).tobytes(), (b, a, c)
+
+
+@pytest.mark.parametrize("count", BATCH_SIZES)
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_batch_matches_reference(seed, count):
+    trainings = random_batch(seed, count)
+    for k, spec in enumerate(SPECS):
+        seeds = [derive(seed, "fit", 100 * k + i) for i in range(count)]
+        assert_matches_reference([spec] * count, trainings, seeds)
+
+
+@pytest.mark.parametrize("seed", [1, 2])  # 8-16 levels; a 140-level column
+def test_fit_batch_of_200_matches_reference(seed):
+    trainings = random_batch(seed, 200)
+    for k in (0, 4, 9):
+        seeds = [derive(seed, "fit-200", 1000 * k + i) for i in range(200)]
+        assert_matches_reference([SPECS[k]] * 200, trainings, seeds)
+
+
+def test_fit_batch_chunks_match_reference(monkeypatch):
+    # A tiny element budget cuts every stage into many uneven chunks.
+    monkeypatch.setattr(generators, "BATCH_ELEMENTS", 700)
+    trainings = random_batch(5, 31)
+    for k, spec in enumerate(SPECS):
+        seeds = [derive(5, "chunked", 100 * k + i) for i in range(31)]
+        assert_matches_reference([spec] * 31, trainings, seeds)
+
+
+def test_fit_batch_mixes_specs_and_shapes_in_input_order():
+    # Mixture rounds differ in spec and row count: each (spec, schema,
+    # rows) group is its own batch, and results come back in input order.
+    full = random_batch(9, 6)
+    short = [data.Dataset(t.schema, t.values[:-3]) for t in random_batch(10, 5)]
+    trainings, specs = [], []
+    for i in range(5):
+        trainings += [full[i], short[i]]
+        specs += [SPECS[4 + i % 2], SPECS[9]]
+    seeds = [derive(9, "mixed", i) for i in range(len(trainings))]
+    assert_matches_reference(specs, trainings, seeds)
+    # Generators of two separate batches sample together, in any order.
+    a = generators.fit_batch([SPECS[3]] * 3, full[:3], seeds[:3])
+    b = generators.fit_batch([SPECS[3]] * 3, full[3:], seeds[3:6])
+    mixed = [b[0], a[2], a[0], b[2], a[1], b[1]]
+    syn = generators.sample_batch(mixed, 11, seeds[:6])
+    for gen, s, got in zip(mixed, seeds, syn):
+        assert got == generators.sample(gen, 11, s)
+
+
+def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
+    # Rows whose probabilities sum below 1 leave uniforms past the last
+    # cumulative entry; both samplers must clamp those to the last level,
+    # also in rows padded to a wider column's arity.
+    trainings = random_batch(11, 3)
+    gens = generators.fit_batch([SPECS[4]] * 3, trainings, [1, 2, 3])
+    gens[0].packed[0].probs *= 0.5
+    seeds = [7, 8, 9]
+    for gen, syn, s in zip(gens, generators.sample_batch(gens, 200, seeds), seeds):
+        ref = ReferenceGenerator(gen.spec, gen.schema, gen.structure, gen.tables)
+        assert syn.values.tobytes() == reference_sample(ref, 200, s).values.tobytes()
+
+
+def test_fit_batch_toy_membership_matches_contains():
+    schema = ordered_schema(5)
+    trainings = [data.Dataset(schema, [[i % 5], [(i + 1) % 5]]) for i in range(9)]
+    trainings.append(data.Dataset(schema, []))
+    gens = generators.fit_batch(
+        [toy_spec()] * 10, trainings, list(range(10)), target_hint=(3,)
+    )
+    assert [g.toy_member for g in gens] == [data.contains(t, (3,)) for t in trainings]
+    bits = generators.release_bits(gens, list(range(10)))
+    assert bits == [
+        int(rng(s).random() < (0.8 if g.toy_member else 0.2)) for s, g in enumerate(gens)
+    ]
 
 
 # -------------------------------------------------------------------- fit
