@@ -40,13 +40,12 @@ AUDIT_COLUMNS = "record_id,alpha,beta,bound,flagged"
 
 UNDEFINED_TOKEN = "undefined"
 
+# A run whose failed records were left out of its outputs exits 1.
+_EXIT_CODE = {"complete": 0, "partial": 1}
+
 
 def _timestamp():
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _header(kind, cfg_hash, status="complete"):
-    return f"# privgames-{kind} v1 config={cfg_hash} status={status} generated={_timestamp()}"
 
 
 def _write_file(path, lines):
@@ -55,6 +54,13 @@ def _write_file(path, lines):
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
+
+
+def _write_table(path, kind, cfg_hash, status, columns, rows, log):
+    """Write one output table: header line, column line, then ``rows``."""
+    header = f"# privgames-{kind} v1 config={cfg_hash} status={status} generated={_timestamp()}"
+    _write_file(path, [header, columns] + rows)
+    log(f"wrote {path}")
 
 
 def read_result_rows(path):
@@ -184,6 +190,34 @@ def play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads):
     )
 
 
+def _each_record(cfg, evaluate, log):
+    """Evaluate every selected record in order; returns (outputs, status).
+
+    ``evaluate(rid, x, d_aux, d_eval, d_target, bank)`` returns one
+    record's output and a one-line summary, logged as ``record <id>: ...``.
+    A record whose evaluation raises a PrivGamesError is logged and left
+    out; the other records still run and the status becomes ``partial``.
+    """
+    _, d_aux, d_eval, d_target = load_environment(cfg)
+    record_ids = select_record_ids(cfg, d_target)
+    bank = build_bank(cfg, d_eval.schema)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    outputs = []
+    status = "complete"
+    for rid in record_ids:
+        try:
+            output, summary = evaluate(
+                rid, d_target.record(rid), d_aux, d_eval, d_target, bank
+            )
+        except PrivGamesError as exc:
+            log(f"record evaluation failed: record {rid}: {exc}")
+            status = "partial"
+            continue
+        outputs.append(output)
+        log(f"record {rid}: {summary}")
+    return outputs, status
+
+
 # -------------------------------------------------------------------- run
 
 
@@ -204,53 +238,35 @@ def cmd_run(cfg, threads=1, log=print):
     out of every output; the other records are still evaluated, and the
     results are marked ``status=partial`` with exit code 1.
     """
-    _, d_aux, d_eval, d_target = load_environment(cfg)
-    record_ids = select_record_ids(cfg, d_target)
-    bank = build_bank(cfg, d_eval.schema)
-    cfg_hash = cfg.config_hash()
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
     transcripts_dir = os.path.join(cfg.out_dir, "transcripts")
-    os.makedirs(transcripts_dir, exist_ok=True)
 
-    rows = {kind: [] for kind in cfg.game_kinds}
-    status = "complete"
-    exit_code = 0
-    for rid in record_ids:
-        # A record lands in the outputs with all its games or not at all;
-        # a failed record is logged and the next one still runs.
-        x = d_target.record(rid)
-        try:
-            adversary = build_adversary(
-                cfg, bank, d_aux, x, derive(cfg.master_seed, "attack", rid)
-            )
-            transcripts = [
-                play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads)
-                for kind in cfg.game_kinds
-            ]
-            record_rows = [result_row(cfg, t) for t in transcripts]
-        except PrivGamesError as exc:
-            log(f"record evaluation failed: record {rid}: {exc}")
-            status = "partial"
-            exit_code = 1
-            continue
+    def evaluate(rid, x, d_aux, d_eval, d_target, bank):
+        # A record lands in the outputs with all its games or not at all.
+        adversary = build_adversary(
+            cfg, bank, d_aux, x, derive(cfg.master_seed, "attack", rid)
+        )
+        transcripts = [
+            play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads)
+            for kind in cfg.game_kinds
+        ]
+        record_rows = [result_row(cfg, t) for t in transcripts]
+        os.makedirs(transcripts_dir, exist_ok=True)
         summary = []
-        for kind, transcript, row in zip(cfg.game_kinds, transcripts, record_rows):
+        for kind, transcript in zip(cfg.game_kinds, transcripts):
             games.save_transcript(
                 transcript, os.path.join(transcripts_dir, f"record{rid}_{kind}.txt")
             )
-            rows[kind].append(row)
             summary.append(f"{kind} auc={risk.roc_auc(transcript).auc:.3f}")
-        log(f"record {rid}: " + ", ".join(summary))
+        return record_rows, ", ".join(summary)
 
-    for kind in cfg.game_kinds:
-        path = os.path.join(cfg.out_dir, f"results_{kind}.csv")
-        _write_file(
-            path,
-            [_header("results", cfg_hash, status), RESULTS_COLUMNS] + rows[kind],
+    per_record, status = _each_record(cfg, evaluate, log)
+    cfg_hash = cfg.config_hash()
+    for i, kind in enumerate(cfg.game_kinds):
+        _write_table(
+            os.path.join(cfg.out_dir, f"results_{kind}.csv"), "results", cfg_hash,
+            status, RESULTS_COLUMNS, [rows[i] for rows in per_record], log,
         )
-        log(f"wrote {path}")
-    return exit_code
+    return _EXIT_CODE[status]
 
 
 # ---------------------------------------------------------------- compare
@@ -281,16 +297,9 @@ def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, l
     ids = sorted(rows_t, key=_record_sort_key)
     pairs = [(rows_t[rid], rows_ms[rid]) for rid in ids]
     lines = [
-        _header(
-            "comparison",
-            hash_t if hash_t == hash_ms else "mixed",
-            "partial" if "partial" in (status_t, status_ms) else "complete",
-        ),
-        COMPARISON_COLUMNS,
+        f"{rid},{rt!r},{rms!r},{rt - rms!r},{abs(rt - rms)!r}"
+        for rid, (rt, rms) in zip(ids, pairs)
     ]
-    for rid, (rt, rms) in zip(ids, pairs):
-        delta = rt - rms
-        lines.append(f"{rid},{rt!r},{rms!r},{delta!r},{abs(delta)!r}")
 
     rmsd_value = risk.rmsd(pairs)
     try:
@@ -310,8 +319,9 @@ def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, l
         hi = summary.bin_edges[i + 1]
         lines.append(f"hist,{lo!r},{hi!r},{count}")
 
-    _write_file(out_path, lines)
-    log(f"wrote {out_path}")
+    cfg_hash = hash_t if hash_t == hash_ms else "mixed"
+    status = "partial" if "partial" in (status_t, status_ms) else "complete"
+    _write_table(out_path, "comparison", cfg_hash, status, COMPARISON_COLUMNS, lines, log)
     return 0
 
 
@@ -329,38 +339,24 @@ def read_comparison_summary(path):
 # ------------------------------------------------------------ convergence
 
 
-def convergence_table(cfg, threads=1, adversary_factory=None, log=print):
-    """Rows of the convergence study: the spread of the AUC estimate per
-    (record, game, n_eval) across repeated evaluations.
-
-    ``adversary_factory(rid, x, d_aux, bank, rep)`` supplies the
-    adversary for one repetition; by default toy generators use the
-    released bit and everything else retrains the attack per repetition.
-    """
+def convergence_table(cfg, threads=1, log=print):
+    """Rows of the convergence study, with the run status: the spread of
+    the AUC estimate per (record, game, n_eval) across repeated
+    evaluations, each repetition with a freshly built adversary."""
     if not cfg.n_eval_grid:
         raise ConfigError("convergence.grid is required for this command")
     if cfg.repetitions < 2:
         raise ConfigError(
             f"convergence.repetitions must be >= 2 (got {cfg.repetitions})"
         )
-    _, d_aux, d_eval, d_target = load_environment(cfg)
-    record_ids = select_record_ids(cfg, d_target)
-    bank = build_bank(cfg, d_eval.schema)
 
-    if adversary_factory is None:
-
-        def adversary_factory(rid, x, d_aux_, bank_, rep):
-            return build_adversary(
-                cfg, bank_, d_aux_, x, derive(cfg.master_seed, f"conv-attack-{rid}", rep)
-            )
-
-    rows = []
-    for rid in record_ids:
-        x = d_target.record(rid)
+    def evaluate(rid, x, d_aux, d_eval, d_target, bank):
         base = derive(cfg.master_seed, "convergence", rid)
         aucs = {}
         for rep in range(cfg.repetitions):
-            adversary = adversary_factory(rid, x, d_aux, bank, rep)
+            adversary = build_adversary(
+                cfg, bank, d_aux, x, derive(cfg.master_seed, f"conv-attack-{rid}", rep)
+            )
             for kind in cfg.game_kinds:
                 for n_eval in cfg.n_eval_grid:
                     seed = derive(derive(base, kind, n_eval), "rep", rep)
@@ -370,6 +366,7 @@ def convergence_table(cfg, threads=1, adversary_factory=None, log=print):
                         record_id=str(rid), threads=threads,
                     )
                     aucs.setdefault((kind, n_eval), []).append(risk.roc_auc(t).auc)
+        rows = []
         for kind in cfg.game_kinds:
             for n_eval in cfg.n_eval_grid:
                 values = np.array(aucs[(kind, n_eval)])
@@ -378,20 +375,19 @@ def convergence_table(cfg, threads=1, adversary_factory=None, log=print):
                     f"{rid},{kind},{n_eval},{float(values.mean())!r},"
                     f"{float(values.std(ddof=1))!r},{radius!r}"
                 )
-        log(f"record {rid}: convergence grid done")
-    return rows
+        return rows, "convergence grid done"
+
+    per_record, status = _each_record(cfg, evaluate, log)
+    return [row for rows in per_record for row in rows], status
 
 
 def cmd_convergence(cfg, threads=1, log=print):
-    rows = convergence_table(cfg, threads=threads, log=log)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "convergence.csv")
-    _write_file(
-        path,
-        [_header("convergence", cfg.config_hash()), CONVERGENCE_COLUMNS] + rows,
+    rows, status = convergence_table(cfg, threads=threads, log=log)
+    _write_table(
+        os.path.join(cfg.out_dir, "convergence.csv"), "convergence",
+        cfg.config_hash(), status, CONVERGENCE_COLUMNS, rows, log,
     )
-    log(f"wrote {path}")
-    return 0
+    return _EXIT_CODE[status]
 
 
 # --------------------------------------------------------------- dp-audit
@@ -404,14 +400,8 @@ def cmd_dp_audit(cfg, threads=1, log=print):
             "generator.kind must be privbaynet for dp-audit "
             f"(got {cfg.generator_spec.kind!r})"
         )
-    _, d_aux, d_eval, d_target = load_environment(cfg)
-    record_ids = select_record_ids(cfg, d_target)
-    bank = build_bank(cfg, d_eval.schema)
 
-    rows = []
-    flagged_total = 0
-    for rid in record_ids:
-        x = d_target.record(rid)
+    def evaluate(rid, x, d_aux, d_eval, d_target, bank):
         adversary = build_adversary(
             cfg, bank, d_aux, x, derive(cfg.master_seed, "attack", rid)
         )
@@ -421,19 +411,20 @@ def cmd_dp_audit(cfg, threads=1, log=print):
         points = risk.dp_audit_points(
             transcript, cfg.generator_spec.epsilon, delta=0.0, rho=cfg.rho
         )
-        for alpha, beta, bound, flagged in points:
-            rows.append(f"{rid},{alpha!r},{beta!r},{bound!r},{int(flagged)}")
-            flagged_total += int(flagged)
-        log(f"record {rid}: {len(points)} trade-off points audited")
+        rows = [
+            f"{rid},{alpha!r},{beta!r},{bound!r},{int(flagged)}"
+            for alpha, beta, bound, flagged in points
+        ]
+        flagged_total = sum(int(flagged) for *_, flagged in points)
+        return (rows, flagged_total), f"{len(points)} trade-off points audited"
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "dp_audit.csv")
-    _write_file(
-        path, [_header("dp-audit", cfg.config_hash()), AUDIT_COLUMNS] + rows
+    per_record, status = _each_record(cfg, evaluate, log)
+    _write_table(
+        os.path.join(cfg.out_dir, "dp_audit.csv"), "dp-audit", cfg.config_hash(),
+        status, AUDIT_COLUMNS, [row for rows, _ in per_record for row in rows], log,
     )
-    log(f"wrote {path}")
-    log(f"{flagged_total} flagged points")
-    return 0
+    log(f"{sum(flagged for _, flagged in per_record)} flagged points")
+    return _EXIT_CODE[status]
 
 
 # ------------------------------------------------------------------- main

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 from . import corpora, games, generators
 from .attack import DEFAULT_K_VALUES, DEFAULT_QUERIES_PER_K
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .risk import DEFAULT_RHO, DEFAULT_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,9 @@ def _get_int_list(parser, section, key, default=()):
 
 def _build_generator_spec(parser):
     kind = _get(parser, "generator", "kind", generators.BAYNET)
-    known = (
-        generators.INDEPENDENT,
-        generators.BAYNET,
-        generators.PRIVBAYNET,
-        generators.TOY,
-    )
-    if kind not in known:
+    if kind not in generators.KINDS:
         raise ConfigError(
-            f"generator.kind must be one of {', '.join(known)} (got {kind!r})"
+            f"generator.kind must be one of {', '.join(generators.KINDS)} (got {kind!r})"
         )
     try:
         return generators.GeneratorSpec(
@@ -122,8 +117,8 @@ def _build_generator_spec(parser):
             smoothing=_get_float(parser, "generator", "smoothing", 1.0),
             mi_floor=_get_float(parser, "generator", "mi_floor", 0.0),
         )
-    except Exception as exc:
-        raise ConfigError(f"generator section invalid: {exc}")
+    except DomainError as exc:
+        raise ConfigError(f"generator section invalid: {exc}") from None
 
 
 def parse_record_selection(text):
@@ -236,12 +231,12 @@ def load_experiment_config(path):
         raise ConfigError(f"experiment.master_seed must be >= 0 (got {master_seed})")
 
     out_dir = _get(parser, "output", "dir", "out")
-    threshold = _get_float(parser, "output", "high_risk_threshold", 0.8)
+    threshold = _get_float(parser, "output", "high_risk_threshold", DEFAULT_THRESHOLD)
     if not 0.0 < threshold < 1.0:
         raise ConfigError(
             f"output.high_risk_threshold must be in (0, 1) (got {threshold})"
         )
-    rho = _get_float(parser, "output", "rho", 0.2)
+    rho = _get_float(parser, "output", "rho", DEFAULT_RHO)
     if not 0.0 < rho < 1.0:
         raise ConfigError(f"output.rho must be in (0, 1) (got {rho})")
 
@@ -251,6 +246,8 @@ def load_experiment_config(path):
             raise ConfigError(
                 f"convergence.grid entries must be positive even numbers (got {n})"
             )
+    if len(set(grid)) != len(grid):
+        raise ConfigError("convergence.grid contains duplicates")
     repetitions = _get_int(parser, "convergence", "repetitions", 0, minimum=0)
 
     return ExperimentConfig(

@@ -9,6 +9,7 @@ wrappers around an ``(n, d)`` int64 array.
 """
 
 import csv
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -212,6 +213,10 @@ def _equal_frequency_edges(vals, bins):
     # Inner quantile edges; bin of v = #edges strictly below-or-at v, so
     # equal values always land in the same bin even when quantiles tie.
     qs = [k / bins for k in range(1, bins)]
+    # Interpolating between values of opposite sign near the float limit
+    # overflows to inf; halving first is exact for all but subnormals.
+    if np.abs(vals).max() > np.finfo(vals.dtype).max / 2:
+        return np.quantile(vals / 2, qs) * 2
     return np.quantile(vals, qs)
 
 
@@ -221,7 +226,8 @@ def load_csv(path, hints=None):
     The schema is inferred: text columns become categoricals indexed in
     first-appearance order, and ``hints`` (name -> ColumnHint) may
     declare ordered or continuous columns.  Rows whose field count
-    disagrees with the header raise CsvParseError naming the line, and
+    disagrees with the header, and continuous values that are not finite
+    numbers, raise CsvParseError naming the line, and
     bytes that are not UTF-8 raise CsvParseError naming the file.
     """
     with _open_utf8(path, newline="") as fh:
@@ -297,12 +303,17 @@ def _parse_int(path, lineno, name, text):
 
 
 def _parse_float(path, lineno, name, text):
+    # nan, inf and overflow such as 1e999 parse as floats but cannot be
+    # binned: reject them rather than let them shift every bin edge.
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
         raise CsvParseError(
-            f"{path}: line {lineno}: column {name!r}: {text!r} is not a number"
+            f"{path}: line {lineno}: column {name!r}: {text!r} is not a finite number"
         )
+    return value
 
 
 def split(pool, sizes, seed):

@@ -32,7 +32,7 @@ BAYNET = "baynet"
 PRIVBAYNET = "privbaynet"
 TOY = "toy"
 
-_KINDS = (INDEPENDENT, BAYNET, PRIVBAYNET, TOY)
+KINDS = (INDEPENDENT, BAYNET, PRIVBAYNET, TOY)
 
 # Most array elements one batched intermediate may hold: batches are
 # fit and sampled in chunks that stay within it.
@@ -70,7 +70,7 @@ class GeneratorSpec:
     mi_floor: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise DomainError(f"unknown generator kind {self.kind!r}")
         if self.max_parents < 0:
             raise DomainError("max_parents must be >= 0")

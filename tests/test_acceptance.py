@@ -274,7 +274,7 @@ def test_criterion_6_convergence_scaling(tmp_path):
     path = tmp_path / "conv.ini"
     path.write_text(C6_CONFIG.format(out=tmp_path / "out"))
     cfg = load_experiment_config(str(path))
-    rows = cli.convergence_table(cfg, log=silent)
+    rows, _ = cli.convergence_table(cfg, log=silent)
     stds = {}
     for row in rows:
         _, kind, n, _, std, _ = row.split(",")

@@ -252,6 +252,22 @@ def test_malformed_sidecar_count_exits_1(tmp_path, capsys, decl):
     assert err.startswith("error: ") and f"{sidecar}: line 2" in err
 
 
+def test_non_finite_continuous_value_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("v\n1\n2\nnan\n3\n4\ninf\n")
+    sidecar = tmp_path / "d.schema"
+    sidecar.write_text("v = continuous:3\n")
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        f"[data]\ndataset = {csv_path}\nschema = {sidecar}\n"
+        "aux_size = 1\neval_size = 2\ntarget_size = 1\n\n[game]\nn_eval = 2\n"
+    )
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{csv_path}: line 4: column 'v': 'nan'" in err
+
+
 @pytest.mark.parametrize("bad", ["csv", "sidecar"])
 def test_non_utf8_input_exits_1(tmp_path, capsys, bad):
     csv_path = tmp_path / "d.csv"
@@ -454,16 +470,16 @@ def test_convergence_requires_two_repetitions(tmp_path):
     assert cli.main(["convergence", "--config", cfg_path]) == 2
 
 
-def test_convergence_constant_adversary_has_zero_std(tmp_path):
+def test_convergence_constant_adversary_has_zero_std(tmp_path, monkeypatch):
     cfg_path, _ = toy_config(
         tmp_path, extra="\n[convergence]\ngrid = 20,40\nrepetitions = 3\n"
     )
     cfg = load_experiment_config(cfg_path)
-
-    def factory(rid, x, d_aux, bank, rep):
-        return games.constant_adversary(0.5)
-
-    rows = cli.convergence_table(cfg, adversary_factory=factory, log=silent)
+    monkeypatch.setattr(
+        cli, "build_adversary", lambda *args: games.constant_adversary(0.5)
+    )
+    rows, status = cli.convergence_table(cfg, log=silent)
+    assert status == "complete"
     for row in rows:
         parts = row.split(",")
         assert float(parts[4]) == 0.0  # all repetitions score identically
@@ -478,9 +494,7 @@ def test_dp_audit_rejects_non_private_generator(tmp_path, capsys):
     assert "privbaynet" in capsys.readouterr().err
 
 
-def test_dp_audit_writes_points(tmp_path):
-    out = tmp_path / "out"
-    text = f"""
+AUDIT_TEMPLATE = """
 [data]
 dataset = bundled:correlated_500
 aux_size = 300
@@ -503,14 +517,18 @@ n_eval = 20
 kinds = model_seeded
 
 [records]
-selection = first:1
+selection = {selection}
 
 [output]
 dir = {out}
 rho = 0.05
 """
+
+
+def test_dp_audit_writes_points(tmp_path):
+    out = tmp_path / "out"
     cfg_path = tmp_path / "audit.ini"
-    cfg_path.write_text(text)
+    cfg_path.write_text(AUDIT_TEMPLATE.format(out=out, selection="first:1"))
     assert cli.main(["dp-audit", "--config", str(cfg_path)]) == 0
     lines = open(out / "dp_audit.csv").read().splitlines()
     assert lines[1] == cli.AUDIT_COLUMNS
@@ -521,6 +539,43 @@ rho = 0.05
         assert 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0
         # At this epsilon the bound is vacuous away from 0, so no flags.
         assert parts[4] == "0"
+
+
+# ------------------------------------------------- failure of one record
+
+
+@pytest.mark.parametrize("command, table", [
+    ("convergence", "convergence.csv"),
+    ("dp-audit", "dp_audit.csv"),
+])
+def test_failed_record_is_left_out(tmp_path, monkeypatch, capsys, command, table):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "exp.ini"
+    if command == "convergence":
+        text = TOY_TEMPLATE.format(out=out) + "\n[convergence]\ngrid = 20\nrepetitions = 2\n"
+    else:
+        text = AUDIT_TEMPLATE.format(out=out, selection="first:3")
+    cfg_path.write_text(text)
+
+    real = games.run_game
+
+    def failing(*args, record_id, **kwargs):
+        if record_id == "1":
+            raise PrivGamesError("induced failure")
+        return real(*args, record_id=record_id, **kwargs)
+
+    monkeypatch.setattr(games, "run_game", failing)
+    assert cli.main([command, "--config", str(cfg_path)]) == 1
+    lines = open(out / table).read().splitlines()
+    assert "status=partial" in lines[0]
+    # Records 0 and 2 run to completion on either side of the failure.
+    assert list(dict.fromkeys(line.split(",")[0] for line in lines[2:])) == ["0", "2"]
+    logged = capsys.readouterr().out.splitlines()
+    failures = [m for m in logged if m.startswith("record evaluation failed")]
+    assert len(failures) == 1 and failures[0].startswith("record evaluation failed: record 1:")
+    assert [m.split(":")[0] for m in logged if m.startswith("record ") and m not in failures] == [
+        "record 0", "record 2"
+    ]
 
 
 # ------------------------------------------------------------------ misc

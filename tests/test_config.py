@@ -263,6 +263,29 @@ def test_odd_convergence_grid_entry_rejected(tmp_path):
         load_experiment_config(write(tmp_path, text))
 
 
+def test_duplicate_convergence_grid_entry_rejected(tmp_path):
+    text = MINIMAL + "\n[convergence]\ngrid = 10,10\nrepetitions = 2\n"
+    with pytest.raises(ConfigError, match=r"convergence\.grid"):
+        load_experiment_config(write(tmp_path, text))
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_experiment_config(write(tmp_path, block))
+    assert cfg.dataset == "bundled:correlated_500"
+    assert (cfg.aux_size, cfg.eval_size, cfg.target_size) == (300, 200, 50)
+    assert cfg.generator_spec.kind == generators.BAYNET
+    assert cfg.generator_spec.max_parents == 2
+    assert cfg.n_shadow == 50 and cfg.syn_size == 200
+    assert cfg.n_eval == 200
+    assert cfg.game_kinds == ("traditional", "model_seeded")
+    assert cfg.record_selection == "random:20"
+    assert cfg.master_seed == 20250817
+    assert cfg.n_eval_grid == (100, 400, 1600)
+    assert cfg.repetitions == 10
+
+
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="config file not found"):
         load_experiment_config(str(tmp_path / "absent.ini"))

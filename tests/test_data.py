@@ -128,6 +128,14 @@ def test_continuous_binning_ties_share_a_bin(tmp_path):
     assert len(set(col[50:].tolist())) == 1
 
 
+def test_continuous_binning_at_the_float_limit(tmp_path):
+    # The unscaled interpolation between these overflows to inf edges and
+    # puts both values in one bin.
+    p = write(tmp_path / "t.csv", "x\n-1.7e308\n1.7e308\n")
+    ds = data.load_csv(p, hints={"x": data.ColumnHint("continuous", bins=2)})
+    assert ds.values[:, 0].tolist() == [0, 1]
+
+
 def test_schema_sidecar(tmp_path):
     p = write(
         tmp_path / "t.schema",

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from privgames import cli, data, games
-from privgames.errors import PrivGamesError
+from privgames.errors import CsvParseError, PrivGamesError
 
 SETTINGS = settings(
     max_examples=200,
@@ -99,6 +99,30 @@ def test_csv_parser_parses_or_raises(tmp_path, raw, with_hints):
     sidecar.write_text(_SIDECAR)
     hints = data.parse_schema_sidecar(str(sidecar)) if with_hints else None
     _parses_or_raises_privgames_error(data.load_csv, str(path), hints)
+
+
+# (token, whether it is a finite float)
+_CONTINUOUS_TOKEN = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: (repr(v), True)),
+    st.sampled_from(
+        ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e400",
+         "", "x", "1.2.3", "--1", "0x1f", "1e"]
+    ).map(lambda t: (t, False)),
+)
+
+
+@SETTINGS
+@given(st.lists(_CONTINUOUS_TOKEN, min_size=1, max_size=8))
+def test_continuous_column_loads_iff_every_token_is_finite(tmp_path, cells):
+    path = tmp_path / "d.csv"
+    path.write_text("id,amount\n" + "".join(f"{i},{tok}\n" for i, (tok, _) in enumerate(cells)))
+    hints = {"amount": data.ColumnHint("continuous", bins=3)}
+    try:
+        data.load_csv(str(path), hints)
+        loaded = True
+    except CsvParseError:
+        loaded = False
+    assert loaded == all(finite for _, finite in cells)
 
 
 @SETTINGS
