@@ -16,7 +16,7 @@ import numpy as np
 from . import data as data_mod
 from . import games, generators
 from .errors import ConfigError, DomainError, SizeError, TrainingError
-from .seeds import derive, rng
+from .seeds import Streams, derive, derive_many, rng
 
 EXACT = "exact"
 ATMOST = "atmost"
@@ -161,13 +161,22 @@ def build_shadow_sets(d_aux, x, n, n_shadow, seed):
             f"shadow sets of size {n} need at least {n} auxiliary records, have {d_aux.n}"
         )
     data_mod.validate_record(d_aux.schema, x)
+    half = np.arange(n_shadow // 2)
+    # In-set i draws from derive(seed, "shadow-in", i), out-set i from
+    # derive(seed, "shadow-out", i); they alternate, in first.
+    streams = Streams(
+        np.stack(
+            [derive_many(seed, "shadow-in", half), derive_many(seed, "shadow-out", half)],
+            axis=1,
+        ).ravel()
+    )
     sets = []
-    for i in range(n_shadow // 2):
-        base = data_mod.sample_records(d_aux, n - 1, derive(seed, "shadow-in", i))
-        sets.append((data_mod.append_record(base, x), 1))
-        sets.append(
-            (data_mod.sample_records(d_aux, n, derive(seed, "shadow-out", i)), 0)
-        )
+    for j, g in enumerate(streams):
+        if j % 2 == 0:
+            base = data_mod.sample_records(d_aux, n - 1, g)
+            sets.append((data_mod.append_record(base, x), 1))
+        else:
+            sets.append((data_mod.sample_records(d_aux, n, g), 0))
     return sets
 
 
@@ -286,10 +295,10 @@ def train_attack(
     gens = generators.fit_batch(
         [spec] * count,
         [ds for ds, _ in sets],
-        [derive(seed, "shadow-fit", i) for i in range(count)],
+        derive_many(seed, "shadow-fit", np.arange(count)).tolist(),
         target_hint=x,
     )
-    releases = _releases(gens, n, [derive(seed, "shadow-sample", i) for i in range(count)])
+    releases = _releases(gens, n, derive_many(seed, "shadow-sample", np.arange(count)).tolist())
     feats = [extract_features(d_syn, x, bank) for d_syn in releases]
     labels = [label for _, label in sets]
     return train_meta_classifier(

@@ -8,6 +8,7 @@ under different configurations.
 """
 
 import configparser
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -86,9 +87,14 @@ def _get_float(parser, section, key, default=None, required=False):
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key} must be a number (got {raw!r})")
+        value = None
+    # nan passes every range check after this one (nan < 0 is False), and
+    # no setting means anything at inf.
+    if value is None or not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be a finite number (got {raw!r})")
+    return value
 
 
 def _get_int_list(parser, section, key, default=()):

@@ -349,7 +349,8 @@ def split(pool, sizes, seed):
 def sample_records(pool, n, seed):
     """Draw ``n`` records from ``pool`` uniformly without replacement.
 
-    Raises SizeError when the pool has fewer than ``n`` rows.
+    ``seed`` is a seed or an open stream (see ``seeds.rng``).  Raises
+    SizeError when the pool has fewer than ``n`` rows.
     """
     if n < 0:
         raise SizeError("sample size must be non-negative")

@@ -17,13 +17,17 @@ Bits are balanced exactly (half 1, half 0) rather than i.i.d., so both
 empirical rates are estimated from n_eval / 2 rounds each.  Every round
 derives its own seed from the master seed and its index, which makes
 transcripts independent of execution order and of how rounds are
-grouped.  So a game plays its rounds in batches: it builds every round's
-training dataset, fits all the batch's generators in one call
-(``generators.fit_batch``), and hands them to the adversary, which
-samples the releases in batched calls and scores the rounds one by one.
-A batch keeps its datasets within ``generators.BATCH_ELEMENTS`` values;
-with ``threads > 1`` the rounds are also cut into that many chunks, run
-in a thread pool.  The transcript is the same bytes either way.
+grouped.  So a game derives the run, data, fit and adversary seeds of
+all its rounds in one ``seeds.derive_many`` call each, then plays the
+rounds in batches: it builds every round's training dataset from its
+data stream (the batch opens them through one ``seeds.Streams``, so no
+round builds a ``SeedSequence`` of its own), fits all the batch's
+generators in one call (``generators.fit_batch``), and hands them to the
+adversary, which samples the releases in batched calls and scores the
+rounds one by one.  A batch keeps its datasets within
+``generators.BATCH_ELEMENTS`` values; with ``threads > 1`` the rounds
+are also cut into that many chunks, run in a thread pool, each chunk
+with streams of its own.  The transcript is the same bytes either way.
 """
 
 import hashlib
@@ -36,7 +40,7 @@ import numpy as np
 from . import data as data_mod
 from . import generators
 from .errors import ConfigError, PreconditionError, SizeError
-from .seeds import derive, rng
+from .seeds import Streams, derive, derive_many, rng
 
 TRADITIONAL = "traditional"
 MODEL_SEEDED = "model_seeded"
@@ -129,36 +133,41 @@ def balanced_bits(n_eval, seed):
     return rng(seed).permutation(bits)
 
 
-def _execute(config, record_id, adversary, x, build_run, threads):
-    bits = balanced_bits(config.n_eval, derive(config.master_seed, "bits"))
+def _execute(config, record_id, adversary, x, build_run, threads, data_tag="data"):
+    n_eval = config.n_eval
+    bits = balanced_bits(n_eval, derive(config.master_seed, "bits"))
+    run_seeds = derive_many(config.master_seed, "run", np.arange(n_eval))
+    data_seeds = derive_many(run_seeds, data_tag)
+    fit_seeds = derive_many(run_seeds, "fit")
+    adversary_seeds = derive_many(run_seeds, "adversary")
 
-    def play(indices):
-        run_seeds = [derive(config.master_seed, "run", i) for i in indices]
-        secret = [int(bits[i]) for i in indices]
-        built = [build_run(i, b, s) for i, b, s in zip(indices, secret, run_seeds)]
+    def play(lo, hi):
+        secret = bits[lo:hi].tolist()
+        streams = Streams(data_seeds[lo:hi])
+        built = [build_run(b, g) for b, g in zip(secret, streams)]
         gens = generators.fit_batch(
             [spec for _, spec in built],
             [ds for ds, _ in built],
-            [derive(s, "fit") for s in run_seeds],
+            fit_seeds[lo:hi].tolist(),
             target_hint=x,
         )
-        scores = adversary.score_rounds(gens, [derive(s, "adversary") for s in run_seeds])
+        scores = adversary.score_rounds(gens, adversary_seeds[lo:hi].tolist())
         return [
             GameRun(run_index=i, secret_bit=b, score=float(score), run_seed=s)
-            for i, b, score, s in zip(indices, secret, scores, run_seeds)
+            for i, b, score, s in zip(range(lo, hi), secret, scores, run_seeds[lo:hi].tolist())
         ]
 
     # A batch holds at most a ``threads``-th of the rounds, and training
     # datasets of at most BATCH_ELEMENTS values.
-    n_eval = config.n_eval
     cells = config.dataset_size * len(x)
     size = max(1, min(generators.BATCH_ELEMENTS // cells, -(-n_eval // threads)))
-    batches = [range(i, min(i + size, n_eval)) for i in range(0, n_eval, size)]
+    starts = range(0, n_eval, size)
+    ends = [min(lo + size, n_eval) for lo in starts]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            played = list(pool.map(play, batches))
+            played = list(pool.map(play, starts, ends))
     else:
-        played = [play(batch) for batch in batches]
+        played = list(map(play, starts, ends))
     return GameTranscript(
         runs=tuple(run for batch in played for run in batch),
         record_id=str(record_id),
@@ -184,7 +193,8 @@ def traditional_pool(x, d_eval):
 def traditional_dataset(pool, x, n, b, seed):
     """Training dataset of one traditional round.
 
-    b = 1: x plus n-1 pool records; b = 0: n pool records.
+    b = 1: x plus n-1 pool records; b = 0: n pool records, drawn with
+    ``seed``, a seed or an open stream (see ``seeds.rng``).
     """
     if b == 1:
         base = data_mod.sample_records(pool, n - 1, seed)
@@ -224,9 +234,8 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
             f"evaluation pool has {pool.n} usable records, need {n} per round"
         )
 
-    def build_run(i, b, run_seed):
-        ds = traditional_dataset(pool, x, n, b, derive(run_seed, "data"))
-        return ds, config.generator_spec
+    def build_run(b, g):
+        return traditional_dataset(pool, x, n, b, g), config.generator_spec
 
     return _execute(config, record_id, adversary, x, build_run, threads)
 
@@ -241,8 +250,9 @@ def model_seeded_dataset(d_target, x_positions, ref_values, b, seed, fixed_refs=
 
     b = 1 uses the released training dataset as-is.  b = 0 replaces
     every copy of the target (each row in ``x_positions``) with a
-    reference record: a fresh independent draw per copy, or the
-    pre-drawn rows in ``fixed_refs``.
+    reference record: a fresh independent draw per copy, made with
+    ``seed`` (a seed or an open stream), or the pre-drawn rows in
+    ``fixed_refs``.
     """
     if b == 1:
         return d_target
@@ -286,10 +296,8 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
         picks = g.integers(0, len(ref_values), size=len(x_positions))
         fixed_refs = ref_values[picks]
 
-    def build_run(i, b, run_seed):
-        ds = model_seeded_dataset(
-            d_target, x_positions, ref_values, b, derive(run_seed, "data"), fixed_refs
-        )
+    def build_run(b, g):
+        ds = model_seeded_dataset(d_target, x_positions, ref_values, b, g, fixed_refs)
         return ds, config.generator_spec
 
     return _execute(config, record_id, adversary, x, build_run, threads)
@@ -342,13 +350,13 @@ def run_traditional_mixture(
             f"{len(specs)} generator specs for {len(partials)} partials"
         )
 
-    def build_run(i, b, run_seed):
-        j = int(rng(derive(run_seed, "mixture")).integers(0, len(partials)))
+    def build_run(b, g):
+        j = int(g.integers(0, len(partials)))
         part = partials[j]
         ds = data_mod.append_record(part, x) if b == 1 else part
         return ds, specs[j]
 
-    return _execute(config, record_id, adversary, x, build_run, threads)
+    return _execute(config, record_id, adversary, x, build_run, threads, "mixture")
 
 
 class Adversary:

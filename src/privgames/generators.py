@@ -15,7 +15,11 @@ the tables counts every column of every network with one more, and
 sampling draws one column of every network per step.  Each network gets
 exactly the bits of the per-network definitions (``mutual_information``,
 a ``ravel_multi_index`` count per column, ancestral sampling column by
-column); ``fit``, ``sample`` and ``release_bit`` are batches of one.
+column); ``fit``, ``sample`` and ``release_bit`` are batches of one.  The
+per-network seeds of a batch come from ``seeds.derive_many``, and its
+random streams (structure order, Laplace noise, sampling uniforms, toy
+release) are opened once per batch call by ``seeds.Streams``; the
+single-network entry points open their one stream with ``seeds.rng``.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import DomainError, FitError, UnsupportedOperationError
-from .seeds import derive, rng
+from .seeds import Streams, derive_many, rng
 
 INDEPENDENT = "independent"
 BAYNET = "baynet"
@@ -304,16 +308,17 @@ def _pair_mi(terms, bounds):
     return mi
 
 
-def _learn_structures(values, sizes, max_parents, seeds, mi_floor):
-    """``learn_structure`` of every network of a ``(B, n, d)`` batch."""
+def _learn_structures(values, sizes, max_parents, streams, mi_floor):
+    """``learn_structure`` of every network of a ``(B, n, d)`` batch;
+    network b draws its visit order from ``streams[b]``."""
     d = len(sizes)
     plan = _pair_plan(sizes)
     terms, bounds = _pair_information(values, plan)
-    mi = _pair_mi(terms, bounds).reshape(len(seeds), -1).tolist()
+    mi = _pair_mi(terms, bounds).reshape(len(values), -1).tolist()
     pair_index = plan.pair_index
     structures = []
-    for scores, seed in zip(mi, seeds):
-        order = tuple(rng(seed).permutation(d).tolist())
+    for scores, g in zip(mi, streams):
+        order = tuple(g.permutation(d).tolist())
         parents = [None] * d
         for k, col in enumerate(order):
             scored = []
@@ -346,7 +351,7 @@ def learn_structure(training, max_parents, seed, mi_floor=0.0):
     if training.n == 0:
         raise FitError("cannot learn a structure from an empty dataset")
     return _learn_structures(
-        training.values[None], training.schema.sizes, max_parents, [seed], mi_floor
+        training.values[None], training.schema.sizes, max_parents, [rng(seed)], mi_floor
     )[0]
 
 
@@ -407,16 +412,13 @@ class _TableBatch:
             codes += parent_values * (self.combo_strides[:, None, :, j] * self.sizes)
         return np.bincount(codes.ravel(), minlength=self.cell_start[-1]).astype(float)
 
-    def privatize(self, counts, epsilon, seeds):
+    def privatize(self, counts, epsilon, streams):
         """Laplace-noised counts clamped at zero; table c of network b
-        draws from ``rng(derive(seeds[b], "privatize-col", c))``."""
-        d = self.d
-        scale = (d * 2.0) / epsilon
-        cells = np.diff(self.cell_start).tolist()
+        draws from ``streams[b * d + c]``."""
+        scale = (self.d * 2.0) / epsilon
         noise = [
-            rng(derive(seed, "privatize-col", c)).laplace(0.0, scale, size=cells[b * d + c])
-            for b, seed in enumerate(seeds)
-            for c in range(d)
+            g.laplace(0.0, scale, size=cells)
+            for cells, g in zip(np.diff(self.cell_start).tolist(), streams)
         ]
         return np.maximum(counts + np.concatenate(noise), 0.0)
 
@@ -462,11 +464,11 @@ class _TableBatch:
             self._cumulative = np.ascontiguousarray(cum.T)
         return self._cumulative
 
-    def sample(self, nets, n, seeds):
+    def sample(self, nets, n, streams):
         """Ancestral samples, ``(len(nets), n, d)``, of the given networks.
 
         Network i draws every uniform up front with
-        ``rng(seeds[i]).random((d, n))``, whose row k is the k-th
+        ``streams[i].random((d, n))``, whose row k is the k-th
         ``random(n)`` call of a column-by-column sampler.  Step k samples
         the k-th column of every network's visit order at once: gather
         each record's cumulative row, count the entries ``<= u``, clamp
@@ -476,8 +478,8 @@ class _TableBatch:
         d = self.d
         cum = self.cumulative()
         u = np.empty((k, d, n))
-        for i, seed in enumerate(seeds):
-            rng(seed).random(out=u[i])
+        for i, g in enumerate(streams):
+            g.random(out=u[i])
         values = np.zeros((k, d, n), dtype=np.int64)
         each = np.arange(k)
         orders = self.orders[nets]
@@ -563,7 +565,8 @@ def privatize_tables(tables, epsilon, seed):
     )
     batch = _TableBatch(sizes, [structure])
     counts = np.concatenate([cpt.counts.ravel() for cpt in tables])
-    batch.set_counts(batch.privatize(counts, epsilon, [seed]))
+    streams = Streams(derive_many(seed, "privatize-col", np.arange(len(tables))))
+    batch.set_counts(batch.privatize(counts, epsilon, streams))
     return batch.cpts(0, structure)
 
 
@@ -618,6 +621,14 @@ def _fit_networks(spec, trainings, seeds):
         raise FitError(f"{spec.kind} generator requires non-empty training data")
     d = schema.ncols
     widest = max(schema.sizes)
+    # The streams of every chunk are opened at once: network b orders its
+    # columns from derive(seeds[b], "structure") and noises table c from
+    # derive(derive(seeds[b], "privatize"), "privatize-col", c).
+    if spec.kind != INDEPENDENT:
+        order_streams = Streams(derive_many(seeds, "structure"))
+    if spec.kind == PRIVBAYNET:
+        noise_seeds = derive_many(seeds, "privatize")[:, None]
+        noise_streams = Streams(derive_many(noise_seeds, "privatize-col", np.arange(d)).ravel())
     gens = []
     for lo, hi in _spans([n * d * max(d - 1, 1)] * len(trainings)):
         values = np.stack([t.values for t in trainings[lo:hi]])
@@ -625,8 +636,7 @@ def _fit_networks(spec, trainings, seeds):
             structures = [Structure(order=tuple(range(d)), parents=((),) * d)] * (hi - lo)
         else:
             structures = _learn_structures(
-                values, schema.sizes, spec.max_parents,
-                [derive(s, "structure") for s in seeds[lo:hi]], spec.mi_floor,
+                values, schema.sizes, spec.max_parents, order_streams[lo:hi], spec.mi_floor
             )
         # Table chunks are weighed by their rows at the widest arity,
         # the size of the padded cumulative table sampling builds.
@@ -635,8 +645,8 @@ def _fit_networks(spec, trainings, seeds):
             batch = _TableBatch(schema.sizes, structures[tlo:thi])
             counts = batch.count(values[tlo:thi]) + spec.smoothing
             if spec.kind == PRIVBAYNET:
-                privatize_seeds = [derive(s, "privatize") for s in seeds[lo + tlo : lo + thi]]
-                counts = batch.privatize(counts, spec.epsilon, privatize_seeds)
+                streams = noise_streams[(lo + tlo) * d : (lo + thi) * d]
+                counts = batch.privatize(counts, spec.epsilon, streams)
             batch.set_counts(counts)
             gens += [
                 FittedGenerator(spec, schema, st, packed=(batch, b))
@@ -675,10 +685,15 @@ def sample_batch(gens, n, seeds):
     ``_TableBatch.sample``), in chunks whose intermediates stay within
     ``BATCH_ELEMENTS``.
     """
-    if n < 0:
-        raise DomainError("sample size must be non-negative")
     if len(gens) != len(seeds):
         raise DomainError("sample_batch needs one seed per generator")
+    return _sample(gens, n, Streams(seeds))
+
+
+def _sample(gens, n, streams):
+    """``n`` records of every generator, generator i drawn from ``streams[i]``."""
+    if n < 0:
+        raise DomainError("sample size must be non-negative")
     if n == 0:
         return [
             data_mod.Dataset(g.schema, np.empty((0, g.schema.ncols)), validate=False)
@@ -696,7 +711,7 @@ def sample_batch(gens, n, seeds):
         for lo, hi in _spans([weight] * len(idx)):
             sub = idx[lo:hi]
             values = batch.sample(
-                [gens[i].packed[1] for i in sub], n, [seeds[i] for i in sub]
+                [gens[i].packed[1] for i in sub], n, [streams[i] for i in sub]
             )
             for i, v in zip(sub, values):
                 out[i] = data_mod.Dataset(gens[i].schema, v, validate=False)
@@ -709,24 +724,29 @@ def sample(gen, n, seed):
     The toy kind releases a bit, not records, so asking it for a
     non-empty sample raises UnsupportedOperationError; ``n == 0``
     returns an empty dataset for any kind.  A batch of one of
-    ``sample_batch``.
+    ``sample_batch``, drawn from ``rng(seed)``.
     """
-    return sample_batch([gen], n, [seed])[0]
+    return _sample([gen], n, [rng(seed)])[0]
 
 
 def release_bits(gens, seeds):
     """Each toy generator's release: 1 w.p. p_in for a member fit, p_out else."""
+    return _release_bits(gens, Streams(seeds))
+
+
+def _release_bits(gens, streams):
     for gen in gens:
         if gen.spec.kind != TOY:
             raise UnsupportedOperationError(
                 f"{gen.spec.kind} generator does not release a bit"
             )
     return [
-        int(rng(seed).random() < (gen.spec.p_in if gen.toy_member else gen.spec.p_out))
-        for gen, seed in zip(gens, seeds)
+        int(g.random() < (gen.spec.p_in if gen.toy_member else gen.spec.p_out))
+        for gen, g in zip(gens, streams)
     ]
 
 
 def release_bit(gen, seed):
-    """The toy generator's release; a batch of one of ``release_bits``."""
-    return release_bits([gen], [seed])[0]
+    """The toy generator's release; a batch of one of ``release_bits``,
+    drawn from ``rng(seed)``."""
+    return _release_bits([gen], [rng(seed)])[0]

@@ -10,9 +10,23 @@ relies on:
 * sibling computations (game runs, shadow models, noise draws) have
   independent streams, so they can execute in any order or in parallel
   without changing any outcome.
+
+A game derives several seeds and opens one or two streams per round, so
+both come in batched form.  ``derive_many`` is ``derive`` as ``uint64``
+array arithmetic over many parents and indices at once.  ``Streams``
+opens the PCG64 streams of many seeds without a ``SeedSequence`` per
+seed: it hashes every seed the way ``np.random.SeedSequence`` does, in
+``uint32`` array operations, and builds each stream's bit generator
+straight from its four hashed words.  Both give exactly the values of
+``derive`` and ``rng``; only the cost differs.  The hash costs a few
+tens of microseconds per call whatever the batch size, so the
+single-network entry points open their one stream with ``rng``.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+from .errors import DomainError
 
 _MASK = (1 << 64) - 1
 
@@ -38,6 +52,13 @@ def fnv1a64(data):
 _TAG_HASHES = {}
 
 
+def _tag_hash(tag):
+    h = _TAG_HASHES.get(tag)
+    if h is None:
+        h = _TAG_HASHES[tag] = fnv1a64(tag.encode("utf-8"))
+    return h
+
+
 def derive(seed, tag, index=0):
     """Derive the sub-seed of ``seed`` for the purpose named ``tag``.
 
@@ -55,12 +76,9 @@ def derive(seed, tag, index=0):
     int
         A 64-bit seed: ``splitmix64(splitmix64(splitmix64(seed) ^
         fnv1a64(tag)) ^ index)``, with the three rounds written out inline
-        and the tag hash memoized, since this runs several times per game
-        round.
+        and the tag hash memoized.
     """
-    h = _TAG_HASHES.get(tag)
-    if h is None:
-        h = _TAG_HASHES[tag] = fnv1a64(tag.encode("utf-8"))
+    h = _tag_hash(tag)
     z = ((seed & _MASK) + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -73,6 +91,183 @@ def derive(seed, tag, index=0):
     return z ^ (z >> 31)
 
 
+def _seed_array(seeds):
+    """Seeds as a ``uint64`` array, each reduced to its low 64 bits.
+
+    An integer array is cast; any other int or sequence of ints is
+    masked element by element first, since Python seeds of 2**64 and
+    above (or below 0) are legal and only their low bits count.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        # Casting wraps modulo 2**64, the same as masking.
+        return seeds.astype(np.uint64, copy=False)
+    if isinstance(seeds, (int, np.integer)):
+        return np.array(int(seeds) & _MASK, dtype=np.uint64)
+    return np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+
+
+# Constants are 0-d arrays, not numpy scalars: an operation between an
+# array and a 0-d array is cheaper, and it never warns on wraparound.
+def _u64(value):
+    return np.array(value, dtype=np.uint64)
+
+
+_GOLDEN = _u64(0x9E3779B97F4A7C15)
+_MIX1 = _u64(0xBF58476D1CE4E5B9)
+_MIX2 = _u64(0x94D049BB133111EB)
+_S27, _S30, _S31, _S32 = _u64(27), _u64(30), _u64(31), _u64(32)
+
+
+def _splitmix64_array(z):
+    """splitmix64 of every element of a new array ``z``, in place."""
+    z += _GOLDEN
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
+
+
+def derive_many(seed, tag, indices=0):
+    """``derive(seed, tag, index)`` for every pair of a broadcast.
+
+    ``seed`` and ``indices`` are ints or sequences of them, broadcast against
+    each other; the result is a ``uint64`` array of that shape, at least
+    one-dimensional, whose elements equal ``derive`` of the matching
+    parent and index.  The arithmetic wraps modulo 2**64 exactly as the
+    masked scalar version does.
+    """
+    z = _splitmix64_array(np.array(_seed_array(seed), ndmin=1))
+    z = _splitmix64_array(z ^ _u64(_tag_hash(tag)))
+    return _splitmix64_array(z ^ _seed_array(indices))
+
+
 def rng(seed):
-    """numpy Generator on a PCG64 stream for the given seed."""
+    """numpy Generator on the PCG64 stream of ``seed``.
+
+    A Generator passes through unchanged, so every function that takes a
+    seed also takes an open stream, such as an item of ``Streams``.
+    """
+    if isinstance(seed, np.random.Generator):
+        return seed
     return np.random.Generator(np.random.PCG64(seed))
+
+
+# np.random.SeedSequence, for an entropy of at most two 32-bit words and
+# the default pool of four: the pool is filled by hashing each entropy
+# word (missing words hash as 0), every pool word is then mixed into
+# every other, and the output words hash the pool cyclically.  Each hash
+# takes the next (xor, mult) pair of a constant sequence, independent of
+# the entropy, so one step runs as one array operation over all seeds
+# and every pool row it touches.
+_M32 = 0xFFFFFFFF
+_POOL = 4
+
+
+def _hash_constants(init, mult, count):
+    """``(xor, mult)`` of each of ``count`` successive hashes."""
+    xor = [init]
+    for _ in range(count):
+        xor.append(xor[-1] * mult & _M32)
+    return list(zip(xor[:-1], xor[1:]))
+
+
+def _columns(pairs):
+    """Hash pairs as ``(rows, 1)`` xor and mult columns."""
+    return tuple(np.array(c, dtype=np.uint32).reshape(-1, 1) for c in zip(*pairs))
+
+
+_ENTROPY = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_FILL = _columns(_ENTROPY[:_POOL])
+
+
+def _mixing_columns(src):
+    """Hashes that mix pool word ``src`` into the others: the next three
+    of the sequence, one per other row in row order.  Row ``src`` gets a
+    placeholder (0, 0); the mixing step restores that row."""
+    pairs = iter(_ENTROPY[_POOL + 3 * src : _POOL + 3 * src + 3])
+    return _columns([(0, 0) if dst == src else next(pairs) for dst in range(_POOL)])
+
+
+_MIX_FROM = [_mixing_columns(src) for src in range(_POOL)]
+# Output words 0-3 hash pool rows 0-3 and words 4-7 hash them again, so
+# the output constants are shaped (2, 4, 1) to broadcast against the pool.
+_OUTPUT = tuple(
+    c.reshape(2, _POOL, 1) for c in _columns(_hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL))
+)
+_MIX_L, _MIX_R, _S16 = (np.array(v, dtype=np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _hashmix(value, consts):
+    """The hash of ``value`` with ``(xor, mult)``, broadcast, as a new array."""
+    xor, mult = consts
+    value = value ^ xor
+    value *= mult
+    value ^= value >> _S16
+    return value
+
+
+def _seed_words(seeds):
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every seed of a
+    1-D ``uint64`` array, as a C-contiguous ``(n, 4)`` ``uint64`` array."""
+    pool = np.zeros((_POOL, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds  # the low word: assignment truncates
+    pool[1] = seeds >> _S32
+    pool = _hashmix(pool, _FILL)
+    for src, consts in enumerate(_MIX_FROM):
+        keep = pool[src].copy()
+        # mix(x, y) = (L * x - R * y) ^ its own upper half, row by row
+        h = _hashmix(keep, consts)
+        h *= _MIX_R
+        pool *= _MIX_L
+        pool -= h
+        pool ^= pool >> _S16
+        pool[src] = keep
+    out = _hashmix(pool, _OUTPUT).reshape(2 * _POOL, -1).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | out[1::2] << _S32).T)
+
+
+class _HashedSeed(ISeedSequence):
+    """A seed whose ``SeedSequence`` words are already computed.
+
+    ``np.random.PCG64`` seeds itself from ``generate_state(4, np.uint64)``
+    of the seed sequence it is given, and nothing else; this one returns
+    the stored words, so the bit generator starts exactly where
+    ``PCG64(seed)`` does.
+    """
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+class Streams:
+    """The PCG64 streams of many seeds, hashed at once.
+
+    ``streams[i]`` is a new Generator at the start of the stream of
+    ``seeds[i]``: it draws exactly what ``rng(seeds[i])`` draws.  The
+    ``SeedSequence`` words of every seed are hashed when the object is
+    made, in one pass of array operations, so an item only builds its
+    bit generator from four ready words.  ``streams[lo:hi]`` is a
+    ``Streams`` of those seeds that shares the hashed words, and
+    iterating yields the streams in order.  Seeds are 64-bit, as
+    ``derive`` makes them; others raise DomainError.
+    """
+
+    def __init__(self, seeds):
+        if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+            seeds = [int(s) for s in seeds]
+            if not all(0 <= s <= _MASK for s in seeds):
+                raise DomainError("stream seeds must lie in [0, 2**64)")
+            seeds = np.array(seeds, dtype=np.uint64)
+        self._words = _seed_words(seeds.reshape(-1))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            part = object.__new__(Streams)
+            part._words = self._words[i]
+            return part
+        return np.random.Generator(np.random.PCG64(_HashedSeed(self._words[i])))

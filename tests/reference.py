@@ -1,20 +1,23 @@
-"""Per-network reference implementation of the generator layer.
+"""Per-network and per-round reference implementations.
 
-These are the definitions the batched code in ``privgames.generators``
-replaced: structure learning one ``mutual_information`` call per column
+These are the definitions the batched code replaced.  For the generator
+layer: structure learning one ``mutual_information`` call per column
 pair, one ``ravel_multi_index`` count per table, Laplace noise per table,
-and ancestral sampling one column at a time.  The batched path must
-reproduce them bit for bit.  ``reference_fit_batch`` and
-``reference_sample_batch`` have the signatures of ``fit_batch`` and
+and ancestral sampling one column at a time.  ``reference_fit_batch``
+and ``reference_sample_batch`` have the signatures of ``fit_batch`` and
 ``sample_batch`` and loop over networks, so whole commands can be run
-on the reference path.
+on the reference path.  For the games: ``reference_execute`` makes an
+``_execute`` that plays one round at a time, every seed from a scalar
+``derive`` and every stream from a fresh ``rng``; the shadow sets and
+toy releases have per-item references too.  The batched path must
+reproduce all of them bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from privgames import data, generators
+from privgames import data, games, generators
 from privgames.errors import FitError, UnsupportedOperationError
 from privgames.seeds import derive, rng
 
@@ -154,3 +157,43 @@ def reference_fit_batch(specs, trainings, seeds, target_hint=None):
 
 def reference_sample_batch(gens, n, seeds):
     return [reference_sample(gen, n, seed) for gen, seed in zip(gens, seeds)]
+
+
+def reference_execute(data_tag):
+    """``games._execute``, one round at a time, as a replacement for it.
+
+    Round i's data stream is ``rng(derive(run_seed, data_tag))`` with the
+    tag given here, whatever tag the game passes; ``threads`` is ignored.
+    """
+
+    def execute(config, record_id, adversary, x, build_run, threads, *_):
+        bits = games.balanced_bits(config.n_eval, derive(config.master_seed, "bits"))
+        runs = []
+        for i in range(config.n_eval):
+            run_seed = derive(config.master_seed, "run", i)
+            b = int(bits[i])
+            ds, spec = build_run(b, rng(derive(run_seed, data_tag)))
+            gen = reference_fit(spec, ds, x, derive(run_seed, "fit"))
+            score = adversary.score_rounds([gen], [derive(run_seed, "adversary")])[0]
+            runs.append(games.GameRun(i, b, float(score), run_seed))
+        return games.GameTranscript(
+            tuple(runs), str(record_id), config.game_kind, config.config_hash()
+        )
+
+    return execute
+
+
+def reference_release_bits(gens, seeds):
+    return [
+        int(rng(seed).random() < (gen.spec.p_in if gen.toy_member else gen.spec.p_out))
+        for gen, seed in zip(gens, seeds)
+    ]
+
+
+def reference_shadow_sets(d_aux, x, n, n_shadow, seed):
+    sets = []
+    for i in range(n_shadow // 2):
+        base = data.sample_records(d_aux, n - 1, derive(seed, "shadow-in", i))
+        sets.append((data.append_record(base, x), 1))
+        sets.append((data.sample_records(d_aux, n, derive(seed, "shadow-out", i)), 0))
+    return sets

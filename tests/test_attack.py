@@ -227,6 +227,18 @@ def test_shadow_sets_deterministic():
         assert da == db and la == lb
 
 
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1, 2**70 + 5])
+def test_shadow_sets_match_per_set_reference(seed):
+    from reference import reference_shadow_sets
+
+    d_aux = aux_pool()
+    got = attack.build_shadow_sets(d_aux, (45,), n=7, n_shadow=12, seed=seed)
+    want = reference_shadow_sets(d_aux, (45,), n=7, n_shadow=12, seed=seed)
+    assert len(got) == len(want)
+    for (da, la), (db, lb) in zip(got, want):
+        assert np.array_equal(da.values, db.values) and la == lb
+
+
 # ---------------------------------------------------------------- trainer
 
 

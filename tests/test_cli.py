@@ -236,6 +236,20 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_non_finite_ini_float_exits_2(tmp_path, capsys):
+    text = (
+        "[data]\ndataset = bundled:correlated_500\naux_size = 300\neval_size = 200\n"
+        "target_size = 100\n\n[game]\nn_eval = 200\n\n"
+        "[generator]\nsmoothing = nan\nmi_floor = nan\n\n"
+        "[attack]\nl2 = nan\nlearning_rate = inf\n"
+    )
+    path = tmp_path / "nan.ini"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a finite number" in err
+
+
 @pytest.mark.parametrize("decl", ["ordered:abc", "continuous:x"])
 def test_malformed_sidecar_count_exits_1(tmp_path, capsys, decl):
     csv_path = tmp_path / "d.csv"

@@ -269,6 +269,21 @@ def test_duplicate_convergence_grid_entry_rejected(tmp_path):
         load_experiment_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("generator", "smoothing", "nan"),
+    ("generator", "mi_floor", "nan"),
+    ("attack", "l2", "nan"),
+    ("attack", "learning_rate", "inf"),
+    ("attack", "learning_rate", "-inf"),
+    ("output", "rho", "NaN"),
+])
+def test_non_finite_float_rejected(tmp_path, section, key, value):
+    # nan slips through every "x < 0" range check after the parse.
+    text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be a finite number"):
+        load_experiment_config(write(tmp_path, text))
+
+
 def test_readme_example_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -405,3 +405,84 @@ def test_transcript_malformed_row_names_line(row, message):
     )
     with pytest.raises(ConfigError, match=message):
         games.transcript_from_text(text)
+
+
+# ------------------------------------------------ per-round reference
+
+# A game derives its seeds as arrays (derive_many) and opens its streams a
+# batch at a time (Streams); the per-round reference derives each seed
+# with the scalar derive and opens each stream with a fresh rng.  The
+# transcripts must be the same bytes, at any worker count and at one
+# round per batch.
+
+
+class _ToyAdversary(games.Adversary):
+    def __init__(self, release_bits):
+        self.release_bits = release_bits
+
+    def score_rounds(self, gens, seeds):
+        return [float(bit) for bit in self.release_bits(gens, seeds)]
+
+
+class _MeanAdversary(games.Adversary):
+    """Scores a round by the mean value of a 9-row release."""
+
+    def __init__(self, sample_batch):
+        self.sample_batch = sample_batch
+
+    def score_rounds(self, gens, seeds):
+        return [float(d.values.mean()) for d in self.sample_batch(gens, 9, seeds)]
+
+
+def _play(game, spec, threads, reference):
+    import reference as ref
+
+    schema = data.Schema(
+        (
+            data.Column("a", data.ORDERED, 3),
+            data.Column("b", data.CATEGORICAL, 4),
+            data.Column("c", data.ORDERED, 2),
+        )
+    )
+    rows = [[i % 3, (i * 7) % 4, (i // 3) % 2] for i in range(40)]
+    d_eval = data.Dataset(schema, rows)
+    x = (1, 2, 0)
+    d_target = data.Dataset(schema, rows[:5] + [list(x)] + rows[6:9] + [list(x)])
+    partials = [data.Dataset(schema, rows[10:16]), data.Dataset(schema, rows[20:27])]
+    if spec.kind == generators.TOY:
+        adversary = _ToyAdversary(
+            ref.reference_release_bits if reference else generators.release_bits
+        )
+    else:
+        adversary = _MeanAdversary(
+            ref.reference_sample_batch if reference else generators.sample_batch
+        )
+    kind = games.TRADITIONAL if game in ("traditional", "mixture") else games.MODEL_SEEDED
+    mode = games.REFERENCE_FIXED if game == "fixed" else games.REFERENCE_PER_RUN
+    n = d_target.n if kind == games.MODEL_SEEDED else 8
+    config = games.GameConfig(24, n, spec, 4242, kind, reference_mode=mode)
+    if game == "mixture":
+        t = games.run_traditional_mixture(x, partials, adversary, config, threads=threads)
+    else:
+        t = games.run_game(x, d_eval, d_target, adversary, config, threads=threads)
+    return games.transcript_to_text(t)
+
+
+@pytest.mark.parametrize("batching", ["threads-1", "threads-2", "one-round"])
+@pytest.mark.parametrize("game", ["traditional", "per_run", "fixed", "mixture"])
+@pytest.mark.parametrize(
+    "spec",
+    [toy_spec(), generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=1.0)],
+    ids=["toy", "privbaynet"],
+)
+def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batching):
+    from reference import reference_execute
+
+    threads = 2 if batching == "threads-2" else 1
+    with monkeypatch.context() as m:
+        if batching == "one-round":
+            m.setattr(generators, "BATCH_ELEMENTS", 1)
+        batched = _play(game, spec, threads, reference=False)
+    data_tag = "mixture" if game == "mixture" else "data"
+    monkeypatch.setattr(games, "_execute", reference_execute(data_tag))
+    assert batched == _play(game, spec, threads, reference=True)

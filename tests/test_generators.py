@@ -562,6 +562,24 @@ def test_sample_zero_is_empty():
     assert generators.sample(gen, 0, seed=1).n == 0
 
 
+def test_single_network_entry_points_take_any_rng_seed():
+    # A batch of one opens its stream with rng, so it takes every seed rng
+    # takes, 2**64 and above included, and draws rng's stream.
+    big = 2**64 + 12345
+    g = rng(67)
+    schema = ordered_schema(3, 4, 2)
+    vals = np.column_stack([g.integers(0, s, size=40) for s in schema.sizes])
+    ds = data.Dataset(schema, vals)
+    assert generators.learn_structure(ds, 2, big) == reference_learn_structure(ds, 2, big)
+    spec = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=1.0)
+    gen = generators.fit(spec, ds, seed=big)
+    ref = reference_fit(spec, ds, seed=big)
+    expected = reference_sample(ref, 30, big).values
+    assert generators.sample(gen, 30, big).values.tobytes() == expected.tobytes()
+    toy = generators.fit(toy_spec(0.5, 0.5), ds, target_hint=tuple(vals[0]))
+    assert generators.release_bit(toy, big) == int(rng(big).random() < 0.5)
+
+
 # ------------------------------------------------------------ release_bit
 
 

@@ -1,4 +1,8 @@
-from privgames.seeds import derive, fnv1a64, rng, splitmix64
+import numpy as np
+import pytest
+
+from privgames.errors import DomainError
+from privgames.seeds import Streams, derive, derive_many, fnv1a64, rng, splitmix64
 
 
 def test_derive_is_deterministic():
@@ -42,3 +46,94 @@ def test_rng_streams_reproduce():
     a = rng(derive(5, "t", 1)).random(4)
     b = rng(derive(5, "t", 1)).random(4)
     assert (a == b).all()
+
+
+# ------------------------------------------------------- batched forms
+
+EDGE_PARENTS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**64 + 12345, 2**100 + 7]
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _random_seeds(count, seed):
+    g = np.random.default_rng(seed)
+    return [int(v) for v in g.integers(0, 2**64, size=count, dtype=np.uint64)]
+
+
+def test_derive_many_equals_derive():
+    parents = EDGE_PARENTS + _random_seeds(300, 1)
+    indices = [0, 1, 7, 2**32, 2**64 - 1] + _random_seeds(5, 2)
+    for tag in ("run", "data", "privatize-col", "", "game-traditional"):
+        for index in indices:
+            got = derive_many(parents, tag, index)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [derive(p, tag, index) for p in parents]
+        got = derive_many(parents[7], tag, np.array(indices, dtype=np.uint64))
+        assert got.tolist() == [derive(parents[7], tag, i) for i in indices]
+
+
+def test_derive_many_broadcasts_and_chains():
+    parents = derive_many(3, "run", np.arange(5))
+    table = derive_many(parents[:, None], "privatize-col", np.arange(4))
+    assert table.shape == (5, 4)
+    for b in range(5):
+        for c in range(4):
+            assert int(table[b, c]) == derive(derive(3, "run", b), "privatize-col", c)
+    assert derive_many(9, "t", 2).tolist() == [derive(9, "t", 2)]
+
+
+def test_stream_states_equal_pcg64_seeding():
+    seeds = EDGE_SEEDS + _random_seeds(2000, 3) + [s >> 40 for s in _random_seeds(100, 4)]
+    streams = Streams(np.array(seeds, dtype=np.uint64))
+    for i, s in enumerate(seeds):
+        assert streams[i].bit_generator.state == np.random.PCG64(s).state
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda g: g.random(5),
+        lambda g: g.random(),
+        lambda g: g.integers(0, 11, size=6),
+        lambda g: g.integers(0, 2**40),
+        lambda g: g.choice(40, size=9, replace=False),
+        lambda g: g.choice(3, size=3, replace=False),
+        lambda g: g.permutation(12),
+        lambda g: g.laplace(0.0, 2.5, size=7),
+    ],
+    ids=["random-n", "random", "integers", "integers-wide", "choice", "choice-all",
+         "permutation", "laplace"],
+)
+def test_stream_draws_equal_rng(draw):
+    seeds = EDGE_SEEDS + _random_seeds(200, 5)
+    for s, g in zip(seeds, Streams(seeds)):
+        np.testing.assert_array_equal(draw(g), draw(rng(s)))
+
+
+def test_stream_reuse_does_not_leak_state():
+    # A half-consumed stream, or a buffered 32-bit draw, must not shift the next one.
+    seeds = _random_seeds(20, 6)
+    streams = Streams(seeds)
+    for i, s in enumerate(seeds):
+        g = streams[i]
+        g.integers(0, 2**31, dtype=np.uint32)
+        assert streams[i].random() == rng(s).random()
+
+
+def test_stream_slices_share_the_hashed_seeds():
+    seeds = _random_seeds(10, 7)
+    streams = Streams(seeds)
+    assert [g.random() for g in streams[3:8]] == [rng(s).random() for s in seeds[3:8]]
+    assert streams[2] is not streams[2]  # every item is a new Generator
+
+
+def test_stream_seeds_must_be_64_bit():
+    for bad in ([-1], [2**64], [1, 2**70]):
+        with pytest.raises(DomainError):
+            Streams(bad)
+    assert Streams([5])[0].random() == rng(5).random()
+    assert list(Streams([])) == []
+
+
+def test_rng_passes_a_generator_through():
+    g = rng(3)
+    assert rng(g) is g
