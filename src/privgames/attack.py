@@ -5,6 +5,15 @@ match the target record on random column subsets (exact match, plus an
 at-most variant on ordered columns), trains a logistic regression on
 features from shadow generators fit with and without the target, and
 scores fresh releases with the fitted model.
+
+Releases are handled a batch at a time.  Each ``generators.sample_batch``
+call is stacked into one ``(k, n, d)`` array whose features come from
+one matrix product per chunk of at most ``generators.BATCH_ELEMENTS``
+(row, query) cells, and the batch's scores from one sigmoid.  Each
+logit stays one dot product of a release's features with the weights:
+a matrix-vector product over the whole batch sums in another order and
+changes the low bits of the scores.  ``extract_features`` and
+``attack_score`` score a batch of one release.
 """
 
 import math
@@ -118,31 +127,65 @@ def make_query_bank(
     )
 
 
+def _features(values, x, bank):
+    """Features of a ``(k, n, d)`` stack of k releases, as ``(k, n_queries)``.
+
+    Per chunk of releases, each row's ``value == x`` and ``value <= x``
+    tests, side by side as 0/1 floats, times ``bank.matrix`` give per
+    query the number of its columns the row passes, and the row matches
+    where that equals ``bank.sizes``.  A chunk holds at most
+    ``generators.BATCH_ELEMENTS`` (row, query) cells, or one release.
+    Every feature is an exact match count divided by ``n``, the bits of
+    a mean over the rows.
+    """
+    k, n, d = values.shape
+    if n == 0:
+        raise DomainError("cannot extract features from an empty dataset")
+    if len(x) != bank.ncols or d != bank.ncols:
+        raise DomainError(
+            f"bank expects {bank.ncols} columns; record has {len(x)}, "
+            f"dataset has {d}"
+        )
+    xa = np.asarray(x, dtype=np.int64)
+    q = len(bank.queries)
+    feats = np.empty((k, q))
+    size = max(1, generators.BATCH_ELEMENTS // max(1, n * q))
+    for lo in range(0, k, size):
+        rows = values[lo : lo + size].reshape(-1, d)
+        passed = np.empty((len(rows), 2 * d), dtype=np.float32)
+        np.equal(rows, xa, out=passed[:, :d])
+        np.less_equal(rows, xa, out=passed[:, d:])
+        matched = (passed @ bank.matrix) == bank.sizes
+        np.divide(matched.reshape(-1, n, q).sum(axis=1), n, out=feats[lo : lo + size])
+    return feats
+
+
 def extract_features(d_syn, x, bank):
     """Feature vector: per query, the fraction of rows matching ``x``.
 
     Exact queries count rows equal to x on the subset; at-most queries
     count rows whose every subset value is <= x's.  The synthetic
-    dataset must be non-empty so fractions are defined.
-
-    All queries are scored at once against the bank's compiled matrix:
-    each row's ``value == x`` and ``value <= x`` tests, side by side,
-    times ``bank.matrix`` give per query the number of its columns the
-    row passes, and the row matches where that equals ``bank.sizes``.
-    Every feature is an exact count divided by the row count.
+    dataset must be non-empty so fractions are defined.  All queries
+    are scored at once against the bank's compiled matrix, as a batch
+    of one release (see ``_features``).
     """
-    if d_syn.n == 0:
-        raise DomainError("cannot extract features from an empty dataset")
-    if len(x) != bank.ncols or d_syn.schema.ncols != bank.ncols:
-        raise DomainError(
-            f"bank expects {bank.ncols} columns; record has {len(x)}, "
-            f"dataset has {d_syn.schema.ncols}"
-        )
-    xa = np.asarray(x, dtype=np.int64)
-    values = d_syn.values
-    passed = np.concatenate([values == xa, values <= xa], axis=1)
-    hits = passed.astype(np.float32) @ bank.matrix
-    return (hits == bank.sizes).mean(axis=0)
+    return _features(d_syn.values[None], x, bank)[0]
+
+
+def _release_features(gens, n, seeds, x, bank):
+    """Features of each generator's sample of ``n`` rows, in order.
+
+    Releases are drawn in ``generators.sample_batch`` calls of at most
+    ``generators.BATCH_ELEMENTS`` values, each stacked into one array
+    and reduced to its features before the next is drawn, so a game's
+    releases never all sit in memory at once.
+    """
+    feats = np.empty((len(gens), len(bank.queries)))
+    size = max(1, generators.BATCH_ELEMENTS // max(1, n * bank.ncols))
+    for lo in range(0, len(gens), size):
+        releases = generators.sample_batch(gens[lo : lo + size], n, seeds[lo : lo + size])
+        feats[lo : lo + size] = _features(np.stack([r.values for r in releases]), x, bank)
+    return feats
 
 
 def build_shadow_sets(d_aux, x, n, n_shadow, seed):
@@ -189,7 +232,15 @@ class MetaClassifier:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    """``1 / (1 + exp(-clip(z, -500, 500)))`` of a float array, in place.
+    ``np.maximum`` then ``np.minimum`` give the bits of ``np.clip``, NaN
+    included, without its Python wrapper."""
+    np.maximum(z, -500.0, out=z)
+    np.minimum(z, 500.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def train_meta_classifier(features, labels, epochs=800, learning_rate=1.0, l2=1e-4):
@@ -225,16 +276,27 @@ def train_meta_classifier(features, labels, epochs=800, learning_rate=1.0, l2=1e
         raise TrainingError("invalid hyperparameters")
     m, d = X.shape
     Xb = np.hstack([X, np.ones((m, 1))])
+    XbT = Xb.T
     # Lipschitz constant of the logistic loss gradient; keeps the plain
     # gradient step stable for any feature scale.
     lip = 0.25 * float((Xb * Xb).sum(axis=1).max())
     step = learning_rate / lip
+    shrink = 1.0 + step * l2
     w = np.zeros(d + 1)
+    coef = w[:d]
+    # An epoch is p = sigmoid(Xb @ w); grad = Xb.T @ (p - y) / m;
+    # w = w - step * grad; w[:d] /= shrink, each operation in that order
+    # but written into buffers made once, so no epoch allocates.
+    p = np.empty(m)
+    grad = np.empty(d + 1)
     for _ in range(epochs):
-        p = _sigmoid(Xb @ w)
-        grad = Xb.T @ (p - y) / m
-        w = w - step * grad
-        w[:d] /= 1.0 + step * l2
+        _sigmoid(np.matmul(Xb, w, out=p))
+        p -= y
+        np.matmul(XbT, p, out=grad)
+        grad /= m
+        grad *= step
+        w -= grad
+        coef /= shrink
     return MetaClassifier(
         weights=w,
         training_meta={
@@ -247,28 +309,24 @@ def train_meta_classifier(features, labels, epochs=800, learning_rate=1.0, l2=1e
     )
 
 
+def _scores(meta, feats):
+    """Membership scores of the releases whose features are the rows of
+    ``feats``.  Each logit is one dot product of a feature row with the
+    weights, as for a single release; ``feats @ coef`` would sum in
+    another order and change low bits."""
+    w = meta.weights
+    if feats.shape[1] != len(w) - 1:
+        raise DomainError(
+            f"classifier expects {len(w) - 1} features, bank produced {feats.shape[1]}"
+        )
+    coef = w[:-1]
+    logits = np.array([row @ coef for row in feats], dtype=float) + w[-1]
+    return _sigmoid(logits).tolist()
+
+
 def attack_score(meta, d_syn, x, bank):
     """Membership score of ``x`` given one released synthetic dataset."""
-    feats = extract_features(d_syn, x, bank)
-    w = meta.weights
-    if len(feats) != len(w) - 1:
-        raise DomainError(
-            f"classifier expects {len(w) - 1} features, bank produced {len(feats)}"
-        )
-    return float(_sigmoid(feats @ w[:-1] + w[-1]))
-
-
-def _releases(gens, n, seeds):
-    """Each generator's sample of ``n`` rows, in order.
-
-    Releases are drawn in batches of at most ``generators.BATCH_ELEMENTS``
-    values and consumed one at a time, so a game's releases never all sit
-    in memory at once, nor do their feature arrays."""
-    if not gens:
-        return
-    size = max(1, generators.BATCH_ELEMENTS // (n * gens[0].schema.ncols))
-    for lo in range(0, len(gens), size):
-        yield from generators.sample_batch(gens[lo : lo + size], n, seeds[lo : lo + size])
+    return _scores(meta, _features(d_syn.values[None], x, bank))[0]
 
 
 def train_attack(
@@ -298,12 +356,10 @@ def train_attack(
         derive_many(seed, "shadow-fit", np.arange(count)).tolist(),
         target_hint=x,
     )
-    releases = _releases(gens, n, derive_many(seed, "shadow-sample", np.arange(count)).tolist())
-    feats = [extract_features(d_syn, x, bank) for d_syn in releases]
+    sample_seeds = derive_many(seed, "shadow-sample", np.arange(count)).tolist()
+    feats = _release_features(gens, n, sample_seeds, x, bank)
     labels = [label for _, label in sets]
-    return train_meta_classifier(
-        np.array(feats), np.array(labels), epochs, learning_rate, l2
-    )
+    return train_meta_classifier(feats, np.array(labels), epochs, learning_rate, l2)
 
 
 class _MetaClassifierAdversary(games.Adversary):
@@ -314,8 +370,8 @@ class _MetaClassifierAdversary(games.Adversary):
         self.n_syn = n_syn
 
     def score_rounds(self, gens, seeds):
-        releases = _releases(gens, self.n_syn, seeds)
-        return [attack_score(self.meta, d_syn, self.x, self.bank) for d_syn in releases]
+        feats = _release_features(gens, self.n_syn, seeds, self.x, self.bank)
+        return _scores(self.meta, feats)
 
 
 def meta_classifier_adversary(meta, bank, x, n_syn):

@@ -19,12 +19,14 @@ derives its own seed from the master seed and its index, which makes
 transcripts independent of execution order and of how rounds are
 grouped.  So a game derives the run, data, fit and adversary seeds of
 all its rounds in one ``seeds.derive_many`` call each, then plays the
-rounds in batches: it builds every round's training dataset from its
-data stream (the batch opens them through one ``seeds.Streams``, so no
-round builds a ``SeedSequence`` of its own), fits all the batch's
-generators in one call (``generators.fit_batch``), and hands them to the
-adversary, which samples the releases in batched calls and scores the
-rounds one by one.  A batch keeps its datasets within
+rounds in batches: it builds every round's training dataset (the batch
+hashes its data seeds through one ``seeds.Streams``, so no round builds
+a ``SeedSequence`` of its own, and a round opens its data stream only
+if it draws from it), fits all the batch's generators in one call
+(``generators.fit_batch``), and hands them to the adversary.  The
+counting-query adversary samples the releases in batched calls and
+scores each call's releases as one array, but each logit stays one dot
+product per release (see ``attack``).  A batch keeps its datasets within
 ``generators.BATCH_ELEMENTS`` values; with ``threads > 1`` the rounds
 are also cut into that many chunks, run in a thread pool, each chunk
 with streams of its own.  The transcript is the same bytes either way.
@@ -134,6 +136,9 @@ def balanced_bits(n_eval, seed):
 
 
 def _execute(config, record_id, adversary, x, build_run, threads, data_tag="data"):
+    """Play the rounds of a game.  ``build_run(b, stream)`` returns the
+    training dataset and generator spec of a round with secret bit b;
+    ``stream()`` opens the round's data stream, for rounds that draw."""
     n_eval = config.n_eval
     bits = balanced_bits(n_eval, derive(config.master_seed, "bits"))
     run_seeds = derive_many(config.master_seed, "run", np.arange(n_eval))
@@ -144,7 +149,7 @@ def _execute(config, record_id, adversary, x, build_run, threads, data_tag="data
     def play(lo, hi):
         secret = bits[lo:hi].tolist()
         streams = Streams(data_seeds[lo:hi])
-        built = [build_run(b, g) for b, g in zip(secret, streams)]
+        built = [build_run(b, lambda i=i: streams[i]) for i, b in enumerate(secret)]
         gens = generators.fit_batch(
             [spec for _, spec in built],
             [ds for ds, _ in built],
@@ -234,8 +239,8 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
             f"evaluation pool has {pool.n} usable records, need {n} per round"
         )
 
-    def build_run(b, g):
-        return traditional_dataset(pool, x, n, b, g), config.generator_spec
+    def build_run(b, stream):
+        return traditional_dataset(pool, x, n, b, stream()), config.generator_spec
 
     return _execute(config, record_id, adversary, x, build_run, threads)
 
@@ -296,7 +301,9 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
         picks = g.integers(0, len(ref_values), size=len(x_positions))
         fixed_refs = ref_values[picks]
 
-    def build_run(b, g):
+    def build_run(b, stream):
+        # Only per-run out-rounds draw: in-rounds keep d_target as it is.
+        g = stream() if b == 0 and fixed_refs is None else None
         ds = model_seeded_dataset(d_target, x_positions, ref_values, b, g, fixed_refs)
         return ds, config.generator_spec
 
@@ -350,8 +357,8 @@ def run_traditional_mixture(
             f"{len(specs)} generator specs for {len(partials)} partials"
         )
 
-    def build_run(b, g):
-        j = int(g.integers(0, len(partials)))
+    def build_run(b, stream):
+        j = int(stream().integers(0, len(partials)))
         part = partials[j]
         ds = data_mod.append_record(part, x) if b == 1 else part
         return ds, specs[j]

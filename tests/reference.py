@@ -9,15 +9,17 @@ and ``reference_sample_batch`` have the signatures of ``fit_batch`` and
 on the reference path.  For the games: ``reference_execute`` makes an
 ``_execute`` that plays one round at a time, every seed from a scalar
 ``derive`` and every stream from a fresh ``rng``; the shadow sets and
-toy releases have per-item references too.  The batched path must
-reproduce all of them bit for bit.
+toy releases have per-item references too.  For the attack: features
+one query at a time, scores one release at a time, and the
+meta-classifier trained by the allocating per-epoch loop with
+``np.clip``.  The batched path must reproduce all of them bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from privgames import data, games, generators
+from privgames import attack, data, games, generators
 from privgames.errors import FitError, UnsupportedOperationError
 from privgames.seeds import derive, rng
 
@@ -172,7 +174,7 @@ def reference_execute(data_tag):
         for i in range(config.n_eval):
             run_seed = derive(config.master_seed, "run", i)
             b = int(bits[i])
-            ds, spec = build_run(b, rng(derive(run_seed, data_tag)))
+            ds, spec = build_run(b, lambda: rng(derive(run_seed, data_tag)))
             gen = reference_fit(spec, ds, x, derive(run_seed, "fit"))
             score = adversary.score_rounds([gen], [derive(run_seed, "adversary")])[0]
             runs.append(games.GameRun(i, b, float(score), run_seed))
@@ -197,3 +199,80 @@ def reference_shadow_sets(d_aux, x, n, n_shadow, seed):
         sets.append((data.append_record(base, x), 1))
         sets.append((data.sample_records(d_aux, n, derive(seed, "shadow-out", i)), 0))
     return sets
+
+
+def reference_features(d_syn, x, bank):
+    """``attack.extract_features`` as a loop over the queries."""
+    xa = np.asarray(x, dtype=np.int64)
+    values = d_syn.values
+    feats = np.empty(len(bank.queries))
+    for i, q in enumerate(bank.queries):
+        cols = list(q.columns)
+        sub = values[:, cols]
+        if q.kind == attack.EXACT:
+            match = sub == xa[cols]
+        else:
+            match = sub <= xa[cols]
+        feats[i] = match.all(axis=1).mean()
+    return feats
+
+
+def reference_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+
+
+def reference_train_meta_classifier(features, labels, epochs=800, learning_rate=1.0, l2=1e-4):
+    """``attack.train_meta_classifier`` with a new array per operation."""
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    m, d = X.shape
+    Xb = np.hstack([X, np.ones((m, 1))])
+    lip = 0.25 * float((Xb * Xb).sum(axis=1).max())
+    step = learning_rate / lip
+    w = np.zeros(d + 1)
+    for _ in range(epochs):
+        p = reference_sigmoid(Xb @ w)
+        grad = Xb.T @ (p - y) / m
+        w = w - step * grad
+        w[:d] /= 1.0 + step * l2
+    return attack.MetaClassifier(
+        weights=w,
+        training_meta={
+            "epochs": epochs,
+            "learning_rate": learning_rate,
+            "l2": l2,
+            "n_examples": m,
+            "n_features": d,
+        },
+    )
+
+
+def reference_attack_score(meta, d_syn, x, bank):
+    w = meta.weights
+    return float(reference_sigmoid(reference_features(d_syn, x, bank) @ w[:-1] + w[-1]))
+
+
+def reference_score_rounds(adversary, gens, seeds):
+    """The meta-classifier adversary's ``score_rounds``, one release at a
+    time; it can stand in for the method."""
+    releases = reference_sample_batch(gens, adversary.n_syn, seeds)
+    return [
+        reference_attack_score(adversary.meta, d_syn, adversary.x, adversary.bank)
+        for d_syn in releases
+    ]
+
+
+def reference_train_attack(
+    d_aux, x, spec, bank, n, n_shadow, seed, epochs=800, learning_rate=1.0, l2=1e-4
+):
+    """``attack.train_attack``, one shadow model at a time."""
+    sets = reference_shadow_sets(d_aux, x, n, n_shadow, derive(seed, "shadow-sets"))
+    feats = []
+    for i, (ds, _) in enumerate(sets):
+        gen = reference_fit(spec, ds, x, derive(seed, "shadow-fit", i))
+        d_syn = reference_sample(gen, n, derive(seed, "shadow-sample", i))
+        feats.append(reference_features(d_syn, x, bank))
+    labels = [label for _, label in sets]
+    return reference_train_meta_classifier(
+        np.array(feats), np.array(labels), epochs, learning_rate, l2
+    )

@@ -4,6 +4,13 @@ import pytest
 from privgames import attack, data, generators
 from privgames.errors import ConfigError, DomainError, SizeError, TrainingError
 from privgames.seeds import rng
+from reference import (
+    reference_features,
+    reference_score_rounds,
+    reference_sigmoid,
+    reference_train_attack,
+    reference_train_meta_classifier,
+)
 
 
 def schema_with_kinds(kinds, sizes):
@@ -112,22 +119,6 @@ def test_extract_features_range_in_unit_interval():
         x = tuple(int(g.integers(0, s)) for s in schema.sizes)
         feats = attack.extract_features(d_syn, x, bank)
         assert (feats >= 0).all() and (feats <= 1).all()
-
-
-def reference_features(d_syn, x, bank):
-    """The per-query loop the compiled kernel replaced, kept as an oracle."""
-    xa = np.asarray(x, dtype=np.int64)
-    values = d_syn.values
-    feats = np.empty(len(bank.queries))
-    for i, q in enumerate(bank.queries):
-        cols = list(q.columns)
-        sub = values[:, cols]
-        if q.kind == attack.EXACT:
-            match = sub == xa[cols]
-        else:
-            match = sub <= xa[cols]
-        feats[i] = match.all(axis=1).mean()
-    return feats
 
 
 def test_extract_features_matches_reference_on_fixture():
@@ -288,6 +279,50 @@ def test_trainer_deterministic():
     assert np.array_equal(m1.weights, m2.weights)
 
 
+def test_sigmoid_matches_clip_reference():
+    g = rng(41)
+    z = np.concatenate([
+        [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300],
+        [499.999, 500.0, 500.001, -499.999, -500.0, -500.001, 745.2, -745.2],
+        g.normal(0.0, 400.0, size=200),
+    ])
+    want = reference_sigmoid(z)
+    assert attack._sigmoid(z).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_trainer_matches_reference_on_random_shapes(case):
+    g = rng(500 + case)
+    m = 2 * int(g.integers(1, 40))
+    d = int(g.integers(1, 30))
+    X = g.random((m, d)) * 10.0 ** g.integers(-3, 3)
+    y = g.permutation(np.arange(m) % 2)
+    kwargs = dict(
+        epochs=int(g.integers(1, 300)),
+        learning_rate=float(g.uniform(0.1, 3.0)),
+        l2=float(10.0 ** g.uniform(-6, 1)),
+    )
+    got = attack.train_meta_classifier(X, y, **kwargs)
+    want = reference_train_meta_classifier(X, y, **kwargs)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.training_meta == want.training_meta
+
+
+def test_trainer_matches_reference_where_clip_binds():
+    # A huge unpenalized step throws the logits past +-500 after one
+    # epoch, so the clip binds from the second epoch on.
+    g = rng(77)
+    X = g.random((30, 5))
+    y = np.arange(30) % 2
+    first = reference_train_meta_classifier(X, y, epochs=1, learning_rate=1e6, l2=0.0)
+    Xb = np.hstack([X, np.ones((30, 1))])
+    z = Xb @ first.weights
+    assert z.max() > 500.0 and z.min() < -500.0
+    got = attack.train_meta_classifier(X, y, epochs=40, learning_rate=1e6, l2=0.0)
+    want = reference_train_meta_classifier(X, y, epochs=40, learning_rate=1e6, l2=0.0)
+    assert np.array_equal(got.weights, want.weights)
+
+
 # ---------------------------------------------------------- full pipeline
 
 
@@ -352,3 +387,39 @@ def test_adversary_rejects_empty_sample_size():
     meta = attack.MetaClassifier(weights=np.zeros(2), training_meta={})
     with pytest.raises(DomainError):
         attack.meta_classifier_adversary(meta, bank, (0,), n_syn=0)
+
+
+@pytest.mark.parametrize(
+    "batch_elements, releases_per_chunk", [(generators.BATCH_ELEMENTS, 96), (1, 1), (700, 2)]
+)
+def test_batched_attack_matches_per_release_reference(
+    monkeypatch, batch_elements, releases_per_chunk
+):
+    # Shadow training and round scoring against the per-release,
+    # per-query, allocating references, with the feature chunks cut
+    # three ways: the whole batch, one release each, and two each.
+    g = rng(91)
+    schema = schema_with_kinds(
+        [data.ORDERED, data.CATEGORICAL, data.ORDERED, data.CATEGORICAL], [3, 4, 2, 3]
+    )
+    vals = np.column_stack([g.integers(0, s, size=120) for s in schema.sizes])
+    d_aux = data.Dataset(schema, vals)
+    x = (1, 2, 0, 1)
+    spec = generators.GeneratorSpec(generators.BAYNET, max_parents=2)
+    bank = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=6, seed=3)
+    n_syn = 20
+    monkeypatch.setattr(generators, "BATCH_ELEMENTS", batch_elements)
+
+    meta = attack.train_attack(d_aux, x, spec, bank, n=16, n_shadow=30, seed=8, epochs=200)
+    want = reference_train_attack(d_aux, x, spec, bank, n=16, n_shadow=30, seed=8, epochs=200)
+    assert np.array_equal(meta.weights, want.weights)
+
+    count = 45
+    trainings = [data.sample_records(d_aux, 16, 1000 + i) for i in range(count)]
+    gens = generators.fit_batch([spec] * count, trainings, list(range(count)), x)
+    seeds = [7 * i + 2**63 for i in range(count)]
+    adversary = attack.meta_classifier_adversary(meta, bank, x, n_syn)
+    scores = adversary.score_rounds(gens, seeds)
+    assert scores == reference_score_rounds(adversary, gens, seeds)
+    assert all(type(s) is float for s in scores)
+    assert max(1, batch_elements // (n_syn * len(bank.queries))) == releases_per_chunk

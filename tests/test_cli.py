@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from privgames import cli, games, generators, risk
+from privgames import attack, cli, games, generators, risk
 from privgames.config import load_experiment_config
 from privgames.errors import ConfigError, PrivGamesError
 
@@ -121,9 +121,15 @@ def output_bodies(out):
 @pytest.mark.parametrize("kind", sorted(RUN_GENERATORS))
 def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
     # The batched generator layer against the per-network reference
-    # functions, through a whole run: same result and transcript bytes,
-    # for 1 or 8 threads.
-    from reference import reference_fit_batch, reference_sample_batch
+    # functions, and the in-place trainer and batched round scoring
+    # against the per-epoch and per-release references, through a whole
+    # run: same result and transcript bytes, for 1 or 8 threads.
+    from reference import (
+        reference_fit_batch,
+        reference_sample_batch,
+        reference_score_rounds,
+        reference_train_meta_classifier,
+    )
 
     text = (
         TOY_TEMPLATE.replace("kind = toy\np_in = 0.8\np_out = 0.2", RUN_GENERATORS[kind])
@@ -138,6 +144,10 @@ def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
         if name == "reference":
             monkeypatch.setattr(generators, "fit_batch", reference_fit_batch)
             monkeypatch.setattr(generators, "sample_batch", reference_sample_batch)
+            monkeypatch.setattr(attack, "train_meta_classifier", reference_train_meta_classifier)
+            monkeypatch.setattr(
+                attack._MetaClassifierAdversary, "score_rounds", reference_score_rounds
+            )
         assert cli.main(["run", "--config", str(path), "--threads", threads]) == 0
         outs[name] = output_bodies(str(tmp_path / name))
     assert len(outs["batched"]) == 2 + 4

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -486,3 +488,31 @@ def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batchin
     data_tag = "mixture" if game == "mixture" else "data"
     monkeypatch.setattr(games, "_execute", reference_execute(data_tag))
     assert batched == _play(game, spec, threads, reference=True)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize(
+    "kind, mode, opened",
+    [
+        (games.MODEL_SEEDED, games.REFERENCE_FIXED, 0),
+        (games.MODEL_SEEDED, games.REFERENCE_PER_RUN, 20),
+        (games.TRADITIONAL, games.REFERENCE_PER_RUN, 40),
+    ],
+)
+def test_data_streams_opened_only_for_rounds_that_draw(monkeypatch, kind, mode, opened, threads):
+    # A model-seeded in-round trains on d_target as it is and a fixed
+    # game draws its references once, so neither opens its round's data
+    # stream; per-run out-rounds and traditional rounds do.
+    items = []
+
+    class CountingStreams(games.Streams):
+        def __getitem__(self, i):
+            if not isinstance(i, slice):
+                items.append(i)
+            return super().__getitem__(i)
+
+    monkeypatch.setattr(games, "Streams", CountingStreams)
+    _, d_eval, d_target, config = toy_setup(n_eval=40, kind=kind)
+    config = dataclasses.replace(config, reference_mode=mode)
+    games.run_game((1,), d_eval, d_target, games.constant_adversary(0.5), config, threads=threads)
+    assert len(items) == opened
