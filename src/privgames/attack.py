@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from . import data as data_mod
-from . import games, generators
+from . import generators
 from .errors import ConfigError, DomainError, SizeError, TrainingError
 from .seeds import Streams, derive, derive_many, rng
 
@@ -362,20 +362,12 @@ def train_attack(
     return train_meta_classifier(feats, np.array(labels), epochs, learning_rate, l2)
 
 
-class _MetaClassifierAdversary(games.Adversary):
-    def __init__(self, meta, bank, x, n_syn):
-        self.meta = meta
-        self.bank = bank
-        self.x = x
-        self.n_syn = n_syn
-
-    def score_rounds(self, gens, seeds):
-        feats = _release_features(gens, self.n_syn, seeds, self.x, self.bank)
-        return _scores(self.meta, feats)
-
-
 def meta_classifier_adversary(meta, bank, x, n_syn):
     """Adversary for the games: sample a release per round, score it."""
     if n_syn < 1:
         raise DomainError("adversary needs a positive synthetic sample size")
-    return _MetaClassifierAdversary(meta, bank, x, n_syn)
+
+    def adversary(gens, seeds):
+        return _scores(meta, _release_features(gens, n_syn, seeds, x, bank))
+
+    return adversary

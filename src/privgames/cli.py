@@ -64,7 +64,11 @@ def _write_table(path, kind, cfg_hash, status, columns, rows, log):
 
 
 def read_result_rows(path):
-    """Parse a results file into (config_hash, status, ordered {record_id: auc})."""
+    """Parse a results file into (config_hash, status, ordered {record_id: auc}).
+
+    Raises ConfigError, naming the file and line, for a row whose auc is
+    not a number in [0, 1] or whose record id an earlier row holds.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
@@ -92,11 +96,16 @@ def read_result_rows(path):
                 f"{path}, line {no}: expected {ncols} fields, got {len(parts)}"
             )
         try:
-            rows[parts[0]] = float(parts[3])
+            auc = float(parts[3])
         except ValueError:
             raise ConfigError(
                 f"{path}, line {no}: auc {parts[3]!r} is not a number"
             ) from None
+        if not 0.0 <= auc <= 1.0:
+            raise ConfigError(f"{path}, line {no}: auc {parts[3]!r} is not in [0, 1]")
+        if parts[0] in rows:
+            raise ConfigError(f"{path}, line {no}: record id {parts[0]!r} appears twice")
+        rows[parts[0]] = auc
     return cfg_hash, status, rows
 
 
@@ -273,7 +282,8 @@ def cmd_run(cfg, threads=1, log=print):
 
 
 def _record_sort_key(rid):
-    return (0, int(rid), "") if rid.isdigit() else (1, 0, rid)
+    # isdecimal, not isdigit: int() rejects digits such as "²".
+    return (0, int(rid), "") if rid.isdecimal() else (1, 0, rid)
 
 
 def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, log=print):

@@ -362,11 +362,7 @@ def sample_records(pool, n, seed):
 
 def contains(dataset, x):
     """True when some record of ``dataset`` equals ``x`` by value."""
-    validate_record(dataset.schema, x)
-    if dataset.n == 0:
-        return False
-    xa = np.asarray(x, dtype=np.int64)
-    return bool((dataset.values == xa).all(axis=1).any())
+    return len(value_equal_indices(dataset, x)) > 0
 
 
 def value_equal_indices(dataset, x):

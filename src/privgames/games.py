@@ -23,17 +23,21 @@ rounds in batches: it builds every round's training dataset (the batch
 hashes its data seeds through one ``seeds.Streams``, so no round builds
 a ``SeedSequence`` of its own, and a round opens its data stream only
 if it draws from it), fits all the batch's generators in one call
-(``generators.fit_batch``), and hands them to the adversary.  The
-counting-query adversary samples the releases in batched calls and
-scores each call's releases as one array, but each logit stays one dot
-product per release (see ``attack``).  A batch keeps its datasets within
-``generators.BATCH_ELEMENTS`` values; with ``threads > 1`` the rounds
-are also cut into that many chunks, run in a thread pool, each chunk
-with streams of its own.  The transcript is the same bytes either way.
+(``generators.fit_batch``), and hands them to the adversary.  An
+adversary is a function ``adversary(gens, seeds) -> scores``: one
+membership score per fitted generator, each given its round's adversary
+seed.  The counting-query adversary samples the releases in batched
+calls and scores each call's releases as one array, but each logit
+stays one dot product per release (see ``attack``).  A batch keeps its
+datasets within ``generators.BATCH_ELEMENTS`` values; with
+``threads > 1`` the rounds are also cut into that many chunks, run in a
+thread pool, each chunk with streams of its own.  The transcript is the
+same bytes either way.
 """
 
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -156,7 +160,7 @@ def _execute(config, record_id, adversary, x, build_run, threads, data_tag="data
             fit_seeds[lo:hi].tolist(),
             target_hint=x,
         )
-        scores = adversary.score_rounds(gens, adversary_seeds[lo:hi].tolist())
+        scores = adversary(gens, adversary_seeds[lo:hi].tolist())
         return [
             GameRun(run_index=i, secret_bit=b, score=float(score), run_seed=s)
             for i, b, score, s in zip(range(lo, hi), secret, scores, run_seeds[lo:hi].tolist())
@@ -216,8 +220,10 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
         Target record; must conform to the evaluation pool's schema.
     d_eval : Dataset
         Evaluation pool the per-round datasets are resampled from.
-    adversary : Adversary
-        Scores each round's fitted generator in [0, 1].
+    adversary : callable
+        ``adversary(gens, seeds)`` returns a membership score in [0, 1]
+        for each round's fitted generator, given the round's adversary
+        seed.
     config : GameConfig
     record_id : str
     threads : int
@@ -366,42 +372,23 @@ def run_traditional_mixture(
     return _execute(config, record_id, adversary, x, build_run, threads, "mixture")
 
 
-class Adversary:
-    """Membership scores for the rounds of a game.
-
-    ``score_rounds(gens, seeds)`` scores a batch of rounds from their
-    fitted generators and per-round adversary seeds; calling an
-    adversary on one generator scores a batch of one.
-    """
-
-    def score_rounds(self, gens, seeds):
-        raise NotImplementedError
-
-    def __call__(self, gen, seed):
-        return self.score_rounds([gen], [seed])[0]
-
-
-class _ToyBitAdversary(Adversary):
-    def score_rounds(self, gens, seeds):
-        return [float(bit) for bit in generators.release_bits(gens, seeds)]
-
-
-class _ConstantAdversary(Adversary):
-    def __init__(self, value):
-        self.value = float(value)
-
-    def score_rounds(self, gens, seeds):
-        return [self.value] * len(gens)
-
-
 def toy_bit_adversary():
     """Adversary for the toy generator: the released bit, as a score."""
-    return _ToyBitAdversary()
+
+    def adversary(gens, seeds):
+        return [float(bit) for bit in generators.release_bits(gens, seeds)]
+
+    return adversary
 
 
 def constant_adversary(value):
     """Adversary that ignores the release; useful as a null baseline."""
-    return _ConstantAdversary(value)
+    value = float(value)
+
+    def adversary(gens, seeds):
+        return [value] * len(gens)
+
+    return adversary
 
 
 def transcript_to_text(transcript):
@@ -420,8 +407,10 @@ def transcript_to_text(transcript):
 def transcript_from_text(text):
     """Inverse of transcript_to_text.
 
-    Raises ConfigError for text that is not a version-1 transcript, and
-    for a round row without four numeric fields, naming its line.
+    Raises ConfigError, naming the line, for text that is not a
+    version-1 transcript, for a round row that lacks four numeric
+    fields, a secret bit of 0 or 1 or a finite score, and for a header
+    whose n_eval differs from the number of round rows.
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln]
     if not lines or not lines[0][1].startswith("# privgames-transcript v1 "):
@@ -437,16 +426,25 @@ def transcript_from_text(text):
         if len(row) != 4:
             raise ConfigError(f"transcript line {no}: expected 4 fields, got {len(row)}")
         try:
-            runs.append(
-                GameRun(
-                    run_index=int(row[0]),
-                    secret_bit=int(row[1]),
-                    score=float(row[2]),
-                    run_seed=int(row[3]),
-                )
+            run = GameRun(
+                run_index=int(row[0]),
+                secret_bit=int(row[1]),
+                score=float(row[2]),
+                run_seed=int(row[3]),
             )
         except ValueError:
             raise ConfigError(f"transcript line {no}: {line!r} is not numeric") from None
+        if run.secret_bit not in (0, 1):
+            raise ConfigError(f"transcript line {no}: secret_bit {row[1]!r} is not 0 or 1")
+        if not math.isfinite(run.score):
+            raise ConfigError(f"transcript line {no}: score {row[2]!r} is not finite")
+        runs.append(run)
+    n_eval = fields.get("n_eval", "")
+    if n_eval != str(len(runs)):
+        raise ConfigError(
+            f"transcript line {lines[0][0]}: header n_eval={n_eval} does not match "
+            f"the {len(runs)} round rows"
+        )
     return GameTranscript(
         runs=tuple(runs),
         record_id=fields.get("record", ""),

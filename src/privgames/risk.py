@@ -79,6 +79,18 @@ def _split_scores(transcript):
     return bits, scores, n0, n1
 
 
+def _rates_at(bits, scores, gammas):
+    """Arrays of (alpha, beta) of guessing member iff score >= gamma, one
+    entry per gamma.  Each class is sorted once and counted below every
+    gamma by ``searchsorted``; a count divided by the class size has the
+    bits of the mean of the boolean test."""
+    out_sorted = np.sort(scores[bits == 0])
+    in_sorted = np.sort(scores[bits == 1])
+    alpha = (len(out_sorted) - np.searchsorted(out_sorted, gammas)) / len(out_sorted)
+    beta = np.searchsorted(in_sorted, gammas) / len(in_sorted)
+    return alpha, beta
+
+
 def empirical_rates(transcript, gamma):
     """Empirical (alpha, beta) of guessing member iff score >= gamma.
 
@@ -86,10 +98,8 @@ def empirical_rates(transcript, gamma):
     of in-runs guessed non-member.
     """
     bits, scores, n0, n1 = _split_scores(transcript)
-    guesses = scores >= gamma
-    alpha = float(guesses[bits == 0].mean())
-    beta = float((~guesses[bits == 1]).mean())
-    return RatePair(alpha=alpha, beta=beta, n0=n0, n1=n1)
+    alpha, beta = _rates_at(bits, scores, [gamma])
+    return RatePair(alpha=float(alpha[0]), beta=float(beta[0]), n0=n0, n1=n1)
 
 
 def roc_auc(transcript):
@@ -174,15 +184,9 @@ def empirical_tradeoff(transcript):
     the maximum, so the curve always contains (0, 1) and the point of
     the all-member rule.
     """
-    bits, scores, n0, n1 = _split_scores(transcript)
-    out_scores = scores[bits == 0]
-    in_scores = scores[bits == 1]
-    thresholds = list(np.unique(scores)) + [math.inf]
-    points = set()
-    for gamma in thresholds:
-        alpha = float((out_scores >= gamma).mean())
-        beta = float((in_scores < gamma).mean())
-        points.add((alpha, beta))
+    bits, scores, _, _ = _split_scores(transcript)
+    alpha, beta = _rates_at(bits, scores, np.append(np.unique(scores), math.inf))
+    points = set(zip(alpha.tolist(), beta.tolist()))
     ordered = tuple(sorted(points, key=lambda p: (p[0], -p[1])))
     return TradeoffCurve(
         points=ordered,

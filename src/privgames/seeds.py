@@ -75,20 +75,11 @@ def derive(seed, tag, index=0):
     -------
     int
         A 64-bit seed: ``splitmix64(splitmix64(splitmix64(seed) ^
-        fnv1a64(tag)) ^ index)``, with the three rounds written out inline
-        and the tag hash memoized.
+        fnv1a64(tag)) ^ index)``, with the tag hash memoized.
     """
-    h = _tag_hash(tag)
-    z = ((seed & _MASK) + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    z = ((z ^ (z >> 31) ^ h) + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    z = ((z ^ (z >> 31) ^ (index & _MASK)) + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+    return splitmix64(
+        splitmix64(splitmix64(seed & _MASK) ^ _tag_hash(tag)) ^ (index & _MASK)
+    )
 
 
 def _seed_array(seeds):

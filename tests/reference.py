@@ -12,14 +12,17 @@ on the reference path.  For the games: ``reference_execute`` makes an
 toy releases have per-item references too.  For the attack: features
 one query at a time, scores one release at a time, and the
 meta-classifier trained by the allocating per-epoch loop with
-``np.clip``.  The batched path must reproduce all of them bit for bit.
+``np.clip``.  For the risk layer: the trade-off curve with two boolean
+means per threshold.  The batched path must reproduce all of them bit
+for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from privgames import attack, data, games, generators
+from privgames import attack, data, games, generators, risk
 from privgames.errors import FitError, UnsupportedOperationError
 from privgames.seeds import derive, rng
 
@@ -176,7 +179,7 @@ def reference_execute(data_tag):
             b = int(bits[i])
             ds, spec = build_run(b, lambda: rng(derive(run_seed, data_tag)))
             gen = reference_fit(spec, ds, x, derive(run_seed, "fit"))
-            score = adversary.score_rounds([gen], [derive(run_seed, "adversary")])[0]
+            score = adversary([gen], [derive(run_seed, "adversary")])[0]
             runs.append(games.GameRun(i, b, float(score), run_seed))
         return games.GameTranscript(
             tuple(runs), str(record_id), config.game_kind, config.config_hash()
@@ -252,14 +255,15 @@ def reference_attack_score(meta, d_syn, x, bank):
     return float(reference_sigmoid(reference_features(d_syn, x, bank) @ w[:-1] + w[-1]))
 
 
-def reference_score_rounds(adversary, gens, seeds):
-    """The meta-classifier adversary's ``score_rounds``, one release at a
-    time; it can stand in for the method."""
-    releases = reference_sample_batch(gens, adversary.n_syn, seeds)
-    return [
-        reference_attack_score(adversary.meta, d_syn, adversary.x, adversary.bank)
-        for d_syn in releases
-    ]
+def reference_meta_classifier_adversary(meta, bank, x, n_syn):
+    """``attack.meta_classifier_adversary``, scoring one release at a
+    time; it can stand in for the factory."""
+
+    def adversary(gens, seeds):
+        releases = reference_sample_batch(gens, n_syn, seeds)
+        return [reference_attack_score(meta, d_syn, x, bank) for d_syn in releases]
+
+    return adversary
 
 
 def reference_train_attack(
@@ -275,4 +279,25 @@ def reference_train_attack(
     labels = [label for _, label in sets]
     return reference_train_meta_classifier(
         np.array(feats), np.array(labels), epochs, learning_rate, l2
+    )
+
+
+def reference_empirical_tradeoff(transcript):
+    """``risk.empirical_tradeoff`` with two boolean means per threshold."""
+    bits, scores, n0, n1 = risk._split_scores(transcript)
+    out_scores = scores[bits == 0]
+    in_scores = scores[bits == 1]
+    thresholds = list(np.unique(scores)) + [math.inf]
+    points = set()
+    for gamma in thresholds:
+        alpha = float((out_scores >= gamma).mean())
+        beta = float((in_scores < gamma).mean())
+        points.add((alpha, beta))
+    ordered = tuple(sorted(points, key=lambda p: (p[0], -p[1])))
+    return risk.TradeoffCurve(
+        points=ordered,
+        source=risk.CurveSource(
+            "empirical",
+            f"record={transcript.record_id} game={transcript.game_kind}",
+        ),
     )

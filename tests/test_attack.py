@@ -6,7 +6,7 @@ from privgames.errors import ConfigError, DomainError, SizeError, TrainingError
 from privgames.seeds import rng
 from reference import (
     reference_features,
-    reference_score_rounds,
+    reference_meta_classifier_adversary,
     reference_sigmoid,
     reference_train_attack,
     reference_train_meta_classifier,
@@ -375,8 +375,8 @@ def test_train_attack_deterministic_and_scoring():
 
     gen = generators.fit(spec, d_aux, target_hint=x, seed=7)
     adv = attack.meta_classifier_adversary(m1, bank, x, n_syn=10)
-    s1 = adv(gen, 99)
-    s2 = adv(gen, 99)
+    s1 = adv([gen], [99])[0]
+    s2 = adv([gen], [99])[0]
     assert s1 == s2
     assert 0.0 <= s1 <= 1.0
 
@@ -418,8 +418,7 @@ def test_batched_attack_matches_per_release_reference(
     trainings = [data.sample_records(d_aux, 16, 1000 + i) for i in range(count)]
     gens = generators.fit_batch([spec] * count, trainings, list(range(count)), x)
     seeds = [7 * i + 2**63 for i in range(count)]
-    adversary = attack.meta_classifier_adversary(meta, bank, x, n_syn)
-    scores = adversary.score_rounds(gens, seeds)
-    assert scores == reference_score_rounds(adversary, gens, seeds)
+    scores = attack.meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
+    assert scores == reference_meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
     assert all(type(s) is float for s in scores)
     assert max(1, batch_elements // (n_syn * len(bank.queries))) == releases_per_chunk

@@ -126,8 +126,8 @@ def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
     # run: same result and transcript bytes, for 1 or 8 threads.
     from reference import (
         reference_fit_batch,
+        reference_meta_classifier_adversary,
         reference_sample_batch,
-        reference_score_rounds,
         reference_train_meta_classifier,
     )
 
@@ -146,7 +146,7 @@ def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
             monkeypatch.setattr(generators, "sample_batch", reference_sample_batch)
             monkeypatch.setattr(attack, "train_meta_classifier", reference_train_meta_classifier)
             monkeypatch.setattr(
-                attack._MetaClassifierAdversary, "score_rounds", reference_score_rounds
+                attack, "meta_classifier_adversary", reference_meta_classifier_adversary
             )
         assert cli.main(["run", "--config", str(path), "--threads", threads]) == 0
         outs[name] = output_bodies(str(tmp_path / name))
@@ -431,6 +431,10 @@ def test_compare_header_only_results_file_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("row, message", [
     ("1,traditional,200,high,0.1,0.2,0.3", "'high' is not a number"),
     ("1,traditional,200", "expected 7 fields, got 3"),
+    ("1,traditional,200,nan,0.1,0.2,0.3", "auc 'nan' is not in [0, 1]"),
+    ("1,traditional,200,inf,0.1,0.2,0.3", "auc 'inf' is not in [0, 1]"),
+    ("1,traditional,200,1.5,0.1,0.2,0.3", "auc '1.5' is not in [0, 1]"),
+    ("0,traditional,200,0.6,0.1,0.2,0.3", "record id '0' appears twice"),
 ])
 def test_compare_malformed_row_exits_2(tmp_path, capsys, row, message):
     t = str(tmp_path / "t.csv")
@@ -442,6 +446,15 @@ def test_compare_malformed_row_exits_2(tmp_path, capsys, row, message):
     assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
     err = capsys.readouterr().err
     assert f"{ms}, line 4" in err and message in err
+
+
+def test_compare_orders_numeric_ids_first(tmp_path):
+    t = str(tmp_path / "t.csv")
+    out = str(tmp_path / "cmp.csv")
+    write_results(t, "aaaaaaaaaaaa", [("\u00b2", 0.5), ("10", 0.6), ("b", 0.7), ("2", 0.8)])
+    assert cli.main(["compare", t, t, "--out", out]) == 0
+    rows = [ln.split(",")[0] for ln in open(out, encoding="utf-8").read().splitlines()[2:6]]
+    assert rows == ["2", "10", "b", "\u00b2"]
 
 
 def test_compare_on_real_run_outputs(tmp_path):

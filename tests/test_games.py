@@ -127,7 +127,7 @@ def test_traditional_run_reproducible_standalone():
         gen = generators.fit(
             toy_spec(), ds, target_hint=x, seed=derive(run.run_seed, "fit")
         )
-        score = games.toy_bit_adversary()(gen, derive(run.run_seed, "adversary"))
+        score = games.toy_bit_adversary()([gen], [derive(run.run_seed, "adversary")])[0]
         assert score == run.score
 
 
@@ -399,6 +399,10 @@ def test_transcript_header_carries_config_hash():
 @pytest.mark.parametrize("row, message", [
     ("1,2", "line 4: expected 4 fields, got 2"),
     ("x,1,0.5,3", "line 4: 'x,1,0.5,3' is not numeric"),
+    ("1,3,0.5,3", "line 4: secret_bit '3' is not 0 or 1"),
+    ("1,0,nan,3", "line 4: score 'nan' is not finite"),
+    ("1,0,-inf,3", "line 4: score '-inf' is not finite"),
+    ("", "line 1: header n_eval=2 does not match the 1 round rows"),
 ])
 def test_transcript_malformed_row_names_line(row, message):
     text = (
@@ -418,22 +422,20 @@ def test_transcript_malformed_row_names_line(row, message):
 # round per batch.
 
 
-class _ToyAdversary(games.Adversary):
-    def __init__(self, release_bits):
-        self.release_bits = release_bits
+def _toy_adversary(release_bits):
+    def adversary(gens, seeds):
+        return [float(bit) for bit in release_bits(gens, seeds)]
 
-    def score_rounds(self, gens, seeds):
-        return [float(bit) for bit in self.release_bits(gens, seeds)]
+    return adversary
 
 
-class _MeanAdversary(games.Adversary):
+def _mean_adversary(sample_batch):
     """Scores a round by the mean value of a 9-row release."""
 
-    def __init__(self, sample_batch):
-        self.sample_batch = sample_batch
+    def adversary(gens, seeds):
+        return [float(d.values.mean()) for d in sample_batch(gens, 9, seeds)]
 
-    def score_rounds(self, gens, seeds):
-        return [float(d.values.mean()) for d in self.sample_batch(gens, 9, seeds)]
+    return adversary
 
 
 def _play(game, spec, threads, reference):
@@ -452,11 +454,11 @@ def _play(game, spec, threads, reference):
     d_target = data.Dataset(schema, rows[:5] + [list(x)] + rows[6:9] + [list(x)])
     partials = [data.Dataset(schema, rows[10:16]), data.Dataset(schema, rows[20:27])]
     if spec.kind == generators.TOY:
-        adversary = _ToyAdversary(
+        adversary = _toy_adversary(
             ref.reference_release_bits if reference else generators.release_bits
         )
     else:
-        adversary = _MeanAdversary(
+        adversary = _mean_adversary(
             ref.reference_sample_batch if reference else generators.sample_batch
         )
     kind = games.TRADITIONAL if game in ("traditional", "mixture") else games.MODEL_SEEDED

@@ -84,6 +84,11 @@ def test_results_parser_parses_or_raises(tmp_path, raw):
     path = tmp_path / "results.csv"
     path.write_bytes(raw)
     _parses_or_raises_privgames_error(cli.read_result_rows, str(path))
+    # Joined with itself, every parsed row reaches the comparison maths.
+    out = str(tmp_path / "cmp.csv")
+    _parses_or_raises_privgames_error(
+        lambda: cli.cmd_compare(str(path), str(path), 0.8, out, log=lambda _: None)
+    )
 
 
 _CSV = "name,level,amount,flag\na,0,1.5,x\nb,2,-3,y\na,1,0.25,x\n\"c,d\",4,7e1,z\n"

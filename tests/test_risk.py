@@ -14,6 +14,7 @@ from privgames.games import GameRun, GameTranscript
 from privgames.seeds import rng
 
 from brute import brute_auc, brute_rates, brute_tradeoff_points
+from reference import reference_empirical_tradeoff
 
 
 def make_transcript(bits, scores, game_kind="traditional", record_id="r"):
@@ -232,6 +233,21 @@ def test_empirical_tradeoff_matches_brute_force():
         fast = set(risk.empirical_tradeoff(t).points)
         slow = brute_tradeoff_points(bits.tolist(), scores.tolist())
         assert fast == slow
+
+
+@pytest.mark.parametrize("step", [0.0, 0.25, 0.01], ids=["continuous", "quarter", "2dp"])
+def test_empirical_tradeoff_matches_per_threshold_reference(step):
+    # Sorted counts against two boolean means per threshold, bit for bit,
+    # with ties wherever scores sit on a grid.
+    g = rng(17)
+    for trial in range(300):
+        n = int(g.integers(2, 80))
+        bits = g.permutation(np.arange(n) % 2)
+        scores = g.random(n)
+        if step:
+            scores = np.round(scores / step) * step
+        t = make_transcript(bits, scores)
+        assert risk.empirical_tradeoff(t) == reference_empirical_tradeoff(t)
 
 
 def test_dp_audit_flags_a_perfect_adversary():
