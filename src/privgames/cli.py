@@ -58,55 +58,33 @@ def _write_file(path, lines):
 
 def _write_table(path, kind, cfg_hash, status, columns, rows, log):
     """Write one output table: header line, column line, then ``rows``."""
-    header = f"# privgames-{kind} v1 config={cfg_hash} status={status} generated={_timestamp()}"
-    _write_file(path, [header, columns] + rows)
+    fields = {"config": cfg_hash, "status": status, "generated": _timestamp()}
+    _write_file(path, data_mod.table_lines(kind, fields, columns, rows))
     log(f"wrote {path}")
 
 
 def read_result_rows(path):
     """Parse a results file into (config_hash, status, ordered {record_id: auc}).
 
-    Raises ConfigError, naming the file and line, for a row whose auc is
-    not a number in [0, 1] or whose record id an earlier row holds.
+    Raises ConfigError, naming the file and line, for another header or
+    column line, an auc that is not a number in [0, 1], or a repeated id.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not lines or not lines[0][1].startswith("# privgames-results v1 "):
-        raise ConfigError(f"{path}: not a version-1 results file")
-    fields = {}
-    for token in lines[0][1].split(" "):
-        key, _, value = token.partition("=")
-        fields[key] = value
-    cfg_hash = fields.get("config", "")
-    status = fields.get("status", "")
-    if len(lines) < 2:
-        raise ConfigError(f"{path}: no column header after line {lines[0][0]}")
-    no, header = lines[1]
-    if header != RESULTS_COLUMNS:
-        raise ConfigError(f"{path}, line {no}: unexpected column header {header!r}")
+    fields, lines = data_mod.read_table(path, "results", RESULTS_COLUMNS)
     ncols = RESULTS_COLUMNS.count(",") + 1
     rows = {}
-    for no, line in lines[2:]:
-        parts = line.split(",")
+    for no, parts in lines:
         if len(parts) != ncols:
-            raise ConfigError(
-                f"{path}, line {no}: expected {ncols} fields, got {len(parts)}"
-            )
+            raise ConfigError(f"{path}, line {no}: expected {ncols} fields, got {len(parts)}")
         try:
             auc = float(parts[3])
         except ValueError:
-            raise ConfigError(
-                f"{path}, line {no}: auc {parts[3]!r} is not a number"
-            ) from None
+            raise ConfigError(f"{path}, line {no}: auc {parts[3]!r} is not a number") from None
         if not 0.0 <= auc <= 1.0:
             raise ConfigError(f"{path}, line {no}: auc {parts[3]!r} is not in [0, 1]")
         if parts[0] in rows:
             raise ConfigError(f"{path}, line {no}: record id {parts[0]!r} appears twice")
         rows[parts[0]] = auc
-    return cfg_hash, status, rows
+    return fields.get("config", ""), fields.get("status", ""), rows
 
 
 # ----------------------------------------------------------- environment
@@ -290,6 +268,9 @@ def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, l
     """Join two result tables into the comparison file."""
     hash_t, status_t, rows_t = read_result_rows(results_t)
     hash_ms, status_ms, rows_ms = read_result_rows(results_ms)
+    for path, rows in ((results_t, rows_t), (results_ms, rows_ms)):
+        if not rows:
+            raise ConfigError(f"{path}: no record rows below the column header")
     if hash_t != hash_ms and not allow_mixed:
         raise ConfigError(
             f"result files carry different config hashes ({hash_t} vs {hash_ms}); "
@@ -336,13 +317,15 @@ def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, l
 
 
 def read_comparison_summary(path):
-    """Summary rows of a comparison file as {name: token} (strings)."""
+    """Summary rows of a comparison file as {name: token} (strings);
+    ConfigError, naming the file and line, for a malformed file."""
+    _, rows = data_mod.read_table(path, "comparison", COMPARISON_COLUMNS)
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("summary,"):
-                _, name, value = line.strip().split(",", 2)
-                out[name] = value
+    for no, parts in rows:
+        if parts[0] == "summary":
+            if len(parts) != 3:
+                raise ConfigError(f"{path}, line {no}: expected 3 fields, got {len(parts)}")
+            out[parts[1]] = parts[2]
     return out
 
 
@@ -456,6 +439,8 @@ def _default_threads():
 def _load_config_with_overrides(args):
     cfg = config_mod.load_experiment_config(args.config)
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0 (got {args.seed})")
         cfg = replace(cfg, master_seed=args.seed)
     if getattr(args, "out", None):
         cfg = replace(cfg, out_dir=args.out)

@@ -6,16 +6,21 @@ ordered; continuous columns are discretized into equal-frequency bins at
 load time, after which they behave as ordered columns.  Records are
 plain tuples of 0-based value indices and datasets are immutable
 wrappers around an ``(n, d)`` int64 array.
+
+Every file privgames writes, tables and transcripts alike, is a
+``# privgames-<kind> v1 key=value ...`` header, a column line and
+comma-separated rows: ``table_lines`` builds one, ``read_table`` reads it.
 """
 
 import csv
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvParseError, DomainError, SizeError
+from .errors import ConfigError, CsvParseError, DomainError, SizeError
 from .seeds import rng
 
 CATEGORICAL = "categorical"
@@ -164,13 +169,39 @@ def validate_record(schema, x):
 
 
 @contextmanager
-def _open_utf8(path, newline=None):
-    """Open a text file; bytes that are not UTF-8 raise CsvParseError."""
+def _open_utf8(path, newline=None, error=CsvParseError):
+    """Open a text file; bytes that are not UTF-8 raise ``error``."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise CsvParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def table_lines(kind, fields, columns, rows):
+    """Header line (``fields`` as ``key=value``), ``columns``, then ``rows``."""
+    header = " ".join([f"# privgames-{kind} v1"] + [f"{k}={v}" for k, v in fields.items()])
+    return [header, columns, *rows]
+
+
+def read_table(path, kind, columns):
+    """Header ``{key: value}`` and ``(line number, fields)`` rows of a
+    ``kind`` file, blank lines skipped.  Bytes that are not UTF-8 or another
+    header or column line raise ConfigError naming the file and line."""
+    with _open_utf8(path, error=ConfigError) as fh:
+        lines = [(no, raw.rstrip("\n")) for no, raw in enumerate(fh, start=1)]
+    prefix = f"# privgames-{kind} v1 "
+    if not lines or not lines[0][1].startswith(prefix):
+        raise ConfigError(f"{path}, line 1: not a version-1 {kind} file")
+    # A header value runs up to the next " key=", so it may hold spaces.
+    fields = dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", lines[0][1][len(prefix):]))
+    body = [(no, line) for no, line in lines[1:] if line.strip()]
+    if not body:
+        raise ConfigError(f"{path}: no column header after line 1")
+    no, found = body[0]
+    if found != columns:
+        raise ConfigError(f"{path}, line {no}: unexpected column header {found!r}")
+    return fields, [(no, line.split(",")) for no, line in body[1:]]
 
 
 def parse_schema_sidecar(path):

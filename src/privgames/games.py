@@ -32,7 +32,8 @@ stays one dot product per release (see ``attack``).  A batch keeps its
 datasets within ``generators.BATCH_ELEMENTS`` values; with
 ``threads > 1`` the rounds are also cut into that many chunks, run in a
 thread pool, each chunk with streams of its own.  The transcript is the
-same bytes either way.
+same bytes either way.  A transcript file is a ``data.table_lines``
+table of one row per round, read back strictly by ``load_transcript``.
 """
 
 import hashlib
@@ -52,6 +53,7 @@ TRADITIONAL = "traditional"
 MODEL_SEEDED = "model_seeded"
 
 GAME_KINDS = (TRADITIONAL, MODEL_SEEDED)
+TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed"
 
 REFERENCE_PER_RUN = "per_run"
 REFERENCE_FIXED = "fixed"
@@ -393,64 +395,12 @@ def constant_adversary(value):
 
 def transcript_to_text(transcript):
     """Line-oriented text form: header, column names, one row per round."""
-    lines = [
-        "# privgames-transcript v1 "
-        f"config={transcript.config_hash} game={transcript.game_kind} "
-        f"n_eval={len(transcript.runs)} record={transcript.record_id}"
-    ]
-    lines.append("run_index,secret_bit,score,run_seed")
-    for r in transcript.runs:
-        lines.append(f"{r.run_index},{r.secret_bit},{r.score!r},{r.run_seed}")
-    return "\n".join(lines) + "\n"
-
-
-def transcript_from_text(text):
-    """Inverse of transcript_to_text.
-
-    Raises ConfigError, naming the line, for text that is not a
-    version-1 transcript, for a round row that lacks four numeric
-    fields, a secret bit of 0 or 1 or a finite score, and for a header
-    whose n_eval differs from the number of round rows.
-    """
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln]
-    if not lines or not lines[0][1].startswith("# privgames-transcript v1 "):
-        raise ConfigError("not a version-1 transcript")
-    header, _, record_id = lines[0][1].partition(" record=")
-    fields = {"record": record_id}
-    for token in header[2:].split(" ")[2:]:
-        key, _, value = token.partition("=")
-        fields[key] = value
-    runs = []
-    for no, line in lines[2:]:
-        row = line.split(",")
-        if len(row) != 4:
-            raise ConfigError(f"transcript line {no}: expected 4 fields, got {len(row)}")
-        try:
-            run = GameRun(
-                run_index=int(row[0]),
-                secret_bit=int(row[1]),
-                score=float(row[2]),
-                run_seed=int(row[3]),
-            )
-        except ValueError:
-            raise ConfigError(f"transcript line {no}: {line!r} is not numeric") from None
-        if run.secret_bit not in (0, 1):
-            raise ConfigError(f"transcript line {no}: secret_bit {row[1]!r} is not 0 or 1")
-        if not math.isfinite(run.score):
-            raise ConfigError(f"transcript line {no}: score {row[2]!r} is not finite")
-        runs.append(run)
-    n_eval = fields.get("n_eval", "")
-    if n_eval != str(len(runs)):
-        raise ConfigError(
-            f"transcript line {lines[0][0]}: header n_eval={n_eval} does not match "
-            f"the {len(runs)} round rows"
-        )
-    return GameTranscript(
-        runs=tuple(runs),
-        record_id=fields.get("record", ""),
-        game_kind=fields.get("game", ""),
-        config_hash=fields.get("config", ""),
+    fields = dict(
+        config=transcript.config_hash, game=transcript.game_kind,
+        n_eval=len(transcript.runs), record=transcript.record_id,
     )
+    rows = [f"{r.run_index},{r.secret_bit},{r.score!r},{r.run_seed}" for r in transcript.runs]
+    return "\n".join(data_mod.table_lines("transcript", fields, TRANSCRIPT_COLUMNS, rows)) + "\n"
 
 
 def save_transcript(transcript, path):
@@ -459,5 +409,38 @@ def save_transcript(transcript, path):
 
 
 def load_transcript(path):
-    with open(path, encoding="utf-8") as fh:
-        return transcript_from_text(fh.read())
+    """Read a transcript written by save_transcript.
+
+    Raises ConfigError, naming the file and line, for another header,
+    column line or game kind, a row that is not four numbers, a run
+    index other than the row's position, a secret bit other than 0 or 1,
+    a score that is not finite, or an n_eval other than the row count.
+    """
+    fields, rows = data_mod.read_table(path, "transcript", TRANSCRIPT_COLUMNS)
+    game_kind = fields.get("game", "")
+    if game_kind not in GAME_KINDS:
+        raise ConfigError(f"{path}, line 1: unknown game kind {game_kind!r}")
+    runs = []
+    for no, row in rows:
+        if len(row) != 4:
+            raise ConfigError(f"{path}, line {no}: expected 4 fields, got {len(row)}")
+        try:
+            run = GameRun(int(row[0]), int(row[1]), float(row[2]), int(row[3]))
+        except ValueError:
+            raise ConfigError(f"{path}, line {no}: {','.join(row)!r} is not numeric") from None
+        if run.run_index != len(runs):
+            raise ConfigError(f"{path}, line {no}: run_index {row[0]!r} is not {len(runs)}")
+        if run.secret_bit not in (0, 1):
+            raise ConfigError(f"{path}, line {no}: secret_bit {row[1]!r} is not 0 or 1")
+        if not math.isfinite(run.score):
+            raise ConfigError(f"{path}, line {no}: score {row[2]!r} is not finite")
+        runs.append(run)
+    n_eval = fields.get("n_eval", "")
+    if n_eval != str(len(runs)):
+        raise ConfigError(
+            f"{path}, line 1: header n_eval={n_eval} does not match the {len(runs)} round rows"
+        )
+    return GameTranscript(
+        tuple(runs), record_id=fields.get("record", ""), game_kind=game_kind,
+        config_hash=fields.get("config", ""),
+    )

@@ -182,6 +182,13 @@ def test_seed_override_changes_scores(tmp_path):
     )
 
 
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg_path, out = toy_config(tmp_path)
+    assert cli.main(["run", "--config", cfg_path, "--seed", "-5"]) == 2
+    assert "error: --seed must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_records_override(tmp_path):
     cfg_path, out = toy_config(tmp_path)
     cli.main(["run", "--config", cfg_path, "--records", "ids:7"])
@@ -426,6 +433,30 @@ def test_compare_header_only_results_file_exits_2(tmp_path, capsys):
     assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
     err = capsys.readouterr().err
     assert ms in err and "line 1" in err
+
+
+def test_compare_results_file_without_rows_exits_2(tmp_path, capsys):
+    t = str(tmp_path / "t.csv")
+    ms = str(tmp_path / "ms.csv")
+    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)])
+    write_results(ms, "aaaaaaaaaaaa", [])
+    assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
+    assert f"error: {ms}: no record rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not a comparison\nsummary,rmsd,oops\n", "line 1: not a version-1 comparison file"),
+    (
+        "# privgames-comparison v1 config=a status=complete generated=x\n"
+        f"{cli.COMPARISON_COLUMNS}\nsummary,rmsd\n",
+        "line 3: expected 3 fields, got 2",
+    ),
+])
+def test_read_comparison_summary_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "cmp.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        cli.read_comparison_summary(str(path))
 
 
 @pytest.mark.parametrize("row, message", [

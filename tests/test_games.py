@@ -370,21 +370,21 @@ def test_transcript_text_roundtrip(tmp_path):
     t = games.run_model_seeded(
         (1,), d_target, d_eval, games.toy_bit_adversary(), config, record_id="rec 7"
     )
-    text = games.transcript_to_text(t)
-    back = games.transcript_from_text(text)
+    path = tmp_path / "t.txt"
+    games.save_transcript(t, path)
+    assert path.read_text(encoding="utf-8") == games.transcript_to_text(t)
+    back = games.load_transcript(path)
     assert back.runs == t.runs
     assert back.record_id == "rec 7"
     assert back.game_kind == t.game_kind
     assert back.config_hash == t.config_hash
 
+
+def test_transcript_text_is_versioned(tmp_path):
     path = tmp_path / "t.txt"
-    games.save_transcript(t, path)
-    assert games.load_transcript(path).runs == t.runs
-
-
-def test_transcript_text_is_versioned():
+    path.write_text("# something-else v9\n")
     with pytest.raises(ConfigError):
-        games.transcript_from_text("# something-else v9\n")
+        games.load_transcript(path)
 
 
 def test_transcript_header_carries_config_hash():
@@ -396,6 +396,10 @@ def test_transcript_header_carries_config_hash():
     assert f"config={config.config_hash()}" in first
 
 
+_TRANSCRIPT_HEADER = "# privgames-transcript v1 config=abc game=traditional n_eval=2 record=r\n"
+_TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed\n"
+
+
 @pytest.mark.parametrize("row, message", [
     ("1,2", "line 4: expected 4 fields, got 2"),
     ("x,1,0.5,3", "line 4: 'x,1,0.5,3' is not numeric"),
@@ -403,14 +407,32 @@ def test_transcript_header_carries_config_hash():
     ("1,0,nan,3", "line 4: score 'nan' is not finite"),
     ("1,0,-inf,3", "line 4: score '-inf' is not finite"),
     ("", "line 1: header n_eval=2 does not match the 1 round rows"),
+    ("0,0,0.5,3", "line 4: run_index '0' is not 1"),
+    ("1,0,0.5\udcff,3", r"not UTF-8 text \(invalid start byte\)"),
+    # Whole files, for defects above the second round row.
+    (
+        _TRANSCRIPT_HEADER + "not,the,columns\n0,1,0.5,9\n1,0,0.5,3\n",
+        "line 2: unexpected column header 'not,the,columns'",
+    ),
+    (
+        _TRANSCRIPT_HEADER.replace("traditional", "whatever")
+        + _TRANSCRIPT_COLUMNS + "0,1,0.5,9\n1,0,0.5,3\n",
+        "line 1: unknown game kind 'whatever'",
+    ),
+    (
+        _TRANSCRIPT_HEADER + _TRANSCRIPT_COLUMNS + "5,1,0.5,9\n5,0,0.5,3\n",
+        "line 3: run_index '5' is not 0",
+    ),
 ])
-def test_transcript_malformed_row_names_line(row, message):
-    text = (
-        "# privgames-transcript v1 config=abc game=traditional n_eval=2 record=r\n"
-        f"run_index,secret_bit,score,run_seed\n0,1,0.5,9\n{row}\n"
-    )
-    with pytest.raises(ConfigError, match=message):
-        games.transcript_from_text(text)
+def test_transcript_malformed_row_names_line(tmp_path, row, message):
+    text = row
+    if not row.startswith("#"):
+        text = f"{_TRANSCRIPT_HEADER}{_TRANSCRIPT_COLUMNS}0,1,0.5,9\n{row}\n"
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
+    with pytest.raises(ConfigError, match=message) as exc:
+        games.load_transcript(path)
+    assert str(path) in str(exc.value)
 
 
 # ------------------------------------------------ per-round reference

@@ -66,9 +66,10 @@ _TRANSCRIPT = (
 
 @SETTINGS
 @given(_mangled(_TRANSCRIPT))
-def test_transcript_parser_parses_or_raises(raw):
-    text = raw.decode("utf-8", errors="replace")
-    _parses_or_raises_privgames_error(games.transcript_from_text, text)
+def test_transcript_parser_parses_or_raises(tmp_path, raw):
+    path = tmp_path / "t.txt"
+    path.write_bytes(raw)
+    _parses_or_raises_privgames_error(games.load_transcript, str(path))
 
 
 _RESULTS = (
@@ -89,6 +90,21 @@ def test_results_parser_parses_or_raises(tmp_path, raw):
     _parses_or_raises_privgames_error(
         lambda: cli.cmd_compare(str(path), str(path), 0.8, out, log=lambda _: None)
     )
+
+
+_COMPARISON = (
+    "# privgames-comparison v1 config=0123456789ab status=complete generated=2026-01-01T00:00:00Z\n"
+    f"{cli.COMPARISON_COLUMNS}\n"
+    "0,0.5,0.75,-0.25,0.25\nsummary,n_records,1\nsummary,rmsd,0.25\nhist,0.0,0.5,1\n"
+)
+
+
+@SETTINGS
+@given(_mangled(_COMPARISON))
+def test_comparison_parser_parses_or_raises(tmp_path, raw):
+    path = tmp_path / "cmp.csv"
+    path.write_bytes(raw)
+    _parses_or_raises_privgames_error(cli.read_comparison_summary, str(path))
 
 
 _CSV = "name,level,amount,flag\na,0,1.5,x\nb,2,-3,y\na,1,0.25,x\n\"c,d\",4,7e1,z\n"
