@@ -6,14 +6,16 @@ at-most variant on ordered columns), trains a logistic regression on
 features from shadow generators fit with and without the target, and
 scores fresh releases with the fitted model.
 
-Releases are handled a batch at a time.  Each ``generators.sample_batch``
-call is stacked into one ``(k, n, d)`` array whose features come from
-one matrix product per chunk of at most ``generators.BATCH_ELEMENTS``
-(row, query) cells, and the batch's scores from one sigmoid.  Each
-logit stays one dot product of a release's features with the weights:
-a matrix-vector product over the whole batch sums in another order and
-changes the low bits of the scores.  ``extract_features`` and
-``attack_score`` score a batch of one release.
+The shadow training sets are one ``(n_shadow, n, d)`` array, fit by one
+``generators.fit_batch`` call, and releases are handled a batch at a
+time.  Each ``generators.sample_batch`` call is stacked into one
+``(k, n, d)`` array whose features come from one matrix product per
+chunk of at most ``generators.BATCH_ELEMENTS`` (row, query) cells, and
+the batch's scores from one sigmoid.  Each logit stays one dot product
+of a release's features with the weights: a matrix-vector product over
+the whole batch sums in another order and changes the low bits of the
+scores.  ``extract_features`` and ``attack_score`` score a batch of one
+release.
 """
 
 import math
@@ -191,9 +193,10 @@ def _release_features(gens, n, seeds, x, bank):
 def build_shadow_sets(d_aux, x, n, n_shadow, seed):
     """Shadow training sets of size ``n``, labeled by x's membership.
 
-    Half the sets contain x plus n-1 auxiliary records, half are n
-    auxiliary records without forcing x in.  ``n_shadow`` must be even
-    so the labels are balanced.
+    Returns a ``(n_shadow, n, d)`` array of sets and their labels.  Sets
+    alternate, in first: an in-set is x plus n-1 auxiliary records, an
+    out-set n auxiliary records without forcing x in.  ``n_shadow`` must
+    be even so the labels are balanced.
     """
     if n_shadow < 2 or n_shadow % 2 != 0:
         raise ConfigError(f"n_shadow must be a positive even number, got {n_shadow}")
@@ -206,21 +209,15 @@ def build_shadow_sets(d_aux, x, n, n_shadow, seed):
     data_mod.validate_record(d_aux.schema, x)
     half = np.arange(n_shadow // 2)
     # In-set i draws from derive(seed, "shadow-in", i), out-set i from
-    # derive(seed, "shadow-out", i); they alternate, in first.
+    # derive(seed, "shadow-out", i).
     streams = Streams(
         np.stack(
             [derive_many(seed, "shadow-in", half), derive_many(seed, "shadow-out", half)],
             axis=1,
         ).ravel()
     )
-    sets = []
-    for j, g in enumerate(streams):
-        if j % 2 == 0:
-            base = data_mod.sample_records(d_aux, n - 1, g)
-            sets.append((data_mod.append_record(base, x), 1))
-        else:
-            sets.append((data_mod.sample_records(d_aux, n, g), 0))
-    return sets
+    labels = np.tile([1, 0], n_shadow // 2)
+    return data_mod.sample_training_sets(d_aux, x, n, labels.tolist(), streams), labels
 
 
 @dataclass(frozen=True)
@@ -348,18 +345,14 @@ def train_attack(
     trained on the resulting feature matrix.  Deterministic given its
     arguments.
     """
-    sets = build_shadow_sets(d_aux, x, n, n_shadow, derive(seed, "shadow-sets"))
-    count = len(sets)
+    sets, labels = build_shadow_sets(d_aux, x, n, n_shadow, derive(seed, "shadow-sets"))
+    shadows = np.arange(len(sets))
     gens = generators.fit_batch(
-        [spec] * count,
-        [ds for ds, _ in sets],
-        derive_many(seed, "shadow-fit", np.arange(count)).tolist(),
-        target_hint=x,
+        spec, d_aux.schema, sets, derive_many(seed, "shadow-fit", shadows), target_hint=x
     )
-    sample_seeds = derive_many(seed, "shadow-sample", np.arange(count)).tolist()
+    sample_seeds = derive_many(seed, "shadow-sample", shadows).tolist()
     feats = _release_features(gens, n, sample_seeds, x, bank)
-    labels = [label for _, label in sets]
-    return train_meta_classifier(feats, np.array(labels), epochs, learning_rate, l2)
+    return train_meta_classifier(feats, labels, epochs, learning_rate, l2)
 
 
 def meta_classifier_adversary(meta, bank, x, n_syn):

@@ -49,11 +49,8 @@ def _timestamp():
 
 
 def _write_file(path, lines):
-    # Atomic: land the whole file or none of it.
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    # Every table goes through this name, which benchmark/tracer.py wraps.
+    data_mod.write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_table(path, kind, cfg_hash, status, columns, rows, log):

@@ -5,15 +5,18 @@ indexed in first-appearance order; integer columns can be declared
 ordered; continuous columns are discretized into equal-frequency bins at
 load time, after which they behave as ordered columns.  Records are
 plain tuples of 0-based value indices and datasets are immutable
-wrappers around an ``(n, d)`` int64 array.
+wrappers around an ``(n, d)`` int64 array; a batch of training sets is
+one ``(B, n, d)`` array (``sample_training_sets``).
 
 Every file privgames writes, tables and transcripts alike, is a
 ``# privgames-<kind> v1 key=value ...`` header, a column line and
-comma-separated rows: ``table_lines`` builds one, ``read_table`` reads it.
+comma-separated rows: ``table_lines`` builds one, ``write_text`` lands it
+atomically, and ``read_table`` reads it back.
 """
 
 import csv
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -184,12 +187,28 @@ def table_lines(kind, fields, columns, rows):
     return [header, columns, *rows]
 
 
+def write_text(path, text):
+    """Write ``text`` to ``path`` atomically: into ``<path>.tmp``, then
+    ``os.replace``, so the file holds the old text or all of the new."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def read_table(path, kind, columns):
     """Header ``{key: value}`` and ``(line number, fields)`` rows of a
-    ``kind`` file, blank lines skipped.  Bytes that are not UTF-8 or another
-    header or column line raise ConfigError naming the file and line."""
-    with _open_utf8(path, error=ConfigError) as fh:
-        lines = [(no, raw.rstrip("\n")) for no, raw in enumerate(fh, start=1)]
+    ``kind`` file, blank lines skipped.  A file that cannot be read, bytes
+    that are not UTF-8, a last line without its newline (a file cut short)
+    or another header or column line raise ConfigError naming the file."""
+    try:
+        with _open_utf8(path, error=ConfigError) as fh:
+            lines = list(enumerate(fh, start=1))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
+    if lines and not lines[-1][1].endswith("\n"):
+        raise ConfigError(f"{path}, line {lines[-1][0]}: cut short, no newline at the end")
+    lines = [(no, raw.rstrip("\n")) for no, raw in lines]
     prefix = f"# privgames-{kind} v1 "
     if not lines or not lines[0][1].startswith(prefix):
         raise ConfigError(f"{path}, line 1: not a version-1 {kind} file")
@@ -389,6 +408,22 @@ def sample_records(pool, n, seed):
         raise SizeError(f"requested {n} records but only {pool.n} are available")
     idx = rng(seed).choice(pool.n, size=n, replace=False)
     return Dataset(pool.schema, pool.values[idx], validate=False)
+
+
+def sample_training_sets(pool, x, n, members, streams):
+    """Training sets of ``n`` records, as one ``(len(members), n, d)`` array.
+
+    Set i is the ``sample_records`` draw of ``n - members[i]`` pool
+    records from ``streams[i]`` (a seed or an open stream), then ``x``
+    when ``members[i]`` is 1: the rows ``append_record`` would give.
+    Only ``streams[i]`` is read for set i.
+    """
+    rows = np.zeros((len(members), n), dtype=np.intp)
+    for i, b in enumerate(members):
+        rows[i, : n - b] = rng(streams[i]).choice(pool.n, size=n - b, replace=False)
+    out = pool.values[rows]
+    out[np.asarray(members, dtype=bool), n - 1] = x
+    return out
 
 
 def contains(dataset, x):

@@ -19,21 +19,25 @@ derives its own seed from the master seed and its index, which makes
 transcripts independent of execution order and of how rounds are
 grouped.  So a game derives the run, data, fit and adversary seeds of
 all its rounds in one ``seeds.derive_many`` call each, then plays the
-rounds in batches: it builds every round's training dataset (the batch
-hashes its data seeds through one ``seeds.Streams``, so no round builds
-a ``SeedSequence`` of its own, and a round opens its data stream only
-if it draws from it), fits all the batch's generators in one call
-(``generators.fit_batch``), and hands them to the adversary.  An
-adversary is a function ``adversary(gens, seeds) -> scores``: one
-membership score per fitted generator, each given its round's adversary
-seed.  The counting-query adversary samples the releases in batched
-calls and scores each call's releases as one array, but each logit
-stays one dot product per release (see ``attack``).  A batch keeps its
-datasets within ``generators.BATCH_ELEMENTS`` values; with
-``threads > 1`` the rounds are also cut into that many chunks, run in a
-thread pool, each chunk with streams of its own.  The transcript is the
-same bytes either way.  A transcript file is a ``data.table_lines``
-table of one row per round, read back strictly by ``load_transcript``.
+rounds in batches.  A batch's training sets are one ``(B, n, d)`` int64
+array, never a ``Dataset`` per round: traditional rounds gather their
+pool draws in one pass (``data.sample_training_sets``), model-seeded
+rounds copy ``d_target`` and overwrite x's rows in out-rounds, and the
+mixture game stacks one array per drawn partial and secret bit.  Each
+array is fit in one ``generators.fit_batch`` call.  The batch hashes its
+data seeds through one ``seeds.Streams``, so no round builds a
+``SeedSequence`` of its own, and a round opens its data stream only if
+it draws from it.  An adversary is a function
+``adversary(gens, seeds) -> scores``: one membership score per fitted
+generator, each given its round's adversary seed.  The counting-query
+adversary samples the releases in batched calls and scores each call's
+releases as one array, but each logit stays one dot product per release
+(see ``attack``).  A batch keeps its training sets within
+``generators.BATCH_ELEMENTS`` values; with ``threads > 1`` the rounds
+are also cut into that many chunks, run in a thread pool, each chunk
+with streams of its own.  The transcript is the same bytes either way.
+A transcript file is a ``data.table_lines`` table of one row per round,
+read back strictly by ``load_transcript``.
 """
 
 import hashlib
@@ -141,10 +145,12 @@ def balanced_bits(n_eval, seed):
     return rng(seed).permutation(bits)
 
 
-def _execute(config, record_id, adversary, x, build_run, threads, data_tag="data"):
-    """Play the rounds of a game.  ``build_run(b, stream)`` returns the
-    training dataset and generator spec of a round with secret bit b;
-    ``stream()`` opens the round's data stream, for rounds that draw."""
+def _execute(config, record_id, adversary, x, fit_rounds, threads, data_tag="data"):
+    """Play the rounds of a game.  ``fit_rounds(secret, streams, seeds)``
+    builds the training sets of a batch of rounds with secret bits
+    ``secret`` and returns their generators, round i fit with
+    ``seeds[i]``; ``streams[i]`` is round i's data stream, opened only by
+    rounds that draw."""
     n_eval = config.n_eval
     bits = balanced_bits(n_eval, derive(config.master_seed, "bits"))
     run_seeds = derive_many(config.master_seed, "run", np.arange(n_eval))
@@ -154,14 +160,7 @@ def _execute(config, record_id, adversary, x, build_run, threads, data_tag="data
 
     def play(lo, hi):
         secret = bits[lo:hi].tolist()
-        streams = Streams(data_seeds[lo:hi])
-        built = [build_run(b, lambda i=i: streams[i]) for i, b in enumerate(secret)]
-        gens = generators.fit_batch(
-            [spec for _, spec in built],
-            [ds for ds, _ in built],
-            fit_seeds[lo:hi].tolist(),
-            target_hint=x,
-        )
+        gens = fit_rounds(secret, Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
         scores = adversary(gens, adversary_seeds[lo:hi].tolist())
         return [
             GameRun(run_index=i, secret_bit=b, score=float(score), run_seed=s)
@@ -169,7 +168,7 @@ def _execute(config, record_id, adversary, x, build_run, threads, data_tag="data
         ]
 
     # A batch holds at most a ``threads``-th of the rounds, and training
-    # datasets of at most BATCH_ELEMENTS values.
+    # sets of at most BATCH_ELEMENTS values.
     cells = config.dataset_size * len(x)
     size = max(1, min(generators.BATCH_ELEMENTS // cells, -(-n_eval // threads)))
     starts = range(0, n_eval, size)
@@ -205,12 +204,11 @@ def traditional_dataset(pool, x, n, b, seed):
     """Training dataset of one traditional round.
 
     b = 1: x plus n-1 pool records; b = 0: n pool records, drawn with
-    ``seed``, a seed or an open stream (see ``seeds.rng``).
+    ``seed``, a seed or an open stream.  A batch of one of
+    ``data.sample_training_sets``, which the game calls.
     """
-    if b == 1:
-        base = data_mod.sample_records(pool, n - 1, seed)
-        return data_mod.append_record(base, x)
-    return data_mod.sample_records(pool, n, seed)
+    values = data_mod.sample_training_sets(pool, x, n, [b], [seed])[0]
+    return data_mod.Dataset(pool.schema, values, validate=False)
 
 
 def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
@@ -247,15 +245,32 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
             f"evaluation pool has {pool.n} usable records, need {n} per round"
         )
 
-    def build_run(b, stream):
-        return traditional_dataset(pool, x, n, b, stream()), config.generator_spec
+    def fit_rounds(secret, streams, seeds):
+        values = data_mod.sample_training_sets(pool, x, n, secret, streams)
+        return generators.fit_batch(config.generator_spec, pool.schema, values, seeds, x)
 
-    return _execute(config, record_id, adversary, x, build_run, threads)
+    return _execute(config, record_id, adversary, x, fit_rounds, threads)
 
 
 def reference_pool(d_target, d_eval):
     """Values of evaluation records outside the released training data."""
     return data_mod.rows_not_in(d_eval, d_target)
+
+
+def _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs):
+    """Training sets of model-seeded rounds, as one ``(B, n, d)`` array:
+    ``d_target`` in every round, its ``x_positions`` rows replaced in
+    out-rounds.  Only per-run out-rounds read their stream."""
+    values = np.repeat(d_target.values[None], len(secret), axis=0)
+    out = np.flatnonzero(np.equal(secret, 0))
+    refs = fixed_refs
+    if refs is None:
+        picks = np.empty((len(out), len(x_positions)), dtype=np.intp)
+        for k, i in enumerate(out.tolist()):
+            picks[k] = rng(streams[i]).integers(0, len(ref_values), size=len(x_positions))
+        refs = ref_values[picks]
+    values[np.ix_(out, x_positions)] = refs
+    return values
 
 
 def model_seeded_dataset(d_target, x_positions, ref_values, b, seed, fixed_refs=None):
@@ -265,18 +280,10 @@ def model_seeded_dataset(d_target, x_positions, ref_values, b, seed, fixed_refs=
     every copy of the target (each row in ``x_positions``) with a
     reference record: a fresh independent draw per copy, made with
     ``seed`` (a seed or an open stream), or the pre-drawn rows in
-    ``fixed_refs``.
+    ``fixed_refs``.  A batch of one of ``_model_seeded_sets``.
     """
-    if b == 1:
-        return d_target
-    values = d_target.values.copy()
-    if fixed_refs is not None:
-        values[x_positions] = fixed_refs
-    else:
-        g = rng(seed)
-        picks = g.integers(0, len(ref_values), size=len(x_positions))
-        values[x_positions] = ref_values[picks]
-    return data_mod.Dataset(d_target.schema, values, validate=False)
+    values = _model_seeded_sets(d_target, x_positions, ref_values, [b], [seed], fixed_refs)
+    return data_mod.Dataset(d_target.schema, values[0], validate=False)
 
 
 def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threads=1):
@@ -309,13 +316,11 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
         picks = g.integers(0, len(ref_values), size=len(x_positions))
         fixed_refs = ref_values[picks]
 
-    def build_run(b, stream):
-        # Only per-run out-rounds draw: in-rounds keep d_target as it is.
-        g = stream() if b == 0 and fixed_refs is None else None
-        ds = model_seeded_dataset(d_target, x_positions, ref_values, b, g, fixed_refs)
-        return ds, config.generator_spec
+    def fit_rounds(secret, streams, seeds):
+        values = _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs)
+        return generators.fit_batch(config.generator_spec, d_target.schema, values, seeds, x)
 
-    return _execute(config, record_id, adversary, x, build_run, threads)
+    return _execute(config, record_id, adversary, x, fit_rounds, threads)
 
 
 def run_game(x, d_eval, d_target, adversary, config, record_id="", threads=1):
@@ -365,13 +370,23 @@ def run_traditional_mixture(
             f"{len(specs)} generator specs for {len(partials)} partials"
         )
 
-    def build_run(b, stream):
-        j = int(stream().integers(0, len(partials)))
-        part = partials[j]
-        ds = data_mod.append_record(part, x) if b == 1 else part
-        return ds, specs[j]
+    # Rounds that drew the same partial and bit train on the same rows,
+    # so each such group is fit as one batch of copies.
+    rows = {(j, 0): part.values for j, part in enumerate(partials)}
+    rows.update({(j, 1): np.vstack([part.values, [x]]) for j, part in enumerate(partials)})
 
-    return _execute(config, record_id, adversary, x, build_run, threads, "mixture")
+    def fit_rounds(secret, streams, seeds):
+        keys = [(int(streams[i].integers(0, len(partials))), b) for i, b in enumerate(secret)]
+        gens = [None] * len(keys)
+        for key in dict.fromkeys(keys):
+            rounds = [i for i, k in enumerate(keys) if k == key]
+            values = np.repeat(rows[key][None], len(rounds), axis=0)
+            fitted = generators.fit_batch(specs[key[0]], schema, values, seeds[rounds], x)
+            for i, gen in zip(rounds, fitted):
+                gens[i] = gen
+        return gens
+
+    return _execute(config, record_id, adversary, x, fit_rounds, threads, "mixture")
 
 
 def toy_bit_adversary():
@@ -404,8 +419,8 @@ def transcript_to_text(transcript):
 
 
 def save_transcript(transcript, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(transcript_to_text(transcript))
+    """Write a transcript atomically (see ``data.write_text``)."""
+    data_mod.write_text(path, transcript_to_text(transcript))
 
 
 def load_transcript(path):

@@ -8,8 +8,11 @@ the network kinds are the objects actually under evaluation.
 
 A game fits and samples hundreds of networks per evaluated record, each
 on tables of a few dozen cells, so networks are fit and sampled in
-batches (``fit_batch``, ``sample_batch``) and every stage is a fixed
-number of array passes over the whole batch: structure learning scores
+batches.  ``fit_batch`` takes one spec, one schema and the training sets
+as one ``(B, n, d)`` int64 array, which it slices into chunks and never
+copies; ``sample_batch`` takes fitted generators of any batches.  Every
+stage is a fixed number of array passes over the whole batch: the toy
+tests membership column by column, structure learning scores
 every column pair of every network from one ``bincount``, estimating
 the tables counts every column of every network with one more, and
 sampling draws one column of every network per step.  Each network gets
@@ -570,53 +573,40 @@ def privatize_tables(tables, epsilon, seed):
     return batch.cpts(0, structure)
 
 
-def fit_batch(specs, trainings, seeds, target_hint=None):
-    """``fit(specs[i], trainings[i], target_hint, seeds[i])`` for every i.
+def fit_batch(spec, schema, values, seeds, target_hint=None):
+    """Fit a ``spec`` generator on every training set of a batch.
 
-    Networks that share a spec, a schema and a row count are fit
-    together, each stage one pass over all of them, in chunks whose
-    intermediates stay within ``BATCH_ELEMENTS``; every network gets
-    the bits it would get fit alone.  Toy fits record membership of
-    ``target_hint`` in each training dataset.
+    ``values`` is a ``(B, n, d)`` int64 array of ``schema`` records:
+    training set i is ``values[i]``, fit with ``seeds[i]``.  Each stage
+    is one pass over the batch, in chunks whose intermediates stay
+    within ``BATCH_ELEMENTS``, and every network gets the bits it would
+    get fit alone.  Toy fits record membership of ``target_hint`` in
+    each training set.
     """
-    if not len(specs) == len(trainings) == len(seeds):
-        raise DomainError("fit_batch needs one spec and one seed per training dataset")
-    groups = {}
-    for i, (spec, training) in enumerate(zip(specs, trainings)):
-        # Keyed by identity: equal objects in separate groups fit the same bits.
-        groups.setdefault((id(spec), id(training.schema), training.n), []).append(i)
-    gens = [None] * len(trainings)
-    for idx in groups.values():
-        spec = specs[idx[0]]
-        group = [trainings[i] for i in idx]
-        if spec.kind == TOY:
-            fitted = _fit_toys(spec, group, target_hint)
-        else:
-            fitted = _fit_networks(spec, group, [seeds[i] for i in idx])
-        for i, gen in zip(idx, fitted):
-            gens[i] = gen
-    return gens
+    if values.ndim != 3 or values.shape[2] != schema.ncols:
+        raise DomainError(f"expected a (B, n, {schema.ncols}) batch, got shape {values.shape}")
+    if len(values) != len(seeds):
+        raise DomainError("fit_batch needs one seed per training set")
+    if spec.kind == TOY:
+        return _fit_toys(spec, schema, values, target_hint)
+    return _fit_networks(spec, schema, values, seeds)
 
 
-def _fit_toys(spec, trainings, target_hint):
+def _fit_toys(spec, schema, values, target_hint):
     if target_hint is None:
         raise FitError("toy generator requires a target_hint record")
-    schema = trainings[0].schema
     data_mod.validate_record(schema, target_hint)
     x = np.asarray(target_hint, dtype=np.int64)
-    gens = []
-    for lo, hi in _spans([max(trainings[0].values.size, 1)] * len(trainings)):
-        values = np.stack([t.values for t in trainings[lo:hi]])
-        members = (values == x).all(axis=2).any(axis=1).tolist()
-        gens += [FittedGenerator(spec, schema, toy_member=m) for m in members]
-    return gens
+    # Column by column: each test is a (B, n) array, a d-th of values.
+    member = values[:, :, 0] == x[0]
+    for c in range(1, len(x)):
+        member &= values[:, :, c] == x[c]
+    return [FittedGenerator(spec, schema, toy_member=m) for m in member.any(axis=1).tolist()]
 
 
-def _fit_networks(spec, trainings, seeds):
-    """Fit one network per training dataset; all share spec, schema and
-    row count."""
-    schema = trainings[0].schema
-    n = trainings[0].n
+def _fit_networks(spec, schema, values, seeds):
+    """Fit one network per training set of a ``(B, n, d)`` batch."""
+    n = values.shape[1]
     if n == 0:
         raise FitError(f"{spec.kind} generator requires non-empty training data")
     d = schema.ncols
@@ -630,20 +620,20 @@ def _fit_networks(spec, trainings, seeds):
         noise_seeds = derive_many(seeds, "privatize")[:, None]
         noise_streams = Streams(derive_many(noise_seeds, "privatize-col", np.arange(d)).ravel())
     gens = []
-    for lo, hi in _spans([n * d * max(d - 1, 1)] * len(trainings)):
-        values = np.stack([t.values for t in trainings[lo:hi]])
+    for lo, hi in _spans([n * d * max(d - 1, 1)] * len(values)):
+        chunk = values[lo:hi]
         if spec.kind == INDEPENDENT:
             structures = [Structure(order=tuple(range(d)), parents=((),) * d)] * (hi - lo)
         else:
             structures = _learn_structures(
-                values, schema.sizes, spec.max_parents, order_streams[lo:hi], spec.mi_floor
+                chunk, schema.sizes, spec.max_parents, order_streams[lo:hi], spec.mi_floor
             )
         # Table chunks are weighed by their rows at the widest arity,
         # the size of the padded cumulative table sampling builds.
         weights = [n * d + widest * _n_rows(schema.sizes, st) for st in structures]
         for tlo, thi in _spans(weights):
             batch = _TableBatch(schema.sizes, structures[tlo:thi])
-            counts = batch.count(values[tlo:thi]) + spec.smoothing
+            counts = batch.count(chunk[tlo:thi]) + spec.smoothing
             if spec.kind == PRIVBAYNET:
                 streams = noise_streams[(lo + tlo) * d : (lo + thi) * d]
                 counts = batch.privatize(counts, spec.epsilon, streams)
@@ -675,7 +665,7 @@ def fit(spec, training, target_hint=None, seed=0):
     other kinds require a non-empty training dataset.  A batch of one
     of ``fit_batch``.
     """
-    return fit_batch([spec], [training], [seed], target_hint)[0]
+    return fit_batch(spec, training.schema, training.values[None], [seed], target_hint)[0]
 
 
 def sample_batch(gens, n, seeds):

@@ -6,10 +6,12 @@ pair, one ``ravel_multi_index`` count per table, Laplace noise per table,
 and ancestral sampling one column at a time.  ``reference_fit_batch``
 and ``reference_sample_batch`` have the signatures of ``fit_batch`` and
 ``sample_batch`` and loop over networks, so whole commands can be run
-on the reference path.  For the games: ``reference_execute`` makes an
-``_execute`` that plays one round at a time, every seed from a scalar
-``derive`` and every stream from a fresh ``rng``; the shadow sets and
-toy releases have per-item references too.  For the attack: features
+on the reference path.  For the games: ``reference_run_game`` and
+``reference_run_traditional_mixture`` play one round at a time, every
+seed from a scalar ``derive``, every stream from a fresh ``rng`` and
+every training set built on its own from ``sample_records``,
+``append_record`` or a copy of ``d_target``, never by the games' batch
+builders; the shadow sets and toy releases have per-item references too.  For the attack: features
 one query at a time, scores one release at a time, and the
 meta-classifier trained by the allocating per-epoch loop with
 ``np.clip``.  For the risk layer: the trade-off curve with two boolean
@@ -153,10 +155,10 @@ def reference_sample(gen, n, seed):
     return data.Dataset(gen.schema, values, validate=False)
 
 
-def reference_fit_batch(specs, trainings, seeds, target_hint=None):
+def reference_fit_batch(spec, schema, values, seeds, target_hint=None):
     return [
-        reference_fit(spec, training, target_hint, seed)
-        for spec, training, seed in zip(specs, trainings, seeds)
+        reference_fit(spec, data.Dataset(schema, v), target_hint, int(seed))
+        for v, seed in zip(values, seeds)
     ]
 
 
@@ -164,28 +166,75 @@ def reference_sample_batch(gens, n, seeds):
     return [reference_sample(gen, n, seed) for gen, seed in zip(gens, seeds)]
 
 
-def reference_execute(data_tag):
-    """``games._execute``, one round at a time, as a replacement for it.
+def _reference_play(config, record_id, adversary, x, round_dataset):
+    """``games._execute``, one round at a time: every seed from a scalar
+    ``derive``, every stream from a fresh ``rng``, and round i's training
+    set from ``round_dataset(b, run_seed)``, which returns it and its
+    generator spec."""
+    bits = games.balanced_bits(config.n_eval, derive(config.master_seed, "bits"))
+    runs = []
+    for i in range(config.n_eval):
+        run_seed = derive(config.master_seed, "run", i)
+        b = int(bits[i])
+        ds, spec = round_dataset(b, run_seed)
+        gen = reference_fit(spec, ds, x, derive(run_seed, "fit"))
+        score = adversary([gen], [derive(run_seed, "adversary")])[0]
+        runs.append(games.GameRun(i, b, float(score), run_seed))
+    return games.GameTranscript(
+        tuple(runs), str(record_id), config.game_kind, config.config_hash()
+    )
 
-    Round i's data stream is ``rng(derive(run_seed, data_tag))`` with the
-    tag given here, whatever tag the game passes; ``threads`` is ignored.
-    """
 
-    def execute(config, record_id, adversary, x, build_run, threads, *_):
-        bits = games.balanced_bits(config.n_eval, derive(config.master_seed, "bits"))
-        runs = []
-        for i in range(config.n_eval):
-            run_seed = derive(config.master_seed, "run", i)
-            b = int(bits[i])
-            ds, spec = build_run(b, lambda: rng(derive(run_seed, data_tag)))
-            gen = reference_fit(spec, ds, x, derive(run_seed, "fit"))
-            score = adversary([gen], [derive(run_seed, "adversary")])[0]
-            runs.append(games.GameRun(i, b, float(score), run_seed))
-        return games.GameTranscript(
-            tuple(runs), str(record_id), config.game_kind, config.config_hash()
-        )
+def reference_run_game(x, d_eval, d_target, adversary, config, record_id=""):
+    """``games.run_game``, building each round's training set on its own:
+    ``sample_records`` plus ``append_record`` from the pool without copies
+    of x, or a copy of ``d_target`` with x's rows replaced."""
+    spec = config.generator_spec
+    schema = d_eval.schema
+    if config.game_kind == games.TRADITIONAL:
+        pool = data.Dataset(schema, [r for r in d_eval.records() if r != tuple(x)])
+        n = config.dataset_size
 
-    return execute
+        def round_dataset(b, run_seed):
+            g = rng(derive(run_seed, "data"))
+            if b == 1:
+                return data.append_record(data.sample_records(pool, n - 1, g), x), spec
+            return data.sample_records(pool, n, g), spec
+
+        return _reference_play(config, record_id, adversary, x, round_dataset)
+
+    positions = [i for i, r in enumerate(d_target.records()) if r == tuple(x)]
+    in_target = set(d_target.records())
+    refs = np.array([r for r in d_eval.records() if r not in in_target], dtype=np.int64)
+    fixed = None
+    if config.reference_mode == games.REFERENCE_FIXED:
+        g = rng(derive(config.master_seed, "reference"))
+        fixed = refs[g.integers(0, len(refs), size=len(positions))]
+
+    def round_dataset(b, run_seed):
+        if b == 1:
+            return d_target, spec
+        values = d_target.values.copy()
+        if fixed is None:
+            g = rng(derive(run_seed, "data"))
+            values[positions] = refs[g.integers(0, len(refs), size=len(positions))]
+        else:
+            values[positions] = fixed
+        return data.Dataset(schema, values), spec
+
+    return _reference_play(config, record_id, adversary, x, round_dataset)
+
+
+def reference_run_traditional_mixture(x, partials, adversary, config, record_id="", specs=None):
+    """``games.run_traditional_mixture``, one round at a time."""
+    specs = specs or [config.generator_spec] * len(partials)
+
+    def round_dataset(b, run_seed):
+        j = int(rng(derive(run_seed, "mixture")).integers(0, len(partials)))
+        part = partials[j]
+        return (data.append_record(part, x) if b == 1 else part), specs[j]
+
+    return _reference_play(config, record_id, adversary, x, round_dataset)
 
 
 def reference_release_bits(gens, seeds):
@@ -196,12 +245,13 @@ def reference_release_bits(gens, seeds):
 
 
 def reference_shadow_sets(d_aux, x, n, n_shadow, seed):
-    sets = []
+    sets, labels = [], []
     for i in range(n_shadow // 2):
         base = data.sample_records(d_aux, n - 1, derive(seed, "shadow-in", i))
-        sets.append((data.append_record(base, x), 1))
-        sets.append((data.sample_records(d_aux, n, derive(seed, "shadow-out", i)), 0))
-    return sets
+        sets.append(data.append_record(base, x).values)
+        sets.append(data.sample_records(d_aux, n, derive(seed, "shadow-out", i)).values)
+        labels += [1, 0]
+    return np.stack(sets), np.array(labels)
 
 
 def reference_features(d_syn, x, bank):
@@ -270,15 +320,15 @@ def reference_train_attack(
     d_aux, x, spec, bank, n, n_shadow, seed, epochs=800, learning_rate=1.0, l2=1e-4
 ):
     """``attack.train_attack``, one shadow model at a time."""
-    sets = reference_shadow_sets(d_aux, x, n, n_shadow, derive(seed, "shadow-sets"))
+    sets, labels = reference_shadow_sets(d_aux, x, n, n_shadow, derive(seed, "shadow-sets"))
     feats = []
-    for i, (ds, _) in enumerate(sets):
+    for i, values in enumerate(sets):
+        ds = data.Dataset(d_aux.schema, values)
         gen = reference_fit(spec, ds, x, derive(seed, "shadow-fit", i))
         d_syn = reference_sample(gen, n, derive(seed, "shadow-sample", i))
         feats.append(reference_features(d_syn, x, bank))
-    labels = [label for _, label in sets]
     return reference_train_meta_classifier(
-        np.array(feats), np.array(labels), epochs, learning_rate, l2
+        np.array(feats), labels, epochs, learning_rate, l2
     )
 
 

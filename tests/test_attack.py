@@ -191,13 +191,11 @@ def aux_pool():
 def test_shadow_sets_balanced_and_labeled():
     d_aux = aux_pool()
     x = (45,)  # not in aux
-    sets = attack.build_shadow_sets(d_aux, x, n=6, n_shadow=10, seed=3)
-    assert len(sets) == 10
-    labels = [lbl for _, lbl in sets]
-    assert sum(labels) == 5
-    for ds, lbl in sets:
-        assert ds.n == 6
-        assert data.contains(ds, x) == bool(lbl)
+    sets, labels = attack.build_shadow_sets(d_aux, x, n=6, n_shadow=10, seed=3)
+    assert sets.shape == (10, 6, 1) and sets.dtype == np.int64
+    assert labels.tolist() == [1, 0] * 5
+    for values, lbl in zip(sets, labels):
+        assert data.contains(data.Dataset(d_aux.schema, values), x) == bool(lbl)
 
 
 def test_shadow_sets_validation():
@@ -212,10 +210,9 @@ def test_shadow_sets_validation():
 
 def test_shadow_sets_deterministic():
     d_aux = aux_pool()
-    a = attack.build_shadow_sets(d_aux, (45,), n=5, n_shadow=6, seed=9)
-    b = attack.build_shadow_sets(d_aux, (45,), n=5, n_shadow=6, seed=9)
-    for (da, la), (db, lb) in zip(a, b):
-        assert da == db and la == lb
+    a_sets, a_labels = attack.build_shadow_sets(d_aux, (45,), n=5, n_shadow=6, seed=9)
+    b_sets, b_labels = attack.build_shadow_sets(d_aux, (45,), n=5, n_shadow=6, seed=9)
+    assert np.array_equal(a_sets, b_sets) and np.array_equal(a_labels, b_labels)
 
 
 @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1, 2**70 + 5])
@@ -223,11 +220,11 @@ def test_shadow_sets_match_per_set_reference(seed):
     from reference import reference_shadow_sets
 
     d_aux = aux_pool()
-    got = attack.build_shadow_sets(d_aux, (45,), n=7, n_shadow=12, seed=seed)
-    want = reference_shadow_sets(d_aux, (45,), n=7, n_shadow=12, seed=seed)
-    assert len(got) == len(want)
-    for (da, la), (db, lb) in zip(got, want):
-        assert np.array_equal(da.values, db.values) and la == lb
+    got_sets, got_labels = attack.build_shadow_sets(d_aux, (45,), n=7, n_shadow=12, seed=seed)
+    want_sets, want_labels = reference_shadow_sets(d_aux, (45,), n=7, n_shadow=12, seed=seed)
+    assert got_sets.shape == want_sets.shape == (12, 7, 1)
+    assert got_sets.tobytes() == want_sets.tobytes()
+    assert got_labels.tolist() == want_labels.tolist()
 
 
 # ---------------------------------------------------------------- trainer
@@ -337,15 +334,15 @@ def test_pipeline_on_memorizing_generator():
     x = (4, 4)  # never in aux: aux values stay below 4
     spec = generators.GeneratorSpec(generators.BAYNET, max_parents=1, smoothing=0.0)
     bank = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=5, seed=4)
-    sets = attack.build_shadow_sets(d_aux, x, n=1, n_shadow=12, seed=5)
+    values, labels = attack.build_shadow_sets(d_aux, x, n=1, n_shadow=12, seed=5)
+    sets = [data.Dataset(schema, v) for v in values]
 
-    feats, labels = [], []
-    for i, (ds, lbl) in enumerate(sets):
+    feats = []
+    for i, ds in enumerate(sets):
         gen = generators.fit(spec, ds, target_hint=x, seed=100 + i)
         d_syn = generators.sample(gen, 20, seed=200 + i)
         feats.append(attack.extract_features(d_syn, x, bank))
-        labels.append(lbl)
-    meta = attack.train_meta_classifier(np.array(feats), np.array(labels), epochs=2000)
+    meta = attack.train_meta_classifier(np.array(feats), labels, epochs=2000)
     scores = [
         attack.attack_score(
             meta,
@@ -355,10 +352,10 @@ def test_pipeline_on_memorizing_generator():
             x,
             bank,
         )
-        for i, (ds, _) in enumerate(sets)
+        for i, ds in enumerate(sets)
     ]
     guesses = [int(s >= 0.5) for s in scores]
-    assert guesses == labels
+    assert guesses == labels.tolist()
 
 
 def test_train_attack_deterministic_and_scoring():
@@ -415,8 +412,8 @@ def test_batched_attack_matches_per_release_reference(
     assert np.array_equal(meta.weights, want.weights)
 
     count = 45
-    trainings = [data.sample_records(d_aux, 16, 1000 + i) for i in range(count)]
-    gens = generators.fit_batch([spec] * count, trainings, list(range(count)), x)
+    trainings = np.stack([data.sample_records(d_aux, 16, 1000 + i).values for i in range(count)])
+    gens = generators.fit_batch(spec, schema, trainings, list(range(count)), x)
     seeds = [7 * i + 2**63 for i in range(count)]
     scores = attack.meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
     assert scores == reference_meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)

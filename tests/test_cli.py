@@ -435,6 +435,15 @@ def test_compare_header_only_results_file_exits_2(tmp_path, capsys):
     assert ms in err and "line 1" in err
 
 
+def test_compare_missing_file_exits_2(tmp_path, capsys):
+    t = str(tmp_path / "nope.csv")
+    ms = str(tmp_path / "nope2.csv")
+    assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {t}: cannot read (No such file or directory)" in err
+    assert "Traceback" not in err
+
+
 def test_compare_results_file_without_rows_exits_2(tmp_path, capsys):
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")

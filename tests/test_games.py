@@ -396,6 +396,41 @@ def test_transcript_header_carries_config_hash():
     assert f"config={config.config_hash()}" in first
 
 
+def test_transcript_cut_short_is_rejected(tmp_path):
+    # Cut inside its last row, a transcript would load with a shorter
+    # run_seed; the missing final newline gives the cut away.
+    schema, d_eval, d_target, config = toy_setup(n_eval=4)
+    t = games.run_model_seeded((1,), d_target, d_eval, games.toy_bit_adversary(), config)
+    path = tmp_path / "t.txt"
+    games.save_transcript(t, path)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ConfigError, match="line 6: cut short, no newline at the end") as exc:
+        games.load_transcript(path)
+    assert str(path) in str(exc.value)
+
+
+def test_failed_save_leaves_previous_transcript(tmp_path, monkeypatch):
+    schema, d_eval, d_target, config = toy_setup(n_eval=4)
+    adv = games.toy_bit_adversary()
+    old = games.run_model_seeded((1,), d_target, d_eval, adv, config)
+    new = games.run_model_seeded(
+        (1,), d_target, d_eval, adv, dataclasses.replace(config, master_seed=5)
+    )
+    assert new.runs != old.runs
+    path = tmp_path / "t.txt"
+    games.save_transcript(old, path)
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    # The save dies after writing its temporary file, before the replace.
+    monkeypatch.setattr(data.os, "replace", fail)
+    with pytest.raises(OSError):
+        games.save_transcript(new, path)
+    assert path.read_text(encoding="utf-8") == games.transcript_to_text(old)
+    assert games.load_transcript(path).runs == old.runs
+
+
 _TRANSCRIPT_HEADER = "# privgames-transcript v1 config=abc game=traditional n_eval=2 record=r\n"
 _TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed\n"
 
@@ -437,11 +472,13 @@ def test_transcript_malformed_row_names_line(tmp_path, row, message):
 
 # ------------------------------------------------ per-round reference
 
-# A game derives its seeds as arrays (derive_many) and opens its streams a
-# batch at a time (Streams); the per-round reference derives each seed
-# with the scalar derive and opens each stream with a fresh rng.  The
-# transcripts must be the same bytes, at any worker count and at one
-# round per batch.
+# A game derives its seeds as arrays (derive_many), opens its streams a
+# batch at a time (Streams) and builds a batch's training sets as one
+# array; the per-round reference derives each seed with the scalar
+# derive, opens each stream with a fresh rng and builds each training set
+# on its own.  The transcripts must be the same bytes, at any worker
+# count, at one round per batch and with fit chunks cut by a small
+# element budget.
 
 
 def _toy_adversary(release_bits):
@@ -471,46 +508,56 @@ def _play(game, spec, threads, reference):
         )
     )
     rows = [[i % 3, (i * 7) % 4, (i // 3) % 2] for i in range(40)]
-    d_eval = data.Dataset(schema, rows)
     x = (1, 2, 0)
+    if game == "duplicates":
+        # Value-equal copies of x in the pool: traditional rounds must
+        # draw from the pool without them.
+        d_eval = data.Dataset(schema, rows[:5] + [list(x)] + rows[5:30] + [list(x)] * 2 + rows[30:])
+    else:
+        d_eval = data.Dataset(schema, rows)
     d_target = data.Dataset(schema, rows[:5] + [list(x)] + rows[6:9] + [list(x)])
     partials = [data.Dataset(schema, rows[10:16]), data.Dataset(schema, rows[20:27])]
     if spec.kind == generators.TOY:
         adversary = _toy_adversary(
             ref.reference_release_bits if reference else generators.release_bits
         )
+        specs = [spec, toy_spec(0.6, 0.3)]
     else:
         adversary = _mean_adversary(
             ref.reference_sample_batch if reference else generators.sample_batch
         )
-    kind = games.TRADITIONAL if game in ("traditional", "mixture") else games.MODEL_SEEDED
+        specs = [spec, generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=1, epsilon=3.0)]
+    traditional = game in ("traditional", "duplicates", "mixture")
+    kind = games.TRADITIONAL if traditional else games.MODEL_SEEDED
     mode = games.REFERENCE_FIXED if game == "fixed" else games.REFERENCE_PER_RUN
     n = d_target.n if kind == games.MODEL_SEEDED else 8
     config = games.GameConfig(24, n, spec, 4242, kind, reference_mode=mode)
-    if game == "mixture":
-        t = games.run_traditional_mixture(x, partials, adversary, config, threads=threads)
+    if game == "mixture" and reference:
+        t = ref.reference_run_traditional_mixture(x, partials, adversary, config, specs=specs)
+    elif game == "mixture":
+        t = games.run_traditional_mixture(
+            x, partials, adversary, config, specs=specs, threads=threads
+        )
+    elif reference:
+        t = ref.reference_run_game(x, d_eval, d_target, adversary, config)
     else:
         t = games.run_game(x, d_eval, d_target, adversary, config, threads=threads)
     return games.transcript_to_text(t)
 
 
-@pytest.mark.parametrize("batching", ["threads-1", "threads-2", "one-round"])
-@pytest.mark.parametrize("game", ["traditional", "per_run", "fixed", "mixture"])
+@pytest.mark.parametrize("batching", ["threads-1", "threads-2", "one-round", "budget-700"])
+@pytest.mark.parametrize("game", ["traditional", "duplicates", "per_run", "fixed", "mixture"])
 @pytest.mark.parametrize(
     "spec",
     [toy_spec(), generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=1.0)],
     ids=["toy", "privbaynet"],
 )
 def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batching):
-    from reference import reference_execute
-
     threads = 2 if batching == "threads-2" else 1
-    with monkeypatch.context() as m:
-        if batching == "one-round":
-            m.setattr(generators, "BATCH_ELEMENTS", 1)
-        batched = _play(game, spec, threads, reference=False)
-    data_tag = "mixture" if game == "mixture" else "data"
-    monkeypatch.setattr(games, "_execute", reference_execute(data_tag))
+    budget = {"one-round": 1, "budget-700": 700}.get(batching)
+    if budget is not None:
+        monkeypatch.setattr(generators, "BATCH_ELEMENTS", budget)
+    batched = _play(game, spec, threads, reference=False)
     assert batched == _play(game, spec, threads, reference=True)
 
 

@@ -329,13 +329,15 @@ def random_batch(seed, count):
     return out
 
 
-def assert_matches_reference(specs, trainings, seeds, n_syn=23):
-    gens = generators.fit_batch(specs, trainings, seeds)
+def stack(trainings):
+    return np.stack([t.values for t in trainings])
+
+
+def assert_matches_reference(spec, trainings, seeds, n_syn=23):
+    gens = generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds)
     syn_seeds = [derive(s, "sample") for s in seeds]
     samples = generators.sample_batch(gens, n_syn, syn_seeds)
-    for gen, spec, training, seed, syn_seed, syn in zip(
-        gens, specs, trainings, seeds, syn_seeds, samples
-    ):
+    for gen, training, seed, syn_seed, syn in zip(gens, trainings, seeds, syn_seeds, samples):
         ref = reference_fit(spec, training, seed=seed)
         assert gen.structure == ref.structure
         assert_same_tables(gen.tables, ref.tables)
@@ -382,7 +384,7 @@ def test_fit_batch_matches_reference(seed, count):
     trainings = random_batch(seed, count)
     for k, spec in enumerate(SPECS):
         seeds = [derive(seed, "fit", 100 * k + i) for i in range(count)]
-        assert_matches_reference([spec] * count, trainings, seeds)
+        assert_matches_reference(spec, trainings, seeds)
 
 
 @pytest.mark.parametrize("seed", [1, 2])  # 8-16 levels; a 140-level column
@@ -390,7 +392,7 @@ def test_fit_batch_of_200_matches_reference(seed):
     trainings = random_batch(seed, 200)
     for k in (0, 4, 9):
         seeds = [derive(seed, "fit-200", 1000 * k + i) for i in range(200)]
-        assert_matches_reference([SPECS[k]] * 200, trainings, seeds)
+        assert_matches_reference(SPECS[k], trainings, seeds)
 
 
 def test_fit_batch_chunks_match_reference(monkeypatch):
@@ -399,25 +401,26 @@ def test_fit_batch_chunks_match_reference(monkeypatch):
     trainings = random_batch(5, 31)
     for k, spec in enumerate(SPECS):
         seeds = [derive(5, "chunked", 100 * k + i) for i in range(31)]
-        assert_matches_reference([spec] * 31, trainings, seeds)
+        assert_matches_reference(spec, trainings, seeds)
 
 
 def test_fit_batch_mixes_specs_and_shapes_in_input_order():
-    # Mixture rounds differ in spec and row count: each (spec, schema,
-    # rows) group is its own batch, and results come back in input order.
+    # Mixture rounds differ in spec and row count: each (spec, rows)
+    # group is its own batch, and generators of separate batches sample
+    # together, in any order.
     full = random_batch(9, 6)
     short = [data.Dataset(t.schema, t.values[:-3]) for t in random_batch(10, 5)]
-    trainings, specs = [], []
-    for i in range(5):
-        trainings += [full[i], short[i]]
-        specs += [SPECS[4 + i % 2], SPECS[9]]
-    seeds = [derive(9, "mixed", i) for i in range(len(trainings))]
-    assert_matches_reference(specs, trainings, seeds)
-    # Generators of two separate batches sample together, in any order.
-    a = generators.fit_batch([SPECS[3]] * 3, full[:3], seeds[:3])
-    b = generators.fit_batch([SPECS[3]] * 3, full[3:], seeds[3:6])
-    mixed = [b[0], a[2], a[0], b[2], a[1], b[1]]
-    syn = generators.sample_batch(mixed, 11, seeds[:6])
+    seeds = [derive(9, "mixed", i) for i in range(11)]
+    groups = [(SPECS[4], full[:3]), (SPECS[5], full[3:]), (SPECS[9], short)]
+    gens = []
+    for spec, trainings in groups:
+        group_seeds = seeds[len(gens) : len(gens) + len(trainings)]
+        assert_matches_reference(spec, trainings, group_seeds)
+        gens += generators.fit_batch(spec, trainings[0].schema, stack(trainings), group_seeds)
+    a = generators.fit_batch(SPECS[3], full[0].schema, stack(full[:3]), seeds[:3])
+    b = generators.fit_batch(SPECS[3], full[0].schema, stack(full[3:]), seeds[3:6])
+    mixed = [b[0], gens[9], a[2], gens[4], a[0], b[2], gens[0], a[1], b[1], gens[7]]
+    syn = generators.sample_batch(mixed, 11, seeds[:10])
     for gen, s, got in zip(mixed, seeds, syn):
         assert got == generators.sample(gen, 11, s)
 
@@ -427,7 +430,7 @@ def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
     # cumulative entry; both samplers must clamp those to the last level,
     # also in rows padded to a wider column's arity.
     trainings = random_batch(11, 3)
-    gens = generators.fit_batch([SPECS[4]] * 3, trainings, [1, 2, 3])
+    gens = generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3])
     gens[0].packed[0].probs *= 0.5
     seeds = [7, 8, 9]
     for gen, syn, s in zip(gens, generators.sample_batch(gens, 200, seeds), seeds):
@@ -438,10 +441,10 @@ def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
 def test_fit_batch_toy_membership_matches_contains():
     schema = ordered_schema(5)
     trainings = [data.Dataset(schema, [[i % 5], [(i + 1) % 5]]) for i in range(9)]
-    trainings.append(data.Dataset(schema, []))
-    gens = generators.fit_batch(
-        [toy_spec()] * 10, trainings, list(range(10)), target_hint=(3,)
-    )
+    gens = generators.fit_batch(toy_spec(), schema, stack(trainings), range(9), target_hint=(3,))
+    empty = data.Dataset(schema, [])
+    trainings.append(empty)
+    gens += generators.fit_batch(toy_spec(), schema, empty.values[None], [9], target_hint=(3,))
     assert [g.toy_member for g in gens] == [data.contains(t, (3,)) for t in trainings]
     bits = generators.release_bits(gens, list(range(10)))
     assert bits == [
