@@ -8,14 +8,13 @@ scores fresh releases with the fitted model.
 
 The shadow training sets are one ``(n_shadow, n, d)`` array, fit by one
 ``generators.fit_batch`` call, and releases are handled a batch at a
-time.  Each ``generators.sample_batch`` call is stacked into one
-``(k, n, d)`` array whose features come from one matrix product per
+time.  Each ``generators.sample_batch`` call returns one ``(k, n, d)``
+array of one schema, whose features come from one matrix product per
 chunk of at most ``generators.BATCH_ELEMENTS`` (row, query) cells, and
 the batch's scores from one sigmoid.  Each logit stays one dot product
 of a release's features with the weights: a matrix-vector product over
 the whole batch sums in another order and changes the low bits of the
-scores.  ``extract_features`` and ``attack_score`` score a batch of one
-release.
+scores.  ``extract_features`` featurizes a batch of one release.
 """
 
 import math
@@ -178,15 +177,15 @@ def _release_features(gens, n, seeds, x, bank):
     """Features of each generator's sample of ``n`` rows, in order.
 
     Releases are drawn in ``generators.sample_batch`` calls of at most
-    ``generators.BATCH_ELEMENTS`` values, each stacked into one array
-    and reduced to its features before the next is drawn, so a game's
+    ``generators.BATCH_ELEMENTS`` values, each one ``(k, n, d)`` array
+    reduced to its features before the next is drawn, so a game's
     releases never all sit in memory at once.
     """
     feats = np.empty((len(gens), len(bank.queries)))
     size = max(1, generators.BATCH_ELEMENTS // max(1, n * bank.ncols))
     for lo in range(0, len(gens), size):
         releases = generators.sample_batch(gens[lo : lo + size], n, seeds[lo : lo + size])
-        feats[lo : lo + size] = _features(np.stack([r.values for r in releases]), x, bank)
+        feats[lo : lo + size] = _features(releases, x, bank)
     return feats
 
 
@@ -319,11 +318,6 @@ def _scores(meta, feats):
     coef = w[:-1]
     logits = np.array([row @ coef for row in feats], dtype=float) + w[-1]
     return _sigmoid(logits).tolist()
-
-
-def attack_score(meta, d_syn, x, bank):
-    """Membership score of ``x`` given one released synthetic dataset."""
-    return _scores(meta, _features(d_syn.values[None], x, bank))[0]
 
 
 def train_attack(

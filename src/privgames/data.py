@@ -229,8 +229,9 @@ def parse_schema_sidecar(path):
     One line per column: ``name = kind`` or ``name = ordered:<levels>``
     or ``name = continuous:<bins>``.  Blank lines and ``#`` comments are
     skipped.  Unknown kinds raise DomainError; a count that is not an
-    integer raises CsvParseError naming the line, and bytes that are not
-    UTF-8 raise CsvParseError naming the file.
+    integer >= 1 and a column named twice raise CsvParseError naming the
+    line, and bytes that are not UTF-8 raise CsvParseError naming the
+    file.
     """
     hints = {}
     with _open_utf8(path) as fh:
@@ -246,13 +247,15 @@ def parse_schema_sidecar(path):
             kind, _, arg = decl.partition(":")
             kind = kind.strip()
             arg = arg.strip()
+            if name in hints:
+                raise CsvParseError(f"{path}: line {lineno}: column {name!r} is declared twice")
             if kind == CATEGORICAL:
                 hints[name] = ColumnHint(CATEGORICAL)
             elif kind == ORDERED:
-                levels = _parse_int(path, lineno, name, arg) if arg else None
+                levels = _parse_count(path, lineno, name, arg) if arg else None
                 hints[name] = ColumnHint(ORDERED, levels=levels)
             elif kind == "continuous":
-                bins = _parse_int(path, lineno, name, arg) if arg else DEFAULT_BINS
+                bins = _parse_count(path, lineno, name, arg) if arg else DEFAULT_BINS
                 hints[name] = ColumnHint("continuous", bins=bins)
             else:
                 raise DomainError(f"{path}: line {lineno}: unknown column kind {kind!r}")
@@ -277,8 +280,9 @@ def load_csv(path, hints=None):
     first-appearance order, and ``hints`` (name -> ColumnHint) may
     declare ordered or continuous columns.  Rows whose field count
     disagrees with the header, and continuous values that are not finite
-    numbers, raise CsvParseError naming the line, and
-    bytes that are not UTF-8 raise CsvParseError naming the file.
+    numbers, raise CsvParseError naming the line; a hint for a column
+    the header lacks, and bytes that are not UTF-8, raise CsvParseError
+    naming the file.
     """
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -297,6 +301,9 @@ def load_csv(path, hints=None):
     d = len(header)
     n = len(rows)
     hints = hints or {}
+    for name in hints:
+        if name not in header:
+            raise CsvParseError(f"{path}: the schema names column {name!r}, not in the header")
     columns = []
     values = np.empty((n, d), dtype=np.int64)
     for j, name in enumerate(header):
@@ -350,6 +357,13 @@ def _parse_int(path, lineno, name, text):
         raise CsvParseError(
             f"{path}: line {lineno}: column {name!r}: {text!r} is not an integer"
         )
+
+
+def _parse_count(path, lineno, name, text):
+    count = _parse_int(path, lineno, name, text)
+    if count < 1:
+        raise CsvParseError(f"{path}: line {lineno}: column {name!r}: {text!r} is not >= 1")
+    return count
 
 
 def _parse_float(path, lineno, name, text):

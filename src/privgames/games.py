@@ -30,14 +30,15 @@ data seeds through one ``seeds.Streams``, so no round builds a
 it draws from it.  An adversary is a function
 ``adversary(gens, seeds) -> scores``: one membership score per fitted
 generator, each given its round's adversary seed.  The counting-query
-adversary samples the releases in batched calls and scores each call's
-releases as one array, but each logit stays one dot product per release
-(see ``attack``).  A batch keeps its training sets within
-``generators.BATCH_ELEMENTS`` values; with ``threads > 1`` the rounds
-are also cut into that many chunks, run in a thread pool, each chunk
-with streams of its own.  The transcript is the same bytes either way.
-A transcript file is a ``data.table_lines`` table of one row per round,
-read back strictly by ``load_transcript``.
+adversary samples the releases in batched calls, each returning one
+``(k, n, d)`` array of one schema, and scores each as one array, but
+each logit stays one dot product per release (see ``attack``).  A
+batch keeps its training sets within ``generators.BATCH_ELEMENTS``
+values; with ``threads > 1`` the rounds are also cut into that many
+chunks, run in a thread pool, each chunk with streams of its own.
+The transcript is the same bytes either way.  A transcript file is a
+``data.table_lines`` table of one row per round, read back strictly by
+``load_transcript``.
 """
 
 import hashlib
@@ -394,16 +395,6 @@ def toy_bit_adversary():
 
     def adversary(gens, seeds):
         return [float(bit) for bit in generators.release_bits(gens, seeds)]
-
-    return adversary
-
-
-def constant_adversary(value):
-    """Adversary that ignores the release; useful as a null baseline."""
-    value = float(value)
-
-    def adversary(gens, seeds):
-        return [value] * len(gens)
 
     return adversary
 

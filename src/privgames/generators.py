@@ -10,12 +10,15 @@ A game fits and samples hundreds of networks per evaluated record, each
 on tables of a few dozen cells, so networks are fit and sampled in
 batches.  ``fit_batch`` takes one spec, one schema and the training sets
 as one ``(B, n, d)`` int64 array, which it slices into chunks and never
-copies; ``sample_batch`` takes fitted generators of any batches.  Every
-stage is a fixed number of array passes over the whole batch: the toy
-tests membership column by column, structure learning scores
-every column pair of every network from one ``bincount``, estimating
-the tables counts every column of every network with one more, and
-sampling draws one column of every network per step.  Each network gets
+copies.  ``sample_batch`` takes fitted generators of any batches but of
+one schema, and returns their releases as one ``(k, n, d)`` int64 array:
+each chunk of samples is written into it once, and no release becomes a
+``Dataset``.  Every stage is a fixed number of array passes over the
+whole batch: the toy tests membership column by column, structure
+learning scores every column pair of every network from one
+``bincount``, estimating the tables counts every column of every
+network with one more, and sampling draws one column of every network
+per step.  Each network gets
 exactly the bits of the per-network definitions (``mutual_information``,
 a ``ravel_multi_index`` count per column, ancestral sampling column by
 column); ``fit``, ``sample`` and ``release_bit`` are batches of one.  The
@@ -468,7 +471,8 @@ class _TableBatch:
         return self._cumulative
 
     def sample(self, nets, n, streams):
-        """Ancestral samples, ``(len(nets), n, d)``, of the given networks.
+        """Ancestral samples of the given networks: a ``(len(nets), n, d)``
+        view of the ``(len(nets), d, n)`` array they are drawn into.
 
         Network i draws every uniform up front with
         ``streams[i].random((d, n))``, whose row k is the k-th
@@ -497,7 +501,7 @@ class _TableBatch:
                 rows = rows + pv * strides[each, cols, j][:, None]
             picked = (np.take(cum, rows, axis=1) <= u[:, step]).sum(axis=0)
             values[each, cols] = np.minimum(picked, self.sizes[cols][:, None] - 1)
-        return np.ascontiguousarray(values.transpose(0, 2, 1))
+        return values.transpose(0, 2, 1)
 
     def cpts(self, b, structure):
         """Network b's tables, one ``Cpt`` per column, as views."""
@@ -669,11 +673,13 @@ def fit(spec, training, target_hint=None, seed=0):
 
 
 def sample_batch(gens, n, seeds):
-    """``sample(gens[i], n, seeds[i])`` for every i.
+    """``n`` records of every generator, as one C-contiguous
+    ``(len(gens), n, d)`` int64 array: row i is drawn from ``seeds[i]``.
 
-    Networks fit in one batch are sampled together (see
-    ``_TableBatch.sample``), in chunks whose intermediates stay within
-    ``BATCH_ELEMENTS``.
+    The generators must share one schema.  Networks fit in one batch are
+    sampled together (see ``_TableBatch.sample``), in chunks whose
+    intermediates stay within ``BATCH_ELEMENTS``, and each chunk is
+    written into its rows of the result.
     """
     if len(gens) != len(seeds):
         raise DomainError("sample_batch needs one seed per generator")
@@ -681,17 +687,16 @@ def sample_batch(gens, n, seeds):
 
 
 def _sample(gens, n, streams):
-    """``n`` records of every generator, generator i drawn from ``streams[i]``."""
+    """``sample_batch`` with open streams: generator i draws from ``streams[i]``."""
     if n < 0:
         raise DomainError("sample size must be non-negative")
+    if any(g.schema != gens[0].schema for g in gens):
+        raise DomainError("generators sampled together must share one schema")
+    out = np.empty((len(gens), n, gens[0].schema.ncols if gens else 0), dtype=np.int64)
     if n == 0:
-        return [
-            data_mod.Dataset(g.schema, np.empty((0, g.schema.ncols)), validate=False)
-            for g in gens
-        ]
+        return out
     if any(g.spec.kind == TOY for g in gens):
         raise UnsupportedOperationError("toy generator does not sample records")
-    out = [None] * len(gens)
     groups = {}
     for i, g in enumerate(gens):
         groups.setdefault(id(g.packed[0]), []).append(i)
@@ -700,23 +705,19 @@ def _sample(gens, n, streams):
         weight = n * (int(batch.sizes.max()) + 2 * batch.d)
         for lo, hi in _spans([weight] * len(idx)):
             sub = idx[lo:hi]
-            values = batch.sample(
-                [gens[i].packed[1] for i in sub], n, [streams[i] for i in sub]
-            )
-            for i, v in zip(sub, values):
-                out[i] = data_mod.Dataset(gens[i].schema, v, validate=False)
+            out[sub] = batch.sample([gens[i].packed[1] for i in sub], n, [streams[i] for i in sub])
     return out
 
 
 def sample(gen, n, seed):
-    """Draw ``n`` records by ancestral sampling.
+    """Draw ``n`` records by ancestral sampling, as a ``Dataset``.
 
     The toy kind releases a bit, not records, so asking it for a
     non-empty sample raises UnsupportedOperationError; ``n == 0``
     returns an empty dataset for any kind.  A batch of one of
     ``sample_batch``, drawn from ``rng(seed)``.
     """
-    return _sample([gen], n, [rng(seed)])[0]
+    return data_mod.Dataset(gen.schema, _sample([gen], n, [rng(seed)])[0], validate=False)
 
 
 def release_bits(gens, seeds):

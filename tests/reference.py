@@ -2,21 +2,22 @@
 
 These are the definitions the batched code replaced.  For the generator
 layer: structure learning one ``mutual_information`` call per column
-pair, one ``ravel_multi_index`` count per table, Laplace noise per table,
-and ancestral sampling one column at a time.  ``reference_fit_batch``
-and ``reference_sample_batch`` have the signatures of ``fit_batch`` and
-``sample_batch`` and loop over networks, so whole commands can be run
-on the reference path.  For the games: ``reference_run_game`` and
+pair, one ``ravel_multi_index`` count per table, Laplace noise per
+table, and ancestral sampling one column at a time.
+``reference_fit_batch`` and ``reference_sample_batch`` have the
+signatures and results of ``fit_batch`` and ``sample_batch`` and loop
+over networks, so whole commands can be run on the reference path.  For
+the games: ``reference_run_game`` and
 ``reference_run_traditional_mixture`` play one round at a time, every
 seed from a scalar ``derive``, every stream from a fresh ``rng`` and
 every training set built on its own from ``sample_records``,
 ``append_record`` or a copy of ``d_target``, never by the games' batch
-builders; the shadow sets and toy releases have per-item references too.  For the attack: features
-one query at a time, scores one release at a time, and the
-meta-classifier trained by the allocating per-epoch loop with
-``np.clip``.  For the risk layer: the trade-off curve with two boolean
-means per threshold.  The batched path must reproduce all of them bit
-for bit.
+builders; the shadow sets and toy releases have per-item references too.
+For the attack: features one query at a time, scores one release at a
+time, and the meta-classifier trained by the allocating per-epoch loop
+with ``np.clip``.  For the risk layer: the trade-off curve with two
+boolean means per threshold.  The batched path must reproduce all of
+them bit for bit.
 """
 
 import math
@@ -163,7 +164,8 @@ def reference_fit_batch(spec, schema, values, seeds, target_hint=None):
 
 
 def reference_sample_batch(gens, n, seeds):
-    return [reference_sample(gen, n, seed) for gen, seed in zip(gens, seeds)]
+    """``generators.sample_batch``: the releases as one ``(k, n, d)`` array."""
+    return np.stack([reference_sample(gen, n, seed).values for gen, seed in zip(gens, seeds)])
 
 
 def _reference_play(config, record_id, adversary, x, round_dataset):
@@ -310,8 +312,10 @@ def reference_meta_classifier_adversary(meta, bank, x, n_syn):
     time; it can stand in for the factory."""
 
     def adversary(gens, seeds):
-        releases = reference_sample_batch(gens, n_syn, seeds)
-        return [reference_attack_score(meta, d_syn, x, bank) for d_syn in releases]
+        return [
+            reference_attack_score(meta, reference_sample(gen, n_syn, seed), x, bank)
+            for gen, seed in zip(gens, seeds)
+        ]
 
     return adversary
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from privgames import attack, data, generators
+from privgames import attack, data, games, generators
 from privgames.errors import ConfigError, DomainError, SizeError, TrainingError
 from privgames.seeds import rng
 from reference import (
@@ -344,14 +344,16 @@ def test_pipeline_on_memorizing_generator():
         feats.append(attack.extract_features(d_syn, x, bank))
     meta = attack.train_meta_classifier(np.array(feats), labels, epochs=2000)
     scores = [
-        attack.attack_score(
+        attack._scores(
             meta,
-            generators.sample(
-                generators.fit(spec, ds, target_hint=x, seed=300 + i), 20, seed=400 + i
-            ),
-            x,
-            bank,
-        )
+            attack.extract_features(
+                generators.sample(
+                    generators.fit(spec, ds, target_hint=x, seed=300 + i), 20, seed=400 + i
+                ),
+                x,
+                bank,
+            )[None],
+        )[0]
         for i, ds in enumerate(sets)
     ]
     guesses = [int(s >= 0.5) for s in scores]
@@ -419,3 +421,30 @@ def test_batched_attack_matches_per_release_reference(
     assert scores == reference_meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
     assert all(type(s) is float for s in scores)
     assert max(1, batch_elements // (n_syn * len(bank.queries))) == releases_per_chunk
+
+
+@pytest.mark.parametrize("n_eval", [4, 40])
+def test_game_builds_no_dataset_per_release(monkeypatch, n_eval):
+    # A release is a row of one sample_batch array from sampler to
+    # features: the Datasets a baynet traditional game builds (its pool)
+    # must not grow with the number of rounds.
+    g = rng(17)
+    schema = schema_with_kinds([data.ORDERED, data.CATEGORICAL, data.ORDERED], [3, 4, 2])
+    d_eval = data.Dataset(schema, np.column_stack([g.integers(0, s, 60) for s in schema.sizes]))
+    x = (1, 2, 0)
+    bank = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=4, seed=5)
+    meta = attack.MetaClassifier(weights=np.zeros(len(bank.queries) + 1), training_meta={})
+    adversary = attack.meta_classifier_adversary(meta, bank, x, n_syn=12)
+    spec = generators.GeneratorSpec(generators.BAYNET, max_parents=1)
+    config = games.GameConfig(n_eval, 10, spec, 3, games.TRADITIONAL)
+    built = []
+    init = data.Dataset.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(data.Dataset, "__init__", counting_init)
+    t = games.run_traditional(x, d_eval, adversary, config)
+    assert len(t.runs) == n_eval
+    assert len(built) == 1

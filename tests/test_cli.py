@@ -267,7 +267,9 @@ def test_non_finite_ini_float_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "must be a finite number" in err
 
 
-@pytest.mark.parametrize("decl", ["ordered:abc", "continuous:x"])
+@pytest.mark.parametrize(
+    "decl", ["ordered:abc", "continuous:x", "ordered:0", "ordered:-4", "continuous:0"]
+)
 def test_malformed_sidecar_count_exits_1(tmp_path, capsys, decl):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("a,b\n1,x\n0,y\n2,x\n")
@@ -281,6 +283,29 @@ def test_malformed_sidecar_count_exits_1(tmp_path, capsys, decl):
     assert cli.main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{sidecar}: line 2" in err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("agee = continuous:2\n", "the schema names column 'agee', not in the header"),
+        ("a = ordered\na = categorical\n", "line 2: column 'a' is declared twice"),
+    ],
+)
+def test_sidecar_naming_a_wrong_column_exits_1(tmp_path, capsys, text, where):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("age,b\n1,x\n0,y\n2,x\n")
+    sidecar = tmp_path / "d.schema"
+    sidecar.write_text(text)
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        f"[data]\ndataset = {csv_path}\nschema = {sidecar}\n"
+        "aux_size = 1\neval_size = 2\ntarget_size = 1\n\n[game]\nn_eval = 2\n"
+    )
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert str(csv_path if "agee" in text else sidecar) in err
 
 
 def test_non_finite_continuous_value_exits_1(tmp_path, capsys):
@@ -553,7 +578,7 @@ def test_convergence_constant_adversary_has_zero_std(tmp_path, monkeypatch):
     )
     cfg = load_experiment_config(cfg_path)
     monkeypatch.setattr(
-        cli, "build_adversary", lambda *args: games.constant_adversary(0.5)
+        cli, "build_adversary", lambda *args: lambda gens, seeds: [0.5] * len(gens)
     )
     rows, status = cli.convergence_table(cfg, log=silent)
     assert status == "complete"

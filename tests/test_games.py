@@ -16,6 +16,11 @@ def toy_spec(p_in=0.8, p_out=0.2):
     return generators.GeneratorSpec(generators.TOY, p_in=p_in, p_out=p_out)
 
 
+def blind_adversary(gens, seeds):
+    """Ignores the release: every round scores 0.5."""
+    return [0.5] * len(gens)
+
+
 def toy_setup(n_eval=200, seed=99, p_in=0.8, p_out=0.2, kind=games.MODEL_SEEDED):
     schema = ordered_schema(16)
     d_eval = data.Dataset(schema, [[i % 16] for i in range(64)])
@@ -279,9 +284,7 @@ def test_perfect_toy_gives_perfect_auc():
 
 def test_blind_adversary_gives_half_auc():
     schema, d_eval, d_target, config = toy_setup(n_eval=50 * 2)
-    t = games.run_model_seeded(
-        (1,), d_target, d_eval, games.constant_adversary(0.5), config
-    )
+    t = games.run_model_seeded((1,), d_target, d_eval, blind_adversary, config)
     assert risk.roc_auc(t).auc == 0.5
 
 
@@ -492,7 +495,7 @@ def _mean_adversary(sample_batch):
     """Scores a round by the mean value of a 9-row release."""
 
     def adversary(gens, seeds):
-        return [float(d.values.mean()) for d in sample_batch(gens, 9, seeds)]
+        return [float(values.mean()) for values in sample_batch(gens, 9, seeds)]
 
     return adversary
 
@@ -585,5 +588,5 @@ def test_data_streams_opened_only_for_rounds_that_draw(monkeypatch, kind, mode, 
     monkeypatch.setattr(games, "Streams", CountingStreams)
     _, d_eval, d_target, config = toy_setup(n_eval=40, kind=kind)
     config = dataclasses.replace(config, reference_mode=mode)
-    games.run_game((1,), d_eval, d_target, games.constant_adversary(0.5), config, threads=threads)
+    games.run_game((1,), d_eval, d_target, blind_adversary, config, threads=threads)
     assert len(items) == opened

@@ -337,12 +337,13 @@ def assert_matches_reference(spec, trainings, seeds, n_syn=23):
     gens = generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds)
     syn_seeds = [derive(s, "sample") for s in seeds]
     samples = generators.sample_batch(gens, n_syn, syn_seeds)
+    assert samples.shape == (len(gens), n_syn, trainings[0].schema.ncols)
     for gen, training, seed, syn_seed, syn in zip(gens, trainings, seeds, syn_seeds, samples):
         ref = reference_fit(spec, training, seed=seed)
         assert gen.structure == ref.structure
         assert_same_tables(gen.tables, ref.tables)
         expected = reference_sample(ref, n_syn, syn_seed)
-        assert syn.values.tobytes() == expected.values.tobytes()
+        assert syn.tobytes() == expected.values.tobytes()
 
 
 BATCH_SIZES = (1, 2, 7)
@@ -406,23 +407,52 @@ def test_fit_batch_chunks_match_reference(monkeypatch):
 
 def test_fit_batch_mixes_specs_and_shapes_in_input_order():
     # Mixture rounds differ in spec and row count: each (spec, rows)
-    # group is its own batch, and generators of separate batches sample
-    # together, in any order.
-    full = random_batch(9, 6)
-    short = [data.Dataset(t.schema, t.values[:-3]) for t in random_batch(10, 5)]
+    # group is its own batch, and generators of separate batches of one
+    # schema sample together, in any order, into one C-contiguous array.
+    trainings = random_batch(9, 11)
+    full = trainings[:6]
+    short = [data.Dataset(t.schema, t.values[:-3]) for t in trainings[6:]]
     seeds = [derive(9, "mixed", i) for i in range(11)]
     groups = [(SPECS[4], full[:3]), (SPECS[5], full[3:]), (SPECS[9], short)]
     gens = []
-    for spec, trainings in groups:
-        group_seeds = seeds[len(gens) : len(gens) + len(trainings)]
-        assert_matches_reference(spec, trainings, group_seeds)
-        gens += generators.fit_batch(spec, trainings[0].schema, stack(trainings), group_seeds)
+    for spec, group in groups:
+        group_seeds = seeds[len(gens) : len(gens) + len(group)]
+        assert_matches_reference(spec, group, group_seeds)
+        gens += generators.fit_batch(spec, group[0].schema, stack(group), group_seeds)
     a = generators.fit_batch(SPECS[3], full[0].schema, stack(full[:3]), seeds[:3])
     b = generators.fit_batch(SPECS[3], full[0].schema, stack(full[3:]), seeds[3:6])
     mixed = [b[0], gens[9], a[2], gens[4], a[0], b[2], gens[0], a[1], b[1], gens[7]]
+    assert len({id(g.packed[0]) for g in mixed}) >= 5
     syn = generators.sample_batch(mixed, 11, seeds[:10])
+    assert syn.shape == (10, 11, full[0].schema.ncols)
+    assert syn.dtype == np.int64
+    assert syn.flags.c_contiguous
     for gen, s, got in zip(mixed, seeds, syn):
-        assert got == generators.sample(gen, 11, s)
+        assert got.tobytes() == generators.sample(gen, 11, s).values.tobytes()
+
+
+def test_sample_batch_of_zero_rows_is_empty_stack():
+    schema = ordered_schema(3, 4)
+    trainings = np.array([[[0, 1], [2, 3]], [[1, 1], [0, 0]]])
+    toys = generators.fit_batch(toy_spec(), schema, trainings, [1, 2], target_hint=(0, 1))
+    nets = generators.fit_batch(SPECS[2], schema, trainings, [3, 4])
+    for gens in (toys, nets, toys + nets):
+        got = generators.sample_batch(gens, 0, list(range(len(gens))))
+        assert got.shape == (len(gens), 0, 2)
+        assert got.dtype == np.int64
+    with pytest.raises(UnsupportedOperationError):
+        generators.sample_batch(toys, 1, [1, 2])
+
+
+def test_sample_batch_rejects_mixed_schemas():
+    a = random_batch(9, 2)
+    b = random_batch(10, 2)
+    assert a[0].schema != b[0].schema
+    gens = generators.fit_batch(SPECS[2], a[0].schema, stack(a), [1, 2])
+    gens += generators.fit_batch(SPECS[2], b[0].schema, stack(b), [3, 4])
+    for n in (0, 5):
+        with pytest.raises(DomainError, match="one schema"):
+            generators.sample_batch(gens, n, [1, 2, 3, 4])
 
 
 def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
@@ -435,7 +465,7 @@ def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
     seeds = [7, 8, 9]
     for gen, syn, s in zip(gens, generators.sample_batch(gens, 200, seeds), seeds):
         ref = ReferenceGenerator(gen.spec, gen.schema, gen.structure, gen.tables)
-        assert syn.values.tobytes() == reference_sample(ref, 200, s).values.tobytes()
+        assert syn.tobytes() == reference_sample(ref, 200, s).values.tobytes()
 
 
 def test_fit_batch_toy_membership_matches_contains():

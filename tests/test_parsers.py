@@ -1,6 +1,7 @@
 """Property tests: every parser either parses its input or raises a
 PrivGamesError subclass, never another exception."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -152,3 +153,32 @@ def test_sidecar_parser_parses_or_raises(tmp_path, raw):
     path = tmp_path / "d.schema"
     path.write_bytes(raw)
     _parses_or_raises_privgames_error(data.parse_schema_sidecar, str(path))
+
+
+@pytest.mark.parametrize("decl", ["ordered:0", "ordered:-4", "continuous:0", "continuous:-1"])
+def test_sidecar_count_below_one_names_the_line(tmp_path, decl):
+    path = tmp_path / "d.schema"
+    path.write_text(f"# kinds\nlevel = {decl}\n")
+    message = r"d\.schema: line 2: column 'level': '-?\d+' is not >= 1"
+    with pytest.raises(CsvParseError, match=message):
+        data.parse_schema_sidecar(str(path))
+
+
+def test_sidecar_column_declared_twice_names_the_line(tmp_path):
+    path = tmp_path / "d.schema"
+    path.write_text("level = ordered:5\nflag = categorical\nlevel = ordered:9\n")
+    message = r"d\.schema: line 3: column 'level' is declared twice"
+    with pytest.raises(CsvParseError, match=message):
+        data.parse_schema_sidecar(str(path))
+
+
+def test_hint_for_a_column_the_csv_lacks_names_file_and_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(_CSV)
+    sidecar = tmp_path / "d.schema"
+    sidecar.write_text(_SIDECAR + "levle = ordered:5\n")
+    hints = data.parse_schema_sidecar(str(sidecar))
+    with pytest.raises(CsvParseError, match=r"d\.csv: the schema names column 'levle'"):
+        data.load_csv(str(path), hints)
+    del hints["levle"]
+    assert data.load_csv(str(path), hints).schema.names == ("name", "level", "amount", "flag")
