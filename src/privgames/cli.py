@@ -89,10 +89,7 @@ def read_result_rows(path):
 
 def load_environment(cfg):
     """Load the corpus and carve out the auxiliary/evaluation/target data."""
-    csv_path, side = corpora.resolve_dataset(cfg.dataset)
-    sidecar = cfg.schema_sidecar or side
-    hints = data_mod.parse_schema_sidecar(sidecar) if sidecar else None
-    pool = data_mod.load_csv(csv_path, hints=hints)
+    pool = corpora.load_dataset(cfg.dataset, cfg.schema_sidecar)
     if cfg.aux_size + cfg.eval_size > pool.n:
         raise ConfigError(
             f"data.aux_size + data.eval_size = {cfg.aux_size + cfg.eval_size} "
@@ -311,19 +308,6 @@ def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, l
     status = "partial" if "partial" in (status_t, status_ms) else "complete"
     _write_table(out_path, "comparison", cfg_hash, status, COMPARISON_COLUMNS, lines, log)
     return 0
-
-
-def read_comparison_summary(path):
-    """Summary rows of a comparison file as {name: token} (strings);
-    ConfigError, naming the file and line, for a malformed file."""
-    _, rows = data_mod.read_table(path, "comparison", COMPARISON_COLUMNS)
-    out = {}
-    for no, parts in rows:
-        if parts[0] == "summary":
-            if len(parts) != 3:
-                raise ConfigError(f"{path}, line {no}: expected 3 fields, got {len(parts)}")
-            out[parts[1]] = parts[2]
-    return out
 
 
 # ------------------------------------------------------------ convergence

@@ -1,4 +1,4 @@
-"""Bundled demonstration corpora and the code that generated them.
+"""Bundled demonstration corpora and dataset references.
 
 Three small CSV corpora ship inside the package so experiments and
 acceptance checks run out of the box:
@@ -11,29 +11,20 @@ acceptance checks run out of the box:
   deterministically learnable signal.
 * ``independent_1000``: 3 independent columns; a null corpus.
 
-The generator functions are kept here, seeded by fixed constants, so a
-test can regenerate each corpus and fail if the shipped file drifts.
+The seeded code that generated them lives in ``tests/test_corpora.py``,
+which regenerates each corpus and fails if the shipped file drifts.
 """
 
-import csv
-import io
 from importlib import resources
-
-import numpy as np
 
 from . import data as data_mod
 from .errors import DomainError
-from .seeds import derive, rng
 
 CORRELATED = "correlated_500"
 COPYCOL = "copycol_400"
 INDEPENDENT = "independent_1000"
 
 NAMES = (CORRELATED, COPYCOL, INDEPENDENT)
-
-_GEN_SEED = 20250801
-
-_CORRELATED_SIZES = (4, 3, 2, 5, 6)
 
 
 def _corpora_dir():
@@ -55,13 +46,6 @@ def sidecar_path(name):
     return str(p) if p.is_file() else None
 
 
-def load_corpus(name):
-    """Load a bundled corpus with its sidecar hints applied."""
-    side = sidecar_path(name)
-    hints = data_mod.parse_schema_sidecar(side) if side else None
-    return data_mod.load_csv(corpus_path(name), hints=hints)
-
-
 def resolve_dataset(ref):
     """Resolve a dataset reference to (csv_path, sidecar_path_or_None).
 
@@ -74,108 +58,10 @@ def resolve_dataset(ref):
     return ref, None
 
 
-def correlated_rows(seed=_GEN_SEED):
-    """Generate the correlated_500 value matrix.
-
-    350 base records from a chained conditional model, topped up to 500
-    with near-duplicate clusters: each cluster copies one base record 1
-    to 5 times, redrawing a single column per copy.  Records whose
-    neighborhoods differ in multiplicity end up with very different
-    fixed-dataset risk.
-    """
-    g = rng(derive(seed, "correlated"))
-    n_base = 350
-    group = g.choice(4, size=n_base, p=[0.45, 0.3, 0.2, 0.05])
-    kind = np.where(g.random(n_base) < 0.75, group % 3, g.integers(0, 3, size=n_base))
-    flag = np.where(
-        g.random(n_base) < 0.85, (kind == 0).astype(np.int64), g.integers(0, 2, size=n_base)
-    )
-    level = np.clip(group + g.integers(-1, 2, size=n_base), 0, 4)
-    score = np.clip(level + g.integers(-1, 2, size=n_base), 0, 5)
-    base = np.column_stack([group, kind, flag, level, score]).astype(np.int64)
-
-    blocks = [base]
-    total = n_base
-    while total < 500:
-        seed_row = base[int(g.integers(0, n_base))]
-        copies = min(int(g.integers(1, 6)), 500 - total)
-        block = np.tile(seed_row, (copies, 1))
-        for r in range(copies):
-            col = int(g.integers(0, 5))
-            block[r, col] = int(g.integers(0, _CORRELATED_SIZES[col]))
-        blocks.append(block)
-        total += copies
-    values = np.vstack(blocks)
-    return values[g.permutation(len(values))]
-
-
-def copycol_rows(seed=_GEN_SEED):
-    """Generate the copycol_400 value matrix: b is a verbatim copy of a."""
-    g = rng(derive(seed, "copycol"))
-    a = g.choice(4, size=400, p=[0.7, 0.2, 0.08, 0.02])
-    return np.column_stack([a, a]).astype(np.int64)
-
-
-def independent_rows(seed=_GEN_SEED):
-    """Generate the independent_1000 value matrix."""
-    g = rng(derive(seed, "independent"))
-    cols = [g.integers(0, s, size=1000) for s in (4, 4, 3)]
-    return np.column_stack(cols).astype(np.int64)
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def correlated_csv_text(seed=_GEN_SEED):
-    values = correlated_rows(seed)
-    rows = []
-    for rec in values:
-        rows.append(
-            [
-                f"g{rec[0]}",
-                f"k{rec[1]}",
-                f"f{rec[2]}",
-                str(int(rec[3])),
-                str(int(rec[4])),
-            ]
-        )
-    return _csv_text(["group", "kind", "flag", "level", "score"], rows)
-
-
-def correlated_schema_text():
-    return (
-        "# column kinds for correlated_500.csv\n"
-        "group = categorical\n"
-        "kind = categorical\n"
-        "flag = categorical\n"
-        "level = ordered:5\n"
-        "score = ordered:6\n"
-    )
-
-
-def copycol_csv_text(seed=_GEN_SEED):
-    values = copycol_rows(seed)
-    rows = [[f"a{r[0]}", f"b{r[1]}"] for r in values]
-    return _csv_text(["a", "b"], rows)
-
-
-def independent_csv_text(seed=_GEN_SEED):
-    values = independent_rows(seed)
-    rows = [[f"u{r[0]}", f"v{r[1]}", f"w{r[2]}"] for r in values]
-    return _csv_text(["u", "v", "w"], rows)
-
-
-def bundled_texts():
-    """Mapping of bundled file name to its regenerated content."""
-    return {
-        f"{CORRELATED}.csv": correlated_csv_text(),
-        f"{CORRELATED}.schema": correlated_schema_text(),
-        f"{COPYCOL}.csv": copycol_csv_text(),
-        f"{INDEPENDENT}.csv": independent_csv_text(),
-    }
+def load_dataset(ref, sidecar=""):
+    """Load a dataset reference into a Dataset, with the hints of
+    ``sidecar`` or, when that is empty, of the bundled corpus's own."""
+    csv_path, side = resolve_dataset(ref)
+    sidecar = sidecar or side
+    hints = data_mod.parse_schema_sidecar(sidecar) if sidecar else None
+    return data_mod.load_csv(csv_path, hints=hints)

@@ -228,10 +228,10 @@ def parse_schema_sidecar(path):
 
     One line per column: ``name = kind`` or ``name = ordered:<levels>``
     or ``name = continuous:<bins>``.  Blank lines and ``#`` comments are
-    skipped.  Unknown kinds raise DomainError; a count that is not an
-    integer >= 1 and a column named twice raise CsvParseError naming the
-    line, and bytes that are not UTF-8 raise CsvParseError naming the
-    file.
+    skipped.  Unknown kinds raise DomainError; an argument after
+    ``categorical``, a count that is not an integer >= 1 and a column
+    named twice raise CsvParseError naming the line, and bytes that are
+    not UTF-8 raise CsvParseError naming the file.
     """
     hints = {}
     with _open_utf8(path) as fh:
@@ -250,6 +250,11 @@ def parse_schema_sidecar(path):
             if name in hints:
                 raise CsvParseError(f"{path}: line {lineno}: column {name!r} is declared twice")
             if kind == CATEGORICAL:
+                if arg:
+                    raise CsvParseError(
+                        f"{path}: line {lineno}: column {name!r}: "
+                        f"categorical takes no argument, got {arg!r}"
+                    )
                 hints[name] = ColumnHint(CATEGORICAL)
             elif kind == ORDERED:
                 levels = _parse_count(path, lineno, name, arg) if arg else None
@@ -321,13 +326,13 @@ def load_csv(path, hints=None):
             labels = tuple(labels) if labels else ("",)
             columns.append(Column(name, CATEGORICAL, size, labels))
         elif hint.kind == ORDERED:
+            if hint.levels is not None and hint.levels < 1:
+                raise DomainError(f"column {name!r}: levels must be >= 1")
             ints = [_parse_int(path, i + 2, name, v) for i, v in enumerate(raw)]
             top = max(ints, default=-1)
             if min(ints, default=0) < 0:
                 raise DomainError(f"{path}: column {name!r} has negative levels")
-            size = hint.levels if hint.levels is not None else top + 1
-            if size < 1:
-                size = 1
+            size = hint.levels if hint.levels is not None else max(top + 1, 1)
             if top >= size:
                 raise DomainError(
                     f"{path}: column {name!r} holds level {top} but declares {size} levels"

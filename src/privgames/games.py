@@ -253,11 +253,6 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
     return _execute(config, record_id, adversary, x, fit_rounds, threads)
 
 
-def reference_pool(d_target, d_eval):
-    """Values of evaluation records outside the released training data."""
-    return data_mod.rows_not_in(d_eval, d_target)
-
-
 def _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs):
     """Training sets of model-seeded rounds, as one ``(B, n, d)`` array:
     ``d_target`` in every round, its ``x_positions`` rows replaced in
@@ -306,7 +301,8 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
     x_positions = data_mod.value_equal_indices(d_target, x)
     if len(x_positions) == 0:
         raise PreconditionError("target record is not in the released training dataset")
-    ref_values = reference_pool(d_target, d_eval)
+    # The reference pool: evaluation records outside the released data.
+    ref_values = data_mod.rows_not_in(d_eval, d_target)
     if len(ref_values) == 0:
         raise SizeError(
             "no reference records: every evaluation record appears in the training dataset"

@@ -18,14 +18,15 @@ whole batch: the toy tests membership column by column, structure
 learning scores every column pair of every network from one
 ``bincount``, estimating the tables counts every column of every
 network with one more, and sampling draws one column of every network
-per step.  Each network gets
-exactly the bits of the per-network definitions (``mutual_information``,
-a ``ravel_multi_index`` count per column, ancestral sampling column by
-column); ``fit``, ``sample`` and ``release_bit`` are batches of one.  The
-per-network seeds of a batch come from ``seeds.derive_many``, and its
-random streams (structure order, Laplace noise, sampling uniforms, toy
-release) are opened once per batch call by ``seeds.Streams``; the
-single-network entry points open their one stream with ``seeds.rng``.
+per step.  Each network gets exactly the bits of the per-network
+definitions in ``tests/reference.py`` (``reference_mutual_information``
+per column pair, a ``ravel_multi_index`` count per column, ancestral
+sampling column by column); ``fit``, ``sample`` and ``release_bit``
+are batches of one.  The per-network seeds of a batch come from
+``seeds.derive_many``, and its random streams (structure order,
+Laplace noise, sampling uniforms, toy release) are opened once per batch
+call by ``seeds.Streams``; the single-network entry points open their
+one stream with ``seeds.rng``.
 """
 
 from dataclasses import dataclass, field
@@ -147,22 +148,6 @@ class FittedGenerator:
         return batch.cpts(b, self.structure)
 
 
-def mutual_information(a, b, a_size, b_size):
-    """Empirical mutual information (nats) of two index columns."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    n = len(a)
-    if n == 0:
-        return 0.0
-    joint = np.bincount(a * b_size + b, minlength=a_size * b_size).astype(float)
-    joint = joint.reshape(a_size, b_size) / n
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    mask = joint > 0
-    outer = np.outer(pa, pb)
-    return float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
-
-
 def _concat(parts):
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
@@ -175,8 +160,9 @@ class _PairPlan:
     counts every pair.  The marginals live in one flat vector: pair p's
     row sums (``pa``) then its column sums (``pb``).  They are reduced
     the way ``joint.sum(axis=1)`` / ``joint.sum(axis=0)`` reduce one
-    block, which is what makes the MI values bit-identical to
-    ``mutual_information``:
+    block, which is what makes the MI values bit-identical to the
+    per-pair definition, ``reference_mutual_information`` in
+    ``tests/reference.py``:
 
     * row sums: rows of equal length are stacked and reduced along the
       last axis, the same contiguous (pairwise) sum numpy runs per row;
@@ -253,7 +239,7 @@ def _pair_plan(sizes):
 
 
 def _pair_information(values, plan):
-    """Bit-identical ``mutual_information`` terms of every ordered pair.
+    """Bit-identical per-pair mutual information terms of every ordered pair.
 
     ``values`` is one ``(n, d)`` training table or a ``(B, n, d)`` batch
     of them.  One ``bincount`` counts every pair table of every network;
@@ -262,8 +248,8 @@ def _pair_information(values, plan):
     and, with the leading shape of ``values``, the bounds of each pair's
     contiguous slice: pair p of network b is
     ``terms[bounds[b, p] : bounds[b, p + 1]]``, and its MI is
-    ``np.add.reduce`` of that slice, the same sum ``mutual_information``
-    takes.
+    ``np.add.reduce`` of that slice, the same sum the per-pair definition
+    (``reference_mutual_information`` in ``tests/reference.py``) takes.
 
     Marginals are reduced as the plan describes, one network after
     another along the batch axis: row sums as rows of a 2-D array
@@ -352,7 +338,8 @@ def learn_structure(training, max_parents, seed, mi_floor=0.0):
     The MI of every column pair comes from one pass over the data (see
     ``_PairPlan``): one ``bincount`` for all joint tables, a few stacked
     reductions for all marginals, and one elementwise pass for the
-    terms.  Each value equals ``mutual_information`` bit for bit.
+    terms.  Each value equals ``reference_mutual_information`` in
+    ``tests/reference.py`` bit for bit.
     """
     if training.n == 0:
         raise FitError("cannot learn a structure from an empty dataset")

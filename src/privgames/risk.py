@@ -217,9 +217,8 @@ def dp_audit_points(transcript, epsilon, delta=0.0, rho=0.05):
 
 @dataclass(frozen=True)
 class DistributionSummary:
-    """CDF, fixed-width histogram, and selected percentiles of a sample."""
+    """Fixed-width histogram and selected percentiles of a sample."""
 
-    cdf: tuple
     bin_edges: tuple
     bin_counts: tuple
     percentiles: dict = None
@@ -228,8 +227,7 @@ class DistributionSummary:
 def summarize_distribution(values, bin_width=0.02, percentile_levels=(10, 50, 90)):
     """Summary of a one-dimensional sample.
 
-    The CDF is the exact empirical one over distinct values; the
-    histogram uses fixed-width bins spanning [min, max]; percentiles
+    The histogram uses fixed-width bins spanning [min, max]; percentiles
     use linear interpolation, so ten values 0.1..1.0 put the 90th
     percentile at 0.91.
     """
@@ -237,9 +235,6 @@ def summarize_distribution(values, bin_width=0.02, percentile_levels=(10, 50, 90
     if vals.size == 0:
         raise DomainError("need at least one value")
     vals = np.sort(vals)
-    uniq, counts = np.unique(vals, return_counts=True)
-    cum = np.cumsum(counts) / vals.size
-    cdf = tuple((float(v), float(c)) for v, c in zip(uniq, cum))
     lo = float(vals[0])
     hi = float(vals[-1])
     nbins = max(1, int(math.ceil((hi - lo) / bin_width - 1e-9)))
@@ -251,7 +246,6 @@ def summarize_distribution(values, bin_width=0.02, percentile_levels=(10, 50, 90
         for q in percentile_levels
     }
     return DistributionSummary(
-        cdf=cdf,
         bin_edges=tuple(float(e) for e in edges),
         bin_counts=tuple(int(c) for c in bin_counts),
         percentiles=pct,

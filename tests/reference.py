@@ -1,8 +1,8 @@
 """Per-network and per-round reference implementations.
 
 These are the definitions the batched code replaced.  For the generator
-layer: structure learning one ``mutual_information`` call per column
-pair, one ``ravel_multi_index`` count per table, Laplace noise per
+layer: structure learning one ``reference_mutual_information`` call per
+column pair, one ``ravel_multi_index`` count per table, Laplace noise per
 table, and ancestral sampling one column at a time.
 ``reference_fit_batch`` and ``reference_sample_batch`` have the
 signatures and results of ``fit_batch`` and ``sample_batch`` and loop
@@ -30,6 +30,22 @@ from privgames.errors import FitError, UnsupportedOperationError
 from privgames.seeds import derive, rng
 
 
+def reference_mutual_information(a, b, a_size, b_size):
+    """Empirical mutual information (nats) of two index columns."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    n = len(a)
+    if n == 0:
+        return 0.0
+    joint = np.bincount(a * b_size + b, minlength=a_size * b_size).astype(float)
+    joint = joint.reshape(a_size, b_size) / n
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    mask = joint > 0
+    outer = np.outer(pa, pb)
+    return float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
+
+
 def reference_learn_structure(training, max_parents, seed, mi_floor=0.0):
     sizes = training.schema.sizes
     d = training.schema.ncols
@@ -39,7 +55,7 @@ def reference_learn_structure(training, max_parents, seed, mi_floor=0.0):
     for col in order:
         scored = []
         for cand in visited:
-            mi = generators.mutual_information(
+            mi = reference_mutual_information(
                 training.values[:, col], training.values[:, cand], sizes[col], sizes[cand]
             )
             if mi < mi_floor:

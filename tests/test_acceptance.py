@@ -336,7 +336,8 @@ def run_criterion_7(tmp_dir):
     _, _, rows_t = cli.read_result_rows(results_t)
     _, _, rows_ms = cli.read_result_rows(results_ms)
     max_gap = max(abs(rows_ms[r] - rows_t[r]) for r in rows_t)
-    rmsd_value = float(cli.read_comparison_summary(cmp_path)["rmsd"])
+    _, cmp_rows = data.read_table(cmp_path, "comparison", cli.COMPARISON_COLUMNS)
+    rmsd_value = next(float(p[2]) for _, p in cmp_rows if p[:2] == ["summary", "rmsd"])
     bodies = {
         "traditional": file_body(results_t),
         "model_seeded": file_body(results_ms),

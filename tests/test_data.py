@@ -98,8 +98,14 @@ def test_load_csv_ordered_hints(tmp_path):
     ds = data.load_csv(p, hints={"n": data.ColumnHint(data.ORDERED, levels=5)})
     assert ds.schema.columns[0].size == 5
     assert ds.records() == [(2,), (0,), (1,)]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="holds level 2 but declares 2 levels"):
         data.load_csv(p, hints={"n": data.ColumnHint(data.ORDERED, levels=2)})
+    for levels in (0, -3):
+        with pytest.raises(DomainError, match="column 'n': levels must be >= 1"):
+            data.load_csv(p, hints={"n": data.ColumnHint(data.ORDERED, levels=levels)})
+    empty = write(tmp_path / "e.csv", "n\n")
+    ds = data.load_csv(empty, hints={"n": data.ColumnHint(data.ORDERED)})
+    assert ds.schema.columns[0].size == 1
 
 
 def test_load_csv_ordered_rejects_non_integer(tmp_path):

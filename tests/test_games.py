@@ -183,7 +183,7 @@ def test_model_seeded_dataset_discipline():
     x = (1,)
     t = games.run_model_seeded(x, d_target, d_eval, games.toy_bit_adversary(), config)
     x_positions = data.value_equal_indices(d_target, x)
-    refs = games.reference_pool(d_target, d_eval)
+    refs = data.rows_not_in(d_eval, d_target)
     ref_set = {tuple(r) for r in refs}
     for run in t.runs:
         ds = games.model_seeded_dataset(
@@ -211,7 +211,7 @@ def test_model_seeded_replaces_every_duplicate():
     t = games.run_model_seeded(x, d_target, d_eval, games.toy_bit_adversary(), config)
     x_positions = data.value_equal_indices(d_target, x)
     assert len(x_positions) == 2
-    refs = games.reference_pool(d_target, d_eval)
+    refs = data.rows_not_in(d_eval, d_target)
     for run in t.runs:
         if run.secret_bit == 0:
             ds = games.model_seeded_dataset(
@@ -228,7 +228,7 @@ def test_model_seeded_fixed_reference_mode():
     )
     games.run_model_seeded(x, d_target, d_eval, games.toy_bit_adversary(), config)
     x_positions = data.value_equal_indices(d_target, x)
-    refs = games.reference_pool(d_target, d_eval)
+    refs = data.rows_not_in(d_eval, d_target)
     from privgames.seeds import rng
 
     g = rng(derive(17, "reference"))

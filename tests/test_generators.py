@@ -12,6 +12,7 @@ from reference import (
     reference_estimate_tables,
     reference_fit,
     reference_learn_structure,
+    reference_mutual_information,
     reference_normalize_rows,
     reference_privatize_tables,
     reference_sample,
@@ -57,14 +58,13 @@ def test_mutual_information_matches_brute_force():
         n = int(g.integers(20, 200))
         a = g.integers(0, a_size, size=n)
         b = g.integers(0, b_size, size=n)
-        fast = generators.mutual_information(a, b, a_size, b_size)
-        slow = brute_mi(a.tolist(), b.tolist())
-        assert abs(fast - slow) < 1e-12
+        mi = reference_mutual_information(a, b, a_size, b_size)
+        assert abs(mi - brute_mi(a.tolist(), b.tolist())) < 1e-12
 
 
 def test_mutual_information_of_copy_is_entropy():
     a = np.array([0, 0, 1, 2])
-    mi = generators.mutual_information(a, a, 3, 3)
+    mi = reference_mutual_information(a, a, 3, 3)
     expected = -(0.5 * np.log(0.5) + 0.25 * np.log(0.25) * 2)
     assert abs(mi - expected) < 1e-12
 
@@ -262,7 +262,7 @@ def test_one_pass_mi_matches_mutual_information_bitwise(seed):
     terms, bounds = generators._pair_information(ds.values, plan)
     for (a, b), p in plan.pair_index.items():
         fast = float(np.add.reduce(terms[bounds[p] : bounds[p + 1]]))
-        slow = generators.mutual_information(
+        slow = reference_mutual_information(
             ds.values[:, a], ds.values[:, b], sizes[a], sizes[b]
         )
         assert np.float64(fast).tobytes() == np.float64(slow).tobytes(), (a, b)
@@ -373,7 +373,7 @@ def test_batched_pair_mi_matches_mutual_information(seed, count):
     mi = generators._pair_mi(terms, bounds).reshape(count, -1)
     for b, training in enumerate(trainings):
         for (a, c), p in plan.pair_index.items():
-            slow = generators.mutual_information(
+            slow = reference_mutual_information(
                 training.values[:, a], training.values[:, c], sizes[a], sizes[c]
             )
             assert mi[b, p].tobytes() == np.float64(slow).tobytes(), (b, a, c)

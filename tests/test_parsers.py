@@ -93,21 +93,6 @@ def test_results_parser_parses_or_raises(tmp_path, raw):
     )
 
 
-_COMPARISON = (
-    "# privgames-comparison v1 config=0123456789ab status=complete generated=2026-01-01T00:00:00Z\n"
-    f"{cli.COMPARISON_COLUMNS}\n"
-    "0,0.5,0.75,-0.25,0.25\nsummary,n_records,1\nsummary,rmsd,0.25\nhist,0.0,0.5,1\n"
-)
-
-
-@SETTINGS
-@given(_mangled(_COMPARISON))
-def test_comparison_parser_parses_or_raises(tmp_path, raw):
-    path = tmp_path / "cmp.csv"
-    path.write_bytes(raw)
-    _parses_or_raises_privgames_error(cli.read_comparison_summary, str(path))
-
-
 _CSV = "name,level,amount,flag\na,0,1.5,x\nb,2,-3,y\na,1,0.25,x\n\"c,d\",4,7e1,z\n"
 _SIDECAR = "# kinds\nlevel = ordered:5\namount = continuous:3\nflag = categorical\n"
 
@@ -155,11 +140,19 @@ def test_sidecar_parser_parses_or_raises(tmp_path, raw):
     _parses_or_raises_privgames_error(data.parse_schema_sidecar, str(path))
 
 
-@pytest.mark.parametrize("decl", ["ordered:0", "ordered:-4", "continuous:0", "continuous:-1"])
+@pytest.mark.parametrize(
+    "decl", ["ordered:0", "ordered:-4", "continuous:0", "continuous:-1", "categorical:7"]
+)
 def test_sidecar_count_below_one_names_the_line(tmp_path, decl):
+    # categorical takes no count at all, so any count is out of range
     path = tmp_path / "d.schema"
     path.write_text(f"# kinds\nlevel = {decl}\n")
-    message = r"d\.schema: line 2: column 'level': '-?\d+' is not >= 1"
+    problem = (
+        "categorical takes no argument, got '7'"
+        if decl.startswith("categorical")
+        else r"'-?\d+' is not >= 1"
+    )
+    message = rf"d\.schema: line 2: column 'level': {problem}"
     with pytest.raises(CsvParseError, match=message):
         data.parse_schema_sidecar(str(path))
 
