@@ -127,6 +127,11 @@ def select_record_ids(cfg, d_target):
 
 
 def build_bank(cfg, schema):
+    for k in cfg.k_values:
+        if k > schema.ncols:
+            raise ConfigError(
+                f"attack.k_values entry {k} exceeds the {schema.ncols} columns of {cfg.dataset}"
+            )
     return attack.make_query_bank(
         schema, cfg.k_values, cfg.queries_per_k, derive(cfg.master_seed, "bank")
     )

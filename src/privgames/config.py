@@ -189,6 +189,13 @@ def load_experiment_config(path):
         )
 
     spec = _build_generator_spec(parser)
+    # Shadow sets hold target_size records drawn from the auxiliary split;
+    # the toy generator's adversary trains no shadows.
+    if spec.kind != generators.TOY and aux_size < target_size:
+        raise ConfigError(
+            f"data.aux_size ({aux_size}) must be at least data.target_size ({target_size}): "
+            "shadow sets are target_size records of the auxiliary split"
+        )
 
     n_shadow = _get_int(parser, "attack", "n_shadow", 50, minimum=2)
     if n_shadow % 2 != 0:

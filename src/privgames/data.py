@@ -285,9 +285,9 @@ def load_csv(path, hints=None):
     first-appearance order, and ``hints`` (name -> ColumnHint) may
     declare ordered or continuous columns.  Rows whose field count
     disagrees with the header, and continuous values that are not finite
-    numbers, raise CsvParseError naming the line; a hint for a column
-    the header lacks, and bytes that are not UTF-8, raise CsvParseError
-    naming the file.
+    numbers, raise CsvParseError naming the line; so does a header that
+    names a column twice.  A hint for a column the header lacks, and
+    bytes that are not UTF-8, raise CsvParseError naming the file.
     """
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -295,6 +295,9 @@ def load_csv(path, hints=None):
             header = next(reader)
         except StopIteration:
             raise CsvParseError(f"{path}: empty file, expected a header row")
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise CsvParseError(f"{path}: line 1: column {name!r} appears twice in the header")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):

@@ -146,12 +146,12 @@ def balanced_bits(n_eval, seed):
     return rng(seed).permutation(bits)
 
 
-def _execute(config, record_id, adversary, x, fit_rounds, threads, data_tag="data"):
+def _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, data_tag="data"):
     """Play the rounds of a game.  ``fit_rounds(secret, streams, seeds)``
     builds the training sets of a batch of rounds with secret bits
     ``secret`` and returns their generators, round i fit with
     ``seeds[i]``; ``streams[i]`` is round i's data stream, opened only by
-    rounds that draw."""
+    rounds that draw.  A training set holds at most ``set_rows`` records."""
     n_eval = config.n_eval
     bits = balanced_bits(n_eval, derive(config.master_seed, "bits"))
     run_seeds = derive_many(config.master_seed, "run", np.arange(n_eval))
@@ -170,7 +170,7 @@ def _execute(config, record_id, adversary, x, fit_rounds, threads, data_tag="dat
 
     # A batch holds at most a ``threads``-th of the rounds, and training
     # sets of at most BATCH_ELEMENTS values.
-    cells = config.dataset_size * len(x)
+    cells = set_rows * len(x)
     size = max(1, min(generators.BATCH_ELEMENTS // cells, -(-n_eval // threads)))
     starts = range(0, n_eval, size)
     ends = [min(lo + size, n_eval) for lo in starts]
@@ -250,7 +250,7 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
         values = data_mod.sample_training_sets(pool, x, n, secret, streams)
         return generators.fit_batch(config.generator_spec, pool.schema, values, seeds, x)
 
-    return _execute(config, record_id, adversary, x, fit_rounds, threads)
+    return _execute(config, record_id, adversary, x, fit_rounds, threads, n)
 
 
 def _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs):
@@ -317,7 +317,7 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
         values = _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs)
         return generators.fit_batch(config.generator_spec, d_target.schema, values, seeds, x)
 
-    return _execute(config, record_id, adversary, x, fit_rounds, threads)
+    return _execute(config, record_id, adversary, x, fit_rounds, threads, d_target.n)
 
 
 def run_game(x, d_eval, d_target, adversary, config, record_id="", threads=1):
@@ -383,7 +383,8 @@ def run_traditional_mixture(
                 gens[i] = gen
         return gens
 
-    return _execute(config, record_id, adversary, x, fit_rounds, threads, "mixture")
+    set_rows = max(len(v) for v in rows.values())
+    return _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, "mixture")
 
 
 def toy_bit_adversary():

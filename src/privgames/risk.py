@@ -4,13 +4,13 @@ A transcript is a list of (secret bit, adversary score) pairs.  This
 module computes empirical error rates at a threshold, the AUC summary
 used as the per-record risk score, finite-sample confidence radii, and
 the comparison statistics between two risk columns (miss rate, RMSD).
+Rates and AUC count in one sort of each class's scores (``searchsorted``).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DomainError,
@@ -67,25 +67,27 @@ class TradeoffCurve:
         return float(np.interp(alpha, xs, ys))
 
 
-def _split_scores(transcript):
-    bits = transcript.bits()
-    scores = transcript.scores()
-    n0 = int((bits == 0).sum())
-    n1 = int((bits == 1).sum())
-    if n0 == 0 or n1 == 0:
+def _sorted_classes(transcript):
+    """The transcript's out-run and in-run scores, each sorted.  Raises
+    UndefinedRateError if a class is empty, DomainError on a non-finite
+    score."""
+    bits, scores = transcript.bits(), transcript.scores()
+    out_sorted, in_sorted = np.sort(scores[bits == 0]), np.sort(scores[bits == 1])
+    if len(out_sorted) == 0 or len(in_sorted) == 0:
         raise UndefinedRateError(
-            f"transcript has {n0} out-runs and {n1} in-runs; rates need both"
+            f"transcript has {len(out_sorted)} out-runs and {len(in_sorted)} in-runs; "
+            "rates need both"
         )
-    return bits, scores, n0, n1
+    if not np.isfinite(scores).all():
+        raise DomainError(f"record {transcript.record_id!r}: transcript holds a non-finite score")
+    return out_sorted, in_sorted
 
 
-def _rates_at(bits, scores, gammas):
+def _rates_at(out_sorted, in_sorted, gammas):
     """Arrays of (alpha, beta) of guessing member iff score >= gamma, one
-    entry per gamma.  Each class is sorted once and counted below every
-    gamma by ``searchsorted``; a count divided by the class size has the
-    bits of the mean of the boolean test."""
-    out_sorted = np.sort(scores[bits == 0])
-    in_sorted = np.sort(scores[bits == 1])
+    entry per gamma, counted in each sorted class by ``searchsorted``; a
+    count divided by the class size has the bits of the mean of the
+    boolean test."""
     alpha = (len(out_sorted) - np.searchsorted(out_sorted, gammas)) / len(out_sorted)
     beta = np.searchsorted(in_sorted, gammas) / len(in_sorted)
     return alpha, beta
@@ -97,28 +99,23 @@ def empirical_rates(transcript, gamma):
     alpha is the fraction of out-runs guessed member; beta the fraction
     of in-runs guessed non-member.
     """
-    bits, scores, n0, n1 = _split_scores(transcript)
-    alpha, beta = _rates_at(bits, scores, [gamma])
-    return RatePair(alpha=float(alpha[0]), beta=float(beta[0]), n0=n0, n1=n1)
+    out_sorted, in_sorted = _sorted_classes(transcript)
+    alpha, beta = _rates_at(out_sorted, in_sorted, [gamma])
+    return RatePair(float(alpha[0]), float(beta[0]), len(out_sorted), len(in_sorted))
 
 
 def roc_auc(transcript):
     """AUC of the score against the secret bit, ties counted half.
 
-    Computed from mid-ranks, which agrees exactly (not approximately)
-    with the all-pairs count assigning 1 per correctly ordered pair and
-    0.5 per tie: both numerators are the same multiple of 0.5.
+    Each in-run score counts the out-runs below it twice and its ties
+    once (left plus right ``searchsorted``), so the integer sum / 2 /
+    (n0 * n1) has the bits of the all-pairs count, 1 per ordered pair
+    and 0.5 per tie, and of the mid-rank formula.
     """
-    bits, scores, n0, n1 = _split_scores(transcript)
-    ranks = rankdata(scores)
-    r1 = ranks[bits == 1].sum()
-    u = r1 - n1 * (n1 + 1) / 2
-    return RiskEstimate(
-        auc=float(u / (n0 * n1)),
-        game_kind=transcript.game_kind,
-        n_eval=len(bits),
-        record_id=transcript.record_id,
-    )
+    out_sorted, in_sorted = _sorted_classes(transcript)
+    twice_u = sum(np.searchsorted(out_sorted, in_sorted, side).sum() for side in ("left", "right"))
+    auc = float(twice_u / 2 / (len(out_sorted) * len(in_sorted)))
+    return RiskEstimate(auc, transcript.game_kind, len(transcript.runs), transcript.record_id)
 
 
 def hoeffding_radius(n_per_class, rho):
@@ -184,8 +181,9 @@ def empirical_tradeoff(transcript):
     the maximum, so the curve always contains (0, 1) and the point of
     the all-member rule.
     """
-    bits, scores, _, _ = _split_scores(transcript)
-    alpha, beta = _rates_at(bits, scores, np.append(np.unique(scores), math.inf))
+    out_sorted, in_sorted = _sorted_classes(transcript)
+    gammas = np.append(np.unique(np.concatenate([out_sorted, in_sorted])), math.inf)
+    alpha, beta = _rates_at(out_sorted, in_sorted, gammas)
     points = set(zip(alpha.tolist(), beta.tolist()))
     ordered = tuple(sorted(points, key=lambda p: (p[0], -p[1])))
     return TradeoffCurve(

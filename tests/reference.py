@@ -354,7 +354,7 @@ def reference_train_attack(
 
 def reference_empirical_tradeoff(transcript):
     """``risk.empirical_tradeoff`` with two boolean means per threshold."""
-    bits, scores, n0, n1 = risk._split_scores(transcript)
+    bits, scores = transcript.bits(), transcript.scores()
     out_scores = scores[bits == 0]
     in_scores = scores[bits == 1]
     thresholds = list(np.unique(scores)) + [math.inf]

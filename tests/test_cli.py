@@ -309,6 +309,20 @@ def test_sidecar_naming_a_wrong_column_exits_1(tmp_path, capsys, text, where):
     assert str(csv_path if "agee" in text else sidecar) in err
 
 
+def test_subset_size_above_the_column_count_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("a,b\n1,x\n0,y\n2,x\n")
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        f"[data]\ndataset = {csv_path}\naux_size = 1\neval_size = 2\ntarget_size = 1\n\n"
+        "[attack]\nk_values = 1,5\n\n[game]\nn_eval = 2\n\n[records]\nselection = first:1\n"
+    )
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"attack.k_values entry 5 exceeds the 2 columns of {csv_path}" in err
+
+
 def test_non_finite_continuous_value_exits_1(tmp_path, capsys):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("v\n1\n2\nnan\n3\n4\ninf\n")

@@ -215,6 +215,20 @@ def test_target_larger_than_eval_rejected(tmp_path):
         load_experiment_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("kind", ["baynet", "toy"])
+def test_aux_smaller_than_target_rejected_unless_toy(tmp_path, kind):
+    # Shadow sets are target_size records of the auxiliary split; the toy
+    # generator's adversary trains none.
+    text = MINIMAL.replace("aux_size = 300", "aux_size = 99") + f"\n[generator]\nkind = {kind}\n"
+    if kind == "toy":
+        text += "p_in = 0.8\np_out = 0.2\n"
+        assert load_experiment_config(write(tmp_path, text)).aux_size == 99
+        return
+    message = r"data\.aux_size \(99\) must be at least data\.target_size \(100\)"
+    with pytest.raises(ConfigError, match=message):
+        load_experiment_config(write(tmp_path, text))
+
+
 def test_unknown_game_kind_rejected(tmp_path):
     text = MINIMAL + "\n[game]\nkinds = traditional,upside_down\n"
     # configparser merges duplicate sections; rebuild cleanly instead.

@@ -365,6 +365,29 @@ def test_mixture_deterministic_and_threaded():
     assert games.transcript_to_text(t1) == games.transcript_to_text(t2)
 
 
+def test_mixture_batches_stay_within_the_budget(monkeypatch):
+    # In-rounds train on a 7-row partial plus x, more rows than
+    # dataset_size, so a batch is sized by that set, not by dataset_size.
+    schema = ordered_schema(16)
+    partials = [data.Dataset(schema, [[v] for v in range(2, 8)]),
+                data.Dataset(schema, [[v] for v in range(2, 9)])]
+    adv = games.toy_bit_adversary()
+    config = games.GameConfig(40, 4, toy_spec(), 91, games.TRADITIONAL)
+    before = games.run_traditional_mixture((1,), partials, adv, config)
+    sizes = []
+    fit_batch = generators.fit_batch
+
+    def spy(spec, schema, values, seeds, target_hint):
+        sizes.append(values.size)
+        return fit_batch(spec, schema, values, seeds, target_hint)
+
+    monkeypatch.setattr(generators, "fit_batch", spy)
+    monkeypatch.setattr(generators, "BATCH_ELEMENTS", 20)
+    after = games.run_traditional_mixture((1,), partials, adv, config)
+    assert sizes and max(sizes) <= 20
+    assert games.transcript_to_text(after) == games.transcript_to_text(before)
+
+
 # ------------------------------------------------------------- transcript
 
 

@@ -165,6 +165,14 @@ def test_sidecar_column_declared_twice_names_the_line(tmp_path):
         data.parse_schema_sidecar(str(path))
 
 
+def test_csv_header_naming_a_column_twice_names_file_and_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("name,level,name\na,0,b\n")
+    message = r"d\.csv: line 1: column 'name' appears twice in the header"
+    with pytest.raises(CsvParseError, match=message):
+        data.load_csv(str(path))
+
+
 def test_hint_for_a_column_the_csv_lacks_names_file_and_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(_CSV)

@@ -75,15 +75,21 @@ def test_auc_all_ties_is_half():
 
 def test_auc_equals_brute_force_exactly():
     g = rng(77)
-    for trial in range(150):
-        n = int(g.integers(2, 40))
-        bits = np.zeros(n, dtype=int)
-        bits[: int(g.integers(1, n))] = 1
+    for trial in range(200):
+        # a few transcripts have classes of up to 400 runs
+        top = 401 if trial % 25 < 4 else 20
+        n0, n1 = (int(c) for c in g.integers(1, top, size=2))
+        bits = np.array([0] * n0 + [1] * n1)
         g.shuffle(bits)
-        if bits.sum() in (0, n):
-            continue
-        # coarse grid forces plenty of ties
-        scores = np.round(g.random(n) * 4) / 4
+        kind = trial % 4
+        if kind == 0:
+            scores = np.round(g.random(n0 + n1) * 4) / 4  # coarse grid: plenty of ties
+        elif kind == 1:
+            scores = g.integers(0, 2, size=n0 + n1).astype(float)  # a released bit
+        elif kind == 2:
+            scores = np.full(n0 + n1, g.random())  # all tied
+        else:
+            scores = g.random(n0 + n1)
         t = make_transcript(bits, scores)
         fast = risk.roc_auc(t).auc
         slow = brute_auc(
@@ -101,6 +107,14 @@ def test_auc_invariant_under_monotone_transform():
     a = risk.roc_auc(make_transcript(bits, scores)).auc
     b = risk.roc_auc(make_transcript(bits, scores / 3.0 + 0.2)).auc
     assert a == b
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_score_is_a_domain_error(bad):
+    t = make_transcript([0, 1, 0, 1], [0.2, bad, 0.4, 0.9], record_id="7")
+    for estimate in (risk.roc_auc, risk.empirical_tradeoff, lambda t: risk.empirical_rates(t, 0.5)):
+        with pytest.raises(DomainError, match="record '7'.*non-finite score"):
+            estimate(t)
 
 
 def test_risk_estimate_carries_context():
