@@ -104,6 +104,8 @@ def make_query_bank(
     values carry an order).
     """
     d = schema.ncols
+    if len(k_values) == 0:
+        raise DomainError("k_values is empty: the bank needs at least one subset size")
     for k in k_values:
         if k < 1 or k > d:
             raise DomainError(f"subset size {k} outside [1, {d}]")

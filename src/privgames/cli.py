@@ -176,18 +176,23 @@ def play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads):
     )
 
 
-def _each_record(cfg, evaluate, log):
+def _each_record(cfg, evaluate, log, subdirs=()):
     """Evaluate every selected record in order; returns (outputs, status).
 
     ``evaluate(rid, x, d_aux, d_eval, d_target, bank)`` returns one
     record's output and a one-line summary, logged as ``record <id>: ...``.
     A record whose evaluation raises a PrivGamesError is logged and left
     out; the other records still run and the status becomes ``partial``.
+    Makes ``cfg.out_dir`` and ``subdirs`` below it first (ConfigError if not).
     """
     _, d_aux, d_eval, d_target = load_environment(cfg)
     record_ids = select_record_ids(cfg, d_target)
     bank = build_bank(cfg, d_eval.schema)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    out_dir = os.path.join(cfg.out_dir, *subdirs)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out_dir}: cannot make the directory ({exc.strerror})") from None
     outputs = []
     status = "complete"
     for rid in record_ids:
@@ -208,12 +213,12 @@ def _each_record(cfg, evaluate, log):
 
 
 def result_row(cfg, transcript):
-    est = risk.roc_auc(transcript)
-    pair = risk.empirical_rates(transcript, 0.5)
-    radius = risk.hoeffding_radius(est.n_eval // 2, cfg.rho)
+    n_eval = len(transcript.runs)
+    alpha, beta = risk.empirical_rates(transcript, 0.5)
+    radius = risk.hoeffding_radius(n_eval // 2, cfg.rho)
     return (
-        f"{transcript.record_id},{transcript.game_kind},{est.n_eval},"
-        f"{est.auc!r},{radius!r},{pair.alpha!r},{pair.beta!r}"
+        f"{transcript.record_id},{transcript.game_kind},{n_eval},"
+        f"{risk.roc_auc(transcript)!r},{radius!r},{alpha!r},{beta!r}"
     )
 
 
@@ -236,16 +241,15 @@ def cmd_run(cfg, threads=1, log=print):
             for kind in cfg.game_kinds
         ]
         record_rows = [result_row(cfg, t) for t in transcripts]
-        os.makedirs(transcripts_dir, exist_ok=True)
         summary = []
         for kind, transcript in zip(cfg.game_kinds, transcripts):
             games.save_transcript(
                 transcript, os.path.join(transcripts_dir, f"record{rid}_{kind}.txt")
             )
-            summary.append(f"{kind} auc={risk.roc_auc(transcript).auc:.3f}")
+            summary.append(f"{kind} auc={risk.roc_auc(transcript):.3f}")
         return record_rows, ", ".join(summary)
 
-    per_record, status = _each_record(cfg, evaluate, log)
+    per_record, status = _each_record(cfg, evaluate, log, subdirs=("transcripts",))
     cfg_hash = cfg.config_hash()
     for i, kind in enumerate(cfg.game_kinds):
         _write_table(
@@ -344,7 +348,7 @@ def convergence_table(cfg, threads=1, log=print):
                         x, d_eval, d_target, adversary, gcfg,
                         record_id=str(rid), threads=threads,
                     )
-                    aucs.setdefault((kind, n_eval), []).append(risk.roc_auc(t).auc)
+                    aucs.setdefault((kind, n_eval), []).append(risk.roc_auc(t))
         rows = []
         for kind in cfg.game_kinds:
             for n_eval in cfg.n_eval_grid:

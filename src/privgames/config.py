@@ -201,6 +201,8 @@ def load_experiment_config(path):
     if n_shadow % 2 != 0:
         raise ConfigError(f"attack.n_shadow must be even (got {n_shadow})")
     k_values = _get_int_list(parser, "attack", "k_values", DEFAULT_K_VALUES)
+    if not k_values:
+        raise ConfigError("attack.k_values is empty")
     for k in k_values:
         if k < 1:
             raise ConfigError(f"attack.k_values entries must be >= 1 (got {k})")

@@ -173,8 +173,10 @@ def validate_record(schema, x):
 
 @contextmanager
 def _open_utf8(path, newline=None, error=CsvParseError):
-    """Open a text file; bytes that are not UTF-8 raise ``error``."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """Open a text file, skipping a leading UTF-8 byte-order mark (which
+    Excel's "CSV UTF-8" export writes); bytes that are not UTF-8 raise
+    ``error``."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -189,11 +191,15 @@ def table_lines(kind, fields, columns, rows):
 
 def write_text(path, text):
     """Write ``text`` to ``path`` atomically: into ``<path>.tmp``, then
-    ``os.replace``, so the file holds the old text or all of the new."""
+    ``os.replace``, so the file holds the old text or all of the new.  A
+    file that cannot be written raises ConfigError naming it."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def read_table(path, kind, columns):

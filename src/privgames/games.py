@@ -36,9 +36,10 @@ each logit stays one dot product per release (see ``attack``).  A
 batch keeps its training sets within ``generators.BATCH_ELEMENTS``
 values; with ``threads > 1`` the rounds are also cut into that many
 chunks, run in a thread pool, each chunk with streams of its own.
-The transcript is the same bytes either way.  A transcript file is a
-``data.table_lines`` table of one row per round, read back strictly by
-``load_transcript``.
+The transcript is the same bytes either way: one ``RUN_DTYPE`` array
+of (secret bit, score, run seed) rows, each batch writing its own
+rows' scores.  A transcript file is a ``data.table_lines`` table of one
+row per round, read back strictly by ``load_transcript``.
 """
 
 import hashlib
@@ -59,6 +60,8 @@ MODEL_SEEDED = "model_seeded"
 
 GAME_KINDS = (TRADITIONAL, MODEL_SEEDED)
 TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed"
+# One row of a transcript; a uint64 holds every derived seed.
+RUN_DTYPE = np.dtype([("secret_bit", np.int64), ("score", np.float64), ("run_seed", np.uint64)])
 
 REFERENCE_PER_RUN = "per_run"
 REFERENCE_FIXED = "fixed"
@@ -113,30 +116,18 @@ def config_hash(snapshot):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class GameRun:
-    """One round: index, secret bit, adversary score, and the run seed."""
-
-    run_index: int
-    secret_bit: int
-    score: float
-    run_seed: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameTranscript:
-    """Everything one game evaluation produced."""
+    """Everything one game evaluation produced.  ``runs`` is a read-only
+    ``RUN_DTYPE`` array, one row per round: a round's run index is its row."""
 
-    runs: tuple
+    runs: np.ndarray
     record_id: str
     game_kind: str
     config_hash: str
 
-    def bits(self):
-        return np.array([r.secret_bit for r in self.runs], dtype=np.int64)
-
-    def scores(self):
-        return np.array([r.score for r in self.runs], dtype=float)
+    def __post_init__(self):
+        self.runs.flags.writeable = False
 
 
 def balanced_bits(n_eval, seed):
@@ -155,18 +146,15 @@ def _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, dat
     n_eval = config.n_eval
     bits = balanced_bits(n_eval, derive(config.master_seed, "bits"))
     run_seeds = derive_many(config.master_seed, "run", np.arange(n_eval))
+    runs = np.empty(n_eval, dtype=RUN_DTYPE)
+    runs["secret_bit"], runs["run_seed"] = bits, run_seeds
     data_seeds = derive_many(run_seeds, data_tag)
     fit_seeds = derive_many(run_seeds, "fit")
     adversary_seeds = derive_many(run_seeds, "adversary")
 
     def play(lo, hi):
-        secret = bits[lo:hi].tolist()
-        gens = fit_rounds(secret, Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
-        scores = adversary(gens, adversary_seeds[lo:hi].tolist())
-        return [
-            GameRun(run_index=i, secret_bit=b, score=float(score), run_seed=s)
-            for i, b, score, s in zip(range(lo, hi), secret, scores, run_seeds[lo:hi].tolist())
-        ]
+        gens = fit_rounds(bits[lo:hi].tolist(), Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
+        runs["score"][lo:hi] = adversary(gens, adversary_seeds[lo:hi].tolist())
 
     # A batch holds at most a ``threads``-th of the rounds, and training
     # sets of at most BATCH_ELEMENTS values.
@@ -176,11 +164,11 @@ def _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, dat
     ends = [min(lo + size, n_eval) for lo in starts]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            played = list(pool.map(play, starts, ends))
+            list(pool.map(play, starts, ends))  # re-raises a batch's error
     else:
-        played = list(map(play, starts, ends))
+        list(map(play, starts, ends))
     return GameTranscript(
-        runs=tuple(run for batch in played for run in batch),
+        runs=runs,
         record_id=str(record_id),
         game_kind=config.game_kind,
         config_hash=config.config_hash(),
@@ -402,7 +390,9 @@ def transcript_to_text(transcript):
         config=transcript.config_hash, game=transcript.game_kind,
         n_eval=len(transcript.runs), record=transcript.record_id,
     )
-    rows = [f"{r.run_index},{r.secret_bit},{r.score!r},{r.run_seed}" for r in transcript.runs]
+    rows = [
+        f"{i},{b},{score!r},{seed}" for i, (b, score, seed) in enumerate(transcript.runs.tolist())
+    ]
     return "\n".join(data_mod.table_lines("transcript", fields, TRANSCRIPT_COLUMNS, rows)) + "\n"
 
 
@@ -417,7 +407,8 @@ def load_transcript(path):
     Raises ConfigError, naming the file and line, for another header,
     column line or game kind, a row that is not four numbers, a run
     index other than the row's position, a secret bit other than 0 or 1,
-    a score that is not finite, or an n_eval other than the row count.
+    a score that is not finite, a run seed outside [0, 2**64), or an
+    n_eval other than the row count.
     """
     fields, rows = data_mod.read_table(path, "transcript", TRANSCRIPT_COLUMNS)
     game_kind = fields.get("game", "")
@@ -428,22 +419,24 @@ def load_transcript(path):
         if len(row) != 4:
             raise ConfigError(f"{path}, line {no}: expected 4 fields, got {len(row)}")
         try:
-            run = GameRun(int(row[0]), int(row[1]), float(row[2]), int(row[3]))
+            index, bit, score, seed = int(row[0]), int(row[1]), float(row[2]), int(row[3])
         except ValueError:
             raise ConfigError(f"{path}, line {no}: {','.join(row)!r} is not numeric") from None
-        if run.run_index != len(runs):
+        if index != len(runs):
             raise ConfigError(f"{path}, line {no}: run_index {row[0]!r} is not {len(runs)}")
-        if run.secret_bit not in (0, 1):
+        if bit not in (0, 1):
             raise ConfigError(f"{path}, line {no}: secret_bit {row[1]!r} is not 0 or 1")
-        if not math.isfinite(run.score):
+        if not math.isfinite(score):
             raise ConfigError(f"{path}, line {no}: score {row[2]!r} is not finite")
-        runs.append(run)
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"{path}, line {no}: run_seed {row[3]!r} is outside [0, 2**64)")
+        runs.append((bit, score, seed))
     n_eval = fields.get("n_eval", "")
     if n_eval != str(len(runs)):
         raise ConfigError(
             f"{path}, line 1: header n_eval={n_eval} does not match the {len(runs)} round rows"
         )
     return GameTranscript(
-        tuple(runs), record_id=fields.get("record", ""), game_kind=game_kind,
+        np.array(runs, dtype=RUN_DTYPE), record_id=fields.get("record", ""), game_kind=game_kind,
         config_hash=fields.get("config", ""),
     )

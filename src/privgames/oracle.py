@@ -3,17 +3,15 @@
 Empirical game estimates converge to quantities that are exactly
 computable whenever the generator's release distribution can be written
 down: the toy's error rates, the optimal trade-off curve between two
-discrete release distributions, and mixture averages.  Tests pin the
+discrete release distributions (its (alpha, beta) vertices, the form
+``risk.empirical_tradeoff`` returns), and mixture averages.  Tests pin the
 Monte Carlo machinery against these.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .risk import CurveSource, TradeoffCurve
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,8 @@ def toy_exact_rates(p_in, p_out):
 
 
 def neyman_pearson_curve(p0, p1):
-    """Optimal trade-off curve between two discrete distributions.
+    """Optimal trade-off curve between two discrete distributions, as
+    its (alpha, beta) vertices sorted by alpha.
 
     Outcomes are taken in decreasing likelihood-ratio order
     ``p1/p0`` (outcomes with ``p0 == 0`` first); the cumulative
@@ -73,9 +72,7 @@ def neyman_pearson_curve(p0, p1):
         alpha = min(1.0, alpha + q0)
         beta = max(0.0, beta - q1)
         points.append((alpha, beta))
-    return TradeoffCurve(
-        points=tuple(points), source=CurveSource("exact", "likelihood-ratio envelope")
-    )
+    return tuple(points)
 
 
 def mixture_average_rates(components, weights):

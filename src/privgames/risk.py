@@ -1,9 +1,11 @@
-"""Turning game transcripts into risk estimates and trade-off curves.
+"""Turning game transcripts into risk numbers and trade-off curves.
 
-A transcript is a list of (secret bit, adversary score) pairs.  This
-module computes empirical error rates at a threshold, the AUC summary
-used as the per-record risk score, finite-sample confidence radii, and
-the comparison statistics between two risk columns (miss rate, RMSD).
+A transcript's ``runs`` array holds one (secret bit, score, run seed)
+row per round.  This module computes (alpha, beta) error rates at a
+threshold, the AUC (a float) used as the per-record risk score, the
+empirical trade-off curve as (alpha, beta) vertices sorted by alpha,
+finite-sample confidence radii, and the comparison statistics between
+two risk columns (miss rate, RMSD).
 Rates and AUC count in one sort of each class's scores (``searchsorted``).
 """
 
@@ -22,56 +24,11 @@ DEFAULT_THRESHOLD = 0.8
 DEFAULT_RHO = 0.2
 
 
-@dataclass(frozen=True)
-class RatePair:
-    """Empirical false-positive and false-negative rates at a threshold.
-
-    n0 and n1 are the class sizes the rates were estimated from.
-    """
-
-    alpha: float
-    beta: float
-    n0: int
-    n1: int
-
-
-@dataclass(frozen=True)
-class RiskEstimate:
-    """Per-record risk: the AUC of the adversary over one transcript."""
-
-    auc: float
-    game_kind: str
-    n_eval: int
-    record_id: str
-
-
-@dataclass(frozen=True)
-class CurveSource:
-    """Provenance tag for a trade-off curve: empirical, exact, or bound."""
-
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class TradeoffCurve:
-    """Piecewise-linear (alpha, beta) curve, vertices sorted by alpha."""
-
-    points: tuple
-    source: CurveSource
-
-    def beta_at(self, alpha):
-        """Linear interpolation of beta at the given alpha."""
-        xs = np.array([p[0] for p in self.points])
-        ys = np.array([p[1] for p in self.points])
-        return float(np.interp(alpha, xs, ys))
-
-
 def _sorted_classes(transcript):
     """The transcript's out-run and in-run scores, each sorted.  Raises
     UndefinedRateError if a class is empty, DomainError on a non-finite
     score."""
-    bits, scores = transcript.bits(), transcript.scores()
+    bits, scores = transcript.runs["secret_bit"], transcript.runs["score"]
     out_sorted, in_sorted = np.sort(scores[bits == 0]), np.sort(scores[bits == 1])
     if len(out_sorted) == 0 or len(in_sorted) == 0:
         raise UndefinedRateError(
@@ -99,9 +56,8 @@ def empirical_rates(transcript, gamma):
     alpha is the fraction of out-runs guessed member; beta the fraction
     of in-runs guessed non-member.
     """
-    out_sorted, in_sorted = _sorted_classes(transcript)
-    alpha, beta = _rates_at(out_sorted, in_sorted, [gamma])
-    return RatePair(float(alpha[0]), float(beta[0]), len(out_sorted), len(in_sorted))
+    alpha, beta = _rates_at(*_sorted_classes(transcript), [gamma])
+    return float(alpha[0]), float(beta[0])
 
 
 def roc_auc(transcript):
@@ -114,8 +70,7 @@ def roc_auc(transcript):
     """
     out_sorted, in_sorted = _sorted_classes(transcript)
     twice_u = sum(np.searchsorted(out_sorted, in_sorted, side).sum() for side in ("left", "right"))
-    auc = float(twice_u / 2 / (len(out_sorted) * len(in_sorted)))
-    return RiskEstimate(auc, transcript.game_kind, len(transcript.runs), transcript.record_id)
+    return float(twice_u / 2 / (len(out_sorted) * len(in_sorted)))
 
 
 def hoeffding_radius(n_per_class, rho):
@@ -177,22 +132,15 @@ def dp_tradeoff_lower_bound(epsilon, delta, alpha):
 def empirical_tradeoff(transcript):
     """Empirical (alpha, beta) curve swept over every useful threshold.
 
-    Thresholds are the distinct observed scores plus a sentinel above
-    the maximum, so the curve always contains (0, 1) and the point of
-    the all-member rule.
+    Returns the distinct (alpha, beta) vertices as a tuple sorted by
+    alpha, then by decreasing beta.  Thresholds are the distinct
+    observed scores plus a sentinel above the maximum, so the curve
+    always contains (0, 1) and the point of the all-member rule.
     """
     out_sorted, in_sorted = _sorted_classes(transcript)
     gammas = np.append(np.unique(np.concatenate([out_sorted, in_sorted])), math.inf)
     alpha, beta = _rates_at(out_sorted, in_sorted, gammas)
-    points = set(zip(alpha.tolist(), beta.tolist()))
-    ordered = tuple(sorted(points, key=lambda p: (p[0], -p[1])))
-    return TradeoffCurve(
-        points=ordered,
-        source=CurveSource(
-            "empirical",
-            f"record={transcript.record_id} game={transcript.game_kind}",
-        ),
-    )
+    return tuple(sorted(set(zip(alpha.tolist(), beta.tolist())), key=lambda p: (p[0], -p[1])))
 
 
 def dp_audit_points(transcript, epsilon, delta=0.0, rho=0.05):
@@ -203,11 +151,10 @@ def dp_audit_points(transcript, epsilon, delta=0.0, rho=0.05):
     than twice the Hoeffding radius of the transcript's per-class size,
     which a correct epsilon-DP release should essentially never do.
     """
-    curve = empirical_tradeoff(transcript)
     n_per_class = len(transcript.runs) // 2
     slack = 2.0 * hoeffding_radius(n_per_class, rho)
     rows = []
-    for alpha, beta in curve.points:
+    for alpha, beta in empirical_tradeoff(transcript):
         bound = dp_tradeoff_lower_bound(epsilon, delta, alpha)
         rows.append((alpha, beta, bound, beta < bound - slack))
     return rows

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from privgames import attack, data, games, generators, risk
+from privgames import attack, data, games, generators
 from privgames.errors import FitError, UnsupportedOperationError
 from privgames.seeds import derive, rng
 
@@ -197,9 +197,10 @@ def _reference_play(config, record_id, adversary, x, round_dataset):
         ds, spec = round_dataset(b, run_seed)
         gen = reference_fit(spec, ds, x, derive(run_seed, "fit"))
         score = adversary([gen], [derive(run_seed, "adversary")])[0]
-        runs.append(games.GameRun(i, b, float(score), run_seed))
+        runs.append((b, float(score), run_seed))
     return games.GameTranscript(
-        tuple(runs), str(record_id), config.game_kind, config.config_hash()
+        np.array(runs, dtype=games.RUN_DTYPE), str(record_id), config.game_kind,
+        config.config_hash(),
     )
 
 
@@ -354,7 +355,7 @@ def reference_train_attack(
 
 def reference_empirical_tradeoff(transcript):
     """``risk.empirical_tradeoff`` with two boolean means per threshold."""
-    bits, scores = transcript.bits(), transcript.scores()
+    bits, scores = transcript.runs["secret_bit"], transcript.runs["score"]
     out_scores = scores[bits == 0]
     in_scores = scores[bits == 1]
     thresholds = list(np.unique(scores)) + [math.inf]
@@ -363,11 +364,4 @@ def reference_empirical_tradeoff(transcript):
         alpha = float((out_scores >= gamma).mean())
         beta = float((in_scores < gamma).mean())
         points.add((alpha, beta))
-    ordered = tuple(sorted(points, key=lambda p: (p[0], -p[1])))
-    return risk.TradeoffCurve(
-        points=ordered,
-        source=risk.CurveSource(
-            "empirical",
-            f"record={transcript.record_id} game={transcript.game_kind}",
-        ),
-    )
+    return tuple(sorted(points, key=lambda p: (p[0], -p[1])))

@@ -16,7 +16,7 @@ import pytest
 from privgames import cli, data, games, generators, oracle, risk
 from privgames.config import load_experiment_config
 from privgames.errors import UndefinedMissRateError
-from privgames.games import GameRun, GameTranscript
+from privgames.games import RUN_DTYPE, GameTranscript
 from privgames.seeds import derive, rng
 
 from brute import brute_auc, brute_deterministic_tests
@@ -39,9 +39,8 @@ def file_body(path):
 
 
 def make_transcript(bits, scores):
-    runs = tuple(
-        GameRun(run_index=i, secret_bit=int(b), score=float(s), run_seed=i)
-        for i, (b, s) in enumerate(zip(bits, scores))
+    runs = np.array(
+        [(b, s, i) for i, (b, s) in enumerate(zip(bits, scores))], dtype=RUN_DTYPE
     )
     return GameTranscript(
         runs=runs, record_id="r", game_kind="traditional", config_hash="0" * 12,
@@ -77,10 +76,10 @@ def run_criterion_1():
             game_kind=games.MODEL_SEEDED,
         )
         t = games.run_model_seeded(x, d_target, pool, adv, cfg)
-        pair = risk.empirical_rates(t, 0.5)
-        rows.append(f"{i},{pair.alpha!r},{pair.beta!r}")
-        bad_a += abs(pair.alpha - 0.2) > radius
-        bad_b += abs(pair.beta - 0.2) > radius
+        alpha, beta = risk.empirical_rates(t, 0.5)
+        rows.append(f"{i},{alpha!r},{beta!r}")
+        bad_a += abs(alpha - 0.2) > radius
+        bad_b += abs(beta - 0.2) > radius
     return "\n".join(rows), bad_a / C1_TRIALS, bad_b / C1_TRIALS
 
 
@@ -122,8 +121,8 @@ def test_criterion_2_mixture_convergence():
             game_kind=games.TRADITIONAL,
         )
         t = games.run_traditional_mixture(x, partials, adv, cfg, specs=specs)
-        pair = risk.empirical_rates(t, 0.5)
-        hits += abs(pair.alpha - 0.3) <= radius
+        alpha, _ = risk.empirical_rates(t, 0.5)
+        hits += abs(alpha - 0.3) <= radius
     ok = hits >= 95
     assert report(
         2, ok, f"{hits}/100 trials within {radius:.4f} of 0.3, need >= 95"
@@ -143,7 +142,7 @@ def test_criterion_3_auc_oracle_equivalence():
         levels = int(g.integers(1, 9))
         scores = g.integers(0, levels + 1, size=n) / levels
         t = make_transcript(bits, scores)
-        fast = risk.roc_auc(t).auc
+        fast = risk.roc_auc(t)
         slow = brute_auc(scores[bits == 1], scores[bits == 0])
         mismatches += fast != slow
     assert report(3, mismatches == 0, f"{mismatches}/1000 transcripts mismatched")
@@ -165,9 +164,9 @@ def test_criterion_4_neyman_pearson_dominance():
         support = tuple(range(k))
         p0 = oracle.DiscreteDistribution(support, random_distribution(g, k))
         p1 = oracle.DiscreteDistribution(support, random_distribution(g, k))
-        curve = oracle.neyman_pearson_curve(p0, p1)
+        alphas, betas = zip(*oracle.neyman_pearson_curve(p0, p1))
         for alpha, beta in brute_deterministic_tests(p0.probs, p1.probs):
-            if beta < curve.beta_at(alpha) - 1e-12:
+            if beta < np.interp(alpha, alphas, betas) - 1e-12:
                 violations += 1
     assert report(4, violations == 0, f"{violations} test points below envelope")
 
@@ -389,9 +388,7 @@ def test_criterion_8_determinism(
     for threads in (1, 8):
         t = games.run_model_seeded(x, d_target, pool, games.toy_bit_adversary(),
                                    cfg, threads=threads)
-        runs[threads] = sorted(
-            (r.run_index, r.secret_bit, r.score, r.run_seed) for r in t.runs
-        )
+        runs[threads] = t.runs.tolist()
     toy_threads_same = runs[1] == runs[8]
 
     c7_cfg = c7_outcome[3]
@@ -408,9 +405,7 @@ def test_criterion_8_determinism(
             c7_cfg, games.MODEL_SEEDED, rid, d_target7.record(rid),
             d_eval, d_target7, adv, threads,
         )
-        runs[threads] = sorted(
-            (r.run_index, r.secret_bit, r.score, r.run_seed) for r in t.runs
-        )
+        runs[threads] = t.runs.tolist()
     attack_threads_same = runs[1] == runs[8]
 
     ok = same_1 and same_5 and same_7 and toy_threads_same and attack_threads_same

@@ -69,6 +69,8 @@ def test_bank_rejects_bad_sizes():
         attack.make_query_bank(schema, k_values=(4,), queries_per_k=5)
     with pytest.raises(DomainError):
         attack.make_query_bank(schema, k_values=(1,), queries_per_k=0)
+    with pytest.raises(DomainError, match="k_values is empty"):
+        attack.make_query_bank(schema, k_values=(), queries_per_k=5)
 
 
 # --------------------------------------------------------------- features

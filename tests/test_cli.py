@@ -79,7 +79,7 @@ def test_run_results_match_transcripts(tmp_path):
         t = games.load_transcript(
             os.path.join(out, "transcripts", f"record{rid}_traditional.txt")
         )
-        assert risk.roc_auc(t).auc == auc
+        assert risk.roc_auc(t) == auc
 
 
 def test_run_is_deterministic_across_reruns(tmp_path):
@@ -203,6 +203,20 @@ def test_out_override(tmp_path):
     assert os.path.isfile(os.path.join(other, "results_traditional.csv"))
 
 
+def test_out_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    # The output directories are made once, before the first record.
+    cfg_path, _ = toy_config(tmp_path)
+    played = []
+    monkeypatch.setattr(cli, "play_game", lambda *args: played.append(args))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert cli.main(["run", "--config", cfg_path, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {taken}") and "cannot make the directory" in err
+    assert played == []
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_record_id_out_of_range_is_config_error(tmp_path):
     cfg_path, _ = toy_config(tmp_path)
     assert cli.main(["run", "--config", cfg_path, "--records", "ids:50"]) == 2
@@ -321,6 +335,15 @@ def test_subset_size_above_the_column_count_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"attack.k_values entry 5 exceeds the 2 columns of {csv_path}" in err
+
+
+def test_empty_k_values_exits_2(tmp_path, capsys):
+    # Even the toy, which never queries the bank, needs a subset size.
+    cfg_path, out = toy_config(tmp_path, extra="\n[attack]\nk_values =\n")
+    assert cli.main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: attack.k_values is empty\n"
+    assert not os.path.exists(out)
 
 
 def test_non_finite_continuous_value_exits_1(tmp_path, capsys):
@@ -487,6 +510,16 @@ def test_compare_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
     err = capsys.readouterr().err
     assert f"error: {t}: cannot read (No such file or directory)" in err
+    assert "Traceback" not in err
+
+
+def test_compare_unwritable_out_exits_2(tmp_path, capsys):
+    t = str(tmp_path / "t.csv")
+    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)])
+    out = str(tmp_path / "missing-dir" / "cmp.csv")
+    assert cli.main(["compare", t, t, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {out}: cannot write (No such file or directory)" in err
     assert "Traceback" not in err
 
 

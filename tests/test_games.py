@@ -94,7 +94,7 @@ def test_traditional_balance_and_determinism():
     t1 = games.run_traditional((3,), d_eval, adv, config, record_id="3")
     t2 = games.run_traditional((3,), d_eval, adv, config, record_id="3")
     assert games.transcript_to_text(t1) == games.transcript_to_text(t2)
-    assert t1.bits().sum() == 20
+    assert t1.runs["secret_bit"].sum() == 20
     assert t1.record_id == "3" and t1.game_kind == games.TRADITIONAL
 
 
@@ -110,12 +110,10 @@ def test_traditional_membership_discipline():
     t = games.run_traditional(x, d_eval, games.toy_bit_adversary(), config)
     pool = games.traditional_pool(x, d_eval)
     assert not data.contains(pool, x)
-    for run in t.runs:
-        ds = games.traditional_dataset(
-            pool, x, 8, run.secret_bit, derive(run.run_seed, "data")
-        )
+    for bit, _, run_seed in t.runs.tolist():
+        ds = games.traditional_dataset(pool, x, 8, bit, derive(run_seed, "data"))
         assert ds.n == 8
-        assert data.contains(ds, x) == bool(run.secret_bit)
+        assert data.contains(ds, x) == bool(bit)
 
 
 def test_traditional_run_reproducible_standalone():
@@ -125,15 +123,10 @@ def test_traditional_run_reproducible_standalone():
     config = games.GameConfig(20, 5, toy_spec(), 13, games.TRADITIONAL)
     t = games.run_traditional(x, d_eval, games.toy_bit_adversary(), config)
     pool = games.traditional_pool(x, d_eval)
-    for run in t.runs[:6]:
-        ds = games.traditional_dataset(
-            pool, x, 5, run.secret_bit, derive(run.run_seed, "data")
-        )
-        gen = generators.fit(
-            toy_spec(), ds, target_hint=x, seed=derive(run.run_seed, "fit")
-        )
-        score = games.toy_bit_adversary()([gen], [derive(run.run_seed, "adversary")])[0]
-        assert score == run.score
+    for bit, score, run_seed in t.runs[:6].tolist():
+        ds = games.traditional_dataset(pool, x, 5, bit, derive(run_seed, "data"))
+        gen = generators.fit(toy_spec(), ds, target_hint=x, seed=derive(run_seed, "fit"))
+        assert games.toy_bit_adversary()([gen], [derive(run_seed, "adversary")])[0] == score
 
 
 def test_traditional_pool_too_small():
@@ -185,12 +178,12 @@ def test_model_seeded_dataset_discipline():
     x_positions = data.value_equal_indices(d_target, x)
     refs = data.rows_not_in(d_eval, d_target)
     ref_set = {tuple(r) for r in refs}
-    for run in t.runs:
+    for bit, _, run_seed in t.runs.tolist():
         ds = games.model_seeded_dataset(
-            d_target, x_positions, refs, run.secret_bit, derive(run.run_seed, "data")
+            d_target, x_positions, refs, bit, derive(run_seed, "data")
         )
         assert ds.n == d_target.n
-        if run.secret_bit == 1:
+        if bit == 1:
             assert ds == d_target
         else:
             assert not data.contains(ds, x)
@@ -212,10 +205,10 @@ def test_model_seeded_replaces_every_duplicate():
     x_positions = data.value_equal_indices(d_target, x)
     assert len(x_positions) == 2
     refs = data.rows_not_in(d_eval, d_target)
-    for run in t.runs:
-        if run.secret_bit == 0:
+    for bit, _, run_seed in t.runs.tolist():
+        if bit == 0:
             ds = games.model_seeded_dataset(
-                d_target, x_positions, refs, 0, derive(run.run_seed, "data")
+                d_target, x_positions, refs, 0, derive(run_seed, "data")
             )
             assert not data.contains(ds, x)
 
@@ -263,15 +256,15 @@ def test_toy_rates_converge_to_oracle_both_games():
 
     config = games.GameConfig(2000, 4, toy_spec(p_in, p_out), 31, games.MODEL_SEEDED)
     t = games.run_model_seeded((1,), d_target, d_eval, adv, config)
-    pair = risk.empirical_rates(t, 0.5)
-    assert abs(pair.alpha - alpha_exact) <= radius
-    assert abs(pair.beta - beta_exact) <= radius
+    alpha, beta = risk.empirical_rates(t, 0.5)
+    assert abs(alpha - alpha_exact) <= radius
+    assert abs(beta - beta_exact) <= radius
 
     config = games.GameConfig(2000, 4, toy_spec(p_in, p_out), 32, games.TRADITIONAL)
     t = games.run_traditional((1,), d_eval, adv, config)
-    pair = risk.empirical_rates(t, 0.5)
-    assert abs(pair.alpha - alpha_exact) <= radius
-    assert abs(pair.beta - beta_exact) <= radius
+    alpha, beta = risk.empirical_rates(t, 0.5)
+    assert abs(alpha - alpha_exact) <= radius
+    assert abs(beta - beta_exact) <= radius
 
 
 def test_perfect_toy_gives_perfect_auc():
@@ -279,13 +272,13 @@ def test_perfect_toy_gives_perfect_auc():
     adv = games.toy_bit_adversary()
     config = games.GameConfig(100, 4, toy_spec(1.0, 0.0), 3, games.MODEL_SEEDED)
     t = games.run_model_seeded((1,), d_target, d_eval, adv, config)
-    assert risk.roc_auc(t).auc == 1.0
+    assert risk.roc_auc(t) == 1.0
 
 
 def test_blind_adversary_gives_half_auc():
     schema, d_eval, d_target, config = toy_setup(n_eval=50 * 2)
     t = games.run_model_seeded((1,), d_target, d_eval, blind_adversary, config)
-    assert risk.roc_auc(t).auc == 0.5
+    assert risk.roc_auc(t) == 0.5
 
 
 # ---------------------------------------------------------------- mixture
@@ -328,13 +321,13 @@ def test_mixture_uses_per_partial_specs():
     t = games.run_traditional_mixture(
         x, partials, games.toy_bit_adversary(), config, specs=[spec_low, spec_high]
     )
-    pair = risk.empirical_rates(t, 0.5)
+    alpha, beta = risk.empirical_rates(t, 0.5)
     target = oracle.mixture_average_rates(
         [oracle.toy_exact_rates(0.9, 0.1), oracle.toy_exact_rates(0.9, 0.5)],
         [0.5, 0.5],
     )
-    assert abs(pair.alpha - target[0]) <= risk.hoeffding_radius(2000, 0.01)
-    assert abs(pair.beta - target[1]) <= risk.hoeffding_radius(2000, 0.01)
+    assert abs(alpha - target[0]) <= risk.hoeffding_radius(2000, 0.01)
+    assert abs(beta - target[1]) <= risk.hoeffding_radius(2000, 0.01)
 
 
 def test_mixture_matches_plain_game_when_degenerate():
@@ -349,11 +342,11 @@ def test_mixture_matches_plain_game_when_degenerate():
     d_eval = data.Dataset(schema, [[i % 16] for i in range(64)])
     config2 = games.GameConfig(2000, 4, toy_spec(), 56, games.TRADITIONAL)
     t_plain = games.run_traditional(x, d_eval, adv, config2)
-    a = risk.empirical_rates(t_mix, 0.5)
-    b = risk.empirical_rates(t_plain, 0.5)
+    alpha_mix, beta_mix = risk.empirical_rates(t_mix, 0.5)
+    alpha_plain, beta_plain = risk.empirical_rates(t_plain, 0.5)
     bound = 2 * risk.hoeffding_radius(1000, 0.01)
-    assert abs(a.alpha - b.alpha) <= bound
-    assert abs(a.beta - b.beta) <= bound
+    assert abs(alpha_mix - alpha_plain) <= bound
+    assert abs(beta_mix - beta_plain) <= bound
 
 
 def test_mixture_deterministic_and_threaded():
@@ -400,10 +393,36 @@ def test_transcript_text_roundtrip(tmp_path):
     games.save_transcript(t, path)
     assert path.read_text(encoding="utf-8") == games.transcript_to_text(t)
     back = games.load_transcript(path)
-    assert back.runs == t.runs
+    assert back.runs.dtype == games.RUN_DTYPE
+    assert np.array_equal(back.runs, t.runs)
     assert back.record_id == "rec 7"
     assert back.game_kind == t.game_kind
     assert back.config_hash == t.config_hash
+
+
+def test_transcript_roundtrip_keeps_extreme_seeds_and_scores(tmp_path):
+    runs = np.array(
+        [(1, 0.1, 0), (0, 1e-300, 2**64 - 1), (1, 5e-324, 1), (0, 0.0, 2**63)],
+        dtype=games.RUN_DTYPE,
+    )
+    t = games.GameTranscript(runs, "r", games.TRADITIONAL, "0" * 12)
+    path = tmp_path / "t.txt"
+    games.save_transcript(t, path)
+    back = games.load_transcript(path)
+    assert np.array_equal(back.runs, t.runs)
+    assert back.runs.tolist() == t.runs.tolist()
+    assert games.transcript_to_text(back) == games.transcript_to_text(t)
+    assert f"1,0,1e-300,{2**64 - 1}\n2,1,5e-324,1\n" in path.read_text(encoding="utf-8")
+
+
+def test_transcript_runs_are_read_only():
+    schema, d_eval, d_target, config = toy_setup(n_eval=4)
+    t = games.run_model_seeded((1,), d_target, d_eval, games.toy_bit_adversary(), config)
+    assert t.runs.dtype == games.RUN_DTYPE
+    with pytest.raises(ValueError, match="read-only"):
+        t.runs["score"][0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        t.runs[0] = (1, 0.5, 7)
 
 
 def test_transcript_text_is_versioned(tmp_path):
@@ -442,7 +461,7 @@ def test_failed_save_leaves_previous_transcript(tmp_path, monkeypatch):
     new = games.run_model_seeded(
         (1,), d_target, d_eval, adv, dataclasses.replace(config, master_seed=5)
     )
-    assert new.runs != old.runs
+    assert not np.array_equal(new.runs, old.runs)
     path = tmp_path / "t.txt"
     games.save_transcript(old, path)
 
@@ -451,10 +470,10 @@ def test_failed_save_leaves_previous_transcript(tmp_path, monkeypatch):
 
     # The save dies after writing its temporary file, before the replace.
     monkeypatch.setattr(data.os, "replace", fail)
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigError, match="t.txt: cannot write"):
         games.save_transcript(new, path)
     assert path.read_text(encoding="utf-8") == games.transcript_to_text(old)
-    assert games.load_transcript(path).runs == old.runs
+    assert np.array_equal(games.load_transcript(path).runs, old.runs)
 
 
 _TRANSCRIPT_HEADER = "# privgames-transcript v1 config=abc game=traditional n_eval=2 record=r\n"
@@ -469,6 +488,8 @@ _TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed\n"
     ("1,0,-inf,3", "line 4: score '-inf' is not finite"),
     ("", "line 1: header n_eval=2 does not match the 1 round rows"),
     ("0,0,0.5,3", "line 4: run_index '0' is not 1"),
+    ("1,0,0.5,-1", r"line 4: run_seed '-1' is outside \[0, 2\*\*64\)"),
+    (f"1,0,0.5,{2**64}", rf"line 4: run_seed '{2**64}' is outside \[0, 2\*\*64\)"),
     ("1,0,0.5\udcff,3", r"not UTF-8 text \(invalid start byte\)"),
     # Whole files, for defects above the second round row.
     (

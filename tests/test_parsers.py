@@ -183,3 +183,18 @@ def test_hint_for_a_column_the_csv_lacks_names_file_and_column(tmp_path):
         data.load_csv(str(path), hints)
     del hints["levle"]
     assert data.load_csv(str(path), hints).schema.names == ("name", "level", "amount", "flag")
+
+
+
+def test_csv_byte_order_mark_is_not_part_of_the_first_column(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    plain = tmp_path / "plain.csv"
+    plain.write_text(_CSV, encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + _CSV.encode("utf-8"))
+    sidecar = tmp_path / "d.schema"
+    sidecar.write_text("name = categorical\n" + _SIDECAR)
+    hints = data.parse_schema_sidecar(str(sidecar))
+    loaded = data.load_csv(str(marked), hints)
+    assert loaded.schema.names[0] == "name"
+    assert loaded == data.load_csv(str(plain), hints)

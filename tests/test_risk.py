@@ -10,7 +10,7 @@ from privgames.errors import (
     UndefinedMissRateError,
     UndefinedRateError,
 )
-from privgames.games import GameRun, GameTranscript
+from privgames.games import RUN_DTYPE, GameTranscript
 from privgames.seeds import rng
 
 from brute import brute_auc, brute_rates, brute_tradeoff_points
@@ -18,9 +18,8 @@ from reference import reference_empirical_tradeoff
 
 
 def make_transcript(bits, scores, game_kind="traditional", record_id="r"):
-    runs = tuple(
-        GameRun(run_index=i, secret_bit=int(b), score=float(s), run_seed=i)
-        for i, (b, s) in enumerate(zip(bits, scores))
+    runs = np.array(
+        [(b, s, i) for i, (b, s) in enumerate(zip(bits, scores))], dtype=RUN_DTYPE
     )
     return GameTranscript(
         runs=runs, record_id=record_id, game_kind=game_kind, config_hash="0" * 12
@@ -32,10 +31,7 @@ def make_transcript(bits, scores, game_kind="traditional", record_id="r"):
 
 def test_empirical_rates_worked_example():
     t = make_transcript([0, 0, 1], [0.7, 0.2, 0.6])
-    pair = risk.empirical_rates(t, gamma=0.5)
-    assert pair.alpha == 0.5
-    assert pair.beta == 0.0
-    assert (pair.n0, pair.n1) == (2, 1)
+    assert risk.empirical_rates(t, gamma=0.5) == (0.5, 0.0)
 
 
 def test_empirical_rates_match_brute_force():
@@ -48,8 +44,7 @@ def test_empirical_rates_match_brute_force():
         scores = np.round(g.random(n), 2)
         gamma = float(g.random())
         pair = risk.empirical_rates(make_transcript(bits, scores), gamma)
-        slow = brute_rates(bits.tolist(), scores.tolist(), gamma)
-        assert (pair.alpha, pair.beta) == slow
+        assert pair == brute_rates(bits.tolist(), scores.tolist(), gamma)
 
 
 def test_one_sided_transcript_is_undefined():
@@ -65,12 +60,12 @@ def test_one_sided_transcript_is_undefined():
 
 def test_auc_worked_example():
     t = make_transcript([1, 0, 1, 0], [0.9, 0.6, 0.4, 0.1])
-    assert risk.roc_auc(t).auc == 0.75
+    assert risk.roc_auc(t) == 0.75
 
 
 def test_auc_all_ties_is_half():
     t = make_transcript([1, 0, 1, 0], [0.5, 0.5, 0.5, 0.5])
-    assert risk.roc_auc(t).auc == 0.5
+    assert risk.roc_auc(t) == 0.5
 
 
 def test_auc_equals_brute_force_exactly():
@@ -91,7 +86,7 @@ def test_auc_equals_brute_force_exactly():
         else:
             scores = g.random(n0 + n1)
         t = make_transcript(bits, scores)
-        fast = risk.roc_auc(t).auc
+        fast = risk.roc_auc(t)
         slow = brute_auc(
             scores[bits == 1].tolist(), scores[bits == 0].tolist()
         )
@@ -104,8 +99,8 @@ def test_auc_invariant_under_monotone_transform():
     bits[0] = 0
     bits[1] = 1
     scores = np.round(g.random(31), 2)
-    a = risk.roc_auc(make_transcript(bits, scores)).auc
-    b = risk.roc_auc(make_transcript(bits, scores / 3.0 + 0.2)).auc
+    a = risk.roc_auc(make_transcript(bits, scores))
+    b = risk.roc_auc(make_transcript(bits, scores / 3.0 + 0.2))
     assert a == b
 
 
@@ -115,14 +110,6 @@ def test_non_finite_score_is_a_domain_error(bad):
     for estimate in (risk.roc_auc, risk.empirical_tradeoff, lambda t: risk.empirical_rates(t, 0.5)):
         with pytest.raises(DomainError, match="record '7'.*non-finite score"):
             estimate(t)
-
-
-def test_risk_estimate_carries_context():
-    t = make_transcript([0, 1], [0.1, 0.9], game_kind="model_seeded", record_id="17")
-    est = risk.roc_auc(t)
-    assert est.game_kind == "model_seeded"
-    assert est.record_id == "17"
-    assert est.n_eval == 2
 
 
 # ----------------------------------------------------------------- radius
@@ -225,14 +212,12 @@ def test_dp_bound_shrinks_with_epsilon():
 
 def test_empirical_tradeoff_constant_scores():
     t = make_transcript([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5])
-    curve = risk.empirical_tradeoff(t)
-    assert curve.points == ((0.0, 1.0), (1.0, 0.0))
+    assert risk.empirical_tradeoff(t) == ((0.0, 1.0), (1.0, 0.0))
 
 
 def test_empirical_tradeoff_perfect_adversary():
     t = make_transcript([0, 1, 0, 1], [0.1, 0.9, 0.2, 0.8])
-    curve = risk.empirical_tradeoff(t)
-    assert (0.0, 0.0) in curve.points
+    assert (0.0, 0.0) in risk.empirical_tradeoff(t)
 
 
 def test_empirical_tradeoff_matches_brute_force():
@@ -244,7 +229,7 @@ def test_empirical_tradeoff_matches_brute_force():
         g.shuffle(bits)
         scores = np.round(g.random(n), 1)
         t = make_transcript(bits, scores)
-        fast = set(risk.empirical_tradeoff(t).points)
+        fast = set(risk.empirical_tradeoff(t))
         slow = brute_tradeoff_points(bits.tolist(), scores.tolist())
         assert fast == slow
 
