@@ -1,13 +1,18 @@
 """Experiment configuration: INI parsing, validation, canonical hashing.
 
-The config file is key-value text with sections.  Every invalid field is
-reported as ``section.key`` so a failing run names what to fix.  A
-canonical JSON snapshot of the parsed config is hashed into every output
-file header, letting downstream commands refuse to join results produced
-under different configurations.
+The config file is key-value text with sections.  ``KEYS`` is the one
+declaration of what it may hold: each key's section, the field it fills,
+how it parses, its default and its range.  One loop over it parses every
+key, and a section or key it does not declare is an error that suggests
+the closest declared name.  Every invalid field is reported as
+``section.key`` so a failing run names what to fix.  A canonical JSON
+snapshot of the parsed config is hashed into every output file header,
+letting downstream commands refuse to join results produced under
+different configurations.
 """
 
 import configparser
+import difflib
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -57,74 +62,104 @@ class ExperimentConfig:
         return games.config_hash(self.snapshot())
 
 
-def _get(parser, section, key, default=None, required=False):
-    if parser.has_option(section, key):
-        try:
-            return parser.get(section, key).strip()
-        except configparser.Error as exc:
-            raise ConfigError(f"{section}.{key} is malformed: {exc}") from None
-    if required:
-        raise ConfigError(f"{section}.{key} is required")
-    return default
+REQUIRED = object()  # a KEYS default: the key has none and must be set
 
 
-def _get_int(parser, section, key, default=None, required=False, minimum=None):
-    raw = _get(parser, section, key, None, required)
-    if raw is None:
-        value = default
-    else:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key} must be an integer (got {raw!r})")
-    if value is not None and minimum is not None and value < minimum:
-        raise ConfigError(f"{section}.{key} must be >= {minimum} (got {value})")
+def _finite(raw):
+    value = float(raw)
+    # nan passes every range check (nan < 0 is False); inf means no setting.
+    if not math.isfinite(value):
+        raise ValueError(raw)
     return value
 
 
-def _get_float(parser, section, key, default=None, required=False):
-    raw = _get(parser, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        value = None
-    # nan passes every range check after this one (nan < 0 is False), and
-    # no setting means anything at inf.
-    if value is None or not math.isfinite(value):
-        raise ConfigError(f"{section}.{key} must be a finite number (got {raw!r})")
-    return value
+def _split(item):
+    return lambda raw: tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
-def _get_int_list(parser, section, key, default=()):
-    raw = _get(parser, section, key)
-    if raw is None:
-        return tuple(default)
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be comma-separated integers (got {raw!r})")
+def _at_least(low):
+    return lambda v: v >= low, f">= {low}"
 
 
-def _build_generator_spec(parser):
-    kind = _get(parser, "generator", "kind", generators.BAYNET)
-    if kind not in generators.KINDS:
-        raise ConfigError(
-            f"generator.kind must be one of {', '.join(generators.KINDS)} (got {kind!r})"
-        )
-    try:
-        return generators.GeneratorSpec(
-            kind=kind,
-            max_parents=_get_int(parser, "generator", "max_parents", 1, minimum=0),
-            epsilon=_get_float(parser, "generator", "epsilon"),
-            p_in=_get_float(parser, "generator", "p_in"),
-            p_out=_get_float(parser, "generator", "p_out"),
-            smoothing=_get_float(parser, "generator", "smoothing", 1.0),
-            mi_floor=_get_float(parser, "generator", "mi_floor", 0.0),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"generator section invalid: {exc}") from None
+def _one_of(names):
+    return lambda v: v in names, "one of " + ", ".join(names)
+
+
+# How a raw value is parsed, and what it must look like if that fails.
+_STR = (str, "text")
+_INT = (int, "an integer")
+_FLOAT = (_finite, "a finite number")
+_INTS = (_split(int), "comma-separated integers")
+_NAMES = (_split(str), "comma-separated names")
+
+_EVEN = (lambda v: v >= 2 and v % 2 == 0, "an even number >= 2")
+_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+# Every key a config file may set: (section, key, ExperimentConfig field or
+# spec.<GeneratorSpec field>, parse, default or REQUIRED, range rule).  A
+# rule is (predicate, what it accepts), checked on a value the file sets;
+# a list whose default is not empty must not be empty either.
+KEYS = (
+    ("data", "dataset", "dataset", _STR, REQUIRED, None),
+    ("data", "schema", "schema_sidecar", _STR, "", None),
+    ("data", "aux_size", "aux_size", _INT, REQUIRED, _at_least(1)),
+    ("data", "eval_size", "eval_size", _INT, REQUIRED, _at_least(1)),
+    ("data", "target_size", "target_size", _INT, REQUIRED, _at_least(1)),
+    ("generator", "kind", "spec.kind", _STR, generators.BAYNET, _one_of(generators.KINDS)),
+    ("generator", "max_parents", "spec.max_parents", _INT, 1, _at_least(0)),
+    ("generator", "epsilon", "spec.epsilon", _FLOAT, None, None),
+    ("generator", "p_in", "spec.p_in", _FLOAT, None, None),
+    ("generator", "p_out", "spec.p_out", _FLOAT, None, None),
+    ("generator", "smoothing", "spec.smoothing", _FLOAT, 1.0, None),
+    ("generator", "mi_floor", "spec.mi_floor", _FLOAT, 0.0, None),
+    ("attack", "n_shadow", "n_shadow", _INT, 50, _EVEN),
+    ("attack", "k_values", "k_values", _INTS, DEFAULT_K_VALUES,
+     (lambda ks: min(ks) >= 1, "integers >= 1")),
+    ("attack", "queries_per_k", "queries_per_k", _INT, DEFAULT_QUERIES_PER_K, _at_least(1)),
+    ("attack", "epochs", "epochs", _INT, 800, _at_least(1)),
+    ("attack", "learning_rate", "learning_rate", _FLOAT, 1.0, (lambda v: v > 0, "> 0")),
+    ("attack", "l2", "l2", _FLOAT, 1e-4, _at_least(0)),
+    ("attack", "syn_size", "syn_size", _INT, None, _at_least(1)),  # None: target_size
+    ("game", "n_eval", "n_eval", _INT, REQUIRED, _EVEN),
+    ("game", "kinds", "game_kinds", _NAMES, games.GAME_KINDS, (
+        lambda ks: set(ks) <= set(games.GAME_KINDS) and len(set(ks)) == len(ks),
+        "distinct names from " + ", ".join(games.GAME_KINDS),
+    )),
+    ("game", "reference_mode", "reference_mode", _STR, games.REFERENCE_PER_RUN,
+     _one_of((games.REFERENCE_PER_RUN, games.REFERENCE_FIXED))),
+    ("records", "selection", "record_selection", _STR, "random:10", None),
+    ("experiment", "master_seed", "master_seed", _INT, 0, _at_least(0)),
+    ("output", "dir", "out_dir", _STR, "out", None),
+    ("output", "high_risk_threshold", "high_risk_threshold", _FLOAT, DEFAULT_THRESHOLD, _UNIT),
+    ("output", "rho", "rho", _FLOAT, DEFAULT_RHO, _UNIT),
+    ("convergence", "grid", "n_eval_grid", _INTS, (), (
+        lambda g: all(n >= 2 and n % 2 == 0 for n in g) and len(set(g)) == len(g),
+        "distinct positive even numbers",
+    )),
+    ("convergence", "repetitions", "repetitions", _INT, 0, _at_least(0)),
+)
+
+
+def _unknown(path, what, name, known):
+    close = difflib.get_close_matches(name.lower(), known, n=1)
+    hint = f" (did you mean {close[0]}?)" if close else ""
+    return ConfigError(f"{path}: unknown {what} {name}{hint}")
+
+
+def _check_names(parser, path):
+    """Reject [DEFAULT] (configparser copies it into every section) and undeclared names."""
+    if parser.defaults():
+        raise ConfigError(f"{path}: a [DEFAULT] section is not allowed")
+    sections = sorted({row[0] for row in KEYS})
+    names = [f"{row[0]}.{row[1]}" for row in KEYS]
+    for section in parser.sections():
+        if section not in sections:
+            raise _unknown(path, "section", f"[{section}]", [f"[{s}]" for s in sections])
+        for key in parser.options(section):
+            if f"{section}.{key}" not in names:
+                # A declared key in the wrong section: point to its own.
+                elsewhere = [n for n in names if n.endswith(f".{key}")]
+                raise _unknown(path, "key", f"{section}.{key}", elsewhere or names)
 
 
 def parse_record_selection(text):
@@ -168,125 +203,58 @@ def load_experiment_config(path):
         raise ConfigError(f"{path}: malformed config file: {detail}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    _check_names(parser, path)
 
-    dataset = _get(parser, "data", "dataset", required=True)
-    sidecar = _get(parser, "data", "schema", "")
+    fields, spec = {}, {}
+    for section, key, field, (parse, what), default, rule in KEYS:
+        name = f"{section}.{key}"
+        try:
+            raw = parser.get(section, key, fallback=None)
+        except configparser.Error as exc:
+            raise ConfigError(f"{name} is malformed: {exc}") from None
+        if raw is None:
+            if default is REQUIRED:
+                raise ConfigError(f"{name} is required")
+            value = default
+        else:
+            raw = raw.strip()
+            try:
+                value = parse(raw)
+            except ValueError:
+                raise ConfigError(f"{name} must be {what} (got {raw!r})") from None
+            if value == () and default != ():
+                raise ConfigError(f"{name} is empty")
+            if rule and not rule[0](value):
+                raise ConfigError(f"{name} must be {rule[1]} (got {raw!r})")
+        target, _, attr = field.rpartition(".")
+        (spec if target else fields)[attr] = value
+
     # A bundled corpus's own sidecar is resolved when the data is loaded,
     # not stored here: its path depends on where the package lives, and
     # this config is hashed.
-    csv_path, _ = corpora.resolve_dataset(dataset)
+    csv_path, _ = corpora.resolve_dataset(fields["dataset"])
     if not os.path.isfile(csv_path):
         raise ConfigError(f"data.dataset file not found: {csv_path}")
+    sidecar = fields["schema_sidecar"]
     if sidecar and not os.path.isfile(sidecar):
         raise ConfigError(f"data.schema file not found: {sidecar}")
-
-    aux_size = _get_int(parser, "data", "aux_size", required=True, minimum=1)
-    eval_size = _get_int(parser, "data", "eval_size", required=True, minimum=1)
-    target_size = _get_int(parser, "data", "target_size", required=True, minimum=1)
+    aux_size, eval_size, target_size = map(fields.get, ("aux_size", "eval_size", "target_size"))
     if target_size > eval_size:
         raise ConfigError(
             f"data.target_size ({target_size}) cannot exceed data.eval_size ({eval_size})"
         )
-
-    spec = _build_generator_spec(parser)
+    try:
+        fields["generator_spec"] = generators.GeneratorSpec(**spec)
+    except DomainError as exc:
+        raise ConfigError(f"generator section invalid: {exc}") from None
     # Shadow sets hold target_size records drawn from the auxiliary split;
     # the toy generator's adversary trains no shadows.
-    if spec.kind != generators.TOY and aux_size < target_size:
+    if spec["kind"] != generators.TOY and aux_size < target_size:
         raise ConfigError(
             f"data.aux_size ({aux_size}) must be at least data.target_size ({target_size}): "
             "shadow sets are target_size records of the auxiliary split"
         )
-
-    n_shadow = _get_int(parser, "attack", "n_shadow", 50, minimum=2)
-    if n_shadow % 2 != 0:
-        raise ConfigError(f"attack.n_shadow must be even (got {n_shadow})")
-    k_values = _get_int_list(parser, "attack", "k_values", DEFAULT_K_VALUES)
-    if not k_values:
-        raise ConfigError("attack.k_values is empty")
-    for k in k_values:
-        if k < 1:
-            raise ConfigError(f"attack.k_values entries must be >= 1 (got {k})")
-    queries_per_k = _get_int(
-        parser, "attack", "queries_per_k", DEFAULT_QUERIES_PER_K, minimum=1
-    )
-    epochs = _get_int(parser, "attack", "epochs", 800, minimum=1)
-    learning_rate = _get_float(parser, "attack", "learning_rate", 1.0)
-    if learning_rate <= 0:
-        raise ConfigError(f"attack.learning_rate must be > 0 (got {learning_rate})")
-    l2 = _get_float(parser, "attack", "l2", 1e-4)
-    if l2 < 0:
-        raise ConfigError(f"attack.l2 must be >= 0 (got {l2})")
-    syn_size = _get_int(parser, "attack", "syn_size", target_size, minimum=1)
-
-    n_eval = _get_int(parser, "game", "n_eval", required=True, minimum=2)
-    if n_eval % 2 != 0:
-        raise ConfigError(f"game.n_eval must be even (got {n_eval})")
-    kinds_raw = _get(parser, "game", "kinds", "traditional,model_seeded")
-    game_kinds = tuple(tok.strip() for tok in kinds_raw.split(",") if tok.strip())
-    if not game_kinds:
-        raise ConfigError("game.kinds is empty")
-    for kind in game_kinds:
-        if kind not in games.GAME_KINDS:
-            raise ConfigError(
-                f"game.kinds entries must be in {games.GAME_KINDS} (got {kind!r})"
-            )
-    if len(set(game_kinds)) != len(game_kinds):
-        raise ConfigError("game.kinds contains duplicates")
-    reference_mode = _get(parser, "game", "reference_mode", games.REFERENCE_PER_RUN)
-    if reference_mode not in (games.REFERENCE_PER_RUN, games.REFERENCE_FIXED):
-        raise ConfigError(
-            f"game.reference_mode must be per_run or fixed (got {reference_mode!r})"
-        )
-
-    selection = _get(parser, "records", "selection", "random:10")
-    parse_record_selection(selection)  # validate eagerly
-
-    master_seed = _get_int(parser, "experiment", "master_seed", 0)
-    if master_seed < 0:
-        raise ConfigError(f"experiment.master_seed must be >= 0 (got {master_seed})")
-
-    out_dir = _get(parser, "output", "dir", "out")
-    threshold = _get_float(parser, "output", "high_risk_threshold", DEFAULT_THRESHOLD)
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(
-            f"output.high_risk_threshold must be in (0, 1) (got {threshold})"
-        )
-    rho = _get_float(parser, "output", "rho", DEFAULT_RHO)
-    if not 0.0 < rho < 1.0:
-        raise ConfigError(f"output.rho must be in (0, 1) (got {rho})")
-
-    grid = _get_int_list(parser, "convergence", "grid", ())
-    for n in grid:
-        if n < 2 or n % 2 != 0:
-            raise ConfigError(
-                f"convergence.grid entries must be positive even numbers (got {n})"
-            )
-    if len(set(grid)) != len(grid):
-        raise ConfigError("convergence.grid contains duplicates")
-    repetitions = _get_int(parser, "convergence", "repetitions", 0, minimum=0)
-
-    return ExperimentConfig(
-        dataset=dataset,
-        schema_sidecar=sidecar or "",
-        aux_size=aux_size,
-        eval_size=eval_size,
-        target_size=target_size,
-        generator_spec=spec,
-        n_shadow=n_shadow,
-        k_values=k_values,
-        queries_per_k=queries_per_k,
-        epochs=epochs,
-        learning_rate=learning_rate,
-        l2=l2,
-        syn_size=syn_size,
-        n_eval=n_eval,
-        game_kinds=game_kinds,
-        reference_mode=reference_mode,
-        record_selection=selection,
-        master_seed=master_seed,
-        out_dir=out_dir,
-        high_risk_threshold=threshold,
-        rho=rho,
-        n_eval_grid=grid,
-        repetitions=repetitions,
-    )
+    if fields["syn_size"] is None:
+        fields["syn_size"] = target_size
+    parse_record_selection(fields["record_selection"])  # validate eagerly
+    return ExperimentConfig(**fields)

@@ -18,7 +18,7 @@ import csv
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,13 +192,16 @@ def table_lines(kind, fields, columns, rows):
 def write_text(path, text):
     """Write ``text`` to ``path`` atomically: into ``<path>.tmp``, then
     ``os.replace``, so the file holds the old text or all of the new.  A
-    file that cannot be written raises ConfigError naming it."""
+    file that cannot be written raises ConfigError naming it, and leaves
+    no ``<path>.tmp`` behind."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with suppress(OSError):
+            os.remove(tmp)
         raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 

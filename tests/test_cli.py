@@ -267,6 +267,15 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_misspelled_section_exits_2_before_any_output(tmp_path, capsys):
+    cfg_path, out = toy_config(tmp_path, extra="\n[atack]\nn_shadow = 4\n")
+    assert cli.main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown section [atack]" in err
+    assert "did you mean [attack]?" in err
+    assert sorted(os.listdir(tmp_path)) == ["out.ini"]  # no out/ was made
+
+
 def test_non_finite_ini_float_exits_2(tmp_path, capsys):
     text = (
         "[data]\ndataset = bundled:correlated_500\naux_size = 300\neval_size = 200\n"

@@ -1,3 +1,5 @@
+import configparser
+import re
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from privgames import corpora, generators
 from privgames.config import (
+    KEYS,
     load_experiment_config,
     parse_record_selection,
 )
@@ -298,9 +301,20 @@ def test_non_finite_float_rejected(tmp_path, section, key, value):
         load_experiment_config(write(tmp_path, text))
 
 
+DECLARED = {(row[0], row[1]) for row in KEYS}
+
+
 def test_readme_example_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    # The block lists every declared key, set or as a "; key = value" line.
+    listed, section = set(), None
+    for line in block.splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r";?\s*(\w+)\s*=", line):
+            listed.add((section, m.group(1)))
+    assert listed == DECLARED
     cfg = load_experiment_config(write(tmp_path, block))
     assert cfg.dataset == "bundled:correlated_500"
     assert (cfg.aux_size, cfg.eval_size, cfg.target_size) == (300, 200, 50)
@@ -313,6 +327,42 @@ def test_readme_example_config_loads(tmp_path):
     assert cfg.master_seed == 20250817
     assert cfg.n_eval_grid == (100, 400, 1600)
     assert cfg.repetitions == 10
+
+
+@pytest.mark.parametrize("extra, named, suggested", [
+    ("\n[atack]\nn_shadow = 4\n", "unknown section [atack]", "did you mean [attack]?"),
+    ("\n[attack]\nn_shadows = 4000\n", "unknown key attack.n_shadows",
+     "did you mean attack.n_shadow?"),
+    # A declared key in the wrong section points to its own section.
+    ("\n[attack]\nepsilon = 1.0\n", "unknown key attack.epsilon",
+     "did you mean generator.epsilon?"),
+], ids=["section", "key", "wrong-section"])
+def test_unknown_name_rejected_with_suggestion(tmp_path, extra, named, suggested):
+    # Each of these loaded before, with the hash of MINIMAL alone.
+    with pytest.raises(ConfigError) as exc:
+        load_experiment_config(write(tmp_path, MINIMAL + extra))
+    assert named in str(exc.value) and suggested in str(exc.value)
+
+
+@pytest.mark.parametrize("default", ["foo = 1", "n_eval = 200"])
+def test_default_section_rejected(tmp_path, default):
+    # configparser copies [DEFAULT] keys into every section, so n_eval here
+    # would silently fill in game.n_eval.
+    text = f"[DEFAULT]\n{default}\n" + MINIMAL.replace("n_eval = 200", "")
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        load_experiment_config(write(tmp_path, text))
+
+
+def test_upper_case_key_loads(tmp_path):
+    # configparser lower-cases option names, so N_EVAL is game.n_eval.
+    a = load_experiment_config(write(tmp_path, MINIMAL, "a.ini"))
+    b = load_experiment_config(write(tmp_path, MINIMAL.replace("n_eval", "N_EVAL"), "b.ini"))
+    assert b == a
+
+
+def test_duplicate_k_values_still_load(tmp_path):
+    cfg = load_experiment_config(write(tmp_path, MINIMAL + "\n[attack]\nk_values = 1,1,2\n"))
+    assert cfg.k_values == (1, 1, 2)
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -401,6 +451,12 @@ def _ini_texts(draw):
         else:
             lines.insert(i, draw(_LINE))
     return "\n".join(lines)
+
+
+def test_fuzz_base_sets_every_declared_key():
+    parser = configparser.ConfigParser()
+    parser.read_string(_FULL)
+    assert {(s, k) for s in parser.sections() for k in parser.options(s)} == DECLARED
 
 
 @settings(

@@ -474,6 +474,7 @@ def test_failed_save_leaves_previous_transcript(tmp_path, monkeypatch):
         games.save_transcript(new, path)
     assert path.read_text(encoding="utf-8") == games.transcript_to_text(old)
     assert np.array_equal(games.load_transcript(path).runs, old.runs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]  # no t.txt.tmp
 
 
 _TRANSCRIPT_HEADER = "# privgames-transcript v1 config=abc game=traditional n_eval=2 record=r\n"
