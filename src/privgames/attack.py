@@ -10,11 +10,11 @@ The shadow training sets are one ``(n_shadow, n, d)`` array, fit by one
 ``generators.fit_batch`` call, and releases are handled a batch at a
 time.  Each ``generators.sample_batch`` call returns one ``(k, n, d)``
 array of one schema, whose features come from one matrix product per
-chunk of at most ``generators.BATCH_ELEMENTS`` (row, query) cells, and
-the batch's scores from one sigmoid.  Each logit stays one dot product
-of a release's features with the weights: a matrix-vector product over
-the whole batch sums in another order and changes the low bits of the
-scores.  ``extract_features`` featurizes a batch of one release.
+chunk of ``generators.batch_size`` releases, and the batch's scores from
+one sigmoid.  Each logit stays one dot product of a release's features
+with the weights: a matrix-vector product over the whole batch sums in
+another order and changes the low bits of the scores.
+``extract_features`` featurizes a batch of one release.
 """
 
 import math
@@ -33,6 +33,9 @@ ATMOST = "atmost"
 
 DEFAULT_K_VALUES = (1, 2, 3)
 DEFAULT_QUERIES_PER_K = 100
+DEFAULT_EPOCHS = 800
+DEFAULT_LEARNING_RATE = 1.0
+DEFAULT_L2 = 1e-4
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,7 @@ class QueryBank:
     """
 
     queries: tuple
-    k_values: tuple
     ncols: int
-    bank_seed: int
     matrix: np.ndarray = field(init=False, compare=False, repr=False)
     sizes: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -122,12 +123,7 @@ def make_query_bank(
             ord_part = tuple(c for c in subset if c in ordered)
             if ord_part:
                 queries.append(Query(ord_part, ATMOST))
-    return QueryBank(
-        queries=tuple(queries),
-        k_values=tuple(sorted(set(k_values))),
-        ncols=d,
-        bank_seed=seed,
-    )
+    return QueryBank(queries=tuple(queries), ncols=d)
 
 
 def _features(values, x, bank):
@@ -136,8 +132,8 @@ def _features(values, x, bank):
     Per chunk of releases, each row's ``value == x`` and ``value <= x``
     tests, side by side as 0/1 floats, times ``bank.matrix`` give per
     query the number of its columns the row passes, and the row matches
-    where that equals ``bank.sizes``.  A chunk holds at most
-    ``generators.BATCH_ELEMENTS`` (row, query) cells, or one release.
+    where that equals ``bank.sizes``.  A chunk holds as many releases
+    as ``generators.batch_size`` allows for their (row, query) cells.
     Every feature is an exact match count divided by ``n``, the bits of
     a mean over the rows.
     """
@@ -152,7 +148,7 @@ def _features(values, x, bank):
     xa = np.asarray(x, dtype=np.int64)
     q = len(bank.queries)
     feats = np.empty((k, q))
-    size = max(1, generators.BATCH_ELEMENTS // max(1, n * q))
+    size = generators.batch_size(n * q)
     for lo in range(0, k, size):
         rows = values[lo : lo + size].reshape(-1, d)
         passed = np.empty((len(rows), 2 * d), dtype=np.float32)
@@ -178,13 +174,13 @@ def extract_features(d_syn, x, bank):
 def _release_features(gens, n, seeds, x, bank):
     """Features of each generator's sample of ``n`` rows, in order.
 
-    Releases are drawn in ``generators.sample_batch`` calls of at most
-    ``generators.BATCH_ELEMENTS`` values, each one ``(k, n, d)`` array
-    reduced to its features before the next is drawn, so a game's
-    releases never all sit in memory at once.
+    Releases are drawn in ``generators.sample_batch`` calls of as many
+    as ``generators.batch_size`` allows for their values, each one
+    ``(k, n, d)`` array reduced to its features before the next is
+    drawn, so a game's releases never all sit in memory at once.
     """
     feats = np.empty((len(gens), len(bank.queries)))
-    size = max(1, generators.BATCH_ELEMENTS // max(1, n * bank.ncols))
+    size = generators.batch_size(n * bank.ncols)
     for lo in range(0, len(gens), size):
         releases = generators.sample_batch(gens[lo : lo + size], n, seeds[lo : lo + size])
         feats[lo : lo + size] = _features(releases, x, bank)
@@ -226,7 +222,6 @@ class MetaClassifier:
     """Logistic regression scorer; weights has the bias as last entry."""
 
     weights: np.ndarray
-    training_meta: dict
 
 
 def _sigmoid(z):
@@ -241,7 +236,9 @@ def _sigmoid(z):
     return np.divide(1.0, z, out=z)
 
 
-def train_meta_classifier(features, labels, epochs=800, learning_rate=1.0, l2=1e-4):
+def train_meta_classifier(
+    features, labels, epochs=DEFAULT_EPOCHS, learning_rate=DEFAULT_LEARNING_RATE, l2=DEFAULT_L2
+):
     """Fit a logistic regression by full-batch proximal gradient descent.
 
     The cross-entropy gradient step is followed by the exact proximal
@@ -295,16 +292,7 @@ def train_meta_classifier(features, labels, epochs=800, learning_rate=1.0, l2=1e
         grad *= step
         w -= grad
         coef /= shrink
-    return MetaClassifier(
-        weights=w,
-        training_meta={
-            "epochs": epochs,
-            "learning_rate": learning_rate,
-            "l2": l2,
-            "n_examples": m,
-            "n_features": d,
-        },
-    )
+    return MetaClassifier(weights=w)
 
 
 def _scores(meta, feats):
@@ -323,16 +311,8 @@ def _scores(meta, feats):
 
 
 def train_attack(
-    d_aux,
-    x,
-    spec,
-    bank,
-    n,
-    n_shadow,
-    seed,
-    epochs=800,
-    learning_rate=1.0,
-    l2=1e-4,
+    d_aux, x, spec, bank, n, n_shadow, seed,
+    epochs=DEFAULT_EPOCHS, learning_rate=DEFAULT_LEARNING_RATE, l2=DEFAULT_L2,
 ):
     """Full shadow pipeline: sets, generators, features, classifier.
 

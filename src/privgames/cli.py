@@ -212,13 +212,13 @@ def _each_record(cfg, evaluate, log, subdirs=()):
 # -------------------------------------------------------------------- run
 
 
-def result_row(cfg, transcript):
+def result_row(cfg, transcript, auc):
     n_eval = len(transcript.runs)
     alpha, beta = risk.empirical_rates(transcript, 0.5)
     radius = risk.hoeffding_radius(n_eval // 2, cfg.rho)
     return (
         f"{transcript.record_id},{transcript.game_kind},{n_eval},"
-        f"{risk.roc_auc(transcript)!r},{radius!r},{alpha!r},{beta!r}"
+        f"{auc!r},{radius!r},{alpha!r},{beta!r}"
     )
 
 
@@ -240,13 +240,14 @@ def cmd_run(cfg, threads=1, log=print):
             play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads)
             for kind in cfg.game_kinds
         ]
-        record_rows = [result_row(cfg, t) for t in transcripts]
+        aucs = [risk.roc_auc(t) for t in transcripts]
+        record_rows = [result_row(cfg, t, auc) for t, auc in zip(transcripts, aucs)]
         summary = []
-        for kind, transcript in zip(cfg.game_kinds, transcripts):
+        for kind, transcript, auc in zip(cfg.game_kinds, transcripts, aucs):
             games.save_transcript(
                 transcript, os.path.join(transcripts_dir, f"record{rid}_{kind}.txt")
             )
-            summary.append(f"{kind} auc={risk.roc_auc(transcript):.3f}")
+            summary.append(f"{kind} auc={auc:.3f}")
         return record_rows, ", ".join(summary)
 
     per_record, status = _each_record(cfg, evaluate, log, subdirs=("transcripts",))
@@ -510,9 +511,7 @@ def main(argv=None):
             return cmd_run(cfg, threads=threads)
         if args.command == "convergence":
             return cmd_convergence(cfg, threads=threads)
-        if args.command == "dp-audit":
-            return cmd_dp_audit(cfg, threads=threads)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_dp_audit(cfg, threads=threads)
     except (ConfigError, JoinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

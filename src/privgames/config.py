@@ -17,8 +17,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 
-from . import corpora, games, generators
-from .attack import DEFAULT_K_VALUES, DEFAULT_QUERIES_PER_K
+from . import attack, corpora, games, generators
 from .errors import ConfigError, DomainError
 from .risk import DEFAULT_RHO, DEFAULT_THRESHOLD
 
@@ -95,6 +94,8 @@ _NAMES = (_split(str), "comma-separated names")
 _EVEN = (lambda v: v >= 2 and v % 2 == 0, "an even number >= 2")
 _UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
+_SPEC = generators.GeneratorSpec  # its field defaults are the [generator] defaults
+
 # Every key a config file may set: (section, key, ExperimentConfig field or
 # spec.<GeneratorSpec field>, parse, default or REQUIRED, range rule).  A
 # rule is (predicate, what it accepts), checked on a value the file sets;
@@ -106,19 +107,20 @@ KEYS = (
     ("data", "eval_size", "eval_size", _INT, REQUIRED, _at_least(1)),
     ("data", "target_size", "target_size", _INT, REQUIRED, _at_least(1)),
     ("generator", "kind", "spec.kind", _STR, generators.BAYNET, _one_of(generators.KINDS)),
-    ("generator", "max_parents", "spec.max_parents", _INT, 1, _at_least(0)),
-    ("generator", "epsilon", "spec.epsilon", _FLOAT, None, None),
-    ("generator", "p_in", "spec.p_in", _FLOAT, None, None),
-    ("generator", "p_out", "spec.p_out", _FLOAT, None, None),
-    ("generator", "smoothing", "spec.smoothing", _FLOAT, 1.0, None),
-    ("generator", "mi_floor", "spec.mi_floor", _FLOAT, 0.0, None),
+    ("generator", "max_parents", "spec.max_parents", _INT, _SPEC.max_parents, _at_least(0)),
+    ("generator", "epsilon", "spec.epsilon", _FLOAT, _SPEC.epsilon, None),
+    ("generator", "p_in", "spec.p_in", _FLOAT, _SPEC.p_in, None),
+    ("generator", "p_out", "spec.p_out", _FLOAT, _SPEC.p_out, None),
+    ("generator", "smoothing", "spec.smoothing", _FLOAT, _SPEC.smoothing, None),
+    ("generator", "mi_floor", "spec.mi_floor", _FLOAT, _SPEC.mi_floor, None),
     ("attack", "n_shadow", "n_shadow", _INT, 50, _EVEN),
-    ("attack", "k_values", "k_values", _INTS, DEFAULT_K_VALUES,
+    ("attack", "k_values", "k_values", _INTS, attack.DEFAULT_K_VALUES,
      (lambda ks: min(ks) >= 1, "integers >= 1")),
-    ("attack", "queries_per_k", "queries_per_k", _INT, DEFAULT_QUERIES_PER_K, _at_least(1)),
-    ("attack", "epochs", "epochs", _INT, 800, _at_least(1)),
-    ("attack", "learning_rate", "learning_rate", _FLOAT, 1.0, (lambda v: v > 0, "> 0")),
-    ("attack", "l2", "l2", _FLOAT, 1e-4, _at_least(0)),
+    ("attack", "queries_per_k", "queries_per_k", _INT, attack.DEFAULT_QUERIES_PER_K, _at_least(1)),
+    ("attack", "epochs", "epochs", _INT, attack.DEFAULT_EPOCHS, _at_least(1)),
+    ("attack", "learning_rate", "learning_rate", _FLOAT, attack.DEFAULT_LEARNING_RATE,
+     (lambda v: v > 0, "> 0")),
+    ("attack", "l2", "l2", _FLOAT, attack.DEFAULT_L2, _at_least(0)),
     ("attack", "syn_size", "syn_size", _INT, None, _at_least(1)),  # None: target_size
     ("game", "n_eval", "n_eval", _INT, REQUIRED, _EVEN),
     ("game", "kinds", "game_kinds", _NAMES, games.GAME_KINDS, (
@@ -232,7 +234,10 @@ def load_experiment_config(path):
     # A bundled corpus's own sidecar is resolved when the data is loaded,
     # not stored here: its path depends on where the package lives, and
     # this config is hashed.
-    csv_path, _ = corpora.resolve_dataset(fields["dataset"])
+    try:
+        csv_path, _ = corpora.resolve_dataset(fields["dataset"])
+    except DomainError as exc:
+        raise ConfigError(f"data.dataset: {exc}") from None
     if not os.path.isfile(csv_path):
         raise ConfigError(f"data.dataset file not found: {csv_path}")
     sidecar = fields["schema_sidecar"]

@@ -6,7 +6,7 @@ ordered; continuous columns are discretized into equal-frequency bins at
 load time, after which they behave as ordered columns.  Records are
 plain tuples of 0-based value indices and datasets are immutable
 wrappers around an ``(n, d)`` int64 array; a batch of training sets is
-one ``(B, n, d)`` array (``sample_training_sets``).
+one ``(B, n, d)`` array, drawn from open streams (``sample_training_sets``).
 
 Every file privgames writes, tables and transcripts alike, is a
 ``# privgames-<kind> v1 key=value ...`` header, a column line and
@@ -96,10 +96,10 @@ class Dataset:
     """Immutable multiset of schema-conforming records.
 
     Duplicates are retained; multiplicity is part of the data.  Values
-    live in a read-only ``(n, d)`` int64 array of value indices.
+    live in a read-only ``(n, d)`` int64 array of in-domain value indices.
     """
 
-    def __init__(self, schema, values, validate=True):
+    def __init__(self, schema, values):
         arr = np.asarray(values, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, schema.ncols)
@@ -107,7 +107,7 @@ class Dataset:
             raise DomainError(
                 f"values must be (n, {schema.ncols}), got shape {arr.shape}"
             )
-        if validate and arr.shape[0] > 0:
+        if arr.shape[0] > 0:
             for j, col in enumerate(schema.columns):
                 lo = arr[:, j].min()
                 hi = arr[:, j].max()
@@ -364,7 +364,7 @@ def load_csv(path, hints=None):
             columns.append(Column(name, ORDERED, bins))
         else:
             raise DomainError(f"unknown column hint kind {hint.kind!r}")
-    return Dataset(Schema(tuple(columns)), values, validate=False)
+    return Dataset(Schema(tuple(columns)), values)
 
 
 def _parse_int(path, lineno, name, text):
@@ -422,36 +422,35 @@ def split(pool, sizes, seed):
     aux_idx = perm[:aux_size]
     eval_idx = perm[aux_size : aux_size + eval_size]
     return (
-        Dataset(pool.schema, pool.values[aux_idx], validate=False),
-        Dataset(pool.schema, pool.values[eval_idx], validate=False),
+        Dataset(pool.schema, pool.values[aux_idx]),
+        Dataset(pool.schema, pool.values[eval_idx]),
     )
 
 
 def sample_records(pool, n, seed):
-    """Draw ``n`` records from ``pool`` uniformly without replacement.
-
-    ``seed`` is a seed or an open stream (see ``seeds.rng``).  Raises
-    SizeError when the pool has fewer than ``n`` rows.
+    """Draw ``n`` records from ``pool`` uniformly without replacement,
+    with ``rng(seed)``.  Raises SizeError when the pool has fewer than
+    ``n`` rows.
     """
     if n < 0:
         raise SizeError("sample size must be non-negative")
     if n > pool.n:
         raise SizeError(f"requested {n} records but only {pool.n} are available")
     idx = rng(seed).choice(pool.n, size=n, replace=False)
-    return Dataset(pool.schema, pool.values[idx], validate=False)
+    return Dataset(pool.schema, pool.values[idx])
 
 
 def sample_training_sets(pool, x, n, members, streams):
     """Training sets of ``n`` records, as one ``(len(members), n, d)`` array.
 
     Set i is the ``sample_records`` draw of ``n - members[i]`` pool
-    records from ``streams[i]`` (a seed or an open stream), then ``x``
-    when ``members[i]`` is 1: the rows ``append_record`` would give.
-    Only ``streams[i]`` is read for set i.
+    records from the open stream ``streams[i]``, then ``x`` when
+    ``members[i]`` is 1: the rows ``append_record`` would give.  Only
+    ``streams[i]`` is read for set i.
     """
     rows = np.zeros((len(members), n), dtype=np.intp)
     for i, b in enumerate(members):
-        rows[i, : n - b] = rng(streams[i]).choice(pool.n, size=n - b, replace=False)
+        rows[i, : n - b] = streams[i].choice(pool.n, size=n - b, replace=False)
     out = pool.values[rows]
     out[np.asarray(members, dtype=bool), n - 1] = x
     return out
@@ -462,27 +461,29 @@ def contains(dataset, x):
     return len(value_equal_indices(dataset, x)) > 0
 
 
+def value_equal_mask(values, x):
+    """Which rows of an ``(..., n, d)`` array equal the record ``x`` by
+    value, as an ``(..., n)`` boolean array, tested column by column."""
+    member = values[..., 0] == x[0]
+    for c in range(1, len(x)):
+        member &= values[..., c] == x[c]
+    return member
+
+
 def value_equal_indices(dataset, x):
     """Row indices of every record value-equal to ``x``."""
     validate_record(dataset.schema, x)
-    if dataset.n == 0:
-        return np.array([], dtype=np.int64)
-    xa = np.asarray(x, dtype=np.int64)
-    return np.flatnonzero((dataset.values == xa).all(axis=1))
+    return np.flatnonzero(value_equal_mask(dataset.values, x))
 
 
 def append_record(dataset, x):
-    """New dataset with ``x`` appended; caller has validated ``x``."""
+    """New dataset with ``x`` appended."""
     xa = np.asarray(x, dtype=np.int64).reshape(1, -1)
-    return Dataset(
-        dataset.schema, np.vstack([dataset.values, xa]), validate=False
-    )
+    return Dataset(dataset.schema, np.vstack([dataset.values, xa]))
 
 
 def rows_not_in(dataset, other):
     """Values of ``dataset`` rows that do not appear in ``other`` by value."""
-    if dataset.n == 0:
-        return dataset.values
     seen = {row.tobytes() for row in other.values}
     keep = [i for i in range(dataset.n) if dataset.values[i].tobytes() not in seen]
     return dataset.values[keep]

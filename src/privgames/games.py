@@ -26,20 +26,22 @@ rounds copy ``d_target`` and overwrite x's rows in out-rounds, and the
 mixture game stacks one array per drawn partial and secret bit.  Each
 array is fit in one ``generators.fit_batch`` call.  The batch hashes its
 data seeds through one ``seeds.Streams``, so no round builds a
-``SeedSequence`` of its own, and a round opens its data stream only if
-it draws from it.  An adversary is a function
-``adversary(gens, seeds) -> scores``: one membership score per fitted
-generator, each given its round's adversary seed.  The counting-query
-adversary samples the releases in batched calls, each returning one
-``(k, n, d)`` array of one schema, and scores each as one array, but
-each logit stays one dot product per release (see ``attack``).  A
-batch keeps its training sets within ``generators.BATCH_ELEMENTS``
-values; with ``threads > 1`` the rounds are also cut into that many
-chunks, run in a thread pool, each chunk with streams of its own.
-The transcript is the same bytes either way: one ``RUN_DTYPE`` array
-of (secret bit, score, run seed) rows, each batch writing its own
-rows' scores.  A transcript file is a ``data.table_lines`` table of one
-row per round, read back strictly by ``load_transcript``.
+``SeedSequence`` of its own; the batch builders draw from its open
+streams (a single round's builder opens one with ``seeds.rng``), and a
+round opens its data stream only if it draws from it.  An adversary is
+a function ``adversary(gens, seeds) -> scores``: one membership score
+per fitted generator, each given its round's adversary seed.  The
+counting-query adversary samples the releases in batched calls, each
+returning one ``(k, n, d)`` array of one schema, and scores each as one
+array, but each logit stays one dot product per release (see
+``attack``).  A batch holds as many rounds as ``generators.batch_size``
+allows for its training sets; with ``threads > 1`` the rounds are also
+cut into that many chunks, run in a thread pool, each chunk with
+streams of its own.  The transcript is the same bytes either way: one
+``RUN_DTYPE`` array of (secret bit, score, run seed) rows, each batch
+writing its own rows' scores.  A transcript file is a
+``data.table_lines`` table of one row per round, read back strictly by
+``load_transcript``.
 """
 
 import hashlib
@@ -156,10 +158,8 @@ def _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, dat
         gens = fit_rounds(bits[lo:hi].tolist(), Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
         runs["score"][lo:hi] = adversary(gens, adversary_seeds[lo:hi].tolist())
 
-    # A batch holds at most a ``threads``-th of the rounds, and training
-    # sets of at most BATCH_ELEMENTS values.
-    cells = set_rows * len(x)
-    size = max(1, min(generators.BATCH_ELEMENTS // cells, -(-n_eval // threads)))
+    # A batch holds at most a ``threads``-th of the rounds.
+    size = min(generators.batch_size(set_rows * len(x)), -(-n_eval // threads))
     starts = range(0, n_eval, size)
     ends = [min(lo + size, n_eval) for lo in starts]
     if threads > 1:
@@ -186,18 +186,18 @@ def traditional_pool(x, d_eval):
         return d_eval
     mask = np.ones(d_eval.n, dtype=bool)
     mask[drop] = False
-    return data_mod.Dataset(d_eval.schema, d_eval.values[mask], validate=False)
+    return data_mod.Dataset(d_eval.schema, d_eval.values[mask])
 
 
 def traditional_dataset(pool, x, n, b, seed):
     """Training dataset of one traditional round.
 
-    b = 1: x plus n-1 pool records; b = 0: n pool records, drawn with
-    ``seed``, a seed or an open stream.  A batch of one of
-    ``data.sample_training_sets``, which the game calls.
+    b = 1: x plus n-1 pool records; b = 0: n pool records, drawn from
+    ``rng(seed)``.  A batch of one of ``data.sample_training_sets``,
+    which the game calls.
     """
-    values = data_mod.sample_training_sets(pool, x, n, [b], [seed])[0]
-    return data_mod.Dataset(pool.schema, values, validate=False)
+    values = data_mod.sample_training_sets(pool, x, n, [b], [rng(seed)])[0]
+    return data_mod.Dataset(pool.schema, values)
 
 
 def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
@@ -251,7 +251,7 @@ def _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed
     if refs is None:
         picks = np.empty((len(out), len(x_positions)), dtype=np.intp)
         for k, i in enumerate(out.tolist()):
-            picks[k] = rng(streams[i]).integers(0, len(ref_values), size=len(x_positions))
+            picks[k] = streams[i].integers(0, len(ref_values), size=len(x_positions))
         refs = ref_values[picks]
     values[np.ix_(out, x_positions)] = refs
     return values
@@ -262,12 +262,12 @@ def model_seeded_dataset(d_target, x_positions, ref_values, b, seed, fixed_refs=
 
     b = 1 uses the released training dataset as-is.  b = 0 replaces
     every copy of the target (each row in ``x_positions``) with a
-    reference record: a fresh independent draw per copy, made with
-    ``seed`` (a seed or an open stream), or the pre-drawn rows in
-    ``fixed_refs``.  A batch of one of ``_model_seeded_sets``.
+    reference record: a fresh independent draw per copy from
+    ``rng(seed)``, or the pre-drawn rows in ``fixed_refs``.  A batch of
+    one of ``_model_seeded_sets``.
     """
-    values = _model_seeded_sets(d_target, x_positions, ref_values, [b], [seed], fixed_refs)
-    return data_mod.Dataset(d_target.schema, values[0], validate=False)
+    values = _model_seeded_sets(d_target, x_positions, ref_values, [b], [rng(seed)], fixed_refs)
+    return data_mod.Dataset(d_target.schema, values[0])
 
 
 def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threads=1):

@@ -14,8 +14,8 @@ copies.  ``sample_batch`` takes fitted generators of any batches but of
 one schema, and returns their releases as one ``(k, n, d)`` int64 array:
 each chunk of samples is written into it once, and no release becomes a
 ``Dataset``.  Every stage is a fixed number of array passes over the
-whole batch: the toy tests membership column by column, structure
-learning scores every column pair of every network from one
+whole batch: the toy tests membership (``data.value_equal_mask``),
+structure learning scores every column pair of every network from one
 ``bincount``, estimating the tables counts every column of every
 network with one more, and sampling draws one column of every network
 per step.  Each network gets exactly the bits of the per-network
@@ -46,7 +46,7 @@ TOY = "toy"
 KINDS = (INDEPENDENT, BAYNET, PRIVBAYNET, TOY)
 
 # Most array elements one batched intermediate may hold: batches are
-# fit and sampled in chunks that stay within it.
+# fit, sampled and featurized in chunks within it (``batch_size``).
 BATCH_ELEMENTS = 1 << 15
 
 
@@ -349,7 +349,10 @@ def learn_structure(training, max_parents, seed, mi_floor=0.0):
 
 
 def _normalize_rows(counts, arity):
-    totals = counts.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        totals = counts.sum(axis=1, keepdims=True)
+    if not np.isfinite(totals).all():
+        raise FitError("a table row's total is not finite")
     return np.divide(counts, totals, out=np.full_like(counts, 1.0 / arity), where=totals > 0)
 
 
@@ -421,10 +424,14 @@ class _TableBatch:
         within = np.arange(self.row_start[-1]) - self.row_start[table]
         return self.cell_start[table] + within * self.arity[table], self.arity[table]
 
-    def set_counts(self, counts):
-        """Store the final cell counts and their normalized rows."""
+    def set_counts(self, counts, overflow):
+        """Store the final cell counts and their normalized rows.  A row whose
+        total is not finite raises FitError naming the cause, ``overflow``."""
         self.counts = counts
-        self.probs = self.normalize(counts)
+        try:
+            self.probs = self.normalize(counts)
+        except FitError as exc:
+            raise FitError(f"{exc}: {overflow}") from None
 
     def normalize(self, counts):
         """``_normalize_rows`` of every table, bit for bit.
@@ -523,6 +530,12 @@ def _spans(weights):
     return spans
 
 
+def batch_size(weight):
+    """How many items of ``weight`` elements each one chunk holds: as many
+    as fit in ``BATCH_ELEMENTS``, and at least one."""
+    return max(1, BATCH_ELEMENTS // max(1, weight))
+
+
 def estimate_tables(training, structure, smoothing):
     """Maximum-likelihood tables with additive smoothing.
 
@@ -538,7 +551,8 @@ def estimate_tables(training, structure, smoothing):
     if training.n == 0:
         raise FitError("cannot estimate tables from an empty dataset")
     batch = _TableBatch(training.schema.sizes, [structure])
-    batch.set_counts(batch.count(training.values[None]) + smoothing)
+    counts = batch.count(training.values[None]) + smoothing
+    batch.set_counts(counts, f"smoothing = {smoothing!r} is too large")
     return batch.cpts(0, structure)
 
 
@@ -560,7 +574,8 @@ def privatize_tables(tables, epsilon, seed):
     batch = _TableBatch(sizes, [structure])
     counts = np.concatenate([cpt.counts.ravel() for cpt in tables])
     streams = Streams(derive_many(seed, "privatize-col", np.arange(len(tables))))
-    batch.set_counts(batch.privatize(counts, epsilon, streams))
+    counts = batch.privatize(counts, epsilon, streams)
+    batch.set_counts(counts, f"epsilon = {epsilon!r} is too small")
     return batch.cpts(0, structure)
 
 
@@ -587,12 +602,8 @@ def _fit_toys(spec, schema, values, target_hint):
     if target_hint is None:
         raise FitError("toy generator requires a target_hint record")
     data_mod.validate_record(schema, target_hint)
-    x = np.asarray(target_hint, dtype=np.int64)
-    # Column by column: each test is a (B, n) array, a d-th of values.
-    member = values[:, :, 0] == x[0]
-    for c in range(1, len(x)):
-        member &= values[:, :, c] == x[c]
-    return [FittedGenerator(spec, schema, toy_member=m) for m in member.any(axis=1).tolist()]
+    member = data_mod.value_equal_mask(values, target_hint).any(axis=1)
+    return [FittedGenerator(spec, schema, toy_member=m) for m in member.tolist()]
 
 
 def _fit_networks(spec, schema, values, seeds):
@@ -602,6 +613,9 @@ def _fit_networks(spec, schema, values, seeds):
         raise FitError(f"{spec.kind} generator requires non-empty training data")
     d = schema.ncols
     widest = max(schema.sizes)
+    overflow = f"smoothing = {spec.smoothing!r} is too large"
+    if spec.kind == PRIVBAYNET:
+        overflow = f"epsilon = {spec.epsilon!r} is too small or {overflow}"
     # The streams of every chunk are opened at once: network b orders its
     # columns from derive(seeds[b], "structure") and noises table c from
     # derive(derive(seeds[b], "privatize"), "privatize-col", c).
@@ -628,7 +642,7 @@ def _fit_networks(spec, schema, values, seeds):
             if spec.kind == PRIVBAYNET:
                 streams = noise_streams[(lo + tlo) * d : (lo + thi) * d]
                 counts = batch.privatize(counts, spec.epsilon, streams)
-            batch.set_counts(counts)
+            batch.set_counts(counts, overflow)
             gens += [
                 FittedGenerator(spec, schema, st, packed=(batch, b))
                 for b, st in enumerate(structures[tlo:thi])
@@ -704,7 +718,7 @@ def sample(gen, n, seed):
     returns an empty dataset for any kind.  A batch of one of
     ``sample_batch``, drawn from ``rng(seed)``.
     """
-    return data_mod.Dataset(gen.schema, _sample([gen], n, [rng(seed)])[0], validate=False)
+    return data_mod.Dataset(gen.schema, _sample([gen], n, [rng(seed)])[0])
 
 
 def release_bits(gens, seeds):

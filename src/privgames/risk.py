@@ -22,6 +22,8 @@ from .errors import (
 
 DEFAULT_THRESHOLD = 0.8
 DEFAULT_RHO = 0.2
+BIN_WIDTH = 0.02
+PERCENTILE_LEVELS = (10, 50, 90)
 
 
 def _sorted_classes(transcript):
@@ -169,12 +171,12 @@ class DistributionSummary:
     percentiles: dict = None
 
 
-def summarize_distribution(values, bin_width=0.02, percentile_levels=(10, 50, 90)):
+def summarize_distribution(values):
     """Summary of a one-dimensional sample.
 
-    The histogram uses fixed-width bins spanning [min, max]; percentiles
-    use linear interpolation, so ten values 0.1..1.0 put the 90th
-    percentile at 0.91.
+    The histogram uses bins of ``BIN_WIDTH`` spanning [min, max]; the
+    ``PERCENTILE_LEVELS`` use linear interpolation, so ten values
+    0.1..1.0 put the 90th percentile at 0.91.
     """
     vals = np.asarray(list(values), dtype=float)
     if vals.size == 0:
@@ -182,13 +184,13 @@ def summarize_distribution(values, bin_width=0.02, percentile_levels=(10, 50, 90
     vals = np.sort(vals)
     lo = float(vals[0])
     hi = float(vals[-1])
-    nbins = max(1, int(math.ceil((hi - lo) / bin_width - 1e-9)))
-    edges = lo + bin_width * np.arange(nbins + 1)
+    nbins = max(1, int(math.ceil((hi - lo) / BIN_WIDTH - 1e-9)))
+    edges = lo + BIN_WIDTH * np.arange(nbins + 1)
     edges[-1] = max(edges[-1], hi)
     bin_counts, _ = np.histogram(vals, bins=edges)
     pct = {
         int(q): float(np.percentile(vals, q, method="linear"))
-        for q in percentile_levels
+        for q in PERCENTILE_LEVELS
     }
     return DistributionSummary(
         bin_edges=tuple(float(e) for e in edges),

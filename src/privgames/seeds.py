@@ -20,7 +20,8 @@ seed: it hashes every seed the way ``np.random.SeedSequence`` does, in
 straight from its four hashed words.  Both give exactly the values of
 ``derive`` and ``rng``; only the cost differs.  The hash costs a few
 tens of microseconds per call whatever the batch size, so the
-single-network entry points open their one stream with ``rng``.
+single-network entry points open their one stream with ``rng``.  Draws
+for many items take their open streams; ``rng`` only builds one.
 """
 
 import numpy as np
@@ -135,13 +136,7 @@ def derive_many(seed, tag, indices=0):
 
 
 def rng(seed):
-    """numpy Generator on the PCG64 stream of ``seed``.
-
-    A Generator passes through unchanged, so every function that takes a
-    seed also takes an open stream, such as an item of ``Streams``.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
+    """A new numpy Generator at the start of the PCG64 stream of ``seed``."""
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -151,7 +151,7 @@ def reference_fit(spec, training, target_hint=None, seed=0):
 def reference_sample(gen, n, seed):
     d = gen.schema.ncols
     if n == 0:
-        return data.Dataset(gen.schema, np.empty((0, d)), validate=False)
+        return data.Dataset(gen.schema, np.empty((0, d)))
     if gen.spec.kind == generators.TOY:
         raise UnsupportedOperationError("toy generator does not sample records")
     g = rng(seed)
@@ -169,7 +169,7 @@ def reference_sample(gen, n, seed):
         picked = (cum <= u[:, None]).sum(axis=1)
         arity = cpt.probs.shape[1]
         values[:, col] = np.minimum(picked, arity - 1)
-    return data.Dataset(gen.schema, values, validate=False)
+    return data.Dataset(gen.schema, values)
 
 
 def reference_fit_batch(spec, schema, values, seeds, target_hint=None):
@@ -215,10 +215,10 @@ def reference_run_game(x, d_eval, d_target, adversary, config, record_id=""):
         n = config.dataset_size
 
         def round_dataset(b, run_seed):
-            g = rng(derive(run_seed, "data"))
+            seed = derive(run_seed, "data")
             if b == 1:
-                return data.append_record(data.sample_records(pool, n - 1, g), x), spec
-            return data.sample_records(pool, n, g), spec
+                return data.append_record(data.sample_records(pool, n - 1, seed), x), spec
+            return data.sample_records(pool, n, seed), spec
 
         return _reference_play(config, record_id, adversary, x, round_dataset)
 
@@ -307,16 +307,7 @@ def reference_train_meta_classifier(features, labels, epochs=800, learning_rate=
         grad = Xb.T @ (p - y) / m
         w = w - step * grad
         w[:d] /= 1.0 + step * l2
-    return attack.MetaClassifier(
-        weights=w,
-        training_meta={
-            "epochs": epochs,
-            "learning_rate": learning_rate,
-            "l2": l2,
-            "n_examples": m,
-            "n_features": d,
-        },
-    )
+    return attack.MetaClassifier(weights=w)
 
 
 def reference_attack_score(meta, d_syn, x, bank):

@@ -85,9 +85,7 @@ def features_fixture():
             attack.Query((0, 1), attack.ATMOST),
             attack.Query((0,), attack.EXACT),
         ),
-        k_values=(1, 2),
         ncols=2,
-        bank_seed=0,
     )
     return d_syn, bank
 
@@ -174,12 +172,7 @@ def test_bank_equality_ignores_compiled_matrix():
 
 def test_bank_rejects_column_outside_schema():
     with pytest.raises(DomainError):
-        attack.QueryBank(
-            queries=(attack.Query((2,), attack.EXACT),),
-            k_values=(1,),
-            ncols=2,
-            bank_seed=0,
-        )
+        attack.QueryBank(queries=(attack.Query((2,), attack.EXACT),), ncols=2)
 
 
 # ---------------------------------------------------------------- shadows
@@ -304,7 +297,6 @@ def test_trainer_matches_reference_on_random_shapes(case):
     got = attack.train_meta_classifier(X, y, **kwargs)
     want = reference_train_meta_classifier(X, y, **kwargs)
     assert np.array_equal(got.weights, want.weights)
-    assert got.training_meta == want.training_meta
 
 
 def test_trainer_matches_reference_where_clip_binds():
@@ -385,7 +377,7 @@ def test_train_attack_deterministic_and_scoring():
 def test_adversary_rejects_empty_sample_size():
     schema = schema_with_kinds([data.ORDERED], [4])
     bank = attack.make_query_bank(schema, k_values=(1,), queries_per_k=1, seed=0)
-    meta = attack.MetaClassifier(weights=np.zeros(2), training_meta={})
+    meta = attack.MetaClassifier(weights=np.zeros(2))
     with pytest.raises(DomainError):
         attack.meta_classifier_adversary(meta, bank, (0,), n_syn=0)
 
@@ -435,7 +427,7 @@ def test_game_builds_no_dataset_per_release(monkeypatch, n_eval):
     d_eval = data.Dataset(schema, np.column_stack([g.integers(0, s, 60) for s in schema.sizes]))
     x = (1, 2, 0)
     bank = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=4, seed=5)
-    meta = attack.MetaClassifier(weights=np.zeros(len(bank.queries) + 1), training_meta={})
+    meta = attack.MetaClassifier(weights=np.zeros(len(bank.queries) + 1))
     adversary = attack.meta_classifier_adversary(meta, bank, x, n_syn=12)
     spec = generators.GeneratorSpec(generators.BAYNET, max_parents=1)
     config = games.GameConfig(n_eval, 10, spec, 3, games.TRADITIONAL)

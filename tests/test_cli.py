@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from privgames import attack, cli, data, games, generators, risk
+from privgames import attack, cli, corpora, data, games, generators, risk
 from privgames.config import load_experiment_config
 from privgames.errors import PrivGamesError
 
@@ -355,6 +355,19 @@ def test_empty_k_values_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_unknown_bundled_corpus_exits_2(tmp_path, capsys):
+    cfg_path, out = toy_config(tmp_path)
+    with open(cfg_path, encoding="utf-8") as fh:
+        text = fh.read().replace("bundled:correlated_500", "bundled:nope")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert cli.main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data.dataset: unknown corpus 'nope'; have ")
+    assert all(name in err for name in corpora.NAMES)
+    assert not os.path.exists(out)
+
+
 def test_non_finite_continuous_value_exits_1(tmp_path, capsys):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("v\n1\n2\nnan\n3\n4\ninf\n")
@@ -689,6 +702,23 @@ def test_dp_audit_writes_points(tmp_path):
         assert 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0
         # At this epsilon the bound is vacuous away from 0, so no flags.
         assert parts[4] == "0"
+
+
+def test_dp_audit_with_an_overflowing_epsilon_ends_partial(tmp_path, capsys):
+    # 2·d/epsilon overflows to inf: every fit raises a FitError naming
+    # epsilon instead of normalizing NaN tables into a clean audit.
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "audit.ini"
+    text = AUDIT_TEMPLATE.format(out=out, selection="first:1")
+    text = text.replace("correlated_500", "independent_1000").replace("1000.0", "1e-320")
+    cfg_path.write_text(text)
+    assert cli.main(["dp-audit", "--config", str(cfg_path)]) == 1
+    lines = open(out / "dp_audit.csv").read().splitlines()
+    assert "status=partial" in lines[0] and lines[2:] == []
+    logged = capsys.readouterr().out.splitlines()
+    assert logged[0].startswith("record evaluation failed: record 0: ")
+    assert "epsilon = 1e-320 is too small" in logged[0]
+    assert logged[-1] == "0 flagged points"
 
 
 # ------------------------------------------------- failure of one record

@@ -12,7 +12,7 @@ from privgames.config import (
     load_experiment_config,
     parse_record_selection,
 )
-from privgames.errors import ConfigError, PrivGamesError
+from privgames.errors import ConfigError
 
 MINIMAL = """
 [data]
@@ -239,6 +239,13 @@ def test_unknown_game_kind_rejected(tmp_path):
         "n_eval = 200", "n_eval = 200\nkinds = traditional,upside_down"
     )
     with pytest.raises(ConfigError, match=r"game\.kinds"):
+        load_experiment_config(write(tmp_path, text))
+
+
+def test_unknown_bundled_corpus_rejected(tmp_path):
+    text = MINIMAL.replace("bundled:correlated_500", "bundled:nope")
+    message = f"data.dataset: unknown corpus 'nope'; have {', '.join(corpora.NAMES)}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_experiment_config(write(tmp_path, text))
 
 
@@ -470,5 +477,5 @@ def test_arbitrary_ini_returns_or_raises_privgames_error(tmp_path, text):
     path.write_text(text, encoding="utf-8", errors="surrogatepass")
     try:
         load_experiment_config(str(path))
-    except PrivGamesError:
+    except ConfigError:
         pass

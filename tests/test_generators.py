@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -512,6 +514,18 @@ def test_fit_rejects_empty_training_for_real_generators():
     empty = data.Dataset(schema, [])
     with pytest.raises(FitError):
         generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), empty)
+
+
+@pytest.mark.parametrize("spec, setting", [
+    # 2·d/epsilon overflows to inf, so the Laplace noise makes counts inf.
+    (generators.GeneratorSpec(generators.PRIVBAYNET, epsilon=1e-320), "epsilon = 1e-320"),
+    # Every cell is finite, but a row of three sums past the float range.
+    (generators.GeneratorSpec(generators.BAYNET, smoothing=1e308), "smoothing = 1e+308"),
+])
+def test_fit_with_tables_out_of_float_range_raises(spec, setting):
+    ds = data.Dataset(ordered_schema(3, 3), [[0, 1], [1, 2], [2, 0]])
+    with pytest.raises(FitError, match=f"row's total is not finite: .*{re.escape(setting)}"):
+        generators.fit_batch(spec, ds.schema, ds.values[None], [5])
 
 
 def test_fit_independent_has_no_parents():

@@ -132,8 +132,3 @@ def test_stream_seeds_must_be_64_bit():
             Streams(bad)
     assert Streams([5])[0].random() == rng(5).random()
     assert list(Streams([])) == []
-
-
-def test_rng_passes_a_generator_through():
-    g = rng(3)
-    assert rng(g) is g
