@@ -326,8 +326,7 @@ def train_attack(
     gens = generators.fit_batch(
         spec, d_aux.schema, sets, derive_many(seed, "shadow-fit", shadows), target_hint=x
     )
-    sample_seeds = derive_many(seed, "shadow-sample", shadows).tolist()
-    feats = _release_features(gens, n, sample_seeds, x, bank)
+    feats = _release_features(gens, n, derive_many(seed, "shadow-sample", shadows), x, bank)
     return train_meta_classifier(feats, labels, epochs, learning_rate, l2)
 
 

@@ -11,10 +11,11 @@ Four subcommands:
 * ``dp-audit``: check a private generator's empirical trade-off curve
   against the differential-privacy lower bound.
 
-Every output file starts with one header line carrying a format version,
-the config hash, and a timestamp; everything below the header is a
-deterministic function of the config and master seed, so reruns are
-byte-identical apart from that first line.
+Every output file starts with one header line carrying a format version
+and the config hash, one hash for every file a command writes
+(transcripts included); a table's header adds a timestamp.  Everything
+below the header is a deterministic function of the config and master
+seed, so reruns are byte-identical apart from that first line.
 """
 
 import argparse
@@ -230,6 +231,7 @@ def cmd_run(cfg, threads=1, log=print):
     results are marked ``status=partial`` with exit code 1.
     """
     transcripts_dir = os.path.join(cfg.out_dir, "transcripts")
+    cfg_hash = cfg.config_hash()
 
     def evaluate(rid, x, d_aux, d_eval, d_target, bank):
         # A record lands in the outputs with all its games or not at all.
@@ -245,13 +247,13 @@ def cmd_run(cfg, threads=1, log=print):
         summary = []
         for kind, transcript, auc in zip(cfg.game_kinds, transcripts, aucs):
             games.save_transcript(
-                transcript, os.path.join(transcripts_dir, f"record{rid}_{kind}.txt")
+                replace(transcript, config_hash=cfg_hash),
+                os.path.join(transcripts_dir, f"record{rid}_{kind}.txt"),
             )
             summary.append(f"{kind} auc={auc:.3f}")
         return record_rows, ", ".join(summary)
 
     per_record, status = _each_record(cfg, evaluate, log, subdirs=("transcripts",))
-    cfg_hash = cfg.config_hash()
     for i, kind in enumerate(cfg.game_kinds):
         _write_table(
             os.path.join(cfg.out_dir, f"results_{kind}.csv"), "results", cfg_hash,
@@ -407,7 +409,7 @@ def cmd_dp_audit(cfg, threads=1, log=print):
         os.path.join(cfg.out_dir, "dp_audit.csv"), "dp-audit", cfg.config_hash(),
         status, AUDIT_COLUMNS, [row for rows, _ in per_record for row in rows], log,
     )
-    log(f"{sum(flagged for _, flagged in per_record)} flagged points")
+    log(f"{sum(f for _, f in per_record)} flagged points in {len(per_record)} audited records")
     return _EXIT_CODE[status]
 
 

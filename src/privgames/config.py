@@ -13,6 +13,8 @@ different configurations.
 
 import configparser
 import difflib
+import hashlib
+import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -58,7 +60,9 @@ class ExperimentConfig:
         return d
 
     def config_hash(self):
-        return games.config_hash(self.snapshot())
+        """First 12 hex digits of the sha256 of the snapshot as canonical JSON."""
+        text = json.dumps(self.snapshot(), sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 REQUIRED = object()  # a KEYS default: the key has none and must be set

@@ -15,6 +15,7 @@ The seeded code that generated them lives in ``tests/test_corpora.py``,
 which regenerates each corpus and fails if the shipped file drifts.
 """
 
+import os
 from importlib import resources
 
 from . import data as data_mod
@@ -39,11 +40,9 @@ def corpus_path(name):
 
 
 def sidecar_path(name):
-    """Path of the corpus schema sidecar, or None if it has none."""
-    if name not in NAMES:
-        raise DomainError(f"unknown corpus {name!r}; have {', '.join(NAMES)}")
-    p = _corpora_dir() / f"{name}.schema"
-    return str(p) if p.is_file() else None
+    """Path of the schema sidecar next to the corpus CSV, or None if it has none."""
+    p = corpus_path(name)[: -len(".csv")] + ".schema"
+    return p if os.path.isfile(p) else None
 
 
 def resolve_dataset(ref):

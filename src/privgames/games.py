@@ -27,28 +27,27 @@ mixture game stacks one array per drawn partial and secret bit.  Each
 array is fit in one ``generators.fit_batch`` call.  The batch hashes its
 data seeds through one ``seeds.Streams``, so no round builds a
 ``SeedSequence`` of its own; the batch builders draw from its open
-streams (a single round's builder opens one with ``seeds.rng``), and a
-round opens its data stream only if it draws from it.  An adversary is
-a function ``adversary(gens, seeds) -> scores``: one membership score
-per fitted generator, each given its round's adversary seed.  The
-counting-query adversary samples the releases in batched calls, each
-returning one ``(k, n, d)`` array of one schema, and scores each as one
-array, but each logit stays one dot product per release (see
-``attack``).  A batch holds as many rounds as ``generators.batch_size``
-allows for its training sets; with ``threads > 1`` the rounds are also
-cut into that many chunks, run in a thread pool, each chunk with
-streams of its own.  The transcript is the same bytes either way: one
-``RUN_DTYPE`` array of (secret bit, score, run seed) rows, each batch
-writing its own rows' scores.  A transcript file is a
-``data.table_lines`` table of one row per round, read back strictly by
-``load_transcript``.
+streams (a single round's builder from a ``Streams`` of one,
+``seeds.rng``), and a round opens its data stream only if it draws from
+it.  An adversary is a function ``adversary(gens, seeds) -> scores``:
+one membership score per fitted generator, each given its round's
+adversary seed.  The counting-query adversary samples the releases in
+batched calls, each returning one ``(k, n, d)`` array of one schema, and
+scores each as one array, but each logit stays one dot product per
+release (see ``attack``).  A batch holds as many rounds as
+``generators.batch_size`` allows for its training sets; with
+``threads > 1`` the rounds are also cut into that many chunks, run in a
+thread pool, each chunk with streams of its own.  The transcript is the
+same bytes either way: one ``RUN_DTYPE`` array of (secret bit, score,
+run seed) rows, each batch writing its own rows' scores.  A transcript
+file is a ``data.table_lines`` table of one row per round, headed by the
+hash of the experiment config that the command stamps on it, and read
+back strictly by ``load_transcript``.
 """
 
-import hashlib
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,25 +107,17 @@ class GameConfig:
         if self.reference_mode not in (REFERENCE_PER_RUN, REFERENCE_FIXED):
             raise ConfigError(f"unknown reference mode {self.reference_mode!r}")
 
-    def config_hash(self):
-        return config_hash(asdict(self))
-
-
-def config_hash(snapshot):
-    """First 12 hex digits of the sha256 of a canonical JSON snapshot."""
-    text = json.dumps(snapshot, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-
 
 @dataclass(frozen=True, eq=False)
 class GameTranscript:
     """Everything one game evaluation produced.  ``runs`` is a read-only
-    ``RUN_DTYPE`` array, one row per round: a round's run index is its row."""
+    ``RUN_DTYPE`` array, one row per round: a round's run index is its row.
+    ``config_hash`` is empty until a command stamps its config hash on it."""
 
     runs: np.ndarray
     record_id: str
     game_kind: str
-    config_hash: str
+    config_hash: str = ""
 
     def __post_init__(self):
         self.runs.flags.writeable = False
@@ -156,7 +147,7 @@ def _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, dat
 
     def play(lo, hi):
         gens = fit_rounds(bits[lo:hi].tolist(), Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
-        runs["score"][lo:hi] = adversary(gens, adversary_seeds[lo:hi].tolist())
+        runs["score"][lo:hi] = adversary(gens, adversary_seeds[lo:hi])
 
     # A batch holds at most a ``threads``-th of the rounds.
     size = min(generators.batch_size(set_rows * len(x)), -(-n_eval // threads))
@@ -167,12 +158,7 @@ def _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, dat
             list(pool.map(play, starts, ends))  # re-raises a batch's error
     else:
         list(map(play, starts, ends))
-    return GameTranscript(
-        runs=runs,
-        record_id=str(record_id),
-        game_kind=config.game_kind,
-        config_hash=config.config_hash(),
-    )
+    return GameTranscript(runs, str(record_id), config.game_kind)
 
 
 def traditional_pool(x, d_eval):

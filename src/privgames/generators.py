@@ -21,12 +21,12 @@ network with one more, and sampling draws one column of every network
 per step.  Each network gets exactly the bits of the per-network
 definitions in ``tests/reference.py`` (``reference_mutual_information``
 per column pair, a ``ravel_multi_index`` count per column, ancestral
-sampling column by column); ``fit``, ``sample`` and ``release_bit``
-are batches of one.  The per-network seeds of a batch come from
-``seeds.derive_many``, and its random streams (structure order,
-Laplace noise, sampling uniforms, toy release) are opened once per batch
-call by ``seeds.Streams``; the single-network entry points open their
-one stream with ``seeds.rng``.
+sampling column by column); ``fit``, ``learn_structure``, ``sample``
+and ``release_bit`` are batches of one.  The per-network seeds of a
+batch come from ``seeds.derive_many``, and its random streams (structure
+order, Laplace noise, sampling uniforms, toy release) are opened once
+per batch call by ``seeds.Streams``, a single network's as a
+``Streams`` of one.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import DomainError, FitError, UnsupportedOperationError
-from .seeds import Streams, derive_many, rng
+from .seeds import Streams, derive_many
 
 INDEPENDENT = "independent"
 BAYNET = "baynet"
@@ -344,7 +344,7 @@ def learn_structure(training, max_parents, seed, mi_floor=0.0):
     if training.n == 0:
         raise FitError("cannot learn a structure from an empty dataset")
     return _learn_structures(
-        training.values[None], training.schema.sizes, max_parents, [rng(seed)], mi_floor
+        training.values[None], training.schema.sizes, max_parents, Streams([seed]), mi_floor
     )[0]
 
 
@@ -684,11 +684,7 @@ def sample_batch(gens, n, seeds):
     """
     if len(gens) != len(seeds):
         raise DomainError("sample_batch needs one seed per generator")
-    return _sample(gens, n, Streams(seeds))
-
-
-def _sample(gens, n, streams):
-    """``sample_batch`` with open streams: generator i draws from ``streams[i]``."""
+    streams = Streams(seeds)
     if n < 0:
         raise DomainError("sample size must be non-negative")
     if any(g.schema != gens[0].schema for g in gens):
@@ -716,17 +712,14 @@ def sample(gen, n, seed):
     The toy kind releases a bit, not records, so asking it for a
     non-empty sample raises UnsupportedOperationError; ``n == 0``
     returns an empty dataset for any kind.  A batch of one of
-    ``sample_batch``, drawn from ``rng(seed)``.
+    ``sample_batch``.
     """
-    return data_mod.Dataset(gen.schema, _sample([gen], n, [rng(seed)])[0])
+    return data_mod.Dataset(gen.schema, sample_batch([gen], n, [seed])[0])
 
 
 def release_bits(gens, seeds):
-    """Each toy generator's release: 1 w.p. p_in for a member fit, p_out else."""
-    return _release_bits(gens, Streams(seeds))
-
-
-def _release_bits(gens, streams):
+    """Each toy generator's release: 1 w.p. p_in for a member fit, p_out
+    else, drawn from the stream of its seed."""
     for gen in gens:
         if gen.spec.kind != TOY:
             raise UnsupportedOperationError(
@@ -734,11 +727,10 @@ def _release_bits(gens, streams):
             )
     return [
         int(g.random() < (gen.spec.p_in if gen.toy_member else gen.spec.p_out))
-        for gen, g in zip(gens, streams)
+        for gen, g in zip(gens, Streams(seeds))
     ]
 
 
 def release_bit(gen, seed):
-    """The toy generator's release; a batch of one of ``release_bits``,
-    drawn from ``rng(seed)``."""
-    return _release_bits([gen], [rng(seed)])[0]
+    """The toy generator's release; a batch of one of ``release_bits``."""
+    return release_bits([gen], [seed])[0]

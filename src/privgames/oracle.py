@@ -37,12 +37,11 @@ def toy_exact_rates(p_in, p_out):
     """Exact (alpha, beta) of thresholding the toy's released bit.
 
     Guessing member iff the bit is 1 has false-positive rate ``p_out``
-    and false-negative rate ``1 - p_in``.
+    and false-negative rate ``1 - p_in``: the mass the out-release puts
+    on 1 and the in-release on 0.
     """
-    for name, p in (("p_in", p_in), ("p_out", p_out)):
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"{name} must be in [0, 1]")
-    return (p_out, 1.0 - p_in)
+    fit_in, fit_out = toy_release_distributions(p_in, p_out)
+    return (fit_out.probs[1], fit_in.probs[0])
 
 
 def neyman_pearson_curve(p0, p1):

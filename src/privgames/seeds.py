@@ -17,11 +17,14 @@ array arithmetic over many parents and indices at once.  ``Streams``
 opens the PCG64 streams of many seeds without a ``SeedSequence`` per
 seed: it hashes every seed the way ``np.random.SeedSequence`` does, in
 ``uint32`` array operations, and builds each stream's bit generator
-straight from its four hashed words.  Both give exactly the values of
-``derive`` and ``rng``; only the cost differs.  The hash costs a few
-tens of microseconds per call whatever the batch size, so the
-single-network entry points open their one stream with ``rng``.  Draws
-for many items take their open streams; ``rng`` only builds one.
+straight from its four hashed words.  ``derive_many`` gives exactly the
+values of ``derive``, and a stream draws exactly what
+``np.random.default_rng`` of its seed draws; only the cost differs.
+``Streams.__getitem__`` is the one place the package builds a
+Generator: ``rng(seed)`` is a ``Streams`` of one.  The hash costs a few
+tens of microseconds per call whatever the batch size, so draws for
+many items open their streams in one ``Streams``.  A stream's seed is
+64-bit, as ``derive`` makes it; any other raises DomainError.
 """
 
 import numpy as np
@@ -48,18 +51,6 @@ def fnv1a64(data):
     return h
 
 
-# fnv1a64 of each tag seen so far; tags are a small fixed vocabulary
-# (plus one per record id), so this stays small.
-_TAG_HASHES = {}
-
-
-def _tag_hash(tag):
-    h = _TAG_HASHES.get(tag)
-    if h is None:
-        h = _TAG_HASHES[tag] = fnv1a64(tag.encode("utf-8"))
-    return h
-
-
 def derive(seed, tag, index=0):
     """Derive the sub-seed of ``seed`` for the purpose named ``tag``.
 
@@ -76,11 +67,10 @@ def derive(seed, tag, index=0):
     -------
     int
         A 64-bit seed: ``splitmix64(splitmix64(splitmix64(seed) ^
-        fnv1a64(tag)) ^ index)``, with the tag hash memoized.
+        fnv1a64(tag)) ^ index)``.
     """
-    return splitmix64(
-        splitmix64(splitmix64(seed & _MASK) ^ _tag_hash(tag)) ^ (index & _MASK)
-    )
+    tag_hash = fnv1a64(tag.encode("utf-8"))
+    return splitmix64(splitmix64(splitmix64(seed & _MASK) ^ tag_hash) ^ (index & _MASK))
 
 
 def _seed_array(seeds):
@@ -131,13 +121,14 @@ def derive_many(seed, tag, indices=0):
     masked scalar version does.
     """
     z = _splitmix64_array(np.array(_seed_array(seed), ndmin=1))
-    z = _splitmix64_array(z ^ _u64(_tag_hash(tag)))
+    z = _splitmix64_array(z ^ _u64(fnv1a64(tag.encode("utf-8"))))
     return _splitmix64_array(z ^ _seed_array(indices))
 
 
 def rng(seed):
-    """A new numpy Generator at the start of the PCG64 stream of ``seed``."""
-    return np.random.Generator(np.random.PCG64(seed))
+    """A new numpy Generator at the start of the PCG64 stream of ``seed``:
+    a ``Streams`` of one, so a seed outside [0, 2**64) raises DomainError."""
+    return Streams([seed])[0]
 
 
 # np.random.SeedSequence, for an entropy of at most two 32-bit words and
@@ -234,10 +225,10 @@ class Streams:
     """The PCG64 streams of many seeds, hashed at once.
 
     ``streams[i]`` is a new Generator at the start of the stream of
-    ``seeds[i]``: it draws exactly what ``rng(seeds[i])`` draws.  The
-    ``SeedSequence`` words of every seed are hashed when the object is
-    made, in one pass of array operations, so an item only builds its
-    bit generator from four ready words.  ``streams[lo:hi]`` is a
+    ``seeds[i]``: it draws exactly what ``np.random.default_rng(seeds[i])``
+    draws.  The ``SeedSequence`` words of every seed are hashed when the
+    object is made, in one pass of array operations, so an item only
+    builds its bit generator from four ready words.  ``streams[lo:hi]`` is a
     ``Streams`` of those seeds that shares the hashed words, and
     iterating yields the streams in order.  Seeds are 64-bit, as
     ``derive`` makes them; others raise DomainError.

@@ -9,8 +9,9 @@ signatures and results of ``fit_batch`` and ``sample_batch`` and loop
 over networks, so whole commands can be run on the reference path.  For
 the games: ``reference_run_game`` and
 ``reference_run_traditional_mixture`` play one round at a time, every
-seed from a scalar ``derive``, every stream from a fresh ``rng`` and
-every training set built on its own from ``sample_records``,
+seed from a scalar ``derive``, every stream from a fresh
+``np.random.default_rng`` (numpy's own seeding, not ``seeds.Streams``)
+and every training set built on its own from ``sample_records``,
 ``append_record`` or a copy of ``d_target``, never by the games' batch
 builders; the shadow sets and toy releases have per-item references too.
 For the attack: features one query at a time, scores one release at a
@@ -27,7 +28,7 @@ import numpy as np
 
 from privgames import attack, data, games, generators
 from privgames.errors import FitError, UnsupportedOperationError
-from privgames.seeds import derive, rng
+from privgames.seeds import derive
 
 
 def reference_mutual_information(a, b, a_size, b_size):
@@ -49,7 +50,7 @@ def reference_mutual_information(a, b, a_size, b_size):
 def reference_learn_structure(training, max_parents, seed, mi_floor=0.0):
     sizes = training.schema.sizes
     d = training.schema.ncols
-    order = tuple(int(i) for i in rng(seed).permutation(d))
+    order = tuple(int(i) for i in np.random.default_rng(seed).permutation(d))
     parents = [None] * d
     visited = []
     for col in order:
@@ -104,7 +105,7 @@ def reference_privatize_tables(tables, epsilon, seed):
     scale = (len(tables) * 2.0) / epsilon
     out = []
     for i, cpt in enumerate(tables):
-        g = rng(derive(seed, "privatize-col", i))
+        g = np.random.default_rng(derive(seed, "privatize-col", i))
         noisy = cpt.counts + g.laplace(0.0, scale, size=cpt.counts.shape)
         clamped = np.maximum(noisy, 0.0)
         arity = cpt.probs.shape[1]
@@ -154,7 +155,7 @@ def reference_sample(gen, n, seed):
         return data.Dataset(gen.schema, np.empty((0, d)))
     if gen.spec.kind == generators.TOY:
         raise UnsupportedOperationError("toy generator does not sample records")
-    g = rng(seed)
+    g = np.random.default_rng(seed)
     values = np.zeros((n, d), dtype=np.int64)
     for col in gen.structure.order:
         cpt = gen.tables[col]
@@ -186,10 +187,13 @@ def reference_sample_batch(gens, n, seeds):
 
 def _reference_play(config, record_id, adversary, x, round_dataset):
     """``games._execute``, one round at a time: every seed from a scalar
-    ``derive``, every stream from a fresh ``rng``, and round i's training
-    set from ``round_dataset(b, run_seed)``, which returns it and its
-    generator spec."""
-    bits = games.balanced_bits(config.n_eval, derive(config.master_seed, "bits"))
+    ``derive``, every stream (the secret bits' too) from a fresh
+    ``default_rng``, and round i's training set from
+    ``round_dataset(b, run_seed)``, which returns it and its generator
+    spec."""
+    bits = np.zeros(config.n_eval, dtype=np.int64)
+    bits[: config.n_eval // 2] = 1
+    bits = np.random.default_rng(derive(config.master_seed, "bits")).permutation(bits)
     runs = []
     for i in range(config.n_eval):
         run_seed = derive(config.master_seed, "run", i)
@@ -199,8 +203,7 @@ def _reference_play(config, record_id, adversary, x, round_dataset):
         score = adversary([gen], [derive(run_seed, "adversary")])[0]
         runs.append((b, float(score), run_seed))
     return games.GameTranscript(
-        np.array(runs, dtype=games.RUN_DTYPE), str(record_id), config.game_kind,
-        config.config_hash(),
+        np.array(runs, dtype=games.RUN_DTYPE), str(record_id), config.game_kind
     )
 
 
@@ -227,7 +230,7 @@ def reference_run_game(x, d_eval, d_target, adversary, config, record_id=""):
     refs = np.array([r for r in d_eval.records() if r not in in_target], dtype=np.int64)
     fixed = None
     if config.reference_mode == games.REFERENCE_FIXED:
-        g = rng(derive(config.master_seed, "reference"))
+        g = np.random.default_rng(derive(config.master_seed, "reference"))
         fixed = refs[g.integers(0, len(refs), size=len(positions))]
 
     def round_dataset(b, run_seed):
@@ -235,7 +238,7 @@ def reference_run_game(x, d_eval, d_target, adversary, config, record_id=""):
             return d_target, spec
         values = d_target.values.copy()
         if fixed is None:
-            g = rng(derive(run_seed, "data"))
+            g = np.random.default_rng(derive(run_seed, "data"))
             values[positions] = refs[g.integers(0, len(refs), size=len(positions))]
         else:
             values[positions] = fixed
@@ -249,7 +252,7 @@ def reference_run_traditional_mixture(x, partials, adversary, config, record_id=
     specs = specs or [config.generator_spec] * len(partials)
 
     def round_dataset(b, run_seed):
-        j = int(rng(derive(run_seed, "mixture")).integers(0, len(partials)))
+        j = int(np.random.default_rng(derive(run_seed, "mixture")).integers(0, len(partials)))
         part = partials[j]
         return (data.append_record(part, x) if b == 1 else part), specs[j]
 
@@ -257,10 +260,11 @@ def reference_run_traditional_mixture(x, partials, adversary, config, record_id=
 
 
 def reference_release_bits(gens, seeds):
-    return [
-        int(rng(seed).random() < (gen.spec.p_in if gen.toy_member else gen.spec.p_out))
-        for gen, seed in zip(gens, seeds)
-    ]
+    bits = []
+    for gen, seed in zip(gens, seeds):
+        p = gen.spec.p_in if gen.toy_member else gen.spec.p_out
+        bits.append(int(np.random.default_rng(seed).random() < p))
+    return bits
 
 
 def reference_shadow_sets(d_aux, x, n, n_shadow, seed):

@@ -17,7 +17,7 @@ from privgames import cli, data, games, generators, oracle, risk
 from privgames.config import load_experiment_config
 from privgames.errors import UndefinedMissRateError
 from privgames.games import RUN_DTYPE, GameTranscript
-from privgames.seeds import derive, rng
+from privgames.seeds import derive
 
 from brute import brute_auc, brute_deterministic_tests
 
@@ -133,7 +133,7 @@ def test_criterion_2_mixture_convergence():
 
 
 def test_criterion_3_auc_oracle_equivalence():
-    g = rng(616263)
+    g = np.random.default_rng(616263)
     mismatches = 0
     for _ in range(1000):
         n = int(g.integers(2, 201))
@@ -157,7 +157,7 @@ def random_distribution(g, k):
 
 
 def test_criterion_4_neyman_pearson_dominance():
-    g = rng(717273)
+    g = np.random.default_rng(717273)
     violations = 0
     for _ in range(500):
         k = int(g.integers(1, 7))

@@ -3,7 +3,6 @@ import pytest
 
 from privgames import attack, data, games, generators
 from privgames.errors import ConfigError, DomainError, SizeError, TrainingError
-from privgames.seeds import rng
 from reference import (
     reference_features,
     reference_meta_classifier_adversary,
@@ -110,7 +109,7 @@ def test_extract_features_shape_mismatch_rejected():
 
 
 def test_extract_features_range_in_unit_interval():
-    g = rng(8)
+    g = np.random.default_rng(8)
     schema = schema_with_kinds([data.ORDERED] * 3, [4, 3, 5])
     bank = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=5, seed=2)
     for trial in range(10):
@@ -130,7 +129,7 @@ def test_extract_features_matches_reference_on_fixture():
 
 @pytest.mark.parametrize("ncols", [1, 2, 3, 5, 8, 17, 40, 63, 64, 65, 72])
 def test_extract_features_matches_reference_on_random_schemas(ncols):
-    g = rng(1000 + ncols)
+    g = np.random.default_rng(1000 + ncols)
     for _ in range(4):
         kinds = [
             data.ORDERED if g.random() < 0.5 else data.CATEGORICAL
@@ -234,7 +233,7 @@ def test_trainer_separates_separable_data():
 
 
 def test_trainer_huge_l2_collapses_weights():
-    g = rng(23)
+    g = np.random.default_rng(23)
     X = g.random((20, 6))
     y = np.array([0, 1] * 10)
     meta = attack.train_meta_classifier(X, y, l2=1e9)
@@ -263,7 +262,7 @@ def test_trainer_rejects_bad_inputs():
 
 
 def test_trainer_deterministic():
-    g = rng(31)
+    g = np.random.default_rng(31)
     X = g.random((12, 4))
     y = np.array([0, 1] * 6)
     m1 = attack.train_meta_classifier(X, y)
@@ -272,7 +271,7 @@ def test_trainer_deterministic():
 
 
 def test_sigmoid_matches_clip_reference():
-    g = rng(41)
+    g = np.random.default_rng(41)
     z = np.concatenate([
         [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300],
         [499.999, 500.0, 500.001, -499.999, -500.0, -500.001, 745.2, -745.2],
@@ -284,7 +283,7 @@ def test_sigmoid_matches_clip_reference():
 
 @pytest.mark.parametrize("case", range(8))
 def test_trainer_matches_reference_on_random_shapes(case):
-    g = rng(500 + case)
+    g = np.random.default_rng(500 + case)
     m = 2 * int(g.integers(1, 40))
     d = int(g.integers(1, 30))
     X = g.random((m, d)) * 10.0 ** g.integers(-3, 3)
@@ -302,7 +301,7 @@ def test_trainer_matches_reference_on_random_shapes(case):
 def test_trainer_matches_reference_where_clip_binds():
     # A huge unpenalized step throws the logits past +-500 after one
     # epoch, so the clip binds from the second epoch on.
-    g = rng(77)
+    g = np.random.default_rng(77)
     X = g.random((30, 5))
     y = np.arange(30) % 2
     first = reference_train_meta_classifier(X, y, epochs=1, learning_rate=1e6, l2=0.0)
@@ -321,7 +320,7 @@ def test_pipeline_on_memorizing_generator():
     """Shadow sets of size 1 make a zero-smoothing network memorize its
     one record, so membership of the target is deterministically visible
     in the synthetic output and training accuracy must hit 1.0."""
-    g = rng(71)
+    g = np.random.default_rng(71)
     schema = schema_with_kinds([data.ORDERED, data.ORDERED], [5, 5])
     vals = np.column_stack([g.integers(0, 4, size=30), g.integers(0, 4, size=30)])
     d_aux = data.Dataset(schema, vals)
@@ -355,7 +354,7 @@ def test_pipeline_on_memorizing_generator():
 
 
 def test_train_attack_deterministic_and_scoring():
-    g = rng(81)
+    g = np.random.default_rng(81)
     schema = schema_with_kinds([data.ORDERED, data.ORDERED], [4, 4])
     vals = np.column_stack([g.integers(0, 4, size=40), g.integers(0, 4, size=40)])
     d_aux = data.Dataset(schema, vals)
@@ -391,7 +390,7 @@ def test_batched_attack_matches_per_release_reference(
     # Shadow training and round scoring against the per-release,
     # per-query, allocating references, with the feature chunks cut
     # three ways: the whole batch, one release each, and two each.
-    g = rng(91)
+    g = np.random.default_rng(91)
     schema = schema_with_kinds(
         [data.ORDERED, data.CATEGORICAL, data.ORDERED, data.CATEGORICAL], [3, 4, 2, 3]
     )
@@ -422,7 +421,7 @@ def test_game_builds_no_dataset_per_release(monkeypatch, n_eval):
     # A release is a row of one sample_batch array from sampler to
     # features: the Datasets a baynet traditional game builds (its pool)
     # must not grow with the number of rounds.
-    g = rng(17)
+    g = np.random.default_rng(17)
     schema = schema_with_kinds([data.ORDERED, data.CATEGORICAL, data.ORDERED], [3, 4, 2])
     d_eval = data.Dataset(schema, np.column_stack([g.integers(0, s, 60) for s in schema.sizes]))
     x = (1, 2, 0)

@@ -82,6 +82,20 @@ def test_run_results_match_transcripts(tmp_path):
         assert risk.roc_auc(t) == auc
 
 
+def test_every_file_of_a_run_carries_the_config_hash(tmp_path):
+    cfg_path, out = toy_config(tmp_path)
+    assert cli.main(["run", "--config", cfg_path]) == 0
+    paths = [os.path.join(out, f"results_{kind}.csv") for kind in games.GAME_KINDS]
+    hashes = {cli.read_result_rows(path)[0] for path in paths}
+    names = sorted(os.listdir(os.path.join(out, "transcripts")))
+    assert len(names) == 3 * len(games.GAME_KINDS)
+    hashes |= {
+        games.load_transcript(os.path.join(out, "transcripts", name)).config_hash
+        for name in names
+    }
+    assert hashes == {load_experiment_config(cfg_path).config_hash()}
+
+
 def test_run_is_deterministic_across_reruns(tmp_path):
     cfg_a, out_a = toy_config(tmp_path, "a")
     cfg_b, out_b = toy_config(tmp_path, "b")
@@ -688,11 +702,12 @@ rho = 0.05
 """
 
 
-def test_dp_audit_writes_points(tmp_path):
+def test_dp_audit_writes_points(tmp_path, capsys):
     out = tmp_path / "out"
     cfg_path = tmp_path / "audit.ini"
     cfg_path.write_text(AUDIT_TEMPLATE.format(out=out, selection="first:1"))
     assert cli.main(["dp-audit", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 flagged points in 1 audited records"
     lines = open(out / "dp_audit.csv").read().splitlines()
     assert lines[1] == cli.AUDIT_COLUMNS
     assert len(lines) > 2
@@ -718,7 +733,7 @@ def test_dp_audit_with_an_overflowing_epsilon_ends_partial(tmp_path, capsys):
     logged = capsys.readouterr().out.splitlines()
     assert logged[0].startswith("record evaluation failed: record 0: ")
     assert "epsilon = 1e-320 is too small" in logged[0]
-    assert logged[-1] == "0 flagged points"
+    assert logged[-1] == "0 flagged points in 0 audited records"
 
 
 # ------------------------------------------------- failure of one record

@@ -7,7 +7,7 @@ import pytest
 
 from privgames import corpora, data
 from privgames.errors import DomainError
-from privgames.seeds import derive, rng
+from privgames.seeds import derive
 from reference import reference_mutual_information
 
 # The seeded code that generated the bundled corpora.
@@ -25,7 +25,7 @@ def correlated_rows(seed=_GEN_SEED):
     neighborhoods differ in multiplicity end up with very different
     fixed-dataset risk.
     """
-    g = rng(derive(seed, "correlated"))
+    g = np.random.default_rng(derive(seed, "correlated"))
     n_base = 350
     group = g.choice(4, size=n_base, p=[0.45, 0.3, 0.2, 0.05])
     kind = np.where(g.random(n_base) < 0.75, group % 3, g.integers(0, 3, size=n_base))
@@ -53,14 +53,14 @@ def correlated_rows(seed=_GEN_SEED):
 
 def copycol_rows(seed=_GEN_SEED):
     """Generate the copycol_400 value matrix: b is a verbatim copy of a."""
-    g = rng(derive(seed, "copycol"))
+    g = np.random.default_rng(derive(seed, "copycol"))
     a = g.choice(4, size=400, p=[0.7, 0.2, 0.08, 0.02])
     return np.column_stack([a, a]).astype(np.int64)
 
 
 def independent_rows(seed=_GEN_SEED):
     """Generate the independent_1000 value matrix."""
-    g = rng(derive(seed, "independent"))
+    g = np.random.default_rng(derive(seed, "independent"))
     cols = [g.integers(0, s, size=1000) for s in (4, 4, 3)]
     return np.column_stack(cols).astype(np.int64)
 

@@ -6,7 +6,7 @@ import pytest
 
 from privgames import data, generators
 from privgames.errors import DomainError, FitError, UnsupportedOperationError
-from privgames.seeds import derive, rng
+from privgames.seeds import derive
 
 from brute import brute_mi
 from reference import (
@@ -53,7 +53,7 @@ def test_spec_validation():
 
 
 def test_mutual_information_matches_brute_force():
-    g = rng(101)
+    g = np.random.default_rng(101)
     for trial in range(30):
         a_size = int(g.integers(2, 6))
         b_size = int(g.integers(2, 6))
@@ -82,7 +82,7 @@ def test_learn_structure_zero_parent_budget():
 
 
 def test_learn_structure_is_topological():
-    g = rng(77)
+    g = np.random.default_rng(77)
     schema = ordered_schema(3, 2, 4, 2, 3)
     for trial in range(20):
         vals = np.column_stack(
@@ -99,7 +99,7 @@ def test_learn_structure_is_topological():
 
 def test_learn_structure_picks_the_copied_column():
     # Two identical columns: whichever is visited second adopts the first.
-    g = rng(3)
+    g = np.random.default_rng(3)
     a = g.integers(0, 4, size=200)
     ds = data.Dataset(ordered_schema(4, 4), np.column_stack([a, a]))
     st = generators.learn_structure(ds, 1, seed=9)
@@ -110,7 +110,7 @@ def test_learn_structure_picks_the_copied_column():
 
 def test_mi_floor_blocks_weak_parents():
     # Independent columns: with a floor above sampling noise nothing links.
-    g = rng(15)
+    g = np.random.default_rng(15)
     vals = np.column_stack([g.integers(0, 3, size=4000) for _ in range(3)])
     ds = data.Dataset(ordered_schema(3, 3, 3), vals)
     st = generators.learn_structure(ds, 2, seed=1, mi_floor=0.05)
@@ -144,7 +144,7 @@ def test_unseen_parent_combo_falls_back_to_uniform():
 
 
 def test_rows_always_normalize():
-    g = rng(44)
+    g = np.random.default_rng(44)
     schema = ordered_schema(3, 4, 2)
     for trial in range(15):
         vals = np.column_stack([g.integers(0, s, size=40) for s in schema.sizes])
@@ -162,7 +162,7 @@ def test_rows_always_normalize():
 
 
 def test_privatize_with_huge_budget_is_nearly_exact():
-    g = rng(21)
+    g = np.random.default_rng(21)
     schema = ordered_schema(3, 3, 2)
     vals = np.column_stack([g.integers(0, s, size=50) for s in schema.sizes])
     ds = data.Dataset(schema, vals)
@@ -223,7 +223,7 @@ def random_training(seed):
     numpy's sums switch to pairwise blocks), one column with 130+
     levels, and duplicated columns whose MI ties exactly.
     """
-    g = rng(seed)
+    g = np.random.default_rng(seed)
     family = seed % 4
     d = int(g.integers(1, 9))
     if family == 0:
@@ -321,7 +321,7 @@ def random_batch(seed, count):
     bootstrap resamples of its rows with one column redrawn, so
     duplicated columns mostly stay duplicated."""
     base = random_training(seed)
-    g = rng(derive(seed, "batch"))
+    g = np.random.default_rng(derive(seed, "batch"))
     out = [base]
     for _ in range(count - 1):
         vals = base.values[g.integers(0, base.n, size=base.n)].copy()
@@ -480,7 +480,8 @@ def test_fit_batch_toy_membership_matches_contains():
     assert [g.toy_member for g in gens] == [data.contains(t, (3,)) for t in trainings]
     bits = generators.release_bits(gens, list(range(10)))
     assert bits == [
-        int(rng(s).random() < (0.8 if g.toy_member else 0.2)) for s, g in enumerate(gens)
+        int(np.random.default_rng(s).random() < (0.8 if g.toy_member else 0.2))
+        for s, g in enumerate(gens)
     ]
 
 
@@ -535,7 +536,7 @@ def test_fit_independent_has_no_parents():
 
 
 def test_fit_deterministic():
-    g = rng(31)
+    g = np.random.default_rng(31)
     schema = ordered_schema(3, 2, 4)
     vals = np.column_stack([g.integers(0, s, size=30) for s in schema.sizes])
     ds = data.Dataset(schema, vals)
@@ -569,7 +570,7 @@ def test_sample_point_mass_training():
 
 
 def test_sample_preserves_deterministic_column_copy():
-    g = rng(52)
+    g = np.random.default_rng(52)
     a = g.integers(0, 4, size=300)
     ds = data.Dataset(ordered_schema(4, 4), np.column_stack([a, a]))
     spec = generators.GeneratorSpec(generators.BAYNET, max_parents=1, smoothing=0.0)
@@ -589,7 +590,7 @@ def test_sample_marginal_frequencies_converge():
 
 
 def test_sample_deterministic_and_in_domain():
-    g = rng(66)
+    g = np.random.default_rng(66)
     schema = ordered_schema(3, 5, 2)
     vals = np.column_stack([g.integers(0, s, size=50) for s in schema.sizes])
     ds = data.Dataset(schema, vals)
@@ -610,21 +611,28 @@ def test_sample_zero_is_empty():
 
 
 def test_single_network_entry_points_take_any_rng_seed():
-    # A batch of one opens its stream with rng, so it takes every seed rng
-    # takes, 2**64 and above included, and draws rng's stream.
-    big = 2**64 + 12345
-    g = rng(67)
+    # A batch of one opens its stream as a Streams of one: every seed in
+    # [0, 2**64) draws numpy's stream of it, and a wider seed raises.
+    top, wide = 2**64 - 1, 2**64 + 12345
+    g = np.random.default_rng(67)
     schema = ordered_schema(3, 4, 2)
     vals = np.column_stack([g.integers(0, s, size=40) for s in schema.sizes])
     ds = data.Dataset(schema, vals)
-    assert generators.learn_structure(ds, 2, big) == reference_learn_structure(ds, 2, big)
+    assert generators.learn_structure(ds, 2, top) == reference_learn_structure(ds, 2, top)
     spec = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=1.0)
-    gen = generators.fit(spec, ds, seed=big)
-    ref = reference_fit(spec, ds, seed=big)
-    expected = reference_sample(ref, 30, big).values
-    assert generators.sample(gen, 30, big).values.tobytes() == expected.tobytes()
+    gen = generators.fit(spec, ds, seed=top)
+    ref = reference_fit(spec, ds, seed=top)
+    expected = reference_sample(ref, 30, top).values
+    assert generators.sample(gen, 30, top).values.tobytes() == expected.tobytes()
     toy = generators.fit(toy_spec(0.5, 0.5), ds, target_hint=tuple(vals[0]))
-    assert generators.release_bit(toy, big) == int(rng(big).random() < 0.5)
+    assert generators.release_bit(toy, top) == int(np.random.default_rng(top).random() < 0.5)
+    for draw in (
+        lambda: generators.learn_structure(ds, 2, wide),
+        lambda: generators.sample(gen, 30, wide),
+        lambda: generators.release_bit(toy, wide),
+    ):
+        with pytest.raises(DomainError):
+            draw()
 
 
 # ------------------------------------------------------------ release_bit
@@ -643,9 +651,9 @@ def test_release_bit_frequencies():
     gen_in = generators.fit(toy_spec(0.8, 0.2), training, target_hint=(1,))
     gen_out = generators.fit(toy_spec(0.8, 0.2), training, target_hint=(2,))
     n = 100000
-    in_mean = np.mean([generators.release_bit(gen_in, seed=s) for s in range(n)])
+    in_mean = np.mean(generators.release_bits([gen_in] * n, np.arange(n, dtype=np.uint64)))
     out_mean = np.mean(
-        [generators.release_bit(gen_out, seed=s) for s in range(n, 2 * n)]
+        generators.release_bits([gen_out] * n, np.arange(n, 2 * n, dtype=np.uint64))
     )
     assert abs(in_mean - 0.8) < 0.005
     assert abs(out_mean - 0.2) < 0.005
@@ -658,9 +666,9 @@ def test_release_bit_identity_when_probabilities_match():
     gen_in = generators.fit(toy_spec(0.3, 0.3), training, target_hint=(1,))
     gen_out = generators.fit(toy_spec(0.3, 0.3), training, target_hint=(2,))
     n = 10000
-    in_mean = np.mean([generators.release_bit(gen_in, seed=s) for s in range(n)])
+    in_mean = np.mean(generators.release_bits([gen_in] * n, np.arange(n, dtype=np.uint64)))
     out_mean = np.mean(
-        [generators.release_bit(gen_out, seed=s) for s in range(n, 2 * n)]
+        generators.release_bits([gen_out] * n, np.arange(n, 2 * n, dtype=np.uint64))
     )
     se = np.sqrt(0.3 * 0.7 * 2 / n)
     assert abs(in_mean - out_mean) < 3 * se

@@ -1,5 +1,8 @@
-"""The package needs numpy only: importing every module loads no scipy."""
+"""The package needs numpy only: importing every module loads no scipy.
+And it seeds random streams in one place: only ``seeds`` touches
+``numpy.random``, and only ``Streams.__getitem__`` builds a Generator."""
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -28,3 +31,41 @@ def test_importing_every_module_loads_no_scipy():
     )
     assert "privgames.cli" in names and "privgames.risk" in names
     assert out.stdout.strip() == "[]"
+
+
+def _numpy_random_uses(tree):
+    """(enclosing function qualname, use) of every ``numpy.random`` reference."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                uses.append((scope, "numpy.random"))
+        if isinstance(node, ast.Import):
+            uses.extend((scope, a.name) for a in node.names if a.name.startswith("numpy.random"))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            uses.append((scope, node.module))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "Generator":
+                uses.append((scope, "Generator"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return uses
+
+
+def test_only_seeds_opens_random_streams():
+    pkg = os.path.dirname(privgames.__file__)
+    by_module = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                uses = _numpy_random_uses(ast.parse(fh.read()))
+            if uses:
+                by_module[name[: -len(".py")]] = uses
+    assert list(by_module) == ["seeds"]
+    builds = [scope for scope, use in by_module["seeds"] if use == "Generator"]
+    assert builds == ["Streams.__getitem__"]

@@ -3,7 +3,6 @@ import pytest
 
 from privgames import oracle
 from privgames.errors import DomainError
-from privgames.seeds import rng
 
 from brute import brute_deterministic_tests
 
@@ -67,7 +66,7 @@ def test_np_curve_requires_shared_support():
 
 def test_np_curve_dominates_deterministic_tests():
     # No deterministic accept-set may fall below the envelope.
-    g = rng(404)
+    g = np.random.default_rng(404)
     for trial in range(60):
         k = int(g.integers(2, 6))
         p0 = g.dirichlet([1.0] * k)
@@ -82,7 +81,7 @@ def test_np_curve_dominates_deterministic_tests():
 
 
 def test_np_curve_coordinates_stay_in_unit_square():
-    g = rng(405)
+    g = np.random.default_rng(405)
     for trial in range(40):
         k = int(g.integers(2, 7))
         p0 = g.dirichlet([0.4] * k)

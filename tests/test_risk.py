@@ -11,7 +11,6 @@ from privgames.errors import (
     UndefinedRateError,
 )
 from privgames.games import RUN_DTYPE, GameTranscript
-from privgames.seeds import rng
 
 from brute import brute_auc, brute_rates, brute_tradeoff_points
 from reference import reference_empirical_tradeoff
@@ -35,7 +34,7 @@ def test_empirical_rates_worked_example():
 
 
 def test_empirical_rates_match_brute_force():
-    g = rng(11)
+    g = np.random.default_rng(11)
     for trial in range(50):
         n = int(g.integers(4, 60))
         bits = g.integers(0, 2, size=n)
@@ -69,7 +68,7 @@ def test_auc_all_ties_is_half():
 
 
 def test_auc_equals_brute_force_exactly():
-    g = rng(77)
+    g = np.random.default_rng(77)
     for trial in range(200):
         # a few transcripts have classes of up to 400 runs
         top = 401 if trial % 25 < 4 else 20
@@ -94,7 +93,7 @@ def test_auc_equals_brute_force_exactly():
 
 
 def test_auc_invariant_under_monotone_transform():
-    g = rng(78)
+    g = np.random.default_rng(78)
     bits = g.integers(0, 2, size=31)
     bits[0] = 0
     bits[1] = 1
@@ -221,7 +220,7 @@ def test_empirical_tradeoff_perfect_adversary():
 
 
 def test_empirical_tradeoff_matches_brute_force():
-    g = rng(90)
+    g = np.random.default_rng(90)
     for trial in range(40):
         n = int(g.integers(4, 50))
         bits = np.zeros(n, dtype=int)
@@ -238,7 +237,7 @@ def test_empirical_tradeoff_matches_brute_force():
 def test_empirical_tradeoff_matches_per_threshold_reference(step):
     # Sorted counts against two boolean means per threshold, bit for bit,
     # with ties wherever scores sit on a grid.
-    g = rng(17)
+    g = np.random.default_rng(17)
     for trial in range(300):
         n = int(g.integers(2, 80))
         bits = g.permutation(np.arange(n) % 2)

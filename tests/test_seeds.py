@@ -104,9 +104,12 @@ def test_stream_states_equal_pcg64_seeding():
          "permutation", "laplace"],
 )
 def test_stream_draws_equal_rng(draw):
+    # Streams and rng against numpy's own seeding, SeedSequence included.
     seeds = EDGE_SEEDS + _random_seeds(200, 5)
     for s, g in zip(seeds, Streams(seeds)):
-        np.testing.assert_array_equal(draw(g), draw(rng(s)))
+        expected = draw(np.random.default_rng(s))
+        np.testing.assert_array_equal(draw(g), expected)
+        np.testing.assert_array_equal(draw(rng(s)), expected)
 
 
 def test_stream_reuse_does_not_leak_state():
@@ -116,13 +119,14 @@ def test_stream_reuse_does_not_leak_state():
     for i, s in enumerate(seeds):
         g = streams[i]
         g.integers(0, 2**31, dtype=np.uint32)
-        assert streams[i].random() == rng(s).random()
+        assert streams[i].random() == np.random.default_rng(s).random()
 
 
 def test_stream_slices_share_the_hashed_seeds():
     seeds = _random_seeds(10, 7)
     streams = Streams(seeds)
-    assert [g.random() for g in streams[3:8]] == [rng(s).random() for s in seeds[3:8]]
+    expected = [np.random.default_rng(s).random() for s in seeds[3:8]]
+    assert [g.random() for g in streams[3:8]] == expected
     assert streams[2] is not streams[2]  # every item is a new Generator
 
 
@@ -130,5 +134,8 @@ def test_stream_seeds_must_be_64_bit():
     for bad in ([-1], [2**64], [1, 2**70]):
         with pytest.raises(DomainError):
             Streams(bad)
-    assert Streams([5])[0].random() == rng(5).random()
+    for bad in (-1, 2**64):
+        with pytest.raises(DomainError):
+            rng(bad)
+    assert Streams([5])[0].random() == np.random.default_rng(5).random()
     assert list(Streams([])) == []
