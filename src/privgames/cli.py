@@ -432,9 +432,8 @@ def _default_threads():
 def _load_config_with_overrides(args):
     cfg = config_mod.load_experiment_config(args.config)
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0 (got {args.seed})")
-        cfg = replace(cfg, master_seed=args.seed)
+        seed = config_mod.checked("experiment.master_seed", args.seed, f"--seed {args.seed}")
+        cfg = replace(cfg, master_seed=seed)
     if getattr(args, "out", None):
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "records", None):

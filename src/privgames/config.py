@@ -96,6 +96,7 @@ _INTS = (_split(int), "comma-separated integers")
 _NAMES = (_split(str), "comma-separated names")
 
 _EVEN = (lambda v: v >= 2 and v % 2 == 0, "an even number >= 2")
+_SEED = (lambda v: 0 <= v <= 2**64 - 1, "in [0, 2**64 - 1]")  # a stream seed
 _UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 _SPEC = generators.GeneratorSpec  # its field defaults are the [generator] defaults
@@ -134,7 +135,7 @@ KEYS = (
     ("game", "reference_mode", "reference_mode", _STR, games.REFERENCE_PER_RUN,
      _one_of((games.REFERENCE_PER_RUN, games.REFERENCE_FIXED))),
     ("records", "selection", "record_selection", _STR, "random:10", None),
-    ("experiment", "master_seed", "master_seed", _INT, 0, _at_least(0)),
+    ("experiment", "master_seed", "master_seed", _INT, 0, _SEED),
     ("output", "dir", "out_dir", _STR, "out", None),
     ("output", "high_risk_threshold", "high_risk_threshold", _FLOAT, DEFAULT_THRESHOLD, _UNIT),
     ("output", "rho", "rho", _FLOAT, DEFAULT_RHO, _UNIT),
@@ -144,6 +145,15 @@ KEYS = (
     )),
     ("convergence", "repetitions", "repetitions", _INT, 0, _at_least(0)),
 )
+
+
+def checked(name, value, raw):
+    """``value``, parsed from ``raw`` for the key ``name`` (``section.key``),
+    once its ``KEYS`` range rule accepts it; else a ConfigError naming the key."""
+    rule = next(row[5] for row in KEYS if f"{row[0]}.{row[1]}" == name)
+    if rule and not rule[0](value):
+        raise ConfigError(f"{name} must be {rule[1]} (got {raw!r})")
+    return value
 
 
 def _unknown(path, what, name, known):
@@ -212,7 +222,7 @@ def load_experiment_config(path):
     _check_names(parser, path)
 
     fields, spec = {}, {}
-    for section, key, field, (parse, what), default, rule in KEYS:
+    for section, key, field, (parse, what), default, _ in KEYS:
         name = f"{section}.{key}"
         try:
             raw = parser.get(section, key, fallback=None)
@@ -230,8 +240,7 @@ def load_experiment_config(path):
                 raise ConfigError(f"{name} must be {what} (got {raw!r})") from None
             if value == () and default != ():
                 raise ConfigError(f"{name} is empty")
-            if rule and not rule[0](value):
-                raise ConfigError(f"{name} must be {rule[1]} (got {raw!r})")
+            checked(name, value, raw)
         target, _, attr = field.rpartition(".")
         (spec if target else fields)[attr] = value
 

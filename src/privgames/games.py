@@ -26,15 +26,17 @@ rounds copy ``d_target`` and overwrite x's rows in out-rounds, and the
 mixture game stacks one array per drawn partial and secret bit.  Each
 array is fit in one ``generators.fit_batch`` call.  The batch hashes its
 data seeds through one ``seeds.Streams``, so no round builds a
-``SeedSequence`` of its own; the batch builders draw from its open
-streams (a single round's builder from a ``Streams`` of one,
-``seeds.rng``), and a round opens its data stream only if it draws from
-it.  An adversary is a function ``adversary(gens, seeds) -> scores``:
-one membership score per fitted generator, each given its round's
-adversary seed.  The counting-query adversary samples the releases in
-batched calls, each returning one ``(k, n, d)`` array of one schema, and
-scores each as one array, but each logit stays one dot product per
-release (see ``attack``).  A batch holds as many rounds as
+``SeedSequence`` of its own; the batch builders draw from its streams
+(a single round's builder from a ``Streams`` of one).  Only a
+traditional round builds a Generator on its data stream, for its pool
+draw; model-seeded per-run references and the mixture's partial are
+each stream's first ``integers``, which ``Streams.integers`` computes
+for the whole batch.  An adversary is a function
+``adversary(gens, seeds) -> scores``: one membership score per fitted
+generator, each given its round's adversary seed.  The counting-query
+adversary samples the releases in batched calls, each returning one
+``(k, n, d)`` array of one schema, and scores each as one array, but
+each logit stays one dot product per release (see ``attack``).  A batch holds as many rounds as
 ``generators.batch_size`` allows for its training sets; with
 ``threads > 1`` the rounds are also cut into that many chunks, run in a
 thread pool, each chunk with streams of its own.  The transcript is the
@@ -179,10 +181,10 @@ def traditional_dataset(pool, x, n, b, seed):
     """Training dataset of one traditional round.
 
     b = 1: x plus n-1 pool records; b = 0: n pool records, drawn from
-    ``rng(seed)``.  A batch of one of ``data.sample_training_sets``,
-    which the game calls.
+    the stream of ``seed``.  A batch of one of
+    ``data.sample_training_sets``, which the game calls.
     """
-    values = data_mod.sample_training_sets(pool, x, n, [b], [rng(seed)])[0]
+    values = data_mod.sample_training_sets(pool, x, n, [b], Streams([seed]))[0]
     return data_mod.Dataset(pool.schema, values)
 
 
@@ -230,15 +232,13 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
 def _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs):
     """Training sets of model-seeded rounds, as one ``(B, n, d)`` array:
     ``d_target`` in every round, its ``x_positions`` rows replaced in
-    out-rounds.  Only per-run out-rounds read their stream."""
+    out-rounds.  Only per-run out-rounds read their stream: its first
+    ``integers``, computed for all of them at once without a Generator."""
     values = np.repeat(d_target.values[None], len(secret), axis=0)
     out = np.flatnonzero(np.equal(secret, 0))
     refs = fixed_refs
     if refs is None:
-        picks = np.empty((len(out), len(x_positions)), dtype=np.intp)
-        for k, i in enumerate(out.tolist()):
-            picks[k] = streams[i].integers(0, len(ref_values), size=len(x_positions))
-        refs = ref_values[picks]
+        refs = ref_values[streams[out].integers(len(ref_values), len(x_positions))]
     values[np.ix_(out, x_positions)] = refs
     return values
 
@@ -248,11 +248,13 @@ def model_seeded_dataset(d_target, x_positions, ref_values, b, seed, fixed_refs=
 
     b = 1 uses the released training dataset as-is.  b = 0 replaces
     every copy of the target (each row in ``x_positions``) with a
-    reference record: a fresh independent draw per copy from
-    ``rng(seed)``, or the pre-drawn rows in ``fixed_refs``.  A batch of
-    one of ``_model_seeded_sets``.
+    reference record: a fresh independent draw per copy from the stream
+    of ``seed``, or the pre-drawn rows in ``fixed_refs``.  A batch of one
+    of ``_model_seeded_sets``.
     """
-    values = _model_seeded_sets(d_target, x_positions, ref_values, [b], [rng(seed)], fixed_refs)
+    values = _model_seeded_sets(
+        d_target, x_positions, ref_values, [b], Streams([seed]), fixed_refs
+    )
     return data_mod.Dataset(d_target.schema, values[0])
 
 
@@ -347,7 +349,7 @@ def run_traditional_mixture(
     rows.update({(j, 1): np.vstack([part.values, [x]]) for j, part in enumerate(partials)})
 
     def fit_rounds(secret, streams, seeds):
-        keys = [(int(streams[i].integers(0, len(partials))), b) for i, b in enumerate(secret)]
+        keys = list(zip(streams.integers(len(partials), 1)[:, 0].tolist(), secret))
         gens = [None] * len(keys)
         for key in dict.fromkeys(keys):
             rounds = [i for i, k in enumerate(keys) if k == key]

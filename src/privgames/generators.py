@@ -24,9 +24,10 @@ per column pair, a ``ravel_multi_index`` count per column, ancestral
 sampling column by column); ``fit``, ``learn_structure``, ``sample``
 and ``release_bit`` are batches of one.  The per-network seeds of a
 batch come from ``seeds.derive_many``, and its random streams (structure
-order, Laplace noise, sampling uniforms, toy release) are opened once
-per batch call by ``seeds.Streams``, a single network's as a
-``Streams`` of one.
+order, Laplace noise, sampling uniforms) are opened once per batch call
+by ``seeds.Streams``, a single network's as a ``Streams`` of one.  A toy
+release is the first ``random()`` of its stream, which
+``Streams.randoms`` computes for the whole batch without a Generator.
 """
 
 from dataclasses import dataclass, field
@@ -719,16 +720,14 @@ def sample(gen, n, seed):
 
 def release_bits(gens, seeds):
     """Each toy generator's release: 1 w.p. p_in for a member fit, p_out
-    else, drawn from the stream of its seed."""
+    else, decided by the first ``random()`` of the stream of its seed."""
     for gen in gens:
         if gen.spec.kind != TOY:
             raise UnsupportedOperationError(
                 f"{gen.spec.kind} generator does not release a bit"
             )
-    return [
-        int(g.random() < (gen.spec.p_in if gen.toy_member else gen.spec.p_out))
-        for gen, g in zip(gens, Streams(seeds))
-    ]
+    p = np.array([gen.spec.p_in if gen.toy_member else gen.spec.p_out for gen in gens])
+    return (Streams(seeds).randoms() < p).astype(int).tolist()
 
 
 def release_bit(gen, seed):

@@ -21,11 +21,19 @@ straight from its four hashed words.  ``derive_many`` gives exactly the
 values of ``derive``, and a stream draws exactly what
 ``np.random.default_rng`` of its seed draws; only the cost differs.
 ``Streams.__getitem__`` is the one place the package builds a
-Generator: ``rng(seed)`` is a ``Streams`` of one.  The hash costs a few
-tens of microseconds per call whatever the batch size, so draws for
-many items open their streams in one ``Streams``.  A stream's seed is
-64-bit, as ``derive`` makes it; any other raises DomainError.
+Generator: ``rng(seed)`` is a ``Streams`` of one.  Two draws build none:
+``Streams.randoms`` (every stream's first ``random()``, a toy release
+bit) and ``Streams.integers`` (every stream's first ``integers(0, high,
+size)``, a model-seeded per-run reference pick or a mixture's partial)
+run PCG64 itself from the hashed words, as ``uint64`` array arithmetic
+over all streams, and give numpy's bits exactly.  The hash costs a few
+tens of microseconds per call whatever the batch size, and so do these
+draws, so draws for many items open their streams in one ``Streams``.
+A stream's seed is 64-bit, as ``derive`` makes it; any other raises
+DomainError.
 """
+
+import functools
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -221,6 +229,65 @@ class _HashedSeed(ISeedSequence):
         return self.words
 
 
+# PCG64 (numpy's XSL-RR variant) straight from the hashed words.  The
+# bit generator seeds itself with srandom(state = w0:w1, seq = w2:w3):
+# inc = seq << 1 | 1, then from state 0 one step, add the state, one more
+# step, where a step is state * M + inc modulo 2**128.  Output k (from 1)
+# steps once more per output and rotates the state's xor-folded halves by
+# its top six bits.  Folded into one jump, output k comes from
+#   state_k = M**(k+1) * (w0:w1 + inc) + (M**k + ... + M + 1) * inc,
+# 128-bit multiply-adds on (hi, lo) uint64 limbs.  The two products run
+# as one stacked operation, since at a few hundred streams the cost is
+# the number of numpy calls, not their size.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LO32 = _u64(_M32)
+_ONE, _S11, _S58, _S63, _S64 = (_u64(v) for v in (1, 11, 58, 63, 64))
+
+
+@functools.lru_cache(maxsize=None)
+def _jumps(count):
+    """The multipliers ``M**(k+1)`` (row 0) and ``M**k + ... + 1`` (row 1)
+    of outputs k = 1 .. count, as ``(hi, lo >> 32, lo & 0xFFFFFFFF, lo)``
+    uint64 arrays of shape ``(2, 1, count)``."""
+    rows, power, total = ([], []), _PCG_MULT, 1
+    for _ in range(count):
+        total = (total + power) % (1 << 128)
+        power = power * _PCG_MULT % (1 << 128)
+        rows[0].append(power)
+        rows[1].append(total)
+    value = np.array(rows, dtype=object).reshape(2, 1, count)
+    hi, lo = value >> 64, value & _MASK
+    return tuple(np.array(v, dtype=np.uint64) for v in (hi, lo >> 32, lo & _M32, lo))
+
+
+def _outputs(words, count):
+    """The first ``count`` 64-bit outputs of the PCG64 stream of every row
+    of hashed ``words``, as an ``(n, count)`` uint64 array: the words
+    ``PCG64(seed).random_raw(count)`` gives."""
+    # Row 0 holds w0:w1 + inc, row 1 inc, each shaped (n, 1).
+    hi = np.empty((2, len(words), 1), dtype=np.uint64)
+    lo = np.empty_like(hi)
+    seq_lo = words[:, 3:]
+    hi[1] = words[:, 2:3] << _ONE | seq_lo >> _S63
+    lo[1] = seq_lo << _ONE | _ONE
+    np.add(words[:, 1:2], lo[1], out=lo[0])
+    hi[0] = words[:, :1] + hi[1] + (lo[0] < lo[1])
+    # Both products modulo 2**128 at once, the low limbs' full 128-bit
+    # product from 32-bit halves.
+    c_hi, c_lo1, c_lo0, c_lo = _jumps(count)
+    lo1, lo0 = lo >> _S32, lo & _LO32
+    cross1, cross0 = c_lo0 * lo1, c_lo1 * lo0
+    mid = (c_lo0 * lo0 >> _S32) + (cross1 & _LO32) + (cross0 & _LO32)
+    p_hi = c_lo1 * lo1 + (cross1 >> _S32) + (cross0 >> _S32) + (mid >> _S32)
+    p_hi += c_hi * lo + c_lo * hi
+    p_lo = c_lo * lo
+    # The sum of the two, then the XSL-RR output.
+    out_lo = p_lo[0] + p_lo[1]
+    out_hi = p_hi[0] + p_hi[1] + (out_lo < p_lo[1])
+    x, rot = out_hi ^ out_lo, out_hi >> _S58
+    return x >> rot | x << ((_S64 - rot) & _S63)
+
+
 class Streams:
     """The PCG64 streams of many seeds, hashed at once.
 
@@ -228,9 +295,12 @@ class Streams:
     ``seeds[i]``: it draws exactly what ``np.random.default_rng(seeds[i])``
     draws.  The ``SeedSequence`` words of every seed are hashed when the
     object is made, in one pass of array operations, so an item only
-    builds its bit generator from four ready words.  ``streams[lo:hi]`` is a
-    ``Streams`` of those seeds that shares the hashed words, and
-    iterating yields the streams in order.  Seeds are 64-bit, as
+    builds its bit generator from four ready words.  ``streams[lo:hi]``
+    and ``streams[index_array]`` are ``Streams`` of those seeds that reuse
+    the hashed words, and iterating yields the streams in order.  A
+    stream's first draw of ``random()`` or ``integers(0, high, size)``
+    comes from ``randoms`` and ``integers``, which compute it for every
+    stream at once without building a Generator.  Seeds are 64-bit, as
     ``derive`` makes them; others raise DomainError.
     """
 
@@ -243,8 +313,46 @@ class Streams:
         self._words = _seed_words(seeds.reshape(-1))
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            part = object.__new__(Streams)
+        if isinstance(i, (slice, np.ndarray)):
+            part = object.__new__(type(self))
             part._words = self._words[i]
             return part
         return np.random.Generator(np.random.PCG64(_HashedSeed(self._words[i])))
+
+    def randoms(self):
+        """Each stream's first ``random()``, as a float64 array: the top
+        53 bits of its first output over 2**53."""
+        return (_outputs(self._words, 1)[:, 0] >> _S11) * 2.0**-53
+
+    def integers(self, high, size):
+        """Each stream's first ``integers(0, high, size)``, as an
+        ``(n, size)`` int64 array, for 1 <= ``high`` <= 2**32 and
+        ``size`` >= 1.
+
+        numpy draws such a bounded integer from 32-bit words, the low half
+        of each output first, by Lemire's rule: a word w gives
+        ``w * high >> 32`` unless ``w * high mod 2**32`` falls below
+        ``2**32 mod high``, in which case w is dropped and the next word is
+        tried.  A row that drops too many words for the outputs computed
+        is recomputed with twice as many.  (``high`` = 1 gives zeros without
+        reading a word, and 2**32 the words themselves; both agree with the
+        rule.)
+        """
+        if not 1 <= high <= 1 << 32:
+            raise DomainError(f"integers needs 1 <= high <= 2**32 (got {high})")
+        scale, floor = _u64(high), _u64((1 << 32) % high)
+        words, rows = self._words, np.arange(len(self._words))
+        out = np.empty((len(rows), size), dtype=np.int64)
+        count = (size + 1) // 2
+        while len(rows):
+            # The 32-bit words in the order numpy reads them.
+            halves = _outputs(words, count).astype("<u8", copy=False).view("<u4")
+            product = halves.astype(np.uint64) * scale
+            keep = (product & _LO32) >= floor
+            rank = np.cumsum(keep, axis=1)
+            done = rank[:, -1] >= size
+            take = keep[done] & (rank[done] <= size)
+            out[rows[done]] = (product[done][take] >> _S32).reshape(-1, size)
+            words, rows = words[~done], rows[~done]
+            count *= 2
+        return out

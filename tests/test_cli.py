@@ -199,8 +199,21 @@ def test_seed_override_changes_scores(tmp_path):
 def test_negative_seed_override_exits_2(tmp_path, capsys):
     cfg_path, out = toy_config(tmp_path)
     assert cli.main(["run", "--config", cfg_path, "--seed", "-5"]) == 2
-    assert "error: --seed must be >= 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: experiment.master_seed must be in [0, 2**64 - 1] (got '--seed -5')" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2)])
+def test_seed_override_must_fit_in_64_bits(tmp_path, capsys, seed, code):
+    # derive reduces a seed modulo 2**64, so a wider one would give the
+    # bodies of a narrower seed under another config hash.
+    cfg_path, out = toy_config(tmp_path)
+    assert cli.main(["run", "--config", cfg_path, "--seed", str(seed)]) == code
+    if code:
+        message = f"experiment.master_seed must be in [0, 2**64 - 1] (got '--seed {seed}')"
+        assert f"error: {message}" in capsys.readouterr().err
+    assert os.path.exists(out) == (code == 0)
 
 
 def test_records_override(tmp_path):

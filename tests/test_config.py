@@ -123,6 +123,17 @@ def test_config_hash_changes_with_seed(tmp_path):
     assert a.config_hash() != b.config_hash()
 
 
+@pytest.mark.parametrize("seed, ok", [(0, True), (2**64 - 1, True), (-1, False), (2**64, False)])
+def test_master_seed_must_fit_in_64_bits(tmp_path, seed, ok):
+    path = write(tmp_path, MINIMAL + f"\n[experiment]\nmaster_seed = {seed}\n")
+    if ok:
+        assert load_experiment_config(path).master_seed == seed
+    else:
+        message = rf"experiment\.master_seed must be in \[0, 2\*\*64 - 1\] \(got '{seed}'\)"
+        with pytest.raises(ConfigError, match=message):
+            load_experiment_config(path)
+
+
 # The hash is written into the header of every output file, and compare
 # refuses to join files whose hashes differ, so these values must not move.
 PINNED_BASE = """

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from privgames import data, games, generators, oracle, risk
+from privgames import data, games, generators, oracle, risk, seeds
 from privgames.errors import ConfigError, PreconditionError, SizeError
-from privgames.seeds import derive
+from privgames.seeds import derive, derive_many
 
 
 def ordered_schema(size):
@@ -597,24 +597,40 @@ def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batchin
     "kind, mode, opened",
     [
         (games.MODEL_SEEDED, games.REFERENCE_FIXED, 0),
-        (games.MODEL_SEEDED, games.REFERENCE_PER_RUN, 20),
+        (games.MODEL_SEEDED, games.REFERENCE_PER_RUN, 0),
         (games.TRADITIONAL, games.REFERENCE_PER_RUN, 40),
     ],
 )
 def test_data_streams_opened_only_for_rounds_that_draw(monkeypatch, kind, mode, opened, threads):
     # A model-seeded in-round trains on d_target as it is and a fixed
-    # game draws its references once, so neither opens its round's data
-    # stream; per-run out-rounds and traditional rounds do.
-    items = []
+    # game draws its references once, so neither reads its round's data
+    # stream.  Per-run out-rounds read theirs through Streams.integers,
+    # which builds no Generator; only traditional rounds open one, for
+    # their pool draw.
+    opens, words_read = [], []
 
     class CountingStreams(games.Streams):
         def __getitem__(self, i):
-            if not isinstance(i, slice):
-                items.append(i)
-            return super().__getitem__(i)
+            item = super().__getitem__(i)
+            if not isinstance(item, seeds.Streams):
+                opens.append(i)
+            return item
+
+    real_outputs = seeds._outputs
+
+    def recording_outputs(words, count):
+        words_read.extend(map(tuple, words.tolist()))
+        return real_outputs(words, count)
 
     monkeypatch.setattr(games, "Streams", CountingStreams)
+    monkeypatch.setattr(seeds, "_outputs", recording_outputs)
     _, d_eval, d_target, config = toy_setup(n_eval=40, kind=kind)
     config = dataclasses.replace(config, reference_mode=mode)
-    games.run_game((1,), d_eval, d_target, blind_adversary, config, threads=threads)
-    assert len(items) == opened
+    runs = games.run_game((1,), d_eval, d_target, blind_adversary, config, threads=threads).runs
+    assert len(opens) == opened
+    expected = []
+    if kind == games.MODEL_SEEDED and mode == games.REFERENCE_PER_RUN:
+        out_rounds = runs["run_seed"][runs["secret_bit"] == 0]
+        expected = seeds.Streams(derive_many(out_rounds, "data"))._words.tolist()
+        assert len(expected) == 20
+    assert sorted(words_read) == sorted(map(tuple, expected))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,43 @@ def test_stream_seeds_must_be_64_bit():
             rng(bad)
     assert Streams([5])[0].random() == np.random.default_rng(5).random()
     assert list(Streams([])) == []
+
+
+# ------------------------------------------- first draws without a Generator
+
+HIGHS = [1, 2, 3, 150, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+def _check_first_draws(streams, seeds):
+    np.testing.assert_array_equal(
+        streams.randoms(), [np.random.default_rng(s).random() for s in seeds]
+    )
+    for high in HIGHS:
+        for size in range(1, 8):
+            got = streams.integers(high, size)
+            assert got.dtype == np.int64 and got.shape == (len(seeds), size)
+            expected = [np.random.default_rng(s).integers(0, high, size=size) for s in seeds]
+            np.testing.assert_array_equal(got, np.reshape(expected, (len(seeds), size)))
+
+
+def test_first_draws_equal_rng():
+    # 2**31 + 1 rejects about half of all 32-bit words, so some rows
+    # need more outputs than the first pass computes.
+    seeds = EDGE_SEEDS + _random_seeds(2000, 8)
+    streams = Streams(seeds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a uint64 overflow warning fails
+        _check_first_draws(streams, seeds)
+        _check_first_draws(streams[5:60], seeds[5:60])
+        picks = np.array([7, 0, 2005, 3, 3, 1999])
+        _check_first_draws(streams[picks], [seeds[i] for i in picks])
+        _check_first_draws(streams[np.array([], dtype=np.intp)], [])
+        for s in EDGE_SEEDS:
+            _check_first_draws(Streams([s]), [s])
+
+
+def test_first_integers_need_a_32_bit_high():
+    streams = Streams([1, 2])
+    for bad in (0, 2**32 + 1):
+        with pytest.raises(DomainError):
+            streams.integers(bad, 1)
