@@ -181,14 +181,17 @@ def _each_record(cfg, evaluate, log, subdirs=()):
     """Evaluate every selected record in order; returns (outputs, status).
 
     ``evaluate(rid, x, d_aux, d_eval, d_target, bank)`` returns one
-    record's output and a one-line summary, logged as ``record <id>: ...``.
+    record's output and a one-line summary, logged as ``record <id>: ...``;
+    ``bank`` is None for a toy generator, whose adversary asks no queries.
     A record whose evaluation raises a PrivGamesError is logged and left
     out; the other records still run and the status becomes ``partial``.
     Makes ``cfg.out_dir`` and ``subdirs`` below it first (ConfigError if not).
     """
     _, d_aux, d_eval, d_target = load_environment(cfg)
     record_ids = select_record_ids(cfg, d_target)
-    bank = build_bank(cfg, d_eval.schema)
+    bank = None
+    if cfg.generator_spec.kind != generators.TOY:
+        bank = build_bank(cfg, d_eval.schema)
     out_dir = os.path.join(cfg.out_dir, *subdirs)
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -28,16 +28,22 @@ array is fit in one ``generators.fit_batch`` call.  The batch hashes its
 data seeds through one ``seeds.Streams``, so no round builds a
 ``SeedSequence`` of its own; the batch builders draw from its streams
 (a single round's builder from a ``Streams`` of one).  Only a
-traditional round builds a Generator on its data stream, for its pool
-draw; model-seeded per-run references and the mixture's partial are
-each stream's first ``integers``, which ``Streams.integers`` computes
-for the whole batch.  An adversary is a function
+network's traditional round builds a Generator on its data stream, for
+its pool draw; model-seeded per-run references and the mixture's
+partial are each stream's first ``integers``, which ``Streams.integers``
+computes for the whole batch.  A toy fit reads nothing of its set but
+whether x is in it, which both games make true exactly when the round's
+bit is 1, so after the preconditions their toy rounds take
+``generators.toy_fits`` of the bits: no set, no data or fit seed, no
+data stream.  The mixture fits toy rounds like any other, since its spec
+depends on the drawn partial.  An adversary is a function
 ``adversary(gens, seeds) -> scores``: one membership score per fitted
 generator, each given its round's adversary seed.  The counting-query
 adversary samples the releases in batched calls, each returning one
 ``(k, n, d)`` array of one schema, and scores each as one array, but
-each logit stays one dot product per release (see ``attack``).  A batch holds as many rounds as
-``generators.batch_size`` allows for its training sets; with
+each logit stays one dot product per release (see ``attack``).  A batch
+holds as many rounds as ``generators.batch_size`` allows for its
+training sets, and toy rounds of the two games have none; with
 ``threads > 1`` the rounds are also cut into that many chunks, run in a
 thread pool, each chunk with streams of its own.  The transcript is the
 same bytes either way: one ``RUN_DTYPE`` array of (secret bit, score,
@@ -132,27 +138,38 @@ def balanced_bits(n_eval, seed):
     return rng(seed).permutation(bits)
 
 
-def _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, data_tag="data"):
+def _execute(config, record_id, adversary, fit_rounds, threads, set_cells, data_tag="data"):
     """Play the rounds of a game.  ``fit_rounds(secret, streams, seeds)``
     builds the training sets of a batch of rounds with secret bits
     ``secret`` and returns their generators, round i fit with
     ``seeds[i]``; ``streams[i]`` is round i's data stream, opened only by
-    rounds that draw.  A training set holds at most ``set_rows`` records."""
+    rounds that draw.  A training set holds at most ``set_cells`` values.
+    With ``data_tag`` None the rounds draw nothing: ``fit_rounds(secret)``
+    returns their generators from the bits alone, and no data or fit
+    seed is derived."""
     n_eval = config.n_eval
     bits = balanced_bits(n_eval, derive(config.master_seed, "bits"))
     run_seeds = derive_many(config.master_seed, "run", np.arange(n_eval))
     runs = np.empty(n_eval, dtype=RUN_DTYPE)
     runs["secret_bit"], runs["run_seed"] = bits, run_seeds
-    data_seeds = derive_many(run_seeds, data_tag)
-    fit_seeds = derive_many(run_seeds, "fit")
     adversary_seeds = derive_many(run_seeds, "adversary")
+    if data_tag is None:
+
+        def fits(lo, hi):
+            return fit_rounds(bits[lo:hi].tolist())
+
+    else:
+        data_seeds = derive_many(run_seeds, data_tag)
+        fit_seeds = derive_many(run_seeds, "fit")
+
+        def fits(lo, hi):
+            return fit_rounds(bits[lo:hi].tolist(), Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
 
     def play(lo, hi):
-        gens = fit_rounds(bits[lo:hi].tolist(), Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
-        runs["score"][lo:hi] = adversary(gens, adversary_seeds[lo:hi])
+        runs["score"][lo:hi] = adversary(fits(lo, hi), adversary_seeds[lo:hi])
 
     # A batch holds at most a ``threads``-th of the rounds.
-    size = min(generators.batch_size(set_rows * len(x)), -(-n_eval // threads))
+    size = min(generators.batch_size(set_cells), -(-n_eval // threads))
     starts = range(0, n_eval, size)
     ends = [min(lo + size, n_eval) for lo in starts]
     if threads > 1:
@@ -161,6 +178,18 @@ def _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, dat
     else:
         list(map(play, starts, ends))
     return GameTranscript(runs, str(record_id), config.game_kind)
+
+
+def _play_toy(config, record_id, adversary, schema, threads):
+    """Play toy rounds of a game that puts x in a round's training set
+    exactly when the round's bit is 1.  A toy fit reads nothing of its
+    set but that, so no set is built: the fits come from the bits."""
+    spec = config.generator_spec
+
+    def fit_rounds(secret):
+        return generators.toy_fits(spec, schema, secret)
+
+    return _execute(config, record_id, adversary, fit_rounds, threads, 0, data_tag=None)
 
 
 def traditional_pool(x, d_eval):
@@ -222,11 +251,15 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
             f"evaluation pool has {pool.n} usable records, need {n} per round"
         )
 
+    if config.generator_spec.kind == generators.TOY:
+        # The pool holds no copy of x, and x is appended only when b = 1.
+        return _play_toy(config, record_id, adversary, pool.schema, threads)
+
     def fit_rounds(secret, streams, seeds):
         values = data_mod.sample_training_sets(pool, x, n, secret, streams)
         return generators.fit_batch(config.generator_spec, pool.schema, values, seeds, x)
 
-    return _execute(config, record_id, adversary, x, fit_rounds, threads, n)
+    return _execute(config, record_id, adversary, fit_rounds, threads, n * len(x))
 
 
 def _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs):
@@ -283,6 +316,10 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
         raise SizeError(
             "no reference records: every evaluation record appears in the training dataset"
         )
+    if config.generator_spec.kind == generators.TOY:
+        # In-rounds train on d_target, which holds x; out-rounds replace
+        # every copy of x with references from outside d_target.
+        return _play_toy(config, record_id, adversary, d_target.schema, threads)
     fixed_refs = None
     if config.reference_mode == REFERENCE_FIXED:
         g = rng(derive(config.master_seed, "reference"))
@@ -293,7 +330,7 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
         values = _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs)
         return generators.fit_batch(config.generator_spec, d_target.schema, values, seeds, x)
 
-    return _execute(config, record_id, adversary, x, fit_rounds, threads, d_target.n)
+    return _execute(config, record_id, adversary, fit_rounds, threads, d_target.values.size)
 
 
 def run_game(x, d_eval, d_target, adversary, config, record_id="", threads=1):
@@ -359,8 +396,8 @@ def run_traditional_mixture(
                 gens[i] = gen
         return gens
 
-    set_rows = max(len(v) for v in rows.values())
-    return _execute(config, record_id, adversary, x, fit_rounds, threads, set_rows, "mixture")
+    set_cells = max(v.size for v in rows.values())
+    return _execute(config, record_id, adversary, fit_rounds, threads, set_cells, "mixture")
 
 
 def toy_bit_adversary():

@@ -28,6 +28,11 @@ order, Laplace noise, sampling uniforms) are opened once per batch call
 by ``seeds.Streams``, a single network's as a ``Streams`` of one.  A toy
 release is the first ``random()`` of its stream, which
 ``Streams.randoms`` computes for the whole batch without a Generator.
+A toy fit is nothing but the membership flag: ``toy_fits`` returns
+one of the call's two frozen fits, member and non-member, per flag.
+``fit_batch`` passes it the tested flags, and the traditional and
+model-seeded games pass it their rounds' secret bits, which equal the
+flags by construction, without building the training sets at all.
 """
 
 from dataclasses import dataclass, field
@@ -599,12 +604,23 @@ def fit_batch(spec, schema, values, seeds, target_hint=None):
     return _fit_networks(spec, schema, values, seeds)
 
 
+def toy_fits(spec, schema, members):
+    """The toy fit of each training set, given only whether the target is
+    a member of it (``members[i]`` true or 1): the call's two fits,
+    member and non-member, each shared by every set of its kind."""
+    fits = (
+        FittedGenerator(spec, schema, toy_member=False),
+        FittedGenerator(spec, schema, toy_member=True),
+    )
+    return [fits[m] for m in members]
+
+
 def _fit_toys(spec, schema, values, target_hint):
     if target_hint is None:
         raise FitError("toy generator requires a target_hint record")
     data_mod.validate_record(schema, target_hint)
     member = data_mod.value_equal_mask(values, target_hint).any(axis=1)
-    return [FittedGenerator(spec, schema, toy_member=m) for m in member.tolist()]
+    return toy_fits(spec, schema, member.tolist())
 
 
 def _fit_networks(spec, schema, values, seeds):

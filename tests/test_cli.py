@@ -132,12 +132,24 @@ def output_bodies(out):
     return {os.path.relpath(p, out): body(p) for p in paths}
 
 
+def use_reference_games(monkeypatch):
+    """Play every game of a command through ``reference_run_game``, one
+    round at a time, each round's training set built on its own."""
+    from reference import reference_run_game
+
+    def run_game(*args, threads=1, **kwargs):
+        return reference_run_game(*args, **kwargs)
+
+    monkeypatch.setattr(games, "run_game", run_game)
+
+
 @pytest.mark.parametrize("kind", sorted(RUN_GENERATORS))
 def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
-    # The batched generator layer against the per-network reference
-    # functions, and the in-place trainer and batched round scoring
-    # against the per-epoch and per-release references, through a whole
-    # run: same result and transcript bytes, for 1 or 8 threads.
+    # The batched games and generator layer against the per-round and
+    # per-network reference functions, and the in-place trainer and
+    # batched round scoring against the per-epoch and per-release
+    # references, through a whole run: same result and transcript bytes,
+    # for 1 or 8 threads.
     from reference import (
         reference_fit_batch,
         reference_meta_classifier_adversary,
@@ -156,6 +168,7 @@ def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
         path = tmp_path / f"{name}.ini"
         path.write_text(text.format(out=tmp_path / name))
         if name == "reference":
+            use_reference_games(monkeypatch)
             monkeypatch.setattr(generators, "fit_batch", reference_fit_batch)
             monkeypatch.setattr(generators, "sample_batch", reference_sample_batch)
             monkeypatch.setattr(attack, "train_meta_classifier", reference_train_meta_classifier)
@@ -646,6 +659,48 @@ def test_convergence_rows_and_radius(tmp_path):
         n_eval = int(parts[2])
         assert float(parts[5]) == risk.hoeffding_radius(n_eval // 2, 0.2)
         assert float(parts[4]) >= 0.0
+
+
+def test_toy_convergence_body_matches_reference_games(tmp_path, monkeypatch):
+    text = TOY_TEMPLATE.replace("first:3", "ids:4,17") + (
+        "\n[convergence]\ngrid = 10,24\nrepetitions = 2\n"
+    )
+    bodies = {}
+    for name in ("batched", "reference"):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text.format(out=tmp_path / name))
+        if name == "reference":
+            use_reference_games(monkeypatch)
+        assert cli.main(["convergence", "--config", str(path)]) == 0
+        bodies[name] = body(tmp_path / name / "convergence.csv")
+    assert len(bodies["batched"].splitlines()) == 1 + 2 * 2 * 2
+    assert bodies["batched"] == bodies["reference"]
+
+
+def test_toy_ignores_attack_keys_it_never_reads(tmp_path, capsys):
+    # The default k_values hold 3-column subsets and copycol_400 has 2
+    # columns; only a network generator's adversary builds the bank.
+    text = (
+        TOY_TEMPLATE.replace("correlated_500", "copycol_400")
+        .replace("aux_size = 300", "aux_size = 100")
+        .replace("eval_size = 200", "eval_size = 100")
+        .replace("target_size = 50", "target_size = 4")
+        .replace("first:3", "first:1")
+        + "\n[convergence]\ngrid = 4,8\nrepetitions = 2\n"
+    )
+    toy = tmp_path / "toy.ini"
+    toy.write_text(text.format(out=tmp_path / "toy"))
+    assert cli.main(["convergence", "--config", str(toy)]) == 0
+    network = tmp_path / "baynet.ini"
+    network.write_text(
+        text.replace(RUN_GENERATORS["toy"], RUN_GENERATORS["baynet"]).format(
+            out=tmp_path / "baynet"
+        )
+    )
+    assert cli.main(["convergence", "--config", str(network)]) == 2
+    err = capsys.readouterr().err
+    assert "error: attack.k_values entry 3 exceeds the 2 columns of bundled:copycol_400" in err
+    assert not os.path.exists(tmp_path / "baynet")
 
 
 def test_convergence_requires_grid(tmp_path):

@@ -194,6 +194,40 @@ def test_model_seeded_replaces_every_duplicate():
             assert not data.contains(ds, x)
 
 
+# A toy round's fit is its secret bit only because every game's set
+# builder puts x in a round's set exactly when the bit is 1; these check
+# that on the builders themselves.
+
+
+def test_traditional_sets_hold_x_exactly_when_the_bit_is_1():
+    schema = ordered_schema(16)
+    x = (5,)
+    d_eval = data.Dataset(schema, [[i % 16] for i in range(48)] + [[5]] * 3)
+    bits = games.balanced_bits(200, seed=8)
+    streams = seeds.Streams(derive_many(8, "data", np.arange(200)))
+    values = data.sample_training_sets(games.traditional_pool(x, d_eval), x, 12, bits, streams)
+    copies = data.value_equal_mask(values, x).sum(axis=1)
+    assert copies.tolist() == bits.tolist()
+
+
+@pytest.mark.parametrize("mode", [games.REFERENCE_PER_RUN, games.REFERENCE_FIXED])
+def test_model_seeded_out_sets_never_hold_x(mode):
+    schema = ordered_schema(16)
+    x = (1,)
+    d_target = data.Dataset(schema, [[1], [4], [1], [7], [9]])
+    d_eval = data.Dataset(schema, [[i % 16] for i in range(64)])
+    x_positions = data.value_equal_indices(d_target, x)
+    refs = data.rows_not_in(d_eval, d_target)
+    fixed = None
+    if mode == games.REFERENCE_FIXED:
+        fixed = refs[seeds.rng(3).integers(0, len(refs), size=len(x_positions))]
+    bits = games.balanced_bits(200, seed=9)
+    streams = seeds.Streams(derive_many(9, "data", np.arange(200)))
+    values = games._model_seeded_sets(d_target, x_positions, refs, bits, streams, fixed)
+    copies = data.value_equal_mask(values, x).sum(axis=1)
+    assert copies.tolist() == (2 * bits).tolist()
+
+
 def test_model_seeded_fixed_reference_mode():
     schema, d_eval, d_target, _ = toy_setup()
     x = (1,)
@@ -592,21 +626,35 @@ def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batchin
     assert batched == _play(game, spec, threads, reference=True)
 
 
+NETWORK_SPEC = generators.GeneratorSpec(generators.INDEPENDENT)
+STREAM_CASES = [
+    (games.MODEL_SEEDED, games.REFERENCE_FIXED, 0),
+    (games.MODEL_SEEDED, games.REFERENCE_PER_RUN, 0),
+    (games.TRADITIONAL, games.REFERENCE_PER_RUN, 40),
+]
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize(
-    "kind, mode, opened",
+    "spec, kind, mode, opened",
     [
-        (games.MODEL_SEEDED, games.REFERENCE_FIXED, 0),
-        (games.MODEL_SEEDED, games.REFERENCE_PER_RUN, 0),
-        (games.TRADITIONAL, games.REFERENCE_PER_RUN, 40),
+        pytest.param(NETWORK_SPEC, kind, mode, opened, id=f"{kind}-{mode}-{opened}")
+        for kind, mode, opened in STREAM_CASES
+    ]
+    + [
+        pytest.param(toy_spec(), kind, mode, 0, id=f"toy-{kind}-{mode}")
+        for kind, mode, _ in STREAM_CASES
     ],
 )
-def test_data_streams_opened_only_for_rounds_that_draw(monkeypatch, kind, mode, opened, threads):
-    # A model-seeded in-round trains on d_target as it is and a fixed
-    # game draws its references once, so neither reads its round's data
-    # stream.  Per-run out-rounds read theirs through Streams.integers,
-    # which builds no Generator; only traditional rounds open one, for
-    # their pool draw.
+def test_data_streams_opened_only_for_rounds_that_draw(
+    monkeypatch, spec, kind, mode, opened, threads
+):
+    # A network's model-seeded in-round trains on d_target as it is and
+    # a fixed game draws its references once, so neither reads its
+    # round's data stream.  Per-run out-rounds read theirs through
+    # Streams.integers, which builds no Generator; only traditional
+    # rounds open one, for their pool draw.  Toy rounds build no set at
+    # all, so they read no data stream.
     opens, words_read = [], []
 
     class CountingStreams(games.Streams):
@@ -622,14 +670,20 @@ def test_data_streams_opened_only_for_rounds_that_draw(monkeypatch, kind, mode, 
         words_read.extend(map(tuple, words.tolist()))
         return real_outputs(words, count)
 
+    def no_sets(*args):
+        raise AssertionError("a toy round built a training set")
+
     monkeypatch.setattr(games, "Streams", CountingStreams)
     monkeypatch.setattr(seeds, "_outputs", recording_outputs)
+    if spec.kind == generators.TOY:
+        monkeypatch.setattr(data, "sample_training_sets", no_sets)
+        monkeypatch.setattr(games, "_model_seeded_sets", no_sets)
     _, d_eval, d_target, config = toy_setup(n_eval=40, kind=kind)
-    config = dataclasses.replace(config, reference_mode=mode)
+    config = dataclasses.replace(config, generator_spec=spec, reference_mode=mode)
     runs = games.run_game((1,), d_eval, d_target, blind_adversary, config, threads=threads).runs
     assert len(opens) == opened
     expected = []
-    if kind == games.MODEL_SEEDED and mode == games.REFERENCE_PER_RUN:
+    if spec == NETWORK_SPEC and (kind, mode) == (games.MODEL_SEEDED, games.REFERENCE_PER_RUN):
         out_rounds = runs["run_seed"][runs["secret_bit"] == 0]
         expected = seeds.Streams(derive_many(out_rounds, "data"))._words.tolist()
         assert len(expected) == 20
