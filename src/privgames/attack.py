@@ -323,9 +323,7 @@ def train_attack(
     """
     sets, labels = build_shadow_sets(d_aux, x, n, n_shadow, derive(seed, "shadow-sets"))
     shadows = np.arange(len(sets))
-    gens = generators.fit_batch(
-        spec, d_aux.schema, sets, derive_many(seed, "shadow-fit", shadows), target_hint=x
-    )
+    gens = generators.fit_batch(spec, d_aux.schema, sets, derive_many(seed, "shadow-fit", shadows))
     feats = _release_features(gens, n, derive_many(seed, "shadow-sample", shadows), x, bank)
     return train_meta_classifier(feats, labels, epochs, learning_rate, l2)
 

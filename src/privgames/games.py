@@ -24,26 +24,27 @@ array, never a ``Dataset`` per round: traditional rounds gather their
 pool draws in one pass (``data.sample_training_sets``), model-seeded
 rounds copy ``d_target`` and overwrite x's rows in out-rounds, and the
 mixture game stacks one array per drawn partial and secret bit.  Each
-array is fit in one ``generators.fit_batch`` call.  The batch hashes its
-data seeds through one ``seeds.Streams``, so no round builds a
-``SeedSequence`` of its own; the batch builders draw from its streams
-(a single round's builder from a ``Streams`` of one).  Only a
+array of network sets is fit in one ``generators.fit_batch`` call.  A
+batch hashes its data seeds through one ``seeds.Streams``, so no round
+builds a ``SeedSequence`` of its own; the set builders draw from its
+streams (a single round's builder from a ``Streams`` of one).  Only a
 network's traditional round builds a Generator on its data stream, for
 its pool draw; model-seeded per-run references and the mixture's
 partial are each stream's first ``integers``, which ``Streams.integers``
 computes for the whole batch.  A toy fit reads nothing of its set but
-whether x is in it, which both games make true exactly when the round's
-bit is 1, so after the preconditions their toy rounds take
-``generators.toy_fits`` of the bits: no set, no data or fit seed, no
-data stream.  The mixture fits toy rounds like any other, since its spec
-depends on the drawn partial.  An adversary is a function
+whether x is in it, which every game makes true exactly when the round's
+bit is 1, so after the preconditions toy rounds take
+``generators.toy_fits`` of the bits and build no set.  The traditional
+and model-seeded games derive no data or fit seed for them either, and
+open no data stream; the mixture still draws each round's partial, whose
+spec the fit takes.  An adversary is a function
 ``adversary(gens, seeds) -> scores``: one membership score per fitted
 generator, each given its round's adversary seed.  The counting-query
 adversary samples the releases in batched calls, each returning one
 ``(k, n, d)`` array of one schema, and scores each as one array, but
 each logit stays one dot product per release (see ``attack``).  A batch
 holds as many rounds as ``generators.batch_size`` allows for its
-training sets, and toy rounds of the two games have none; with
+training sets, and toy rounds have none; with
 ``threads > 1`` the rounds are also cut into that many chunks, run in a
 thread pool, each chunk with streams of its own.  The transcript is the
 same bytes either way: one ``RUN_DTYPE`` array of (secret bit, score,
@@ -257,7 +258,7 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
 
     def fit_rounds(secret, streams, seeds):
         values = data_mod.sample_training_sets(pool, x, n, secret, streams)
-        return generators.fit_batch(config.generator_spec, pool.schema, values, seeds, x)
+        return generators.fit_batch(config.generator_spec, pool.schema, values, seeds)
 
     return _execute(config, record_id, adversary, fit_rounds, threads, n * len(x))
 
@@ -302,6 +303,8 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
     if config.game_kind != MODEL_SEEDED:
         raise ConfigError(f"config is for {config.game_kind!r}, not model_seeded")
     data_mod.validate_record(d_target.schema, x)
+    if d_eval.schema != d_target.schema:
+        raise PreconditionError("evaluation pool has a different schema than the training dataset")
     if config.dataset_size != d_target.n:
         raise ConfigError(
             f"dataset_size {config.dataset_size} does not match the released "
@@ -328,7 +331,7 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
 
     def fit_rounds(secret, streams, seeds):
         values = _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs)
-        return generators.fit_batch(config.generator_spec, d_target.schema, values, seeds, x)
+        return generators.fit_batch(config.generator_spec, d_target.schema, values, seeds)
 
     return _execute(config, record_id, adversary, fit_rounds, threads, d_target.values.size)
 
@@ -381,7 +384,8 @@ def run_traditional_mixture(
         )
 
     # Rounds that drew the same partial and bit train on the same rows,
-    # so each such group is fit as one batch of copies.
+    # so each such group is fit as one batch of copies.  No partial
+    # holds x and b = 1 adds it, so a toy group's fits are its bit.
     rows = {(j, 0): part.values for j, part in enumerate(partials)}
     rows.update({(j, 1): np.vstack([part.values, [x]]) for j, part in enumerate(partials)})
 
@@ -389,9 +393,13 @@ def run_traditional_mixture(
         keys = list(zip(streams.integers(len(partials), 1)[:, 0].tolist(), secret))
         gens = [None] * len(keys)
         for key in dict.fromkeys(keys):
+            j, b = key
             rounds = [i for i, k in enumerate(keys) if k == key]
-            values = np.repeat(rows[key][None], len(rounds), axis=0)
-            fitted = generators.fit_batch(specs[key[0]], schema, values, seeds[rounds], x)
+            if specs[j].kind == generators.TOY:
+                fitted = generators.toy_fits(specs[j], schema, [b] * len(rounds))
+            else:
+                values = np.repeat(rows[key][None], len(rounds), axis=0)
+                fitted = generators.fit_batch(specs[j], schema, values, seeds[rounds])
             for i, gen in zip(rounds, fitted):
                 gens[i] = gen
         return gens

@@ -14,25 +14,25 @@ copies.  ``sample_batch`` takes fitted generators of any batches but of
 one schema, and returns their releases as one ``(k, n, d)`` int64 array:
 each chunk of samples is written into it once, and no release becomes a
 ``Dataset``.  Every stage is a fixed number of array passes over the
-whole batch: the toy tests membership (``data.value_equal_mask``),
-structure learning scores every column pair of every network from one
-``bincount``, estimating the tables counts every column of every
-network with one more, and sampling draws one column of every network
-per step.  Each network gets exactly the bits of the per-network
-definitions in ``tests/reference.py`` (``reference_mutual_information``
-per column pair, a ``ravel_multi_index`` count per column, ancestral
-sampling column by column); ``fit``, ``learn_structure``, ``sample``
-and ``release_bit`` are batches of one.  The per-network seeds of a
+whole batch: structure learning scores every column pair of every
+network from one ``bincount``, estimating the tables counts every
+column of every network with one more, and sampling draws one column
+of every network per step.  Each network gets exactly the bits of the
+per-network definitions in ``tests/reference.py``
+(``reference_mutual_information`` per column pair, a
+``ravel_multi_index`` count per column, ancestral sampling column by
+column); ``fit``, ``learn_structure``, ``sample`` and ``release_bit``
+are batches of one.  The per-network seeds of a
 batch come from ``seeds.derive_many``, and its random streams (structure
 order, Laplace noise, sampling uniforms) are opened once per batch call
 by ``seeds.Streams``, a single network's as a ``Streams`` of one.  A toy
 release is the first ``random()`` of its stream, which
 ``Streams.randoms`` computes for the whole batch without a Generator.
 A toy fit is nothing but the membership flag: ``toy_fits`` returns
-one of the call's two frozen fits, member and non-member, per flag.
-``fit_batch`` passes it the tested flags, and the traditional and
-model-seeded games pass it their rounds' secret bits, which equal the
-flags by construction, without building the training sets at all.
+one of the call's two frozen fits, member and non-member, per flag.  It
+is the only way to make a toy fit: every game passes it its rounds'
+secret bits, which equal the flags by construction, without building
+the training sets at all, and ``fit_batch`` refuses a toy spec.
 """
 
 from dataclasses import dataclass, field
@@ -585,22 +585,24 @@ def privatize_tables(tables, epsilon, seed):
     return batch.cpts(0, structure)
 
 
-def fit_batch(spec, schema, values, seeds, target_hint=None):
-    """Fit a ``spec`` generator on every training set of a batch.
+def fit_batch(spec, schema, values, seeds):
+    """Fit a ``spec`` network on every training set of a batch.
 
     ``values`` is a ``(B, n, d)`` int64 array of ``schema`` records:
     training set i is ``values[i]``, fit with ``seeds[i]``.  Each stage
     is one pass over the batch, in chunks whose intermediates stay
     within ``BATCH_ELEMENTS``, and every network gets the bits it would
-    get fit alone.  Toy fits record membership of ``target_hint`` in
-    each training set.
+    get fit alone.  A toy fit comes from membership flags, not from
+    training sets: see ``toy_fits``.
     """
+    if spec.kind == TOY:
+        raise UnsupportedOperationError(
+            "toy generator is not fit on training sets; use toy_fits with membership flags"
+        )
     if values.ndim != 3 or values.shape[2] != schema.ncols:
         raise DomainError(f"expected a (B, n, {schema.ncols}) batch, got shape {values.shape}")
     if len(values) != len(seeds):
         raise DomainError("fit_batch needs one seed per training set")
-    if spec.kind == TOY:
-        return _fit_toys(spec, schema, values, target_hint)
     return _fit_networks(spec, schema, values, seeds)
 
 
@@ -613,14 +615,6 @@ def toy_fits(spec, schema, members):
         FittedGenerator(spec, schema, toy_member=True),
     )
     return [fits[m] for m in members]
-
-
-def _fit_toys(spec, schema, values, target_hint):
-    if target_hint is None:
-        raise FitError("toy generator requires a target_hint record")
-    data_mod.validate_record(schema, target_hint)
-    member = data_mod.value_equal_mask(values, target_hint).any(axis=1)
-    return toy_fits(spec, schema, member.tolist())
 
 
 def _fit_networks(spec, schema, values, seeds):
@@ -678,16 +672,13 @@ def _n_rows(sizes, structure):
     return rows
 
 
-def fit(spec, training, target_hint=None, seed=0):
-    """Fit a generator described by ``spec`` on ``training``.
-
-    The toy kind ignores the training distribution entirely: it only
-    records whether ``target_hint`` (required for it) appears in the
-    training data, so an empty training dataset is acceptable.  The
-    other kinds require a non-empty training dataset.  A batch of one
-    of ``fit_batch``.
+def fit(spec, training, seed=0):
+    """Fit a network described by ``spec`` on ``training``, which must
+    be non-empty.  The toy kind reads no training data and raises
+    UnsupportedOperationError: its fit is a membership flag (see
+    ``toy_fits``).  A batch of one of ``fit_batch``.
     """
-    return fit_batch(spec, training.schema, training.values[None], [seed], target_hint)[0]
+    return fit_batch(spec, training.schema, training.values[None], [seed])[0]
 
 
 def sample_batch(gens, n, seeds):

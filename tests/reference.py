@@ -173,9 +173,9 @@ def reference_sample(gen, n, seed):
     return data.Dataset(gen.schema, values)
 
 
-def reference_fit_batch(spec, schema, values, seeds, target_hint=None):
+def reference_fit_batch(spec, schema, values, seeds):
     return [
-        reference_fit(spec, data.Dataset(schema, v), target_hint, int(seed))
+        reference_fit(spec, data.Dataset(schema, v), seed=int(seed))
         for v, seed in zip(values, seeds)
     ]
 

@@ -332,7 +332,7 @@ def test_pipeline_on_memorizing_generator():
 
     feats = []
     for i, ds in enumerate(sets):
-        gen = generators.fit(spec, ds, target_hint=x, seed=100 + i)
+        gen = generators.fit(spec, ds, seed=100 + i)
         d_syn = generators.sample(gen, 20, seed=200 + i)
         feats.append(attack.extract_features(d_syn, x, bank))
     meta = attack.train_meta_classifier(np.array(feats), labels, epochs=2000)
@@ -340,9 +340,7 @@ def test_pipeline_on_memorizing_generator():
         attack._scores(
             meta,
             attack.extract_features(
-                generators.sample(
-                    generators.fit(spec, ds, target_hint=x, seed=300 + i), 20, seed=400 + i
-                ),
+                generators.sample(generators.fit(spec, ds, seed=300 + i), 20, seed=400 + i),
                 x,
                 bank,
             )[None],
@@ -365,7 +363,7 @@ def test_train_attack_deterministic_and_scoring():
     m2 = attack.train_attack(d_aux, x, spec, bank, n=10, n_shadow=8, seed=42)
     assert np.array_equal(m1.weights, m2.weights)
 
-    gen = generators.fit(spec, d_aux, target_hint=x, seed=7)
+    gen = generators.fit(spec, d_aux, seed=7)
     adv = attack.meta_classifier_adversary(m1, bank, x, n_syn=10)
     s1 = adv([gen], [99])[0]
     s2 = adv([gen], [99])[0]
@@ -408,7 +406,7 @@ def test_batched_attack_matches_per_release_reference(
 
     count = 45
     trainings = np.stack([data.sample_records(d_aux, 16, 1000 + i).values for i in range(count)])
-    gens = generators.fit_batch(spec, schema, trainings, list(range(count)), x)
+    gens = generators.fit_batch(spec, schema, trainings, list(range(count)))
     seeds = [7 * i + 2**63 for i in range(count)]
     scores = attack.meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
     assert scores == reference_meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)

@@ -106,7 +106,7 @@ def test_traditional_run_reproducible_standalone():
     pool = games.traditional_pool(x, d_eval)
     for bit, score, run_seed in t.runs[:6].tolist():
         ds = games.traditional_dataset(pool, x, 5, bit, derive(run_seed, "data"))
-        gen = generators.fit(toy_spec(), ds, target_hint=x, seed=derive(run_seed, "fit"))
+        gen = generators.toy_fits(toy_spec(), schema, [data.contains(ds, x)])[0]
         assert games.toy_bit_adversary()([gen], [derive(run_seed, "adversary")])[0] == score
 
 
@@ -150,6 +150,23 @@ def test_model_seeded_requires_reference_records():
     config = games.GameConfig(4, 2, toy_spec(), 0, games.MODEL_SEEDED)
     with pytest.raises(SizeError):
         games.run_model_seeded((0,), d_target, d_eval, games.toy_bit_adversary(), config)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [toy_spec(), generators.GeneratorSpec(generators.INDEPENDENT)],
+    ids=["toy", "independent"],
+)
+def test_model_seeded_requires_one_schema(spec):
+    # References come from d_eval and replace rows of d_target, so both
+    # must share one schema: rows of another width are never equal to
+    # d_target's, and would not fit in its rows.
+    d_target = data.Dataset(ordered_schema(4), [[0], [1], [2], [3]])
+    wide = data.Schema((data.Column("c0", data.ORDERED, 4), data.Column("c1", data.ORDERED, 4)))
+    d_eval = data.Dataset(wide, [[i % 4, i % 3] for i in range(20)])
+    config = games.GameConfig(10, 4, spec, 0, games.MODEL_SEEDED)
+    with pytest.raises(PreconditionError, match="different schema"):
+        games.run_model_seeded((1,), d_target, d_eval, blind_adversary, config)
 
 
 def test_model_seeded_dataset_discipline():
@@ -374,18 +391,20 @@ def test_mixture_deterministic_and_threaded():
 def test_mixture_batches_stay_within_the_budget(monkeypatch):
     # In-rounds train on a 7-row partial plus x, more rows than
     # dataset_size, so a batch is sized by that set, not by dataset_size.
+    # Only network rounds build sets, so the spec is a network's.
     schema = ordered_schema(16)
     partials = [data.Dataset(schema, [[v] for v in range(2, 8)]),
                 data.Dataset(schema, [[v] for v in range(2, 9)])]
-    adv = games.toy_bit_adversary()
-    config = games.GameConfig(40, 4, toy_spec(), 91, games.TRADITIONAL)
+    adv = _mean_adversary(generators.sample_batch)
+    spec = generators.GeneratorSpec(generators.INDEPENDENT)
+    config = games.GameConfig(40, 4, spec, 91, games.TRADITIONAL)
     before = games.run_traditional_mixture((1,), partials, adv, config)
     sizes = []
     fit_batch = generators.fit_batch
 
-    def spy(spec, schema, values, seeds, target_hint):
+    def spy(spec, schema, values, seeds):
         sizes.append(values.size)
-        return fit_batch(spec, schema, values, seeds, target_hint)
+        return fit_batch(spec, schema, values, seeds)
 
     monkeypatch.setattr(generators, "fit_batch", spy)
     monkeypatch.setattr(generators, "BATCH_ELEMENTS", 20)

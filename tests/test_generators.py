@@ -436,7 +436,8 @@ def test_fit_batch_mixes_specs_and_shapes_in_input_order():
 def test_sample_batch_of_zero_rows_is_empty_stack():
     schema = ordered_schema(3, 4)
     trainings = np.array([[[0, 1], [2, 3]], [[1, 1], [0, 0]]])
-    toys = generators.fit_batch(toy_spec(), schema, trainings, [1, 2], target_hint=(0, 1))
+    members = [data.contains(data.Dataset(schema, t), (0, 1)) for t in trainings]
+    toys = generators.toy_fits(toy_spec(), schema, members)
     nets = generators.fit_batch(SPECS[2], schema, trainings, [3, 4])
     for gens in (toys, nets, toys + nets):
         got = generators.sample_batch(gens, 0, list(range(len(gens))))
@@ -471,13 +472,17 @@ def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
 
 
 def test_fit_batch_toy_membership_matches_contains():
+    # A toy fit is made from membership flags; fit_batch takes no toy spec.
     schema = ordered_schema(5)
     trainings = [data.Dataset(schema, [[i % 5], [(i + 1) % 5]]) for i in range(9)]
-    gens = generators.fit_batch(toy_spec(), schema, stack(trainings), range(9), target_hint=(3,))
-    empty = data.Dataset(schema, [])
-    trainings.append(empty)
-    gens += generators.fit_batch(toy_spec(), schema, empty.values[None], [9], target_hint=(3,))
-    assert [g.toy_member for g in gens] == [data.contains(t, (3,)) for t in trainings]
+    with pytest.raises(UnsupportedOperationError, match="toy_fits"):
+        generators.fit_batch(toy_spec(), schema, stack(trainings), range(9))
+    trainings.append(data.Dataset(schema, []))
+    members = [data.contains(t, (3,)) for t in trainings]
+    gens = generators.toy_fits(toy_spec(), schema, members)
+    assert [g.toy_member for g in gens] == members
+    assert len({id(g) for g in gens}) == 2
+    assert all(g.spec == toy_spec() and g.schema == schema for g in gens)
     bits = generators.release_bits(gens, list(range(10)))
     assert bits == [
         int(np.random.default_rng(s).random() < (0.8 if g.toy_member else 0.2))
@@ -491,22 +496,28 @@ def test_fit_batch_toy_membership_matches_contains():
 def test_fit_toy_records_membership():
     schema = ordered_schema(5)
     training = data.Dataset(schema, [[0], [3]])
-    gen_in = generators.fit(toy_spec(), training, target_hint=(3,))
-    gen_out = generators.fit(toy_spec(), training, target_hint=(4,))
+    gen_in, gen_out = generators.toy_fits(
+        toy_spec(), schema, [data.contains(training, x) for x in ((3,), (4,))]
+    )
     assert gen_in.toy_member is True
     assert gen_out.toy_member is False
+    flags = [True, False, 1, 0, 0, True, False, 1, 1, 0]
+    gens = generators.toy_fits(toy_spec(), schema, flags)
+    assert [g.toy_member for g in gens] == [bool(f) for f in flags]
 
 
 def test_fit_toy_accepts_empty_training():
     schema = ordered_schema(5)
     empty = data.Dataset(schema, [])
-    gen = generators.fit(toy_spec(), empty, target_hint=(1,))
+    (gen,) = generators.toy_fits(toy_spec(), schema, [data.contains(empty, (1,))])
     assert gen.toy_member is False
 
 
 def test_fit_toy_requires_hint():
+    # fit sees only the training set, not the target, so a toy spec is
+    # refused there and its fit is made by toy_fits from the flag.
     schema = ordered_schema(5)
-    with pytest.raises(FitError):
+    with pytest.raises(UnsupportedOperationError, match="toy_fits"):
         generators.fit(toy_spec(), data.Dataset(schema, [[1]]))
 
 
@@ -553,7 +564,8 @@ def test_fit_deterministic():
 
 def test_sample_toy_refuses_records():
     schema = ordered_schema(4)
-    gen = generators.fit(toy_spec(), data.Dataset(schema, [[0]]), target_hint=(0,))
+    training = data.Dataset(schema, [[0]])
+    gen = generators.toy_fits(toy_spec(), schema, [data.contains(training, (0,))])[0]
     with pytest.raises(UnsupportedOperationError):
         generators.sample(gen, 3, seed=1)
     empty = generators.sample(gen, 0, seed=1)
@@ -624,7 +636,7 @@ def test_single_network_entry_points_take_any_rng_seed():
     ref = reference_fit(spec, ds, seed=top)
     expected = reference_sample(ref, 30, top).values
     assert generators.sample(gen, 30, top).values.tobytes() == expected.tobytes()
-    toy = generators.fit(toy_spec(0.5, 0.5), ds, target_hint=tuple(vals[0]))
+    toy = generators.toy_fits(toy_spec(0.5, 0.5), schema, [data.contains(ds, tuple(vals[0]))])[0]
     assert generators.release_bit(toy, top) == int(np.random.default_rng(top).random() < 0.5)
     for draw in (
         lambda: generators.learn_structure(ds, 2, wide),
@@ -648,8 +660,9 @@ def test_release_bit_only_for_toy():
 def test_release_bit_frequencies():
     schema = ordered_schema(4)
     training = data.Dataset(schema, [[1]])
-    gen_in = generators.fit(toy_spec(0.8, 0.2), training, target_hint=(1,))
-    gen_out = generators.fit(toy_spec(0.8, 0.2), training, target_hint=(2,))
+    gen_in, gen_out = generators.toy_fits(
+        toy_spec(0.8, 0.2), schema, [data.contains(training, x) for x in ((1,), (2,))]
+    )
     n = 100000
     in_mean = np.mean(generators.release_bits([gen_in] * n, np.arange(n, dtype=np.uint64)))
     out_mean = np.mean(
@@ -663,8 +676,9 @@ def test_release_bit_identity_when_probabilities_match():
     # p_in == p_out: membership must leave no statistical trace.
     schema = ordered_schema(4)
     training = data.Dataset(schema, [[1]])
-    gen_in = generators.fit(toy_spec(0.3, 0.3), training, target_hint=(1,))
-    gen_out = generators.fit(toy_spec(0.3, 0.3), training, target_hint=(2,))
+    gen_in, gen_out = generators.toy_fits(
+        toy_spec(0.3, 0.3), schema, [data.contains(training, x) for x in ((1,), (2,))]
+    )
     n = 10000
     in_mean = np.mean(generators.release_bits([gen_in] * n, np.arange(n, dtype=np.uint64)))
     out_mean = np.mean(
