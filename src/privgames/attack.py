@@ -15,6 +15,12 @@ one sigmoid.  Each logit stays one dot product of a release's features
 with the weights: a matrix-vector product over the whole batch sums in
 another order and changes the low bits of the scores.
 ``extract_features`` featurizes a batch of one release.
+
+Training is split from the shadow stage: ``shadow_features`` returns
+one record's shadow features and labels, and ``train_meta_classifiers``
+trains a stack of records in one descent, each record's weights bit for
+bit those of training it alone.  ``train_meta_classifier`` and
+``train_attack`` are the stack of one.
 """
 
 import math
@@ -236,54 +242,62 @@ def _sigmoid(z):
     return np.divide(1.0, z, out=z)
 
 
-def train_meta_classifier(
+def train_meta_classifiers(
     features, labels, epochs=DEFAULT_EPOCHS, learning_rate=DEFAULT_LEARNING_RATE, l2=DEFAULT_L2
 ):
-    """Fit a logistic regression by full-batch proximal gradient descent.
+    """Fit one logistic regression per record by full-batch proximal
+    gradient descent, every record in one stacked descent.
 
     The cross-entropy gradient step is followed by the exact proximal
     shrinkage of the l2 penalty, so the update stays contractive for
     arbitrarily large l2 instead of diverging.  The bias is not
-    penalized.  Weights start at zero, making the fit deterministic
-    given its inputs.
+    penalized.  Weights start at zero, making each fit deterministic
+    given its inputs.  Each record has its own step size, from the
+    Lipschitz constant of its own features.
+
+    Every operation of an epoch runs once over the whole stack.  The two
+    ``np.matmul`` calls make one gemv per record, with the shape and
+    strides of a single record's call, and the rest is elementwise, so
+    each record's weights are bit for bit those of training it alone.
 
     Parameters
     ----------
-    features : array-like, shape (m, d)
-    labels : array-like of {0, 1}, length m
+    features : array-like, shape (R, m, d), one (m, d) matrix per record
+    labels : array-like of {0, 1}, length m, shared by every record
     epochs, learning_rate, l2 : training hyperparameters.
 
     Returns
     -------
-    MetaClassifier
+    list of R MetaClassifier, in record order
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if X.ndim != 2:
-        raise TrainingError("features must be a 2-d array")
-    if len(y) != X.shape[0]:
+    if X.ndim != 3:
+        raise TrainingError("features must be a 3-d array")
+    if len(y) != X.shape[1]:
         raise TrainingError(
-            f"{X.shape[0]} feature rows but {len(y)} labels"
+            f"{X.shape[1]} feature rows but {len(y)} labels"
         )
-    if X.shape[0] < 2 or len(set(y.tolist())) < 2:
+    if X.shape[1] < 2 or len(set(y.tolist())) < 2:
         raise TrainingError("training needs examples of both classes")
     if epochs < 1 or learning_rate <= 0 or l2 < 0:
         raise TrainingError("invalid hyperparameters")
-    m, d = X.shape
-    Xb = np.hstack([X, np.ones((m, 1))])
-    XbT = Xb.T
-    # Lipschitz constant of the logistic loss gradient; keeps the plain
-    # gradient step stable for any feature scale.
-    lip = 0.25 * float((Xb * Xb).sum(axis=1).max())
-    step = learning_rate / lip
+    r, m, d = X.shape
+    Xb = np.concatenate([X, np.ones((r, m, 1))], axis=2)
+    XbT = Xb.transpose(0, 2, 1)
+    # Lipschitz constant of each record's logistic loss gradient; keeps
+    # the plain gradient step stable for any feature scale.
+    lip = 0.25 * (Xb * Xb).sum(axis=2).max(axis=1)
+    step = (learning_rate / lip)[:, None, None]
     shrink = 1.0 + step * l2
-    w = np.zeros(d + 1)
-    coef = w[:d]
+    w = np.zeros((r, d + 1, 1))
+    coef = w[:, :d]
     # An epoch is p = sigmoid(Xb @ w); grad = Xb.T @ (p - y) / m;
     # w = w - step * grad; w[:d] /= shrink, each operation in that order
     # but written into buffers made once, so no epoch allocates.
-    p = np.empty(m)
-    grad = np.empty(d + 1)
+    p = np.empty((r, m, 1))
+    grad = np.empty((r, d + 1, 1))
+    y = y[:, None]
     for _ in range(epochs):
         _sigmoid(np.matmul(Xb, w, out=p))
         p -= y
@@ -292,7 +306,18 @@ def train_meta_classifier(
         grad *= step
         w -= grad
         coef /= shrink
-    return MetaClassifier(weights=w)
+    return [MetaClassifier(weights=w[i, :, 0].copy()) for i in range(r)]
+
+
+def train_meta_classifier(
+    features, labels, epochs=DEFAULT_EPOCHS, learning_rate=DEFAULT_LEARNING_RATE, l2=DEFAULT_L2
+):
+    """One record's logistic regression: ``train_meta_classifiers`` on a
+    stack of one ``(m, d)`` feature matrix."""
+    X = np.asarray(features, dtype=float)
+    if X.ndim != 2:
+        raise TrainingError("features must be a 2-d array")
+    return train_meta_classifiers(X[None], labels, epochs, learning_rate, l2)[0]
 
 
 def _scores(meta, feats):
@@ -310,21 +335,28 @@ def _scores(meta, feats):
     return _sigmoid(logits).tolist()
 
 
-def train_attack(
-    d_aux, x, spec, bank, n, n_shadow, seed,
-    epochs=DEFAULT_EPOCHS, learning_rate=DEFAULT_LEARNING_RATE, l2=DEFAULT_L2,
-):
-    """Full shadow pipeline: sets, generators, features, classifier.
+def shadow_features(d_aux, x, spec, bank, n, n_shadow, seed):
+    """Shadow stage: the features of every shadow release, and labels.
 
     Each shadow generator is fit on its own derived seed and sampled
-    once at size ``n``, all shadows as one batch; the meta-classifier is
-    trained on the resulting feature matrix.  Deterministic given its
-    arguments.
+    once at size ``n``, all shadows as one batch.  Returns the
+    ``(n_shadow, n_queries)`` feature matrix and the sets' membership
+    labels.  Deterministic given its arguments.
     """
     sets, labels = build_shadow_sets(d_aux, x, n, n_shadow, derive(seed, "shadow-sets"))
     shadows = np.arange(len(sets))
     gens = generators.fit_batch(spec, d_aux.schema, sets, derive_many(seed, "shadow-fit", shadows))
     feats = _release_features(gens, n, derive_many(seed, "shadow-sample", shadows), x, bank)
+    return feats, labels
+
+
+def train_attack(
+    d_aux, x, spec, bank, n, n_shadow, seed,
+    epochs=DEFAULT_EPOCHS, learning_rate=DEFAULT_LEARNING_RATE, l2=DEFAULT_L2,
+):
+    """Full shadow pipeline for one record: ``shadow_features``, then
+    the meta-classifier trained on them as a stack of one."""
+    feats, labels = shadow_features(d_aux, x, spec, bank, n, n_shadow, seed)
     return train_meta_classifier(feats, labels, epochs, learning_rate, l2)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import attack, corpora, games, generators, risk
 from . import config as config_mod
 from . import data as data_mod
-from .errors import ConfigError, JoinError, PrivGamesError
+from .errors import ConfigError, JoinError, PrivGamesError, TrainingError
 from .seeds import derive, rng
 
 THREADS_ENV_VAR = "PRIVGAMES_THREADS"
@@ -138,24 +138,54 @@ def build_bank(cfg, schema):
     )
 
 
-def build_adversary(cfg, bank, d_aux, x, seed):
-    """Toy generators release a bit; everything else gets the trained
-    meta-classifier over the query bank."""
+def build_adversaries(cfg, bank, d_aux, targets):
+    """One adversary per ``(x, seed)`` of ``targets``, in order.
+
+    Toy generators release a bit, so their adversary reads it and
+    nothing is trained.  Everything else gets a meta-classifier over the
+    query bank: each target's shadow stage runs in turn, then one
+    ``attack.train_meta_classifiers`` call trains every target whose
+    shadow stage succeeded, as one stack.  A target whose shadow stage
+    raises a PrivGamesError gets that error in place of an adversary; a
+    TrainingError of the stacked call stands for every target in it.
+    """
     if cfg.generator_spec.kind == generators.TOY:
-        return games.toy_bit_adversary()
-    meta = attack.train_attack(
-        d_aux,
-        x,
-        cfg.generator_spec,
-        bank,
-        n=cfg.target_size,
-        n_shadow=cfg.n_shadow,
-        seed=seed,
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        l2=cfg.l2,
-    )
-    return attack.meta_classifier_adversary(meta, bank, x, n_syn=cfg.syn_size)
+        return [games.toy_bit_adversary()] * len(targets)
+    built = []
+    for x, seed in targets:
+        try:
+            built.append(attack.shadow_features(
+                d_aux, x, cfg.generator_spec, bank,
+                n=cfg.target_size, n_shadow=cfg.n_shadow, seed=seed,
+            ))
+        except PrivGamesError as exc:
+            built.append(exc)
+    shadowed = [i for i, item in enumerate(built) if not isinstance(item, PrivGamesError)]
+    if not shadowed:
+        return built
+    # Every target's shadow sets carry the same labels: they depend on
+    # n_shadow alone.
+    labels = built[shadowed[0]][1]
+    try:
+        metas = attack.train_meta_classifiers(
+            np.stack([built[i][0] for i in shadowed]), labels,
+            epochs=cfg.epochs, learning_rate=cfg.learning_rate, l2=cfg.l2,
+        )
+    except TrainingError as exc:
+        for i in shadowed:
+            built[i] = exc
+        return built
+    for i, meta in zip(shadowed, metas):
+        built[i] = attack.meta_classifier_adversary(meta, bank, targets[i][0], n_syn=cfg.syn_size)
+    return built
+
+
+def build_adversary(cfg, bank, d_aux, x, seed):
+    """``build_adversaries`` for a list of one target; raises its error."""
+    (adversary,) = build_adversaries(cfg, bank, d_aux, [(x, seed)])
+    if isinstance(adversary, PrivGamesError):
+        raise adversary
+    return adversary
 
 
 def game_config(cfg, kind, master_seed, n_eval):
@@ -177,15 +207,20 @@ def play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads):
     )
 
 
-def _each_record(cfg, evaluate, log, subdirs=()):
+def _each_record(cfg, evaluate, log, attack_seeds, subdirs=()):
     """Evaluate every selected record in order; returns (outputs, status).
 
-    ``evaluate(rid, x, d_aux, d_eval, d_target, bank)`` returns one
-    record's output and a one-line summary, logged as ``record <id>: ...``;
-    ``bank`` is None for a toy generator, whose adversary asks no queries.
-    A record whose evaluation raises a PrivGamesError is logged and left
-    out; the other records still run and the status becomes ``partial``.
-    Makes ``cfg.out_dir`` and ``subdirs`` below it first (ConfigError if not).
+    ``attack_seeds(rid)`` lists the seeds of the adversaries record
+    ``rid`` needs.  Every record's adversaries are built by one
+    ``build_adversaries`` call before the first record is evaluated, so
+    all their meta-classifiers train in one stacked descent.
+    ``evaluate(rid, x, d_eval, d_target, adversaries)`` then returns one
+    record's output and a one-line summary, logged as
+    ``record <id>: ...``.  A record whose adversary could not be built,
+    or whose evaluation raises a PrivGamesError, is logged at its turn
+    and left out; the other records still run and the status becomes
+    ``partial``.  Makes ``cfg.out_dir`` and ``subdirs`` below it first
+    (ConfigError if not).
     """
     _, d_aux, d_eval, d_target = load_environment(cfg)
     record_ids = select_record_ids(cfg, d_target)
@@ -197,13 +232,20 @@ def _each_record(cfg, evaluate, log, subdirs=()):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{out_dir}: cannot make the directory ({exc.strerror})") from None
+    seeds = {rid: attack_seeds(rid) for rid in record_ids}
+    built = iter(build_adversaries(
+        cfg, bank, d_aux,
+        [(d_target.record(rid), seed) for rid in record_ids for seed in seeds[rid]],
+    ))
     outputs = []
     status = "complete"
     for rid in record_ids:
+        adversaries = [next(built) for _ in seeds[rid]]
         try:
-            output, summary = evaluate(
-                rid, d_target.record(rid), d_aux, d_eval, d_target, bank
-            )
+            for adversary in adversaries:
+                if isinstance(adversary, PrivGamesError):
+                    raise adversary
+            output, summary = evaluate(rid, d_target.record(rid), d_eval, d_target, adversaries)
         except PrivGamesError as exc:
             log(f"record evaluation failed: record {rid}: {exc}")
             status = "partial"
@@ -211,6 +253,12 @@ def _each_record(cfg, evaluate, log, subdirs=()):
         outputs.append(output)
         log(f"record {rid}: {summary}")
     return outputs, status
+
+
+def _attack_seed(cfg):
+    """``attack_seeds`` of ``run`` and ``dp-audit``: one adversary per
+    record."""
+    return lambda rid: [derive(cfg.master_seed, "attack", rid)]
 
 
 # -------------------------------------------------------------------- run
@@ -236,11 +284,9 @@ def cmd_run(cfg, threads=1, log=print):
     transcripts_dir = os.path.join(cfg.out_dir, "transcripts")
     cfg_hash = cfg.config_hash()
 
-    def evaluate(rid, x, d_aux, d_eval, d_target, bank):
+    def evaluate(rid, x, d_eval, d_target, adversaries):
         # A record lands in the outputs with all its games or not at all.
-        adversary = build_adversary(
-            cfg, bank, d_aux, x, derive(cfg.master_seed, "attack", rid)
-        )
+        (adversary,) = adversaries
         transcripts = [
             play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads)
             for kind in cfg.game_kinds
@@ -256,7 +302,9 @@ def cmd_run(cfg, threads=1, log=print):
             summary.append(f"{kind} auc={auc:.3f}")
         return record_rows, ", ".join(summary)
 
-    per_record, status = _each_record(cfg, evaluate, log, subdirs=("transcripts",))
+    per_record, status = _each_record(
+        cfg, evaluate, log, _attack_seed(cfg), subdirs=("transcripts",)
+    )
     for i, kind in enumerate(cfg.game_kinds):
         _write_table(
             os.path.join(cfg.out_dir, f"results_{kind}.csv"), "results", cfg_hash,
@@ -339,13 +387,15 @@ def convergence_table(cfg, threads=1, log=print):
             f"convergence.repetitions must be >= 2 (got {cfg.repetitions})"
         )
 
-    def evaluate(rid, x, d_aux, d_eval, d_target, bank):
+    def attack_seeds(rid):
+        return [
+            derive(cfg.master_seed, f"conv-attack-{rid}", rep) for rep in range(cfg.repetitions)
+        ]
+
+    def evaluate(rid, x, d_eval, d_target, adversaries):
         base = derive(cfg.master_seed, "convergence", rid)
         aucs = {}
-        for rep in range(cfg.repetitions):
-            adversary = build_adversary(
-                cfg, bank, d_aux, x, derive(cfg.master_seed, f"conv-attack-{rid}", rep)
-            )
+        for rep, adversary in enumerate(adversaries):
             for kind in cfg.game_kinds:
                 for n_eval in cfg.n_eval_grid:
                     seed = derive(derive(base, kind, n_eval), "rep", rep)
@@ -366,7 +416,7 @@ def convergence_table(cfg, threads=1, log=print):
                 )
         return rows, "convergence grid done"
 
-    per_record, status = _each_record(cfg, evaluate, log)
+    per_record, status = _each_record(cfg, evaluate, log, attack_seeds)
     return [row for rows in per_record for row in rows], status
 
 
@@ -390,10 +440,8 @@ def cmd_dp_audit(cfg, threads=1, log=print):
             f"(got {cfg.generator_spec.kind!r})"
         )
 
-    def evaluate(rid, x, d_aux, d_eval, d_target, bank):
-        adversary = build_adversary(
-            cfg, bank, d_aux, x, derive(cfg.master_seed, "attack", rid)
-        )
+    def evaluate(rid, x, d_eval, d_target, adversaries):
+        (adversary,) = adversaries
         transcript = play_game(
             cfg, games.MODEL_SEEDED, rid, x, d_eval, d_target, adversary, threads
         )
@@ -407,7 +455,7 @@ def cmd_dp_audit(cfg, threads=1, log=print):
         flagged_total = sum(int(flagged) for *_, flagged in points)
         return (rows, flagged_total), f"{len(points)} trade-off points audited"
 
-    per_record, status = _each_record(cfg, evaluate, log)
+    per_record, status = _each_record(cfg, evaluate, log, _attack_seed(cfg))
     _write_table(
         os.path.join(cfg.out_dir, "dp_audit.csv"), "dp-audit", cfg.config_hash(),
         status, AUDIT_COLUMNS, [row for rows, _ in per_record for row in rows], log,

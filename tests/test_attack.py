@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -311,6 +315,85 @@ def test_trainer_matches_reference_where_clip_binds():
     got = attack.train_meta_classifier(X, y, epochs=40, learning_rate=1e6, l2=0.0)
     want = reference_train_meta_classifier(X, y, epochs=40, learning_rate=1e6, l2=0.0)
     assert np.array_equal(got.weights, want.weights)
+
+
+def stacked_training_cases(count=60):
+    """Seeded random ``(features (R, m, q), labels, hyperparameters)``.
+
+    Every tenth case is a stack of one.  Cases 1-3 of every ten take the
+    edge hyperparameters: a step so large the clip binds, no penalty,
+    and a penalty so large it collapses the weights.  With m = 2 mod 4
+    and q even, a record's slice of the bias-extended stack starts at an
+    offset that is not a multiple of 32 bytes.
+    """
+    edges = {
+        1: dict(learning_rate=1e6, l2=0.0),
+        2: dict(learning_rate=1.0, l2=0.0),
+        3: dict(learning_rate=1.0, l2=1e9),
+    }
+    cases = []
+    for case in range(count):
+        g = np.random.default_rng(900 + case)
+        r = 1 if case % 10 == 0 else int(g.integers(2, 9))
+        m = 2 * int(g.integers(1, 30))
+        q = int(g.integers(1, 40))
+        X = g.random((r, m, q)) * 10.0 ** g.integers(-3, 3)
+        y = g.permutation(np.arange(m) % 2)
+        hyper = edges.get(case % 10) or dict(
+            learning_rate=float(g.uniform(0.1, 3.0)), l2=float(10.0 ** g.uniform(-6, 1))
+        )
+        cases.append((X, y, dict(epochs=int(g.integers(1, 200)), **hyper)))
+    return cases
+
+
+def assert_stacked_matches_per_record(cases):
+    for X, y, kwargs in cases:
+        got = attack.train_meta_classifiers(X, y, **kwargs)
+        assert len(got) == len(X)
+        for features, meta in zip(X, got):
+            want = reference_train_meta_classifier(features, y, **kwargs)
+            assert meta.weights.tobytes() == want.weights.tobytes()
+
+
+def test_stacked_trainer_matches_per_record_reference():
+    cases = stacked_training_cases()
+    shapes = [X.shape for X, _, _ in cases]
+    assert len(shapes) >= 50 and any(r == 1 for r, _, _ in shapes)
+    # A record's bias-extended slice is m * (q + 1) float64s long.
+    assert any(r > 1 and m * (q + 1) * 8 % 32 for r, m, q in shapes)
+    assert {1e6, 1.0} <= {kwargs["learning_rate"] for _, _, kwargs in cases}
+    assert {0.0, 1e9} <= {kwargs["l2"] for _, _, kwargs in cases}
+    assert_stacked_matches_per_record(cases)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge", "Prescott"])
+def test_stacked_trainer_matches_per_record_on_other_blas_kernels(coretype):
+    # OpenBLAS picks its kernels when it loads, so each kernel gets a
+    # child process of its own; the variable is set in the child only.
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, here, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import test_attack as t; "
+        "t.assert_stacked_matches_per_record(t.stacked_training_cases())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_stacked_trainer_rejects_bad_inputs():
+    y = np.array([0, 1, 0, 1])
+    with pytest.raises(TrainingError, match="3-d"):
+        attack.train_meta_classifiers(np.ones((4, 2)), y)
+    with pytest.raises(TrainingError, match="4 feature rows but 3 labels"):
+        attack.train_meta_classifiers(np.ones((2, 4, 2)), y[:3])
+    with pytest.raises(TrainingError, match="both classes"):
+        attack.train_meta_classifiers(np.ones((2, 4, 2)), np.ones(4))
 
 
 # ---------------------------------------------------------- full pipeline

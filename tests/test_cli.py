@@ -4,7 +4,8 @@ import pytest
 
 from privgames import attack, cli, corpora, data, games, generators, risk
 from privgames.config import load_experiment_config
-from privgames.errors import PrivGamesError
+from privgames.errors import FitError, PrivGamesError, TrainingError
+from privgames.seeds import derive
 
 TOY_TEMPLATE = """
 [data]
@@ -146,10 +147,10 @@ def use_reference_games(monkeypatch):
 @pytest.mark.parametrize("kind", sorted(RUN_GENERATORS))
 def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
     # The batched games and generator layer against the per-round and
-    # per-network reference functions, and the in-place trainer and
-    # batched round scoring against the per-epoch and per-release
-    # references, through a whole run: same result and transcript bytes,
-    # for 1 or 8 threads.
+    # per-network reference functions, and the stacked in-place trainer
+    # and batched round scoring against the per-record, per-epoch and
+    # per-release references, through a whole run: same result and
+    # transcript bytes, for 1 or 8 threads.
     from reference import (
         reference_fit_batch,
         reference_meta_classifier_adversary,
@@ -163,6 +164,12 @@ def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
         .replace("first:3", "ids:4,17")
         + "\n[attack]\nn_shadow = 6\nqueries_per_k = 8\nsyn_size = 30\n"
     )
+    trained = []
+
+    def per_record_training(features, labels, **kwargs):
+        trained.extend(range(len(features)))
+        return [reference_train_meta_classifier(f, labels, **kwargs) for f in features]
+
     outs = {}
     for name, threads in (("batched", "1"), ("threaded", "8"), ("reference", "1")):
         path = tmp_path / f"{name}.ini"
@@ -171,13 +178,14 @@ def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
             use_reference_games(monkeypatch)
             monkeypatch.setattr(generators, "fit_batch", reference_fit_batch)
             monkeypatch.setattr(generators, "sample_batch", reference_sample_batch)
-            monkeypatch.setattr(attack, "train_meta_classifier", reference_train_meta_classifier)
+            monkeypatch.setattr(attack, "train_meta_classifiers", per_record_training)
             monkeypatch.setattr(
                 attack, "meta_classifier_adversary", reference_meta_classifier_adversary
             )
         assert cli.main(["run", "--config", str(path), "--threads", threads]) == 0
         outs[name] = output_bodies(str(tmp_path / name))
     assert len(outs["batched"]) == 2 + 4
+    assert len(trained) == (0 if kind == "toy" else 2)
     assert outs["batched"] == outs["reference"]
     assert outs["batched"] == outs["threaded"]
 
@@ -721,7 +729,8 @@ def test_convergence_constant_adversary_has_zero_std(tmp_path, monkeypatch):
     )
     cfg = load_experiment_config(cfg_path)
     monkeypatch.setattr(
-        cli, "build_adversary", lambda *args: lambda gens, seeds: [0.5] * len(gens)
+        cli, "build_adversaries",
+        lambda cfg, bank, d_aux, targets: [lambda gens, seeds: [0.5] * len(gens)] * len(targets),
     )
     rows, status = cli.convergence_table(cfg, log=silent)
     assert status == "complete"
@@ -838,6 +847,101 @@ def test_failed_record_is_left_out(tmp_path, monkeypatch, capsys, command, table
     assert len(failures) == 1 and failures[0].startswith("record evaluation failed: record 1:")
     assert [m.split(":")[0] for m in logged if m.startswith("record ") and m not in failures] == [
         "record 0", "record 2"
+    ]
+
+
+# ----------------------------------------- records trained in one stack
+
+
+NETWORK_TEXT = (
+    TOY_TEMPLATE.replace(RUN_GENERATORS["toy"], RUN_GENERATORS["baynet"])
+    .replace("n_eval = 40", "n_eval = 24")
+    + "\n[attack]\nn_shadow = 6\nqueries_per_k = 8\nsyn_size = 30\n"
+)
+
+STACK_TEXT = {
+    "run": NETWORK_TEXT,
+    "dp-audit": AUDIT_TEMPLATE.replace("{selection}", "first:1"),
+    "convergence": NETWORK_TEXT + "\n[convergence]\ngrid = 8,16\nrepetitions = 2\n",
+}
+
+
+def record_outputs(out):
+    """Each record's rows of every table under ``out``, and the bodies
+    of its transcripts, by record id."""
+    per_record = {}
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".csv"):
+            for row in body(os.path.join(out, name)).splitlines()[1:]:
+                per_record.setdefault(row.split(",")[0], []).append((name, row))
+    tdir = os.path.join(out, "transcripts")
+    for name in sorted(os.listdir(tdir)) if os.path.isdir(tdir) else ():
+        rid = name[len("record"):].split("_")[0]
+        per_record.setdefault(rid, []).append((name, body(os.path.join(tdir, name))))
+    return per_record
+
+
+def run_stack(tmp_path, capsys, command, selection, out_name):
+    """Exit code, per-record outputs, table headers and logged record
+    lines of one command over ``selection``."""
+    path = tmp_path / "exp.ini"
+    path.write_text(STACK_TEXT[command].format(out=tmp_path / "unused"))
+    out = tmp_path / out_name
+    capsys.readouterr()
+    code = cli.main([command, "--config", str(path), "--records", selection, "--out", str(out)])
+    logged = [m for m in capsys.readouterr().out.splitlines() if m.startswith("record ")]
+    headers = [open(out / f).readline() for f in sorted(os.listdir(out)) if f.endswith(".csv")]
+    return code, record_outputs(str(out)), headers, logged
+
+
+@pytest.mark.parametrize("command", sorted(STACK_TEXT))
+def test_stacked_training_couples_no_records(tmp_path, capsys, command):
+    # A record's rows and transcripts are those of a run that selects it
+    # alone, whatever else trains in the same stack.
+    code, together, _, _ = run_stack(tmp_path, capsys, command, "ids:0,1,2", "together")
+    assert code == 0 and sorted(together) == ["0", "1", "2"]
+    for rid in ("0", "2"):
+        code, alone, _, _ = run_stack(tmp_path, capsys, command, f"ids:{rid}", f"alone{rid}")
+        assert code == 0 and alone == {rid: together[rid]}
+
+
+@pytest.mark.parametrize("command", sorted(STACK_TEXT))
+def test_failed_shadow_fit_drops_only_its_record(tmp_path, monkeypatch, capsys, command):
+    _, clean, _, clean_logged = run_stack(tmp_path, capsys, command, "ids:0,1,2", "clean")
+    master_seed = load_experiment_config(str(tmp_path / "exp.ini")).master_seed
+    # Record 1's shadow stage (its second repetition's, for convergence).
+    if command == "convergence":
+        attack_seed = derive(master_seed, "conv-attack-1", 1)
+    else:
+        attack_seed = derive(master_seed, "attack", 1)
+    real = generators.fit_batch
+
+    def fit_batch(spec, schema, values, seeds):
+        if int(seeds[0]) == derive(attack_seed, "shadow-fit", 0):
+            raise FitError("induced shadow failure")
+        return real(spec, schema, values, seeds)
+
+    monkeypatch.setattr(generators, "fit_batch", fit_batch)
+    code, failed, headers, logged = run_stack(tmp_path, capsys, command, "ids:0,1,2", "failed")
+    assert code == 1
+    assert headers and all("status=partial" in h for h in headers)
+    assert failed == {rid: clean[rid] for rid in ("0", "2")}
+    assert logged == [
+        clean_logged[0], "record evaluation failed: record 1: induced shadow failure",
+        clean_logged[2],
+    ]
+
+
+def test_training_error_fails_every_record_of_the_stack(tmp_path, monkeypatch, capsys):
+    def failing(features, labels, **kwargs):
+        raise TrainingError("induced training failure")
+
+    monkeypatch.setattr(attack, "train_meta_classifiers", failing)
+    code, outputs, headers, logged = run_stack(tmp_path, capsys, "run", "ids:0,1,2", "out")
+    assert code == 1 and outputs == {}
+    assert headers and all("status=partial" in h for h in headers)
+    assert logged == [
+        f"record evaluation failed: record {rid}: induced training failure" for rid in (0, 1, 2)
     ]
 
 
