@@ -9,12 +9,14 @@ scores fresh releases with the fitted model.
 The shadow training sets are one ``(n_shadow, n, d)`` array, fit by one
 ``generators.fit_batch`` call, and releases are handled a batch at a
 time.  Each ``generators.sample_batch`` call returns one ``(k, n, d)``
-array of one schema, whose features come from one matrix product per
-chunk of ``generators.batch_size`` releases, and the batch's scores from
-one sigmoid.  Each logit stays one dot product of a release's features
-with the weights: a matrix-vector product over the whole batch sums in
-another order and changes the low bits of the scores.
-``extract_features`` featurizes a batch of one release.
+array of one schema.  Its features are integer match counts: per chunk
+of ``generators.batch_size`` releases, each query ANDs the packed
+bitsets of its column tests and popcounts the result, with no floating
+point until the count is divided by ``n``.  The batch's scores come from
+one stacked ``np.matmul``, one dot product of a release's features with
+the weights per slice, and one sigmoid: a matrix-vector product over the
+whole batch sums in another order and changes the low bits of the
+scores.  ``extract_features`` featurizes a batch of one release.
 
 Training is split from the shadow stage: ``shadow_features`` returns
 one record's shadow features and labels, and ``train_meta_classifiers``
@@ -56,28 +58,30 @@ class Query:
 class QueryBank:
     """Frozen list of queries; the attack's feature map.
 
-    The bank is compiled once into ``matrix``, a ``(2*ncols, n_queries)``
-    0/1 array: column j marks query j's columns in rows ``0..ncols-1``
-    for an exact query and in rows ``ncols..2*ncols-1`` for an at-most
-    one.  ``sizes`` holds each query's number of marked rows.
+    The bank is compiled once into ``columns``, a ``(n_queries, width)``
+    index table with ``width`` the largest query size.  Row j lists query
+    j's rows of a ``(2*ncols + 1)``-row pass table: row ``c`` tests
+    ``value == x`` on column c (exact queries), row ``ncols + c`` tests
+    ``value <= x`` (at-most queries), and row ``2*ncols``, all true,
+    pads shorter queries.
     """
 
     queries: tuple
     ncols: int
-    matrix: np.ndarray = field(init=False, compare=False, repr=False)
-    sizes: np.ndarray = field(init=False, compare=False, repr=False)
+    columns: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         d = self.ncols
-        # float32 sums of at most 2*ncols ones are exact integers.
-        matrix = np.zeros((2 * d, len(self.queries)), dtype=np.float32)
+        width = max([1] + [len(q.columns) for q in self.queries])
+        columns = np.full((len(self.queries), width), 2 * d, dtype=np.intp)
         for j, q in enumerate(self.queries):
+            if q.kind not in (EXACT, ATMOST):
+                raise DomainError(f"query kind {q.kind!r} is neither {EXACT!r} nor {ATMOST!r}")
             if not all(0 <= c < d for c in q.columns):
                 raise DomainError(f"query columns {q.columns} outside [0, {d})")
             offset = 0 if q.kind == EXACT else d
-            matrix[[offset + c for c in q.columns], j] = 1.0
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "sizes", matrix.sum(axis=0))
+            columns[j, : len(q.columns)] = [offset + c for c in q.columns]
+        object.__setattr__(self, "columns", columns)
 
 
 def _distinct_subsets(d, k, count, g):
@@ -132,15 +136,22 @@ def make_query_bank(
     return QueryBank(queries=tuple(queries), ncols=d)
 
 
+# Number of set bits of each byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def _features(values, x, bank):
     """Features of a ``(k, n, d)`` stack of k releases, as ``(k, n_queries)``.
 
-    Per chunk of releases, each row's ``value == x`` and ``value <= x``
-    tests, side by side as 0/1 floats, times ``bank.matrix`` give per
-    query the number of its columns the row passes, and the row matches
-    where that equals ``bank.sizes``.  A chunk holds as many releases
-    as ``generators.batch_size`` allows for their (row, query) cells.
-    Every feature is an exact match count divided by ``n``, the bits of
+    Per chunk of releases, every column's ``value == x`` and
+    ``value <= x`` tests and an all-true padding row form the pass table
+    ``bank.columns`` indexes, packed to bits along the rows.  A query's
+    matching rows are the AND of its gathered bitsets, counted by a
+    popcount of each byte.  A chunk holds as many releases as
+    ``generators.batch_size`` allows for their gathered bytes,
+    ``n_queries * width * ceil(n / 8)`` each; a release's pass table,
+    ``(2d + 1) * n`` bytes, is smaller than its own int64 values.  Every
+    feature is an exact int64 match count divided by ``n``, the bits of
     a mean over the rows.
     """
     k, n, d = values.shape
@@ -151,17 +162,23 @@ def _features(values, x, bank):
             f"bank expects {bank.ncols} columns; record has {len(x)}, "
             f"dataset has {d}"
         )
-    xa = np.asarray(x, dtype=np.int64)
-    q = len(bank.queries)
+    xa = np.asarray(x, dtype=np.int64)[:, None]
+    q, width = bank.columns.shape
     feats = np.empty((k, q))
-    size = generators.batch_size(n * q)
+    size = generators.batch_size(q * width * -(-n // 8))
     for lo in range(0, k, size):
-        rows = values[lo : lo + size].reshape(-1, d)
-        passed = np.empty((len(rows), 2 * d), dtype=np.float32)
-        np.equal(rows, xa, out=passed[:, :d])
-        np.less_equal(rows, xa, out=passed[:, d:])
-        matched = (passed @ bank.matrix) == bank.sizes
-        np.divide(matched.reshape(-1, n, q).sum(axis=1), n, out=feats[lo : lo + size])
+        cols = values[lo : lo + size].transpose(0, 2, 1)
+        passed = np.empty((len(cols), 2 * d + 1, n), dtype=bool)
+        np.equal(cols, xa, out=passed[:, :d])
+        np.less_equal(cols, xa, out=passed[:, d : 2 * d])
+        passed[:, 2 * d] = True
+        # packbits pads each row's last byte with zeros, which no AND sets.
+        # The gather puts the width axis ahead of the queries, so the AND
+        # runs over whole (query, byte) slabs.
+        bits = np.packbits(passed, axis=2)[:, bank.columns.T]
+        matched = np.bitwise_and.reduce(bits, axis=1)
+        counts = _POPCOUNT.take(matched).sum(axis=2, dtype=np.int64)
+        np.divide(counts, n, out=feats[lo : lo + size])
     return feats
 
 
@@ -171,8 +188,8 @@ def extract_features(d_syn, x, bank):
     Exact queries count rows equal to x on the subset; at-most queries
     count rows whose every subset value is <= x's.  The synthetic
     dataset must be non-empty so fractions are defined.  All queries
-    are scored at once against the bank's compiled matrix, as a batch
-    of one release (see ``_features``).
+    are counted at once against the bank's compiled ``columns``, as a
+    batch of one release (see ``_features``).
     """
     return _features(d_syn.values[None], x, bank)[0]
 
@@ -322,16 +339,17 @@ def train_meta_classifier(
 
 def _scores(meta, feats):
     """Membership scores of the releases whose features are the rows of
-    ``feats``.  Each logit is one dot product of a feature row with the
-    weights, as for a single release; ``feats @ coef`` would sum in
-    another order and change low bits."""
+    ``feats``.  The logits are one ``np.matmul`` over a stack of ``(1, q)``
+    slices, one dot product per slice, so each release's logit has the
+    bits of its own ``row @ coef``; ``feats @ coef`` would be one gemv
+    over the batch, summing in another order and changing low bits."""
     w = meta.weights
     if feats.shape[1] != len(w) - 1:
         raise DomainError(
             f"classifier expects {len(w) - 1} features, bank produced {feats.shape[1]}"
         )
     coef = w[:-1]
-    logits = np.array([row @ coef for row in feats], dtype=float) + w[-1]
+    logits = np.matmul(feats[:, None, :], coef[:, None])[:, 0, 0] + w[-1]
     return _sigmoid(logits).tolist()
 
 

@@ -167,8 +167,8 @@ def test_bank_equality_ignores_compiled_matrix():
     a = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=3, seed=7)
     b = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=3, seed=7)
     assert a == b
-    assert a.matrix is not b.matrix
-    assert np.array_equal(a.matrix, b.matrix)
+    assert a.columns is not b.columns
+    assert np.array_equal(a.columns, b.columns)
     _, fixture = features_fixture()
     assert fixture == features_fixture()[1]
 
@@ -176,6 +176,86 @@ def test_bank_equality_ignores_compiled_matrix():
 def test_bank_rejects_column_outside_schema():
     with pytest.raises(DomainError):
         attack.QueryBank(queries=(attack.Query((2,), attack.EXACT),), ncols=2)
+
+
+def test_bank_rejects_unknown_query_kind():
+    with pytest.raises(DomainError, match="'bogus'"):
+        attack.QueryBank(queries=(attack.Query((0,), "bogus"),), ncols=2)
+
+
+def random_release(g, schema, n):
+    # Values drawn from a narrow range so wide queries still match rows.
+    vals = np.column_stack([g.integers(0, min(s, 2), size=n) for s in schema.sizes])
+    return data.Dataset(schema, vals)
+
+
+def assert_features_match_reference(d_syn, x, bank):
+    got = attack.extract_features(d_syn, x, bank)
+    want = reference_features(d_syn, x, bank)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 201])
+def test_features_match_reference_around_byte_padding(n):
+    g = np.random.default_rng(300 + n)
+    schema = schema_with_kinds([data.ORDERED, data.CATEGORICAL, data.ORDERED], [3, 2, 4])
+    bank = attack.make_query_bank(schema, k_values=(1, 2, 3), queries_per_k=4, seed=n)
+    for _ in range(5):
+        x = tuple(int(g.integers(0, s)) for s in schema.sizes)
+        assert_features_match_reference(random_release(g, schema, n), x, bank)
+
+
+def test_features_match_reference_on_hand_built_banks():
+    g = np.random.default_rng(41)
+    schema = schema_with_kinds([data.ORDERED, data.CATEGORICAL], [3, 3])
+    exact, atmost = attack.EXACT, attack.ATMOST
+    empty = attack.QueryBank(queries=(), ncols=2)
+    no_columns = attack.QueryBank(
+        queries=(attack.Query((), exact), attack.Query((1,), exact), attack.Query((), atmost)),
+        ncols=2,
+    )
+    repeated = attack.QueryBank(
+        queries=(attack.Query((0, 0), exact), attack.Query((1, 0, 1), atmost)), ncols=2
+    )
+    for n in (1, 9, 40):
+        d_syn = random_release(g, schema, n)
+        assert attack.extract_features(d_syn, (0, 1), empty).shape == (0,)
+        feats = attack.extract_features(d_syn, (0, 1), no_columns)
+        assert feats[0] == feats[2] == 1.0
+        for bank in (empty, no_columns, repeated):
+            for x in [(0, 0), (1, 2), (2, 1)]:
+                assert_features_match_reference(d_syn, x, bank)
+
+
+def test_features_match_reference_on_five_column_queries():
+    g = np.random.default_rng(55)
+    o, c = data.ORDERED, data.CATEGORICAL
+    schema = schema_with_kinds([o, c, o, o, c, o], [3, 2, 4, 2, 3, 5])
+    bank = attack.make_query_bank(schema, k_values=(1, 4, 5), queries_per_k=6, seed=9)
+    assert bank.columns.shape[1] == 5
+    for n in (1, 17, 130):
+        for _ in range(4):
+            x = tuple(int(g.integers(0, 2)) for _ in schema.sizes)
+            assert_features_match_reference(random_release(g, schema, n), x, bank)
+
+
+@pytest.mark.parametrize("batch_elements", [generators.BATCH_ELEMENTS, 1, 700])
+def test_stacked_features_match_reference_per_release(monkeypatch, batch_elements):
+    # A (k, n, d) stack cut into chunks of every release, one release,
+    # and a few, each release's row against the per-query reference.
+    monkeypatch.setattr(generators, "BATCH_ELEMENTS", batch_elements)
+    g = np.random.default_rng(batch_elements)
+    schema = schema_with_kinds(
+        [data.ORDERED, data.CATEGORICAL, data.ORDERED, data.CATEGORICAL], [3, 4, 2, 3]
+    )
+    bank = attack.make_query_bank(schema, k_values=(1, 2, 3), queries_per_k=5, seed=6)
+    x = (1, 1, 0, 1)
+    for k, n in [(1, 1), (5, 8), (23, 9), (40, 33)]:
+        values = np.stack([random_release(g, schema, n).values for _ in range(k)])
+        got = attack._features(values, x, bank)
+        want = np.stack([reference_features(data.Dataset(schema, v), x, bank) for v in values])
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- shadows
@@ -380,6 +460,47 @@ def test_stacked_trainer_matches_per_record_on_other_blas_kernels(coretype):
         "import test_attack as t; "
         "t.assert_stacked_matches_per_record(t.stacked_training_cases())"
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def score_cases(count=300):
+    cases = []
+    for case in range(count):
+        g = np.random.default_rng(1300 + case)
+        k = int(g.integers(0, 60))
+        q = int(g.integers(0, 80))
+        feats = g.random((k, q))
+        weights = g.normal(size=q + 1) * 10.0 ** g.integers(-3, 3)
+        cases.append((feats, attack.MetaClassifier(weights=weights)))
+    return cases
+
+
+def assert_scores_match_per_row(cases):
+    for feats, meta in cases:
+        coef = meta.weights[:-1]
+        logits = np.array([row @ coef for row in feats], dtype=float) + meta.weights[-1]
+        assert attack._scores(meta, feats) == reference_sigmoid(logits).tolist()
+
+
+def test_stacked_scores_match_per_row_dot():
+    cases = score_cases()
+    assert any(len(f) == 0 for f, _ in cases) and any(f.shape[1] == 0 for f, _ in cases)
+    assert_scores_match_per_row(cases)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge", "Prescott"])
+def test_stacked_scores_match_per_row_dot_on_other_blas_kernels(coretype):
+    # As for the trainer: one child process per OpenBLAS kernel.
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, here, env.get("PYTHONPATH")) if p
+    )
+    code = "import test_attack as t; t.assert_scores_match_per_row(t.score_cases())"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
