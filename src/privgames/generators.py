@@ -14,15 +14,18 @@ copies.  ``sample_batch`` takes fitted generators of any batches but of
 one schema, and returns their releases as one ``(k, n, d)`` int64 array:
 each chunk of samples is written into it once, and no release becomes a
 ``Dataset``.  Every stage is a fixed number of array passes over the
-whole batch: structure learning scores every column pair of every
-network from one ``bincount``, estimating the tables counts every
-column of every network with one more, and sampling draws one column
-of every network per step.  Each network gets exactly the bits of the
-per-network definitions in ``tests/reference.py``
-(``reference_mutual_information`` per column pair, a
-``ravel_multi_index`` count per column, ancestral sampling column by
-column); ``fit``, ``learn_structure``, ``sample`` and ``release_bit``
-are batches of one.  The per-network seeds of a
+whole batch: structure learning scores only the column pairs each
+network's visit order reads, from one ``bincount``, and ranks every
+network's candidate parents with one stable ``argsort``; estimating
+the tables counts every column of every network with one more
+``bincount``; and sampling draws one column of every network per
+step.  Orders and parents are ``(B, d)`` and ``(B, d, K)`` arrays, and
+a ``Structure`` is made only for ``FittedGenerator.structure``.  Each
+network gets exactly the bits of the per-network definitions in
+``tests/reference.py`` (``reference_mutual_information`` per column
+pair, a ``ravel_multi_index`` count per column, ancestral sampling
+column by column); ``fit``, ``learn_structure``, ``sample`` and
+``release_bit`` are batches of one.  The per-network seeds of a
 batch come from ``seeds.derive_many``, and its random streams (structure
 order, Laplace noise, sampling uniforms) are opened once per batch call
 by ``seeds.Streams``, a single network's as a ``Streams`` of one.  A toy
@@ -185,7 +188,6 @@ class _PairPlan:
     def __init__(self, sizes):
         d = len(sizes)
         pairs = [(a, b) for a in range(d) for b in range(d) if a != b]
-        self.pair_index = {pair: p for p, pair in enumerate(pairs)}
         self.a_cols = np.array([a for a, _ in pairs], dtype=np.int64)
         self.b_cols = np.array([b for _, b in pairs], dtype=np.int64)
         self.b_sizes = np.array([sizes[b] for _, b in pairs], dtype=np.int64)
@@ -244,18 +246,21 @@ def _pair_plan(sizes):
     return plan
 
 
-def _pair_information(values, plan):
-    """Bit-identical per-pair mutual information terms of every ordered pair.
+def _pair_information(values, plan, reads):
+    """Bit-identical mutual information terms of the ordered pairs each
+    network reads.
 
     ``values`` is one ``(n, d)`` training table or a ``(B, n, d)`` batch
-    of them.  One ``bincount`` counts every pair table of every network;
-    network b's cells sit at offset ``b * (plan.ncells + 1)``, the last
-    one always zero.  Returns the flat array of nonzero-cell MI terms
-    and, with the leading shape of ``values``, the bounds of each pair's
-    contiguous slice: pair p of network b is
-    ``terms[bounds[b, p] : bounds[b, p + 1]]``, and its MI is
-    ``np.add.reduce`` of that slice, the same sum the per-pair definition
-    (``reference_mutual_information`` in ``tests/reference.py``) takes.
+    of them, and ``reads`` the ``(P,)`` or ``(B, P)`` mask of the plan's
+    pairs each reads.  One ``bincount`` counts the read pair tables of
+    every network; network b's cells sit at offset
+    ``b * (plan.ncells + 1)``, the last one always zero.  Returns the
+    flat array of nonzero-cell MI terms and, with the leading shape of
+    ``values``, the bounds of each pair's contiguous slice: pair p of
+    network b is ``terms[bounds[b, p] : bounds[b, p + 1]]``, empty
+    unless b reads p, and its MI is ``np.add.reduce`` of that slice, the
+    same sum the per-pair definition (``reference_mutual_information``
+    in ``tests/reference.py``) takes.
 
     Marginals are reduced as the plan describes, one network after
     another along the batch axis: row sums as rows of a 2-D array
@@ -263,22 +268,25 @@ def _pair_information(values, plan):
     of a ``(max_rows, B * k)`` gather.
     """
     batch = values.reshape(-1, *values.shape[-2:])
-    nets, n, _ = batch.shape
+    nets, n, d = batch.shape
     width = plan.ncells + 1
     net_cells = np.arange(nets, dtype=np.int64) * width
-    codes = batch[:, :, plan.a_cols] * plan.b_sizes + batch[:, :, plan.b_cols]
-    codes += plan.bounds[:-1]
-    codes += net_cells[:, None, None]
+    net, pair = np.nonzero(reads.reshape(nets, len(plan.a_cols)))
+    # Each read pair's two columns as contiguous rows of n values.
+    by_col = batch.transpose(0, 2, 1).reshape(nets * d, n)
+    codes = by_col[net * d + plan.a_cols[pair]] * plan.b_sizes[pair, None]
+    codes += by_col[net * d + plan.b_cols[pair]]
+    codes += (net_cells[net] + plan.bounds[pair])[:, None]
     joint = np.bincount(codes.ravel(), minlength=nets * width).astype(float)
     joint /= n
     marg = np.empty((nets, plan.nmarg))
     by_net = joint.reshape(nets, width)
     for gather, slots in plan.row_groups:
         sums = by_net[:, gather].reshape(-1, gather.shape[1]).sum(axis=1)
-        marg[:, slots] = sums.reshape(nets, -1)
+        marg[:, slots] = sums.reshape(nets, len(slots))
     cols = plan.col_gather[:, None, :] + net_cells[:, None]
     sums = joint[cols.reshape(cols.shape[0], -1)].sum(axis=0)
-    marg[:, plan.col_slots] = sums.reshape(nets, -1)
+    marg[:, plan.col_slots] = sums.reshape(nets, len(plan.col_slots))
     nz = np.flatnonzero(joint)
     pj = joint[nz]
     net, cell = np.divmod(nz, width)
@@ -286,7 +294,7 @@ def _pair_information(values, plan):
     flat = marg.ravel()
     terms = pj * np.log(pj / (flat[base + plan.cell_row[cell]] * flat[base + plan.cell_col[cell]]))
     bounds = np.searchsorted(nz, net_cells[:, None] + plan.bounds)
-    return terms, bounds.reshape(*values.shape[:-2], -1)
+    return terms, bounds.reshape(*values.shape[:-2], len(plan.bounds))
 
 
 def _pair_mi(terms, bounds):
@@ -294,7 +302,8 @@ def _pair_mi(terms, bounds):
 
     Slices of equal length are gathered into one ``(count, length)``
     array and reduced along its last axis, the same pairwise sum numpy
-    runs on one slice; empty slices sum to 0.0.
+    runs on one slice; empty slices, the pairs a network does not read
+    among them, sum to 0.0.
     """
     starts = bounds[..., :-1].ravel()
     lengths = (bounds[..., 1:] - bounds[..., :-1]).ravel()
@@ -306,30 +315,43 @@ def _pair_mi(terms, bounds):
     return mi
 
 
-def _learn_structures(values, sizes, max_parents, streams, mi_floor):
-    """``learn_structure`` of every network of a ``(B, n, d)`` batch;
-    network b draws its visit order from ``streams[b]``."""
-    d = len(sizes)
+def _learn_structures(values, sizes, max_parents, orders, mi_floor):
+    """``learn_structure`` of every network of a ``(B, n, d)`` batch,
+    network b visiting its columns in ``orders[b]``: each column's
+    parents, best first, as a ``(B, d, min(max_parents, d - 1))`` array
+    padded with -1.  Only pairs of a column and a candidate visited
+    before it are scored, and one stable ``argsort`` of -MI ranks them
+    all, a candidate below ``mi_floor`` or not earlier keyed +inf; equal
+    keys keep the lower column first, the per-network search's tie
+    rule."""
+    nets, _, d = values.shape
     plan = _pair_plan(sizes)
-    terms, bounds = _pair_information(values, plan)
-    mi = _pair_mi(terms, bounds).reshape(len(values), -1).tolist()
-    pair_index = plan.pair_index
-    structures = []
-    for scores, g in zip(mi, streams):
-        order = tuple(g.permutation(d).tolist())
-        parents = [None] * d
-        for k, col in enumerate(order):
-            scored = []
-            for cand in order[:k]:
-                s = scores[pair_index[col, cand]]
-                if s < mi_floor:
-                    continue
-                scored.append((s, cand))
-            # Highest MI first; ties broken by column index for determinism.
-            scored.sort(key=lambda t: (-t[0], t[1]))
-            parents[col] = tuple(c for _, c in scored[:max_parents])
-        structures.append(Structure(order=order, parents=tuple(parents)))
-    return structures
+    step = np.argsort(orders, axis=1)  # the step that visits each column
+    reads = step[:, plan.a_cols] > step[:, plan.b_cols]
+    mi = _pair_mi(*_pair_information(values, plan, reads)).reshape(reads.shape)
+    key = np.full((nets, d, d), np.inf)
+    key[:, plan.a_cols, plan.b_cols] = np.where(reads & (mi >= mi_floor), -mi, np.inf)
+    ranked = np.argsort(key, axis=2, kind="stable")
+    eligible = np.count_nonzero(key < np.inf, axis=2)
+    parents = ranked[:, :, : min(max_parents, d - 1)]
+    parents[np.arange(parents.shape[2]) >= eligible[:, :, None]] = -1
+    return parents
+
+
+def _structures(orders, parents):
+    """The ``Structure`` of every network of visit and parent arrays."""
+    counts = np.count_nonzero(parents >= 0, axis=2).tolist()
+    return [
+        Structure(tuple(order), tuple([tuple(ps[:c]) for ps, c in zip(net, cs)]))
+        for order, net, cs in zip(orders.tolist(), parents.tolist(), counts)
+    ]
+
+
+def _structure_arrays(structure):
+    """One structure as the order and parent arrays of a batch of one."""
+    depth = max(map(len, structure.parents), default=0)
+    padded = [p + (-1,) * (depth - len(p)) for p in structure.parents]
+    return np.array([structure.order], dtype=np.int64), np.array([padded], dtype=np.int64)
 
 
 def learn_structure(training, max_parents, seed, mi_floor=0.0):
@@ -341,17 +363,19 @@ def learn_structure(training, max_parents, seed, mi_floor=0.0):
     falls below ``mi_floor``.  The visit order doubles as the sampling
     order.
 
-    The MI of every column pair comes from one pass over the data (see
-    ``_PairPlan``): one ``bincount`` for all joint tables, a few stacked
-    reductions for all marginals, and one elementwise pass for the
-    terms.  Each value equals ``reference_mutual_information`` in
-    ``tests/reference.py`` bit for bit.
+    The MI of every pair the search reads comes from one pass over the
+    data (see ``_PairPlan``): one ``bincount`` for all joint tables, a
+    few stacked reductions for all marginals, and one elementwise pass
+    for the terms.  Each value equals ``reference_mutual_information``
+    in ``tests/reference.py`` bit for bit.
     """
     if training.n == 0:
         raise FitError("cannot learn a structure from an empty dataset")
-    return _learn_structures(
-        training.values[None], training.schema.sizes, max_parents, Streams([seed]), mi_floor
-    )[0]
+    orders = Streams([seed])[0].permutation(training.schema.ncols)[None]
+    parents = _learn_structures(
+        training.values[None], training.schema.sizes, max_parents, orders, mi_floor
+    )
+    return _structures(orders, parents)[0]
 
 
 def _normalize_rows(counts, arity):
@@ -367,7 +391,8 @@ def _starts(lengths):
 
 
 class _TableBatch:
-    """The conditional probability tables of a batch of networks.
+    """The conditional probability tables of a batch of networks, from
+    their ``(B, d)`` visit orders and ``(B, d, K)`` parents padded with -1.
 
     All networks share one schema.  Table ``t = b * d + c`` is column c
     of network b: its ``(n_combos[t], arity[t])`` cells are the block at
@@ -379,22 +404,16 @@ class _TableBatch:
     unused parent slots have stride 0.
     """
 
-    def __init__(self, sizes, structures):
-        nets = len(structures)
-        d = len(sizes)
+    def __init__(self, sizes, orders, parents):
+        nets, d, depth = parents.shape
         self.d = d
         self.sizes = np.asarray(sizes, dtype=np.int64)
-        self.orders = np.array([st.order for st in structures], dtype=np.int64)
-        depth = max((len(p) for st in structures for p in st.parents), default=0)
-        padded = np.array(
-            [[p + (-1,) * (depth - len(p)) for p in st.parents] for st in structures],
-            dtype=np.int64,
-        ).reshape(nets, d, depth)
-        used = padded >= 0
-        parent_sizes = np.where(used, self.sizes[padded], 1)
+        self.orders = orders
+        used = parents >= 0
+        parent_sizes = np.where(used, self.sizes[parents], 1)
         suffix = np.ones((nets, d, depth + 1), dtype=np.int64)
         suffix[:, :, :depth] = np.cumprod(parent_sizes[:, :, ::-1], axis=2)[:, :, ::-1]
-        self.parent_cols = np.where(used, padded, 0)
+        self.parent_cols = np.where(used, parents, 0)
         self.combo_strides = suffix[:, :, 1:] * used
         self.n_combos = suffix[:, :, 0].ravel()
         self.arity = np.tile(self.sizes, nets)
@@ -422,7 +441,7 @@ class _TableBatch:
             g.laplace(0.0, scale, size=cells)
             for cells, g in zip(np.diff(self.cell_start).tolist(), streams)
         ]
-        return np.maximum(counts + np.concatenate(noise), 0.0)
+        return np.maximum(counts + _concat(noise), 0.0)
 
     def _rows(self):
         """Flat index of the first cell, and the arity, of every row."""
@@ -455,16 +474,17 @@ class _TableBatch:
         return probs
 
     def cumulative(self):
-        """Cumulative row probabilities, zero-padded to the widest arity
-        and stored level-major: entry ``[level, row]``.
+        """Cumulative row probabilities of every level but the widest
+        arity's last, zero-padded to that width and stored level-major:
+        entry ``[level, row]``.
 
         Padding repeats a row's last cumulative value, so it can only
         add picks past the row's last level, which sampling clamps to
-        that level anyway.
+        that level anyway; for the same reason no last level is needed.
         """
         if self._cumulative is None:
             first, arity = self._rows()
-            width = np.arange(int(self.sizes.max()))
+            width = np.arange(int(self.sizes.max()) - 1)
             cells = np.where(width < arity[:, None], first[:, None] + width, len(self.probs))
             cum = np.append(self.probs, 0.0)[cells].cumsum(axis=1)
             self._cumulative = np.ascontiguousarray(cum.T)
@@ -479,29 +499,35 @@ class _TableBatch:
         ``random(n)`` call of a column-by-column sampler.  Step k samples
         the k-th column of every network's visit order at once: gather
         each record's cumulative row, count the entries ``<= u``, clamp
-        to the column's last level.
+        to the column's last level.  The steps' row starts, parent rows
+        and strides are gathered once; step k reads at most k parent
+        slots.  With no last level (see ``cumulative``), a record has at
+        most widest arity - 1 hits, counted in the narrowest dtype.
         """
         k = len(nets)
         d = self.d
         cum = self.cumulative()
+        hit_dtype = np.min_scalar_type(len(cum))
         u = np.empty((k, d, n))
         for i, g in enumerate(streams):
             g.random(out=u[i])
-        values = np.zeros((k, d, n), dtype=np.int64)
-        each = np.arange(k)
-        orders = self.orders[nets]
-        row_start = self.row_start[:-1].reshape(-1, d)[nets]
-        parent_cols = self.parent_cols[nets]
-        strides = self.combo_strides[nets]
+        values = np.zeros((k * d, n), dtype=np.int64)
+        nets = np.asarray(nets)[:, None]
+        orders = self.orders[nets[:, 0]]
+        # Indexed by step first: the rows of values each step reads and writes.
+        first = np.arange(k)[:, None] * d
+        dest = (first + orders).T
+        parent_rows = (self.parent_cols[nets, orders] + first[:, :, None]).transpose(1, 2, 0)
+        strides = self.combo_strides[nets, orders].transpose(1, 2, 0)[..., None]
+        starts = self.row_start[nets * d + orders].T[..., None]
+        clamp = (self.sizes[orders] - 1).T[..., None]
         for step in range(d):
-            cols = orders[:, step]
-            rows = row_start[each, cols][:, None]
-            for j in range(parent_cols.shape[2]):
-                pv = values[each, parent_cols[each, cols, j]]
-                rows = rows + pv * strides[each, cols, j][:, None]
-            picked = (np.take(cum, rows, axis=1) <= u[:, step]).sum(axis=0)
-            values[each, cols] = np.minimum(picked, self.sizes[cols][:, None] - 1)
-        return values.transpose(0, 2, 1)
+            rows = starts[step]
+            for j in range(min(step, parent_rows.shape[1])):
+                rows = rows + values[parent_rows[step, j]] * strides[step, j]
+            hits = (np.take(cum, rows, axis=1) <= u[:, step]).sum(axis=0, dtype=hit_dtype)
+            values[dest[step]] = np.minimum(hits, clamp[step])
+        return values.reshape(k, d, n).transpose(0, 2, 1)
 
     def cpts(self, b, structure):
         """Network b's tables, one ``Cpt`` per column, as views."""
@@ -556,7 +582,7 @@ def estimate_tables(training, structure, smoothing):
     """
     if training.n == 0:
         raise FitError("cannot estimate tables from an empty dataset")
-    batch = _TableBatch(training.schema.sizes, [structure])
+    batch = _TableBatch(training.schema.sizes, *_structure_arrays(structure))
     counts = batch.count(training.values[None]) + smoothing
     batch.set_counts(counts, f"smoothing = {smoothing!r} is too large")
     return batch.cpts(0, structure)
@@ -577,7 +603,7 @@ def privatize_tables(tables, epsilon, seed):
     structure = Structure(
         order=tuple(range(len(tables))), parents=tuple(cpt.parents for cpt in tables)
     )
-    batch = _TableBatch(sizes, [structure])
+    batch = _TableBatch(sizes, *_structure_arrays(structure))
     counts = np.concatenate([cpt.counts.ravel() for cpt in tables])
     streams = Streams(derive_many(seed, "privatize-col", np.arange(len(tables))))
     counts = batch.privatize(counts, epsilon, streams)
@@ -627,49 +653,40 @@ def _fit_networks(spec, schema, values, seeds):
     overflow = f"smoothing = {spec.smoothing!r} is too large"
     if spec.kind == PRIVBAYNET:
         overflow = f"epsilon = {spec.epsilon!r} is too small or {overflow}"
-    # The streams of every chunk are opened at once: network b orders its
-    # columns from derive(seeds[b], "structure") and noises table c from
-    # derive(derive(seeds[b], "privatize"), "privatize-col", c).
-    if spec.kind != INDEPENDENT:
-        order_streams = Streams(derive_many(seeds, "structure"))
+    # Network b visits its columns in the order of derive(seeds[b],
+    # "structure") and noises table c from derive(derive(seeds[b],
+    # "privatize"), "privatize-col", c); every stream is opened at once.
+    if spec.kind == INDEPENDENT:
+        orders = np.tile(np.arange(d), (len(values), 1))
+        parents = np.empty((len(values), d, 0), dtype=np.int64)
+    else:
+        streams = Streams(derive_many(seeds, "structure"))
+        orders = np.array([g.permutation(d) for g in streams], dtype=np.int64).reshape(-1, d)
+        parents = np.empty((len(values), d, min(spec.max_parents, d - 1)), dtype=np.int64)
+        # Structure chunks are weighed at n codes per ordered pair, though
+        # only half the pairs are counted: wider chunks raise peak memory.
+        for lo, hi in _spans([n * d * max(d - 1, 1)] * len(values)):
+            parents[lo:hi] = _learn_structures(
+                values[lo:hi], schema.sizes, spec.max_parents, orders[lo:hi], spec.mi_floor
+            )
     if spec.kind == PRIVBAYNET:
         noise_seeds = derive_many(seeds, "privatize")[:, None]
         noise_streams = Streams(derive_many(noise_seeds, "privatize-col", np.arange(d)).ravel())
+    # Table chunks are weighed by their rows at the widest arity, the
+    # size of the padded cumulative table sampling builds.
+    rows = np.where(parents >= 0, np.array(schema.sizes)[parents], 1).prod(2).sum(1)
     gens = []
-    for lo, hi in _spans([n * d * max(d - 1, 1)] * len(values)):
-        chunk = values[lo:hi]
-        if spec.kind == INDEPENDENT:
-            structures = [Structure(order=tuple(range(d)), parents=((),) * d)] * (hi - lo)
-        else:
-            structures = _learn_structures(
-                chunk, schema.sizes, spec.max_parents, order_streams[lo:hi], spec.mi_floor
-            )
-        # Table chunks are weighed by their rows at the widest arity,
-        # the size of the padded cumulative table sampling builds.
-        weights = [n * d + widest * _n_rows(schema.sizes, st) for st in structures]
-        for tlo, thi in _spans(weights):
-            batch = _TableBatch(schema.sizes, structures[tlo:thi])
-            counts = batch.count(chunk[tlo:thi]) + spec.smoothing
-            if spec.kind == PRIVBAYNET:
-                streams = noise_streams[(lo + tlo) * d : (lo + thi) * d]
-                counts = batch.privatize(counts, spec.epsilon, streams)
-            batch.set_counts(counts, overflow)
-            gens += [
-                FittedGenerator(spec, schema, st, packed=(batch, b))
-                for b, st in enumerate(structures[tlo:thi])
-            ]
+    for lo, hi in _spans((n * d + widest * rows).tolist()):
+        batch = _TableBatch(schema.sizes, orders[lo:hi], parents[lo:hi])
+        counts = batch.count(values[lo:hi]) + spec.smoothing
+        if spec.kind == PRIVBAYNET:
+            counts = batch.privatize(counts, spec.epsilon, noise_streams[lo * d : hi * d])
+        batch.set_counts(counts, overflow)
+        gens += [
+            FittedGenerator(spec, schema, st, packed=(batch, b))
+            for b, st in enumerate(_structures(orders[lo:hi], parents[lo:hi]))
+        ]
     return gens
-
-
-def _n_rows(sizes, structure):
-    """Table rows of a network: one per parent combination per column."""
-    rows = 0
-    for parents in structure.parents:
-        combos = 1
-        for p in parents:
-            combos *= sizes[p]
-        rows += combos
-    return rows
 
 
 def fit(spec, training, seed=0):

@@ -584,14 +584,18 @@ def test_adversary_rejects_empty_sample_size():
 
 
 @pytest.mark.parametrize(
-    "batch_elements, releases_per_chunk", [(generators.BATCH_ELEMENTS, 96), (1, 1), (700, 2)]
+    "batch_elements, releases_per_chunk", [(generators.BATCH_ELEMENTS, 321), (1, 1), (700, 6)]
 )
 def test_batched_attack_matches_per_release_reference(
     monkeypatch, batch_elements, releases_per_chunk
 ):
     # Shadow training and round scoring against the per-release,
     # per-query, allocating references, with the feature chunks cut
-    # three ways: the whole batch, one release each, and two each.
+    # three ways: the whole batch, one release each, and six each.
+    # _features packs one chunk of releases per packbits call; a chunk
+    # of scored releases holds releases_per_chunk of them, each
+    # q * width * ceil(n_syn / 8) = 17 * 2 * 3 bytes, or fewer where a
+    # call has fewer.
     g = np.random.default_rng(91)
     schema = schema_with_kinds(
         [data.ORDERED, data.CATEGORICAL, data.ORDERED, data.CATEGORICAL], [3, 4, 2, 3]
@@ -603,6 +607,14 @@ def test_batched_attack_matches_per_release_reference(
     bank = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=6, seed=3)
     n_syn = 20
     monkeypatch.setattr(generators, "BATCH_ELEMENTS", batch_elements)
+    chunks = []
+    packbits = np.packbits
+
+    def spy(passed, *args, **kwargs):
+        chunks.append(len(passed))
+        return packbits(passed, *args, **kwargs)
+
+    monkeypatch.setattr(np, "packbits", spy)
 
     meta = attack.train_attack(d_aux, x, spec, bank, n=16, n_shadow=30, seed=8, epochs=200)
     want = reference_train_attack(d_aux, x, spec, bank, n=16, n_shadow=30, seed=8, epochs=200)
@@ -612,10 +624,12 @@ def test_batched_attack_matches_per_release_reference(
     trainings = np.stack([data.sample_records(d_aux, 16, 1000 + i).values for i in range(count)])
     gens = generators.fit_batch(spec, schema, trainings, list(range(count)))
     seeds = [7 * i + 2**63 for i in range(count)]
+    chunks.clear()  # the shadows' 16-row releases weigh less
     scores = attack.meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
     assert scores == reference_meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
     assert all(type(s) is float for s in scores)
-    assert max(1, batch_elements // (n_syn * len(bank.queries))) == releases_per_chunk
+    assert bank.columns.shape == (17, 2)
+    assert max(chunks) == min(releases_per_chunk, count)
 
 
 @pytest.mark.parametrize("n_eval", [4, 40])

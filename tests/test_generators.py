@@ -261,8 +261,9 @@ def test_one_pass_mi_matches_mutual_information_bitwise(seed):
     ds = random_training(seed)
     sizes = ds.schema.sizes
     plan = generators._pair_plan(sizes)
-    terms, bounds = generators._pair_information(ds.values, plan)
-    for (a, b), p in plan.pair_index.items():
+    reads = np.ones(len(plan.a_cols), dtype=bool)
+    terms, bounds = generators._pair_information(ds.values, plan, reads)
+    for p, (a, b) in enumerate(zip(plan.a_cols.tolist(), plan.b_cols.tolist())):
         fast = float(np.add.reduce(terms[bounds[p] : bounds[p + 1]]))
         slow = reference_mutual_information(
             ds.values[:, a], ds.values[:, b], sizes[a], sizes[b]
@@ -371,10 +372,11 @@ def test_batched_pair_mi_matches_mutual_information(seed, count):
     sizes = trainings[0].schema.sizes
     plan = generators._pair_plan(sizes)
     values = np.stack([t.values for t in trainings])
-    terms, bounds = generators._pair_information(values, plan)
+    reads = np.ones((count, len(plan.a_cols)), dtype=bool)
+    terms, bounds = generators._pair_information(values, plan, reads)
     mi = generators._pair_mi(terms, bounds).reshape(count, -1)
     for b, training in enumerate(trainings):
-        for (a, c), p in plan.pair_index.items():
+        for p, (a, c) in enumerate(zip(plan.a_cols.tolist(), plan.b_cols.tolist())):
             slow = reference_mutual_information(
                 training.values[:, a], training.values[:, c], sizes[a], sizes[c]
             )
@@ -405,6 +407,86 @@ def test_fit_batch_chunks_match_reference(monkeypatch):
     for k, spec in enumerate(SPECS):
         seeds = [derive(5, "chunked", 100 * k + i) for i in range(31)]
         assert_matches_reference(spec, trainings, seeds)
+
+
+def edge_batch(family, count=5, n=40):
+    """``count`` training sets over a schema that stresses one edge of
+    the structure and sampling stages."""
+    g = np.random.default_rng(derive(77, family))
+    sizes = {
+        "wide": (300, 3, 2),  # more than 255 levels: hit counts need uint16
+        "one_level": (1, 1, 1),
+        "d1": (4,),
+        "d2": (3, 5),
+        "duplicated": (3, 4, 3, 3),
+    }[family]
+    vals = np.stack([
+        np.column_stack([g.integers(0, s, size=n) for s in sizes]) for _ in range(count)
+    ])
+    if family == "duplicated":
+        # Columns 2 and 3 copy column 0, so their MI with any column ties
+        # exactly, and the lower index must win.
+        vals[:, :, 2] = vals[:, :, 3] = vals[:, :, 0]
+    schema = ordered_schema(*sizes)
+    return [data.Dataset(schema, v) for v in vals]
+
+
+EDGE_SPECS = (
+    generators.GeneratorSpec(generators.BAYNET, max_parents=0),
+    generators.GeneratorSpec(generators.BAYNET, max_parents=1, smoothing=0.0),
+    generators.GeneratorSpec(generators.BAYNET, max_parents=6),
+    generators.GeneratorSpec(generators.BAYNET, max_parents=2, mi_floor=1e9),
+    generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=0.5),
+)
+
+
+@pytest.mark.parametrize("batch_elements", [generators.BATCH_ELEMENTS, 1, 700])
+@pytest.mark.parametrize("family", ["wide", "one_level", "d1", "d2", "duplicated"])
+def test_structure_and_sampling_edges_match_reference(monkeypatch, family, batch_elements):
+    # Only the pairs each visit order reads are scored, parents are
+    # ranked by one stable argsort, and sampling skips the last
+    # cumulative level and counts hits in the narrowest dtype; each
+    # network must still get the reference's bits.
+    monkeypatch.setattr(generators, "BATCH_ELEMENTS", batch_elements)
+    trainings = edge_batch(family)
+    for k, spec in enumerate(EDGE_SPECS):
+        seeds = [derive(k, family, i) for i in range(len(trainings))]
+        assert_matches_reference(spec, trainings, seeds, n_syn=60)
+        if spec.mi_floor > 0 or spec.max_parents == 0:
+            gens = generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds)
+            assert all(p == () for g in gens for p in g.structure.parents)
+
+
+def test_duplicated_columns_tie_to_the_lower_index():
+    (training,) = edge_batch("duplicated", count=1)
+    spec = generators.GeneratorSpec(generators.BAYNET, max_parents=1)
+    picked = set()
+    for seed in range(40):
+        st = generators.fit(spec, training, seed=seed).structure
+        # Column 1's candidates 0, 2 and 3 are one column three times.
+        if st.order.index(1) > max(st.order.index(0), st.order.index(2)):
+            picked.add(st.parents[1])
+    assert picked == {(0,)}
+
+
+def test_wide_column_samples_levels_past_255():
+    (training,) = edge_batch("wide", count=1, n=400)
+    gen = generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), training, seed=3)
+    assert gen.packed[0].cumulative().shape[0] == 299
+    out = generators.sample(gen, 500, seed=4)
+    assert out.values[:, 0].max() > 255
+
+
+@pytest.mark.parametrize(
+    "spec", [generators.GeneratorSpec(generators.INDEPENDENT), *EDGE_SPECS[:3], EDGE_SPECS[4]]
+)
+def test_fit_batch_of_no_training_sets_is_empty(spec):
+    schema = ordered_schema(3, 4, 2)
+    empty = np.zeros((0, 5, 3), dtype=np.int64)
+    assert generators.fit_batch(spec, schema, empty, []) == []
+    no_orders = np.zeros((0, 3), dtype=np.int64)
+    parents = generators._learn_structures(empty, schema.sizes, spec.max_parents, no_orders, 0.0)
+    assert parents.shape == (0, 3, min(spec.max_parents, 2))
 
 
 def test_fit_batch_mixes_specs_and_shapes_in_input_order():
