@@ -8,9 +8,9 @@ scores fresh releases with the fitted model.
 
 The shadow training sets are one ``(n_shadow, n, d)`` array, fit by one
 ``generators.fit_batch`` call, and releases are handled a batch at a
-time.  Each ``generators.sample_batch`` call returns one ``(k, n, d)``
-array of one schema.  Its features are integer match counts: per chunk
-of ``generators.batch_size`` releases, each query ANDs the packed
+time.  Each ``generators.sample_columns`` call returns one ``(k, d, n)``
+array of narrow columns.  Their features are integer match counts: per
+chunk of ``generators.batch_size`` releases, each query ANDs the packed
 bitsets of its column tests and popcounts the result, with no floating
 point until the count is divided by ``n``.  The batch's scores come from
 one stacked ``np.matmul``, one dot product of a release's features with
@@ -143,14 +143,18 @@ _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 def _features(values, x, bank):
     """Features of a ``(k, n, d)`` stack of k releases, as ``(k, n_queries)``.
 
+    ``_release_features`` passes the view of ``(k, d, n)`` columns, whose
+    contiguous rows are tested in their own dtype, which holds x when x
+    is an in-schema record.
+
     Per chunk of releases, every column's ``value == x`` and
     ``value <= x`` tests and an all-true padding row form the pass table
     ``bank.columns`` indexes, packed to bits along the rows.  A query's
     matching rows are the AND of its gathered bitsets, counted by a
     popcount of each byte.  A chunk holds as many releases as
     ``generators.batch_size`` allows for their gathered bytes,
-    ``n_queries * width * ceil(n / 8)`` each; a release's pass table,
-    ``(2d + 1) * n`` bytes, is smaller than its own int64 values.  Every
+    ``n_queries * width * ceil(n / 8)`` each; a release's pass table is
+    ``(2d + 1) * n`` bytes, a little over twice its uint8 columns.  Every
     feature is an exact int64 match count divided by ``n``, the bits of
     a mean over the rows.
     """
@@ -162,7 +166,7 @@ def _features(values, x, bank):
             f"bank expects {bank.ncols} columns; record has {len(x)}, "
             f"dataset has {d}"
         )
-    xa = np.asarray(x, dtype=np.int64)[:, None]
+    xa = np.asarray(x, dtype=values.dtype)[:, None]
     q, width = bank.columns.shape
     feats = np.empty((k, q))
     size = generators.batch_size(q * width * -(-n // 8))
@@ -197,16 +201,17 @@ def extract_features(d_syn, x, bank):
 def _release_features(gens, n, seeds, x, bank):
     """Features of each generator's sample of ``n`` rows, in order.
 
-    Releases are drawn in ``generators.sample_batch`` calls of as many
+    Releases are drawn in ``generators.sample_columns`` calls of as many
     as ``generators.batch_size`` allows for their values, each one
-    ``(k, n, d)`` array reduced to its features before the next is
-    drawn, so a game's releases never all sit in memory at once.
+    ``(k, d, n)`` column array whose ``(k, n, d)`` view is reduced to its
+    features before the next is drawn: no release is copied to records,
+    and a game's releases never all sit in memory at once.
     """
     feats = np.empty((len(gens), len(bank.queries)))
     size = generators.batch_size(n * bank.ncols)
     for lo in range(0, len(gens), size):
-        releases = generators.sample_batch(gens[lo : lo + size], n, seeds[lo : lo + size])
-        feats[lo : lo + size] = _features(releases, x, bank)
+        cols = generators.sample_columns(gens[lo : lo + size], n, seeds[lo : lo + size])
+        feats[lo : lo + size] = _features(cols.transpose(0, 2, 1), x, bank)
     return feats
 
 

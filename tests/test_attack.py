@@ -240,10 +240,11 @@ def test_features_match_reference_on_five_column_queries():
             assert_features_match_reference(random_release(g, schema, n), x, bank)
 
 
-@pytest.mark.parametrize("batch_elements", [generators.BATCH_ELEMENTS, 1, 700])
+@pytest.mark.parametrize("batch_elements", [generators.BATCH_ELEMENTS, 1 << 15, 1, 700])
 def test_stacked_features_match_reference_per_release(monkeypatch, batch_elements):
-    # A (k, n, d) stack cut into chunks of every release, one release,
-    # and a few, each release's row against the per-query reference.
+    # A (k, n, d) stack cut into chunks of every release (at the default
+    # budget and the former one, 2^15), one release, and a few, each
+    # release's row against the per-query reference.
     monkeypatch.setattr(generators, "BATCH_ELEMENTS", batch_elements)
     g = np.random.default_rng(batch_elements)
     schema = schema_with_kinds(
@@ -584,14 +585,16 @@ def test_adversary_rejects_empty_sample_size():
 
 
 @pytest.mark.parametrize(
-    "batch_elements, releases_per_chunk", [(generators.BATCH_ELEMENTS, 321), (1, 1), (700, 6)]
+    "batch_elements, releases_per_chunk",
+    [(generators.BATCH_ELEMENTS, 642), (1 << 15, 321), (1, 1), (700, 6)],
 )
 def test_batched_attack_matches_per_release_reference(
     monkeypatch, batch_elements, releases_per_chunk
 ):
     # Shadow training and round scoring against the per-release,
     # per-query, allocating references, with the feature chunks cut
-    # three ways: the whole batch, one release each, and six each.
+    # four ways: the whole batch (at the default budget and the former
+    # one, 2^15), one release each, and six each.
     # _features packs one chunk of releases per packbits call; a chunk
     # of scored releases holds releases_per_chunk of them, each
     # q * width * ceil(n_syn / 8) = 17 * 2 * 3 bytes, or fewer where a
@@ -634,9 +637,10 @@ def test_batched_attack_matches_per_release_reference(
 
 @pytest.mark.parametrize("n_eval", [4, 40])
 def test_game_builds_no_dataset_per_release(monkeypatch, n_eval):
-    # A release is a row of one sample_batch array from sampler to
+    # A release is a slice of one sample_columns array from sampler to
     # features: the Datasets a baynet traditional game builds (its pool)
-    # must not grow with the number of rounds.
+    # must not grow with the number of rounds, and no release is copied
+    # to a records array by sample_batch.
     g = np.random.default_rng(17)
     schema = schema_with_kinds([data.ORDERED, data.CATEGORICAL, data.ORDERED], [3, 4, 2])
     d_eval = data.Dataset(schema, np.column_stack([g.integers(0, s, 60) for s in schema.sizes]))
@@ -654,6 +658,13 @@ def test_game_builds_no_dataset_per_release(monkeypatch, n_eval):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(data.Dataset, "__init__", counting_init)
+    sample_batch = generators.sample_batch
+
+    def counting_sample_batch(*args):
+        built.append(2)
+        return sample_batch(*args)
+
+    monkeypatch.setattr(generators, "sample_batch", counting_sample_batch)
     t = games.run_traditional(x, d_eval, adversary, config)
     assert len(t.runs) == n_eval
-    assert len(built) == 1
+    assert built == [1]

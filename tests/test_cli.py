@@ -177,7 +177,12 @@ def test_run_bodies_match_reference_generators(tmp_path, monkeypatch, kind):
         if name == "reference":
             use_reference_games(monkeypatch)
             monkeypatch.setattr(generators, "fit_batch", reference_fit_batch)
-            monkeypatch.setattr(generators, "sample_batch", reference_sample_batch)
+            # The command path samples its releases as columns.
+            monkeypatch.setattr(
+                generators,
+                "sample_columns",
+                lambda gens, n, seeds: reference_sample_batch(gens, n, seeds).transpose(0, 2, 1),
+            )
             monkeypatch.setattr(attack, "train_meta_classifiers", per_record_training)
             monkeypatch.setattr(
                 attack, "meta_classifier_adversary", reference_meta_classifier_adversary

@@ -341,6 +341,10 @@ def assert_matches_reference(spec, trainings, seeds, n_syn=23):
     syn_seeds = [derive(s, "sample") for s in seeds]
     samples = generators.sample_batch(gens, n_syn, syn_seeds)
     assert samples.shape == (len(gens), n_syn, trainings[0].schema.ncols)
+    # The column-major release path draws the same values, narrow.
+    cols = generators.sample_columns(gens, n_syn, syn_seeds)
+    assert cols.dtype == (np.uint8 if max(trainings[0].schema.sizes) <= 256 else np.uint16)
+    assert np.array_equal(cols.transpose(0, 2, 1), samples)
     for gen, training, seed, syn_seed, syn in zip(gens, trainings, seeds, syn_seeds, samples):
         ref = reference_fit(spec, training, seed=seed)
         assert gen.structure == ref.structure
@@ -440,7 +444,9 @@ EDGE_SPECS = (
 )
 
 
-@pytest.mark.parametrize("batch_elements", [generators.BATCH_ELEMENTS, 1, 700])
+# 2^15, the former default budget, samples the wide family's networks
+# one per chunk; the default samples them three and two per chunk.
+@pytest.mark.parametrize("batch_elements", [generators.BATCH_ELEMENTS, 1 << 15, 1, 700])
 @pytest.mark.parametrize("family", ["wide", "one_level", "d1", "d2", "duplicated"])
 def test_structure_and_sampling_edges_match_reference(monkeypatch, family, batch_elements):
     # Only the pairs each visit order reads are scored, parents are
@@ -475,6 +481,25 @@ def test_wide_column_samples_levels_past_255():
     assert gen.packed[0].cumulative().shape[0] == 299
     out = generators.sample(gen, 500, seed=4)
     assert out.values[:, 0].max() > 255
+    cols = generators.sample_columns([gen], 500, [4])
+    assert cols.dtype == np.uint16
+    assert cols[0].T.tobytes() == out.values.astype(np.uint16).tobytes()
+
+
+@pytest.mark.parametrize(
+    "widest, dtype", [(1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16)]
+)
+def test_sample_columns_use_the_narrowest_dtype_of_the_widest_level(widest, dtype):
+    g = np.random.default_rng(widest)
+    schema = ordered_schema(widest, 3)
+    values = np.column_stack([np.arange(600) % widest, g.integers(0, 3, 600)])
+    training = data.Dataset(schema, values)
+    gens = [generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), training, seed=1)]
+    cols = generators.sample_columns(gens, 2000, [5])
+    assert cols.dtype == dtype
+    assert cols.shape == (1, 2, 2000)
+    assert cols[0, 0].max() == widest - 1
+    assert np.array_equal(cols.transpose(0, 2, 1), generators.sample_batch(gens, 2000, [5]))
 
 
 @pytest.mark.parametrize(
@@ -551,6 +576,35 @@ def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
     for gen, syn, s in zip(gens, generators.sample_batch(gens, 200, seeds), seeds):
         ref = ReferenceGenerator(gen.spec, gen.schema, gen.structure, gen.tables)
         assert syn.tobytes() == reference_sample(ref, 200, s).values.tobytes()
+
+
+def test_fit_batch_makes_structures_only_when_read(monkeypatch):
+    # A network's Structure is made from its batch's order and parent
+    # arrays on first read, never by fit_batch itself.
+    trainings = random_batch(3, 6)
+    want = reference_fit(SPECS[4], trainings[2], seed=2).structure
+    made = []
+    structure = generators.Structure
+
+    def counting_structure(*args, **kwargs):
+        made.append(1)
+        return structure(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "Structure", counting_structure)
+    gens = generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), range(6))
+    assert made == []
+    assert gens[2].structure == want
+    assert gens[2].structure is gens[2].structure
+    assert len(made) == 1
+    toys = generators.toy_fits(toy_spec(), trainings[0].schema, [True, False])
+    assert [t.structure for t in toys] == [None, None]
+
+
+def test_release_bits_needs_one_seed_per_generator():
+    gens = generators.toy_fits(toy_spec(), ordered_schema(5), [True, False, True])
+    for seeds in ([5], [5, 6], [5, 6, 7, 8]):
+        with pytest.raises(DomainError, match="release_bits needs one seed per generator"):
+            generators.release_bits(gens, seeds)
 
 
 def test_fit_batch_toy_membership_matches_contains():
