@@ -25,14 +25,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORTS = os.path.join(ROOT, ".bench_out")
 
 # Traced names with no caller on any command path: the batch functions
-# (fit_batch, sample_batch, release_bits, toy_fits, ...) replaced them.
-# Counters derived from their wraps are stale with them, and so is the
-# self time of the generators layer, every traced name of which is stale.
+# (fit_batch, sample_columns, release_bits, toy_fits, ...) replaced them.
+# Counters derived from their wraps are stale with them.  The generators
+# layer's fit stages (learn_structure, estimate_tables, privatize_tables)
+# are the batch functions themselves, so their spans are live.
 STALE = (
-    "generators",
     "data.contains", "data.append_record",
-    "generators.fit", "generators.learn_structure", "generators.estimate_tables",
-    "generators.privatize_tables", "generators.sample", "generators.release_bit",
+    "generators.fit", "generators.sample", "generators.release_bit",
     "attack.extract_features",
     "games.traditional_dataset", "games.model_seeded_dataset",
 )

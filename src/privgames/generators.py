@@ -12,23 +12,22 @@ batches.  ``fit_batch`` takes one spec, one schema and the training sets
 as one ``(B, n, d)`` int64 array, which it slices into chunks and never
 copies.  ``sample_columns`` draws the releases of fitted generators of
 one schema as one ``(k, d, n)`` array of narrow unsigned columns, and no
-release becomes a ``Dataset``; ``sample_batch`` is its ``(k, n, d)``
-int64 records view.  Every stage is a fixed number of array passes over
-the whole batch: structure learning scores only the column pairs each
-network's visit order reads, from one ``bincount``, and ranks every
-network's candidate parents with one stable ``argsort``; estimating the
-tables counts every column of every network with one more ``bincount``;
+release becomes a ``Dataset``.  Each fit stage is one function over the
+whole batch, a fixed number of array passes: ``learn_structure`` scores
+only the column pairs each network's visit order reads, from one
+``bincount``, and ranks every network's candidate parents with one
+stable ``argsort``; ``estimate_tables`` counts every column of every
+network with one more ``bincount``; ``privatize_tables`` noises them;
 and sampling draws one column of every network per step.  Orders and
-parents are ``(B, d)`` and ``(B, d, K)`` arrays, and a ``Structure`` is
-made only when ``FittedGenerator.structure`` is read.  Each network gets
-exactly the bits of the per-network definitions in
+parents are ``(B, d)`` and ``(B, d, K)`` arrays, and the tables of a
+chunk of networks are flat arrays of one ``_TableBatch``.  Each network
+gets exactly the bits of the per-network definitions in
 ``tests/reference.py`` (``reference_mutual_information`` per column
 pair, a ``ravel_multi_index`` count per column, ancestral sampling
-column by column); ``fit``, ``learn_structure``, ``sample`` and
-``release_bit`` are batches of one.  The per-network seeds of a batch
-come from ``seeds.derive_many``, and its random streams (structure
-order, Laplace noise, sampling uniforms) are opened once per batch call
-by ``seeds.Streams``, a single network's as a ``Streams`` of one.  A toy
+column by column).  The per-network seeds of a batch come from
+``seeds.derive_many``, and its random streams (structure order, Laplace
+noise, sampling uniforms) are opened once per batch call by
+``seeds.Streams``, a single network's as a ``Streams`` of one.  A toy
 release is the first ``random()`` of its stream, which
 ``Streams.randoms`` computes for the whole batch without a Generator.  A
 toy fit is nothing but the membership flag: ``toy_fits`` returns one of
@@ -39,7 +38,6 @@ training sets at all, and ``fit_batch`` refuses a toy spec.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -111,59 +109,18 @@ class GeneratorSpec:
 
 
 @dataclass(frozen=True)
-class Structure:
-    """Column visit order and per-column parent sets.
-
-    ``order`` is a topological order: every column's parents appear
-    earlier in it, which is what ancestral sampling needs.
-    """
-
-    order: tuple
-    parents: tuple
-
-
-@dataclass(frozen=True)
-class Cpt:
-    """Conditional probability table for one column.
-
-    counts holds the (smoothed, possibly noised and clamped) per-cell
-    counts the probabilities were normalized from; probs has one row per
-    parent-value combination, each summing to 1.
-    """
-
-    parents: tuple
-    parent_sizes: tuple
-    counts: np.ndarray
-    probs: np.ndarray
-
-
-@dataclass(frozen=True)
 class FittedGenerator:
     """A generator fit on one training dataset.
 
     A network keeps its structure and tables in the arrays of the batch
     it was fit in: ``packed`` is that ``_TableBatch`` and the network's
-    index in it, read on first use as a ``Structure`` and as one ``Cpt``
-    per column.  A toy fit has neither.
+    index in it.  A toy fit has none.
     """
 
     spec: GeneratorSpec
     schema: object
     toy_member: bool = None
     packed: tuple = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def structure(self):
-        if self.packed is not None:
-            batch, b = self.packed
-            return _structures(batch.orders[b : b + 1], batch.parents[b : b + 1])[0]
-
-    @cached_property
-    def tables(self):
-        if self.packed is None:
-            return None
-        batch, b = self.packed
-        return batch.cpts(b, self.structure)
 
 
 def _concat(parts):
@@ -324,15 +281,24 @@ def _pair_mi(terms, bounds):
     return mi
 
 
-def _learn_structures(values, sizes, max_parents, orders, mi_floor):
-    """``learn_structure`` of every network of a ``(B, n, d)`` batch,
-    network b visiting its columns in ``orders[b]``: each column's
-    parents, best first, as a ``(B, d, min(max_parents, d - 1))`` array
-    padded with -1.  Only pairs of a column and a candidate visited
-    before it are scored, and one stable ``argsort`` of -MI ranks them
-    all, a candidate below ``mi_floor`` or not earlier keyed +inf; equal
-    keys keep the lower column first, the per-network search's tie
-    rule."""
+def learn_structure(values, sizes, max_parents, orders, mi_floor):
+    """Greedy Bayesian-network structure of every network of a
+    ``(B, n, d)`` batch, network b visiting its columns in ``orders[b]``.
+
+    Each column picks up to ``max_parents`` columns visited before it,
+    ranked by empirical pairwise mutual information with the child,
+    skipping candidates whose score falls below ``mi_floor``; the visit
+    order doubles as the sampling order.  Returns each column's parents,
+    best first, as a ``(B, d, min(max_parents, d - 1))`` array padded
+    with -1.
+
+    The MI of every pair the search reads comes from one pass over the
+    data (see ``_PairPlan``) and equals ``reference_mutual_information``
+    in ``tests/reference.py`` bit for bit.  One stable ``argsort`` of -MI
+    ranks every candidate, one below ``mi_floor`` or not visited earlier
+    keyed +inf; equal keys keep the lower column first, the per-network
+    search's tie rule.
+    """
     nets, _, d = values.shape
     plan = _pair_plan(sizes)
     step = np.argsort(orders, axis=1)  # the step that visits each column
@@ -345,46 +311,6 @@ def _learn_structures(values, sizes, max_parents, orders, mi_floor):
     parents = ranked[:, :, : min(max_parents, d - 1)]
     parents[np.arange(parents.shape[2]) >= eligible[:, :, None]] = -1
     return parents
-
-
-def _structures(orders, parents):
-    """The ``Structure`` of every network of visit and parent arrays."""
-    counts = np.count_nonzero(parents >= 0, axis=2).tolist()
-    return [
-        Structure(tuple(order), tuple([tuple(ps[:c]) for ps, c in zip(net, cs)]))
-        for order, net, cs in zip(orders.tolist(), parents.tolist(), counts)
-    ]
-
-
-def _structure_arrays(structure):
-    """One structure as the order and parent arrays of a batch of one."""
-    depth = max(map(len, structure.parents), default=0)
-    padded = [p + (-1,) * (depth - len(p)) for p in structure.parents]
-    return np.array([structure.order], dtype=np.int64), np.array([padded], dtype=np.int64)
-
-
-def learn_structure(training, max_parents, seed, mi_floor=0.0):
-    """Greedy Bayesian-network structure over the training columns.
-
-    Columns are visited in a seeded random order; each picks up to
-    ``max_parents`` already-visited columns, ranked by empirical pairwise
-    mutual information with the child, skipping candidates whose score
-    falls below ``mi_floor``.  The visit order doubles as the sampling
-    order.
-
-    The MI of every pair the search reads comes from one pass over the
-    data (see ``_PairPlan``): one ``bincount`` for all joint tables, a
-    few stacked reductions for all marginals, and one elementwise pass
-    for the terms.  Each value equals ``reference_mutual_information``
-    in ``tests/reference.py`` bit for bit.
-    """
-    if training.n == 0:
-        raise FitError("cannot learn a structure from an empty dataset")
-    orders = Streams([seed])[0].permutation(training.schema.ncols)[None]
-    parents = _learn_structures(
-        training.values[None], training.schema.sizes, max_parents, orders, mi_floor
-    )
-    return _structures(orders, parents)[0]
 
 
 def _normalize_rows(counts, arity):
@@ -432,26 +358,6 @@ class _TableBatch:
         self.counts = None
         self.probs = None
         self._cumulative = None
-
-    def count(self, values):
-        """Cell counts of every table of a ``(B, n, d)`` batch, from one
-        ``bincount``."""
-        nets, _, d = values.shape
-        codes = values + self.cell_start[:-1].reshape(nets, 1, d)
-        for j in range(self.parent_cols.shape[2]):
-            parent_values = np.take_along_axis(values, self.parent_cols[:, None, :, j], axis=2)
-            codes += parent_values * (self.combo_strides[:, None, :, j] * self.sizes)
-        return np.bincount(codes.ravel(), minlength=self.cell_start[-1]).astype(float)
-
-    def privatize(self, counts, epsilon, streams):
-        """Laplace-noised counts clamped at zero; table c of network b
-        draws from ``streams[b * d + c]``."""
-        scale = (self.d * 2.0) / epsilon
-        noise = [
-            g.laplace(0.0, scale, size=cells)
-            for cells, g in zip(np.diff(self.cell_start).tolist(), streams)
-        ]
-        return np.maximum(counts + _concat(noise), 0.0)
 
     def _rows(self):
         """Flat index of the first cell, and the arity, of every row."""
@@ -540,24 +446,6 @@ class _TableBatch:
             values[dest[step]] = np.minimum(hits, clamp[step])
         return values.reshape(k, d, n)
 
-    def cpts(self, b, structure):
-        """Network b's tables, one ``Cpt`` per column, as views."""
-        sizes = self.sizes.tolist()
-        out = []
-        for c, parents in enumerate(structure.parents):
-            t = b * self.d + c
-            lo, hi = self.cell_start[t : t + 2].tolist()
-            shape = (int(self.n_combos[t]), sizes[c])
-            out.append(
-                Cpt(
-                    parents,
-                    tuple(sizes[p] for p in parents),
-                    self.counts[lo:hi].reshape(shape),
-                    self.probs[lo:hi].reshape(shape),
-                )
-            )
-        return tuple(out)
-
 
 def _spans(weights):
     """Consecutive ``(lo, hi)`` ranges of items whose weights sum to at
@@ -579,47 +467,46 @@ def batch_size(weight):
     return max(1, BATCH_ELEMENTS // max(1, weight))
 
 
-def estimate_tables(training, structure, smoothing):
-    """Maximum-likelihood tables with additive smoothing.
+def estimate_tables(batch, values, smoothing):
+    """Maximum-likelihood cell counts, plus ``smoothing``, of every table
+    of ``batch`` over its networks' ``(B, n, d)`` training sets.
 
-    Each cell gets ``(count + smoothing)``; rows whose total is zero
-    (unseen parent combination with zero smoothing) fall back to
-    uniform.
-
-    All columns are counted by one ``bincount``: column c's table is the
-    block at its own offset, and a row's cell in it is the C-order index
-    ``combo * arity + value`` with ``combo`` the row-major index of the
-    parent values, the integer ``ravel_multi_index`` computes.
+    Every column of every network is counted by one ``bincount``: table
+    t is the block at ``batch.cell_start[t]``, and a record's cell in it
+    is the C-order index ``combo * arity + value`` with ``combo`` the
+    row-major index of the parent values, the integer
+    ``ravel_multi_index`` computes.  Rows whose total is zero (an unseen
+    parent combination with zero smoothing) normalize to uniform.
     """
-    if training.n == 0:
-        raise FitError("cannot estimate tables from an empty dataset")
-    batch = _TableBatch(training.schema.sizes, *_structure_arrays(structure))
-    counts = batch.count(training.values[None]) + smoothing
-    batch.set_counts(counts, f"smoothing = {smoothing!r} is too large")
-    return batch.cpts(0, structure)
+    nets, _, d = values.shape
+    codes = values + batch.cell_start[:-1].reshape(nets, 1, d)
+    for j in range(batch.parent_cols.shape[2]):
+        parent_values = np.take_along_axis(values, batch.parent_cols[:, None, :, j], axis=2)
+        codes += parent_values * (batch.combo_strides[:, None, :, j] * batch.sizes)
+    return np.bincount(codes.ravel(), minlength=batch.cell_start[-1]).astype(float) + smoothing
 
 
-def privatize_tables(tables, epsilon, seed):
-    """Laplace-noise every table cell and renormalize.
+def privatize_tables(batch, counts, epsilon, streams):
+    """Laplace-noised ``counts`` of every table of ``batch``, clamped at
+    zero; table c of network b draws from ``streams[b * d + c]``.
 
     The budget is split equally across columns, and each count has
     sensitivity 2 under replacement of one training record, so the
-    noise scale is ``(n_columns * 2) / epsilon``.  Noised counts are
-    clamped at zero; rows that become all-zero fall back to uniform.
-    The structure itself is left untouched.
+    noise scale is ``(d * 2) / epsilon``.  Rows that become all-zero
+    normalize to uniform; the structure is left untouched.
     """
-    if not epsilon > 0:
-        raise DomainError("epsilon must be > 0")
-    sizes = tuple(cpt.probs.shape[1] for cpt in tables)
-    structure = Structure(
-        order=tuple(range(len(tables))), parents=tuple(cpt.parents for cpt in tables)
+    scale = (batch.d * 2.0) / epsilon
+    noise = [
+        g.laplace(0.0, scale, size=cells)
+        for cells, g in zip(np.diff(batch.cell_start).tolist(), streams)
+    ]
+    return np.maximum(counts + _concat(noise), 0.0)
+
+
+def _out_of_memory(cells, widest):
+    return FitError(
+        f"out of memory on a fit chunk of {int(cells)} table cells (widest arity {widest})"
     )
-    batch = _TableBatch(sizes, *_structure_arrays(structure))
-    counts = np.concatenate([cpt.counts.ravel() for cpt in tables])
-    streams = Streams(derive_many(seed, "privatize-col", np.arange(len(tables))))
-    counts = batch.privatize(counts, epsilon, streams)
-    batch.set_counts(counts, f"epsilon = {epsilon!r} is too small")
-    return batch.cpts(0, structure)
 
 
 def fit_batch(spec, schema, values, seeds):
@@ -629,8 +516,9 @@ def fit_batch(spec, schema, values, seeds):
     training set i is ``values[i]``, fit with ``seeds[i]``.  Each stage
     is one pass over the batch, in chunks whose intermediates stay
     within ``BATCH_ELEMENTS``, and every network gets the bits it would
-    get fit alone.  A toy fit comes from membership flags, not from
-    training sets: see ``toy_fits``.
+    get fit alone.  A table chunk that runs out of memory raises
+    FitError naming its table cells.  A toy fit comes from membership
+    flags, not from training sets: see ``toy_fits``.
     """
     if spec.kind == TOY:
         raise UnsupportedOperationError(
@@ -640,22 +528,6 @@ def fit_batch(spec, schema, values, seeds):
         raise DomainError(f"expected a (B, n, {schema.ncols}) batch, got shape {values.shape}")
     if len(values) != len(seeds):
         raise DomainError("fit_batch needs one seed per training set")
-    return _fit_networks(spec, schema, values, seeds)
-
-
-def toy_fits(spec, schema, members):
-    """The toy fit of each training set, given only whether the target is
-    a member of it (``members[i]`` true or 1): the call's two fits,
-    member and non-member, each shared by every set of its kind."""
-    fits = (
-        FittedGenerator(spec, schema, toy_member=False),
-        FittedGenerator(spec, schema, toy_member=True),
-    )
-    return [fits[m] for m in members]
-
-
-def _fit_networks(spec, schema, values, seeds):
-    """Fit one network per training set of a ``(B, n, d)`` batch."""
     n = values.shape[1]
     if n == 0:
         raise FitError(f"{spec.kind} generator requires non-empty training data")
@@ -677,7 +549,7 @@ def _fit_networks(spec, schema, values, seeds):
         # Structure chunks are weighed at n codes per ordered pair, though
         # only half the pairs are counted: wider chunks raise peak memory.
         for lo, hi in _spans([n * d * max(d - 1, 1)] * len(values)):
-            parents[lo:hi] = _learn_structures(
+            parents[lo:hi] = learn_structure(
                 values[lo:hi], schema.sizes, spec.max_parents, orders[lo:hi], spec.mi_floor
             )
     if spec.kind == PRIVBAYNET:
@@ -685,16 +557,34 @@ def _fit_networks(spec, schema, values, seeds):
         noise_streams = Streams(derive_many(noise_seeds, "privatize-col", np.arange(d)).ravel())
     # Table chunks are weighed by their rows at the widest arity, the
     # size of the padded cumulative table sampling builds.
-    rows = np.where(parents >= 0, np.array(schema.sizes)[parents], 1).prod(2).sum(1)
+    sizes = np.array(schema.sizes)
+    combos = np.where(parents >= 0, sizes[parents], 1).prod(2)
+    cells = (combos * sizes).sum(1)
     gens = []
-    for lo, hi in _spans((n * d + widest * rows).tolist()):
-        batch = _TableBatch(schema.sizes, orders[lo:hi], parents[lo:hi])
-        counts = batch.count(values[lo:hi]) + spec.smoothing
-        if spec.kind == PRIVBAYNET:
-            counts = batch.privatize(counts, spec.epsilon, noise_streams[lo * d : hi * d])
-        batch.set_counts(counts, overflow)
+    for lo, hi in _spans((n * d + widest * combos.sum(1)).tolist()):
+        try:
+            batch = _TableBatch(schema.sizes, orders[lo:hi], parents[lo:hi])
+            counts = estimate_tables(batch, values[lo:hi], spec.smoothing)
+            if spec.kind == PRIVBAYNET:
+                counts = privatize_tables(
+                    batch, counts, spec.epsilon, noise_streams[lo * d : hi * d]
+                )
+            batch.set_counts(counts, overflow)
+        except MemoryError:
+            raise _out_of_memory(cells[lo:hi].sum(), widest) from None
         gens += [FittedGenerator(spec, schema, packed=(batch, b)) for b in range(hi - lo)]
     return gens
+
+
+def toy_fits(spec, schema, members):
+    """The toy fit of each training set, given only whether the target is
+    a member of it (``members[i]`` true or 1): the call's two fits,
+    member and non-member, each shared by every set of its kind."""
+    fits = (
+        FittedGenerator(spec, schema, toy_member=False),
+        FittedGenerator(spec, schema, toy_member=True),
+    )
+    return [fits[m] for m in members]
 
 
 def fit(spec, training, seed=0):
@@ -711,10 +601,11 @@ def sample_columns(gens, n, seeds):
     column array: ``[i, c]`` is column c of the sample drawn from
     ``seeds[i]``, of the narrowest unsigned dtype that holds every level.
 
-    The generators must share one schema.  Networks fit in one batch are
-    sampled together (see ``_TableBatch.sample``), in chunks whose
-    intermediates stay within ``BATCH_ELEMENTS``, and each chunk is
-    written into its rows of the result.
+    The generators must share one schema.  Networks fit in one table
+    chunk are sampled together (see ``_TableBatch.sample``), in chunks
+    whose intermediates stay within ``BATCH_ELEMENTS``, and each chunk is
+    written into its rows of the result.  Running out of memory raises
+    FitError naming the fit chunk's table cells.
     """
     if len(gens) != len(seeds):
         raise DomainError("sampling needs one seed per generator")
@@ -734,18 +625,15 @@ def sample_columns(gens, n, seeds):
         groups.setdefault(id(g.packed[0]), []).append(i)
     for idx in groups.values():
         batch = gens[idx[0]].packed[0]
-        weight = n * (int(batch.sizes.max()) + 2 * batch.d)
-        for lo, hi in _spans([weight] * len(idx)):
+        widest = int(batch.sizes.max())
+        for lo, hi in _spans([n * (widest + 2 * batch.d)] * len(idx)):
             sub = idx[lo:hi]
-            out[sub] = batch.sample([gens[i].packed[1] for i in sub], n, [streams[i] for i in sub])
+            nets = [gens[i].packed[1] for i in sub]
+            try:
+                out[sub] = batch.sample(nets, n, [streams[i] for i in sub])
+            except MemoryError:
+                raise _out_of_memory(batch.cell_start[-1], widest) from None
     return out
-
-
-def sample_batch(gens, n, seeds):
-    """``n`` records of every generator, as one C-contiguous
-    ``(len(gens), n, d)`` int64 array: row i is drawn from ``seeds[i]``.
-    The records view of ``sample_columns``, copied once."""
-    return np.ascontiguousarray(sample_columns(gens, n, seeds).transpose(0, 2, 1), dtype=np.int64)
 
 
 def sample(gen, n, seed):
@@ -754,9 +642,9 @@ def sample(gen, n, seed):
     The toy kind releases a bit, not records, so asking it for a
     non-empty sample raises UnsupportedOperationError; ``n == 0``
     returns an empty dataset for any kind.  A batch of one of
-    ``sample_batch``.
+    ``sample_columns``.
     """
-    return data_mod.Dataset(gen.schema, sample_batch([gen], n, [seed])[0])
+    return data_mod.Dataset(gen.schema, sample_columns([gen], n, [seed])[0].T)
 
 
 def release_bits(gens, seeds):

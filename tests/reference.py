@@ -3,10 +3,12 @@
 These are the definitions the batched code replaced.  For the generator
 layer: structure learning one ``reference_mutual_information`` call per
 column pair, one ``ravel_multi_index`` count per table, Laplace noise per
-table, and ancestral sampling one column at a time.
-``reference_fit_batch`` and ``reference_sample_batch`` have the
-signatures and results of ``fit_batch`` and ``sample_batch`` and loop
-over networks, so whole commands can be run on the reference path.  For
+table, and ancestral sampling one column at a time, on the
+``Structure`` and ``Cpt`` records of one network.  ``reference_fit_batch``
+has the signature and results of ``fit_batch``, and
+``reference_sample_batch`` is the ``(k, n, d)`` records view of
+``sample_columns``; both loop over networks, so whole commands can be
+run on the reference path.  For
 the games: ``reference_run_game`` and
 ``reference_run_traditional_mixture`` play one round at a time, every
 seed from a scalar ``derive``, every stream from a fresh
@@ -29,6 +31,25 @@ import numpy as np
 from privgames import attack, data, games, generators
 from privgames.errors import FitError, UnsupportedOperationError
 from privgames.seeds import derive
+
+
+@dataclass(frozen=True)
+class Structure:
+    """One network's column visit order and per-column parent tuples."""
+
+    order: tuple
+    parents: tuple
+
+
+@dataclass(frozen=True)
+class Cpt:
+    """One column's (smoothed, possibly noised) cell counts and their
+    normalized rows, one per parent-value combination."""
+
+    parents: tuple
+    parent_sizes: tuple
+    counts: np.ndarray
+    probs: np.ndarray
 
 
 def reference_mutual_information(a, b, a_size, b_size):
@@ -65,7 +86,7 @@ def reference_learn_structure(training, max_parents, seed, mi_floor=0.0):
         scored.sort(key=lambda t: (-t[0], t[1]))
         parents[col] = tuple(c for _, c in scored[:max_parents])
         visited.append(col)
-    return generators.Structure(order=order, parents=tuple(parents))
+    return Structure(order=order, parents=tuple(parents))
 
 
 def reference_normalize_rows(counts, arity):
@@ -97,7 +118,7 @@ def reference_estimate_tables(training, structure, smoothing):
         ).astype(float)
         counts = flat.reshape(n_combos, arity) + smoothing
         probs = reference_normalize_rows(counts, arity)
-        tables.append(generators.Cpt(parents, parent_sizes, counts, probs))
+        tables.append(Cpt(parents, parent_sizes, counts, probs))
     return tuple(tables)
 
 
@@ -110,7 +131,7 @@ def reference_privatize_tables(tables, epsilon, seed):
         clamped = np.maximum(noisy, 0.0)
         arity = cpt.probs.shape[1]
         out.append(
-            generators.Cpt(
+            Cpt(
                 cpt.parents, cpt.parent_sizes, clamped,
                 reference_normalize_rows(clamped, arity),
             )
@@ -138,7 +159,7 @@ def reference_fit(spec, training, target_hint=None, seed=0):
         raise FitError(f"{spec.kind} generator requires non-empty training data")
     d = training.schema.ncols
     if spec.kind == generators.INDEPENDENT:
-        structure = generators.Structure(order=tuple(range(d)), parents=((),) * d)
+        structure = Structure(order=tuple(range(d)), parents=((),) * d)
     else:
         structure = reference_learn_structure(
             training, spec.max_parents, derive(seed, "structure"), spec.mi_floor
@@ -181,7 +202,8 @@ def reference_fit_batch(spec, schema, values, seeds):
 
 
 def reference_sample_batch(gens, n, seeds):
-    """``generators.sample_batch``: the releases as one ``(k, n, d)`` array."""
+    """The records view of ``generators.sample_columns``: the releases as
+    one ``(k, n, d)`` array."""
     return np.stack([reference_sample(gen, n, seed).values for gen, seed in zip(gens, seeds)])
 
 

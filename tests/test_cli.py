@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -935,6 +936,42 @@ def test_failed_shadow_fit_drops_only_its_record(tmp_path, monkeypatch, capsys, 
         clean_logged[0], "record evaluation failed: record 1: induced shadow failure",
         clean_logged[2],
     ]
+
+
+def test_out_of_memory_in_a_table_chunk_fails_only_its_record(tmp_path, monkeypatch):
+    # Record 1's shadow tables run out of memory: a FitError naming the
+    # chunk's table cells drops that record, and record 0's rows stay.
+    path = tmp_path / "exp.ini"
+    path.write_text(NETWORK_TEXT.replace("first:3", "ids:0,1").format(out=tmp_path / "out"))
+    cfg = load_experiment_config(str(path))
+    shadow_seed = derive(derive(cfg.master_seed, "attack", 1), "shadow-fit", 0)
+    real_fit, real_estimate = generators.fit_batch, generators.estimate_tables
+    failing = []
+
+    def fit_batch(spec, schema, values, seeds):
+        failing[:] = [int(seeds[0]) == shadow_seed]
+        return real_fit(spec, schema, values, seeds)
+
+    def estimate_tables(*args):
+        if failing[0]:
+            raise MemoryError
+        return real_estimate(*args)
+
+    monkeypatch.setattr(generators, "fit_batch", fit_batch)
+    monkeypatch.setattr(generators, "estimate_tables", estimate_tables)
+    logged = []
+    assert cli.cmd_run(cfg, log=logged.append) == 1
+    for kind in ("traditional", "model_seeded"):
+        lines = open(tmp_path / "out" / f"results_{kind}.csv").read().splitlines()
+        assert "status=partial" in lines[0]
+        assert [line.split(",")[0] for line in lines[2:]] == ["0"]
+    failures = [m for m in logged if m.startswith("record evaluation failed")]
+    assert len(failures) == 1
+    assert re.fullmatch(
+        r"record evaluation failed: record 1: out of memory on a fit chunk of \d+ table "
+        r"cells \(widest arity \d+\)",
+        failures[0],
+    )
 
 
 def test_training_error_fails_every_record_of_the_stack(tmp_path, monkeypatch, capsys):

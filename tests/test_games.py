@@ -395,7 +395,7 @@ def test_mixture_batches_stay_within_the_budget(monkeypatch):
     schema = ordered_schema(16)
     partials = [data.Dataset(schema, [[v] for v in range(2, 8)]),
                 data.Dataset(schema, [[v] for v in range(2, 9)])]
-    adv = _mean_adversary(generators.sample_batch)
+    adv = _mean_adversary(generators.sample_columns)
     spec = generators.GeneratorSpec(generators.INDEPENDENT)
     config = games.GameConfig(40, 4, spec, 91, games.TRADITIONAL)
     before = games.run_traditional_mixture((1,), partials, adv, config)
@@ -572,11 +572,12 @@ def _toy_adversary(release_bits):
     return adversary
 
 
-def _mean_adversary(sample_batch):
-    """Scores a round by the mean value of a 9-row release."""
+def _mean_adversary(sampler):
+    """Scores a round by the mean value of a 9-row release, whatever the
+    layout of its values: records or columns."""
 
     def adversary(gens, seeds):
-        return [float(values.mean()) for values in sample_batch(gens, 9, seeds)]
+        return [float(values.mean()) for values in sampler(gens, 9, seeds)]
 
     return adversary
 
@@ -608,7 +609,7 @@ def _play(game, spec, threads, reference):
         specs = [spec, toy_spec(0.6, 0.3)]
     else:
         adversary = _mean_adversary(
-            ref.reference_sample_batch if reference else generators.sample_batch
+            ref.reference_sample_batch if reference else generators.sample_columns
         )
         specs = [spec, generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=1, epsilon=3.0)]
     traditional = game in ("traditional", "duplicates", "mixture")

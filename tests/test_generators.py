@@ -1,12 +1,13 @@
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from privgames import data, generators
 from privgames.errors import DomainError, FitError, UnsupportedOperationError
-from privgames.seeds import derive
+from privgames.seeds import Streams, derive, derive_many
 
 from brute import brute_mi
 from reference import (
@@ -29,6 +30,67 @@ def ordered_schema(*sizes):
 
 def toy_spec(p_in=0.8, p_out=0.2):
     return generators.GeneratorSpec(generators.TOY, p_in=p_in, p_out=p_out)
+
+
+def padded(parent_lists, depth):
+    """Per-network lists of parent tuples as a ``(B, d, depth)`` array
+    padded with -1, the layout of ``learn_structure``'s result."""
+    out = np.full((len(parent_lists), len(parent_lists[0]), depth), -1, dtype=np.int64)
+    for b, net in enumerate(parent_lists):
+        for c, ps in enumerate(net):
+            out[b, c, : len(ps)] = ps
+    return out
+
+
+def table_batch(training, parents, smoothing, order=None):
+    """A ``_TableBatch`` of one network with the given parent tuples,
+    its counts from ``estimate_tables`` over ``training`` and normalized."""
+    d = training.schema.ncols
+    orders = np.array([order or range(d)], dtype=np.int64)
+    batch = generators._TableBatch(
+        training.schema.sizes, orders, padded([parents], max(map(len, parents), default=0))
+    )
+    batch.set_counts(generators.estimate_tables(batch, training.values[None], smoothing), "")
+    return batch
+
+
+def privatized(batch, epsilon, seed):
+    """``privatize_tables`` of a one-network batch, table c drawing from
+    ``derive(seed, "privatize-col", c)``, as a new normalized batch."""
+    streams = Streams(derive_many(seed, "privatize-col", np.arange(batch.d)))
+    noised = generators._TableBatch(batch.sizes, batch.orders, batch.parents)
+    noised.set_counts(generators.privatize_tables(batch, batch.counts, epsilon, streams), "")
+    return noised
+
+
+def tables(batch, b=0, field="probs"):
+    """Network b's tables, column by column, as ``(rows, arity)`` views of
+    the batch's flat ``counts`` or ``probs``."""
+    flat = getattr(batch, field)
+    return [
+        flat[batch.cell_start[t] : batch.cell_start[t + 1]].reshape(-1, batch.arity[t])
+        for t in range(b * batch.d, (b + 1) * batch.d)
+    ]
+
+
+def assert_same_tables(batch, b, reference_tables):
+    """Network b's slice ``cell_start[b * d] : cell_start[(b + 1) * d]``
+    of the batch's ``counts`` and ``probs`` equals the reference tables,
+    raveled in column order, bit for bit."""
+    lo, hi = batch.cell_start[b * batch.d], batch.cell_start[(b + 1) * batch.d]
+    for field in ("counts", "probs"):
+        want = np.concatenate([getattr(cpt, field).ravel() for cpt in reference_tables])
+        assert getattr(batch, field)[lo:hi].tobytes() == want.tobytes()
+
+
+def assert_same_network(gen, ref):
+    """The arrays of a fitted network equal a reference fit: its visit
+    order, its parents padded with -1, and its cells."""
+    batch, b = gen.packed
+    assert batch.orders[b].tolist() == list(ref.structure.order)
+    want = padded([ref.structure.parents], batch.parents.shape[2])[0]
+    assert np.array_equal(batch.parents[b], want)
+    assert_same_tables(batch, b, ref.tables)
 
 
 # ------------------------------------------------------------------ spec
@@ -75,46 +137,42 @@ def test_mutual_information_of_copy_is_entropy():
 
 
 def test_learn_structure_zero_parent_budget():
-    ds = data.Dataset(ordered_schema(3, 3, 3), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    st = generators.learn_structure(ds, 0, seed=5)
-    assert all(p == () for p in st.parents)
-    assert sorted(st.order) == [0, 1, 2]
+    values = np.array([[[0, 1, 2], [1, 2, 0], [2, 0, 1]]])
+    parents = generators.learn_structure(values, (3, 3, 3), 0, np.array([[2, 0, 1]]), 0.0)
+    assert parents.shape == (1, 3, 0)
 
 
 def test_learn_structure_is_topological():
     g = np.random.default_rng(77)
     schema = ordered_schema(3, 2, 4, 2, 3)
-    for trial in range(20):
-        vals = np.column_stack(
-            [g.integers(0, s, size=60) for s in schema.sizes]
-        )
-        ds = data.Dataset(schema, vals)
-        st = generators.learn_structure(ds, 2, seed=trial)
-        pos = {c: i for i, c in enumerate(st.order)}
-        for col, parents in enumerate(st.parents):
-            assert len(parents) <= 2
-            for p in parents:
-                assert pos[p] < pos[col]
+    values = np.stack([
+        np.column_stack([g.integers(0, s, size=60) for s in schema.sizes]) for _ in range(20)
+    ])
+    orders = np.stack([g.permutation(5) for _ in range(20)])
+    parents = generators.learn_structure(values, schema.sizes, 2, orders, 0.0)
+    assert parents.shape == (20, 5, 2)
+    for order, net in zip(orders.tolist(), parents.tolist()):
+        for col, ps in enumerate(net):
+            used = [p for p in ps if p >= 0]
+            assert ps == used + [-1] * (2 - len(used))
+            assert all(order.index(p) < order.index(col) for p in used)
 
 
 def test_learn_structure_picks_the_copied_column():
     # Two identical columns: whichever is visited second adopts the first.
     g = np.random.default_rng(3)
     a = g.integers(0, 4, size=200)
-    ds = data.Dataset(ordered_schema(4, 4), np.column_stack([a, a]))
-    st = generators.learn_structure(ds, 1, seed=9)
-    first, second = st.order
-    assert st.parents[first] == ()
-    assert st.parents[second] == (first,)
+    values = np.stack([np.column_stack([a, a])] * 2)
+    parents = generators.learn_structure(values, (4, 4), 1, np.array([[0, 1], [1, 0]]), 0.0)
+    assert parents[:, :, 0].tolist() == [[-1, 0], [1, -1]]
 
 
 def test_mi_floor_blocks_weak_parents():
     # Independent columns: with a floor above sampling noise nothing links.
     g = np.random.default_rng(15)
     vals = np.column_stack([g.integers(0, 3, size=4000) for _ in range(3)])
-    ds = data.Dataset(ordered_schema(3, 3, 3), vals)
-    st = generators.learn_structure(ds, 2, seed=1, mi_floor=0.05)
-    assert all(p == () for p in st.parents)
+    parents = generators.learn_structure(vals[None], (3, 3, 3), 2, np.array([[1, 0, 2]]), 0.05)
+    assert (parents == -1).all()
 
 
 # ---------------------------------------------------------------- tables
@@ -122,24 +180,22 @@ def test_mi_floor_blocks_weak_parents():
 
 def test_marginal_estimate_without_smoothing():
     ds = data.Dataset(ordered_schema(2), [[0], [0], [1], [1]])
-    st = generators.Structure(order=(0,), parents=((),))
-    (cpt,) = generators.estimate_tables(ds, st, smoothing=0.0)
-    assert cpt.probs.tolist() == [[0.5, 0.5]]
+    batch = table_batch(ds, [()], smoothing=0.0)
+    assert batch.probs.tolist() == [0.5, 0.5]
 
 
 def test_smoothing_shifts_counts():
     ds = data.Dataset(ordered_schema(2), [[0], [0], [0], [1]])
-    st = generators.Structure(order=(0,), parents=((),))
-    (cpt,) = generators.estimate_tables(ds, st, smoothing=1.0)
-    assert cpt.probs.tolist() == [[4 / 6, 2 / 6]]
+    batch = table_batch(ds, [()], smoothing=1.0)
+    assert batch.counts.tolist() == [4.0, 2.0]
+    assert batch.probs.tolist() == [4 / 6, 2 / 6]
 
 
 def test_unseen_parent_combo_falls_back_to_uniform():
     schema = ordered_schema(2, 3)
     ds = data.Dataset(schema, [[0, 0], [0, 2], [0, 0]])  # parent value 1 unseen
-    st = generators.Structure(order=(0, 1), parents=((), (0,)))
-    tables = generators.estimate_tables(ds, st, smoothing=0.0)
-    row = tables[1].probs[1]
+    batch = table_batch(ds, [(), (0,)], smoothing=0.0)
+    row = tables(batch)[1][1]
     assert np.allclose(row, [1 / 3, 1 / 3, 1 / 3])
 
 
@@ -153,9 +209,9 @@ def test_rows_always_normalize():
             generators.BAYNET, max_parents=2, smoothing=float(trial % 3)
         )
         gen = generators.fit(spec, ds, seed=trial)
-        for cpt in gen.tables:
-            assert np.all(np.abs(cpt.probs.sum(axis=1) - 1.0) <= 1e-9)
-            assert np.all(cpt.probs >= 0)
+        for probs in tables(*gen.packed):
+            assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
+            assert np.all(probs >= 0)
 
 
 # -------------------------------------------------------------- privatize
@@ -166,30 +222,26 @@ def test_privatize_with_huge_budget_is_nearly_exact():
     schema = ordered_schema(3, 3, 2)
     vals = np.column_stack([g.integers(0, s, size=50) for s in schema.sizes])
     ds = data.Dataset(schema, vals)
-    st = generators.learn_structure(ds, 1, seed=2)
-    tables = generators.estimate_tables(ds, st, smoothing=1.0)
-    noised = generators.privatize_tables(tables, epsilon=1e9, seed=6)
-    for before, after in zip(tables, noised):
-        assert np.max(np.abs(before.probs - after.probs)) <= 1e-3
+    batch = table_batch(ds, [(), (0,), (1,)], smoothing=1.0, order=(0, 1, 2))
+    noised = privatized(batch, epsilon=1e9, seed=6)
+    assert np.max(np.abs(batch.probs - noised.probs)) <= 1e-3
 
 
 def test_privatize_perturbs_at_small_budget():
     ds = data.Dataset(ordered_schema(4), [[i % 4] for i in range(40)])
-    st = generators.Structure(order=(0,), parents=((),))
-    tables = generators.estimate_tables(ds, st, smoothing=1.0)
-    noised = generators.privatize_tables(tables, epsilon=0.5, seed=3)
-    assert np.max(np.abs(tables[0].probs - noised[0].probs)) > 1e-3
+    batch = table_batch(ds, [()], smoothing=1.0)
+    noised = privatized(batch, epsilon=0.5, seed=3)
+    assert np.max(np.abs(batch.probs - noised.probs)) > 1e-3
 
 
 def test_privatize_deterministic_in_seed():
     ds = data.Dataset(ordered_schema(4), [[i % 4] for i in range(12)])
-    st = generators.Structure(order=(0,), parents=((),))
-    tables = generators.estimate_tables(ds, st, smoothing=1.0)
-    a = generators.privatize_tables(tables, epsilon=1.0, seed=9)
-    b = generators.privatize_tables(tables, epsilon=1.0, seed=9)
-    c = generators.privatize_tables(tables, epsilon=1.0, seed=10)
-    assert np.array_equal(a[0].probs, b[0].probs)
-    assert not np.array_equal(a[0].probs, c[0].probs)
+    batch = table_batch(ds, [()], smoothing=1.0)
+    a = privatized(batch, epsilon=1.0, seed=9)
+    b = privatized(batch, epsilon=1.0, seed=9)
+    c = privatized(batch, epsilon=1.0, seed=10)
+    assert np.array_equal(a.probs, b.probs)
+    assert not np.array_equal(a.probs, c.probs)
 
 
 def test_privatize_all_zero_row_becomes_uniform():
@@ -198,13 +250,12 @@ def test_privatize_all_zero_row_becomes_uniform():
     # clamped row normalizes to uniform.
     schema = ordered_schema(2, 3)
     ds = data.Dataset(schema, [[0, 0], [0, 1], [0, 2]])
-    st = generators.Structure(order=(0, 1), parents=((), (0,)))
-    tables = generators.estimate_tables(ds, st, smoothing=0.0)
-    assert tables[1].counts[1].tolist() == [0.0, 0.0, 0.0]
+    batch = table_batch(ds, [(), (0,)], smoothing=0.0)
+    assert tables(batch, field="counts")[1][1].tolist() == [0.0, 0.0, 0.0]
     for seed in range(200):
-        noised = generators.privatize_tables(tables, epsilon=1.0, seed=seed)
-        if np.all(noised[1].counts[1] == 0.0):
-            assert np.allclose(noised[1].probs[1], [1 / 3, 1 / 3, 1 / 3])
+        noised = privatized(batch, epsilon=1.0, seed=seed)
+        if np.all(tables(noised, field="counts")[1][1] == 0.0):
+            assert np.allclose(tables(noised)[1][1], [1 / 3, 1 / 3, 1 / 3])
             return
     raise AssertionError("no seed produced an all-clamped row")
 
@@ -244,16 +295,6 @@ def random_training(seed):
     return data.Dataset(schema, np.column_stack(cols))
 
 
-def assert_same_tables(fast, slow):
-    assert len(fast) == len(slow)
-    for a, b in zip(fast, slow):
-        assert a.parents == b.parents
-        assert a.parent_sizes == b.parent_sizes
-        assert a.counts.shape == b.counts.shape
-        assert a.counts.tobytes() == b.counts.tobytes()
-        assert a.probs.tobytes() == b.probs.tobytes()
-
-
 @pytest.mark.parametrize("seed", range(24))
 def test_one_pass_mi_matches_mutual_information_bitwise(seed):
     # Structure equality only notices MI differences at near-ties, so
@@ -274,16 +315,23 @@ def test_one_pass_mi_matches_mutual_information_bitwise(seed):
 @pytest.mark.parametrize("seed", range(24))
 def test_one_pass_fit_matches_reference(seed):
     ds = random_training(seed)
+    d = ds.schema.ncols
     for max_parents in (1, 2, 3):
         for mi_floor in (0.0, 0.01):
             structure_seed = derive(seed, "structure", 10 * max_parents + int(mi_floor > 0))
-            st = generators.learn_structure(ds, max_parents, structure_seed, mi_floor)
-            assert st == reference_learn_structure(ds, max_parents, structure_seed, mi_floor)
+            orders = np.random.default_rng(structure_seed).permutation(d)[None]
+            parents = generators.learn_structure(
+                ds.values[None], ds.schema.sizes, max_parents, orders, mi_floor
+            )
+            st = reference_learn_structure(ds, max_parents, structure_seed, mi_floor)
+            assert orders[0].tolist() == list(st.order)
+            assert np.array_equal(parents, padded([st.parents], parents.shape[2]))
         for smoothing in (0.0, 0.3, 1.0):
-            tables = generators.estimate_tables(ds, st, smoothing)
-            assert_same_tables(tables, reference_estimate_tables(ds, st, smoothing))
-        noised = generators.privatize_tables(tables, 1.0, seed)
-        assert_same_tables(noised, reference_privatize_tables(tables, 1.0, seed))
+            batch = table_batch(ds, st.parents, smoothing, st.order)
+            ref_tables = reference_estimate_tables(ds, st, smoothing)
+            assert_same_tables(batch, 0, ref_tables)
+        noised = privatized(batch, 1.0, seed)
+        assert_same_tables(noised, 0, reference_privatize_tables(ref_tables, 1.0, seed))
 
 
 @pytest.mark.parametrize("kind", [generators.BAYNET, generators.PRIVBAYNET])
@@ -295,11 +343,10 @@ def test_one_pass_fit_matches_reference_through_fit(kind):
         )
         gen = generators.fit(spec, ds, seed=seed)
         st = reference_learn_structure(ds, 2, derive(seed, "structure"), 0.001)
-        tables = reference_estimate_tables(ds, st, 0.1)
+        ref_tables = reference_estimate_tables(ds, st, 0.1)
         if kind == generators.PRIVBAYNET:
-            tables = reference_privatize_tables(tables, 0.5, derive(seed, "privatize"))
-        assert gen.structure == st
-        assert_same_tables(gen.tables, tables)
+            ref_tables = reference_privatize_tables(ref_tables, 0.5, derive(seed, "privatize"))
+        assert_same_network(gen, ReferenceGenerator(spec, ds.schema, st, ref_tables))
 
 
 def test_normalize_rows_zero_rows_fall_back_to_uniform():
@@ -311,7 +358,7 @@ def test_normalize_rows_zero_rows_fall_back_to_uniform():
 
 # ------------------------------------------------ batched vs per-network
 #
-# fit_batch and sample_batch run each stage once over a whole batch of
+# fit_batch and sample_columns run each stage once over a whole batch of
 # networks; every network must get the bits of reference_fit and
 # reference_sample, whatever the batch size and wherever the element
 # budget cuts the batch into chunks.
@@ -339,18 +386,14 @@ def stack(trainings):
 def assert_matches_reference(spec, trainings, seeds, n_syn=23):
     gens = generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds)
     syn_seeds = [derive(s, "sample") for s in seeds]
-    samples = generators.sample_batch(gens, n_syn, syn_seeds)
-    assert samples.shape == (len(gens), n_syn, trainings[0].schema.ncols)
-    # The column-major release path draws the same values, narrow.
     cols = generators.sample_columns(gens, n_syn, syn_seeds)
+    assert cols.shape == (len(gens), trainings[0].schema.ncols, n_syn)
     assert cols.dtype == (np.uint8 if max(trainings[0].schema.sizes) <= 256 else np.uint16)
-    assert np.array_equal(cols.transpose(0, 2, 1), samples)
-    for gen, training, seed, syn_seed, syn in zip(gens, trainings, seeds, syn_seeds, samples):
+    for gen, training, seed, syn_seed, syn in zip(gens, trainings, seeds, syn_seeds, cols):
         ref = reference_fit(spec, training, seed=seed)
-        assert gen.structure == ref.structure
-        assert_same_tables(gen.tables, ref.tables)
+        assert_same_network(gen, ref)
         expected = reference_sample(ref, n_syn, syn_seed)
-        assert syn.tobytes() == expected.values.tobytes()
+        assert syn.T.astype(np.int64).tobytes() == expected.values.tobytes()
 
 
 BATCH_SIZES = (1, 2, 7)
@@ -460,7 +503,7 @@ def test_structure_and_sampling_edges_match_reference(monkeypatch, family, batch
         assert_matches_reference(spec, trainings, seeds, n_syn=60)
         if spec.mi_floor > 0 or spec.max_parents == 0:
             gens = generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds)
-            assert all(p == () for g in gens for p in g.structure.parents)
+            assert all((g.packed[0].parents == -1).all() for g in gens)
 
 
 def test_duplicated_columns_tie_to_the_lower_index():
@@ -468,11 +511,12 @@ def test_duplicated_columns_tie_to_the_lower_index():
     spec = generators.GeneratorSpec(generators.BAYNET, max_parents=1)
     picked = set()
     for seed in range(40):
-        st = generators.fit(spec, training, seed=seed).structure
+        batch, b = generators.fit(spec, training, seed=seed).packed
+        order = batch.orders[b].tolist()
         # Column 1's candidates 0, 2 and 3 are one column three times.
-        if st.order.index(1) > max(st.order.index(0), st.order.index(2)):
-            picked.add(st.parents[1])
-    assert picked == {(0,)}
+        if order.index(1) > max(order.index(0), order.index(2)):
+            picked.add(int(batch.parents[b, 1, 0]))
+    assert picked == {0}
 
 
 def test_wide_column_samples_levels_past_255():
@@ -499,7 +543,7 @@ def test_sample_columns_use_the_narrowest_dtype_of_the_widest_level(widest, dtyp
     assert cols.dtype == dtype
     assert cols.shape == (1, 2, 2000)
     assert cols[0, 0].max() == widest - 1
-    assert np.array_equal(cols.transpose(0, 2, 1), generators.sample_batch(gens, 2000, [5]))
+    assert np.array_equal(cols[0].T, generators.sample(gens[0], 2000, 5).values)
 
 
 @pytest.mark.parametrize(
@@ -510,7 +554,7 @@ def test_fit_batch_of_no_training_sets_is_empty(spec):
     empty = np.zeros((0, 5, 3), dtype=np.int64)
     assert generators.fit_batch(spec, schema, empty, []) == []
     no_orders = np.zeros((0, 3), dtype=np.int64)
-    parents = generators._learn_structures(empty, schema.sizes, spec.max_parents, no_orders, 0.0)
+    parents = generators.learn_structure(empty, schema.sizes, spec.max_parents, no_orders, 0.0)
     assert parents.shape == (0, 3, min(spec.max_parents, 2))
 
 
@@ -532,12 +576,11 @@ def test_fit_batch_mixes_specs_and_shapes_in_input_order():
     b = generators.fit_batch(SPECS[3], full[0].schema, stack(full[3:]), seeds[3:6])
     mixed = [b[0], gens[9], a[2], gens[4], a[0], b[2], gens[0], a[1], b[1], gens[7]]
     assert len({id(g.packed[0]) for g in mixed}) >= 5
-    syn = generators.sample_batch(mixed, 11, seeds[:10])
-    assert syn.shape == (10, 11, full[0].schema.ncols)
-    assert syn.dtype == np.int64
+    syn = generators.sample_columns(mixed, 11, seeds[:10])
+    assert syn.shape == (10, full[0].schema.ncols, 11)
     assert syn.flags.c_contiguous
     for gen, s, got in zip(mixed, seeds, syn):
-        assert got.tobytes() == generators.sample(gen, 11, s).values.tobytes()
+        assert np.array_equal(got.T, generators.sample(gen, 11, s).values)
 
 
 def test_sample_batch_of_zero_rows_is_empty_stack():
@@ -547,11 +590,11 @@ def test_sample_batch_of_zero_rows_is_empty_stack():
     toys = generators.toy_fits(toy_spec(), schema, members)
     nets = generators.fit_batch(SPECS[2], schema, trainings, [3, 4])
     for gens in (toys, nets, toys + nets):
-        got = generators.sample_batch(gens, 0, list(range(len(gens))))
-        assert got.shape == (len(gens), 0, 2)
-        assert got.dtype == np.int64
+        got = generators.sample_columns(gens, 0, list(range(len(gens))))
+        assert got.shape == (len(gens), 2, 0)
+        assert got.dtype == np.uint8
     with pytest.raises(UnsupportedOperationError):
-        generators.sample_batch(toys, 1, [1, 2])
+        generators.sample_columns(toys, 1, [1, 2])
 
 
 def test_sample_batch_rejects_mixed_schemas():
@@ -562,7 +605,7 @@ def test_sample_batch_rejects_mixed_schemas():
     gens += generators.fit_batch(SPECS[2], b[0].schema, stack(b), [3, 4])
     for n in (0, 5):
         with pytest.raises(DomainError, match="one schema"):
-            generators.sample_batch(gens, n, [1, 2, 3, 4])
+            generators.sample_columns(gens, n, [1, 2, 3, 4])
 
 
 def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
@@ -572,32 +615,29 @@ def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
     trainings = random_batch(11, 3)
     gens = generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3])
     gens[0].packed[0].probs *= 0.5
-    seeds = [7, 8, 9]
-    for gen, syn, s in zip(gens, generators.sample_batch(gens, 200, seeds), seeds):
-        ref = ReferenceGenerator(gen.spec, gen.schema, gen.structure, gen.tables)
-        assert syn.tobytes() == reference_sample(ref, 200, s).values.tobytes()
+    syn = generators.sample_columns(gens, 200, [7, 8, 9])
+    for training, fit_seed, got, s in zip(trainings, [1, 2, 3], syn, [7, 8, 9]):
+        ref = reference_fit(SPECS[4], training, seed=fit_seed)
+        halved = tuple(replace(cpt, probs=cpt.probs * 0.5) for cpt in ref.tables)
+        ref = ReferenceGenerator(ref.spec, ref.schema, ref.structure, halved)
+        assert got.T.astype(np.int64).tobytes() == reference_sample(ref, 200, s).values.tobytes()
 
 
-def test_fit_batch_makes_structures_only_when_read(monkeypatch):
-    # A network's Structure is made from its batch's order and parent
-    # arrays on first read, never by fit_batch itself.
-    trainings = random_batch(3, 6)
-    want = reference_fit(SPECS[4], trainings[2], seed=2).structure
-    made = []
-    structure = generators.Structure
+def test_sample_columns_out_of_memory_is_a_fit_error(monkeypatch):
+    # A sampling chunk that runs out of memory raises FitError naming the
+    # table cells of its fit chunk and the widest arity, so a command
+    # fails only the record it belongs to.
+    trainings = random_batch(11, 3)
+    gens = generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3])
 
-    def counting_structure(*args, **kwargs):
-        made.append(1)
-        return structure(*args, **kwargs)
+    def out_of_memory(*args):
+        raise MemoryError
 
-    monkeypatch.setattr(generators, "Structure", counting_structure)
-    gens = generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), range(6))
-    assert made == []
-    assert gens[2].structure == want
-    assert gens[2].structure is gens[2].structure
-    assert len(made) == 1
-    toys = generators.toy_fits(toy_spec(), trainings[0].schema, [True, False])
-    assert [t.structure for t in toys] == [None, None]
+    monkeypatch.setattr(generators._TableBatch, "sample", out_of_memory)
+    cells = gens[0].packed[0].cell_start[-1]
+    widest = max(trainings[0].schema.sizes)
+    with pytest.raises(FitError, match=rf"of {cells} table cells \(widest arity {widest}\)$"):
+        generators.sample_columns(gens, 5, [4, 5, 6])
 
 
 def test_release_bits_needs_one_seed_per_generator():
@@ -679,7 +719,9 @@ def test_fit_with_tables_out_of_float_range_raises(spec, setting):
 def test_fit_independent_has_no_parents():
     ds = data.Dataset(ordered_schema(3, 3), [[0, 1], [1, 2], [2, 0]])
     gen = generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), ds)
-    assert all(p == () for p in gen.structure.parents)
+    batch, b = gen.packed
+    assert batch.orders[b].tolist() == [0, 1]
+    assert batch.parents[b].shape == (2, 0)
 
 
 def test_fit_deterministic():
@@ -688,11 +730,10 @@ def test_fit_deterministic():
     vals = np.column_stack([g.integers(0, s, size=30) for s in schema.sizes])
     ds = data.Dataset(schema, vals)
     spec = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=1, epsilon=2.0)
-    g1 = generators.fit(spec, ds, seed=12)
-    g2 = generators.fit(spec, ds, seed=12)
-    assert g1.structure == g2.structure
-    for a, b in zip(g1.tables, g2.tables):
-        assert np.array_equal(a.probs, b.probs)
+    (b1, _), (b2, _) = (generators.fit(spec, ds, seed=12).packed for _ in range(2))
+    assert np.array_equal(b1.orders, b2.orders)
+    assert np.array_equal(b1.parents, b2.parents)
+    assert np.array_equal(b1.probs, b2.probs)
 
 
 # ----------------------------------------------------------------- sample
@@ -766,16 +807,15 @@ def test_single_network_entry_points_take_any_rng_seed():
     schema = ordered_schema(3, 4, 2)
     vals = np.column_stack([g.integers(0, s, size=40) for s in schema.sizes])
     ds = data.Dataset(schema, vals)
-    assert generators.learn_structure(ds, 2, top) == reference_learn_structure(ds, 2, top)
     spec = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=1.0)
     gen = generators.fit(spec, ds, seed=top)
     ref = reference_fit(spec, ds, seed=top)
+    assert_same_network(gen, ref)
     expected = reference_sample(ref, 30, top).values
     assert generators.sample(gen, 30, top).values.tobytes() == expected.tobytes()
     toy = generators.toy_fits(toy_spec(0.5, 0.5), schema, [data.contains(ds, tuple(vals[0]))])[0]
     assert generators.release_bit(toy, top) == int(np.random.default_rng(top).random() < 0.5)
     for draw in (
-        lambda: generators.learn_structure(ds, 2, wide),
         lambda: generators.sample(gen, 30, wide),
         lambda: generators.release_bit(toy, wide),
     ):
