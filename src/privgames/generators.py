@@ -25,11 +25,12 @@ gets exactly the bits of the per-network definitions in
 ``tests/reference.py`` (``reference_mutual_information`` per column
 pair, a ``ravel_multi_index`` count per column, ancestral sampling
 column by column).  The per-network seeds of a batch come from
-``seeds.derive_many``, and its random streams (structure order, Laplace
-noise, sampling uniforms) are opened once per batch call by
-``seeds.Streams``, a single network's as a ``Streams`` of one.  A toy
-release is the first ``random()`` of its stream, which
-``Streams.randoms`` computes for the whole batch without a Generator.  A
+``seeds.derive_many``, and its random streams (Laplace noise, sampling
+uniforms) are opened once per batch call by ``seeds.Streams``, a single
+network's as a ``Streams`` of one.  A network's visit order is the
+first ``permutation(d)`` of its structure stream and a toy release the
+first ``random()`` of its stream, which ``Streams.permutations`` and
+``Streams.randoms`` compute for the whole batch without a Generator.  A
 toy fit is nothing but the membership flag: ``toy_fits`` returns one of
 the call's two frozen fits, member and non-member, per flag.  It is the
 only way to make a toy fit: every game passes it its rounds' secret
@@ -127,6 +128,11 @@ def _concat(parts):
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
+# numpy sums a contiguous run of fewer than this many floats left to
+# right, and a longer one pairwise (its ``pairwise_sum``).
+_PAIRWISE = 8
+
+
 class _PairPlan:
     """Index plan for the joint tables of every ordered column pair.
 
@@ -137,15 +143,16 @@ class _PairPlan:
     the way ``joint.sum(axis=1)`` / ``joint.sum(axis=0)`` reduce one
     block, which is what makes the MI values bit-identical to the
     per-pair definition, ``reference_mutual_information`` in
-    ``tests/reference.py``:
+    ``tests/reference.py``.  numpy folds a block's columns down axis 0,
+    left to right; a row is a contiguous run, summed left to right
+    while it is shorter than ``_PAIRWISE`` cells and pairwise from
+    there on, and so is the lone column of an ``(A, 1)`` block.  So:
 
-    * row sums: rows of equal length are stacked and reduced along the
-      last axis, the same contiguous (pairwise) sum numpy runs per row;
-    * column sums: a left fold down axis 0 of a ``(max_rows, k)`` gather
-      whose short columns are padded with the always-zero cell
-      ``ncells`` (adding 0.0 is exact);
-    * except that numpy reduces the lone column of an ``(A, 1)`` block
-      as one contiguous 1-D sum, so those columns are reduced as rows.
+    * ``folds``: the sums numpy takes left to right, grouped by length
+      L as ``(L, k)`` cell gathers, each summed down its L axis;
+    * ``runs``: the contiguous runs of ``_PAIRWISE`` cells or more,
+      grouped by length L as ``(k, L)`` cell gathers, each reduced along
+      its last axis, the same pairwise sum numpy runs per row.
 
     ``bounds[p]:bounds[p + 1]`` are the cell bounds of pair p; every
     cell also knows its row-sum and column-sum slots in the marginals.
@@ -160,8 +167,7 @@ class _PairPlan:
         bounds = [0]
         nmarg = 0
         cell_row, cell_col = [], []
-        rows = {}  # row length -> ([gather blocks], [marginal slots])
-        col_blocks, col_slots = [], []
+        folds, runs = {}, {}  # length -> ([cells per sum], [marginal slots])
         for a, b in pairs:
             sa, sb = sizes[a], sizes[b]
             block = bounds[-1] + np.arange(sa * sb, dtype=np.int64).reshape(sa, sb)
@@ -170,34 +176,25 @@ class _PairPlan:
             nmarg += sa + sb
             cell_row.append(np.repeat(ra, sb))
             cell_col.append(np.tile(cb, sa))
-            gathers, slots = rows.setdefault(sb, ([], []))
-            gathers.append(block)
-            slots.append(ra)
-            if sb == 1:
-                gathers, slots = rows.setdefault(sa, ([], []))
-                gathers.append(block.T)
-                slots.append(cb)
-            else:
-                col_blocks.append(block.T)
-                col_slots.append(cb)
+            rows = runs if sb >= _PAIRWISE else folds
+            cols = runs if sb == 1 and sa >= _PAIRWISE else folds
+            for group, cells, slots in ((rows, block, ra), (cols, block.T, cb)):
+                entry = group.setdefault(cells.shape[1], ([], []))
+                entry[0].append(cells)
+                entry[1].append(slots)
             bounds.append(bounds[-1] + sa * sb)
         self.ncells = bounds[-1]
         self.bounds = np.array(bounds, dtype=np.int64)
         self.nmarg = nmarg
         self.cell_row = _concat(cell_row)
         self.cell_col = _concat(cell_col)
-        self.row_groups = [
-            (np.concatenate(gathers), np.concatenate(slots))
-            for gathers, slots in rows.values()
+        self.folds = [
+            (np.ascontiguousarray(np.concatenate(cells).T), np.concatenate(slots))
+            for cells, slots in folds.values()
         ]
-        max_rows = max((blk.shape[1] for blk in col_blocks), default=1)
-        cols = np.full((sum(blk.shape[0] for blk in col_blocks), max_rows), self.ncells)
-        start = 0
-        for blk in col_blocks:
-            cols[start : start + blk.shape[0], : blk.shape[1]] = blk
-            start += blk.shape[0]
-        self.col_gather = np.ascontiguousarray(cols.T)
-        self.col_slots = _concat(col_slots)
+        self.runs = [
+            (np.concatenate(cells), np.concatenate(slots)) for cells, slots in runs.values()
+        ]
 
 
 # A plan depends only on the column sizes, so it is built at the first fit
@@ -212,6 +209,13 @@ def _pair_plan(sizes):
     return plan
 
 
+def _column_rows(values):
+    """A ``(B, n, d)`` batch as ``(B * d, n)`` rows: row ``b * d + c``
+    holds column c of training set b, contiguous."""
+    nets, n, d = values.shape
+    return values.transpose(0, 2, 1).reshape(nets * d, n)
+
+
 def _pair_information(values, plan, reads):
     """Bit-identical mutual information terms of the ordered pairs each
     network reads.
@@ -219,46 +223,49 @@ def _pair_information(values, plan, reads):
     ``values`` is one ``(n, d)`` training table or a ``(B, n, d)`` batch
     of them, and ``reads`` the ``(P,)`` or ``(B, P)`` mask of the plan's
     pairs each reads.  One ``bincount`` counts the read pair tables of
-    every network; network b's cells sit at offset
-    ``b * (plan.ncells + 1)``, the last one always zero.  Returns the
-    flat array of nonzero-cell MI terms and, with the leading shape of
-    ``values``, the bounds of each pair's contiguous slice: pair p of
-    network b is ``terms[bounds[b, p] : bounds[b, p + 1]]``, empty
-    unless b reads p, and its MI is ``np.add.reduce`` of that slice, the
-    same sum the per-pair definition (``reference_mutual_information``
-    in ``tests/reference.py``) takes.
+    every network; network b's cells sit at offset ``b * plan.ncells``.
+    Returns the flat array of nonzero-cell MI terms and, with the
+    leading shape of ``values``, the bounds of each pair's contiguous
+    slice: pair p of network b is ``terms[bounds[b, p] : bounds[b, p +
+    1]]``, empty unless b reads p, and its MI is ``np.add.reduce`` of
+    that slice, the same sum the per-pair definition
+    (``reference_mutual_information`` in ``tests/reference.py``) takes.
 
-    Marginals are reduced as the plan describes, one network after
-    another along the batch axis: row sums as rows of a 2-D array
-    reduced along the last axis, column sums as a left fold down axis 0
-    of a ``(max_rows, B * k)`` gather.
+    Marginals are reduced as the plan describes, every network's at
+    once, into a slot-major ``(plan.nmarg, B)`` array.  A fold group is
+    an ``(L, k, B)`` take of the cell-major joint, summed down axis 0:
+    ``np.take`` lays it out in C order, so numpy adds its k * B sums
+    elementwise, row after row (a fold group of ``_PAIRWISE`` cells or
+    more holds two or more columns of one block, so it never sums a
+    single contiguous run).  A run group is a ``(B, k, L)`` take of the
+    network-major joint, reduced along its last, contiguous axis.
     """
     batch = values.reshape(-1, *values.shape[-2:])
     nets, n, d = batch.shape
-    width = plan.ncells + 1
+    width = plan.ncells
     net_cells = np.arange(nets, dtype=np.int64) * width
     net, pair = np.nonzero(reads.reshape(nets, len(plan.a_cols)))
     # Each read pair's two columns as contiguous rows of n values.
-    by_col = batch.transpose(0, 2, 1).reshape(nets * d, n)
+    by_col = _column_rows(batch)
     codes = by_col[net * d + plan.a_cols[pair]] * plan.b_sizes[pair, None]
     codes += by_col[net * d + plan.b_cols[pair]]
     codes += (net_cells[net] + plan.bounds[pair])[:, None]
     joint = np.bincount(codes.ravel(), minlength=nets * width).astype(float)
     joint /= n
-    marg = np.empty((nets, plan.nmarg))
     by_net = joint.reshape(nets, width)
-    for gather, slots in plan.row_groups:
-        sums = by_net[:, gather].reshape(-1, gather.shape[1]).sum(axis=1)
-        marg[:, slots] = sums.reshape(nets, len(slots))
-    cols = plan.col_gather[:, None, :] + net_cells[:, None]
-    sums = joint[cols.reshape(cols.shape[0], -1)].sum(axis=0)
-    marg[:, plan.col_slots] = sums.reshape(nets, len(plan.col_slots))
+    by_cell = np.ascontiguousarray(by_net.T)
+    marg = np.empty((plan.nmarg, nets))
+    for gather, slots in plan.folds:
+        marg[slots] = np.take(by_cell, gather, axis=0).sum(axis=0)
+    for gather, slots in plan.runs:
+        marg[slots] = np.take(by_net, gather, axis=1).sum(axis=2).T
     nz = np.flatnonzero(joint)
     pj = joint[nz]
     net, cell = np.divmod(nz, width)
-    base = net * plan.nmarg
     flat = marg.ravel()
-    terms = pj * np.log(pj / (flat[base + plan.cell_row[cell]] * flat[base + plan.cell_col[cell]]))
+    pa = flat[plan.cell_row[cell] * nets + net]
+    pb = flat[plan.cell_col[cell] * nets + net]
+    terms = pj * np.log(pj / (pa * pb))
     bounds = np.searchsorted(nz, net_cells[:, None] + plan.bounds)
     return terms, bounds.reshape(*values.shape[:-2], len(plan.bounds))
 
@@ -274,9 +281,13 @@ def _pair_mi(terms, bounds):
     starts = bounds[..., :-1].ravel()
     lengths = (bounds[..., 1:] - bounds[..., :-1]).ravel()
     mi = np.zeros(len(starts))
-    for length in np.unique(lengths).tolist():
+    # Slices sorted by length once; each run of one length is a group.
+    order = np.argsort(lengths)
+    ordered = lengths[order]
+    firsts = np.flatnonzero(np.diff(ordered, prepend=-1)).tolist()
+    for lo, hi, length in zip(firsts, firsts[1:] + [len(order)], ordered[firsts].tolist()):
         if length:
-            sel = np.flatnonzero(lengths == length)
+            sel = order[lo:hi]
             mi[sel] = terms[starts[sel, None] + np.arange(length)].sum(axis=1)
     return mi
 
@@ -392,7 +403,9 @@ class _TableBatch:
     def cumulative(self):
         """Cumulative row probabilities of every level but the widest
         arity's last, zero-padded to that width and stored level-major:
-        entry ``[level, row]``.
+        entry ``[level, row]``, summed down the level axis, the same
+        left-to-right additions a cumulative sum along one row makes.
+        Computed at the first call, from the probabilities at that time.
 
         Padding repeats a row's last cumulative value, so it can only
         add picks past the row's last level, which sampling clamps to
@@ -400,10 +413,9 @@ class _TableBatch:
         """
         if self._cumulative is None:
             first, arity = self._rows()
-            width = np.arange(int(self.sizes.max()) - 1)
-            cells = np.where(width < arity[:, None], first[:, None] + width, len(self.probs))
-            cum = np.append(self.probs, 0.0)[cells].cumsum(axis=1)
-            self._cumulative = np.ascontiguousarray(cum.T)
+            level = np.arange(int(self.sizes.max()) - 1)[:, None]
+            cells = np.where(level < arity, first + level, len(self.probs))
+            self._cumulative = np.append(self.probs, 0.0)[cells].cumsum(axis=0)
         return self._cumulative
 
     def sample(self, nets, n, streams):
@@ -475,14 +487,18 @@ def estimate_tables(batch, values, smoothing):
     t is the block at ``batch.cell_start[t]``, and a record's cell in it
     is the C-order index ``combo * arity + value`` with ``combo`` the
     row-major index of the parent values, the integer
-    ``ravel_multi_index`` computes.  Rows whose total is zero (an unseen
-    parent combination with zero smoothing) normalize to uniform.
+    ``ravel_multi_index`` computes.  The codes are built on the
+    ``(B * d, n)`` column rows, table t's from row t plus its parents'
+    rows times their strides; counting integer codes gives the same
+    counts in any order.  Rows whose total is zero (an unseen parent
+    combination with zero smoothing) normalize to uniform.
     """
-    nets, _, d = values.shape
-    codes = values + batch.cell_start[:-1].reshape(nets, 1, d)
-    for j in range(batch.parent_cols.shape[2]):
-        parent_values = np.take_along_axis(values, batch.parent_cols[:, None, :, j], axis=2)
-        codes += parent_values * (batch.combo_strides[:, None, :, j] * batch.sizes)
+    by_col = _column_rows(values)
+    codes = by_col + batch.cell_start[:-1, None]
+    rows = batch.parent_cols + np.arange(0, len(by_col), batch.d)[:, None, None]
+    strides = batch.combo_strides * batch.sizes[:, None]
+    for j in range(rows.shape[2]):
+        codes += by_col[rows[:, :, j].ravel()] * strides[:, :, j].reshape(-1, 1)
     return np.bincount(codes.ravel(), minlength=batch.cell_start[-1]).astype(float) + smoothing
 
 
@@ -503,9 +519,9 @@ def privatize_tables(batch, counts, epsilon, streams):
     return np.maximum(counts + _concat(noise), 0.0)
 
 
-def _out_of_memory(cells, widest):
+def _out_of_memory(cells, widest, tables="table"):
     return FitError(
-        f"out of memory on a fit chunk of {int(cells)} table cells (widest arity {widest})"
+        f"out of memory on a fit chunk of {int(cells)} {tables} cells (widest arity {widest})"
     )
 
 
@@ -516,9 +532,10 @@ def fit_batch(spec, schema, values, seeds):
     training set i is ``values[i]``, fit with ``seeds[i]``.  Each stage
     is one pass over the batch, in chunks whose intermediates stay
     within ``BATCH_ELEMENTS``, and every network gets the bits it would
-    get fit alone.  A table chunk that runs out of memory raises
-    FitError naming its table cells.  A toy fit comes from membership
-    flags, not from training sets: see ``toy_fits``.
+    get fit alone.  A structure or table chunk that runs out of memory
+    raises FitError naming its pair-table or table cells.  A toy fit
+    comes from membership flags, not from training sets: see
+    ``toy_fits``.
     """
     if spec.kind == TOY:
         raise UnsupportedOperationError(
@@ -536,22 +553,26 @@ def fit_batch(spec, schema, values, seeds):
     overflow = f"smoothing = {spec.smoothing!r} is too large"
     if spec.kind == PRIVBAYNET:
         overflow = f"epsilon = {spec.epsilon!r} is too small or {overflow}"
-    # Network b visits its columns in the order of derive(seeds[b],
-    # "structure") and noises table c from derive(derive(seeds[b],
-    # "privatize"), "privatize-col", c); every stream is opened at once.
+    # Network b visits its columns in the order of the first permutation
+    # of derive(seeds[b], "structure") and noises table c from
+    # derive(derive(seeds[b], "privatize"), "privatize-col", c); every
+    # stream is opened at once.
     if spec.kind == INDEPENDENT:
         orders = np.tile(np.arange(d), (len(values), 1))
         parents = np.empty((len(values), d, 0), dtype=np.int64)
     else:
-        streams = Streams(derive_many(seeds, "structure"))
-        orders = np.array([g.permutation(d) for g in streams], dtype=np.int64).reshape(-1, d)
+        orders = Streams(derive_many(seeds, "structure")).permutations(d)
         parents = np.empty((len(values), d, min(spec.max_parents, d - 1)), dtype=np.int64)
+        pair_cells = _pair_plan(schema.sizes).ncells
         # Structure chunks are weighed at n codes per ordered pair, though
         # only half the pairs are counted: wider chunks raise peak memory.
         for lo, hi in _spans([n * d * max(d - 1, 1)] * len(values)):
-            parents[lo:hi] = learn_structure(
-                values[lo:hi], schema.sizes, spec.max_parents, orders[lo:hi], spec.mi_floor
-            )
+            try:
+                parents[lo:hi] = learn_structure(
+                    values[lo:hi], schema.sizes, spec.max_parents, orders[lo:hi], spec.mi_floor
+                )
+            except MemoryError:
+                raise _out_of_memory((hi - lo) * pair_cells, widest, "pair-table") from None
     if spec.kind == PRIVBAYNET:
         noise_seeds = derive_many(seeds, "privatize")[:, None]
         noise_streams = Streams(derive_many(noise_seeds, "privatize-col", np.arange(d)).ravel())

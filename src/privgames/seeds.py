@@ -21,14 +21,16 @@ straight from its four hashed words.  ``derive_many`` gives exactly the
 values of ``derive``, and a stream draws exactly what
 ``np.random.default_rng`` of its seed draws; only the cost differs.
 ``Streams.__getitem__`` is the one place the package builds a
-Generator: ``rng(seed)`` is a ``Streams`` of one.  Two draws build none:
-``Streams.randoms`` (every stream's first ``random()``, a toy release
-bit) and ``Streams.integers`` (every stream's first ``integers(0, high,
-size)``, a model-seeded per-run reference pick or a mixture's partial)
-run PCG64 itself from the hashed words, as ``uint64`` array arithmetic
-over all streams, and give numpy's bits exactly.  The hash costs a few
-tens of microseconds per call whatever the batch size, and so do these
-draws, so draws for many items open their streams in one ``Streams``.
+Generator: ``rng(seed)`` is a ``Streams`` of one.  Three draws build
+none: ``Streams.randoms`` (every stream's first ``random()``, a toy
+release bit), ``Streams.integers`` (every stream's first ``integers(0,
+high, size)``, a model-seeded per-run reference pick or a mixture's
+partial) and ``Streams.permutations`` (every stream's first
+``permutation(d)``, a network's visit order) run PCG64 itself from the
+hashed words, as ``uint64`` array arithmetic over all streams, and give
+numpy's bits exactly.  The hash costs a few tens of microseconds per
+call whatever the batch size, and so do these draws, so draws for many
+items open their streams in one ``Streams``.
 A stream's seed is 64-bit, as ``derive`` makes it; any other raises
 DomainError.
 """
@@ -298,10 +300,11 @@ class Streams:
     builds its bit generator from four ready words.  ``streams[lo:hi]``
     and ``streams[index_array]`` are ``Streams`` of those seeds that reuse
     the hashed words, and iterating yields the streams in order.  A
-    stream's first draw of ``random()`` or ``integers(0, high, size)``
-    comes from ``randoms`` and ``integers``, which compute it for every
-    stream at once without building a Generator.  Seeds are 64-bit, as
-    ``derive`` makes them; others raise DomainError.
+    stream's first draw of ``random()``, ``integers(0, high, size)`` or
+    ``permutation(d)`` comes from ``randoms``, ``integers`` or
+    ``permutations``, which compute it for every stream at once without
+    building a Generator.  Seeds are 64-bit, as ``derive`` makes them;
+    others raise DomainError.
     """
 
     def __init__(self, seeds):
@@ -324,35 +327,91 @@ class Streams:
         53 bits of its first output over 2**53."""
         return (_outputs(self._words, 1)[:, 0] >> _S11) * 2.0**-53
 
+    def _first_words(self, count, width, draw):
+        """An ``(n, width)`` int64 array of ``draw(words)`` per stream.
+
+        ``words`` holds the streams' first 32-bit words, in the order numpy
+        reads them: the low half of each output, then the high half.
+        ``draw`` returns which rows had words enough and those rows'
+        results.  The first pass computes ``count`` outputs per stream;
+        rows short of words are recomputed from twice as many.
+        """
+        words, rows = self._words, np.arange(len(self._words))
+        out = np.empty((len(rows), width), dtype=np.int64)
+        while len(rows):
+            done, values = draw(_outputs(words, count).astype("<u8", copy=False).view("<u4"))
+            out[rows[done]] = values
+            words, rows = words[~done], rows[~done]
+            count *= 2
+        return out
+
     def integers(self, high, size):
         """Each stream's first ``integers(0, high, size)``, as an
         ``(n, size)`` int64 array, for 1 <= ``high`` <= 2**32 and
         ``size`` >= 1.
 
-        numpy draws such a bounded integer from 32-bit words, the low half
-        of each output first, by Lemire's rule: a word w gives
-        ``w * high >> 32`` unless ``w * high mod 2**32`` falls below
-        ``2**32 mod high``, in which case w is dropped and the next word is
-        tried.  A row that drops too many words for the outputs computed
-        is recomputed with twice as many.  (``high`` = 1 gives zeros without
-        reading a word, and 2**32 the words themselves; both agree with the
-        rule.)
+        numpy draws such a bounded integer from 32-bit words by Lemire's
+        rule: a word w gives ``w * high >> 32`` unless ``w * high mod
+        2**32`` falls below ``2**32 mod high``, in which case w is dropped
+        and the next word is tried.  (``high`` = 1 gives zeros without
+        reading a word, and 2**32 the words themselves; both agree with
+        the rule.)
         """
         if not 1 <= high <= 1 << 32:
             raise DomainError(f"integers needs 1 <= high <= 2**32 (got {high})")
         scale, floor = _u64(high), _u64((1 << 32) % high)
-        words, rows = self._words, np.arange(len(self._words))
-        out = np.empty((len(rows), size), dtype=np.int64)
-        count = (size + 1) // 2
-        while len(rows):
-            # The 32-bit words in the order numpy reads them.
-            halves = _outputs(words, count).astype("<u8", copy=False).view("<u4")
+
+        def draw(halves):
             product = halves.astype(np.uint64) * scale
             keep = (product & _LO32) >= floor
             rank = np.cumsum(keep, axis=1)
             done = rank[:, -1] >= size
             take = keep[done] & (rank[done] <= size)
-            out[rows[done]] = (product[done][take] >> _S32).reshape(-1, size)
-            words, rows = words[~done], rows[~done]
-            count *= 2
-        return out
+            return done, (product[done][take] >> _S32).reshape(-1, size)
+
+        return self._first_words((size + 1) // 2, size, draw)
+
+    def permutations(self, d):
+        """Each stream's first ``permutation(d)``, as an ``(n, d)`` int64
+        array, for 0 <= ``d`` <= 2**32.
+
+        numpy shuffles ``arange(d)`` by Fisher-Yates, for i from d - 1
+        down to 1 swapping item i with item j <= i.  It draws j from the
+        next 32-bit word masked to the smallest all-ones value >= i,
+        dropping the word and trying the next while the result exceeds
+        i.  Each step finds its word as the first acceptable one past
+        the previous step's, from a lookup of the next acceptable word
+        at every position, computed for all steps at once.
+        """
+        if not 0 <= d <= 1 << 32:
+            raise DomainError(f"permutations needs 0 <= d <= 2**32 (got {d})")
+        bounds = np.arange(d - 1, 0, -1)
+        if not len(bounds):
+            return np.zeros((len(self._words), d), dtype=np.int64)
+        masks = np.array([(1 << int(i).bit_length()) - 1 for i in bounds], dtype=np.uint32)
+
+        def draw(halves):
+            rows, width = halves.shape
+            # Per step, the masked words, padded with zeros, and the index
+            # of the next acceptable word at or after each position,
+            # ``width`` when none is left (two padding positions, so that
+            # a step after an exhausted one still reads a valid index).
+            masked = np.zeros((len(bounds), rows, width + 2), dtype=np.uint32)
+            np.bitwise_and(halves, masks[:, None, None], out=masked[:, :, :width])
+            position = np.arange(width + 2, dtype=np.min_scalar_type(width + 1))
+            after = np.where(masked <= bounds[:, None, None], position, width)
+            after[:, :, width:] = width
+            after = np.minimum.accumulate(after[:, :, ::-1], axis=2)[:, :, ::-1]
+            perm = np.tile(np.arange(d, dtype=np.int64), (rows, 1))
+            row, at = np.arange(rows), np.zeros(rows, dtype=np.intp)
+            for step, i in enumerate(bounds.tolist()):
+                at = after[step, row, at]
+                j = masked[step, row, at]
+                at += 1
+                swap = perm[row, j]
+                perm[row, j] = perm[:, i]
+                perm[:, i] = swap
+            done = at <= width
+            return done, perm[done]
+
+        return self._first_words(d, d, draw)

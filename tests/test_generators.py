@@ -640,6 +640,51 @@ def test_sample_columns_out_of_memory_is_a_fit_error(monkeypatch):
         generators.sample_columns(gens, 5, [4, 5, 6])
 
 
+def test_structure_chunk_out_of_memory_is_a_fit_error(monkeypatch):
+    # A structure chunk that runs out of memory raises FitError naming the
+    # pair-table cells it counts and the widest arity, as table and
+    # sampling chunks do.
+    trainings = random_batch(11, 3)
+    schema = trainings[0].schema
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(generators, "learn_structure", out_of_memory)
+    cells = 3 * generators._pair_plan(schema.sizes).ncells
+    widest = max(schema.sizes)
+    with pytest.raises(FitError, match=rf"of {cells} pair-table cells \(widest arity {widest}\)$"):
+        generators.fit_batch(SPECS[4], schema, stack(trainings), [1, 2, 3])
+
+
+def test_fit_batch_builds_generators_only_for_noise(monkeypatch):
+    # Visit orders come from Streams.permutations: a baynet fit builds no
+    # Generator, and a privbaynet fit builds one per table, each on the
+    # noise stream of that table.
+    trainings = random_batch(5, 7)
+    schema = trainings[0].schema
+    seeds = [derive(5, "fit", i) for i in range(7)]
+    built = []
+    getitem = Streams.__getitem__
+
+    def spy(self, i):
+        item = getitem(self, i)
+        if isinstance(item, np.random.Generator):
+            built.append(item.bit_generator.state)
+        return item
+
+    monkeypatch.setattr(Streams, "__getitem__", spy)
+    baynet = generators.GeneratorSpec(generators.BAYNET, max_parents=2)
+    generators.fit_batch(baynet, schema, stack(trainings), seeds)
+    assert built == []
+    private = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=0.5)
+    generators.fit_batch(private, schema, stack(trainings), seeds)
+    noise_seeds = derive_many(derive_many(seeds, "privatize")[:, None], "privatize-col",
+                              np.arange(schema.ncols))
+    assert len(built) == 7 * schema.ncols
+    assert built == [np.random.PCG64(int(s)).state for s in noise_seeds.ravel()]
+
+
 def test_release_bits_needs_one_seed_per_generator():
     gens = generators.toy_fits(toy_spec(), ordered_schema(5), [True, False, True])
     for seeds in ([5], [5, 6], [5, 6, 7, 8]):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from privgames.errors import DomainError
+from privgames import seeds as seeds_mod
 from privgames.seeds import Streams, derive, derive_many, fnv1a64, rng, splitmix64
 
 
@@ -181,3 +182,46 @@ def test_first_integers_need_a_32_bit_high():
     for bad in (0, 2**32 + 1):
         with pytest.raises(DomainError):
             streams.integers(bad, 1)
+
+
+PERMUTATION_SIZES = [0, 1, 2, 3, 5, 8, 17, 33]
+
+
+def _check_first_permutations(streams, seeds):
+    for d in PERMUTATION_SIZES:
+        got = streams.permutations(d)
+        assert got.dtype == np.int64 and got.shape == (len(seeds), d)
+        expected = [np.random.default_rng(s).permutation(d) for s in seeds]
+        np.testing.assert_array_equal(got, np.reshape(expected, (len(seeds), d)))
+
+
+def test_first_permutations_equal_rng(monkeypatch):
+    seeds = EDGE_SEEDS + _random_seeds(2000, 9)
+    streams = Streams(seeds)
+    passes = []
+    outputs = seeds_mod._outputs
+
+    def spy(words, count):
+        passes.append(count)
+        return outputs(words, count)
+
+    monkeypatch.setattr(seeds_mod, "_outputs", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a uint64 overflow warning fails
+        _check_first_permutations(streams, seeds)
+        # Every d >= 2 reads words in one pass over all rows; a row whose
+        # words run out takes a second pass with twice as many outputs.
+        assert len(passes) > sum(d >= 2 for d in PERMUTATION_SIZES)
+        _check_first_permutations(streams[5:60], seeds[5:60])
+        picks = np.array([7, 0, 2005, 3, 3, 1999])
+        _check_first_permutations(streams[picks], [seeds[i] for i in picks])
+        _check_first_permutations(streams[np.array([], dtype=np.intp)], [])
+        for s in EDGE_SEEDS:
+            _check_first_permutations(Streams([s]), [s])
+
+
+def test_first_permutations_need_a_32_bit_d():
+    streams = Streams([1, 2])
+    for bad in (-1, 2**32 + 1):
+        with pytest.raises(DomainError):
+            streams.permutations(bad)
