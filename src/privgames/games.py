@@ -33,13 +33,15 @@ its pool draw; model-seeded per-run references and the mixture's
 partial are each stream's first ``integers``, which ``Streams.integers``
 computes for the whole batch.  A toy fit reads nothing of its set but
 whether x is in it, which every game makes true exactly when the round's
-bit is 1, so after the preconditions toy rounds take
-``generators.toy_fits`` of the bits and build no set.  The traditional
-and model-seeded games derive no data or fit seed for them either, and
-open no data stream; the mixture still draws each round's partial, whose
-spec the fit takes.  An adversary is a function
-``adversary(gens, seeds) -> scores``: one membership score per fitted
-generator, each given its round's adversary seed.  The counting-query
+bit is 1, so after the preconditions toy rounds build no set: a batch's
+fits are ``generators.toy_fits`` of its bit array, one array of release
+probabilities.  The traditional and model-seeded games derive no data or
+fit seed for them either, and open no data stream; the mixture still
+draws each round's partial, whose spec the fit takes, and refuses specs
+that mix the toy with a network kind.  An adversary is a function
+``adversary(fits, seeds) -> scores``: one membership score per round's
+fit (a ``FittedGenerator``, or a toy's entry of that array), each given
+its round's adversary seed.  The counting-query
 adversary samples the releases in batched calls, each returning one
 ``(k, n, d)`` array of one schema, and scores each as one array, but
 each logit stays one dot product per release (see ``attack``).  A batch
@@ -141,13 +143,13 @@ def balanced_bits(n_eval, seed):
 
 def _execute(config, record_id, adversary, fit_rounds, threads, set_cells, data_tag="data"):
     """Play the rounds of a game.  ``fit_rounds(secret, streams, seeds)``
-    builds the training sets of a batch of rounds with secret bits
-    ``secret`` and returns their generators, round i fit with
+    builds the training sets of a batch of rounds with the secret bit
+    array ``secret`` and returns their fits, round i fit with
     ``seeds[i]``; ``streams[i]`` is round i's data stream, opened only by
     rounds that draw.  A training set holds at most ``set_cells`` values.
     With ``data_tag`` None the rounds draw nothing: ``fit_rounds(secret)``
-    returns their generators from the bits alone, and no data or fit
-    seed is derived."""
+    returns their fits from the bits alone, and no data or fit seed is
+    derived."""
     n_eval = config.n_eval
     bits = balanced_bits(n_eval, derive(config.master_seed, "bits"))
     run_seeds = derive_many(config.master_seed, "run", np.arange(n_eval))
@@ -157,14 +159,14 @@ def _execute(config, record_id, adversary, fit_rounds, threads, set_cells, data_
     if data_tag is None:
 
         def fits(lo, hi):
-            return fit_rounds(bits[lo:hi].tolist())
+            return fit_rounds(bits[lo:hi])
 
     else:
         data_seeds = derive_many(run_seeds, data_tag)
         fit_seeds = derive_many(run_seeds, "fit")
 
         def fits(lo, hi):
-            return fit_rounds(bits[lo:hi].tolist(), Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
+            return fit_rounds(bits[lo:hi], Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
 
     def play(lo, hi):
         runs["score"][lo:hi] = adversary(fits(lo, hi), adversary_seeds[lo:hi])
@@ -184,7 +186,8 @@ def _execute(config, record_id, adversary, fit_rounds, threads, set_cells, data_
 def _play_toy(config, record_id, adversary, schema, threads):
     """Play toy rounds of a game that puts x in a round's training set
     exactly when the round's bit is 1.  A toy fit reads nothing of its
-    set but that, so no set is built: the fits come from the bits."""
+    set but that, so no set is built: the fits are the release
+    probabilities of the bits."""
     spec = config.generator_spec
 
     def fit_rounds(secret):
@@ -257,7 +260,7 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
         return _play_toy(config, record_id, adversary, pool.schema, threads)
 
     def fit_rounds(secret, streams, seeds):
-        values = data_mod.sample_training_sets(pool, x, n, secret, streams)
+        values = data_mod.sample_training_sets(pool, x, n, secret.tolist(), streams)
         return generators.fit_batch(config.generator_spec, pool.schema, values, seeds)
 
     return _execute(config, record_id, adversary, fit_rounds, threads, n * len(x))
@@ -361,7 +364,8 @@ def run_traditional_mixture(
     on the partial alone.  ``specs`` optionally gives one generator spec
     per partial (the drawn partial's spec is used); by default every
     round uses ``config.generator_spec``.  At least two partials are
-    required and none may contain x.
+    required and none may contain x, and the specs are all toy or all
+    network kinds: one adversary scores every round.
     """
     if config.game_kind != TRADITIONAL:
         raise ConfigError(f"config is for {config.game_kind!r}, not traditional")
@@ -382,24 +386,31 @@ def run_traditional_mixture(
         raise ConfigError(
             f"{len(specs)} generator specs for {len(partials)} partials"
         )
+    networks = [spec.kind for spec in specs if spec.kind != generators.TOY]
+    if networks and len(networks) < len(specs):
+        raise ConfigError(f"mixture specs mix the toy kind with {networks[0]}")
+    if not networks:
+        # No partial holds x and b = 1 adds it, so a round's fit is entry
+        # [drawn partial, bit] of every spec's two toy fits.
+        probs = np.stack([generators.toy_fits(spec, schema, [0, 1]) for spec in specs])
+
+        def fit_rounds(secret, streams, seeds):
+            return probs[streams.integers(len(partials), 1)[:, 0], secret]
+
+        return _execute(config, record_id, adversary, fit_rounds, threads, 0, "mixture")
 
     # Rounds that drew the same partial and bit train on the same rows,
-    # so each such group is fit as one batch of copies.  No partial
-    # holds x and b = 1 adds it, so a toy group's fits are its bit.
+    # so each such group is fit as one batch of copies.
     rows = {(j, 0): part.values for j, part in enumerate(partials)}
     rows.update({(j, 1): np.vstack([part.values, [x]]) for j, part in enumerate(partials)})
 
     def fit_rounds(secret, streams, seeds):
-        keys = list(zip(streams.integers(len(partials), 1)[:, 0].tolist(), secret))
+        keys = list(zip(streams.integers(len(partials), 1)[:, 0].tolist(), secret.tolist()))
         gens = [None] * len(keys)
         for key in dict.fromkeys(keys):
-            j, b = key
             rounds = [i for i, k in enumerate(keys) if k == key]
-            if specs[j].kind == generators.TOY:
-                fitted = generators.toy_fits(specs[j], schema, [b] * len(rounds))
-            else:
-                values = np.repeat(rows[key][None], len(rounds), axis=0)
-                fitted = generators.fit_batch(specs[j], schema, values, seeds[rounds])
+            values = np.repeat(rows[key][None], len(rounds), axis=0)
+            fitted = generators.fit_batch(specs[key[0]], schema, values, seeds[rounds])
             for i, gen in zip(rounds, fitted):
                 gens[i] = gen
         return gens
@@ -409,10 +420,11 @@ def run_traditional_mixture(
 
 
 def toy_bit_adversary():
-    """Adversary for the toy generator: the released bit, as a score."""
+    """Adversary for the toy generator: the released bits of a batch's
+    release probabilities, as a float array of scores."""
 
-    def adversary(gens, seeds):
-        return [float(bit) for bit in generators.release_bits(gens, seeds)]
+    def adversary(probs, seeds):
+        return generators.release_bits(probs, seeds).astype(float)
 
     return adversary
 

@@ -31,11 +31,11 @@ network's as a ``Streams`` of one.  A network's visit order is the
 first ``permutation(d)`` of its structure stream and a toy release the
 first ``random()`` of its stream, which ``Streams.permutations`` and
 ``Streams.randoms`` compute for the whole batch without a Generator.  A
-toy fit is nothing but the membership flag: ``toy_fits`` returns one of
-the call's two frozen fits, member and non-member, per flag.  It is the
-only way to make a toy fit: every game passes it its rounds' secret
-bits, which equal the flags by construction, without building the
-training sets at all, and ``fit_batch`` refuses a toy spec.
+toy fit is nothing but its release probability: ``toy_fits``, the only
+way to make one, turns membership flags into a float64 array of ``p_in``
+and ``p_out``.  Every game passes it its rounds' secret bits, which equal
+the flags by construction, without building the training sets at all;
+``fit_batch`` and ``FittedGenerator`` refuse a toy spec.
 """
 
 from dataclasses import dataclass, field
@@ -111,17 +111,17 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class FittedGenerator:
-    """A generator fit on one training dataset.
-
-    A network keeps its structure and tables in the arrays of the batch
-    it was fit in: ``packed`` is that ``_TableBatch`` and the network's
-    index in it.  A toy fit has none.
-    """
+    """A network fit on one training dataset: ``packed`` is the
+    ``_TableBatch`` of the batch it was fit in and its index there.  A toy
+    fit is a release probability (``toy_fits``), not one of these."""
 
     spec: GeneratorSpec
     schema: object
-    toy_member: bool = None
     packed: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.spec.kind == TOY:
+            raise UnsupportedOperationError("a toy fit is its release probability; use toy_fits")
 
 
 def _concat(parts):
@@ -395,7 +395,8 @@ class _TableBatch:
         """
         first, arity = self._rows()
         probs = np.empty_like(counts)
-        for a in np.unique(self.sizes).tolist():
+        # Not np.unique, which imports numpy.ma on numpy 2.
+        for a in sorted(set(self.sizes.tolist())):
             cells = first[arity == a][:, None] + np.arange(a)
             probs[cells] = _normalize_rows(counts[cells], a)
         return probs
@@ -538,9 +539,7 @@ def fit_batch(spec, schema, values, seeds):
     ``toy_fits``.
     """
     if spec.kind == TOY:
-        raise UnsupportedOperationError(
-            "toy generator is not fit on training sets; use toy_fits with membership flags"
-        )
+        raise UnsupportedOperationError("toy generator is not fit on training sets; use toy_fits")
     if values.ndim != 3 or values.shape[2] != schema.ncols:
         raise DomainError(f"expected a (B, n, {schema.ncols}) batch, got shape {values.shape}")
     if len(values) != len(seeds):
@@ -598,20 +597,19 @@ def fit_batch(spec, schema, values, seeds):
 
 
 def toy_fits(spec, schema, members):
-    """The toy fit of each training set, given only whether the target is
-    a member of it (``members[i]`` true or 1): the call's two fits,
-    member and non-member, each shared by every set of its kind."""
-    fits = (
-        FittedGenerator(spec, schema, toy_member=False),
-        FittedGenerator(spec, schema, toy_member=True),
-    )
-    return [fits[m] for m in members]
+    """The toy fit of each training set of ``schema``, given only whether
+    the target is a member of it (``members[i]`` true or 1): its release
+    probability, as one float64 array of ``spec.p_in`` where the target
+    is a member and ``spec.p_out`` elsewhere."""
+    if spec.kind != TOY:
+        raise UnsupportedOperationError(f"{spec.kind} generator does not release a bit")
+    return np.where(members, float(spec.p_in), float(spec.p_out))
 
 
 def fit(spec, training, seed=0):
     """Fit a network described by ``spec`` on ``training``, which must
     be non-empty.  The toy kind reads no training data and raises
-    UnsupportedOperationError: its fit is a membership flag (see
+    UnsupportedOperationError: its fit is a release probability (see
     ``toy_fits``).  A batch of one of ``fit_batch``.
     """
     return fit_batch(spec, training.schema, training.values[None], [seed])[0]
@@ -639,8 +637,6 @@ def sample_columns(gens, n, seeds):
     out = np.empty((len(gens), len(sizes), n), dtype=np.min_scalar_type(max(sizes, default=1) - 1))
     if n == 0:
         return out
-    if any(g.spec.kind == TOY for g in gens):
-        raise UnsupportedOperationError("toy generator does not sample records")
     groups = {}
     for i, g in enumerate(gens):
         groups.setdefault(id(g.packed[0]), []).append(i)
@@ -658,30 +654,20 @@ def sample_columns(gens, n, seeds):
 
 
 def sample(gen, n, seed):
-    """Draw ``n`` records by ancestral sampling, as a ``Dataset``.
-
-    The toy kind releases a bit, not records, so asking it for a
-    non-empty sample raises UnsupportedOperationError; ``n == 0``
-    returns an empty dataset for any kind.  A batch of one of
-    ``sample_columns``.
-    """
+    """Draw ``n`` records by ancestral sampling, as a ``Dataset``.  A
+    batch of one of ``sample_columns``."""
     return data_mod.Dataset(gen.schema, sample_columns([gen], n, [seed])[0].T)
 
 
-def release_bits(gens, seeds):
-    """Each toy generator's release: 1 w.p. p_in for a member fit, p_out
-    else, decided by the first ``random()`` of the stream of its seed."""
-    for gen in gens:
-        if gen.spec.kind != TOY:
-            raise UnsupportedOperationError(
-                f"{gen.spec.kind} generator does not release a bit"
-            )
-    if len(gens) != len(seeds):
+def release_bits(probs, seeds):
+    """Each toy fit's release, a boolean array: fit i, of release
+    probability ``probs[i]`` (``toy_fits``), releases 1 when the first
+    ``random()`` of the stream of ``seeds[i]`` falls below it."""
+    if len(probs) != len(seeds):
         raise DomainError("release_bits needs one seed per generator")
-    p = np.array([gen.spec.p_in if gen.toy_member else gen.spec.p_out for gen in gens])
-    return (Streams(seeds).randoms() < p).astype(int).tolist()
+    return Streams(seeds).randoms() < probs
 
 
-def release_bit(gen, seed):
-    """The toy generator's release; a batch of one of ``release_bits``."""
-    return release_bits([gen], [seed])[0]
+def release_bit(p, seed):
+    """One toy fit's release; a batch of one of ``release_bits``."""
+    return int(release_bits([p], [seed])[0])

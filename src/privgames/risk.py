@@ -135,12 +135,12 @@ def empirical_tradeoff(transcript):
     """Empirical (alpha, beta) curve swept over every useful threshold.
 
     Returns the distinct (alpha, beta) vertices as a tuple sorted by
-    alpha, then by decreasing beta.  Thresholds are the distinct
-    observed scores plus a sentinel above the maximum, so the curve
+    alpha, then by decreasing beta.  Thresholds are the observed scores,
+    repeats and all, plus a sentinel above the maximum, so the curve
     always contains (0, 1) and the point of the all-member rule.
     """
     out_sorted, in_sorted = _sorted_classes(transcript)
-    gammas = np.append(np.unique(np.concatenate([out_sorted, in_sorted])), math.inf)
+    gammas = np.append(np.concatenate([out_sorted, in_sorted]), math.inf)
     alpha, beta = _rates_at(out_sorted, in_sorted, gammas)
     return tuple(sorted(set(zip(alpha.tolist(), beta.tolist())), key=lambda p: (p[0], -p[1])))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from privgames import attack, data, games, generators
-from privgames.errors import FitError, UnsupportedOperationError
+from privgames.errors import FitError
 from privgames.seeds import derive
 
 
@@ -145,16 +145,15 @@ class ReferenceGenerator:
     schema: object
     structure: object = None
     tables: tuple = None
-    toy_member: bool = None
 
 
 def reference_fit(spec, training, target_hint=None, seed=0):
+    """A network's ``ReferenceGenerator``, or a toy's release probability:
+    ``p_in`` when ``target_hint`` is in ``training``, else ``p_out``."""
     if spec.kind == generators.TOY:
         if target_hint is None:
             raise FitError("toy generator requires a target_hint record")
-        return ReferenceGenerator(
-            spec, training.schema, toy_member=data.contains(training, target_hint)
-        )
+        return spec.p_in if data.contains(training, target_hint) else spec.p_out
     if training.n == 0:
         raise FitError(f"{spec.kind} generator requires non-empty training data")
     d = training.schema.ncols
@@ -174,8 +173,6 @@ def reference_sample(gen, n, seed):
     d = gen.schema.ncols
     if n == 0:
         return data.Dataset(gen.schema, np.empty((0, d)))
-    if gen.spec.kind == generators.TOY:
-        raise UnsupportedOperationError("toy generator does not sample records")
     g = np.random.default_rng(seed)
     values = np.zeros((n, d), dtype=np.int64)
     for col in gen.structure.order:
@@ -281,12 +278,8 @@ def reference_run_traditional_mixture(x, partials, adversary, config, record_id=
     return _reference_play(config, record_id, adversary, x, round_dataset)
 
 
-def reference_release_bits(gens, seeds):
-    bits = []
-    for gen, seed in zip(gens, seeds):
-        p = gen.spec.p_in if gen.toy_member else gen.spec.p_out
-        bits.append(int(np.random.default_rng(seed).random() < p))
-    return bits
+def reference_release_bits(probs, seeds):
+    return [int(np.random.default_rng(seed).random() < p) for p, seed in zip(probs, seeds)]
 
 
 def reference_shadow_sets(d_aux, x, n, n_shadow, seed):

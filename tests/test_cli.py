@@ -691,6 +691,24 @@ def test_toy_convergence_body_matches_reference_games(tmp_path, monkeypatch):
     assert bodies["batched"] == bodies["reference"]
 
 
+def test_toy_convergence_builds_no_fitted_generator(tmp_path, monkeypatch):
+    # A toy round's fit is its release probability: a whole toy
+    # convergence command constructs no FittedGenerator.
+    built = []
+    init = generators.FittedGenerator.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(generators.FittedGenerator, "__init__", spy)
+    path = tmp_path / "toy.ini"
+    text = TOY_TEMPLATE + "\n[convergence]\ngrid = 10,24\nrepetitions = 2\n"
+    path.write_text(text.format(out=tmp_path / "toy"))
+    assert cli.main(["convergence", "--config", str(path)]) == 0
+    assert built == []
+
+
 def test_toy_ignores_attack_keys_it_never_reads(tmp_path, capsys):
     # The default k_values hold 3-column subsets and copycol_400 has 2
     # columns; only a network generator's adversary builds the bank.

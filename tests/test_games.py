@@ -106,8 +106,8 @@ def test_traditional_run_reproducible_standalone():
     pool = games.traditional_pool(x, d_eval)
     for bit, score, run_seed in t.runs[:6].tolist():
         ds = games.traditional_dataset(pool, x, 5, bit, derive(run_seed, "data"))
-        gen = generators.toy_fits(toy_spec(), schema, [data.contains(ds, x)])[0]
-        assert games.toy_bit_adversary()([gen], [derive(run_seed, "adversary")])[0] == score
+        probs = generators.toy_fits(toy_spec(), schema, [data.contains(ds, x)])
+        assert games.toy_bit_adversary()(probs, [derive(run_seed, "adversary")])[0] == score
 
 
 def test_traditional_pool_too_small():
@@ -380,12 +380,47 @@ def test_mixture_matches_plain_game_when_degenerate():
 
 
 def test_mixture_deterministic_and_threaded():
+    # Each batch's toy fits reach the adversary as one float64 array of
+    # release probabilities, and its scores come back as one float array.
     schema, partials, x = mixture_setup()
-    adv = games.toy_bit_adversary()
+    toy_adv = games.toy_bit_adversary()
+    batches = []
+
+    def adv(probs, seeds):
+        scores = toy_adv(probs, seeds)
+        batches.append((probs.dtype.name, scores.dtype.name, len(probs), len(scores)))
+        return scores
+
     config = games.GameConfig(40, 4, toy_spec(), 91, games.TRADITIONAL)
     t1 = games.run_traditional_mixture(x, partials, adv, config, threads=1)
     t2 = games.run_traditional_mixture(x, partials, adv, config, threads=8)
     assert games.transcript_to_text(t1) == games.transcript_to_text(t2)
+    assert len(batches) == 1 + 8
+    assert {b[:2] for b in batches} == {("float64", "float64")}
+    assert all(n == m for _, _, n, m in batches)
+    assert sum(n for _, _, n, _ in batches) == 2 * 40
+
+
+@pytest.mark.parametrize("order", ["toy-first", "network-first"])
+def test_mixture_refuses_toy_and_network_specs_together(monkeypatch, order):
+    # A toy round's fit is a release probability and a network round's a
+    # fitted generator, which no one adversary scores: the game refuses
+    # the mix before it fits anything.
+    schema, partials, x = mixture_setup()
+    specs = [toy_spec(), generators.GeneratorSpec(generators.BAYNET)]
+    if order == "network-first":
+        specs.reverse()
+    config = games.GameConfig(10, 4, specs[0], 0, games.TRADITIONAL)
+
+    def no_fits(*args):
+        raise AssertionError("a round was fit")
+
+    monkeypatch.setattr(generators, "fit_batch", no_fits)
+    monkeypatch.setattr(generators, "toy_fits", no_fits)
+    with pytest.raises(ConfigError, match="mixture specs mix the toy kind with baynet"):
+        games.run_traditional_mixture(
+            x, partials, games.toy_bit_adversary(), config, specs=specs
+        )
 
 
 def test_mixture_batches_stay_within_the_budget(monkeypatch):
@@ -566,8 +601,10 @@ def test_transcript_malformed_row_names_line(tmp_path, row, message):
 
 
 def _toy_adversary(release_bits):
-    def adversary(gens, seeds):
-        return [float(bit) for bit in release_bits(gens, seeds)]
+    """``games.toy_bit_adversary`` over a per-round ``release_bits``."""
+
+    def adversary(probs, seeds):
+        return [float(bit) for bit in release_bits(probs, seeds)]
 
     return adversary
 
@@ -603,8 +640,8 @@ def _play(game, spec, threads, reference):
     d_target = data.Dataset(schema, rows[:5] + [list(x)] + rows[6:9] + [list(x)])
     partials = [data.Dataset(schema, rows[10:16]), data.Dataset(schema, rows[20:27])]
     if spec.kind == generators.TOY:
-        adversary = _toy_adversary(
-            ref.reference_release_bits if reference else generators.release_bits
+        adversary = (
+            _toy_adversary(ref.reference_release_bits) if reference else games.toy_bit_adversary()
         )
         specs = [spec, toy_spec(0.6, 0.3)]
     else:

@@ -584,17 +584,17 @@ def test_fit_batch_mixes_specs_and_shapes_in_input_order():
 
 
 def test_sample_batch_of_zero_rows_is_empty_stack():
+    # A toy fit is a release probability, not a generator: it has no
+    # FittedGenerator to sample from.
     schema = ordered_schema(3, 4)
     trainings = np.array([[[0, 1], [2, 3]], [[1, 1], [0, 0]]])
-    members = [data.contains(data.Dataset(schema, t), (0, 1)) for t in trainings]
-    toys = generators.toy_fits(toy_spec(), schema, members)
     nets = generators.fit_batch(SPECS[2], schema, trainings, [3, 4])
-    for gens in (toys, nets, toys + nets):
+    for gens in ([], nets[:1], nets):
         got = generators.sample_columns(gens, 0, list(range(len(gens))))
-        assert got.shape == (len(gens), 2, 0)
+        assert got.shape == (len(gens), 2 if gens else 0, 0)
         assert got.dtype == np.uint8
-    with pytest.raises(UnsupportedOperationError):
-        generators.sample_columns(toys, 1, [1, 2])
+    with pytest.raises(UnsupportedOperationError, match="toy_fits"):
+        generators.FittedGenerator(toy_spec(), schema)
 
 
 def test_sample_batch_rejects_mixed_schemas():
@@ -686,10 +686,10 @@ def test_fit_batch_builds_generators_only_for_noise(monkeypatch):
 
 
 def test_release_bits_needs_one_seed_per_generator():
-    gens = generators.toy_fits(toy_spec(), ordered_schema(5), [True, False, True])
+    probs = generators.toy_fits(toy_spec(), ordered_schema(5), [True, False, True])
     for seeds in ([5], [5, 6], [5, 6, 7, 8]):
         with pytest.raises(DomainError, match="release_bits needs one seed per generator"):
-            generators.release_bits(gens, seeds)
+            generators.release_bits(probs, seeds)
 
 
 def test_fit_batch_toy_membership_matches_contains():
@@ -700,14 +700,12 @@ def test_fit_batch_toy_membership_matches_contains():
         generators.fit_batch(toy_spec(), schema, stack(trainings), range(9))
     trainings.append(data.Dataset(schema, []))
     members = [data.contains(t, (3,)) for t in trainings]
-    gens = generators.toy_fits(toy_spec(), schema, members)
-    assert [g.toy_member for g in gens] == members
-    assert len({id(g) for g in gens}) == 2
-    assert all(g.spec == toy_spec() and g.schema == schema for g in gens)
-    bits = generators.release_bits(gens, list(range(10)))
-    assert bits == [
-        int(np.random.default_rng(s).random() < (0.8 if g.toy_member else 0.2))
-        for s, g in enumerate(gens)
+    probs = generators.toy_fits(toy_spec(), schema, members)
+    assert probs.dtype == np.float64 and probs.shape == (10,)
+    assert probs.tolist() == [0.8 if m else 0.2 for m in members]
+    bits = generators.release_bits(probs, list(range(10)))
+    assert bits.tolist() == [
+        np.random.default_rng(s).random() < (0.8 if m else 0.2) for s, m in enumerate(members)
     ]
 
 
@@ -717,21 +715,25 @@ def test_fit_batch_toy_membership_matches_contains():
 def test_fit_toy_records_membership():
     schema = ordered_schema(5)
     training = data.Dataset(schema, [[0], [3]])
-    gen_in, gen_out = generators.toy_fits(
+    p_in, p_out = generators.toy_fits(
         toy_spec(), schema, [data.contains(training, x) for x in ((3,), (4,))]
     )
-    assert gen_in.toy_member is True
-    assert gen_out.toy_member is False
+    assert (p_in, p_out) == (0.8, 0.2)
     flags = [True, False, 1, 0, 0, True, False, 1, 1, 0]
-    gens = generators.toy_fits(toy_spec(), schema, flags)
-    assert [g.toy_member for g in gens] == [bool(f) for f in flags]
+    for members in (flags, np.array(flags, dtype=np.int64)):
+        probs = generators.toy_fits(toy_spec(), schema, members)
+        assert probs.dtype == np.float64
+        assert probs.tolist() == [0.8 if f else 0.2 for f in flags]
+    # Integer rates still give float64 probabilities.
+    assert generators.toy_fits(toy_spec(1, 0), schema, [1, 0]).dtype == np.float64
+    assert generators.toy_fits(toy_spec(), schema, []).dtype == np.float64
 
 
 def test_fit_toy_accepts_empty_training():
     schema = ordered_schema(5)
     empty = data.Dataset(schema, [])
-    (gen,) = generators.toy_fits(toy_spec(), schema, [data.contains(empty, (1,))])
-    assert gen.toy_member is False
+    (p,) = generators.toy_fits(toy_spec(), schema, [data.contains(empty, (1,))])
+    assert p == 0.2
 
 
 def test_fit_toy_requires_hint():
@@ -785,13 +787,15 @@ def test_fit_deterministic():
 
 
 def test_sample_toy_refuses_records():
+    # A toy releases a bit, not records: its fit is a release probability,
+    # and no FittedGenerator, the thing sampling reads, has a toy spec.
     schema = ordered_schema(4)
     training = data.Dataset(schema, [[0]])
-    gen = generators.toy_fits(toy_spec(), schema, [data.contains(training, (0,))])[0]
-    with pytest.raises(UnsupportedOperationError):
-        generators.sample(gen, 3, seed=1)
+    with pytest.raises(UnsupportedOperationError, match="toy_fits"):
+        generators.FittedGenerator(toy_spec(), schema)
+    gen = generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), training)
     empty = generators.sample(gen, 0, seed=1)
-    assert empty.n == 0
+    assert empty.n == 0 and empty.schema == schema
 
 
 def test_sample_point_mass_training():
@@ -858,8 +862,9 @@ def test_single_network_entry_points_take_any_rng_seed():
     assert_same_network(gen, ref)
     expected = reference_sample(ref, 30, top).values
     assert generators.sample(gen, 30, top).values.tobytes() == expected.tobytes()
-    toy = generators.toy_fits(toy_spec(0.5, 0.5), schema, [data.contains(ds, tuple(vals[0]))])[0]
+    (toy,) = generators.toy_fits(toy_spec(0.5, 0.5), schema, [data.contains(ds, tuple(vals[0]))])
     assert generators.release_bit(toy, top) == int(np.random.default_rng(top).random() < 0.5)
+    assert generators.release_bits([toy], [top]).tolist() == [generators.release_bit(toy, top)]
     for draw in (
         lambda: generators.sample(gen, 30, wide),
         lambda: generators.release_bit(toy, wide),
@@ -872,22 +877,22 @@ def test_single_network_entry_points_take_any_rng_seed():
 
 
 def test_release_bit_only_for_toy():
-    ds = data.Dataset(ordered_schema(3), [[0], [1]])
-    gen = generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), ds)
-    with pytest.raises(UnsupportedOperationError):
-        generators.release_bit(gen, seed=0)
+    # Only a toy fit has a release probability to draw a bit from.
+    for spec in SPECS:
+        with pytest.raises(UnsupportedOperationError, match="does not release a bit"):
+            generators.toy_fits(spec, ordered_schema(3), [True, False])
 
 
 def test_release_bit_frequencies():
     schema = ordered_schema(4)
     training = data.Dataset(schema, [[1]])
-    gen_in, gen_out = generators.toy_fits(
+    p_in, p_out = generators.toy_fits(
         toy_spec(0.8, 0.2), schema, [data.contains(training, x) for x in ((1,), (2,))]
     )
     n = 100000
-    in_mean = np.mean(generators.release_bits([gen_in] * n, np.arange(n, dtype=np.uint64)))
+    in_mean = np.mean(generators.release_bits(np.full(n, p_in), np.arange(n, dtype=np.uint64)))
     out_mean = np.mean(
-        generators.release_bits([gen_out] * n, np.arange(n, 2 * n, dtype=np.uint64))
+        generators.release_bits(np.full(n, p_out), np.arange(n, 2 * n, dtype=np.uint64))
     )
     assert abs(in_mean - 0.8) < 0.005
     assert abs(out_mean - 0.2) < 0.005
@@ -897,13 +902,13 @@ def test_release_bit_identity_when_probabilities_match():
     # p_in == p_out: membership must leave no statistical trace.
     schema = ordered_schema(4)
     training = data.Dataset(schema, [[1]])
-    gen_in, gen_out = generators.toy_fits(
+    p_in, p_out = generators.toy_fits(
         toy_spec(0.3, 0.3), schema, [data.contains(training, x) for x in ((1,), (2,))]
     )
     n = 10000
-    in_mean = np.mean(generators.release_bits([gen_in] * n, np.arange(n, dtype=np.uint64)))
+    in_mean = np.mean(generators.release_bits(np.full(n, p_in), np.arange(n, dtype=np.uint64)))
     out_mean = np.mean(
-        generators.release_bits([gen_out] * n, np.arange(n, 2 * n, dtype=np.uint64))
+        generators.release_bits(np.full(n, p_out), np.arange(n, 2 * n, dtype=np.uint64))
     )
     se = np.sqrt(0.3 * 0.7 * 2 / n)
     assert abs(in_mean - out_mean) < 3 * se

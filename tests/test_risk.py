@@ -248,6 +248,23 @@ def test_empirical_tradeoff_matches_per_threshold_reference(step):
         assert risk.empirical_tradeoff(t) == reference_empirical_tradeoff(t)
 
 
+def test_empirical_tradeoff_bytes_with_signed_zeros_and_nan():
+    # The thresholds are the sorted scores with repeats kept: a repeat,
+    # and -0.0 next to 0.0, gives a vertex already on the curve, so the
+    # curve's bytes are those of the distinct scores the reference takes.
+    # A NaN score is refused before any threshold is taken.
+    g = np.random.default_rng(23)
+    for trial in range(200):
+        n = int(g.integers(2, 40))
+        bits = g.permutation(np.arange(n) % 2)
+        scores = g.choice([-0.0, 0.0, 0.5, 1.0, -1.0], size=n)
+        t = make_transcript(bits, scores)
+        assert repr(risk.empirical_tradeoff(t)) == repr(reference_empirical_tradeoff(t))
+    t = make_transcript([0, 1, 0, 1], [0.0, math.nan, -0.0, 0.5])
+    with pytest.raises(DomainError, match="non-finite"):
+        risk.empirical_tradeoff(t)
+
+
 def test_dp_audit_flags_a_perfect_adversary():
     n = 40
     bits = [i % 2 for i in range(n)]
