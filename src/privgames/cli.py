@@ -138,6 +138,14 @@ def build_bank(cfg, schema):
     )
 
 
+def _failure(exc):
+    """A record's failure as a PrivGamesError: a MemoryError becomes one
+    that says the record ran out of memory."""
+    if isinstance(exc, MemoryError):
+        return PrivGamesError(f"out of memory: {exc}")
+    return exc
+
+
 def build_adversaries(cfg, bank, d_aux, targets):
     """One adversary per ``(x, seed)`` of ``targets``, in order.
 
@@ -146,8 +154,9 @@ def build_adversaries(cfg, bank, d_aux, targets):
     query bank: each target's shadow stage runs in turn, then one
     ``attack.train_meta_classifiers`` call trains every target whose
     shadow stage succeeded, as one stack.  A target whose shadow stage
-    raises a PrivGamesError gets that error in place of an adversary; a
-    TrainingError of the stacked call stands for every target in it.
+    raises a PrivGamesError or runs out of memory gets that error in
+    place of an adversary; a TrainingError or MemoryError of the stacked
+    call stands for every target in it.
     """
     if cfg.generator_spec.kind == generators.TOY:
         return [games.toy_bit_adversary()] * len(targets)
@@ -158,8 +167,8 @@ def build_adversaries(cfg, bank, d_aux, targets):
                 d_aux, x, cfg.generator_spec, bank,
                 n=cfg.target_size, n_shadow=cfg.n_shadow, seed=seed,
             ))
-        except PrivGamesError as exc:
-            built.append(exc)
+        except (PrivGamesError, MemoryError) as exc:
+            built.append(_failure(exc))
     shadowed = [i for i, item in enumerate(built) if not isinstance(item, PrivGamesError)]
     if not shadowed:
         return built
@@ -171,9 +180,9 @@ def build_adversaries(cfg, bank, d_aux, targets):
             np.stack([built[i][0] for i in shadowed]), labels,
             epochs=cfg.epochs, learning_rate=cfg.learning_rate, l2=cfg.l2,
         )
-    except TrainingError as exc:
+    except (TrainingError, MemoryError) as exc:
         for i in shadowed:
-            built[i] = exc
+            built[i] = _failure(exc)
         return built
     for i, meta in zip(shadowed, metas):
         built[i] = attack.meta_classifier_adversary(meta, bank, targets[i][0], n_syn=cfg.syn_size)
@@ -217,10 +226,10 @@ def _each_record(cfg, evaluate, log, attack_seeds, subdirs=()):
     ``evaluate(rid, x, d_eval, d_target, adversaries)`` then returns one
     record's output and a one-line summary, logged as
     ``record <id>: ...``.  A record whose adversary could not be built,
-    or whose evaluation raises a PrivGamesError, is logged at its turn
-    and left out; the other records still run and the status becomes
-    ``partial``.  Makes ``cfg.out_dir`` and ``subdirs`` below it first
-    (ConfigError if not).
+    or whose evaluation raises a PrivGamesError or runs out of memory,
+    is logged at its turn and left out; the other records still run and
+    the status becomes ``partial``.  Makes ``cfg.out_dir`` and
+    ``subdirs`` below it first (ConfigError if not).
     """
     _, d_aux, d_eval, d_target = load_environment(cfg)
     record_ids = select_record_ids(cfg, d_target)
@@ -246,8 +255,8 @@ def _each_record(cfg, evaluate, log, attack_seeds, subdirs=()):
                 if isinstance(adversary, PrivGamesError):
                     raise adversary
             output, summary = evaluate(rid, d_target.record(rid), d_eval, d_target, adversaries)
-        except PrivGamesError as exc:
-            log(f"record evaluation failed: record {rid}: {exc}")
+        except (PrivGamesError, MemoryError) as exc:
+            log(f"record evaluation failed: record {rid}: {_failure(exc)}")
             status = "partial"
             continue
         outputs.append(output)

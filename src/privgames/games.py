@@ -183,7 +183,7 @@ def _execute(config, record_id, adversary, fit_rounds, threads, set_cells, data_
     return GameTranscript(runs, str(record_id), config.game_kind)
 
 
-def _play_toy(config, record_id, adversary, schema, threads):
+def _play_toy(config, record_id, adversary, threads):
     """Play toy rounds of a game that puts x in a round's training set
     exactly when the round's bit is 1.  A toy fit reads nothing of its
     set but that, so no set is built: the fits are the release
@@ -191,7 +191,7 @@ def _play_toy(config, record_id, adversary, schema, threads):
     spec = config.generator_spec
 
     def fit_rounds(secret):
-        return generators.toy_fits(spec, schema, secret)
+        return generators.toy_fits(spec, secret)
 
     return _execute(config, record_id, adversary, fit_rounds, threads, 0, data_tag=None)
 
@@ -257,7 +257,7 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
 
     if config.generator_spec.kind == generators.TOY:
         # The pool holds no copy of x, and x is appended only when b = 1.
-        return _play_toy(config, record_id, adversary, pool.schema, threads)
+        return _play_toy(config, record_id, adversary, threads)
 
     def fit_rounds(secret, streams, seeds):
         values = data_mod.sample_training_sets(pool, x, n, secret.tolist(), streams)
@@ -325,7 +325,7 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
     if config.generator_spec.kind == generators.TOY:
         # In-rounds train on d_target, which holds x; out-rounds replace
         # every copy of x with references from outside d_target.
-        return _play_toy(config, record_id, adversary, d_target.schema, threads)
+        return _play_toy(config, record_id, adversary, threads)
     fixed_refs = None
     if config.reference_mode == REFERENCE_FIXED:
         g = rng(derive(config.master_seed, "reference"))
@@ -392,7 +392,7 @@ def run_traditional_mixture(
     if not networks:
         # No partial holds x and b = 1 adds it, so a round's fit is entry
         # [drawn partial, bit] of every spec's two toy fits.
-        probs = np.stack([generators.toy_fits(spec, schema, [0, 1]) for spec in specs])
+        probs = np.stack([generators.toy_fits(spec, [0, 1]) for spec in specs])
 
         def fit_rounds(secret, streams, seeds):
             return probs[streams.integers(len(partials), 1)[:, 0], secret]

@@ -24,18 +24,21 @@ chunk of networks are flat arrays of one ``_TableBatch``.  Each network
 gets exactly the bits of the per-network definitions in
 ``tests/reference.py`` (``reference_mutual_information`` per column
 pair, a ``ravel_multi_index`` count per column, ancestral sampling
-column by column).  The per-network seeds of a batch come from
-``seeds.derive_many``, and its random streams (Laplace noise, sampling
-uniforms) are opened once per batch call by ``seeds.Streams``, a single
-network's as a ``Streams`` of one.  A network's visit order is the
-first ``permutation(d)`` of its structure stream and a toy release the
-first ``random()`` of its stream, which ``Streams.permutations`` and
-``Streams.randoms`` compute for the whole batch without a Generator.  A
-toy fit is nothing but its release probability: ``toy_fits``, the only
-way to make one, turns membership flags into a float64 array of ``p_in``
-and ``p_out``.  Every game passes it its rounds' secret bits, which equal
-the flags by construction, without building the training sets at all;
-``fit_batch`` and ``FittedGenerator`` refuse a toy spec.
+column by column).  A pair's MI terms and a table row's cells are
+contiguous runs, and each kind is summed by one ``_segment_sums`` call
+over the batch, in numpy's own order.  The per-network seeds of a batch
+come from ``seeds.derive_many``, and its random streams (Laplace
+noise, sampling uniforms) are opened once per batch call by
+``seeds.Streams``, a single network's as a ``Streams`` of one.  A
+network's visit order is the first ``permutation(d)`` of its structure
+stream and a toy release the first ``random()`` of its stream, which
+``Streams.permutations`` and ``Streams.randoms`` compute for the whole
+batch without a Generator.  A toy fit is nothing but its release
+probability: ``toy_fits``, the only way to make one, turns membership
+flags into a float64 array of ``p_in`` and ``p_out``.  Every game passes
+it its rounds' secret bits, which equal the flags by construction,
+without building the training sets at all; ``fit_batch`` and
+``FittedGenerator`` refuse a toy spec.
 """
 
 from dataclasses import dataclass, field
@@ -270,26 +273,27 @@ def _pair_information(values, plan, reads):
     return terms, bounds.reshape(*values.shape[:-2], len(plan.bounds))
 
 
-def _pair_mi(terms, bounds):
-    """``np.add.reduce`` of every pair slice, flat in (network, pair) order.
+def _segment_sums(flat, starts, lengths):
+    """``np.add.reduce(flat[s : s + L])`` of every segment, bit for bit; an
+    empty segment sums to 0.0.
 
-    Slices of equal length are gathered into one ``(count, length)``
-    array and reduced along its last axis, the same pairwise sum numpy
-    runs on one slice; empty slices, the pairs a network does not read
-    among them, sum to 0.0.
+    Segments are grouped by length with one ``argsort``.  A group shorter
+    than ``_PAIRWISE`` is an ``(L, k)`` gather folded down axis 0, the
+    left-to-right sum numpy takes of a short run; a longer one is a
+    ``(k, L)`` gather reduced along its last axis, numpy's pairwise sum of
+    one run.
     """
-    starts = bounds[..., :-1].ravel()
-    lengths = (bounds[..., 1:] - bounds[..., :-1]).ravel()
-    mi = np.zeros(len(starts))
-    # Slices sorted by length once; each run of one length is a group.
+    sums = np.zeros(len(lengths))
     order = np.argsort(lengths)
     ordered = lengths[order]
     firsts = np.flatnonzero(np.diff(ordered, prepend=-1)).tolist()
     for lo, hi, length in zip(firsts, firsts[1:] + [len(order)], ordered[firsts].tolist()):
-        if length:
-            sel = order[lo:hi]
-            mi[sel] = terms[starts[sel, None] + np.arange(length)].sum(axis=1)
-    return mi
+        sel = order[lo:hi]
+        if length >= _PAIRWISE:
+            sums[sel] = flat[starts[sel, None] + np.arange(length)].sum(axis=1)
+        elif length:
+            sums[sel] = flat[np.arange(length)[:, None] + starts[sel]].sum(axis=0)
+    return sums
 
 
 def learn_structure(values, sizes, max_parents, orders, mi_floor):
@@ -314,7 +318,9 @@ def learn_structure(values, sizes, max_parents, orders, mi_floor):
     plan = _pair_plan(sizes)
     step = np.argsort(orders, axis=1)  # the step that visits each column
     reads = step[:, plan.a_cols] > step[:, plan.b_cols]
-    mi = _pair_mi(*_pair_information(values, plan, reads)).reshape(reads.shape)
+    terms, bounds = _pair_information(values, plan, reads)
+    mi = _segment_sums(terms, bounds[:, :-1].ravel(), np.diff(bounds).ravel())
+    mi = mi.reshape(reads.shape)
     key = np.full((nets, d, d), np.inf)
     key[:, plan.a_cols, plan.b_cols] = np.where(reads & (mi >= mi_floor), -mi, np.inf)
     ranked = np.argsort(key, axis=2, kind="stable")
@@ -322,14 +328,6 @@ def learn_structure(values, sizes, max_parents, orders, mi_floor):
     parents = ranked[:, :, : min(max_parents, d - 1)]
     parents[np.arange(parents.shape[2]) >= eligible[:, :, None]] = -1
     return parents
-
-
-def _normalize_rows(counts, arity):
-    with np.errstate(over="ignore"):
-        totals = counts.sum(axis=1, keepdims=True)
-    if not np.isfinite(totals).all():
-        raise FitError("a table row's total is not finite")
-    return np.divide(counts, totals, out=np.full_like(counts, 1.0 / arity), where=totals > 0)
 
 
 def _starts(lengths):
@@ -348,6 +346,9 @@ class _TableBatch:
     plus ``sum_j value[parent_cols[b, c, j]] * combo_strides[b, c, j]``,
     the row-major parent combination ``ravel_multi_index`` computes;
     unused parent slots have stride 0.
+
+    The one row layout: batch row r is the ``row_arity[r]`` cells from
+    ``row_first[r]``.  Row totals and the cumulative table both read it.
     """
 
     def __init__(self, sizes, orders, parents):
@@ -366,40 +367,24 @@ class _TableBatch:
         self.arity = np.tile(self.sizes, nets)
         self.cell_start = _starts(self.n_combos * self.arity)
         self.row_start = _starts(self.n_combos)
+        self.row_arity = np.repeat(self.arity, self.n_combos)
+        self.row_first = _starts(self.row_arity)[:-1]
         self.counts = None
         self.probs = None
         self._cumulative = None
 
-    def _rows(self):
-        """Flat index of the first cell, and the arity, of every row."""
-        table = np.repeat(np.arange(len(self.arity)), self.n_combos)
-        within = np.arange(self.row_start[-1]) - self.row_start[table]
-        return self.cell_start[table] + within * self.arity[table], self.arity[table]
-
     def set_counts(self, counts, overflow):
-        """Store the final cell counts and their normalized rows.  A row whose
+        """Store the final cell counts and their normalized rows: each row
+        divided by its total, or uniform if the total is zero.  A row whose
         total is not finite raises FitError naming the cause, ``overflow``."""
         self.counts = counts
-        try:
-            self.probs = self.normalize(counts)
-        except FitError as exc:
-            raise FitError(f"{exc}: {overflow}") from None
-
-    def normalize(self, counts):
-        """``_normalize_rows`` of every table, bit for bit.
-
-        Rows are normalized in groups of equal arity, each a
-        ``(rows, arity)`` array, so every row total is the contiguous sum
-        a single table takes; zero-padding rows to one width would change
-        numpy's pairwise sums of rows with 8 or more cells.
-        """
-        first, arity = self._rows()
-        probs = np.empty_like(counts)
-        # Not np.unique, which imports numpy.ma on numpy 2.
-        for a in sorted(set(self.sizes.tolist())):
-            cells = first[arity == a][:, None] + np.arange(a)
-            probs[cells] = _normalize_rows(counts[cells], a)
-        return probs
+        with np.errstate(over="ignore"):
+            totals = _segment_sums(counts, self.row_first, self.row_arity)
+        if not np.isfinite(totals).all():
+            raise FitError(f"a table row's total is not finite: {overflow}")
+        totals = np.repeat(totals, self.row_arity)
+        uniform = np.repeat(1.0 / self.row_arity, self.row_arity)
+        self.probs = np.divide(counts, totals, out=uniform, where=totals > 0)
 
     def cumulative(self):
         """Cumulative row probabilities of every level but the widest
@@ -413,9 +398,8 @@ class _TableBatch:
         that level anyway; for the same reason no last level is needed.
         """
         if self._cumulative is None:
-            first, arity = self._rows()
             level = np.arange(int(self.sizes.max()) - 1)[:, None]
-            cells = np.where(level < arity, first + level, len(self.probs))
+            cells = np.where(level < self.row_arity, self.row_first + level, len(self.probs))
             self._cumulative = np.append(self.probs, 0.0)[cells].cumsum(axis=0)
         return self._cumulative
 
@@ -596,11 +580,11 @@ def fit_batch(spec, schema, values, seeds):
     return gens
 
 
-def toy_fits(spec, schema, members):
-    """The toy fit of each training set of ``schema``, given only whether
-    the target is a member of it (``members[i]`` true or 1): its release
-    probability, as one float64 array of ``spec.p_in`` where the target
-    is a member and ``spec.p_out`` elsewhere."""
+def toy_fits(spec, members):
+    """The toy fit of each training set, given only whether the target
+    is a member of it (``members[i]`` true or 1): its release probability,
+    as one float64 array of ``spec.p_in`` where the target is a member
+    and ``spec.p_out`` elsewhere."""
     if spec.kind != TOY:
         raise UnsupportedOperationError(f"{spec.kind} generator does not release a bit")
     return np.where(members, float(spec.p_in), float(spec.p_out))

@@ -1005,6 +1005,34 @@ def test_training_error_fails_every_record_of_the_stack(tmp_path, monkeypatch, c
     ]
 
 
+@pytest.mark.parametrize("stage", ["_features", "train_meta_classifiers"])
+def test_out_of_memory_outside_a_fit_fails_only_its_records(tmp_path, monkeypatch, capsys, stage):
+    # A MemoryError in the attack's own arrays fails records, not the run.
+    # The third _features call is record 0's first game (records 0 and 1
+    # featurize their shadows first), so record 0 fails alone; the stacked
+    # descent fails every record it trains.
+    _, clean, _, clean_logged = run_stack(tmp_path, capsys, "run", "ids:0,1", "clean")
+    real = getattr(attack, stage)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(stage)
+        if stage == "train_meta_classifiers" or len(calls) == 3:
+            raise MemoryError("induced allocation failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attack, stage, failing)
+    code, failed, headers, logged = run_stack(tmp_path, capsys, "run", "ids:0,1", "failed")
+    lost = {"_features": ["0"], "train_meta_classifiers": ["0", "1"]}[stage]
+    assert code == 1
+    assert headers and all("status=partial" in h for h in headers)
+    assert failed == {rid: rows for rid, rows in clean.items() if rid not in lost}
+    failure = "record evaluation failed: record {}: out of memory: induced allocation failure"
+    assert logged == [
+        failure.format(rid) if rid in lost else clean_logged[i] for i, rid in enumerate("01")
+    ]
+
+
 # ------------------------------------------------------------------ misc
 
 

@@ -99,14 +99,14 @@ def test_traditional_membership_discipline():
 
 def test_traditional_run_reproducible_standalone():
     # A single run can be replayed outside the loop from its seed alone.
-    schema, d_eval, d_target, _ = toy_setup()
+    _, d_eval, d_target, _ = toy_setup()
     x = (1,)
     config = games.GameConfig(20, 5, toy_spec(), 13, games.TRADITIONAL)
     t = games.run_traditional(x, d_eval, games.toy_bit_adversary(), config)
     pool = games.traditional_pool(x, d_eval)
     for bit, score, run_seed in t.runs[:6].tolist():
         ds = games.traditional_dataset(pool, x, 5, bit, derive(run_seed, "data"))
-        probs = generators.toy_fits(toy_spec(), schema, [data.contains(ds, x)])
+        probs = generators.toy_fits(toy_spec(), [data.contains(ds, x)])
         assert games.toy_bit_adversary()(probs, [derive(run_seed, "adversary")])[0] == score
 
 

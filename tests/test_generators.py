@@ -350,10 +350,42 @@ def test_one_pass_fit_matches_reference_through_fit(kind):
 
 
 def test_normalize_rows_zero_rows_fall_back_to_uniform():
-    counts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
-    probs = generators._normalize_rows(counts, 3)
-    assert probs.tobytes() == reference_normalize_rows(counts, 3).tobytes()
-    assert probs[0].tolist() == [1 / 3] * 3
+    # set_counts normalizes every table as reference_normalize_rows does:
+    # a zero-total row of arity 3 and one of arity 9 fall back to uniform,
+    # and a 9-cell row's total is numpy's pairwise sum, not a left-to-right
+    # one (the two differ on the 1e16 row).
+    batch = generators._TableBatch((2, 3, 9), np.array([[0, 1, 2]]), padded([[(), (0,), (0,)]], 1))
+    big = [1e16] + [1.0] * 7 + [3.0]
+    per_table = [
+        np.array([[2.0, 5.0]]),
+        np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]]),
+        np.array([[0.0] * 9, big]),
+    ]
+    assert np.add.reduce(big) != sum(big)
+    batch.set_counts(np.concatenate([t.ravel() for t in per_table]), "")
+    for probs, counts in zip(tables(batch), per_table):
+        assert probs.tobytes() == reference_normalize_rows(counts, counts.shape[1]).tobytes()
+    assert tables(batch)[1][1].tolist() == [1 / 3] * 3
+    assert tables(batch)[2][0].tolist() == [1 / 9] * 9
+
+
+def test_segment_sums_equal_add_reduce_of_each_segment():
+    # Lengths 0-20 on both sides of _PAIRWISE, three segments each, laid
+    # out in shuffled order so the starts are unsorted.  Cancelling 1e16
+    # terms make every summation order give its own bits.
+    g = np.random.default_rng(7)
+    lengths = np.repeat(np.arange(21), 3)
+    g.shuffle(lengths)
+    placed = g.permutation(len(lengths))
+    starts = np.empty_like(lengths)
+    starts[placed] = np.concatenate([[0], np.cumsum(lengths[placed])[:-1]])
+    pattern = np.array([1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 1e16, 0.5, 7.0, -2.5, 1e16])
+    flat = np.resize(pattern, lengths.sum()) * g.uniform(0.5, 2.0, lengths.sum())
+    sums = generators._segment_sums(flat, starts, lengths)
+    want = [np.add.reduce(flat[s : s + n]) for s, n in zip(starts.tolist(), lengths.tolist())]
+    assert sums.tobytes() == np.array(want).tobytes()
+    assert sums[lengths == 0].tolist() == [0.0] * 3
+    assert generators._segment_sums(flat, starts[:0], lengths[:0]).shape == (0,)
 
 
 # ------------------------------------------------ batched vs per-network
@@ -421,7 +453,8 @@ def test_batched_pair_mi_matches_mutual_information(seed, count):
     values = np.stack([t.values for t in trainings])
     reads = np.ones((count, len(plan.a_cols)), dtype=bool)
     terms, bounds = generators._pair_information(values, plan, reads)
-    mi = generators._pair_mi(terms, bounds).reshape(count, -1)
+    mi = generators._segment_sums(terms, bounds[:, :-1].ravel(), np.diff(bounds).ravel())
+    mi = mi.reshape(count, -1)
     for b, training in enumerate(trainings):
         for p, (a, c) in enumerate(zip(plan.a_cols.tolist(), plan.b_cols.tolist())):
             slow = reference_mutual_information(
@@ -686,7 +719,7 @@ def test_fit_batch_builds_generators_only_for_noise(monkeypatch):
 
 
 def test_release_bits_needs_one_seed_per_generator():
-    probs = generators.toy_fits(toy_spec(), ordered_schema(5), [True, False, True])
+    probs = generators.toy_fits(toy_spec(), [True, False, True])
     for seeds in ([5], [5, 6], [5, 6, 7, 8]):
         with pytest.raises(DomainError, match="release_bits needs one seed per generator"):
             generators.release_bits(probs, seeds)
@@ -700,7 +733,7 @@ def test_fit_batch_toy_membership_matches_contains():
         generators.fit_batch(toy_spec(), schema, stack(trainings), range(9))
     trainings.append(data.Dataset(schema, []))
     members = [data.contains(t, (3,)) for t in trainings]
-    probs = generators.toy_fits(toy_spec(), schema, members)
+    probs = generators.toy_fits(toy_spec(), members)
     assert probs.dtype == np.float64 and probs.shape == (10,)
     assert probs.tolist() == [0.8 if m else 0.2 for m in members]
     bits = generators.release_bits(probs, list(range(10)))
@@ -716,23 +749,23 @@ def test_fit_toy_records_membership():
     schema = ordered_schema(5)
     training = data.Dataset(schema, [[0], [3]])
     p_in, p_out = generators.toy_fits(
-        toy_spec(), schema, [data.contains(training, x) for x in ((3,), (4,))]
+        toy_spec(), [data.contains(training, x) for x in ((3,), (4,))]
     )
     assert (p_in, p_out) == (0.8, 0.2)
     flags = [True, False, 1, 0, 0, True, False, 1, 1, 0]
     for members in (flags, np.array(flags, dtype=np.int64)):
-        probs = generators.toy_fits(toy_spec(), schema, members)
+        probs = generators.toy_fits(toy_spec(), members)
         assert probs.dtype == np.float64
         assert probs.tolist() == [0.8 if f else 0.2 for f in flags]
     # Integer rates still give float64 probabilities.
-    assert generators.toy_fits(toy_spec(1, 0), schema, [1, 0]).dtype == np.float64
-    assert generators.toy_fits(toy_spec(), schema, []).dtype == np.float64
+    assert generators.toy_fits(toy_spec(1, 0), [1, 0]).dtype == np.float64
+    assert generators.toy_fits(toy_spec(), []).dtype == np.float64
 
 
 def test_fit_toy_accepts_empty_training():
     schema = ordered_schema(5)
     empty = data.Dataset(schema, [])
-    (p,) = generators.toy_fits(toy_spec(), schema, [data.contains(empty, (1,))])
+    (p,) = generators.toy_fits(toy_spec(), [data.contains(empty, (1,))])
     assert p == 0.2
 
 
@@ -862,7 +895,7 @@ def test_single_network_entry_points_take_any_rng_seed():
     assert_same_network(gen, ref)
     expected = reference_sample(ref, 30, top).values
     assert generators.sample(gen, 30, top).values.tobytes() == expected.tobytes()
-    (toy,) = generators.toy_fits(toy_spec(0.5, 0.5), schema, [data.contains(ds, tuple(vals[0]))])
+    (toy,) = generators.toy_fits(toy_spec(0.5, 0.5), [data.contains(ds, tuple(vals[0]))])
     assert generators.release_bit(toy, top) == int(np.random.default_rng(top).random() < 0.5)
     assert generators.release_bits([toy], [top]).tolist() == [generators.release_bit(toy, top)]
     for draw in (
@@ -880,14 +913,14 @@ def test_release_bit_only_for_toy():
     # Only a toy fit has a release probability to draw a bit from.
     for spec in SPECS:
         with pytest.raises(UnsupportedOperationError, match="does not release a bit"):
-            generators.toy_fits(spec, ordered_schema(3), [True, False])
+            generators.toy_fits(spec, [True, False])
 
 
 def test_release_bit_frequencies():
     schema = ordered_schema(4)
     training = data.Dataset(schema, [[1]])
     p_in, p_out = generators.toy_fits(
-        toy_spec(0.8, 0.2), schema, [data.contains(training, x) for x in ((1,), (2,))]
+        toy_spec(0.8, 0.2), [data.contains(training, x) for x in ((1,), (2,))]
     )
     n = 100000
     in_mean = np.mean(generators.release_bits(np.full(n, p_in), np.arange(n, dtype=np.uint64)))
@@ -903,7 +936,7 @@ def test_release_bit_identity_when_probabilities_match():
     schema = ordered_schema(4)
     training = data.Dataset(schema, [[1]])
     p_in, p_out = generators.toy_fits(
-        toy_spec(0.3, 0.3), schema, [data.contains(training, x) for x in ((1,), (2,))]
+        toy_spec(0.3, 0.3), [data.contains(training, x) for x in ((1,), (2,))]
     )
     n = 10000
     in_mean = np.mean(generators.release_bits(np.full(n, p_in), np.arange(n, dtype=np.uint64)))
