@@ -150,8 +150,10 @@ def build_adversaries(cfg, bank, d_aux, targets):
     """One adversary per ``(x, seed)`` of ``targets``, in order.
 
     Toy generators release a bit, so their adversary reads it and
-    nothing is trained.  Everything else gets a meta-classifier over the
-    query bank: each target's shadow stage runs in turn, then one
+    nothing is trained: every target gets the same adversary object, so
+    ``convergence`` plays a toy record's repetitions as one grid.
+    Everything else gets a meta-classifier over the query bank: each
+    target's shadow stage runs in turn, then one
     ``attack.train_meta_classifiers`` call trains every target whose
     shadow stage succeeded, as one stack.  A target whose shadow stage
     raises a PrivGamesError or runs out of memory gets that error in
@@ -388,7 +390,10 @@ def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, l
 def convergence_table(cfg, threads=1, log=print):
     """Rows of the convergence study, with the run status: the spread of
     the AUC estimate per (record, game, n_eval) across repeated
-    evaluations, each repetition with a freshly built adversary."""
+    evaluations, each repetition with a freshly built adversary.  The
+    games of one record, kind and adversary are one ``games.run_games``
+    grid: a toy record's repetitions share their adversary, so it plays
+    one grid per kind."""
     if not cfg.n_eval_grid:
         raise ConfigError("convergence.grid is required for this command")
     if cfg.repetitions < 2:
@@ -403,21 +408,28 @@ def convergence_table(cfg, threads=1, log=print):
 
     def evaluate(rid, x, d_eval, d_target, adversaries):
         base = derive(cfg.master_seed, "convergence", rid)
-        aucs = {}
+        reps = {}
         for rep, adversary in enumerate(adversaries):
+            reps.setdefault(adversary, []).append(rep)
+        aucs = {}
+        for adversary, group in reps.items():
             for kind in cfg.game_kinds:
-                for n_eval in cfg.n_eval_grid:
-                    seed = derive(derive(base, kind, n_eval), "rep", rep)
-                    gcfg = game_config(cfg, kind, seed, n_eval)
-                    t = games.run_game(
-                        x, d_eval, d_target, adversary, gcfg,
-                        record_id=str(rid), threads=threads,
-                    )
-                    aucs.setdefault((kind, n_eval), []).append(risk.roc_auc(t))
+                cells = [(n_eval, rep) for rep in group for n_eval in cfg.n_eval_grid]
+                configs = [
+                    game_config(cfg, kind, derive(derive(base, kind, n_eval), "rep", rep), n_eval)
+                    for n_eval, rep in cells
+                ]
+                transcripts = games.run_games(
+                    x, d_eval, d_target, adversary, configs,
+                    record_id=str(rid), threads=threads,
+                )
+                # Each transcript is dropped as soon as its AUC is read.
+                for auc, (n_eval, rep) in zip(map(risk.roc_auc, transcripts), cells):
+                    aucs[kind, n_eval, rep] = auc
         rows = []
         for kind in cfg.game_kinds:
             for n_eval in cfg.n_eval_grid:
-                values = np.array(aucs[(kind, n_eval)])
+                values = np.array([aucs[kind, n_eval, rep] for rep in range(len(adversaries))])
                 radius = risk.hoeffding_radius(n_eval // 2, cfg.rho)
                 rows.append(
                     f"{rid},{kind},{n_eval},{float(values.mean())!r},"

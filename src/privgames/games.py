@@ -17,47 +17,55 @@ Bits are balanced exactly (half 1, half 0) rather than i.i.d., so both
 empirical rates are estimated from n_eval / 2 rounds each.  Every round
 derives its own seed from the master seed and its index, which makes
 transcripts independent of execution order and of how rounds are
-grouped.  So a game derives the run, data, fit and adversary seeds of
-all its rounds in one ``seeds.derive_many`` call each, then plays the
-rounds in batches.  A batch's training sets are one ``(B, n, d)`` int64
-array, never a ``Dataset`` per round: traditional rounds gather their
-pool draws in one pass (``data.sample_training_sets``), model-seeded
-rounds copy ``d_target`` and overwrite x's rows in out-rounds, and the
-mixture game stacks one array per drawn partial and secret bit.  Each
-array of network sets is fit in one ``generators.fit_batch`` call.  A
-batch hashes its data seeds through one ``seeds.Streams``, so no round
-builds a ``SeedSequence`` of its own; the set builders draw from its
-streams (a single round's builder from a ``Streams`` of one).  Only a
-network's traditional round builds a Generator on its data stream, for
-its pool draw; model-seeded per-run references and the mixture's
-partial are each stream's first ``integers``, which ``Streams.integers``
-computes for the whole batch.  A toy fit reads nothing of its set but
+grouped.  So games are played as grids: ``run_games`` plays games of one
+record, kind and adversary that differ only in ``n_eval`` and master
+seed (a convergence study's points and repetitions), and ``run_game``
+is a grid of one.  A grid checks the preconditions once, draws every
+game's bit permutation from one ``seeds.Streams`` of the games' bit
+seeds, then plays the rounds of all its games, game after game, in
+spans of consecutive rounds that may cross game boundaries.  A span
+derives its rounds' run, data, fit and adversary seeds in one
+``seeds.derive_many`` call each, hashes its data seeds through one
+``seeds.Streams``, builds its training sets as one ``(B, n, d)`` int64
+array, fits them in one ``generators.fit_batch`` call and scores them in
+one adversary call.  A span holds at most the rounds of the grid's
+largest game, a ``threads``-th of them with ``threads > 1`` (a window of
+``threads`` spans then runs in a thread pool), and for networks at most
+``generators.batch_size`` training sets: no array outgrows what the
+largest game builds alone.  Each game's transcript, one ``RUN_DTYPE``
+array of (secret bit, score, run seed) rows, is yielded once its last
+span is scored, the same bytes whatever the spans.
+
+Traditional rounds gather their pool draws in one pass
+(``data.sample_training_sets``), model-seeded rounds copy ``d_target``
+and overwrite x's rows in out-rounds, and the mixture game stacks one
+array per drawn partial and secret bit.  No round builds a
+``SeedSequence`` of its own, and only a network's traditional round
+builds a Generator on its data stream, for its pool draw: model-seeded
+references (fixed ones every game's at once) and the mixture's partial
+are each stream's first ``integers``, which ``Streams.integers``
+computes for a whole span.  A toy fit reads nothing of its set but
 whether x is in it, which every game makes true exactly when the round's
-bit is 1, so after the preconditions toy rounds build no set: a batch's
+bit is 1, so after the preconditions toy rounds build no set: a span's
 fits are ``generators.toy_fits`` of its bit array, one array of release
-probabilities.  The traditional and model-seeded games derive no data or
-fit seed for them either, and open no data stream; the mixture still
-draws each round's partial, whose spec the fit takes, and refuses specs
-that mix the toy with a network kind.  An adversary is a function
-``adversary(fits, seeds) -> scores``: one membership score per round's
-fit (a ``FittedGenerator``, or a toy's entry of that array), each given
-its round's adversary seed.  The counting-query
-adversary samples the releases in batched calls, each returning one
-``(k, n, d)`` array of one schema, and scores each as one array, but
-each logit stays one dot product per release (see ``attack``).  A batch
-holds as many rounds as ``generators.batch_size`` allows for its
-training sets, and toy rounds have none; with
-``threads > 1`` the rounds are also cut into that many chunks, run in a
-thread pool, each chunk with streams of its own.  The transcript is the
-same bytes either way: one ``RUN_DTYPE`` array of (secret bit, score,
-run seed) rows, each batch writing its own rows' scores.  A transcript
-file is a ``data.table_lines`` table of one row per round, headed by the
-hash of the experiment config that the command stamps on it, and read
-back strictly by ``load_transcript``.
+probabilities, and the traditional and model-seeded games derive no data
+or fit seed for them.  The mixture still draws each round's partial,
+whose spec the fit takes, and refuses specs that mix the toy with a
+network kind.  An adversary is a function ``adversary(fits, seeds) ->
+scores``: one membership score per round's fit (a ``FittedGenerator``,
+or a toy's entry of that array), each given its round's adversary seed,
+so a toy span draws its release bits in one ``generators.release_bits``
+call.  The counting-query adversary samples the releases in batched
+calls, each returning one ``(k, n, d)`` array of one schema, and scores
+each as one array, but each logit stays one dot product per release (see
+``attack``).  A transcript file is a ``data.table_lines`` table of one
+row per round, headed by the hash of the experiment config that the
+command stamps on it, and read back strictly by ``load_transcript``.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +73,7 @@ import numpy as np
 from . import data as data_mod
 from . import generators
 from .errors import ConfigError, PreconditionError, SizeError
-from .seeds import Streams, derive, derive_many, rng
+from .seeds import Streams, derive_many, rng
 
 TRADITIONAL = "traditional"
 MODEL_SEEDED = "model_seeded"
@@ -136,64 +144,88 @@ class GameTranscript:
 
 def balanced_bits(n_eval, seed):
     """Exactly n_eval/2 ones and zeros, in seeded random order."""
+    return _shuffled_bits(n_eval, rng(seed))
+
+
+def _shuffled_bits(n_eval, stream):
+    """Exactly n_eval/2 ones and zeros, in the order of the first
+    permutation the Generator ``stream`` draws."""
     bits = np.zeros(n_eval, dtype=np.int64)
     bits[: n_eval // 2] = 1
-    return rng(seed).permutation(bits)
+    return stream.permutation(bits)
 
 
-def _execute(config, record_id, adversary, fit_rounds, threads, set_cells, data_tag="data"):
-    """Play the rounds of a game.  ``fit_rounds(secret, streams, seeds)``
-    builds the training sets of a batch of rounds with the secret bit
-    array ``secret`` and returns their fits, round i fit with
-    ``seeds[i]``; ``streams[i]`` is round i's data stream, opened only by
-    rounds that draw.  A training set holds at most ``set_cells`` values.
-    With ``data_tag`` None the rounds draw nothing: ``fit_rounds(secret)``
-    returns their fits from the bits alone, and no data or fit seed is
-    derived."""
-    n_eval = config.n_eval
-    bits = balanced_bits(n_eval, derive(config.master_seed, "bits"))
-    run_seeds = derive_many(config.master_seed, "run", np.arange(n_eval))
-    runs = np.empty(n_eval, dtype=RUN_DTYPE)
-    runs["secret_bit"], runs["run_seed"] = bits, run_seeds
-    adversary_seeds = derive_many(run_seeds, "adversary")
-    if data_tag is None:
+def _span_rounds(largest, set_cells, threads):
+    """Rounds per span: a ``threads``-th of the largest game's, and no more
+    training sets of ``set_cells`` values than ``generators.batch_size``."""
+    return min(generators.batch_size(set_cells), -(-largest // threads))
 
-        def fits(lo, hi):
-            return fit_rounds(bits[lo:hi])
 
-    else:
-        data_seeds = derive_many(run_seeds, data_tag)
-        fit_seeds = derive_many(run_seeds, "fit")
+def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_tag="data"):
+    """Play the games of a grid; yields each game's transcript, in order,
+    once its last round is scored.
 
-        def fits(lo, hi):
-            return fit_rounds(bits[lo:hi], Streams(data_seeds[lo:hi]), fit_seeds[lo:hi])
+    The rounds of all games, game after game, are played in spans of
+    consecutive rounds that may cross game boundaries.
+    ``fit_rounds(secret, streams, seeds, game)`` builds the training sets
+    of a span with the secret bit array ``secret`` and returns their
+    fits, round i fit with ``seeds[i]``; ``streams[i]`` is round i's data
+    stream, opened only by rounds that draw, and ``game[i]`` the index
+    in ``configs`` of its game.  A training set holds at most
+    ``set_cells`` values.  With ``data_tag`` None the rounds draw
+    nothing: ``fit_rounds(secret)`` returns their fits from the bits
+    alone, and no data or fit seed is derived."""
+    kind = configs[0].game_kind
+    sizes = np.array([c.n_eval for c in configs])
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes
+    total = int(ends[-1])
+    # Only a master seed's low 64 bits count, as in ``derive``.
+    masters = np.array([int(c.master_seed) % 2**64 for c in configs], dtype=np.uint64)
+    bit_streams = Streams(derive_many(masters, "bits"))
+    size = _span_rounds(int(sizes.max()), set_cells, threads)
+    started = {}  # game -> its runs, from its first span to its last
+
+    def span_fits(lo, hi, pieces):
+        """The run seeds and fits of rounds lo..hi-1.  Its index arrays die
+        on return, before the adversary (a span's largest step) runs."""
+        game = np.searchsorted(ends, np.arange(lo, hi), side="right")
+        run_seeds = derive_many(masters[game], "run", np.arange(lo, hi) - firsts[game])
+        secret = np.concatenate([runs["secret_bit"][a:b] for runs, a, b in pieces])
+        if data_tag is None:
+            return run_seeds, fit_rounds(secret)
+        streams = Streams(derive_many(run_seeds, data_tag))
+        return run_seeds, fit_rounds(secret, streams, derive_many(run_seeds, "fit"), game)
 
     def play(lo, hi):
-        runs["score"][lo:hi] = adversary(fits(lo, hi), adversary_seeds[lo:hi])
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right").tolist()
+        pieces = [
+            (started[g], max(lo, firsts[g]) - firsts[g], min(hi, ends[g]) - firsts[g])
+            for g in range(first, last + 1)
+        ]
+        run_seeds, fits = span_fits(lo, hi, pieces)
+        scores = np.asarray(adversary(fits, derive_many(run_seeds, "adversary")), dtype=np.float64)
+        at = 0
+        for runs, a, b in pieces:
+            runs["run_seed"][a:b] = run_seeds[at : at + b - a]
+            runs["score"][a:b] = scores[at : at + b - a]
+            at += b - a
 
-    # A batch holds at most a ``threads``-th of the rounds.
-    size = min(generators.batch_size(set_cells), -(-n_eval // threads))
-    starts = range(0, n_eval, size)
-    ends = [min(lo + size, n_eval) for lo in starts]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(play, starts, ends))  # re-raises a batch's error
-    else:
-        list(map(play, starts, ends))
-    return GameTranscript(runs, str(record_id), config.game_kind)
-
-
-def _play_toy(config, record_id, adversary, threads):
-    """Play toy rounds of a game that puts x in a round's training set
-    exactly when the round's bit is 1.  A toy fit reads nothing of its
-    set but that, so no set is built: the fits are the release
-    probabilities of the bits."""
-    spec = config.generator_spec
-
-    def fit_rounds(secret):
-        return generators.toy_fits(spec, secret)
-
-    return _execute(config, record_id, adversary, fit_rounds, threads, 0, data_tag=None)
+    opened = done = 0
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        # A window of one span per thread runs at a time.
+        for lo in range(0, total, size * threads):
+            window = range(lo, min(lo + size * threads, total), size)
+            his = [min(a + size, total) for a in window]
+            while opened < len(configs) and firsts[opened] < his[-1]:
+                started[opened] = np.empty(sizes[opened], dtype=RUN_DTYPE)
+                started[opened]["secret_bit"] = _shuffled_bits(sizes[opened], bit_streams[opened])
+                opened += 1
+            list(run(play, window, his))  # re-raises a span's error
+            while done < opened and ends[done] <= his[-1]:
+                yield GameTranscript(started.pop(done), str(record_id), kind)
+                done += 1
 
 
 def traditional_pool(x, d_eval):
@@ -244,38 +276,29 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
     Returns
     -------
     GameTranscript
+        A grid of one game (see ``run_games``).
     """
     if config.game_kind != TRADITIONAL:
         raise ConfigError(f"config is for {config.game_kind!r}, not traditional")
-    data_mod.validate_record(d_eval.schema, x)
-    pool = traditional_pool(x, d_eval)
-    n = config.dataset_size
-    if pool.n < n:
-        raise SizeError(
-            f"evaluation pool has {pool.n} usable records, need {n} per round"
-        )
-
-    if config.generator_spec.kind == generators.TOY:
-        # The pool holds no copy of x, and x is appended only when b = 1.
-        return _play_toy(config, record_id, adversary, threads)
-
-    def fit_rounds(secret, streams, seeds):
-        values = data_mod.sample_training_sets(pool, x, n, secret.tolist(), streams)
-        return generators.fit_batch(config.generator_spec, pool.schema, values, seeds)
-
-    return _execute(config, record_id, adversary, fit_rounds, threads, n * len(x))
+    (transcript,) = run_games(
+        x, d_eval, None, adversary, [config], record_id=record_id, threads=threads
+    )
+    return transcript
 
 
 def _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs):
     """Training sets of model-seeded rounds, as one ``(B, n, d)`` array:
     ``d_target`` in every round, its ``x_positions`` rows replaced in
-    out-rounds.  Only per-run out-rounds read their stream: its first
-    ``integers``, computed for all of them at once without a Generator."""
+    out-rounds.  ``fixed_refs``, if given, holds the pre-drawn references
+    of every round, or ``(B, len(x_positions), d)`` those of each round;
+    otherwise only out-rounds read their stream: its first ``integers``,
+    computed for all of them at once without a Generator."""
     values = np.repeat(d_target.values[None], len(secret), axis=0)
     out = np.flatnonzero(np.equal(secret, 0))
-    refs = fixed_refs
-    if refs is None:
+    if fixed_refs is None:
         refs = ref_values[streams[out].integers(len(ref_values), len(x_positions))]
+    else:
+        refs = np.broadcast_to(fixed_refs, (len(secret),) + np.shape(fixed_refs)[-2:])[out]
     values[np.ix_(out, x_positions)] = refs
     return values
 
@@ -301,42 +324,96 @@ def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threa
     ``d_target`` is the dataset the released generator was trained on;
     ``x`` must appear in it.  Out-rounds replace every copy of x with a
     reference record drawn uniformly from the evaluation records not in
-    ``d_target``, so all round datasets have the same size.
+    ``d_target``, so all round datasets have the same size.  A grid of
+    one game (see ``run_games``).
     """
     if config.game_kind != MODEL_SEEDED:
         raise ConfigError(f"config is for {config.game_kind!r}, not model_seeded")
-    data_mod.validate_record(d_target.schema, x)
-    if d_eval.schema != d_target.schema:
-        raise PreconditionError("evaluation pool has a different schema than the training dataset")
-    if config.dataset_size != d_target.n:
-        raise ConfigError(
-            f"dataset_size {config.dataset_size} does not match the released "
-            f"training dataset of {d_target.n} records"
-        )
-    x_positions = data_mod.value_equal_indices(d_target, x)
-    if len(x_positions) == 0:
-        raise PreconditionError("target record is not in the released training dataset")
-    # The reference pool: evaluation records outside the released data.
-    ref_values = data_mod.rows_not_in(d_eval, d_target)
-    if len(ref_values) == 0:
-        raise SizeError(
-            "no reference records: every evaluation record appears in the training dataset"
-        )
-    if config.generator_spec.kind == generators.TOY:
-        # In-rounds train on d_target, which holds x; out-rounds replace
-        # every copy of x with references from outside d_target.
-        return _play_toy(config, record_id, adversary, threads)
-    fixed_refs = None
-    if config.reference_mode == REFERENCE_FIXED:
-        g = rng(derive(config.master_seed, "reference"))
-        picks = g.integers(0, len(ref_values), size=len(x_positions))
-        fixed_refs = ref_values[picks]
+    (transcript,) = run_games(
+        x, d_eval, d_target, adversary, [config], record_id=record_id, threads=threads
+    )
+    return transcript
 
-    def fit_rounds(secret, streams, seeds):
-        values = _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs)
-        return generators.fit_batch(config.generator_spec, d_target.schema, values, seeds)
 
-    return _execute(config, record_id, adversary, fit_rounds, threads, d_target.values.size)
+def run_games(x, d_eval, d_target, adversary, configs, record_id="", threads=1):
+    """Play a grid of games of one kind for one record, every round scored
+    by ``adversary``; returns an iterator over the transcripts, in the
+    order of ``configs``, each yielded as soon as its last round is scored.
+
+    The games may differ only in ``n_eval`` and ``master_seed``, or
+    ConfigError is raised.  The preconditions are checked once, at the
+    call (see ``run_traditional`` and ``run_model_seeded``); a fixed-
+    reference game draws its references as the first ``integers`` of
+    the stream of ``derive(master_seed, "reference")``, every game's at
+    once.  Each transcript has the bytes of its game played alone.
+    """
+    if not configs:
+        raise ConfigError("a grid needs at least one game")
+    shared = {(c.game_kind, c.dataset_size, c.generator_spec, c.reference_mode) for c in configs}
+    if len(shared) > 1:
+        raise ConfigError("the games of a grid may differ only in n_eval and master_seed")
+    first = configs[0]
+    spec = first.generator_spec
+    if first.game_kind == TRADITIONAL:
+        data_mod.validate_record(d_eval.schema, x)
+        pool = traditional_pool(x, d_eval)
+        n = first.dataset_size
+        if pool.n < n:
+            raise SizeError(
+                f"evaluation pool has {pool.n} usable records, need {n} per round"
+            )
+
+        def fit_rounds(secret, streams, seeds, game):
+            values = data_mod.sample_training_sets(pool, x, n, secret.tolist(), streams)
+            return generators.fit_batch(spec, pool.schema, values, seeds)
+
+        set_cells = n * len(x)
+    else:
+        data_mod.validate_record(d_target.schema, x)
+        if d_eval.schema != d_target.schema:
+            raise PreconditionError(
+                "evaluation pool has a different schema than the training dataset"
+            )
+        if first.dataset_size != d_target.n:
+            raise ConfigError(
+                f"dataset_size {first.dataset_size} does not match the released "
+                f"training dataset of {d_target.n} records"
+            )
+        x_positions = data_mod.value_equal_indices(d_target, x)
+        if len(x_positions) == 0:
+            raise PreconditionError("target record is not in the released training dataset")
+        # The reference pool: evaluation records outside the released data.
+        ref_values = data_mod.rows_not_in(d_eval, d_target)
+        if len(ref_values) == 0:
+            raise SizeError(
+                "no reference records: every evaluation record appears in the training dataset"
+            )
+        fixed = None
+        if first.reference_mode == REFERENCE_FIXED and spec.kind != generators.TOY:
+            masters = [c.master_seed for c in configs]
+            picks = Streams(derive_many(masters, "reference")).integers(
+                len(ref_values), len(x_positions)
+            )
+            fixed = ref_values[picks]
+
+        def fit_rounds(secret, streams, seeds, game):
+            values = _model_seeded_sets(
+                d_target, x_positions, ref_values, secret, streams,
+                None if fixed is None else fixed[game],
+            )
+            return generators.fit_batch(spec, d_target.schema, values, seeds)
+
+        set_cells = d_target.values.size
+    if spec.kind == generators.TOY:
+        # A toy fit reads nothing of its set but whether x is in it, and
+        # both games put x there exactly when the round's bit is 1: the
+        # traditional pool holds no copy of x, appended only when b = 1,
+        # and model-seeded out-rounds replace every copy of x in d_target.
+        def toy_rounds(secret):
+            return generators.toy_fits(spec, secret)
+
+        return _play(configs, record_id, adversary, toy_rounds, threads, 0, data_tag=None)
+    return _play(configs, record_id, adversary, fit_rounds, threads, set_cells)
 
 
 def run_game(x, d_eval, d_target, adversary, config, record_id="", threads=1):
@@ -365,7 +442,8 @@ def run_traditional_mixture(
     per partial (the drawn partial's spec is used); by default every
     round uses ``config.generator_spec``.  At least two partials are
     required and none may contain x, and the specs are all toy or all
-    network kinds: one adversary scores every round.
+    network kinds: one adversary scores every round.  A grid of one game
+    (see ``run_games``).
     """
     if config.game_kind != TRADITIONAL:
         raise ConfigError(f"config is for {config.game_kind!r}, not traditional")
@@ -394,29 +472,32 @@ def run_traditional_mixture(
         # [drawn partial, bit] of every spec's two toy fits.
         probs = np.stack([generators.toy_fits(spec, [0, 1]) for spec in specs])
 
-        def fit_rounds(secret, streams, seeds):
+        def fit_rounds(secret, streams, seeds, game):
             return probs[streams.integers(len(partials), 1)[:, 0], secret]
 
-        return _execute(config, record_id, adversary, fit_rounds, threads, 0, "mixture")
+        set_cells = 0
+    else:
+        # Rounds that drew the same partial and bit train on the same
+        # rows, so each such group is fit as one batch of copies.
+        rows = {(j, 0): part.values for j, part in enumerate(partials)}
+        rows.update({(j, 1): np.vstack([part.values, [x]]) for j, part in enumerate(partials)})
 
-    # Rounds that drew the same partial and bit train on the same rows,
-    # so each such group is fit as one batch of copies.
-    rows = {(j, 0): part.values for j, part in enumerate(partials)}
-    rows.update({(j, 1): np.vstack([part.values, [x]]) for j, part in enumerate(partials)})
+        def fit_rounds(secret, streams, seeds, game):
+            keys = list(zip(streams.integers(len(partials), 1)[:, 0].tolist(), secret.tolist()))
+            gens = [None] * len(keys)
+            for key in dict.fromkeys(keys):
+                rounds = [i for i, k in enumerate(keys) if k == key]
+                values = np.repeat(rows[key][None], len(rounds), axis=0)
+                fitted = generators.fit_batch(specs[key[0]], schema, values, seeds[rounds])
+                for i, gen in zip(rounds, fitted):
+                    gens[i] = gen
+            return gens
 
-    def fit_rounds(secret, streams, seeds):
-        keys = list(zip(streams.integers(len(partials), 1)[:, 0].tolist(), secret.tolist()))
-        gens = [None] * len(keys)
-        for key in dict.fromkeys(keys):
-            rounds = [i for i, k in enumerate(keys) if k == key]
-            values = np.repeat(rows[key][None], len(rounds), axis=0)
-            fitted = generators.fit_batch(specs[key[0]], schema, values, seeds[rounds])
-            for i, gen in zip(rounds, fitted):
-                gens[i] = gen
-        return gens
-
-    set_cells = max(v.size for v in rows.values())
-    return _execute(config, record_id, adversary, fit_rounds, threads, set_cells, "mixture")
+        set_cells = max(v.size for v in rows.values())
+    (transcript,) = _play(
+        [config], record_id, adversary, fit_rounds, threads, set_cells, "mixture"
+    )
+    return transcript
 
 
 def toy_bit_adversary():

@@ -340,9 +340,10 @@ class _TableBatch:
 
     All networks share one schema.  Table ``t = b * d + c`` is column c
     of network b: its ``(n_combos[t], arity[t])`` cells are the block at
-    ``cell_start[t]`` of the flat ``counts`` and ``probs`` arrays, laid
-    out exactly as the per-column table raveled, and its rows are batch
-    rows ``row_start[t]`` onward.  A record falls in row ``row_start[t]``
+    ``cell_start[t]`` of the flat cell arrays (the counts that
+    ``estimate_tables`` and ``privatize_tables`` return, and ``probs``),
+    laid out exactly as the per-column table raveled, and its rows are
+    batch rows ``row_start[t]`` onward.  A record falls in row ``row_start[t]``
     plus ``sum_j value[parent_cols[b, c, j]] * combo_strides[b, c, j]``,
     the row-major parent combination ``ravel_multi_index`` computes;
     unused parent slots have stride 0.
@@ -369,15 +370,14 @@ class _TableBatch:
         self.row_start = _starts(self.n_combos)
         self.row_arity = np.repeat(self.arity, self.n_combos)
         self.row_first = _starts(self.row_arity)[:-1]
-        self.counts = None
         self.probs = None
         self._cumulative = None
 
     def set_counts(self, counts, overflow):
-        """Store the final cell counts and their normalized rows: each row
+        """Store the normalized rows of the final cell counts: each row
         divided by its total, or uniform if the total is zero.  A row whose
-        total is not finite raises FitError naming the cause, ``overflow``."""
-        self.counts = counts
+        total is not finite raises FitError naming the cause, ``overflow``.
+        The counts themselves are not kept."""
         with np.errstate(over="ignore"):
             totals = _segment_sums(counts, self.row_first, self.row_arity)
         if not np.isfinite(totals).all():

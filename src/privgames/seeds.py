@@ -30,7 +30,10 @@ partial) and ``Streams.permutations`` (every stream's first
 hashed words, as ``uint64`` array arithmetic over all streams, and give
 numpy's bits exactly.  The hash costs a few tens of microseconds per
 call whatever the batch size, and so do these draws, so draws for many
-items open their streams in one ``Streams``.
+items open their streams in one ``Streams``, across games too: a grid
+of games (``games.run_games``) hashes every game's bit seed in one, and
+each span of its rounds, which may cross game boundaries, hashes the
+span's data and release streams in one.
 A stream's seed is 64-bit, as ``derive`` makes it; any other raises
 DomainError.
 """

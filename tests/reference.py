@@ -205,8 +205,8 @@ def reference_sample_batch(gens, n, seeds):
 
 
 def _reference_play(config, record_id, adversary, x, round_dataset):
-    """``games._execute``, one round at a time: every seed from a scalar
-    ``derive``, every stream (the secret bits' too) from a fresh
+    """``games._play`` of one game, one round at a time: every seed from
+    a scalar ``derive``, every stream (the secret bits' too) from a fresh
     ``default_rng``, and round i's training set from
     ``round_dataset(b, run_seed)``, which returns it and its generator
     spec."""

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from privgames import attack, cli, corpora, data, games, generators, risk
+from privgames import attack, cli, corpora, data, games, generators, risk, seeds
 from privgames.config import load_experiment_config
 from privgames.errors import FitError, PrivGamesError, TrainingError
 from privgames.seeds import derive
@@ -136,13 +136,17 @@ def output_bodies(out):
 
 def use_reference_games(monkeypatch):
     """Play every game of a command through ``reference_run_game``, one
-    round at a time, each round's training set built on its own."""
+    round at a time, each round's training set built on its own: a
+    ``run_games`` grid config by config."""
     from reference import reference_run_game
 
-    def run_game(*args, threads=1, **kwargs):
-        return reference_run_game(*args, **kwargs)
+    def run_games(x, d_eval, d_target, adversary, configs, record_id="", threads=1):
+        return [
+            reference_run_game(x, d_eval, d_target, adversary, config, record_id)
+            for config in configs
+        ]
 
-    monkeypatch.setattr(games, "run_game", run_game)
+    monkeypatch.setattr(games, "run_games", run_games)
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_GENERATORS))
@@ -691,6 +695,63 @@ def test_toy_convergence_body_matches_reference_games(tmp_path, monkeypatch):
     assert bodies["batched"] == bodies["reference"]
 
 
+@pytest.mark.parametrize("threads", ["1", "8"])
+def test_baynet_convergence_body_matches_reference_games(tmp_path, monkeypatch, threads):
+    # A network record plays one grid per repetition and kind, and a span
+    # of 6 rounds (the largest game) fits the 4-round game's rounds and
+    # the first two of the next in one fit_batch; at 8 threads a span is
+    # one round.  The body is that of every game played alone, round by round,
+    # with every network fit and sampled by the per-network reference.
+    from reference import reference_fit_batch, reference_sample_batch
+
+    text = (
+        NETWORK_TEXT.replace("first:3", "ids:4,17")
+        + "\n[convergence]\ngrid = 4,6\nrepetitions = 2\n"
+    )
+    bodies = {}
+    for name in ("batched", "reference"):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text.format(out=tmp_path / name))
+        if name == "reference":
+            use_reference_games(monkeypatch)
+            monkeypatch.setattr(generators, "fit_batch", reference_fit_batch)
+            monkeypatch.setattr(
+                generators,
+                "sample_columns",
+                lambda gens, n, seeds: reference_sample_batch(gens, n, seeds).transpose(0, 2, 1),
+            )
+        assert cli.main(["convergence", "--config", str(path), "--threads", threads]) == 0
+        bodies[name] = body(tmp_path / name / "convergence.csv")
+    assert len(bodies["batched"].splitlines()) == 1 + 2 * 2 * 2
+    assert bodies["batched"] == bodies["reference"]
+
+
+def test_toy_convergence_hashes_round_streams_once_per_span(tmp_path, monkeypatch):
+    # The 2 x 5 toy games of a kind share one adversary, so they are one
+    # grid: one hash of the games' bit seeds, then 6 spans of at most 10
+    # rounds (the largest game), each hashing its release streams once.
+    # Played game by game, every game hashed its bit seed and its release
+    # streams on its own.
+    calls = []
+    real = seeds._seed_words
+
+    def spy(words):
+        calls.append(len(words))
+        return real(words)
+
+    monkeypatch.setattr(seeds, "_seed_words", spy)
+    path = tmp_path / "toy.ini"
+    text = TOY_TEMPLATE.replace("first:3", "first:1") + (
+        "\n[convergence]\ngrid = 2,4,6,8,10\nrepetitions = 2\n"
+    )
+    path.write_text(text.format(out=tmp_path / "toy"))
+    n_games = 2 * 5 * 2
+    assert cli.main(["convergence", "--config", str(path)]) == 0
+    assert len(calls) < n_games
+    # Per kind: the 10 games' bit seeds, then the spans' release streams.
+    assert calls[-14:] == [10, 10, 10, 10, 10, 10, 10] * 2
+
+
 def test_toy_convergence_builds_no_fitted_generator(tmp_path, monkeypatch):
     # A toy round's fit is its release probability: a whole toy
     # convergence command constructs no FittedGenerator.
@@ -853,14 +914,14 @@ def test_failed_record_is_left_out(tmp_path, monkeypatch, capsys, command, table
         text = AUDIT_TEMPLATE.format(out=out, selection="first:3")
     cfg_path.write_text(text)
 
-    real = games.run_game
+    real = games.run_games
 
     def failing(*args, record_id, **kwargs):
         if record_id == "1":
             raise PrivGamesError("induced failure")
         return real(*args, record_id=record_id, **kwargs)
 
-    monkeypatch.setattr(games, "run_game", failing)
+    monkeypatch.setattr(games, "run_games", failing)
     assert cli.main([command, "--config", str(cfg_path)]) == 1
     lines = open(out / table).read().splitlines()
     assert "status=partial" in lines[0]

@@ -619,7 +619,10 @@ def _mean_adversary(sampler):
     return adversary
 
 
-def _play(game, spec, threads, reference):
+def _world(game, spec, reference):
+    """The target, pools, partials, adversary and mixture specs of the
+    reference comparisons: the package's adversary, or the per-round
+    reference's."""
     import reference as ref
 
     schema = data.Schema(
@@ -649,6 +652,13 @@ def _play(game, spec, threads, reference):
             ref.reference_sample_batch if reference else generators.sample_columns
         )
         specs = [spec, generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=1, epsilon=3.0)]
+    return x, d_eval, d_target, partials, adversary, specs
+
+
+def _play(game, spec, threads, reference):
+    import reference as ref
+
+    x, d_eval, d_target, partials, adversary, specs = _world(game, spec, reference)
     traditional = game in ("traditional", "duplicates", "mixture")
     kind = games.TRADITIONAL if traditional else games.MODEL_SEEDED
     mode = games.REFERENCE_FIXED if game == "fixed" else games.REFERENCE_PER_RUN
@@ -683,6 +693,66 @@ def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batchin
     assert batched == _play(game, spec, threads, reference=True)
 
 
+@pytest.mark.parametrize("cap", ["one-round", "default", "whole-grid"])
+@pytest.mark.parametrize("game", ["traditional", "per_run", "fixed"])
+@pytest.mark.parametrize(
+    "spec",
+    [toy_spec(), generators.GeneratorSpec(generators.BAYNET, max_parents=2)],
+    ids=["toy", "baynet"],
+)
+def test_grid_transcripts_match_per_game_reference(monkeypatch, spec, game, cap):
+    # A grid plays its games' rounds in spans that cross game boundaries:
+    # at the default cap (the largest game, 10 rounds) a span holds the
+    # end of one game and the start of the next, and a network span fits
+    # them in one fit_batch.  Whatever the cap, each game's transcript is
+    # the bytes of that game played alone by the per-round reference.
+    import reference as ref
+
+    x, d_eval, d_target, _, adversary, _ = _world(game, spec, reference=False)
+    *_, ref_adversary, _ = _world(game, spec, reference=True)
+    kind = games.TRADITIONAL if game == "traditional" else games.MODEL_SEEDED
+    mode = games.REFERENCE_FIXED if game == "fixed" else games.REFERENCE_PER_RUN
+    n = d_target.n if kind == games.MODEL_SEEDED else 8
+    configs = [
+        games.GameConfig(n_eval, n, spec, seed, kind, reference_mode=mode)
+        for n_eval, seed in ((4, 31), (10, 32), (6, 33), (10, 34))
+    ]
+    spans = []
+    default = games._span_rounds
+
+    def span_rounds(largest, set_cells, threads):
+        size = {"one-round": 1, "whole-grid": 30}.get(cap) or default(largest, set_cells, threads)
+        spans.append(size)
+        return size
+
+    monkeypatch.setattr(games, "_span_rounds", span_rounds)
+    grid = games.run_games(x, d_eval, d_target, adversary, configs, record_id="7")
+    texts = [games.transcript_to_text(t) for t in grid]
+    assert spans == [{"one-round": 1, "default": 10, "whole-grid": 30}[cap]]
+    assert texts == [
+        games.transcript_to_text(
+            ref.reference_run_game(x, d_eval, d_target, ref_adversary, config, record_id="7")
+        )
+        for config in configs
+    ]
+
+
+def test_grid_refuses_games_that_differ_in_more_than_size_and_seed():
+    _, d_eval, d_target, config = toy_setup(n_eval=10)
+    for other in (
+        dataclasses.replace(config, game_kind=games.TRADITIONAL),
+        dataclasses.replace(config, reference_mode=games.REFERENCE_FIXED),
+        dataclasses.replace(config, generator_spec=toy_spec(0.7, 0.2)),
+    ):
+        with pytest.raises(ConfigError, match="differ only in n_eval and master_seed"):
+            games.run_games((1,), d_eval, d_target, blind_adversary, [config, other])
+    with pytest.raises(ConfigError, match="at least one game"):
+        games.run_games((1,), d_eval, d_target, blind_adversary, [])
+    grid = [config, dataclasses.replace(config, n_eval=4, master_seed=5)]
+    transcripts = games.run_games((1,), d_eval, d_target, blind_adversary, grid)
+    assert [len(t.runs) for t in transcripts] == [10, 4]
+
+
 NETWORK_SPEC = generators.GeneratorSpec(generators.INDEPENDENT)
 STREAM_CASES = [
     (games.MODEL_SEEDED, games.REFERENCE_FIXED, 0),
@@ -711,7 +781,8 @@ def test_data_streams_opened_only_for_rounds_that_draw(
     # round's data stream.  Per-run out-rounds read theirs through
     # Streams.integers, which builds no Generator; only traditional
     # rounds open one, for their pool draw.  Toy rounds build no set at
-    # all, so they read no data stream.
+    # all, so they read no data stream.  Besides these, the game opens one
+    # stream, for its secret bits' permutation.
     opens, words_read = [], []
 
     class CountingStreams(games.Streams):
@@ -738,10 +809,13 @@ def test_data_streams_opened_only_for_rounds_that_draw(
     _, d_eval, d_target, config = toy_setup(n_eval=40, kind=kind)
     config = dataclasses.replace(config, generator_spec=spec, reference_mode=mode)
     runs = games.run_game((1,), d_eval, d_target, blind_adversary, config, threads=threads).runs
-    assert len(opens) == opened
+    assert len(opens) == opened + 1
     expected = []
     if spec == NETWORK_SPEC and (kind, mode) == (games.MODEL_SEEDED, games.REFERENCE_PER_RUN):
         out_rounds = runs["run_seed"][runs["secret_bit"] == 0]
         expected = seeds.Streams(derive_many(out_rounds, "data"))._words.tolist()
         assert len(expected) == 20
+    if spec == NETWORK_SPEC and mode == games.REFERENCE_FIXED:
+        # The fixed references are the first integers of one stream.
+        expected = seeds.Streams(derive_many(config.master_seed, "reference"))._words.tolist()
     assert sorted(words_read) == sorted(map(tuple, expected))

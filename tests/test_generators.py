@@ -1,5 +1,6 @@
 
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,28 @@ def padded(parent_lists, depth):
     return out
 
 
+# The cell counts each table batch's ``set_counts`` normalized: the arrays
+# ``estimate_tables`` and ``privatize_tables`` returned.  A batch keeps
+# only its probabilities, so the tests record the counts on the way in.
+SET_COUNTS = weakref.WeakKeyDictionary()
+
+
+@pytest.fixture(autouse=True)
+def record_set_counts(monkeypatch):
+    real = generators._TableBatch.set_counts
+
+    def set_counts(batch, counts, overflow):
+        real(batch, counts, overflow)
+        SET_COUNTS[batch] = counts
+
+    monkeypatch.setattr(generators._TableBatch, "set_counts", set_counts)
+
+
+def flat_cells(batch, field):
+    """The batch's flat ``counts`` (as ``set_counts`` got them) or ``probs``."""
+    return SET_COUNTS[batch] if field == "counts" else getattr(batch, field)
+
+
 def table_batch(training, parents, smoothing, order=None):
     """A ``_TableBatch`` of one network with the given parent tuples,
     its counts from ``estimate_tables`` over ``training`` and normalized."""
@@ -59,14 +82,15 @@ def privatized(batch, epsilon, seed):
     ``derive(seed, "privatize-col", c)``, as a new normalized batch."""
     streams = Streams(derive_many(seed, "privatize-col", np.arange(batch.d)))
     noised = generators._TableBatch(batch.sizes, batch.orders, batch.parents)
-    noised.set_counts(generators.privatize_tables(batch, batch.counts, epsilon, streams), "")
+    counts = generators.privatize_tables(batch, SET_COUNTS[batch], epsilon, streams)
+    noised.set_counts(counts, "")
     return noised
 
 
 def tables(batch, b=0, field="probs"):
     """Network b's tables, column by column, as ``(rows, arity)`` views of
     the batch's flat ``counts`` or ``probs``."""
-    flat = getattr(batch, field)
+    flat = flat_cells(batch, field)
     return [
         flat[batch.cell_start[t] : batch.cell_start[t + 1]].reshape(-1, batch.arity[t])
         for t in range(b * batch.d, (b + 1) * batch.d)
@@ -80,7 +104,7 @@ def assert_same_tables(batch, b, reference_tables):
     lo, hi = batch.cell_start[b * batch.d], batch.cell_start[(b + 1) * batch.d]
     for field in ("counts", "probs"):
         want = np.concatenate([getattr(cpt, field).ravel() for cpt in reference_tables])
-        assert getattr(batch, field)[lo:hi].tobytes() == want.tobytes()
+        assert flat_cells(batch, field)[lo:hi].tobytes() == want.tobytes()
 
 
 def assert_same_network(gen, ref):
@@ -187,8 +211,9 @@ def test_marginal_estimate_without_smoothing():
 def test_smoothing_shifts_counts():
     ds = data.Dataset(ordered_schema(2), [[0], [0], [0], [1]])
     batch = table_batch(ds, [()], smoothing=1.0)
-    assert batch.counts.tolist() == [4.0, 2.0]
+    assert SET_COUNTS[batch].tolist() == [4.0, 2.0]
     assert batch.probs.tolist() == [4 / 6, 2 / 6]
+    assert not hasattr(batch, "counts")  # a fitted batch keeps only its probabilities
 
 
 def test_unseen_parent_combo_falls_back_to_uniform():
