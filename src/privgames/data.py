@@ -323,24 +323,22 @@ def load_csv(path, hints=None):
             raise CsvParseError(f"{path}: the schema names column {name!r}, not in the header")
     columns = []
     values = np.empty((n, d), dtype=np.int64)
-    for j, name in enumerate(header):
+    by_column = list(zip(*rows)) or [()] * d
+    for j, (name, raw) in enumerate(zip(header, by_column)):
         hint = hints.get(name, ColumnHint())
-        raw = [row[j] for row in rows]
         if hint.kind == CATEGORICAL:
+            # Codes in first-appearance order: a new label gets the next.
             index = {}
-            labels = []
-            for i, v in enumerate(raw):
-                if v not in index:
-                    index[v] = len(labels)
-                    labels.append(v)
-                values[i, j] = index[v]
-            size = max(len(labels), 1)
-            labels = tuple(labels) if labels else ("",)
-            columns.append(Column(name, CATEGORICAL, size, labels))
+            values[:, j] = [index.setdefault(v, len(index)) for v in raw]
+            columns.append(Column(name, CATEGORICAL, max(len(index), 1), tuple(index) or ("",)))
         elif hint.kind == ORDERED:
             if hint.levels is not None and hint.levels < 1:
                 raise DomainError(f"column {name!r}: levels must be >= 1")
-            ints = [_parse_int(path, i + 2, name, v) for i, v in enumerate(raw)]
+            try:
+                ints = list(map(int, raw))
+            except ValueError:
+                # Parse cell by cell only to name the first bad one.
+                ints = [_parse_int(path, i + 2, name, v) for i, v in enumerate(raw)]
             top = max(ints, default=-1)
             if min(ints, default=0) < 0:
                 raise DomainError(f"{path}: column {name!r} has negative levels")

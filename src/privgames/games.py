@@ -28,13 +28,15 @@ derives its rounds' run, data, fit and adversary seeds in one
 ``seeds.derive_many`` call each, hashes its data seeds through one
 ``seeds.Streams``, builds its training sets as one ``(B, n, d)`` int64
 array, fits them in one ``generators.fit_batch`` call and scores them in
-one adversary call.  A span holds at most the rounds of the grid's
-largest game, a ``threads``-th of them with ``threads > 1`` (a window of
-``threads`` spans then runs in a thread pool), and for networks at most
-``generators.batch_size`` training sets: no array outgrows what the
-largest game builds alone.  Each game's transcript, one ``RUN_DTYPE``
-array of (secret bit, score, run seed) rows, is yielded once its last
-span is scored, the same bytes whatever the spans.
+one adversary call.  A span holds at most a ``threads``-th of the
+grid's rounds (a window of ``threads`` spans then runs in a thread pool)
+and at most ``generators.batch_size`` rounds of a round's weight: its
+training set's cells plus the ``ROUND_ELEMENTS`` its seeds, hashed
+streams and per-round arrays hold.  So a span stays within the batch
+budget like every other batched stage, however large its games.  Each
+game's transcript, one ``RUN_DTYPE`` array of (secret bit, score, run
+seed) rows, is yielded once its last span is scored, the same bytes
+whatever the spans.
 
 Traditional rounds gather their pool draws in one pass
 (``data.sample_training_sets``), model-seeded rounds copy ``d_target``
@@ -82,6 +84,15 @@ GAME_KINDS = (TRADITIONAL, MODEL_SEEDED)
 TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed"
 # One row of a transcript; a uint64 holds every derived seed.
 RUN_DTYPE = np.dtype([("secret_bit", np.int64), ("score", np.float64), ("run_seed", np.uint64)])
+
+# Array elements a span holds per round at its peak, besides the round's
+# training set.  The peak is a toy span's, in ``seeds._outputs`` of its
+# release streams: the run seeds, adversary seeds and release
+# probabilities (3), the streams' hashed words (4) and at most nine
+# (2, n, 1) limbs of ``_outputs`` (18) are live, 3 + 4 + 18 = 25.
+# Hashing the streams (``seeds._seed_words``) peaks lower, and a network
+# round's seeds, data streams and draws hold fewer.
+ROUND_ELEMENTS = 25
 
 REFERENCE_PER_RUN = "per_run"
 REFERENCE_FIXED = "fixed"
@@ -155,10 +166,11 @@ def _shuffled_bits(n_eval, stream):
     return stream.permutation(bits)
 
 
-def _span_rounds(largest, set_cells, threads):
-    """Rounds per span: a ``threads``-th of the largest game's, and no more
-    training sets of ``set_cells`` values than ``generators.batch_size``."""
-    return min(generators.batch_size(set_cells), -(-largest // threads))
+def _span_rounds(total, set_cells, threads):
+    """Rounds per span: a ``threads``-th of the grid's ``total``, and no
+    more rounds than ``generators.batch_size`` holds of a round's weight,
+    its training set's ``set_cells`` plus ``ROUND_ELEMENTS``."""
+    return min(generators.batch_size(set_cells + ROUND_ELEMENTS), -(-total // threads))
 
 
 def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_tag="data"):
@@ -172,7 +184,8 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
     fits, round i fit with ``seeds[i]``; ``streams[i]`` is round i's data
     stream, opened only by rounds that draw, and ``game[i]`` the index
     in ``configs`` of its game.  A training set holds at most
-    ``set_cells`` values.  With ``data_tag`` None the rounds draw
+    ``set_cells`` values, and a span holds ``_span_rounds`` rounds, within
+    the batch budget.  With ``data_tag`` None the rounds draw
     nothing: ``fit_rounds(secret)`` returns their fits from the bits
     alone, and no data or fit seed is derived."""
     kind = configs[0].game_kind
@@ -183,7 +196,7 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
     # Only a master seed's low 64 bits count, as in ``derive``.
     masters = np.array([int(c.master_seed) % 2**64 for c in configs], dtype=np.uint64)
     bit_streams = Streams(derive_many(masters, "bits"))
-    size = _span_rounds(int(sizes.max()), set_cells, threads)
+    size = _span_rounds(total, set_cells, threads)
     started = {}  # game -> its runs, from its first span to its last
 
     def span_fits(lo, hi, pieces):

@@ -30,8 +30,9 @@ def _sorted_classes(transcript):
     """The transcript's out-run and in-run scores, each sorted.  Raises
     UndefinedRateError if a class is empty, DomainError on a non-finite
     score."""
-    bits, scores = transcript.runs["secret_bit"], transcript.runs["score"]
-    out_sorted, in_sorted = np.sort(scores[bits == 0]), np.sort(scores[bits == 1])
+    scores = transcript.runs["score"]
+    member = transcript.runs["secret_bit"] == 1
+    out_sorted, in_sorted = np.sort(scores[~member]), np.sort(scores[member])
     if len(out_sorted) == 0 or len(in_sorted) == 0:
         raise UndefinedRateError(
             f"transcript has {len(out_sorted)} out-runs and {len(in_sorted)} in-runs; "
@@ -71,7 +72,10 @@ def roc_auc(transcript):
     and 0.5 per tie, and of the mid-rank formula.
     """
     out_sorted, in_sorted = _sorted_classes(transcript)
-    twice_u = sum(np.searchsorted(out_sorted, in_sorted, side).sum() for side in ("left", "right"))
+    twice_u = (
+        np.searchsorted(out_sorted, in_sorted, "left").sum()
+        + np.searchsorted(out_sorted, in_sorted, "right").sum()
+    )
     return float(twice_u / 2 / (len(out_sorted) * len(in_sorted)))
 
 

@@ -64,6 +64,12 @@ def fnv1a64(data):
     return h
 
 
+@functools.lru_cache(maxsize=1024)
+def _tag_hash(tag):
+    """``fnv1a64`` of a purpose tag's UTF-8 bytes, hashed once per tag."""
+    return fnv1a64(tag.encode("utf-8"))
+
+
 def derive(seed, tag, index=0):
     """Derive the sub-seed of ``seed`` for the purpose named ``tag``.
 
@@ -82,8 +88,7 @@ def derive(seed, tag, index=0):
         A 64-bit seed: ``splitmix64(splitmix64(splitmix64(seed) ^
         fnv1a64(tag)) ^ index)``.
     """
-    tag_hash = fnv1a64(tag.encode("utf-8"))
-    return splitmix64(splitmix64(splitmix64(seed & _MASK) ^ tag_hash) ^ (index & _MASK))
+    return splitmix64(splitmix64(splitmix64(seed & _MASK) ^ _tag_hash(tag)) ^ (index & _MASK))
 
 
 def _seed_array(seeds):
@@ -134,7 +139,7 @@ def derive_many(seed, tag, indices=0):
     masked scalar version does.
     """
     z = _splitmix64_array(np.array(_seed_array(seed), ndmin=1))
-    z = _splitmix64_array(z ^ _u64(fnv1a64(tag.encode("utf-8"))))
+    z = _splitmix64_array(z ^ _u64(_tag_hash(tag)))
     return _splitmix64_array(z ^ _seed_array(indices))
 
 
@@ -200,7 +205,8 @@ def _hashmix(value, consts):
 
 def _seed_words(seeds):
     """``SeedSequence(s).generate_state(4, np.uint64)`` of every seed of a
-    1-D ``uint64`` array, as a C-contiguous ``(n, 4)`` ``uint64`` array."""
+    1-D ``uint64`` array, as a C-contiguous ``(n, 4)`` little-endian
+    ``uint64`` array."""
     pool = np.zeros((_POOL, len(seeds)), dtype=np.uint32)
     pool[0] = seeds  # the low word: assignment truncates
     pool[1] = seeds >> _S32
@@ -214,8 +220,12 @@ def _seed_words(seeds):
         pool -= h
         pool ^= pool >> _S16
         pool[src] = keep
-    out = _hashmix(pool, _OUTPUT).reshape(2 * _POOL, -1).astype(np.uint64)
-    return np.ascontiguousarray((out[0::2] | out[1::2] << _S32).T)
+    out = _hashmix(pool, _OUTPUT).reshape(2 * _POOL, -1)
+    # Word k is output halves 2k (low) and 2k + 1 (high): one row of eight
+    # little-endian uint32 values per seed, read as four uint64 values.
+    words = np.empty((len(seeds), 2 * _POOL), dtype="<u4")
+    words[:] = out.T
+    return words.view("<u8")
 
 
 class _HashedSeed(ISeedSequence):
@@ -278,14 +288,23 @@ def _outputs(words, count):
     np.add(words[:, 1:2], lo[1], out=lo[0])
     hi[0] = words[:, :1] + hi[1] + (lo[0] < lo[1])
     # Both products modulo 2**128 at once, the low limbs' full 128-bit
-    # product from 32-bit halves.
+    # product from 32-bit halves.  Sums accumulate in place and limbs are
+    # dropped once read, so at most nine (2, n, count) arrays are live.
     c_hi, c_lo1, c_lo0, c_lo = _jumps(count)
     lo1, lo0 = lo >> _S32, lo & _LO32
     cross1, cross0 = c_lo0 * lo1, c_lo1 * lo0
-    mid = (c_lo0 * lo0 >> _S32) + (cross1 & _LO32) + (cross0 & _LO32)
-    p_hi = c_lo1 * lo1 + (cross1 >> _S32) + (cross0 >> _S32) + (mid >> _S32)
-    p_hi += c_hi * lo + c_lo * hi
+    mid = c_lo0 * lo0 >> _S32
+    mid += cross1 & _LO32
+    mid += cross0 & _LO32
+    p_hi = c_lo1 * lo1
+    p_hi += cross1 >> _S32
+    p_hi += cross0 >> _S32
+    p_hi += mid >> _S32
+    del lo1, lo0, cross1, cross0, mid
+    p_hi += c_hi * lo
+    p_hi += c_lo * hi
     p_lo = c_lo * lo
+    del hi, lo
     # The sum of the two, then the XSL-RR output.
     out_lo = p_lo[0] + p_lo[1]
     out_hi = p_hi[0] + p_hi[1] + (out_lo < p_lo[1])

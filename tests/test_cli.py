@@ -697,11 +697,12 @@ def test_toy_convergence_body_matches_reference_games(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["1", "8"])
 def test_baynet_convergence_body_matches_reference_games(tmp_path, monkeypatch, threads):
-    # A network record plays one grid per repetition and kind, and a span
-    # of 6 rounds (the largest game) fits the 4-round game's rounds and
-    # the first two of the next in one fit_batch; at 8 threads a span is
-    # one round.  The body is that of every game played alone, round by round,
-    # with every network fit and sampled by the per-network reference.
+    # A network record plays one grid per repetition and kind, and one
+    # span of 10 rounds (the whole grid) fits the rounds of the 4- and the
+    # 6-round game in one fit_batch; at 8 threads a span is two rounds,
+    # and one window of spans plays both games.  The body is that of
+    # every game played alone, round by round, with every network fit and
+    # sampled by the per-network reference.
     from reference import reference_fit_batch, reference_sample_batch
 
     text = (
@@ -728,10 +729,10 @@ def test_baynet_convergence_body_matches_reference_games(tmp_path, monkeypatch, 
 
 def test_toy_convergence_hashes_round_streams_once_per_span(tmp_path, monkeypatch):
     # The 2 x 5 toy games of a kind share one adversary, so they are one
-    # grid: one hash of the games' bit seeds, then 6 spans of at most 10
-    # rounds (the largest game), each hashing its release streams once.
-    # Played game by game, every game hashed its bit seed and its release
-    # streams on its own.
+    # grid: one hash of the games' bit seeds, then one span of the whole
+    # 60-round grid (far below a toy span's batch budget), which hashes
+    # its release streams once.  Played game by game, every game hashed
+    # its bit seed and its release streams on its own.
     calls = []
     real = seeds._seed_words
 
@@ -749,7 +750,7 @@ def test_toy_convergence_hashes_round_streams_once_per_span(tmp_path, monkeypatc
     assert cli.main(["convergence", "--config", str(path)]) == 0
     assert len(calls) < n_games
     # Per kind: the 10 games' bit seeds, then the spans' release streams.
-    assert calls[-14:] == [10, 10, 10, 10, 10, 10, 10] * 2
+    assert calls[-4:] == [10, 60] * 2
 
 
 def test_toy_convergence_builds_no_fitted_generator(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -693,7 +694,7 @@ def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batchin
     assert batched == _play(game, spec, threads, reference=True)
 
 
-@pytest.mark.parametrize("cap", ["one-round", "default", "whole-grid"])
+@pytest.mark.parametrize("cap", ["one-round", "seven", "default", "whole-grid"])
 @pytest.mark.parametrize("game", ["traditional", "per_run", "fixed"])
 @pytest.mark.parametrize(
     "spec",
@@ -702,10 +703,11 @@ def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batchin
 )
 def test_grid_transcripts_match_per_game_reference(monkeypatch, spec, game, cap):
     # A grid plays its games' rounds in spans that cross game boundaries:
-    # at the default cap (the largest game, 10 rounds) a span holds the
-    # end of one game and the start of the next, and a network span fits
-    # them in one fit_batch.  Whatever the cap, each game's transcript is
-    # the bytes of that game played alone by the per-round reference.
+    # spans of 7 rounds hold the end of one game and the start of the
+    # next, and a network span fits them in one fit_batch.  These rounds
+    # are light, so the default span holds the whole 30-round grid.
+    # Whatever the cap, each game's transcript is the bytes of that game
+    # played alone by the per-round reference.
     import reference as ref
 
     x, d_eval, d_target, _, adversary, _ = _world(game, spec, reference=False)
@@ -720,21 +722,55 @@ def test_grid_transcripts_match_per_game_reference(monkeypatch, spec, game, cap)
     spans = []
     default = games._span_rounds
 
-    def span_rounds(largest, set_cells, threads):
-        size = {"one-round": 1, "whole-grid": 30}.get(cap) or default(largest, set_cells, threads)
+    def span_rounds(total, set_cells, threads):
+        caps = {"one-round": 1, "seven": 7, "whole-grid": 30}
+        size = caps.get(cap) or default(total, set_cells, threads)
         spans.append(size)
         return size
 
     monkeypatch.setattr(games, "_span_rounds", span_rounds)
     grid = games.run_games(x, d_eval, d_target, adversary, configs, record_id="7")
     texts = [games.transcript_to_text(t) for t in grid]
-    assert spans == [{"one-round": 1, "default": 10, "whole-grid": 30}[cap]]
+    assert spans == [{"one-round": 1, "seven": 7, "default": 30, "whole-grid": 30}[cap]]
     assert texts == [
         games.transcript_to_text(
             ref.reference_run_game(x, d_eval, d_target, ref_adversary, config, record_id="7")
         )
         for config in configs
     ]
+
+
+def test_toy_game_larger_than_a_span_stays_within_the_batch_budget(monkeypatch):
+    # A toy round builds no training set, so a span holds as many rounds
+    # as fit in the batch budget at ROUND_ELEMENTS each: an 8,000-round
+    # game plays in spans of batch_size(ROUND_ELEMENTS) rounds.  Its traced
+    # peak is its transcript rows plus one span's arrays and 64 KiB of
+    # small objects; one span of all 8,000 rounds would need about 1.1 MB
+    # more.  The bytes are those of 1-round spans.
+    _, d_eval, d_target, config = toy_setup(n_eval=8000)
+    adversary = games.toy_bit_adversary()
+    size = generators.batch_size(games.ROUND_ELEMENTS)
+    spans = []
+    toy_fits = generators.toy_fits
+
+    def spy(spec, members):
+        spans.append(len(members))
+        return toy_fits(spec, members)
+
+    monkeypatch.setattr(generators, "toy_fits", spy)
+    games.run_game((1,), d_eval, d_target, adversary, config)  # fills the lru caches
+    spans.clear()
+    tracemalloc.start()
+    try:
+        played = games.run_game((1,), d_eval, d_target, adversary, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spans == [size] * (8000 // size) + [8000 % size]
+    assert peak <= games.RUN_DTYPE.itemsize * 8000 + 8 * games.ROUND_ELEMENTS * size + 65536
+    monkeypatch.setattr(games, "_span_rounds", lambda total, set_cells, threads: 1)
+    alone = games.run_game((1,), d_eval, d_target, adversary, config)
+    assert games.transcript_to_text(played) == games.transcript_to_text(alone)
 
 
 def test_grid_refuses_games_that_differ_in_more_than_size_and_seed():
