@@ -75,7 +75,7 @@ import numpy as np
 from . import data as data_mod
 from . import generators
 from .errors import ConfigError, PreconditionError, SizeError
-from .seeds import Streams, derive_many, rng
+from .seeds import Streams, derive_many
 
 TRADITIONAL = "traditional"
 MODEL_SEEDED = "model_seeded"
@@ -153,19 +153,6 @@ class GameTranscript:
         self.runs.flags.writeable = False
 
 
-def balanced_bits(n_eval, seed):
-    """Exactly n_eval/2 ones and zeros, in seeded random order."""
-    return _shuffled_bits(n_eval, rng(seed))
-
-
-def _shuffled_bits(n_eval, stream):
-    """Exactly n_eval/2 ones and zeros, in the order of the first
-    permutation the Generator ``stream`` draws."""
-    bits = np.zeros(n_eval, dtype=np.int64)
-    bits[: n_eval // 2] = 1
-    return stream.permutation(bits)
-
-
 def _span_rounds(total, set_cells, threads):
     """Rounds per span: a ``threads``-th of the grid's ``total``, and no
     more rounds than ``generators.batch_size`` holds of a round's weight,
@@ -232,8 +219,10 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
             window = range(lo, min(lo + size * threads, total), size)
             his = [min(a + size, total) for a in window]
             while opened < len(configs) and firsts[opened] < his[-1]:
-                started[opened] = np.empty(sizes[opened], dtype=RUN_DTYPE)
-                started[opened]["secret_bit"] = _shuffled_bits(sizes[opened], bit_streams[opened])
+                # numpy's permutation shuffles a copy: shuffle the bits in place.
+                runs = started[opened] = np.zeros(sizes[opened], dtype=RUN_DTYPE)
+                runs["secret_bit"][: sizes[opened] // 2] = 1
+                bit_streams[opened].shuffle(runs["secret_bit"])
                 opened += 1
             list(run(play, window, his))  # re-raises a span's error
             while done < opened and ends[done] <= his[-1]:

@@ -24,10 +24,10 @@ chunk of networks are flat arrays of one ``_TableBatch``.  Each network
 gets exactly the bits of the per-network definitions in
 ``tests/reference.py`` (``reference_mutual_information`` per column
 pair, a ``ravel_multi_index`` count per column, ancestral sampling
-column by column).  A pair's MI terms and a table row's cells are
-contiguous runs, and each kind is summed by one ``_segment_sums`` call
-over the batch, in numpy's own order.  The per-network seeds of a batch
-come from ``seeds.derive_many``, and its random streams (Laplace
+column by column).  Pair MI terms, table row totals and pair marginals
+are each one ``_segment_sums`` call over the batch, in numpy's order,
+which only ``_segment_groups`` encodes.  The per-network seeds of a
+batch come from ``seeds.derive_many``, and its random streams (Laplace
 noise, sampling uniforms) are opened once per batch call by
 ``seeds.Streams``, a single network's as a ``Streams`` of one.  A
 network's visit order is the first ``permutation(d)`` of its structure
@@ -136,26 +136,64 @@ def _concat(parts):
 _PAIRWISE = 8
 
 
+def _segment_groups(starts, lengths, steps=1):
+    """Group segments by how numpy sums them, for ``_segment_sums``.
+
+    Segment i is the ``lengths[i]`` cells from ``starts[i]``, ``steps[i]``
+    apart.  numpy sums a contiguous one (step 1) of ``_PAIRWISE`` cells or
+    more pairwise, and any other left to right.  One ``argsort`` of the
+    lengths, negated where left to right, groups them: a group is its
+    segments, their cells as a ``(k, L)`` gather if pairwise or ``(L, k)``
+    if not, and the rule.  A lone left-to-right segment is gathered twice,
+    as numpy would sum a gather of one pairwise.  Empty ones are in none.
+    """
+    if not len(lengths):
+        return []
+    steps = np.asarray(steps)
+    key = np.where((steps == 1) & (lengths >= _PAIRWISE), lengths, -lengths)
+    order = np.argsort(key)
+    ordered = key[order]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    groups = []
+    for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+        sel, k = order[lo:hi], int(ordered[lo])
+        if k > 0:
+            groups.append((sel, starts[sel, None] + np.arange(k), True))
+        elif k:
+            sel = np.repeat(sel, 2) if len(sel) == 1 else sel
+            step = steps[sel] if steps.ndim else steps
+            groups.append((sel, np.arange(-k)[:, None] * step + starts[sel], False))
+    return groups
+
+
+def _segment_sums(cells, groups, count):
+    """numpy's sum of each of ``count`` segments of ``cells`` along axis 0,
+    bit for bit, from their ``_segment_groups``: ``(count,)`` sums of
+    ``(C,)`` cells, ``(count, B)`` of ``(C, B)``; one in no group is 0.0."""
+    sums = np.zeros((count, *cells.shape[1:]))
+    for sel, gather, pairwise in groups:
+        taken = cells.take(gather, axis=0)
+        if pairwise:
+            # numpy sums pairwise only along a contiguous last axis.
+            sums[sel] = np.ascontiguousarray(taken.swapaxes(1, -1)).sum(axis=-1)
+        else:
+            sums[sel] = taken.sum(axis=0)
+    return sums
+
+
 class _PairPlan:
     """Index plan for the joint tables of every ordered column pair.
 
     Ordered pair ``p = (a, b)`` owns the row-major ``(sizes[a], sizes[b])``
     block at ``bounds[p]`` of one flat table, so a single ``bincount``
     counts every pair.  The marginals live in one flat vector: pair p's
-    row sums (``pa``) then its column sums (``pb``).  They are reduced
-    the way ``joint.sum(axis=1)`` / ``joint.sum(axis=0)`` reduce one
-    block, which is what makes the MI values bit-identical to the
-    per-pair definition, ``reference_mutual_information`` in
-    ``tests/reference.py``.  numpy folds a block's columns down axis 0,
-    left to right; a row is a contiguous run, summed left to right
-    while it is shorter than ``_PAIRWISE`` cells and pairwise from
-    there on, and so is the lone column of an ``(A, 1)`` block.  So:
-
-    * ``folds``: the sums numpy takes left to right, grouped by length
-      L as ``(L, k)`` cell gathers, each summed down its L axis;
-    * ``runs``: the contiguous runs of ``_PAIRWISE`` cells or more,
-      grouped by length L as ``(k, L)`` cell gathers, each reduced along
-      its last axis, the same pairwise sum numpy runs per row.
+    row sums (``pa``) then its column sums (``pb``).  A row is a block's
+    contiguous run of ``sizes[b]`` cells and a column its ``sizes[a]``
+    cells ``sizes[b]`` apart; ``marg_groups`` groups these ``nmarg``
+    segments once per schema, so ``_segment_sums`` reduces them as
+    ``joint.sum(axis=1)`` / ``joint.sum(axis=0)`` reduce one block.  That
+    makes the MI values bit-identical to the per-pair definition,
+    ``reference_mutual_information`` in ``tests/reference.py``.
 
     ``bounds[p]:bounds[p + 1]`` are the cell bounds of pair p; every
     cell also knows its row-sum and column-sum slots in the marginals.
@@ -168,36 +206,21 @@ class _PairPlan:
         self.b_cols = np.array([b for _, b in pairs], dtype=np.int64)
         self.b_sizes = np.array([sizes[b] for _, b in pairs], dtype=np.int64)
         bounds = [0]
-        nmarg = 0
+        segments = []  # (start, length, step) of each marginal, by slot
         cell_row, cell_col = [], []
-        folds, runs = {}, {}  # length -> ([cells per sum], [marginal slots])
         for a, b in pairs:
             sa, sb = sizes[a], sizes[b]
-            block = bounds[-1] + np.arange(sa * sb, dtype=np.int64).reshape(sa, sb)
-            ra = nmarg + np.arange(sa, dtype=np.int64)
-            cb = nmarg + sa + np.arange(sb, dtype=np.int64)
-            nmarg += sa + sb
-            cell_row.append(np.repeat(ra, sb))
-            cell_col.append(np.tile(cb, sa))
-            rows = runs if sb >= _PAIRWISE else folds
-            cols = runs if sb == 1 and sa >= _PAIRWISE else folds
-            for group, cells, slots in ((rows, block, ra), (cols, block.T, cb)):
-                entry = group.setdefault(cells.shape[1], ([], []))
-                entry[0].append(cells)
-                entry[1].append(slots)
+            cell_row.append(np.repeat(len(segments) + np.arange(sa, dtype=np.int64), sb))
+            cell_col.append(np.tile(len(segments) + sa + np.arange(sb, dtype=np.int64), sa))
+            segments += [(bounds[-1] + i * sb, sb, 1) for i in range(sa)]
+            segments += [(bounds[-1] + j, sa, sb) for j in range(sb)]
             bounds.append(bounds[-1] + sa * sb)
         self.ncells = bounds[-1]
         self.bounds = np.array(bounds, dtype=np.int64)
-        self.nmarg = nmarg
+        self.nmarg = len(segments)
         self.cell_row = _concat(cell_row)
         self.cell_col = _concat(cell_col)
-        self.folds = [
-            (np.ascontiguousarray(np.concatenate(cells).T), np.concatenate(slots))
-            for cells, slots in folds.values()
-        ]
-        self.runs = [
-            (np.concatenate(cells), np.concatenate(slots)) for cells, slots in runs.values()
-        ]
+        self.marg_groups = _segment_groups(*np.array(segments, dtype=np.int64).reshape(-1, 3).T)
 
 
 # A plan depends only on the column sizes, so it is built at the first fit
@@ -234,14 +257,9 @@ def _pair_information(values, plan, reads):
     that slice, the same sum the per-pair definition
     (``reference_mutual_information`` in ``tests/reference.py``) takes.
 
-    Marginals are reduced as the plan describes, every network's at
-    once, into a slot-major ``(plan.nmarg, B)`` array.  A fold group is
-    an ``(L, k, B)`` take of the cell-major joint, summed down axis 0:
-    ``np.take`` lays it out in C order, so numpy adds its k * B sums
-    elementwise, row after row (a fold group of ``_PAIRWISE`` cells or
-    more holds two or more columns of one block, so it never sums a
-    single contiguous run).  A run group is a ``(B, k, L)`` take of the
-    network-major joint, reduced along its last, contiguous axis.
+    Every network's marginals come from one ``_segment_sums`` of the
+    cell-major ``(plan.ncells, B)`` joint over the plan's groups, a
+    slot-major ``(plan.nmarg, B)`` array.
     """
     batch = values.reshape(-1, *values.shape[-2:])
     nets, n, d = batch.shape
@@ -255,13 +273,8 @@ def _pair_information(values, plan, reads):
     codes += (net_cells[net] + plan.bounds[pair])[:, None]
     joint = np.bincount(codes.ravel(), minlength=nets * width).astype(float)
     joint /= n
-    by_net = joint.reshape(nets, width)
-    by_cell = np.ascontiguousarray(by_net.T)
-    marg = np.empty((plan.nmarg, nets))
-    for gather, slots in plan.folds:
-        marg[slots] = np.take(by_cell, gather, axis=0).sum(axis=0)
-    for gather, slots in plan.runs:
-        marg[slots] = np.take(by_net, gather, axis=1).sum(axis=2).T
+    by_cell = np.ascontiguousarray(joint.reshape(nets, width).T)
+    marg = _segment_sums(by_cell, plan.marg_groups, plan.nmarg)
     nz = np.flatnonzero(joint)
     pj = joint[nz]
     net, cell = np.divmod(nz, width)
@@ -271,29 +284,6 @@ def _pair_information(values, plan, reads):
     terms = pj * np.log(pj / (pa * pb))
     bounds = np.searchsorted(nz, net_cells[:, None] + plan.bounds)
     return terms, bounds.reshape(*values.shape[:-2], len(plan.bounds))
-
-
-def _segment_sums(flat, starts, lengths):
-    """``np.add.reduce(flat[s : s + L])`` of every segment, bit for bit; an
-    empty segment sums to 0.0.
-
-    Segments are grouped by length with one ``argsort``.  A group shorter
-    than ``_PAIRWISE`` is an ``(L, k)`` gather folded down axis 0, the
-    left-to-right sum numpy takes of a short run; a longer one is a
-    ``(k, L)`` gather reduced along its last axis, numpy's pairwise sum of
-    one run.
-    """
-    sums = np.zeros(len(lengths))
-    order = np.argsort(lengths)
-    ordered = lengths[order]
-    firsts = np.flatnonzero(np.diff(ordered, prepend=-1)).tolist()
-    for lo, hi, length in zip(firsts, firsts[1:] + [len(order)], ordered[firsts].tolist()):
-        sel = order[lo:hi]
-        if length >= _PAIRWISE:
-            sums[sel] = flat[starts[sel, None] + np.arange(length)].sum(axis=1)
-        elif length:
-            sums[sel] = flat[np.arange(length)[:, None] + starts[sel]].sum(axis=0)
-    return sums
 
 
 def learn_structure(values, sizes, max_parents, orders, mi_floor):
@@ -319,8 +309,8 @@ def learn_structure(values, sizes, max_parents, orders, mi_floor):
     step = np.argsort(orders, axis=1)  # the step that visits each column
     reads = step[:, plan.a_cols] > step[:, plan.b_cols]
     terms, bounds = _pair_information(values, plan, reads)
-    mi = _segment_sums(terms, bounds[:, :-1].ravel(), np.diff(bounds).ravel())
-    mi = mi.reshape(reads.shape)
+    groups = _segment_groups(bounds[:, :-1].ravel(), np.diff(bounds).ravel())
+    mi = _segment_sums(terms, groups, reads.size).reshape(reads.shape)
     key = np.full((nets, d, d), np.inf)
     key[:, plan.a_cols, plan.b_cols] = np.where(reads & (mi >= mi_floor), -mi, np.inf)
     ranked = np.argsort(key, axis=2, kind="stable")
@@ -379,7 +369,8 @@ class _TableBatch:
         total is not finite raises FitError naming the cause, ``overflow``.
         The counts themselves are not kept."""
         with np.errstate(over="ignore"):
-            totals = _segment_sums(counts, self.row_first, self.row_arity)
+            groups = _segment_groups(self.row_first, self.row_arity)
+            totals = _segment_sums(counts, groups, len(self.row_arity))
         if not np.isfinite(totals).all():
             raise FitError(f"a table row's total is not finite: {overflow}")
         totals = np.repeat(totals, self.row_arity)
@@ -549,7 +540,9 @@ def fit_batch(spec, schema, values, seeds):
         pair_cells = _pair_plan(schema.sizes).ncells
         # Structure chunks are weighed at n codes per ordered pair, though
         # only half the pairs are counted: wider chunks raise peak memory.
-        for lo, hi in _spans([n * d * max(d - 1, 1)] * len(values)):
+        size = batch_size(n * d * max(d - 1, 1))
+        for lo in range(0, len(values), size):
+            hi = min(lo + size, len(values))
             try:
                 parents[lo:hi] = learn_structure(
                     values[lo:hi], schema.sizes, spec.max_parents, orders[lo:hi], spec.mi_floor
@@ -627,8 +620,9 @@ def sample_columns(gens, n, seeds):
     for idx in groups.values():
         batch = gens[idx[0]].packed[0]
         widest = int(batch.sizes.max())
-        for lo, hi in _spans([n * (widest + 2 * batch.d)] * len(idx)):
-            sub = idx[lo:hi]
+        size = batch_size(n * (widest + 2 * batch.d))
+        for lo in range(0, len(idx), size):
+            sub = idx[lo : lo + size]
             nets = [gens[i].packed[1] for i in sub]
             try:
                 out[sub] = batch.sample(nets, n, [streams[i] for i in sub])

@@ -54,15 +54,18 @@ def test_config_validation():
 
 
 def test_balanced_bits():
+    # A game's secret bits are exactly half ones, in an order that only
+    # its master seed sets.
+    def bits(n_eval, seed):
+        _, d_eval, d_target, config = toy_setup(n_eval=n_eval, seed=seed)
+        return games.run_game((1,), d_eval, d_target, blind_adversary, config).runs["secret_bit"]
+
     for n in (2, 10, 400):
-        bits = games.balanced_bits(n, seed=3)
-        assert bits.sum() == n // 2
-        assert len(bits) == n
-    a = games.balanced_bits(100, seed=3)
-    b = games.balanced_bits(100, seed=3)
-    c = games.balanced_bits(100, seed=4)
-    assert (a == b).all()
-    assert (a != c).any()
+        assert bits(n, 3).sum() == n // 2
+        assert len(bits(n, 3)) == n
+    a = bits(100, 3)
+    assert (a == bits(100, 3)).all()
+    assert (a != bits(100, 4)).any()
 
 
 # ----------------------------------------------------------- traditional
@@ -221,7 +224,7 @@ def test_traditional_sets_hold_x_exactly_when_the_bit_is_1():
     schema = ordered_schema(16)
     x = (5,)
     d_eval = data.Dataset(schema, [[i % 16] for i in range(48)] + [[5]] * 3)
-    bits = games.balanced_bits(200, seed=8)
+    bits = np.random.default_rng(8).permutation(np.arange(200) % 2)
     streams = seeds.Streams(derive_many(8, "data", np.arange(200)))
     values = data.sample_training_sets(games.traditional_pool(x, d_eval), x, 12, bits, streams)
     copies = data.value_equal_mask(values, x).sum(axis=1)
@@ -239,7 +242,7 @@ def test_model_seeded_out_sets_never_hold_x(mode):
     fixed = None
     if mode == games.REFERENCE_FIXED:
         fixed = refs[seeds.rng(3).integers(0, len(refs), size=len(x_positions))]
-    bits = games.balanced_bits(200, seed=9)
+    bits = np.random.default_rng(9).permutation(np.arange(200) % 2)
     streams = seeds.Streams(derive_many(9, "data", np.arange(200)))
     values = games._model_seeded_sets(d_target, x_positions, refs, bits, streams, fixed)
     copies = data.value_equal_mask(values, x).sum(axis=1)

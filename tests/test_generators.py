@@ -395,22 +395,64 @@ def test_normalize_rows_zero_rows_fall_back_to_uniform():
 
 
 def test_segment_sums_equal_add_reduce_of_each_segment():
-    # Lengths 0-20 on both sides of _PAIRWISE, three segments each, laid
-    # out in shuffled order so the starts are unsorted.  Cancelling 1e16
-    # terms make every summation order give its own bits.
+    # Lengths 0-19 on both sides of _PAIRWISE, three segments each, and
+    # lone segments of 20-27, laid out in shuffled order so the starts
+    # are unsorted.  Segment i is the first column of the C-order
+    # (lengths[i], step) block at starts[i], and numpy sums it as that
+    # block's sum(axis=0) does: pairwise only when the step is 1.  With
+    # nets the cells are (C, nets), and each network's column is summed
+    # as a (C,) array alone.  Cancelling 1e16 terms make every summation
+    # order give its own bits.
+    for step in (1, 3):
+        for nets in (None, 1, 4):
+            check_segment_sums(step, nets)
+
+
+def check_segment_sums(step, nets):
     g = np.random.default_rng(7)
-    lengths = np.repeat(np.arange(21), 3)
+    lengths = np.concatenate([np.repeat(np.arange(20), 3), np.arange(20, 28)])
     g.shuffle(lengths)
     placed = g.permutation(len(lengths))
+    span = lengths * step
     starts = np.empty_like(lengths)
-    starts[placed] = np.concatenate([[0], np.cumsum(lengths[placed])[:-1]])
+    starts[placed] = np.concatenate([[0], np.cumsum(span[placed])[:-1]])
     pattern = np.array([1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 1e16, 0.5, 7.0, -2.5, 1e16])
-    flat = np.resize(pattern, lengths.sum()) * g.uniform(0.5, 2.0, lengths.sum())
-    sums = generators._segment_sums(flat, starts, lengths)
-    want = [np.add.reduce(flat[s : s + n]) for s, n in zip(starts.tolist(), lengths.tolist())]
-    assert sums.tobytes() == np.array(want).tobytes()
-    assert sums[lengths == 0].tolist() == [0.0] * 3
-    assert generators._segment_sums(flat, starts[:0], lengths[:0]).shape == (0,)
+    shape = (span.sum(),) if nets is None else (span.sum(), nets)
+    cells = np.resize(pattern, shape) * g.uniform(0.5, 2.0, shape)
+    groups = generators._segment_groups(starts, lengths, step)
+    sums = generators._segment_sums(cells, groups, len(lengths))
+    columns = [cells] if nets is None else list(np.ascontiguousarray(cells.T))
+    want = [
+        [col[s : s + n * step].reshape(n, step).sum(axis=0)[0] for col in columns]
+        for s, n in zip(starts.tolist(), lengths.tolist())
+    ]
+    assert sums.shape == (len(lengths), *shape[1:])
+    assert sums.tobytes() == np.array(want).reshape(sums.shape).tobytes(), (step, nets)
+    assert sums[lengths == 0].ravel().tolist() == [0.0] * 3 * len(columns)
+    empty = generators._segment_groups(starts[:0], lengths[:0])
+    assert generators._segment_sums(cells, empty, 0).shape == (0, *shape[1:])
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (3, 9), (9, 1), (1, 9), (12, 12)])
+def test_pair_plan_marginals_equal_joint_sums(shape):
+    # A plan's marginals are joint.sum(axis=1) then joint.sum(axis=0) of
+    # each block, bit for bit, for every network of a (C, B) batch: rows
+    # of 9 and 12 cells are summed pairwise, columns of 9 and 12 cells
+    # left to right, unless the column is a block's lone contiguous one.
+    sa, sb = shape
+    plan = generators._pair_plan(shape)
+    g = np.random.default_rng(sa * 100 + sb)
+    pattern = np.array([1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 1e16, 0.5, 7.0, -2.5, 1e16])
+    cells = np.resize(pattern, (plan.ncells, 3)) * g.uniform(0.5, 2.0, (plan.ncells, 3))
+    marg = generators._segment_sums(cells, plan.marg_groups, plan.nmarg)
+    for p, (a, b) in enumerate(zip(plan.a_cols.tolist(), plan.b_cols.tolist())):
+        first = plan.cell_row[plan.bounds[p]]  # the slot of the block's first row sum
+        for net in range(3):
+            block = np.ascontiguousarray(cells[plan.bounds[p] : plan.bounds[p + 1], net])
+            joint = block.reshape(shape[a], shape[b])  # as reference_mutual_information builds it
+            want = np.concatenate([joint.sum(axis=1), joint.sum(axis=0)])
+            got = marg[first : first + shape[a] + shape[b], net]
+            assert got.tobytes() == want.tobytes(), (p, net)
 
 
 # ------------------------------------------------ batched vs per-network
@@ -478,8 +520,8 @@ def test_batched_pair_mi_matches_mutual_information(seed, count):
     values = np.stack([t.values for t in trainings])
     reads = np.ones((count, len(plan.a_cols)), dtype=bool)
     terms, bounds = generators._pair_information(values, plan, reads)
-    mi = generators._segment_sums(terms, bounds[:, :-1].ravel(), np.diff(bounds).ravel())
-    mi = mi.reshape(count, -1)
+    groups = generators._segment_groups(bounds[:, :-1].ravel(), np.diff(bounds).ravel())
+    mi = generators._segment_sums(terms, groups, reads.size).reshape(count, -1)
     for b, training in enumerate(trainings):
         for p, (a, c) in enumerate(zip(plan.a_cols.tolist(), plan.b_cols.tolist())):
             slow = reference_mutual_information(
