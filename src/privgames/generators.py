@@ -608,9 +608,10 @@ def sample_columns(gens, n, seeds):
     streams = Streams(seeds)
     if n < 0:
         raise DomainError("sample size must be non-negative")
-    if any(g.schema != gens[0].schema for g in gens):
+    first = gens[0].schema if gens else None
+    if any(g.schema is not first and g.schema != first for g in gens):
         raise DomainError("generators sampled together must share one schema")
-    sizes = gens[0].schema.sizes if gens else ()
+    sizes = first.sizes if gens else ()
     out = np.empty((len(gens), len(sizes), n), dtype=np.min_scalar_type(max(sizes, default=1) - 1))
     if n == 0:
         return out

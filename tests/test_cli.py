@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -1093,6 +1095,90 @@ def test_out_of_memory_outside_a_fit_fails_only_its_records(tmp_path, monkeypatc
     assert logged == [
         failure.format(rid) if rid in lost else clean_logged[i] for i, rid in enumerate("01")
     ]
+
+
+# --------------------------------------------------------- malloc policy
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records its calls."""
+
+    def __init__(self, calls):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def test_batch_memory_policy_sets_mmap_then_trim_threshold(monkeypatch):
+    calls, opened = [], []
+
+    def cdll(name):
+        assert name is None
+        opened.append(FakeLibc(calls))
+        return opened[-1]
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._keep_batch_memory()
+    # M_MMAP_THRESHOLD (-3) at 2 MiB, then M_TRIM_THRESHOLD (-1) at 4 MiB.
+    assert len(opened) == 1
+    assert calls == [(-3, 2 << 20), (-1, 4 << 20)]
+    assert opened[0].mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+
+
+@pytest.mark.parametrize("library", ["without mallopt", "failing"])
+def test_batch_memory_policy_is_a_silent_no_op_without_mallopt(monkeypatch, library):
+    def cdll(name):
+        if library == "failing":
+            raise OSError("no C library")
+        return object()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._keep_batch_memory() is None
+
+
+@pytest.mark.parametrize("command", ["run", "convergence", "dp-audit"])
+def test_each_command_applies_the_policy_once_before_loading_data(tmp_path, monkeypatch, command):
+    out = tmp_path / "out"
+    if command == "dp-audit":
+        text = AUDIT_TEMPLATE.format(out=out, selection="first:1")
+    else:
+        text = TOY_TEMPLATE.format(out=out).replace("first:3", "first:1")
+        if command == "convergence":
+            text += "\n[convergence]\ngrid = 10\nrepetitions = 2\n"
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    cfg = load_experiment_config(str(path))
+    events = []
+    real = cli.load_environment
+
+    def loading(cfg):
+        events.append("load_environment")
+        return real(cfg)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: FakeLibc(events))
+    monkeypatch.setattr(cli, "load_environment", loading)
+    run = {"run": cli.cmd_run, "convergence": cli.cmd_convergence, "dp-audit": cli.cmd_dp_audit}
+    assert run[command](cfg, log=silent) == 0
+    assert events == [(-3, 2 << 20), (-1, 4 << 20), "load_environment"]
+
+
+def test_importing_the_cli_applies_no_policy():
+    code = (
+        "import ctypes, numpy\n"
+        "opened = []\n"
+        "real = ctypes.CDLL\n"
+        "ctypes.CDLL = lambda *args, **kwargs: opened.append(args) or real(*args, **kwargs)\n"
+        "import privgames.cli\n"
+        "print(opened)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------ misc

@@ -708,6 +708,19 @@ def test_sample_batch_rejects_mixed_schemas():
             generators.sample_columns(gens, n, [1, 2, 3, 4])
 
 
+def test_sample_columns_accepts_equal_schemas_of_distinct_objects():
+    # Schemas are compared by identity first, then by value: two equal
+    # schemas built apart still sample together.
+    trainings = random_batch(9, 2)
+    twin = replace(trainings[0].schema)
+    assert twin is not trainings[0].schema and twin == trainings[0].schema
+    gens = generators.fit_batch(SPECS[2], trainings[0].schema, stack(trainings[:1]), [1])
+    gens += generators.fit_batch(SPECS[2], twin, stack(trainings[1:]), [2])
+    syn = generators.sample_columns(gens, 7, [5, 6])
+    for gen, s, got in zip(gens, [5, 6], syn):
+        assert np.array_equal(got.T, generators.sample(gen, 7, s).values)
+
+
 def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
     # Rows whose probabilities sum below 1 leave uniforms past the last
     # cumulative entry; both samplers must clamp those to the last level,
