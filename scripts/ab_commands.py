@@ -24,7 +24,10 @@ the workers.
 Printed per side: the median command wall time, the median
 ``ru_minflt`` (minor page faults) per command and the digest of the
 output bodies; then the median per-pair wall ratio B/A and how many
-pairs B won.  The workloads and the output check come from
+pairs B won.  After the timed pairs each side runs one more command
+under ``tracemalloc`` and its traced peak is printed: the live Python
+and numpy allocations, which are deterministic and, unlike
+``ru_maxrss``, fall again in a long-lived worker.  The workloads and the output check come from
 ``benchmark/``, imported read-only.
 """
 
@@ -37,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,7 +50,8 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def serve(tree, name, size, seed, workdir):
     """Worker loop: one command per line of standard input, one JSON
-    result per line of standard output."""
+    result per line of standard output.  A ``trace`` line runs the
+    command under ``tracemalloc`` and adds its traced peak in bytes."""
     src = os.path.join(workdir, "src")
     shutil.copytree(os.path.join(tree, "src"), src, ignore=shutil.ignore_patterns("__pycache__"))
     sys.path[:0] = [src, BENCH_DIR]
@@ -57,13 +62,20 @@ def serve(tree, name, size, seed, workdir):
     config_path = os.path.join(workdir, "config.ini")
     with open(config_path, "w", encoding="utf-8") as fh:
         fh.write(workloads.config_text(workload, seed, os.path.join(workdir, "out")))
-    for _ in sys.stdin:
+    for line in sys.stdin:
+        traced = line.strip() == "trace"
+        if traced:
+            tracemalloc.start()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = perf_counter()
         result = child.command(config_path, workload.command, False)
         wall = perf_counter() - start
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        print(json.dumps({"rc": result["rc"], "wall_s": wall, "minflt": faults}), flush=True)
+        out = {"rc": result["rc"], "wall_s": wall, "minflt": faults}
+        if traced:
+            out["traced_peak"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        print(json.dumps(out), flush=True)
 
 
 class Side:
@@ -86,10 +98,11 @@ class Side:
         )
         self.results = []
 
-    def command(self, check_outputs):
-        """Run one command and check its outputs; its result."""
+    def command(self, check_outputs, traced=False):
+        """Run one command, under ``tracemalloc`` if ``traced``, and check
+        its outputs; its result."""
         shutil.rmtree(self.out_dir, ignore_errors=True)
-        self.proc.stdin.write("\n")
+        self.proc.stdin.write("trace\n" if traced else "\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
@@ -127,6 +140,7 @@ def compare(args, workload):
         for i in range(args.pairs):
             for side in sides if i % 2 == 0 else sides[::-1]:
                 side.results.append(side.command(check_outputs))
+        peaks = [side.command(check_outputs, traced=True)["traced_peak"] for side in sides]
     finally:
         for side in sides:
             side.close()
@@ -142,6 +156,8 @@ def compare(args, workload):
     ratios = [y / x for x, y in zip(a, b)]
     won = sum(y < x for x, y in zip(a, b))
     print(f"B/A wall: median ratio {statistics.median(ratios):.4f}; B faster in {won} of {args.pairs} pairs")
+    print("tracemalloc peak over one command: "
+          + ", ".join(f"{side.label} {peak / 1024:.1f} KB" for side, peak in zip(sides, peaks)))
 
 
 def main(argv=None):

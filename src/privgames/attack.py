@@ -6,11 +6,13 @@ at-most variant on ordered columns), trains a logistic regression on
 features from shadow generators fit with and without the target, and
 scores fresh releases with the fitted model.
 
-The shadow training sets are one ``(n_shadow, n, d)`` array, fit by one
-``generators.fit_batch`` call, and releases are handled a batch at a
-time.  Each ``generators.sample_columns`` call returns one ``(k, d, n)``
-array of narrow columns.  Their features are integer match counts: per
-chunk of ``generators.batch_size`` releases, each query ANDs the packed
+The shadow training sets are one ``(n_shadow, n, d)`` array of the
+schema's narrow dtype, fit by one ``generators.fit_batch`` call, and
+each table chunk of shadows is sampled and featurized before the next
+chunk's tables are built.  A chunk's releases are one
+``generators.sample_columns`` call, one ``(k, d, n)`` array of narrow
+columns.  Their features are integer match counts: per chunk of
+``generators.batch_size`` releases, each query ANDs the packed
 bitsets of its column tests and popcounts the result, with no floating
 point until the count is divided by ``n``.  The batch's scores come from
 one stacked ``np.matmul``, one dot product of a release's features with
@@ -201,24 +203,20 @@ def extract_features(d_syn, x, bank):
 def _release_features(gens, n, seeds, x, bank):
     """Features of each generator's sample of ``n`` rows, in order.
 
-    Releases are drawn in ``generators.sample_columns`` calls of as many
-    as ``generators.batch_size`` allows for their values, each one
-    ``(k, d, n)`` column array whose ``(k, n, d)`` view is reduced to its
-    features before the next is drawn: no release is copied to records,
-    and a game's releases never all sit in memory at once.
+    The releases are one ``generators.sample_columns`` call, a
+    ``(k, d, n)`` column array whose ``(k, n, d)`` view ``_features``
+    reduces: no release is copied to records.  Both chunk their work by
+    their own budgets, and the games and the shadow stage pass one table
+    chunk of generators at a time.
     """
-    feats = np.empty((len(gens), len(bank.queries)))
-    size = generators.batch_size(n * bank.ncols)
-    for lo in range(0, len(gens), size):
-        cols = generators.sample_columns(gens[lo : lo + size], n, seeds[lo : lo + size])
-        feats[lo : lo + size] = _features(cols.transpose(0, 2, 1), x, bank)
-    return feats
+    return _features(generators.sample_columns(gens, n, seeds).transpose(0, 2, 1), x, bank)
 
 
 def build_shadow_sets(d_aux, x, n, n_shadow, seed):
     """Shadow training sets of size ``n``, labeled by x's membership.
 
-    Returns a ``(n_shadow, n, d)`` array of sets and their labels.  Sets
+    Returns a ``(n_shadow, n, d)`` array of sets, of the schema's narrow
+    dtype (``data.sample_training_sets``), and their labels.  Sets
     alternate, in first: an in-set is x plus n-1 auxiliary records, an
     out-set n auxiliary records without forcing x in.  ``n_shadow`` must
     be even so the labels are balanced.
@@ -362,14 +360,20 @@ def shadow_features(d_aux, x, spec, bank, n, n_shadow, seed):
     """Shadow stage: the features of every shadow release, and labels.
 
     Each shadow generator is fit on its own derived seed and sampled
-    once at size ``n``, all shadows as one batch.  Returns the
-    ``(n_shadow, n_queries)`` feature matrix and the sets' membership
-    labels.  Deterministic given its arguments.
+    once at size ``n``, all shadows as one batch whose table chunks are
+    sampled and featurized one at a time (``generators.score_chunks``).
+    Returns the ``(n_shadow, n_queries)`` feature matrix and the sets'
+    membership labels.  Deterministic given its arguments.
     """
     sets, labels = build_shadow_sets(d_aux, x, n, n_shadow, derive(seed, "shadow-sets"))
     shadows = np.arange(len(sets))
-    gens = generators.fit_batch(spec, d_aux.schema, sets, derive_many(seed, "shadow-fit", shadows))
-    feats = _release_features(gens, n, derive_many(seed, "shadow-sample", shadows), x, bank)
+    chunks = generators.fit_batch(
+        spec, d_aux.schema, sets, derive_many(seed, "shadow-fit", shadows)
+    )
+    feats = generators.score_chunks(
+        lambda gens, seeds: _release_features(gens, n, seeds, x, bank),
+        chunks, derive_many(seed, "shadow-sample", shadows),
+    )
     return feats, labels
 
 

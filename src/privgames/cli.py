@@ -170,9 +170,12 @@ def build_bank(cfg, schema):
 
 def _failure(exc):
     """A record's failure as a PrivGamesError: a MemoryError becomes one
-    that says the record ran out of memory."""
+    that says the record ran out of memory.  It keeps no traceback or
+    context, whose frames would hold the failed record's arrays while
+    the other records run."""
     if isinstance(exc, MemoryError):
-        return PrivGamesError(f"out of memory: {exc}")
+        exc = PrivGamesError(f"out of memory: {exc}")
+    exc.__traceback__ = exc.__context__ = exc.__cause__ = None
     return exc
 
 

@@ -6,7 +6,8 @@ ordered; continuous columns are discretized into equal-frequency bins at
 load time, after which they behave as ordered columns.  Records are
 plain tuples of 0-based value indices and datasets are immutable
 wrappers around an ``(n, d)`` int64 array; a batch of training sets is
-one ``(B, n, d)`` array, drawn from open streams (``sample_training_sets``).
+one ``(B, n, d)`` array of the schema's narrowest unsigned dtype, drawn
+from open streams (``sample_training_sets``).
 
 Every file privgames writes, tables and transcripts alike, is a
 ``# privgames-<kind> v1 key=value ...`` header, a column line and
@@ -90,6 +91,12 @@ class Schema:
     @property
     def sizes(self):
         return tuple(c.size for c in self.columns)
+
+    @property
+    def dtype(self):
+        """The narrowest unsigned dtype that holds the widest level: the
+        dtype of training sets and releases."""
+        return np.min_scalar_type(max(self.sizes) - 1)
 
 
 class Dataset:
@@ -439,7 +446,8 @@ def sample_records(pool, n, seed):
 
 
 def sample_training_sets(pool, x, n, members, streams):
-    """Training sets of ``n`` records, as one ``(len(members), n, d)`` array.
+    """Training sets of ``n`` records, as one ``(len(members), n, d)``
+    array of the schema's narrow dtype (``Schema.dtype``).
 
     Set i is the ``sample_records`` draw of ``n - members[i]`` pool
     records from the open stream ``streams[i]``, then ``x`` when
@@ -449,7 +457,7 @@ def sample_training_sets(pool, x, n, members, streams):
     rows = np.zeros((len(members), n), dtype=np.intp)
     for i, b in enumerate(members):
         rows[i, : n - b] = streams[i].choice(pool.n, size=n - b, replace=False)
-    out = pool.values[rows]
+    out = pool.values.astype(pool.schema.dtype)[rows]
     out[np.asarray(members, dtype=bool), n - 1] = x
     return out
 

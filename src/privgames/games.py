@@ -26,13 +26,15 @@ seeds, then plays the rounds of all its games, game after game, in
 spans of consecutive rounds that may cross game boundaries.  A span
 derives its rounds' run, data, fit and adversary seeds in one
 ``seeds.derive_many`` call each, hashes its data seeds through one
-``seeds.Streams``, builds its training sets as one ``(B, n, d)`` int64
-array, fits them in one ``generators.fit_batch`` call and scores them in
-one adversary call.  A span holds at most a ``threads``-th of the
-grid's rounds (a window of ``threads`` spans then runs in a thread pool)
-and at most ``generators.batch_size`` rounds of a round's weight: its
-training set's cells plus the ``ROUND_ELEMENTS`` its seeds, hashed
-streams and per-round arrays hold.  So a span stays within the batch
+``seeds.Streams``, builds its training sets as one ``(B, n, d)`` array
+of the schema's narrow dtype and fits them in one
+``generators.fit_batch`` call, which hands the networks over one table
+chunk at a time: each chunk is scored in one adversary call before the
+next chunk's tables are built.  A span holds at most a ``threads``-th
+of the grid's rounds (a window of ``threads`` spans then runs in a
+thread pool) and at most ``generators.batch_size`` rounds of a round's
+weight: its training set's cells plus the ``ROUND_ELEMENTS`` its seeds,
+hashed streams and per-round arrays hold.  So a span stays within the batch
 budget like every other batched stage, however large its games.  Each
 game's transcript, one ``RUN_DTYPE`` array of (secret bit, score, run
 seed) rows, is yielded once its last span is scored, the same bytes
@@ -57,12 +59,13 @@ network kind.  An adversary is a function ``adversary(fits, seeds) ->
 scores``: one membership score per round's fit (a ``FittedGenerator``,
 or a toy's entry of that array), each given its round's adversary seed,
 so a toy span draws its release bits in one ``generators.release_bits``
-call.  The counting-query adversary samples the releases in batched
-calls, each returning one ``(k, n, d)`` array of one schema, and scores
-each as one array, but each logit stays one dot product per release (see
-``attack``).  A transcript file is a ``data.table_lines`` table of one
-row per round, headed by the hash of the experiment config that the
-command stamps on it, and read back strictly by ``load_transcript``.
+call.  The counting-query adversary samples a chunk's releases in one
+``generators.sample_columns`` call, one ``(k, d, n)`` array of narrow
+columns, and scores them as one array, but each logit stays one dot
+product per release (see ``attack``).  A transcript file is a
+``data.table_lines`` table of one row per round, headed by the hash of
+the experiment config that the command stamps on it, and read back
+strictly by ``load_transcript``.
 """
 
 import math
@@ -168,13 +171,15 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
     consecutive rounds that may cross game boundaries.
     ``fit_rounds(secret, streams, seeds, game)`` builds the training sets
     of a span with the secret bit array ``secret`` and returns their
-    fits, round i fit with ``seeds[i]``; ``streams[i]`` is round i's data
-    stream, opened only by rounds that draw, and ``game[i]`` the index
-    in ``configs`` of its game.  A training set holds at most
-    ``set_cells`` values, and a span holds ``_span_rounds`` rounds, within
-    the batch budget.  With ``data_tag`` None the rounds draw
-    nothing: ``fit_rounds(secret)`` returns their fits from the bits
-    alone, and no data or fit seed is derived."""
+    fits in chunks of consecutive rounds (``fit_batch``'s iterator, or
+    a list of one chunk), round i fit with ``seeds[i]``; ``streams[i]``
+    is round i's data stream, opened only by rounds that draw, and
+    ``game[i]`` the index in ``configs`` of its game.  Each chunk is
+    scored before the next is drawn (``generators.score_chunks``).  A
+    training set holds at most ``set_cells`` values, and a span holds
+    ``_span_rounds`` rounds, within the batch budget.  With ``data_tag``
+    None the rounds draw nothing: ``fit_rounds(secret)`` returns their
+    fits from the bits alone, and no data or fit seed is derived."""
     kind = configs[0].game_kind
     sizes = np.array([c.n_eval for c in configs])
     ends = np.cumsum(sizes)
@@ -187,8 +192,8 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
     started = {}  # game -> its runs, from its first span to its last
 
     def span_fits(lo, hi, pieces):
-        """The run seeds and fits of rounds lo..hi-1.  Its index arrays die
-        on return, before the adversary (a span's largest step) runs."""
+        """The run seeds and fit chunks of rounds lo..hi-1.  Its index
+        arrays die on return, before the first chunk is fit and scored."""
         game = np.searchsorted(ends, np.arange(lo, hi), side="right")
         run_seeds = derive_many(masters[game], "run", np.arange(lo, hi) - firsts[game])
         secret = np.concatenate([runs["secret_bit"][a:b] for runs, a, b in pieces])
@@ -203,8 +208,8 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
             (started[g], max(lo, firsts[g]) - firsts[g], min(hi, ends[g]) - firsts[g])
             for g in range(first, last + 1)
         ]
-        run_seeds, fits = span_fits(lo, hi, pieces)
-        scores = np.asarray(adversary(fits, derive_many(run_seeds, "adversary")), dtype=np.float64)
+        run_seeds, chunks = span_fits(lo, hi, pieces)
+        scores = generators.score_chunks(adversary, chunks, derive_many(run_seeds, "adversary"))
         at = 0
         for runs, a, b in pieces:
             runs["run_seed"][a:b] = run_seeds[at : at + b - a]
@@ -289,13 +294,15 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
 
 
 def _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs):
-    """Training sets of model-seeded rounds, as one ``(B, n, d)`` array:
-    ``d_target`` in every round, its ``x_positions`` rows replaced in
-    out-rounds.  ``fixed_refs``, if given, holds the pre-drawn references
-    of every round, or ``(B, len(x_positions), d)`` those of each round;
-    otherwise only out-rounds read their stream: its first ``integers``,
-    computed for all of them at once without a Generator."""
-    values = np.repeat(d_target.values[None], len(secret), axis=0)
+    """Training sets of model-seeded rounds, as one ``(B, n, d)`` array
+    of the schema's narrow dtype (``Schema.dtype``): ``d_target`` in
+    every round, its ``x_positions`` rows replaced in out-rounds.
+    ``fixed_refs``, if given, holds the pre-drawn references of every
+    round, or ``(B, len(x_positions), d)`` those of each round; otherwise
+    only out-rounds read their stream: its first ``integers``, computed
+    for all of them at once without a Generator."""
+    values = np.empty((len(secret),) + d_target.values.shape, dtype=d_target.schema.dtype)
+    values[:] = d_target.values
     out = np.flatnonzero(np.equal(secret, 0))
     if fixed_refs is None:
         refs = ref_values[streams[out].integers(len(ref_values), len(x_positions))]
@@ -412,7 +419,7 @@ def run_games(x, d_eval, d_target, adversary, configs, record_id="", threads=1):
         # traditional pool holds no copy of x, appended only when b = 1,
         # and model-seeded out-rounds replace every copy of x in d_target.
         def toy_rounds(secret):
-            return generators.toy_fits(spec, secret)
+            return [generators.toy_fits(spec, secret)]
 
         return _play(configs, record_id, adversary, toy_rounds, threads, 0, data_tag=None)
     return _play(configs, record_id, adversary, fit_rounds, threads, set_cells)
@@ -475,7 +482,7 @@ def run_traditional_mixture(
         probs = np.stack([generators.toy_fits(spec, [0, 1]) for spec in specs])
 
         def fit_rounds(secret, streams, seeds, game):
-            return probs[streams.integers(len(partials), 1)[:, 0], secret]
+            return [probs[streams.integers(len(partials), 1)[:, 0], secret]]
 
         set_cells = 0
     else:
@@ -490,10 +497,11 @@ def run_traditional_mixture(
             for key in dict.fromkeys(keys):
                 rounds = [i for i, k in enumerate(keys) if k == key]
                 values = np.repeat(rows[key][None], len(rounds), axis=0)
-                fitted = generators.fit_batch(specs[key[0]], schema, values, seeds[rounds])
+                chunks = generators.fit_batch(specs[key[0]], schema, values, seeds[rounds])
+                fitted = [gen for chunk in chunks for gen in chunk]
                 for i, gen in zip(rounds, fitted):
                     gens[i] = gen
-            return gens
+            return [gens]
 
         set_cells = max(v.size for v in rows.values())
     (transcript,) = _play(

@@ -9,14 +9,19 @@ the network kinds are the objects actually under evaluation.
 A game fits and samples hundreds of networks per evaluated record, each
 on tables of a few dozen cells, so networks are fit and sampled in
 batches.  ``fit_batch`` takes one spec, one schema and the training sets
-as one ``(B, n, d)`` int64 array, which it slices into chunks and never
-copies.  ``sample_columns`` draws the releases of fitted generators of
-one schema as one ``(k, d, n)`` array of narrow unsigned columns, and no
-release becomes a ``Dataset``.  Each fit stage is one function over the
-whole batch, a fixed number of array passes: ``learn_structure`` scores
-only the column pairs each network's visit order reads, from one
-``bincount``, and ranks every network's candidate parents with one
-stable ``argsort``; ``estimate_tables`` counts every column of every
+as one ``(B, n, d)`` array, of the schema's narrow dtype in every game,
+which it slices into chunks and never copies; the fit stages promote
+its values to int64 codes.  It learns every structure at the call and
+hands the networks over one table chunk at a time, and
+``score_chunks`` scores each chunk before the next one's tables are
+built, so a batch holds one chunk's tables.  ``sample_columns`` draws
+the releases of fitted generators of one schema as one ``(k, d, n)``
+array of narrow unsigned columns, and no release becomes a
+``Dataset``.  Each fit stage is one function over the whole batch, a
+fixed number of array passes: ``learn_structure`` scores only the
+column pairs each network's visit order reads, from one ``bincount``,
+and ranks every network's candidate parents with one stable
+``argsort``; ``estimate_tables`` counts every column of every
 network with one more ``bincount``; ``privatize_tables`` noises them;
 and sampling draws one column of every network per step.  Orders and
 parents are ``(B, d)`` and ``(B, d, K)`` arrays, and the tables of a
@@ -382,16 +387,25 @@ class _TableBatch:
         arity's last, zero-padded to that width and stored level-major:
         entry ``[level, row]``, summed down the level axis, the same
         left-to-right additions a cumulative sum along one row makes.
-        Computed at the first call, from the probabilities at that time.
+        Computed at the first call, from the probabilities at that time,
+        one level at a time, so that building it holds nothing but the
+        table and one level's temporaries.
 
         Padding repeats a row's last cumulative value, so it can only
         add picks past the row's last level, which sampling clamps to
         that level anyway; for the same reason no last level is needed.
         """
         if self._cumulative is None:
-            level = np.arange(int(self.sizes.max()) - 1)[:, None]
-            cells = np.where(level < self.row_arity, self.row_first + level, len(self.probs))
-            self._cumulative = np.append(self.probs, 0.0)[cells].cumsum(axis=0)
+            cum = np.empty((int(self.sizes.max()) - 1, len(self.row_arity)))
+            for level, out in enumerate(cum):
+                # Padding cells read 0.0; clipping keeps their index in range.
+                probs = self.probs.take(self.row_first + level, mode="clip")
+                probs[level >= self.row_arity] = 0.0
+                if level:
+                    np.add(cum[level - 1], probs, out=out)
+                else:
+                    out[:] = probs
+            self._cumulative = cum
         return self._cumulative
 
     def sample(self, nets, n, streams):
@@ -437,7 +451,8 @@ class _TableBatch:
 
 def _spans(weights):
     """Consecutive ``(lo, hi)`` ranges of items whose weights sum to at
-    most ``BATCH_ELEMENTS``; an item heavier than that is a range alone."""
+    most ``BATCH_ELEMENTS``; an item heavier than that is a range alone.
+    No items make no ranges."""
     spans = []
     lo = total = 0
     for i, w in enumerate(weights):
@@ -445,8 +460,7 @@ def _spans(weights):
             spans.append((lo, i))
             lo, total = i, 0
         total += w
-    spans.append((lo, len(weights)))
-    return spans
+    return spans + [(lo, len(weights))] if weights else spans
 
 
 def batch_size(weight):
@@ -501,17 +515,39 @@ def _out_of_memory(cells, widest, tables="table"):
     )
 
 
-def fit_batch(spec, schema, values, seeds):
-    """Fit a ``spec`` network on every training set of a batch.
+def _fit_tables(spec, schema, values, orders, parents, noise_streams, overflow):
+    """The fitted networks of one table chunk: their tables from their
+    training sets ``values``, visit orders and parents, noised from
+    ``noise_streams`` (one per table) for privbaynet."""
+    try:
+        batch = _TableBatch(schema.sizes, orders, parents)
+        counts = estimate_tables(batch, values, spec.smoothing)
+        if spec.kind == PRIVBAYNET:
+            counts = privatize_tables(batch, counts, spec.epsilon, noise_streams)
+        batch.set_counts(counts, overflow)
+    except MemoryError:
+        sizes = np.array(schema.sizes)
+        cells = (np.where(parents >= 0, sizes[parents], 1).prod(2) * sizes).sum()
+        raise _out_of_memory(cells, max(schema.sizes)) from None
+    return [FittedGenerator(spec, schema, packed=(batch, b)) for b in range(len(values))]
 
-    ``values`` is a ``(B, n, d)`` int64 array of ``schema`` records:
-    training set i is ``values[i]``, fit with ``seeds[i]``.  Each stage
-    is one pass over the batch, in chunks whose intermediates stay
-    within ``BATCH_ELEMENTS``, and every network gets the bits it would
-    get fit alone.  A structure or table chunk that runs out of memory
-    raises FitError naming its pair-table or table cells.  A toy fit
-    comes from membership flags, not from training sets: see
-    ``toy_fits``.
+
+def fit_batch(spec, schema, values, seeds):
+    """Fit a ``spec`` network on every training set of a batch; returns
+    an iterator over the fitted networks, one list per table chunk, in
+    order.
+
+    ``values`` is a ``(B, n, d)`` array of ``schema`` records, of any
+    integer dtype (the games build it in ``Schema.dtype``): training set
+    i is ``values[i]``, fit with ``seeds[i]``.  The checks and the
+    structure stage run at the call, over the whole batch in chunks whose
+    intermediates stay within ``BATCH_ELEMENTS``.  Each table chunk is
+    built when the iterator reaches it, so a caller that drops a chunk
+    before drawing the next holds one chunk's tables at a time.  Every
+    network gets the bits it would get fit alone.  A structure or table
+    chunk that runs out of memory raises FitError naming its pair-table
+    or table cells.  A toy fit comes from membership flags, not from
+    training sets: see ``toy_fits``.
     """
     if spec.kind == TOY:
         raise UnsupportedOperationError("toy generator is not fit on training sets; use toy_fits")
@@ -549,28 +585,41 @@ def fit_batch(spec, schema, values, seeds):
                 )
             except MemoryError:
                 raise _out_of_memory((hi - lo) * pair_cells, widest, "pair-table") from None
+    noise_streams = None
     if spec.kind == PRIVBAYNET:
         noise_seeds = derive_many(seeds, "privatize")[:, None]
         noise_streams = Streams(derive_many(noise_seeds, "privatize-col", np.arange(d)).ravel())
     # Table chunks are weighed by their rows at the widest arity, the
     # size of the padded cumulative table sampling builds.
     sizes = np.array(schema.sizes)
-    combos = np.where(parents >= 0, sizes[parents], 1).prod(2)
-    cells = (combos * sizes).sum(1)
-    gens = []
-    for lo, hi in _spans((n * d + widest * combos.sum(1)).tolist()):
-        try:
-            batch = _TableBatch(schema.sizes, orders[lo:hi], parents[lo:hi])
-            counts = estimate_tables(batch, values[lo:hi], spec.smoothing)
-            if spec.kind == PRIVBAYNET:
-                counts = privatize_tables(
-                    batch, counts, spec.epsilon, noise_streams[lo * d : hi * d]
-                )
-            batch.set_counts(counts, overflow)
-        except MemoryError:
-            raise _out_of_memory(cells[lo:hi].sum(), widest) from None
-        gens += [FittedGenerator(spec, schema, packed=(batch, b)) for b in range(hi - lo)]
-    return gens
+    combos = np.where(parents >= 0, sizes[parents], 1).prod(2).sum(1)
+    spans = _spans((n * d + widest * combos).tolist())
+    # The chunk is yielded straight from the call, so no local keeps it
+    # alive while the next one is built.
+    return (
+        _fit_tables(
+            spec, schema, values[lo:hi], orders[lo:hi], parents[lo:hi],
+            None if noise_streams is None else noise_streams[lo * d : hi * d], overflow,
+        )
+        for lo, hi in spans
+    )
+
+
+def score_chunks(score, chunks, seeds):
+    """``score(fits, seeds)`` of each chunk of fits in ``chunks``, given
+    the chunk's slice of ``seeds``, concatenated in order as float64.
+
+    ``chunks`` is ``fit_batch``'s iterator or any iterable of fit
+    sequences.  A chunk is dropped before the next is drawn, so only one
+    chunk's tables are alive at a time.
+    """
+    parts = []
+    at = 0
+    for fits in chunks:
+        parts.append(np.asarray(score(fits, seeds[at : at + len(fits)]), dtype=np.float64))
+        at += len(fits)
+        del fits
+    return np.concatenate(parts)
 
 
 def toy_fits(spec, members):
@@ -589,7 +638,7 @@ def fit(spec, training, seed=0):
     UnsupportedOperationError: its fit is a release probability (see
     ``toy_fits``).  A batch of one of ``fit_batch``.
     """
-    return fit_batch(spec, training.schema, training.values[None], [seed])[0]
+    return next(fit_batch(spec, training.schema, training.values[None], [seed]))[0]
 
 
 def sample_columns(gens, n, seeds):
@@ -611,8 +660,8 @@ def sample_columns(gens, n, seeds):
     first = gens[0].schema if gens else None
     if any(g.schema is not first and g.schema != first for g in gens):
         raise DomainError("generators sampled together must share one schema")
-    sizes = first.sizes if gens else ()
-    out = np.empty((len(gens), len(sizes), n), dtype=np.min_scalar_type(max(sizes, default=1) - 1))
+    d, dtype = (first.ncols, first.dtype) if gens else (0, np.uint8)
+    out = np.empty((len(gens), d, n), dtype=dtype)
     if n == 0:
         return out
     groups = {}

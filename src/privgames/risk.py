@@ -121,18 +121,26 @@ def rmsd(pairs):
 
 def dp_tradeoff_lower_bound(epsilon, delta, alpha):
     """Smallest false-negative rate an (epsilon, delta)-DP release allows
-    at false-positive rate alpha.
+    at false-positive rate alpha: a float, or an array of bounds for an
+    array of rates.
 
-    beta >= max(0, 1 - e^eps * alpha - delta, e^-eps * (1 - alpha - delta)).
+    beta >= max(0, 1 - e^eps * alpha - delta, e^-eps * (1 - alpha - delta)),
+    with 1 - delta at alpha = 0 and -inf for the middle term where e^eps
+    overflows.  Each rate gets the IEEE operations of the scalar formula,
+    in its order, and the maximum keeps Python ``max``'s rule: a later
+    term wins only where it is strictly greater.
     """
-    if alpha == 0.0:
-        grow = 1.0 - delta
-    else:
+    rates = np.asarray(alpha, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            grow = 1.0 - math.exp(epsilon) * alpha - delta
+            grow = 1.0 - math.exp(epsilon) * rates - delta
         except OverflowError:
-            grow = -math.inf
-    return max(0.0, grow, math.exp(-epsilon) * (1.0 - alpha - delta))
+            grow = np.full(rates.shape, -math.inf)
+    grow = np.where(rates == 0.0, 1.0 - delta, grow)
+    shrink = math.exp(-epsilon) * (1.0 - rates - delta)
+    bound = np.where(grow > 0.0, grow, 0.0)
+    bound = np.where(shrink > bound, shrink, bound)
+    return bound if bound.ndim else float(bound)
 
 
 def empirical_tradeoff(transcript):
@@ -159,11 +167,12 @@ def dp_audit_points(transcript, epsilon, delta=0.0, rho=0.05):
     """
     n_per_class = len(transcript.runs) // 2
     slack = 2.0 * hoeffding_radius(n_per_class, rho)
-    rows = []
-    for alpha, beta in empirical_tradeoff(transcript):
-        bound = dp_tradeoff_lower_bound(epsilon, delta, alpha)
-        rows.append((alpha, beta, bound, beta < bound - slack))
-    return rows
+    curve = empirical_tradeoff(transcript)
+    bounds = dp_tradeoff_lower_bound(epsilon, delta, [alpha for alpha, _ in curve])
+    return [
+        (alpha, beta, bound, beta < bound - slack)
+        for (alpha, beta), bound in zip(curve, bounds.tolist())
+    ]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ layer: structure learning one ``reference_mutual_information`` call per
 column pair, one ``ravel_multi_index`` count per table, Laplace noise per
 table, and ancestral sampling one column at a time, on the
 ``Structure`` and ``Cpt`` records of one network.  ``reference_fit_batch``
-has the signature and results of ``fit_batch``, and
+has the signature and results of ``fit_batch`` (``fitted`` lists the
+networks of either), and
 ``reference_sample_batch`` is the ``(k, n, d)`` records view of
 ``sample_columns``; both loop over networks, so whole commands can be
 run on the reference path.  For
@@ -191,9 +192,15 @@ def reference_sample(gen, n, seed):
     return data.Dataset(gen.schema, values)
 
 
+def fitted(chunks):
+    """Every network of ``fit_batch``'s chunks, in order, as one list."""
+    return [gen for chunk in chunks for gen in chunk]
+
+
 def reference_fit_batch(spec, schema, values, seeds):
+    """``fit_batch`` one network at a time: a chunk of one per network."""
     return [
-        reference_fit(spec, data.Dataset(schema, v), seed=int(seed))
+        [reference_fit(spec, data.Dataset(schema, v), seed=int(seed))]
         for v, seed in zip(values, seeds)
     ]
 
@@ -375,3 +382,15 @@ def reference_empirical_tradeoff(transcript):
         beta = float((in_scores < gamma).mean())
         points.add((alpha, beta))
     return tuple(sorted(points, key=lambda p: (p[0], -p[1])))
+
+
+def reference_dp_tradeoff_lower_bound(epsilon, delta, alpha):
+    """``risk.dp_tradeoff_lower_bound`` of one float rate, in Python floats."""
+    if alpha == 0.0:
+        grow = 1.0 - delta
+    else:
+        try:
+            grow = 1.0 - math.exp(epsilon) * alpha - delta
+        except OverflowError:
+            grow = -math.inf
+    return max(0.0, grow, math.exp(-epsilon) * (1.0 - alpha - delta))

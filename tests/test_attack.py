@@ -8,6 +8,7 @@ import pytest
 from privgames import attack, data, games, generators
 from privgames.errors import ConfigError, DomainError, SizeError, TrainingError
 from reference import (
+    fitted,
     reference_features,
     reference_fit_batch,
     reference_meta_classifier_adversary,
@@ -272,7 +273,9 @@ def test_shadow_sets_balanced_and_labeled():
     d_aux = aux_pool()
     x = (45,)  # not in aux
     sets, labels = attack.build_shadow_sets(d_aux, x, n=6, n_shadow=10, seed=3)
-    assert sets.shape == (10, 6, 1) and sets.dtype == np.int64
+    # Training sets are built in the narrowest dtype that holds the
+    # widest level, as releases are.
+    assert sets.shape == (10, 6, 1) and sets.dtype == d_aux.schema.dtype == np.uint8
     assert labels.tolist() == [1, 0] * 5
     for values, lbl in zip(sets, labels):
         assert data.contains(data.Dataset(d_aux.schema, values), x) == bool(lbl)
@@ -303,7 +306,8 @@ def test_shadow_sets_match_per_set_reference(seed):
     got_sets, got_labels = attack.build_shadow_sets(d_aux, (45,), n=7, n_shadow=12, seed=seed)
     want_sets, want_labels = reference_shadow_sets(d_aux, (45,), n=7, n_shadow=12, seed=seed)
     assert got_sets.shape == want_sets.shape == (12, 7, 1)
-    assert got_sets.tobytes() == want_sets.tobytes()
+    assert got_sets.dtype == np.uint8
+    assert got_sets.astype(np.int64).tobytes() == want_sets.tobytes()
     assert got_labels.tolist() == want_labels.tolist()
 
 
@@ -626,11 +630,11 @@ def test_batched_attack_matches_per_release_reference(
 
     count = 45
     trainings = np.stack([data.sample_records(d_aux, 16, 1000 + i).values for i in range(count)])
-    gens = generators.fit_batch(spec, schema, trainings, list(range(count)))
+    gens = fitted(generators.fit_batch(spec, schema, trainings, list(range(count))))
     seeds = [7 * i + 2**63 for i in range(count)]
     chunks.clear()  # the shadows' 16-row releases weigh less
     scores = attack.meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
-    ref_gens = reference_fit_batch(spec, schema, trainings, list(range(count)))
+    ref_gens = fitted(reference_fit_batch(spec, schema, trainings, list(range(count))))
     assert scores == reference_meta_classifier_adversary(meta, bank, x, n_syn)(ref_gens, seeds)
     assert all(type(s) is float for s in scores)
     assert bank.columns.shape == (17, 2)

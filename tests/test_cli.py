@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -1018,6 +1019,35 @@ def test_failed_shadow_fit_drops_only_its_record(tmp_path, monkeypatch, capsys, 
         clean_logged[0], "record evaluation failed: record 1: induced shadow failure",
         clean_logged[2],
     ]
+
+
+@pytest.mark.parametrize("raised", ["fit error", "memory error"])
+def test_a_failed_records_error_holds_none_of_its_arrays(raised):
+    # A failed record's error waits in build_adversaries' list until the
+    # record's turn: it must not keep the frames, and so the arrays, of
+    # the stage that raised it, nor the MemoryError it was raised from.
+    class Table:
+        pass
+
+    def stage(table):
+        if raised == "memory error":
+            raise MemoryError("induced")
+        try:
+            raise MemoryError("induced")
+        except MemoryError:
+            raise FitError("out of memory on a fit chunk") from None
+
+    table = Table()
+    alive = weakref.ref(table)
+    try:
+        stage(table)
+    except (PrivGamesError, MemoryError) as exc:
+        kept = cli._failure(exc)
+    del table
+    assert alive() is None
+    assert isinstance(kept, PrivGamesError)
+    assert kept.__traceback__ is kept.__context__ is kept.__cause__ is None
+    assert str(kept) in ("out of memory on a fit chunk", "out of memory: induced")
 
 
 def test_out_of_memory_in_a_table_chunk_fails_only_its_record(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from privgames.seeds import Streams, derive, derive_many
 from brute import brute_mi
 from reference import (
     ReferenceGenerator,
+    fitted,
     reference_estimate_tables,
     reference_fit,
     reference_learn_structure,
@@ -483,7 +484,7 @@ def stack(trainings):
 
 
 def assert_matches_reference(spec, trainings, seeds, n_syn=23):
-    gens = generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds)
+    gens = fitted(generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds))
     syn_seeds = [derive(s, "sample") for s in seeds]
     cols = generators.sample_columns(gens, n_syn, syn_seeds)
     assert cols.shape == (len(gens), trainings[0].schema.ncols, n_syn)
@@ -556,6 +557,32 @@ def test_fit_batch_chunks_match_reference(monkeypatch):
         assert_matches_reference(spec, trainings, seeds)
 
 
+@pytest.mark.parametrize("batch_elements", [generators.BATCH_ELEMENTS, 700])
+@pytest.mark.parametrize("spec", [SPECS[0], SPECS[6], SPECS[9]])
+def test_training_set_dtype_does_not_change_fits(monkeypatch, spec, batch_elements):
+    # The games build training sets in the schema's narrow dtype; the fit
+    # stages promote them to int64 codes.  The same sets as uint8, uint16
+    # and int64 give the same chunks, parents, tables and samples, bit
+    # for bit.
+    monkeypatch.setattr(generators, "BATCH_ELEMENTS", batch_elements)
+    trainings = random_batch(13, 9)
+    schema = trainings[0].schema
+    assert schema.dtype == np.uint8
+    seeds = [derive(13, "dtype", i) for i in range(9)]
+    fits = {}
+    for dtype in (np.uint8, np.uint16, np.int64):
+        values = stack(trainings).astype(dtype)
+        chunks = list(generators.fit_batch(spec, schema, values, seeds))
+        assert len(chunks) > 1 or batch_elements != 700
+        samples = [generators.sample_columns(chunk, 31, seeds[:len(chunk)]) for chunk in chunks]
+        batches = [chunk[0].packed[0] for chunk in chunks]
+        fits[dtype] = [
+            [b.parents.tobytes(), b.probs.tobytes(), b.cumulative().tobytes(), s.tobytes()]
+            for b, s in zip(batches, samples)
+        ]
+    assert fits[np.uint8] == fits[np.uint16] == fits[np.int64]
+
+
 def edge_batch(family, count=5, n=40):
     """``count`` training sets over a schema that stresses one edge of
     the structure and sampling stages."""
@@ -602,7 +629,7 @@ def test_structure_and_sampling_edges_match_reference(monkeypatch, family, batch
         seeds = [derive(k, family, i) for i in range(len(trainings))]
         assert_matches_reference(spec, trainings, seeds, n_syn=60)
         if spec.mi_floor > 0 or spec.max_parents == 0:
-            gens = generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds)
+            gens = fitted(generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds))
             assert all((g.packed[0].parents == -1).all() for g in gens)
 
 
@@ -652,7 +679,7 @@ def test_sample_columns_use_the_narrowest_dtype_of_the_widest_level(widest, dtyp
 def test_fit_batch_of_no_training_sets_is_empty(spec):
     schema = ordered_schema(3, 4, 2)
     empty = np.zeros((0, 5, 3), dtype=np.int64)
-    assert generators.fit_batch(spec, schema, empty, []) == []
+    assert list(generators.fit_batch(spec, schema, empty, [])) == []
     no_orders = np.zeros((0, 3), dtype=np.int64)
     parents = generators.learn_structure(empty, schema.sizes, spec.max_parents, no_orders, 0.0)
     assert parents.shape == (0, 3, min(spec.max_parents, 2))
@@ -671,9 +698,9 @@ def test_fit_batch_mixes_specs_and_shapes_in_input_order():
     for spec, group in groups:
         group_seeds = seeds[len(gens) : len(gens) + len(group)]
         assert_matches_reference(spec, group, group_seeds)
-        gens += generators.fit_batch(spec, group[0].schema, stack(group), group_seeds)
-    a = generators.fit_batch(SPECS[3], full[0].schema, stack(full[:3]), seeds[:3])
-    b = generators.fit_batch(SPECS[3], full[0].schema, stack(full[3:]), seeds[3:6])
+        gens += fitted(generators.fit_batch(spec, group[0].schema, stack(group), group_seeds))
+    a = fitted(generators.fit_batch(SPECS[3], full[0].schema, stack(full[:3]), seeds[:3]))
+    b = fitted(generators.fit_batch(SPECS[3], full[0].schema, stack(full[3:]), seeds[3:6]))
     mixed = [b[0], gens[9], a[2], gens[4], a[0], b[2], gens[0], a[1], b[1], gens[7]]
     assert len({id(g.packed[0]) for g in mixed}) >= 5
     syn = generators.sample_columns(mixed, 11, seeds[:10])
@@ -688,7 +715,7 @@ def test_sample_batch_of_zero_rows_is_empty_stack():
     # FittedGenerator to sample from.
     schema = ordered_schema(3, 4)
     trainings = np.array([[[0, 1], [2, 3]], [[1, 1], [0, 0]]])
-    nets = generators.fit_batch(SPECS[2], schema, trainings, [3, 4])
+    nets = fitted(generators.fit_batch(SPECS[2], schema, trainings, [3, 4]))
     for gens in ([], nets[:1], nets):
         got = generators.sample_columns(gens, 0, list(range(len(gens))))
         assert got.shape == (len(gens), 2 if gens else 0, 0)
@@ -701,8 +728,8 @@ def test_sample_batch_rejects_mixed_schemas():
     a = random_batch(9, 2)
     b = random_batch(10, 2)
     assert a[0].schema != b[0].schema
-    gens = generators.fit_batch(SPECS[2], a[0].schema, stack(a), [1, 2])
-    gens += generators.fit_batch(SPECS[2], b[0].schema, stack(b), [3, 4])
+    gens = fitted(generators.fit_batch(SPECS[2], a[0].schema, stack(a), [1, 2]))
+    gens += fitted(generators.fit_batch(SPECS[2], b[0].schema, stack(b), [3, 4]))
     for n in (0, 5):
         with pytest.raises(DomainError, match="one schema"):
             generators.sample_columns(gens, n, [1, 2, 3, 4])
@@ -714,8 +741,8 @@ def test_sample_columns_accepts_equal_schemas_of_distinct_objects():
     trainings = random_batch(9, 2)
     twin = replace(trainings[0].schema)
     assert twin is not trainings[0].schema and twin == trainings[0].schema
-    gens = generators.fit_batch(SPECS[2], trainings[0].schema, stack(trainings[:1]), [1])
-    gens += generators.fit_batch(SPECS[2], twin, stack(trainings[1:]), [2])
+    gens = fitted(generators.fit_batch(SPECS[2], trainings[0].schema, stack(trainings[:1]), [1]))
+    gens += fitted(generators.fit_batch(SPECS[2], twin, stack(trainings[1:]), [2]))
     syn = generators.sample_columns(gens, 7, [5, 6])
     for gen, s, got in zip(gens, [5, 6], syn):
         assert np.array_equal(got.T, generators.sample(gen, 7, s).values)
@@ -726,7 +753,7 @@ def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
     # cumulative entry; both samplers must clamp those to the last level,
     # also in rows padded to a wider column's arity.
     trainings = random_batch(11, 3)
-    gens = generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3])
+    gens = fitted(generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3]))
     gens[0].packed[0].probs *= 0.5
     syn = generators.sample_columns(gens, 200, [7, 8, 9])
     for training, fit_seed, got, s in zip(trainings, [1, 2, 3], syn, [7, 8, 9]):
@@ -741,7 +768,7 @@ def test_sample_columns_out_of_memory_is_a_fit_error(monkeypatch):
     # table cells of its fit chunk and the widest arity, so a command
     # fails only the record it belongs to.
     trainings = random_batch(11, 3)
-    gens = generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3])
+    gens = fitted(generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3]))
 
     def out_of_memory(*args):
         raise MemoryError
@@ -788,10 +815,10 @@ def test_fit_batch_builds_generators_only_for_noise(monkeypatch):
 
     monkeypatch.setattr(Streams, "__getitem__", spy)
     baynet = generators.GeneratorSpec(generators.BAYNET, max_parents=2)
-    generators.fit_batch(baynet, schema, stack(trainings), seeds)
+    fitted(generators.fit_batch(baynet, schema, stack(trainings), seeds))
     assert built == []
     private = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=0.5)
-    generators.fit_batch(private, schema, stack(trainings), seeds)
+    fitted(generators.fit_batch(private, schema, stack(trainings), seeds))
     noise_seeds = derive_many(derive_many(seeds, "privatize")[:, None], "privatize-col",
                               np.arange(schema.ncols))
     assert len(built) == 7 * schema.ncols
@@ -873,7 +900,7 @@ def test_fit_rejects_empty_training_for_real_generators():
 def test_fit_with_tables_out_of_float_range_raises(spec, setting):
     ds = data.Dataset(ordered_schema(3, 3), [[0, 1], [1, 2], [2, 0]])
     with pytest.raises(FitError, match=f"row's total is not finite: .*{re.escape(setting)}"):
-        generators.fit_batch(spec, ds.schema, ds.values[None], [5])
+        fitted(generators.fit_batch(spec, ds.schema, ds.values[None], [5]))
 
 
 def test_fit_independent_has_no_parents():

@@ -1,0 +1,210 @@
+"""Memory bounds on a wide schema: many columns of up to 60 levels.
+
+A network's tables grow with the product of its parents' levels, which
+``BATCH_ELEMENTS`` does not weigh, so a wide input is where unbounded
+memory shows.  The input is generated here, never downloaded: column c
+has ``2 + c * (top - 2) // (ncols - 1)`` levels and is, in 70% of rows,
+the previous column scaled to its own levels, otherwise uniform.
+"""
+
+import os
+import random
+import re
+import subprocess
+import sys
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from privgames import attack, data, games, generators
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def write_wide_csv(path, ncols, nrows, top, seed=1):
+    g = random.Random(seed)
+    levels = [2 + c * (top - 2) // (ncols - 1) for c in range(ncols)]
+    lines = [",".join(f"c{c}" for c in range(ncols))]
+    for _ in range(nrows):
+        row = [g.randrange(levels[0])]
+        for c in range(1, ncols):
+            noisy = g.random() < 0.3
+            row.append(g.randrange(levels[c]) if noisy else row[-1] * levels[c] // levels[c - 1])
+        lines.append(",".join(map(str, row)))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# Traced bytes a streamed stage may hold besides its largest table
+# chunk, in units of one batch intermediate of float64: its training
+# sets, one chunk's releases and features, and the structure stage's
+# pair tables.  Measured at about 3 on the wide input below; holding
+# all 20 networks' tables at once measured about 52.
+EXTRA_BATCHES = 8
+
+
+class Chunks:
+    """What the table chunks of a stage held: ``bytes``, every array of
+    each chunk's ``_TableBatch`` once its cumulative table is built, and
+    ``alive``, how many other chunks were alive as each was built."""
+
+    def __init__(self):
+        self.bytes, self.alive = [], []
+        self.batches = weakref.WeakSet()
+
+    def clear(self):
+        self.bytes.clear()
+        self.alive.clear()
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    seen = Chunks()
+    init, sample = generators._TableBatch.__init__, generators._TableBatch.sample
+
+    def spy_init(self, *args):
+        seen.alive.append(len(seen.batches))
+        init(self, *args)
+        seen.batches.add(self)
+
+    def spy_sample(self, *args):
+        out = sample(self, *args)
+        seen.bytes.append(sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray)))
+        return out
+
+    monkeypatch.setattr(generators._TableBatch, "__init__", spy_init)
+    monkeypatch.setattr(generators._TableBatch, "sample", spy_sample)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    path = write_wide_csv(tmp_path_factory.mktemp("wide") / "wide.csv", 12, 600, 30)
+    pool = data.load_csv(path)
+    d_aux = data.Dataset(pool.schema, pool.values[:300])
+    d_eval = data.Dataset(pool.schema, pool.values[300:])
+    x = tuple(int(v) for v in d_eval.values[0])
+    bank = attack.make_query_bank(pool.schema, (1, 2), 5, seed=3)
+    return d_aux, d_eval, x, bank
+
+
+SPEC = generators.GeneratorSpec(generators.BAYNET, max_parents=2)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_one_chunk_of_tables(peak, chunks):
+    # Every network is a table chunk of its own here, each of about 1.5
+    # MiB: the stage must hold one of them, not all 20, and drop each
+    # before it builds the next.
+    assert len(chunks.bytes) == 20 and min(chunks.bytes) > 2 * generators.BATCH_ELEMENTS * 8
+    assert chunks.alive == [0] * 20
+    assert peak <= max(chunks.bytes) + EXTRA_BATCHES * generators.BATCH_ELEMENTS * 8
+
+
+def test_wide_shadow_stage_holds_one_table_chunk(wide, chunks):
+    d_aux, _, x, bank = wide
+    attack.shadow_features(d_aux, x, SPEC, bank, 100, 4, 0)  # builds the pair plan
+    chunks.clear()
+    (feats, _), peak = traced_peak(
+        lambda: attack.shadow_features(d_aux, x, SPEC, bank, 100, 20, 7)
+    )
+    assert feats.shape == (20, len(bank.queries))
+    assert_one_chunk_of_tables(peak, chunks)
+
+
+def test_wide_game_span_holds_one_table_chunk(wide, chunks):
+    d_aux, d_eval, x, bank = wide
+    feats, labels = attack.shadow_features(d_aux, x, SPEC, bank, 100, 4, 0)
+    meta = attack.train_meta_classifier(feats, labels, epochs=10)
+    adversary = attack.meta_classifier_adversary(meta, bank, x, n_syn=100)
+    config = games.GameConfig(20, 100, SPEC, 5, games.TRADITIONAL)
+    # 20 rounds of 1,200 values make one span.
+    assert games._span_rounds(20, 100 * len(x), 1) == 20
+    chunks.clear()
+    transcript, peak = traced_peak(lambda: games.run_game(x, d_eval, None, adversary, config))
+    assert len(transcript.runs) == 20
+    assert_one_chunk_of_tables(peak, chunks)
+
+
+WIDE_RUN = """
+[data]
+dataset = {dataset}
+aux_size = 300
+eval_size = 300
+target_size = 100
+
+[generator]
+kind = baynet
+max_parents = 3
+
+[attack]
+n_shadow = 2
+queries_per_k = 5
+syn_size = 50
+
+[game]
+n_eval = 2
+
+[records]
+selection = first:2
+
+[output]
+dir = {out}
+"""
+
+# Runs one command under a 1 GiB address-space limit.
+LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from privgames.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+OUT_OF_MEMORY = re.compile(
+    r"record evaluation failed: record (\d+): out of memory on a fit chunk of \d+ "
+    r"(pair-)?table cells \(widest arity 60\)"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
+def test_wide_run_under_an_address_space_limit_ends_cleanly(tmp_path):
+    # With three parents, one network over 24 columns of up to 60 levels
+    # can need tens of millions of table cells.  Under 1 GiB the run
+    # either completes or fails the records that ran out of memory with
+    # a FitError line, keeps every other record, and exits 1: never a
+    # traceback or a killed process.
+    out = tmp_path / "out"
+    config = tmp_path / "wide.ini"
+    dataset = write_wide_csv(tmp_path / "wide.csv", 24, 600, 60)
+    config.write_text(WIDE_RUN.format(dataset=dataset, out=out))
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    env.pop("PRIVGAMES_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED, "run", "--config", str(config)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.returncode in (0, 1), proc.stderr
+    failed = {
+        m.group(1) for m in map(OUT_OF_MEMORY.fullmatch, proc.stdout.splitlines()) if m
+    }
+    assert [line for line in proc.stdout.splitlines() if "failed" in line] == [
+        line for line in proc.stdout.splitlines() if OUT_OF_MEMORY.fullmatch(line)
+    ]
+    assert (proc.returncode == 1) == bool(failed)
+    status = "partial" if failed else "complete"
+    for kind in ("traditional", "model_seeded"):
+        lines = (out / f"results_{kind}.csv").read_text().splitlines()
+        assert f"status={status}" in lines[0]
+        present = [line.split(",")[0] for line in lines[2:]]
+        assert present == [rid for rid in ("0", "1") if rid not in failed]

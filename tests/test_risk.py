@@ -13,7 +13,7 @@ from privgames.errors import (
 from privgames.games import RUN_DTYPE, GameTranscript
 
 from brute import brute_auc, brute_rates, brute_tradeoff_points
-from reference import reference_empirical_tradeoff
+from reference import reference_dp_tradeoff_lower_bound, reference_empirical_tradeoff
 
 
 def make_transcript(bits, scores, game_kind="traditional", record_id="r"):
@@ -198,6 +198,37 @@ def test_dp_bound_monotone_and_nonnegative():
             b = risk.dp_tradeoff_lower_bound(eps, 0.0, float(alpha))
             assert 0.0 <= b <= last + 1e-15
             last = b
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-300, 0.1, 1.0, math.log(2), 50.0, 709.0, 710.0, 1e6])
+@pytest.mark.parametrize("delta", [0.0, 1e-5, 0.25, 1.0])
+def test_dp_bound_of_an_array_is_each_rate_bound_alone(epsilon, delta):
+    # One call bounds every vertex of a curve with the bits of bounding
+    # each alone: alpha = 0, an overflowing e^eps (710 and up), bounds
+    # clamped to 0.0 and ties between the terms included.
+    g = np.random.default_rng(7)
+    rates = np.concatenate([[0.0, 1.0, 0.5, 0.25, 1e-300], g.random(200), np.arange(41) / 40])
+    got = risk.dp_tradeoff_lower_bound(epsilon, delta, rates)
+    assert got.shape == rates.shape
+    want = [reference_dp_tradeoff_lower_bound(epsilon, delta, a) for a in rates.tolist()]
+    assert repr(got.tolist()) == repr(want)
+    for a in rates[:5].tolist():
+        value = risk.dp_tradeoff_lower_bound(epsilon, delta, a)
+        assert type(value) is float
+        assert repr(value) == repr(reference_dp_tradeoff_lower_bound(epsilon, delta, a))
+
+
+def test_dp_audit_points_match_the_scalar_bound_per_vertex():
+    g = np.random.default_rng(11)
+    bits = [i % 2 for i in range(60)]
+    t = make_transcript(bits, g.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=60).tolist())
+    for epsilon in (0.05, 1.0, 800.0):
+        slack = 2.0 * risk.hoeffding_radius(30, 0.05)
+        want = []
+        for alpha, beta in reference_empirical_tradeoff(t):
+            bound = reference_dp_tradeoff_lower_bound(epsilon, 0.0, alpha)
+            want.append((alpha, beta, bound, beta < bound - slack))
+        assert repr(risk.dp_audit_points(t, epsilon, rho=0.05)) == repr(want)
 
 
 def test_dp_bound_shrinks_with_epsilon():

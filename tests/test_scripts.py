@@ -1,6 +1,7 @@
 """Smoke tests of the developer scripts under ``scripts/``."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,8 @@ def test_ab_commands_runs_one_tree_against_itself():
     )
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[-1].startswith("B/A wall: median ratio ")
+    assert lines[-2].startswith("B/A wall: median ratio ")
+    # Then each side's traced peak over one more command.
+    assert re.fullmatch(r"tracemalloc peak over one command: A \d+\.\d KB, B \d+\.\d KB", lines[-1])
     digests = [line.rsplit("outputs ", 1)[1] for line in lines if line.startswith(("A ", "B "))]
     assert len(digests) == 2 and digests[0] == digests[1]
