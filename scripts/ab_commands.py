@@ -9,7 +9,10 @@ Each tree gets one worker process that imports ``privgames`` from the
 tree's ``src/`` and runs the workload's command in process through
 ``benchmark/child.py``, once per request: one warm-up, then one command
 per pair.  The pairs alternate which side goes first.  Workers run one
-at a time, with BLAS pinned to one thread and default workers.
+at a time, with BLAS pinned to one thread and default workers.  Costs
+paid once per process do not show in these warm workers: imports, and
+imports made on first use, such as numpy 2's ``numpy.ma``.  Compare
+those with alternating fresh-process ``benchmark/run.py`` runs.
 
 Both sides compile the trees from source: each worker imports a copy
 of its tree's ``src/`` without any ``__pycache__``.  A tree that loads

@@ -18,7 +18,6 @@ below the header is a deterministic function of the config and master
 seed, so reruns are byte-identical apart from that first line.
 """
 
-import argparse
 import ctypes
 import os
 import sys
@@ -565,6 +564,8 @@ def _add_run_style_options(sub):
 
 
 def build_parser():
+    import argparse  # only the command line parses arguments
+
     parser = argparse.ArgumentParser(
         prog="privgames",
         description="Per-record membership-inference risk evaluation for "

@@ -12,7 +12,6 @@ different configurations.
 """
 
 import configparser
-import difflib
 import hashlib
 import json
 import math
@@ -157,6 +156,8 @@ def checked(name, value, raw):
 
 
 def _unknown(path, what, name, known):
+    import difflib  # only a misspelt key needs it
+
     close = difflib.get_close_matches(name.lower(), known, n=1)
     hint = f" (did you mean {close[0]}?)" if close else ""
     return ConfigError(f"{path}: unknown {what} {name}{hint}")

@@ -283,6 +283,21 @@ def parse_schema_sidecar(path):
     return hints
 
 
+def linear_quantiles(ordered, qs):
+    """The ``qs`` quantiles of the sorted float sample ``ordered``, bit for
+    bit numpy's ``method="linear"``: index ``(n - 1) * q``, numpy's
+    ``_lerp`` from its floor to the next value, the last value at or past
+    ``n - 1``.  Unlike numpy's, it calls no ``np.unique``, which on numpy
+    2 imports ``numpy.ma``."""
+    last = len(ordered) - 1
+    index = last * np.asarray(qs, dtype=float)
+    below = np.floor(index)
+    at = np.minimum(below.astype(np.intp), last)
+    a, b, t = ordered[at], ordered[np.minimum(at + 1, last)], index - below
+    lerp = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    return np.where(index >= last, ordered[-1], lerp)
+
+
 def _equal_frequency_edges(vals, bins):
     # Inner quantile edges; bin of v = #edges strictly below-or-at v, so
     # equal values always land in the same bin even when quantiles tie.
@@ -290,8 +305,8 @@ def _equal_frequency_edges(vals, bins):
     # Interpolating between values of opposite sign near the float limit
     # overflows to inf; halving first is exact for all but subnormals.
     if np.abs(vals).max() > np.finfo(vals.dtype).max / 2:
-        return np.quantile(vals / 2, qs) * 2
-    return np.quantile(vals, qs)
+        return linear_quantiles(np.sort(vals) / 2, qs) * 2
+    return linear_quantiles(np.sort(vals), qs)
 
 
 def load_csv(path, hints=None):

@@ -69,7 +69,6 @@ strictly by ``load_transcript``.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -217,6 +216,8 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
             at += b - a
 
     opened = done = 0
+    if threads > 1:  # concurrent.futures loads logging and queue: only a pool imports it
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         # A window of one span per thread runs at a time.

@@ -46,6 +46,7 @@ without building the training sets at all; ``fit_batch`` and
 ``FittedGenerator`` refuse a toy spec.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,16 +229,9 @@ class _PairPlan:
         self.marg_groups = _segment_groups(*np.array(segments, dtype=np.int64).reshape(-1, 3).T)
 
 
-# A plan depends only on the column sizes, so it is built at the first fit
-# on a schema and shared after; threads racing on a miss build equal plans.
-_PAIR_PLANS = {}
-
-
-def _pair_plan(sizes):
-    plan = _PAIR_PLANS.get(sizes)
-    if plan is None:
-        plan = _PAIR_PLANS[sizes] = _PairPlan(sizes)
-    return plan
+# A plan depends only on the column sizes.  A command fits one schema, so
+# only the last schema's plan is kept: a wide schema's takes megabytes.
+_pair_plan = functools.lru_cache(maxsize=1)(_PairPlan)
 
 
 def _column_rows(values):

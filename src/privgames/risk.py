@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import linear_quantiles
 from .errors import (
     DomainError,
     UndefinedMissRateError,
@@ -188,8 +189,9 @@ def summarize_distribution(values):
     """Summary of a one-dimensional sample.
 
     The histogram uses bins of ``BIN_WIDTH`` spanning [min, max]; the
-    ``PERCENTILE_LEVELS`` use linear interpolation, so ten values
-    0.1..1.0 put the 90th percentile at 0.91.
+    ``PERCENTILE_LEVELS`` use numpy's linear interpolation
+    (``data.linear_quantiles``), so ten values 0.1..1.0 put the 90th
+    percentile at 0.91.
     """
     vals = np.asarray(list(values), dtype=float)
     if vals.size == 0:
@@ -201,12 +203,9 @@ def summarize_distribution(values):
     edges = lo + BIN_WIDTH * np.arange(nbins + 1)
     edges[-1] = max(edges[-1], hi)
     bin_counts, _ = np.histogram(vals, bins=edges)
-    pct = {
-        int(q): float(np.percentile(vals, q, method="linear"))
-        for q in PERCENTILE_LEVELS
-    }
+    pct = linear_quantiles(vals, [q / 100 for q in PERCENTILE_LEVELS]).tolist()
     return DistributionSummary(
         bin_edges=tuple(float(e) for e in edges),
         bin_counts=tuple(int(c) for c in bin_counts),
-        percentiles=pct,
+        percentiles=dict(zip(PERCENTILE_LEVELS, pct)),
     )

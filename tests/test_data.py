@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from privgames import data
+from privgames import data, risk
 from privgames.errors import CsvParseError, DomainError, SizeError
 
 
@@ -140,6 +140,52 @@ def test_continuous_binning_at_the_float_limit(tmp_path):
     p = write(tmp_path / "t.csv", "x\n-1.7e308\n1.7e308\n")
     ds = data.load_csv(p, hints={"x": data.ColumnHint("continuous", bins=2)})
     assert ds.values[:, 0].tolist() == [0, 1]
+
+
+# linear_quantiles stands in for np.percentile and np.quantile, whose
+# np.unique imports numpy.ma on numpy 2: it must give their bits.
+
+
+def quantile_samples(huge):
+    """Unsorted seeded samples of 1 to 60 values: uniform [0, 1) like
+    |R^T - R^MS|, ties with negatives, negative zeros, wide magnitudes,
+    and (``huge``) values of both signs near the float maximum."""
+    g = np.random.default_rng(20250817)
+    for n in range(1, 61):
+        yield g.random(n)
+        yield g.integers(-3, 4, n).astype(float)
+        yield np.full(n, -0.0)
+        yield g.normal(0.0, 1e3, n) * 10.0 ** g.integers(-8, 9, n)
+        if huge:
+            yield g.uniform(-1.0, 1.0, n) * np.finfo(float).max
+            yield np.finfo(float).max * g.choice([-1.0, 1.0], n)
+
+
+def test_linear_quantiles_match_numpy_percentile_bitwise():
+    levels = risk.PERCENTILE_LEVELS
+    for vals in quantile_samples(huge=False):
+        expected = np.array([np.percentile(vals, q, method="linear") for q in levels])
+        got = data.linear_quantiles(np.sort(vals), [q / 100 for q in levels])
+        assert got.tobytes() == expected.tobytes(), vals
+        if np.ptp(vals) < 10:  # summarize_distribution bins at width 0.02
+            pct = risk.summarize_distribution(vals.tolist()).percentiles
+            assert list(pct) == list(levels)
+            assert np.array(list(pct.values())).tobytes() == expected.tobytes(), vals
+
+
+def numpy_equal_frequency_edges(vals, bins):
+    """The continuous bin edges as np.quantile made them."""
+    qs = [k / bins for k in range(1, bins)]
+    if np.abs(vals).max() > np.finfo(vals.dtype).max / 2:
+        return np.quantile(vals / 2, qs) * 2
+    return np.quantile(vals, qs)
+
+
+def test_equal_frequency_edges_match_numpy_quantile_bitwise():
+    for vals in quantile_samples(huge=True):
+        for bins in (1, 2, 3, 4, 7, 10, 16):
+            got = data._equal_frequency_edges(vals, bins)
+            assert got.tobytes() == numpy_equal_frequency_edges(vals, bins).tobytes(), (vals, bins)
 
 
 def test_schema_sidecar(tmp_path):

@@ -797,6 +797,21 @@ def test_structure_chunk_out_of_memory_is_a_fit_error(monkeypatch):
         generators.fit_batch(SPECS[4], schema, stack(trainings), [1, 2, 3])
 
 
+def test_only_the_last_schemas_pair_plan_stays_alive():
+    # A wide schema's plan takes megabytes: a fit on a second schema drops
+    # the first one's.
+    first, second = random_batch(1, 2), random_batch(2, 2)
+    assert first[0].schema.sizes != second[0].schema.sizes
+    fitted(generators.fit_batch(SPECS[4], first[0].schema, stack(first), [1, 2]))
+    misses = generators._pair_plan.cache_info().misses
+    plan = weakref.ref(generators._pair_plan(first[0].schema.sizes))
+    assert generators._pair_plan.cache_info().misses == misses  # the fit's own plan
+    fitted(generators.fit_batch(SPECS[4], second[0].schema, stack(second), [3, 4]))
+    assert plan() is None
+    generators._pair_plan(second[0].schema.sizes)
+    assert generators._pair_plan.cache_info().misses == misses + 1  # kept from the fit
+
+
 def test_fit_batch_builds_generators_only_for_noise(monkeypatch):
     # Visit orders come from Streams.permutations: a baynet fit builds no
     # Generator, and a privbaynet fit builds one per table, each on the

@@ -1,5 +1,6 @@
 """The package needs numpy only: importing every module loads no scipy,
-and a network command loads no ``numpy.ma``.  And it seeds random
+and no command loads ``numpy.ma``.  A command called as a library
+function loads no argparse, thread pool or difflib.  And it seeds random
 streams in one place: only ``seeds`` touches ``numpy.random``, and only
 ``Streams.__getitem__`` builds a Generator."""
 
@@ -102,14 +103,38 @@ dir = {out}
 """
 
 
-def _loads_numpy_ma(code, tmp_path):
+def _loaded(code, tmp_path, names):
+    """Which of the module ``names`` a fresh interpreter holds after ``code``."""
     src = os.path.dirname(os.path.dirname(privgames.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    report = f"\nimport sys\nprint([m for m in {names!r} if m in sys.modules])\n"
     out = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint('numpy.ma' in sys.modules)\n"],
+        [sys.executable, "-c", code + report],
         env=env, capture_output=True, text=True, check=True, cwd=tmp_path,
     )
-    return out.stdout.splitlines()[-1] == "True"
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def _loads_numpy_ma(code, tmp_path):
+    return _loaded(code, tmp_path, ["numpy.ma"]) == ["numpy.ma"]
+
+
+_BAYNET = "kind = baynet\nmax_parents = 2"
+_PRIVBAYNET = "kind = privbaynet\nepsilon = 1.0\nmax_parents = 2"
+_GRID = "\n[convergence]\ngrid = 4,6\nrepetitions = 2\n"
+
+
+def _write_configs(tmp_path):
+    """The run, dp-audit and convergence configs, each by its command."""
+    paths = {}
+    for command, generator, extra in (
+        ("run", _BAYNET, ""),
+        ("dp-audit", _PRIVBAYNET, ""),
+        ("convergence", _BAYNET, _GRID),
+    ):
+        path = paths[command] = tmp_path / f"{command}.ini"
+        path.write_text(_TINY_CONFIG.format(generator=generator, out=tmp_path / command) + extra)
+    return paths
 
 
 def test_network_commands_load_no_numpy_ma(tmp_path):
@@ -119,14 +144,38 @@ def test_network_commands_load_no_numpy_ma(tmp_path):
     # off the command path there.
     if _loads_numpy_ma("import numpy", tmp_path):
         pytest.skip("importing numpy loads numpy.ma")
-    for name, command, generator in (
-        ("run", "run", "kind = baynet\nmax_parents = 2"),
-        ("audit", "dp-audit", "kind = privbaynet\nepsilon = 1.0\nmax_parents = 2"),
+    paths = _write_configs(tmp_path)
+    results = [str(tmp_path / "run" / f"results_{g}.csv") for g in ("traditional", "model_seeded")]
+    for argv in (
+        ["run", "--config", str(paths["run"])],
+        ["compare", *results, "--out", str(tmp_path / "comparison.csv")],
+        ["dp-audit", "--config", str(paths["dp-audit"])],
+        ["convergence", "--config", str(paths["convergence"])],
     ):
-        path = tmp_path / f"{name}.ini"
-        path.write_text(_TINY_CONFIG.format(generator=generator, out=tmp_path / name))
-        code = (
-            "from privgames import cli\n"
-            f"assert cli.main([{command!r}, '--config', {str(path)!r}]) == 0\n"
-        )
-        assert not _loads_numpy_ma(code, tmp_path), command
+        code = f"from privgames import cli\nassert cli.main({argv!r}) == 0\n"
+        assert not _loads_numpy_ma(code, tmp_path), argv[0]
+
+
+def test_library_commands_load_only_what_they_run(tmp_path):
+    # The cmd_* functions at their default single thread need no argument
+    # parser, thread pool or spelling hint, and no numpy.ma (see above).
+    paths = _write_configs(tmp_path)
+    code = (
+        "import os\n"
+        "from privgames import cli, config\n"
+        "quiet = lambda message: None\n"
+        f"run = config.load_experiment_config({str(paths['run'])!r})\n"
+        "assert cli.cmd_run(run, log=quiet) == 0\n"
+        "results = [os.path.join(run.out_dir, f'results_{game}.csv')\n"
+        "           for game in ('traditional', 'model_seeded')]\n"
+        "threshold = run.high_risk_threshold\n"
+        "assert cli.cmd_compare(*results, threshold, 'comparison.csv', log=quiet) == 0\n"
+        f"audit = config.load_experiment_config({str(paths['dp-audit'])!r})\n"
+        "assert cli.cmd_dp_audit(audit, log=quiet) == 0\n"
+        f"grid = config.load_experiment_config({str(paths['convergence'])!r})\n"
+        "assert cli.cmd_convergence(grid, log=quiet) == 0\n"
+    )
+    deferred = ["argparse", "concurrent.futures", "difflib"]
+    if not _loads_numpy_ma("import numpy", tmp_path):
+        deferred.append("numpy.ma")
+    assert _loaded(code, tmp_path, deferred) == []
