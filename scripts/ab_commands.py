@@ -30,8 +30,10 @@ output bodies; then the median per-pair wall ratio B/A and how many
 pairs B won.  After the timed pairs each side runs one more command
 under ``tracemalloc`` and its traced peak is printed: the live Python
 and numpy allocations, which are deterministic and, unlike
-``ru_maxrss``, fall again in a long-lived worker.  The workloads and the output check come from
-``benchmark/``, imported read-only.
+``ru_maxrss``, fall again in a long-lived worker.  The script exits 1,
+after printing all of this, when the two sides' output digests differ.
+The workloads and the output check come from ``benchmark/``, imported
+read-only.
 """
 
 import argparse
@@ -151,16 +153,20 @@ def compare(args, workload):
     a, b = ([r["wall_s"] for r in side.results] for side in sides)
     print(f"workload {args.workload}, size {args.size}, seed {args.seed}, {args.pairs} pairs, "
           "both sides compiled from source")
-    for side, walls in zip(sides, (a, b)):
-        digests = sorted({r["digest"] for r in side.results})
+    digests = [sorted({r["digest"] for r in side.results}) for side in sides]
+    for side, walls, outputs in zip(sides, (a, b), digests):
         faults = statistics.median(r["minflt"] for r in side.results)
         print(f"{side.label} {side.tree}: median wall {statistics.median(walls):.4f} s, "
-              f"median ru_minflt {faults:g} per command, outputs {' '.join(d[:12] for d in digests)}")
+              f"median ru_minflt {faults:g} per command, outputs {' '.join(d[:12] for d in outputs)}")
     ratios = [y / x for x, y in zip(a, b)]
     won = sum(y < x for x, y in zip(a, b))
     print(f"B/A wall: median ratio {statistics.median(ratios):.4f}; B faster in {won} of {args.pairs} pairs")
     print("tracemalloc peak over one command: "
           + ", ".join(f"{side.label} {peak / 1024:.1f} KB" for side, peak in zip(sides, peaks)))
+    if digests[0] != digests[1]:
+        print("the two sides' outputs differ", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv=None):
@@ -181,8 +187,8 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
-    compare(args, workloads.get(args.workload, args.size))
+    return compare(args, workloads.get(args.workload, args.size))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

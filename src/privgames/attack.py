@@ -8,13 +8,14 @@ scores fresh releases with the fitted model.
 
 The shadow training sets are one ``(n_shadow, n, d)`` array of the
 schema's narrow dtype, fit by one ``generators.fit_batch`` call, and
-each table chunk of shadows is sampled and featurized before the next
-chunk's tables are built.  A chunk's releases are one
-``generators.sample_columns`` call, one ``(k, d, n)`` array of narrow
-columns.  Their features are integer match counts: per chunk of
-``generators.batch_size`` releases, each query ANDs the packed
-bitsets of its column tests and popcounts the result, with no floating
-point until the count is divided by ``n``.  The batch's scores come from
+each table chunk of shadows, the table batch ``fit_batch`` yields, is
+sampled and featurized before the next chunk's tables are built.  A
+chunk's releases are one ``generators.sample_columns`` call of its
+batch, one ``(k, d, n)`` array of narrow columns.  Their features are
+integer match counts: per chunk of ``generators.batch_size`` releases,
+each query ANDs the packed bitsets of its column tests and popcounts
+the result, with no floating point until the count is divided by
+``n``.  The batch's scores come from
 one stacked ``np.matmul``, one dot product of a release's features with
 the weights per slice, and one sigmoid: a matrix-vector product over the
 whole batch sums in another order and changes the low bits of the
@@ -200,16 +201,16 @@ def extract_features(d_syn, x, bank):
     return _features(d_syn.values[None], x, bank)[0]
 
 
-def _release_features(gens, n, seeds, x, bank):
-    """Features of each generator's sample of ``n`` rows, in order.
+def _release_features(batch, n, seeds, x, bank):
+    """Features of each network's sample of ``n`` rows, in order, for
+    one table chunk ``batch`` of ``generators.fit_batch``.
 
     The releases are one ``generators.sample_columns`` call, a
     ``(k, d, n)`` column array whose ``(k, n, d)`` view ``_features``
     reduces: no release is copied to records.  Both chunk their work by
-    their own budgets, and the games and the shadow stage pass one table
-    chunk of generators at a time.
+    their own budgets.
     """
-    return _features(generators.sample_columns(gens, n, seeds).transpose(0, 2, 1), x, bank)
+    return _features(generators.sample_columns(batch, n, seeds).transpose(0, 2, 1), x, bank)
 
 
 def build_shadow_sets(d_aux, x, n, n_shadow, seed):
@@ -371,7 +372,7 @@ def shadow_features(d_aux, x, spec, bank, n, n_shadow, seed):
         spec, d_aux.schema, sets, derive_many(seed, "shadow-fit", shadows)
     )
     feats = generators.score_chunks(
-        lambda gens, seeds: _release_features(gens, n, seeds, x, bank),
+        lambda batch, seeds: _release_features(batch, n, seeds, x, bank),
         chunks, derive_many(seed, "shadow-sample", shadows),
     )
     return feats, labels
@@ -392,7 +393,7 @@ def meta_classifier_adversary(meta, bank, x, n_syn):
     if n_syn < 1:
         raise DomainError("adversary needs a positive synthetic sample size")
 
-    def adversary(gens, seeds):
-        return _scores(meta, _release_features(gens, n_syn, seeds, x, bank))
+    def adversary(batch, seeds):
+        return _scores(meta, _release_features(batch, n_syn, seeds, x, bank))
 
     return adversary

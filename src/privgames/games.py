@@ -29,21 +29,22 @@ derives its rounds' run, data, fit and adversary seeds in one
 ``seeds.Streams``, builds its training sets as one ``(B, n, d)`` array
 of the schema's narrow dtype and fits them in one
 ``generators.fit_batch`` call, which hands the networks over one table
-chunk at a time: each chunk is scored in one adversary call before the
-next chunk's tables are built.  A span holds at most a ``threads``-th
-of the grid's rounds (a window of ``threads`` spans then runs in a
-thread pool) and at most ``generators.batch_size`` rounds of a round's
-weight: its training set's cells plus the ``ROUND_ELEMENTS`` its seeds,
-hashed streams and per-round arrays hold.  So a span stays within the batch
-budget like every other batched stage, however large its games.  Each
-game's transcript, one ``RUN_DTYPE`` array of (secret bit, score, run
-seed) rows, is yielded once its last span is scored, the same bytes
-whatever the spans.
+chunk, its table batch, at a time: each chunk is scored in one
+adversary call before the next chunk's tables are built.  A span holds
+at most a ``threads``-th of the grid's rounds (a window of ``threads``
+spans then runs in a thread pool) and at most ``generators.batch_size``
+rounds of a round's weight: its training set's cells plus the
+``ROUND_ELEMENTS`` its seeds, hashed streams and per-round arrays hold.
+So a span stays within the batch budget like every other batched stage,
+however large its games.  Each game's transcript, one ``RUN_DTYPE``
+array of (secret bit, score, run seed) rows, is yielded once its last
+span is scored, the same bytes whatever the spans.
 
 Traditional rounds gather their pool draws in one pass
-(``data.sample_training_sets``), model-seeded rounds copy ``d_target``
-and overwrite x's rows in out-rounds, and the mixture game stacks one
-array per drawn partial and secret bit.  No round builds a
+(``data.sample_training_sets``) and model-seeded rounds copy
+``d_target`` and overwrite x's rows in out-rounds.  A mixture round
+trains on its drawn partial with its own spec, so it is fit alone, one
+``fit_batch`` call and one chunk per round.  No round builds a
 ``SeedSequence`` of its own, and only a network's traditional round
 builds a Generator on its data stream, for its pool draw: model-seeded
 references (fixed ones every game's at once) and the mixture's partial
@@ -56,16 +57,17 @@ probabilities, and the traditional and model-seeded games derive no data
 or fit seed for them.  The mixture still draws each round's partial,
 whose spec the fit takes, and refuses specs that mix the toy with a
 network kind.  An adversary is a function ``adversary(fits, seeds) ->
-scores``: one membership score per round's fit (a ``FittedGenerator``,
-or a toy's entry of that array), each given its round's adversary seed,
-so a toy span draws its release bits in one ``generators.release_bits``
-call.  The counting-query adversary samples a chunk's releases in one
-``generators.sample_columns`` call, one ``(k, d, n)`` array of narrow
-columns, and scores them as one array, but each logit stays one dot
-product per release (see ``attack``).  A transcript file is a
-``data.table_lines`` table of one row per round, headed by the hash of
-the experiment config that the command stamps on it, and read back
-strictly by ``load_transcript``.
+scores`` of one chunk: one membership score per round's fit, each given
+its round's adversary seed.  A network chunk is its table batch, which
+``fit_batch`` yields, and a toy chunk its array of release
+probabilities, so a toy span draws its release bits in one
+``generators.release_bits`` call.  The counting-query adversary samples
+a network chunk's releases in one ``generators.sample_columns`` call,
+one ``(k, d, n)`` array of narrow columns, and scores them as one
+array, but each logit stays one dot product per release (see
+``attack``).  A transcript file is a ``data.table_lines`` table of one
+row per round, headed by the hash of the experiment config that the
+command stamps on it, and read back strictly by ``load_transcript``.
 """
 
 import math
@@ -170,15 +172,16 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
     consecutive rounds that may cross game boundaries.
     ``fit_rounds(secret, streams, seeds, game)`` builds the training sets
     of a span with the secret bit array ``secret`` and returns their
-    fits in chunks of consecutive rounds (``fit_batch``'s iterator, or
-    a list of one chunk), round i fit with ``seeds[i]``; ``streams[i]``
-    is round i's data stream, opened only by rounds that draw, and
-    ``game[i]`` the index in ``configs`` of its game.  Each chunk is
-    scored before the next is drawn (``generators.score_chunks``).  A
-    training set holds at most ``set_cells`` values, and a span holds
-    ``_span_rounds`` rounds, within the batch budget.  With ``data_tag``
-    None the rounds draw nothing: ``fit_rounds(secret)`` returns their
-    fits from the bits alone, and no data or fit seed is derived."""
+    fits as an iterable of chunks of consecutive rounds (``fit_batch``'s
+    iterator, or a list of one toy chunk), round i fit with
+    ``seeds[i]``; ``streams[i]`` is round i's data stream, opened only by
+    rounds that draw, and ``game[i]`` the index in ``configs`` of its
+    game.  Each chunk is scored before the next is drawn
+    (``generators.score_chunks``).  A training set holds at most
+    ``set_cells`` values, and a span holds ``_span_rounds`` rounds,
+    within the batch budget.  With ``data_tag`` None the rounds draw
+    nothing: ``fit_rounds(secret)`` returns their fits from the bits
+    alone, and no data or fit seed is derived."""
     kind = configs[0].game_kind
     sizes = np.array([c.n_eval for c in configs])
     ends = np.cumsum(sizes)
@@ -271,8 +274,8 @@ def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
     d_eval : Dataset
         Evaluation pool the per-round datasets are resampled from.
     adversary : callable
-        ``adversary(gens, seeds)`` returns a membership score in [0, 1]
-        for each round's fitted generator, given the round's adversary
+        ``adversary(fits, seeds)`` returns a membership score in [0, 1]
+        for each round's fit in a chunk, given the round's adversary
         seed.
     config : GameConfig
     record_id : str
@@ -487,22 +490,17 @@ def run_traditional_mixture(
 
         set_cells = 0
     else:
-        # Rounds that drew the same partial and bit train on the same
-        # rows, so each such group is fit as one batch of copies.
+        # A round trains on its drawn partial, plus x when b = 1, with
+        # that partial's spec: each round is a chunk of its own.
         rows = {(j, 0): part.values for j, part in enumerate(partials)}
         rows.update({(j, 1): np.vstack([part.values, [x]]) for j, part in enumerate(partials)})
 
         def fit_rounds(secret, streams, seeds, game):
-            keys = list(zip(streams.integers(len(partials), 1)[:, 0].tolist(), secret.tolist()))
-            gens = [None] * len(keys)
-            for key in dict.fromkeys(keys):
-                rounds = [i for i, k in enumerate(keys) if k == key]
-                values = np.repeat(rows[key][None], len(rounds), axis=0)
-                chunks = generators.fit_batch(specs[key[0]], schema, values, seeds[rounds])
-                fitted = [gen for chunk in chunks for gen in chunk]
-                for i, gen in zip(rounds, fitted):
-                    gens[i] = gen
-            return [gens]
+            drawn = streams.integers(len(partials), 1)[:, 0].tolist()
+            for i, key in enumerate(zip(drawn, secret.tolist())):
+                yield from generators.fit_batch(
+                    specs[key[0]], schema, rows[key][None], seeds[i : i + 1]
+                )
 
         set_cells = max(v.size for v in rows.values())
     (transcript,) = _play(

@@ -12,20 +12,20 @@ batches.  ``fit_batch`` takes one spec, one schema and the training sets
 as one ``(B, n, d)`` array, of the schema's narrow dtype in every game,
 which it slices into chunks and never copies; the fit stages promote
 its values to int64 codes.  It learns every structure at the call and
-hands the networks over one table chunk at a time, and
-``score_chunks`` scores each chunk before the next one's tables are
-built, so a batch holds one chunk's tables.  ``sample_columns`` draws
-the releases of fitted generators of one schema as one ``(k, d, n)``
-array of narrow unsigned columns, and no release becomes a
-``Dataset``.  Each fit stage is one function over the whole batch, a
-fixed number of array passes: ``learn_structure`` scores only the
-column pairs each network's visit order reads, from one ``bincount``,
-and ranks every network's candidate parents with one stable
-``argsort``; ``estimate_tables`` counts every column of every
+hands the networks over one table chunk at a time, and a network chunk
+is its ``_TableBatch``: the flat tables of its networks, with their
+``schema``, and ``len()`` its network count.  ``score_chunks`` scores
+each chunk before the next one's tables are built, so a batch holds one
+chunk's tables.  ``sample_columns`` draws the releases of a chunk's
+networks as one ``(k, d, n)`` array of narrow unsigned columns, and no
+release becomes a ``Dataset``.  Each fit stage is one function over the
+whole batch, a fixed number of array passes: ``learn_structure`` scores
+only the column pairs each network's visit order reads, from one
+``bincount``, and ranks every network's candidate parents with one
+stable ``argsort``; ``estimate_tables`` counts every column of every
 network with one more ``bincount``; ``privatize_tables`` noises them;
 and sampling draws one column of every network per step.  Orders and
-parents are ``(B, d)`` and ``(B, d, K)`` arrays, and the tables of a
-chunk of networks are flat arrays of one ``_TableBatch``.  Each network
+parents are ``(B, d)`` and ``(B, d, K)`` arrays.  Each network
 gets exactly the bits of the per-network definitions in
 ``tests/reference.py`` (``reference_mutual_information`` per column
 pair, a ``ravel_multi_index`` count per column, ancestral sampling
@@ -39,15 +39,15 @@ network's visit order is the first ``permutation(d)`` of its structure
 stream and a toy release the first ``random()`` of its stream, which
 ``Streams.permutations`` and ``Streams.randoms`` compute for the whole
 batch without a Generator.  A toy fit is nothing but its release
-probability: ``toy_fits``, the only way to make one, turns membership
-flags into a float64 array of ``p_in`` and ``p_out``.  Every game passes
-it its rounds' secret bits, which equal the flags by construction,
-without building the training sets at all; ``fit_batch`` and
-``FittedGenerator`` refuse a toy spec.
+probability, and a toy chunk its array of them: ``toy_fits``, the only
+way to make one, turns membership flags into a float64 array of
+``p_in`` and ``p_out``.  Every game passes it its rounds' secret bits,
+which equal the flags by construction, without building the training
+sets at all; ``fit_batch`` refuses a toy spec.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,21 +116,6 @@ class GeneratorSpec:
             for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
                 if p is None or not 0.0 <= p <= 1.0:
                     raise DomainError(f"toy requires {name} in [0, 1]")
-
-
-@dataclass(frozen=True)
-class FittedGenerator:
-    """A network fit on one training dataset: ``packed`` is the
-    ``_TableBatch`` of the batch it was fit in and its index there.  A toy
-    fit is a release probability (``toy_fits``), not one of these."""
-
-    spec: GeneratorSpec
-    schema: object
-    packed: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.spec.kind == TOY:
-            raise UnsupportedOperationError("a toy fit is its release probability; use toy_fits")
 
 
 def _concat(parts):
@@ -324,15 +309,16 @@ def _starts(lengths):
 
 
 class _TableBatch:
-    """The conditional probability tables of a batch of networks, from
-    their ``(B, d)`` visit orders and ``(B, d, K)`` parents padded with -1.
+    """A chunk of fitted networks of one ``schema``: their conditional
+    probability tables, from their ``(B, d)`` visit orders and
+    ``(B, d, K)`` parents padded with -1.  ``len()`` is B.
 
-    All networks share one schema.  Table ``t = b * d + c`` is column c
-    of network b: its ``(n_combos[t], arity[t])`` cells are the block at
-    ``cell_start[t]`` of the flat cell arrays (the counts that
-    ``estimate_tables`` and ``privatize_tables`` return, and ``probs``),
-    laid out exactly as the per-column table raveled, and its rows are
-    batch rows ``row_start[t]`` onward.  A record falls in row ``row_start[t]``
+    Table ``t = b * d + c`` is column c of network b: its
+    ``(n_combos[t], arity[t])`` cells are the block at ``cell_start[t]``
+    of the flat cell arrays (the counts that ``estimate_tables`` and
+    ``privatize_tables`` return, and ``probs``), laid out exactly as the
+    per-column table raveled, and its rows are batch rows
+    ``row_start[t]`` onward.  A record falls in row ``row_start[t]``
     plus ``sum_j value[parent_cols[b, c, j]] * combo_strides[b, c, j]``,
     the row-major parent combination ``ravel_multi_index`` computes;
     unused parent slots have stride 0.
@@ -341,10 +327,11 @@ class _TableBatch:
     ``row_first[r]``.  Row totals and the cumulative table both read it.
     """
 
-    def __init__(self, sizes, orders, parents):
+    def __init__(self, schema, orders, parents):
         nets, d, depth = parents.shape
+        self.schema = schema
         self.d = d
-        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.sizes = np.asarray(schema.sizes, dtype=np.int64)
         self.orders = orders
         self.parents = parents
         used = parents >= 0
@@ -361,6 +348,9 @@ class _TableBatch:
         self.row_first = _starts(self.row_arity)[:-1]
         self.probs = None
         self._cumulative = None
+
+    def __len__(self):
+        return len(self.orders)
 
     def set_counts(self, counts, overflow):
         """Store the normalized rows of the final cell counts: each row
@@ -510,11 +500,11 @@ def _out_of_memory(cells, widest, tables="table"):
 
 
 def _fit_tables(spec, schema, values, orders, parents, noise_streams, overflow):
-    """The fitted networks of one table chunk: their tables from their
-    training sets ``values``, visit orders and parents, noised from
+    """The ``_TableBatch`` of one table chunk: its networks' tables from
+    their training sets ``values``, visit orders and parents, noised from
     ``noise_streams`` (one per table) for privbaynet."""
     try:
-        batch = _TableBatch(schema.sizes, orders, parents)
+        batch = _TableBatch(schema, orders, parents)
         counts = estimate_tables(batch, values, spec.smoothing)
         if spec.kind == PRIVBAYNET:
             counts = privatize_tables(batch, counts, spec.epsilon, noise_streams)
@@ -523,13 +513,13 @@ def _fit_tables(spec, schema, values, orders, parents, noise_streams, overflow):
         sizes = np.array(schema.sizes)
         cells = (np.where(parents >= 0, sizes[parents], 1).prod(2) * sizes).sum()
         raise _out_of_memory(cells, max(schema.sizes)) from None
-    return [FittedGenerator(spec, schema, packed=(batch, b)) for b in range(len(values))]
+    return batch
 
 
 def fit_batch(spec, schema, values, seeds):
     """Fit a ``spec`` network on every training set of a batch; returns
-    an iterator over the fitted networks, one list per table chunk, in
-    order.
+    an iterator over its table chunks, in order, each the ``_TableBatch``
+    of its consecutive networks.
 
     ``values`` is a ``(B, n, d)`` array of ``schema`` records, of any
     integer dtype (the games build it in ``Schema.dtype``): training set
@@ -569,8 +559,9 @@ def fit_batch(spec, schema, values, seeds):
         parents = np.empty((len(values), d, min(spec.max_parents, d - 1)), dtype=np.int64)
         pair_cells = _pair_plan(schema.sizes).ncells
         # Structure chunks are weighed at n codes per ordered pair, though
-        # only half the pairs are counted: wider chunks raise peak memory.
-        size = batch_size(n * d * max(d - 1, 1))
+        # only half the pairs are counted (wider chunks raise peak memory),
+        # or at their pair cells if more: they hold two float arrays of them.
+        size = batch_size(max(n * d * max(d - 1, 1), pair_cells))
         for lo in range(0, len(values), size):
             hi = min(lo + size, len(values))
             try:
@@ -603,8 +594,9 @@ def score_chunks(score, chunks, seeds):
     """``score(fits, seeds)`` of each chunk of fits in ``chunks``, given
     the chunk's slice of ``seeds``, concatenated in order as float64.
 
-    ``chunks`` is ``fit_batch``'s iterator or any iterable of fit
-    sequences.  A chunk is dropped before the next is drawn, so only one
+    ``chunks`` is ``fit_batch``'s iterator or any iterable of chunks: a
+    ``_TableBatch`` of networks or a ``toy_fits`` array, ``len()`` its
+    fits.  A chunk is dropped before the next is drawn, so only one
     chunk's tables are alive at a time.
     """
     parts = []
@@ -627,58 +619,46 @@ def toy_fits(spec, members):
 
 
 def fit(spec, training, seed=0):
-    """Fit a network described by ``spec`` on ``training``, which must
-    be non-empty.  The toy kind reads no training data and raises
+    """``fit_batch`` of one non-empty ``training`` set: the ``_TableBatch``
+    of one network.  The toy kind reads no training data and raises
     UnsupportedOperationError: its fit is a release probability (see
-    ``toy_fits``).  A batch of one of ``fit_batch``.
+    ``toy_fits``)."""
+    return next(fit_batch(spec, training.schema, training.values[None], [seed]))
+
+
+def sample_columns(batch, n, seeds):
+    """``n`` records of every network of ``batch``, a table chunk of
+    ``fit_batch``, as one ``(len(batch), d, n)`` column array: ``[i, c]``
+    is column c of network i's sample drawn from ``seeds[i]``, of the
+    narrowest unsigned dtype that holds every level.
+
+    The networks are sampled together (see ``_TableBatch.sample``), in
+    chunks whose intermediates stay within ``BATCH_ELEMENTS``.  Running
+    out of memory raises FitError naming the batch's table cells.
     """
-    return next(fit_batch(spec, training.schema, training.values[None], [seed]))[0]
-
-
-def sample_columns(gens, n, seeds):
-    """``n`` records of every generator as one ``(len(gens), d, n)``
-    column array: ``[i, c]`` is column c of the sample drawn from
-    ``seeds[i]``, of the narrowest unsigned dtype that holds every level.
-
-    The generators must share one schema.  Networks fit in one table
-    chunk are sampled together (see ``_TableBatch.sample``), in chunks
-    whose intermediates stay within ``BATCH_ELEMENTS``, and each chunk is
-    written into its rows of the result.  Running out of memory raises
-    FitError naming the fit chunk's table cells.
-    """
-    if len(gens) != len(seeds):
-        raise DomainError("sampling needs one seed per generator")
+    if len(batch) != len(seeds):
+        raise DomainError("sampling needs one seed per network")
     streams = Streams(seeds)
     if n < 0:
         raise DomainError("sample size must be non-negative")
-    first = gens[0].schema if gens else None
-    if any(g.schema is not first and g.schema != first for g in gens):
-        raise DomainError("generators sampled together must share one schema")
-    d, dtype = (first.ncols, first.dtype) if gens else (0, np.uint8)
-    out = np.empty((len(gens), d, n), dtype=dtype)
+    out = np.empty((len(batch), batch.d, n), dtype=batch.schema.dtype)
     if n == 0:
         return out
-    groups = {}
-    for i, g in enumerate(gens):
-        groups.setdefault(id(g.packed[0]), []).append(i)
-    for idx in groups.values():
-        batch = gens[idx[0]].packed[0]
-        widest = int(batch.sizes.max())
-        size = batch_size(n * (widest + 2 * batch.d))
-        for lo in range(0, len(idx), size):
-            sub = idx[lo : lo + size]
-            nets = [gens[i].packed[1] for i in sub]
-            try:
-                out[sub] = batch.sample(nets, n, [streams[i] for i in sub])
-            except MemoryError:
-                raise _out_of_memory(batch.cell_start[-1], widest) from None
+    widest = int(batch.sizes.max())
+    size = batch_size(n * (widest + 2 * batch.d))
+    for lo in range(0, len(batch), size):
+        hi = min(lo + size, len(batch))
+        try:
+            out[lo:hi] = batch.sample(range(lo, hi), n, streams[lo:hi])
+        except MemoryError:
+            raise _out_of_memory(batch.cell_start[-1], widest) from None
     return out
 
 
 def sample(gen, n, seed):
-    """Draw ``n`` records by ancestral sampling, as a ``Dataset``.  A
-    batch of one of ``sample_columns``."""
-    return data_mod.Dataset(gen.schema, sample_columns([gen], n, [seed])[0].T)
+    """Draw ``n`` records of ``gen``, a fit of one network, by ancestral
+    sampling, as a ``Dataset``.  A batch of one of ``sample_columns``."""
+    return data_mod.Dataset(gen.schema, sample_columns(gen, n, [seed])[0].T)
 
 
 def release_bits(probs, seeds):

@@ -5,11 +5,10 @@ layer: structure learning one ``reference_mutual_information`` call per
 column pair, one ``ravel_multi_index`` count per table, Laplace noise per
 table, and ancestral sampling one column at a time, on the
 ``Structure`` and ``Cpt`` records of one network.  ``reference_fit_batch``
-has the signature and results of ``fit_batch`` (``fitted`` lists the
-networks of either), and
-``reference_sample_batch`` is the ``(k, n, d)`` records view of
-``sample_columns``; both loop over networks, so whole commands can be
-run on the reference path.  For
+has the signature of ``fit_batch`` and yields a chunk of one network per
+training set, and ``reference_sample_batch`` is the ``(k, n, d)``
+records view of ``sample_columns`` on such a chunk; both loop over
+networks, so whole commands can be run on the reference path.  For
 the games: ``reference_run_game`` and
 ``reference_run_traditional_mixture`` play one round at a time, every
 seed from a scalar ``derive``, every stream from a fresh
@@ -190,11 +189,6 @@ def reference_sample(gen, n, seed):
         arity = cpt.probs.shape[1]
         values[:, col] = np.minimum(picked, arity - 1)
     return data.Dataset(gen.schema, values)
-
-
-def fitted(chunks):
-    """Every network of ``fit_batch``'s chunks, in order, as one list."""
-    return [gen for chunk in chunks for gen in chunk]
 
 
 def reference_fit_batch(spec, schema, values, seeds):

@@ -8,7 +8,6 @@ import pytest
 from privgames import attack, data, games, generators
 from privgames.errors import ConfigError, DomainError, SizeError, TrainingError
 from reference import (
-    fitted,
     reference_features,
     reference_fit_batch,
     reference_meta_classifier_adversary,
@@ -575,8 +574,8 @@ def test_train_attack_deterministic_and_scoring():
 
     gen = generators.fit(spec, d_aux, seed=7)
     adv = attack.meta_classifier_adversary(m1, bank, x, n_syn=10)
-    s1 = adv([gen], [99])[0]
-    s2 = adv([gen], [99])[0]
+    s1 = adv(gen, [99])[0]
+    s2 = adv(gen, [99])[0]
     assert s1 == s2
     assert 0.0 <= s1 <= 1.0
 
@@ -614,6 +613,10 @@ def test_batched_attack_matches_per_release_reference(
     spec = generators.GeneratorSpec(generators.BAYNET, max_parents=2)
     bank = attack.make_query_bank(schema, k_values=(1, 2), queries_per_k=6, seed=3)
     n_syn = 20
+    count = 45
+    trainings = np.stack([data.sample_records(d_aux, 16, 1000 + i).values for i in range(count)])
+    # The 45 rounds fit as one table chunk at the default budget.
+    (batch,) = generators.fit_batch(spec, schema, trainings, list(range(count)))
     monkeypatch.setattr(generators, "BATCH_ELEMENTS", batch_elements)
     chunks = []
     packbits = np.packbits
@@ -628,13 +631,10 @@ def test_batched_attack_matches_per_release_reference(
     want = reference_train_attack(d_aux, x, spec, bank, n=16, n_shadow=30, seed=8, epochs=200)
     assert np.array_equal(meta.weights, want.weights)
 
-    count = 45
-    trainings = np.stack([data.sample_records(d_aux, 16, 1000 + i).values for i in range(count)])
-    gens = fitted(generators.fit_batch(spec, schema, trainings, list(range(count))))
     seeds = [7 * i + 2**63 for i in range(count)]
     chunks.clear()  # the shadows' 16-row releases weigh less
-    scores = attack.meta_classifier_adversary(meta, bank, x, n_syn)(gens, seeds)
-    ref_gens = fitted(reference_fit_batch(spec, schema, trainings, list(range(count))))
+    scores = attack.meta_classifier_adversary(meta, bank, x, n_syn)(batch, seeds)
+    ref_gens = [gen for (gen,) in reference_fit_batch(spec, schema, trainings, range(count))]
     assert scores == reference_meta_classifier_adversary(meta, bank, x, n_syn)(ref_gens, seeds)
     assert all(type(s) is float for s in scores)
     assert bank.columns.shape == (17, 2)

@@ -758,15 +758,15 @@ def test_toy_convergence_hashes_round_streams_once_per_span(tmp_path, monkeypatc
 
 def test_toy_convergence_builds_no_fitted_generator(tmp_path, monkeypatch):
     # A toy round's fit is its release probability: a whole toy
-    # convergence command constructs no FittedGenerator.
+    # convergence command builds no network fit, no table batch.
     built = []
-    init = generators.FittedGenerator.__init__
+    init = generators._TableBatch.__init__
 
     def spy(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(generators.FittedGenerator, "__init__", spy)
+    monkeypatch.setattr(generators._TableBatch, "__init__", spy)
     path = tmp_path / "toy.ini"
     text = TOY_TEMPLATE + "\n[convergence]\ngrid = 10,24\nrepetitions = 2\n"
     path.write_text(text.format(out=tmp_path / "toy"))

@@ -13,7 +13,6 @@ from privgames.seeds import Streams, derive, derive_many
 from brute import brute_mi
 from reference import (
     ReferenceGenerator,
-    fitted,
     reference_estimate_tables,
     reference_fit,
     reference_learn_structure,
@@ -72,7 +71,7 @@ def table_batch(training, parents, smoothing, order=None):
     d = training.schema.ncols
     orders = np.array([order or range(d)], dtype=np.int64)
     batch = generators._TableBatch(
-        training.schema.sizes, orders, padded([parents], max(map(len, parents), default=0))
+        training.schema, orders, padded([parents], max(map(len, parents), default=0))
     )
     batch.set_counts(generators.estimate_tables(batch, training.values[None], smoothing), "")
     return batch
@@ -82,7 +81,7 @@ def privatized(batch, epsilon, seed):
     """``privatize_tables`` of a one-network batch, table c drawing from
     ``derive(seed, "privatize-col", c)``, as a new normalized batch."""
     streams = Streams(derive_many(seed, "privatize-col", np.arange(batch.d)))
-    noised = generators._TableBatch(batch.sizes, batch.orders, batch.parents)
+    noised = generators._TableBatch(batch.schema, batch.orders, batch.parents)
     counts = generators.privatize_tables(batch, SET_COUNTS[batch], epsilon, streams)
     noised.set_counts(counts, "")
     return noised
@@ -108,10 +107,15 @@ def assert_same_tables(batch, b, reference_tables):
         assert flat_cells(batch, field)[lo:hi].tobytes() == want.tobytes()
 
 
-def assert_same_network(gen, ref):
-    """The arrays of a fitted network equal a reference fit: its visit
-    order, its parents padded with -1, and its cells."""
-    batch, b = gen.packed
+def networks(chunks):
+    """Every network of ``fit_batch``'s chunks, in order, as its chunk and
+    its index there."""
+    return [(batch, b) for batch in chunks for b in range(len(batch))]
+
+
+def assert_same_network(batch, b, ref):
+    """The arrays of network b of a fitted batch equal a reference fit:
+    its visit order, its parents padded with -1, and its cells."""
     assert batch.orders[b].tolist() == list(ref.structure.order)
     want = padded([ref.structure.parents], batch.parents.shape[2])[0]
     assert np.array_equal(batch.parents[b], want)
@@ -235,7 +239,7 @@ def test_rows_always_normalize():
             generators.BAYNET, max_parents=2, smoothing=float(trial % 3)
         )
         gen = generators.fit(spec, ds, seed=trial)
-        for probs in tables(*gen.packed):
+        for probs in tables(gen):
             assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
             assert np.all(probs >= 0)
 
@@ -372,7 +376,7 @@ def test_one_pass_fit_matches_reference_through_fit(kind):
         ref_tables = reference_estimate_tables(ds, st, 0.1)
         if kind == generators.PRIVBAYNET:
             ref_tables = reference_privatize_tables(ref_tables, 0.5, derive(seed, "privatize"))
-        assert_same_network(gen, ReferenceGenerator(spec, ds.schema, st, ref_tables))
+        assert_same_network(gen, 0, ReferenceGenerator(spec, ds.schema, st, ref_tables))
 
 
 def test_normalize_rows_zero_rows_fall_back_to_uniform():
@@ -380,7 +384,8 @@ def test_normalize_rows_zero_rows_fall_back_to_uniform():
     # a zero-total row of arity 3 and one of arity 9 fall back to uniform,
     # and a 9-cell row's total is numpy's pairwise sum, not a left-to-right
     # one (the two differ on the 1e16 row).
-    batch = generators._TableBatch((2, 3, 9), np.array([[0, 1, 2]]), padded([[(), (0,), (0,)]], 1))
+    schema = ordered_schema(2, 3, 9)
+    batch = generators._TableBatch(schema, np.array([[0, 1, 2]]), padded([[(), (0,), (0,)]], 1))
     big = [1e16] + [1.0] * 7 + [3.0]
     per_table = [
         np.array([[2.0, 5.0]]),
@@ -484,14 +489,19 @@ def stack(trainings):
 
 
 def assert_matches_reference(spec, trainings, seeds, n_syn=23):
-    gens = fitted(generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds))
+    chunks = list(generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds))
     syn_seeds = [derive(s, "sample") for s in seeds]
-    cols = generators.sample_columns(gens, n_syn, syn_seeds)
-    assert cols.shape == (len(gens), trainings[0].schema.ncols, n_syn)
+    ends = np.cumsum([len(batch) for batch in chunks]).tolist()
+    cols = np.concatenate([
+        generators.sample_columns(batch, n_syn, syn_seeds[end - len(batch) : end])
+        for batch, end in zip(chunks, ends)
+    ])
+    assert cols.shape == (len(trainings), trainings[0].schema.ncols, n_syn)
     assert cols.dtype == (np.uint8 if max(trainings[0].schema.sizes) <= 256 else np.uint16)
-    for gen, training, seed, syn_seed, syn in zip(gens, trainings, seeds, syn_seeds, cols):
+    nets = networks(chunks)
+    for (batch, b), training, seed, syn_seed, syn in zip(nets, trainings, seeds, syn_seeds, cols):
         ref = reference_fit(spec, training, seed=seed)
-        assert_same_network(gen, ref)
+        assert_same_network(batch, b, ref)
         expected = reference_sample(ref, n_syn, syn_seed)
         assert syn.T.astype(np.int64).tobytes() == expected.values.tobytes()
 
@@ -575,10 +585,9 @@ def test_training_set_dtype_does_not_change_fits(monkeypatch, spec, batch_elemen
         chunks = list(generators.fit_batch(spec, schema, values, seeds))
         assert len(chunks) > 1 or batch_elements != 700
         samples = [generators.sample_columns(chunk, 31, seeds[:len(chunk)]) for chunk in chunks]
-        batches = [chunk[0].packed[0] for chunk in chunks]
         fits[dtype] = [
             [b.parents.tobytes(), b.probs.tobytes(), b.cumulative().tobytes(), s.tobytes()]
-            for b, s in zip(batches, samples)
+            for b, s in zip(chunks, samples)
         ]
     assert fits[np.uint8] == fits[np.uint16] == fits[np.int64]
 
@@ -629,8 +638,8 @@ def test_structure_and_sampling_edges_match_reference(monkeypatch, family, batch
         seeds = [derive(k, family, i) for i in range(len(trainings))]
         assert_matches_reference(spec, trainings, seeds, n_syn=60)
         if spec.mi_floor > 0 or spec.max_parents == 0:
-            gens = fitted(generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds))
-            assert all((g.packed[0].parents == -1).all() for g in gens)
+            chunks = generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds)
+            assert all((batch.parents == -1).all() for batch in chunks)
 
 
 def test_duplicated_columns_tie_to_the_lower_index():
@@ -638,21 +647,21 @@ def test_duplicated_columns_tie_to_the_lower_index():
     spec = generators.GeneratorSpec(generators.BAYNET, max_parents=1)
     picked = set()
     for seed in range(40):
-        batch, b = generators.fit(spec, training, seed=seed).packed
-        order = batch.orders[b].tolist()
+        batch = generators.fit(spec, training, seed=seed)
+        order = batch.orders[0].tolist()
         # Column 1's candidates 0, 2 and 3 are one column three times.
         if order.index(1) > max(order.index(0), order.index(2)):
-            picked.add(int(batch.parents[b, 1, 0]))
+            picked.add(int(batch.parents[0, 1, 0]))
     assert picked == {0}
 
 
 def test_wide_column_samples_levels_past_255():
     (training,) = edge_batch("wide", count=1, n=400)
     gen = generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), training, seed=3)
-    assert gen.packed[0].cumulative().shape[0] == 299
+    assert gen.cumulative().shape[0] == 299
     out = generators.sample(gen, 500, seed=4)
     assert out.values[:, 0].max() > 255
-    cols = generators.sample_columns([gen], 500, [4])
+    cols = generators.sample_columns(gen, 500, [4])
     assert cols.dtype == np.uint16
     assert cols[0].T.tobytes() == out.values.astype(np.uint16).tobytes()
 
@@ -665,12 +674,12 @@ def test_sample_columns_use_the_narrowest_dtype_of_the_widest_level(widest, dtyp
     schema = ordered_schema(widest, 3)
     values = np.column_stack([np.arange(600) % widest, g.integers(0, 3, 600)])
     training = data.Dataset(schema, values)
-    gens = [generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), training, seed=1)]
-    cols = generators.sample_columns(gens, 2000, [5])
+    gen = generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), training, seed=1)
+    cols = generators.sample_columns(gen, 2000, [5])
     assert cols.dtype == dtype
     assert cols.shape == (1, 2, 2000)
     assert cols[0, 0].max() == widest - 1
-    assert np.array_equal(cols[0].T, generators.sample(gens[0], 2000, 5).values)
+    assert np.array_equal(cols[0].T, generators.sample(gen, 2000, 5).values)
 
 
 @pytest.mark.parametrize(
@@ -685,67 +694,33 @@ def test_fit_batch_of_no_training_sets_is_empty(spec):
     assert parents.shape == (0, 3, min(spec.max_parents, 2))
 
 
-def test_fit_batch_mixes_specs_and_shapes_in_input_order():
-    # Mixture rounds differ in spec and row count: each (spec, rows)
-    # group is its own batch, and generators of separate batches of one
-    # schema sample together, in any order, into one C-contiguous array.
-    trainings = random_batch(9, 11)
-    full = trainings[:6]
-    short = [data.Dataset(t.schema, t.values[:-3]) for t in trainings[6:]]
-    seeds = [derive(9, "mixed", i) for i in range(11)]
-    groups = [(SPECS[4], full[:3]), (SPECS[5], full[3:]), (SPECS[9], short)]
-    gens = []
-    for spec, group in groups:
-        group_seeds = seeds[len(gens) : len(gens) + len(group)]
-        assert_matches_reference(spec, group, group_seeds)
-        gens += fitted(generators.fit_batch(spec, group[0].schema, stack(group), group_seeds))
-    a = fitted(generators.fit_batch(SPECS[3], full[0].schema, stack(full[:3]), seeds[:3]))
-    b = fitted(generators.fit_batch(SPECS[3], full[0].schema, stack(full[3:]), seeds[3:6]))
-    mixed = [b[0], gens[9], a[2], gens[4], a[0], b[2], gens[0], a[1], b[1], gens[7]]
-    assert len({id(g.packed[0]) for g in mixed}) >= 5
-    syn = generators.sample_columns(mixed, 11, seeds[:10])
-    assert syn.shape == (10, full[0].schema.ncols, 11)
-    assert syn.flags.c_contiguous
-    for gen, s, got in zip(mixed, seeds, syn):
-        assert np.array_equal(got.T, generators.sample(gen, 11, s).values)
-
-
 def test_sample_batch_of_zero_rows_is_empty_stack():
-    # A toy fit is a release probability, not a generator: it has no
-    # FittedGenerator to sample from.
     schema = ordered_schema(3, 4)
     trainings = np.array([[[0, 1], [2, 3]], [[1, 1], [0, 0]]])
-    nets = fitted(generators.fit_batch(SPECS[2], schema, trainings, [3, 4]))
-    for gens in ([], nets[:1], nets):
-        got = generators.sample_columns(gens, 0, list(range(len(gens))))
-        assert got.shape == (len(gens), 2 if gens else 0, 0)
+    for count in (1, 2):
+        (batch,) = generators.fit_batch(SPECS[2], schema, trainings[:count], [3, 4][:count])
+        got = generators.sample_columns(batch, 0, list(range(count)))
+        assert got.shape == (count, 2, 0)
         assert got.dtype == np.uint8
-    with pytest.raises(UnsupportedOperationError, match="toy_fits"):
-        generators.FittedGenerator(toy_spec(), schema)
+    gen = generators.fit(SPECS[2], data.Dataset(schema, trainings[0]))
+    empty = generators.sample(gen, 0, seed=1)
+    assert empty.n == 0 and empty.schema == schema
 
 
-def test_sample_batch_rejects_mixed_schemas():
-    a = random_batch(9, 2)
-    b = random_batch(10, 2)
-    assert a[0].schema != b[0].schema
-    gens = fitted(generators.fit_batch(SPECS[2], a[0].schema, stack(a), [1, 2]))
-    gens += fitted(generators.fit_batch(SPECS[2], b[0].schema, stack(b), [3, 4]))
-    for n in (0, 5):
-        with pytest.raises(DomainError, match="one schema"):
-            generators.sample_columns(gens, n, [1, 2, 3, 4])
-
-
-def test_sample_columns_accepts_equal_schemas_of_distinct_objects():
-    # Schemas are compared by identity first, then by value: two equal
-    # schemas built apart still sample together.
-    trainings = random_batch(9, 2)
-    twin = replace(trainings[0].schema)
-    assert twin is not trainings[0].schema and twin == trainings[0].schema
-    gens = fitted(generators.fit_batch(SPECS[2], trainings[0].schema, stack(trainings[:1]), [1]))
-    gens += fitted(generators.fit_batch(SPECS[2], twin, stack(trainings[1:]), [2]))
-    syn = generators.sample_columns(gens, 7, [5, 6])
-    for gen, s, got in zip(gens, [5, 6], syn):
-        assert np.array_equal(got.T, generators.sample(gen, 7, s).values)
+def test_sample_columns_samples_one_table_chunk_with_one_seed_per_network():
+    # A table chunk keeps its schema and its network count, and sampling
+    # takes one seed per network of it.
+    trainings = random_batch(9, 3)
+    schema = trainings[0].schema
+    (batch,) = generators.fit_batch(SPECS[2], schema, stack(trainings), [1, 2, 3])
+    assert len(batch) == 3 and batch.schema is schema
+    for seeds in ([4, 5], [4, 5, 6, 7]):
+        with pytest.raises(DomainError, match="one seed per network"):
+            generators.sample_columns(batch, 5, seeds)
+    with pytest.raises(DomainError, match="non-negative"):
+        generators.sample_columns(batch, -1, [4, 5, 6])
+    cols = generators.sample_columns(batch, 5, [4, 5, 6])
+    assert cols.shape == (3, schema.ncols, 5) and cols.flags.c_contiguous
 
 
 def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
@@ -753,9 +728,9 @@ def test_sample_batch_clamps_like_reference_when_rows_sum_below_one():
     # cumulative entry; both samplers must clamp those to the last level,
     # also in rows padded to a wider column's arity.
     trainings = random_batch(11, 3)
-    gens = fitted(generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3]))
-    gens[0].packed[0].probs *= 0.5
-    syn = generators.sample_columns(gens, 200, [7, 8, 9])
+    (batch,) = generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3])
+    batch.probs *= 0.5
+    syn = generators.sample_columns(batch, 200, [7, 8, 9])
     for training, fit_seed, got, s in zip(trainings, [1, 2, 3], syn, [7, 8, 9]):
         ref = reference_fit(SPECS[4], training, seed=fit_seed)
         halved = tuple(replace(cpt, probs=cpt.probs * 0.5) for cpt in ref.tables)
@@ -768,16 +743,16 @@ def test_sample_columns_out_of_memory_is_a_fit_error(monkeypatch):
     # table cells of its fit chunk and the widest arity, so a command
     # fails only the record it belongs to.
     trainings = random_batch(11, 3)
-    gens = fitted(generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3]))
+    (batch,) = generators.fit_batch(SPECS[4], trainings[0].schema, stack(trainings), [1, 2, 3])
 
     def out_of_memory(*args):
         raise MemoryError
 
     monkeypatch.setattr(generators._TableBatch, "sample", out_of_memory)
-    cells = gens[0].packed[0].cell_start[-1]
+    cells = batch.cell_start[-1]
     widest = max(trainings[0].schema.sizes)
     with pytest.raises(FitError, match=rf"of {cells} table cells \(widest arity {widest}\)$"):
-        generators.sample_columns(gens, 5, [4, 5, 6])
+        generators.sample_columns(batch, 5, [4, 5, 6])
 
 
 def test_structure_chunk_out_of_memory_is_a_fit_error(monkeypatch):
@@ -802,11 +777,11 @@ def test_only_the_last_schemas_pair_plan_stays_alive():
     # the first one's.
     first, second = random_batch(1, 2), random_batch(2, 2)
     assert first[0].schema.sizes != second[0].schema.sizes
-    fitted(generators.fit_batch(SPECS[4], first[0].schema, stack(first), [1, 2]))
+    list(generators.fit_batch(SPECS[4], first[0].schema, stack(first), [1, 2]))
     misses = generators._pair_plan.cache_info().misses
     plan = weakref.ref(generators._pair_plan(first[0].schema.sizes))
     assert generators._pair_plan.cache_info().misses == misses  # the fit's own plan
-    fitted(generators.fit_batch(SPECS[4], second[0].schema, stack(second), [3, 4]))
+    list(generators.fit_batch(SPECS[4], second[0].schema, stack(second), [3, 4]))
     assert plan() is None
     generators._pair_plan(second[0].schema.sizes)
     assert generators._pair_plan.cache_info().misses == misses + 1  # kept from the fit
@@ -830,10 +805,10 @@ def test_fit_batch_builds_generators_only_for_noise(monkeypatch):
 
     monkeypatch.setattr(Streams, "__getitem__", spy)
     baynet = generators.GeneratorSpec(generators.BAYNET, max_parents=2)
-    fitted(generators.fit_batch(baynet, schema, stack(trainings), seeds))
+    list(generators.fit_batch(baynet, schema, stack(trainings), seeds))
     assert built == []
     private = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=0.5)
-    fitted(generators.fit_batch(private, schema, stack(trainings), seeds))
+    list(generators.fit_batch(private, schema, stack(trainings), seeds))
     noise_seeds = derive_many(derive_many(seeds, "privatize")[:, None], "privatize-col",
                               np.arange(schema.ncols))
     assert len(built) == 7 * schema.ncols
@@ -915,15 +890,15 @@ def test_fit_rejects_empty_training_for_real_generators():
 def test_fit_with_tables_out_of_float_range_raises(spec, setting):
     ds = data.Dataset(ordered_schema(3, 3), [[0, 1], [1, 2], [2, 0]])
     with pytest.raises(FitError, match=f"row's total is not finite: .*{re.escape(setting)}"):
-        fitted(generators.fit_batch(spec, ds.schema, ds.values[None], [5]))
+        list(generators.fit_batch(spec, ds.schema, ds.values[None], [5]))
 
 
 def test_fit_independent_has_no_parents():
     ds = data.Dataset(ordered_schema(3, 3), [[0, 1], [1, 2], [2, 0]])
-    gen = generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), ds)
-    batch, b = gen.packed
-    assert batch.orders[b].tolist() == [0, 1]
-    assert batch.parents[b].shape == (2, 0)
+    batch = generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), ds)
+    assert len(batch) == 1
+    assert batch.orders[0].tolist() == [0, 1]
+    assert batch.parents[0].shape == (2, 0)
 
 
 def test_fit_deterministic():
@@ -932,25 +907,13 @@ def test_fit_deterministic():
     vals = np.column_stack([g.integers(0, s, size=30) for s in schema.sizes])
     ds = data.Dataset(schema, vals)
     spec = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=1, epsilon=2.0)
-    (b1, _), (b2, _) = (generators.fit(spec, ds, seed=12).packed for _ in range(2))
+    b1, b2 = (generators.fit(spec, ds, seed=12) for _ in range(2))
     assert np.array_equal(b1.orders, b2.orders)
     assert np.array_equal(b1.parents, b2.parents)
     assert np.array_equal(b1.probs, b2.probs)
 
 
 # ----------------------------------------------------------------- sample
-
-
-def test_sample_toy_refuses_records():
-    # A toy releases a bit, not records: its fit is a release probability,
-    # and no FittedGenerator, the thing sampling reads, has a toy spec.
-    schema = ordered_schema(4)
-    training = data.Dataset(schema, [[0]])
-    with pytest.raises(UnsupportedOperationError, match="toy_fits"):
-        generators.FittedGenerator(toy_spec(), schema)
-    gen = generators.fit(generators.GeneratorSpec(generators.INDEPENDENT), training)
-    empty = generators.sample(gen, 0, seed=1)
-    assert empty.n == 0 and empty.schema == schema
 
 
 def test_sample_point_mass_training():
@@ -1014,7 +977,7 @@ def test_single_network_entry_points_take_any_rng_seed():
     spec = generators.GeneratorSpec(generators.PRIVBAYNET, max_parents=2, epsilon=1.0)
     gen = generators.fit(spec, ds, seed=top)
     ref = reference_fit(spec, ds, seed=top)
-    assert_same_network(gen, ref)
+    assert_same_network(gen, 0, ref)
     expected = reference_sample(ref, 30, top).values
     assert generators.sample(gen, 30, top).values.tobytes() == expected.tobytes()
     (toy,) = generators.toy_fits(toy_spec(0.5, 0.5), [data.contains(ds, tuple(vals[0]))])

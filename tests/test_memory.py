@@ -136,6 +136,49 @@ def test_wide_game_span_holds_one_table_chunk(wide, chunks):
     assert_one_chunk_of_tables(peak, chunks)
 
 
+def test_wide_network_mixture_holds_one_table_chunk(wide, chunks):
+    # Every mixture round trains on its drawn partial, plus x when b = 1,
+    # and is a table chunk of its own: the game holds one of them at a
+    # time, as a game span does, not a whole span's fits.
+    d_aux, d_eval, x, bank = wide
+    feats, labels = attack.shadow_features(d_aux, x, SPEC, bank, 100, 4, 0)
+    meta = attack.train_meta_classifier(feats, labels, epochs=10)
+    adversary = attack.meta_classifier_adversary(meta, bank, x, n_syn=100)
+    partials = [data.Dataset(d_eval.schema, d_eval.values[lo : lo + 100]) for lo in (100, 200)]
+    config = games.GameConfig(20, 100, SPEC, 5, games.TRADITIONAL)
+    chunks.clear()
+    transcript, peak = traced_peak(
+        lambda: games.run_traditional_mixture(x, partials, adversary, config)
+    )
+    assert len(transcript.runs) == 20
+    assert_one_chunk_of_tables(peak, chunks)
+
+
+def test_structure_chunks_are_weighed_by_their_pair_tables(monkeypatch):
+    # 64 sets of 20 rows over 10 columns of 60 levels: a network's codes
+    # are 20 * 10 * 9 = 1,800 values, but its pair tables 90 * 60 * 60 =
+    # 324,000 cells, each held twice as floats.  Weighed by their codes
+    # alone, the networks would be learned in chunks of 36 and 28, at a
+    # traced peak of about 360 MB; each network's pair cells outweigh a
+    # batch, so each is a structure chunk of its own.
+    schema = data.Schema(tuple(data.Column(f"c{c}", data.ORDERED, 60) for c in range(10)))
+    values = np.random.default_rng(4).integers(0, 60, size=(64, 20, 10)).astype(schema.dtype)
+    plan = generators._pair_plan(schema.sizes)  # built before the traced stage
+    assert plan.ncells == 324_000 > generators.BATCH_ELEMENTS
+    learned = []
+    learn = generators.learn_structure
+
+    def spy(values, *args):
+        learned.append(len(values))
+        return learn(values, *args)
+
+    monkeypatch.setattr(generators, "learn_structure", spy)
+    # fit_batch learns every structure at the call; no table is built.
+    _, peak = traced_peak(lambda: generators.fit_batch(SPEC, schema, values, list(range(64))))
+    assert learned == [1] * 64
+    assert peak < 30 * 2**20
+
+
 WIDE_RUN = """
 [data]
 dataset = {dataset}
