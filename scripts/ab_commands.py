@@ -30,8 +30,12 @@ output bodies; then the median per-pair wall ratio B/A and how many
 pairs B won.  After the timed pairs each side runs one more command
 under ``tracemalloc`` and its traced peak is printed: the live Python
 and numpy allocations, which are deterministic and, unlike
-``ru_maxrss``, fall again in a long-lived worker.  The script exits 1,
-after printing all of this, when the two sides' output digests differ.
+``ru_maxrss``, fall again in a long-lived worker.  The traced peak does
+not predict a command's peak RSS, so each side then runs
+``FRESH_RUNS`` commands in fresh ``benchmark/child.py`` processes, the
+sides alternating, and the median of their ``ru_maxrss`` is printed.
+The script exits 1, after printing all of this, when the two sides'
+output digests differ.
 The workloads and the output check come from ``benchmark/``, imported
 read-only.
 """
@@ -51,6 +55,7 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(ROOT, "benchmark")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FRESH_RUNS = 3
 
 
 def serve(tree, name, size, seed, workdir):
@@ -91,17 +96,19 @@ class Side:
         self.tree = os.path.abspath(tree)
         if not os.path.isfile(os.path.join(self.tree, "src", "privgames", "__init__.py")):
             sys.exit(f"{tree}: no src/privgames in this tree")
-        workdir = tempfile.mkdtemp(prefix=f"{label}-", dir=scratch)
-        self.out_dir = os.path.join(workdir, "out")
-        env = dict(os.environ, PYTHONPATH="")
-        env.pop("PRIVGAMES_THREADS", None)
-        env.update({var: "1" for var in BLAS_VARS})
+        self.workdir = tempfile.mkdtemp(prefix=f"{label}-", dir=scratch)
+        self.out_dir = os.path.join(self.workdir, "out")
+        self.env = dict(os.environ, PYTHONPATH="")
+        self.env.pop("PRIVGAMES_THREADS", None)
+        self.env.update({var: "1" for var in BLAS_VARS})
         self.proc = subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), "--serve", self.tree,
-             args.workload, args.size, str(args.seed), workdir],
-            cwd=workdir, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+             args.workload, args.size, str(args.seed), self.workdir],
+            cwd=self.workdir, env=self.env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True,
         )
         self.results = []
+        self.maxrss_kb = []
 
     def command(self, check_outputs, traced=False):
         """Run one command, under ``tracemalloc`` if ``traced``, and check
@@ -118,6 +125,25 @@ class Side:
             sys.exit(f"side {self.label}: command failed: rc {result['rc']}, {checked.errors[:3]}")
         result["digest"] = checked.digest
         return result
+
+    def fresh_command(self, command, check_outputs):
+        """Run one command in a fresh ``benchmark/child.py`` process that
+        imports the worker's copy of ``src/``, check its outputs and
+        keep its ``ru_maxrss``."""
+        shutil.rmtree(self.out_dir, ignore_errors=True)
+        env = dict(self.env, PYTHONPATH=os.path.join(self.workdir, "src"))
+        config_path = os.path.join(self.workdir, "config.ini")
+        proc = subprocess.run(
+            [sys.executable, os.path.join(BENCH_DIR, "child.py"), "command", config_path, command],
+            cwd=self.workdir, env=env, capture_output=True, text=True,
+        )
+        lines = proc.stdout.splitlines()
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {"rc": None}
+        checked = check_outputs(self.out_dir)
+        if result["rc"] != 0 or checked.errors:
+            sys.exit(f"side {self.label}: fresh command failed: rc {result['rc']}, "
+                     f"{checked.errors[:3]} {proc.stderr[-500:]}")
+        self.maxrss_kb.append(result["maxrss_kb"])
 
     def close(self):
         self.proc.stdin.close()
@@ -146,6 +172,9 @@ def compare(args, workload):
             for side in sides if i % 2 == 0 else sides[::-1]:
                 side.results.append(side.command(check_outputs))
         peaks = [side.command(check_outputs, traced=True)["traced_peak"] for side in sides]
+        for i in range(FRESH_RUNS):
+            for side in sides if i % 2 == 0 else sides[::-1]:
+                side.fresh_command(workload.command, check_outputs)
     finally:
         for side in sides:
             side.close()
@@ -163,6 +192,9 @@ def compare(args, workload):
     print(f"B/A wall: median ratio {statistics.median(ratios):.4f}; B faster in {won} of {args.pairs} pairs")
     print("tracemalloc peak over one command: "
           + ", ".join(f"{side.label} {peak / 1024:.1f} KB" for side, peak in zip(sides, peaks)))
+    print(f"fresh-process ru_maxrss over {FRESH_RUNS} commands: "
+          + ", ".join(f"{side.label} median {statistics.median(side.maxrss_kb):.0f} KB"
+                      for side in sides))
     if digests[0] != digests[1]:
         print("the two sides' outputs differ", file=sys.stderr)
         return 1

@@ -31,7 +31,11 @@ gets exactly the bits of the per-network definitions in
 pair, a ``ravel_multi_index`` count per column, ancestral sampling
 column by column).  Pair MI terms, table row totals and pair marginals
 are each one ``_segment_sums`` call over the batch, in numpy's order,
-which only ``_segment_groups`` encodes.  The per-network seeds of a
+which only ``_segment_groups`` encodes.  Each fit stage holds its
+inputs and outputs and at most one more cell-sized float array: the
+pair counts beside the joint, the counts normalized in place into
+``probs`` beside their row totals repeated to every cell, and ``probs``
+beside the cumulative table that replaces it.  The per-network seeds of a
 batch come from ``seeds.derive_many``, and its random streams (Laplace
 noise, sampling uniforms) are opened once per batch call by
 ``seeds.Streams``, a single network's as a ``Streams`` of one.  A
@@ -137,24 +141,26 @@ def _segment_groups(starts, lengths, steps=1):
     segments, their cells as a ``(k, L)`` gather if pairwise or ``(L, k)``
     if not, and the rule.  A lone left-to-right segment is gathered twice,
     as numpy would sum a gather of one pairwise.  Empty ones are in none.
+    Groups of at most ``BATCH_ELEMENTS`` cells (or one segment) are
+    yielded one at a time, so a one-off sum gathers no more than that.
     """
     if not len(lengths):
-        return []
+        return
     steps = np.asarray(steps)
     key = np.where((steps == 1) & (lengths >= _PAIRWISE), lengths, -lengths)
     order = np.argsort(key)
     ordered = key[order]
     cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-    groups = []
     for lo, hi in zip([0] + cuts, cuts + [len(order)]):
-        sel, k = order[lo:hi], int(ordered[lo])
-        if k > 0:
-            groups.append((sel, starts[sel, None] + np.arange(k), True))
-        elif k:
-            sel = np.repeat(sel, 2) if len(sel) == 1 else sel
-            step = steps[sel] if steps.ndim else steps
-            groups.append((sel, np.arange(-k)[:, None] * step + starts[sel], False))
-    return groups
+        k = int(ordered[lo])
+        for at in range(lo, hi, batch_size(abs(k))):
+            sel = order[at : min(at + batch_size(abs(k)), hi)]
+            if k > 0:
+                yield sel, starts[sel, None] + np.arange(k), True
+            elif k:
+                sel = np.repeat(sel, 2) if len(sel) == 1 else sel
+                step = steps[sel] if steps.ndim else steps
+                yield sel, np.arange(-k)[:, None] * step + starts[sel], False
 
 
 def _segment_sums(cells, groups, count):
@@ -211,7 +217,8 @@ class _PairPlan:
         self.nmarg = len(segments)
         self.cell_row = _concat(cell_row)
         self.cell_col = _concat(cell_col)
-        self.marg_groups = _segment_groups(*np.array(segments, dtype=np.int64).reshape(-1, 3).T)
+        segments = np.array(segments, dtype=np.int64).reshape(-1, 3).T
+        self.marg_groups = list(_segment_groups(*segments))
 
 
 # A plan depends only on the column sizes.  A command fits one schema, so
@@ -224,6 +231,18 @@ def _column_rows(values):
     holds column c of training set b, contiguous."""
     nets, n, d = values.shape
     return values.transpose(0, 2, 1).reshape(nets * d, n)
+
+
+def _pair_counts(batch, plan, reads):
+    """``_pair_information``'s int64 counts; its codes die with the call."""
+    nets, _, d = batch.shape
+    net, pair = np.nonzero(reads.reshape(nets, len(plan.a_cols)))
+    # Each read pair's two columns as contiguous rows of n values.
+    by_col = _column_rows(batch)
+    codes = by_col[net * d + plan.a_cols[pair]] * plan.b_sizes[pair, None]
+    codes += by_col[net * d + plan.b_cols[pair]]
+    codes += (net * plan.ncells + plan.bounds[pair])[:, None]
+    return np.bincount(codes.ravel(), minlength=nets * plan.ncells)
 
 
 def _pair_information(values, plan, reads):
@@ -243,30 +262,29 @@ def _pair_information(values, plan, reads):
 
     Every network's marginals come from one ``_segment_sums`` of the
     cell-major ``(plan.ncells, B)`` joint over the plan's groups, a
-    slot-major ``(plan.nmarg, B)`` array.
+    slot-major ``(plan.nmarg, B)`` array.  The counts and the joint are
+    freed before the terms are computed, in one buffer.
     """
     batch = values.reshape(-1, *values.shape[-2:])
-    nets, n, d = batch.shape
+    nets, n, _ = batch.shape
     width = plan.ncells
-    net_cells = np.arange(nets, dtype=np.int64) * width
-    net, pair = np.nonzero(reads.reshape(nets, len(plan.a_cols)))
-    # Each read pair's two columns as contiguous rows of n values.
-    by_col = _column_rows(batch)
-    codes = by_col[net * d + plan.a_cols[pair]] * plan.b_sizes[pair, None]
-    codes += by_col[net * d + plan.b_cols[pair]]
-    codes += (net_cells[net] + plan.bounds[pair])[:, None]
-    joint = np.bincount(codes.ravel(), minlength=nets * width).astype(float)
-    joint /= n
-    by_cell = np.ascontiguousarray(joint.reshape(nets, width).T)
-    marg = _segment_sums(by_cell, plan.marg_groups, plan.nmarg)
-    nz = np.flatnonzero(joint)
-    pj = joint[nz]
+    counts = _pair_counts(batch, plan, reads)
+    by_cell = np.empty((width, nets))
+    np.divide(counts.reshape(nets, width).T, n, out=by_cell)
+    nz = np.flatnonzero(counts)
+    pj = counts[nz] / n
+    del counts
+    marg = _segment_sums(by_cell, plan.marg_groups, plan.nmarg).ravel()
+    del by_cell
+    bounds = np.searchsorted(nz, np.arange(nets, dtype=np.int64)[:, None] * width + plan.bounds)
     net, cell = np.divmod(nz, width)
-    flat = marg.ravel()
-    pa = flat[plan.cell_row[cell] * nets + net]
-    pb = flat[plan.cell_col[cell] * nets + net]
-    terms = pj * np.log(pj / (pa * pb))
-    bounds = np.searchsorted(nz, net_cells[:, None] + plan.bounds)
+    del nz
+    # pj * log(pj / (pa * pb)), one operation at a time in ``terms``.
+    terms = marg[plan.cell_row[cell] * nets + net]
+    terms *= marg[plan.cell_col[cell] * nets + net]
+    np.divide(pj, terms, out=terms)
+    np.log(terms, out=terms)
+    np.multiply(pj, terms, out=terms)
     return terms, bounds.reshape(*values.shape[:-2], len(plan.bounds))
 
 
@@ -325,6 +343,9 @@ class _TableBatch:
 
     The one row layout: batch row r is the ``row_arity[r]`` cells from
     ``row_first[r]``.  Row totals and the cumulative table both read it.
+
+    ``probs`` is None once ``cumulative()`` has built the table that
+    sampling reads from it, so a sampled chunk keeps only that table.
     """
 
     def __init__(self, schema, orders, parents):
@@ -353,18 +374,21 @@ class _TableBatch:
         return len(self.orders)
 
     def set_counts(self, counts, overflow):
-        """Store the normalized rows of the final cell counts: each row
-        divided by its total, or uniform if the total is zero.  A row whose
-        total is not finite raises FitError naming the cause, ``overflow``.
-        The counts themselves are not kept."""
+        """Normalize the final cell counts in place into ``probs``: each
+        row divided by its total, or uniform if the total is zero.  A row
+        whose total is not finite raises FitError naming the cause,
+        ``overflow``, before any count is written."""
+        groups = _segment_groups(self.row_first, self.row_arity)
         with np.errstate(over="ignore"):
-            groups = _segment_groups(self.row_first, self.row_arity)
             totals = _segment_sums(counts, groups, len(self.row_arity))
         if not np.isfinite(totals).all():
             raise FitError(f"a table row's total is not finite: {overflow}")
-        totals = np.repeat(totals, self.row_arity)
-        uniform = np.repeat(1.0 / self.row_arity, self.row_arity)
-        self.probs = np.divide(counts, totals, out=uniform, where=totals > 0)
+        empty = totals <= 0  # uniform: 1.0 in each cell over the arity
+        if empty.any():
+            totals[empty] = self.row_arity[empty]
+            counts[np.repeat(empty, self.row_arity)] = 1.0
+        counts /= np.repeat(totals, self.row_arity)
+        self.probs = counts
 
     def cumulative(self):
         """Cumulative row probabilities of every level but the widest
@@ -373,7 +397,8 @@ class _TableBatch:
         left-to-right additions a cumulative sum along one row makes.
         Computed at the first call, from the probabilities at that time,
         one level at a time, so that building it holds nothing but the
-        table and one level's temporaries.
+        table, ``probs`` and one level's temporaries; ``probs`` is dropped
+        once it is built.
 
         Padding repeats a row's last cumulative value, so it can only
         add picks past the row's last level, which sampling clamps to
@@ -390,6 +415,7 @@ class _TableBatch:
                 else:
                     out[:] = probs
             self._cumulative = cum
+            self.probs = None
         return self._cumulative
 
     def sample(self, nets, n, streams):
@@ -461,19 +487,29 @@ def estimate_tables(batch, values, smoothing):
     t is the block at ``batch.cell_start[t]``, and a record's cell in it
     is the C-order index ``combo * arity + value`` with ``combo`` the
     row-major index of the parent values, the integer
-    ``ravel_multi_index`` computes.  The codes are built on the
-    ``(B * d, n)`` column rows, table t's from row t plus its parents'
-    rows times their strides; counting integer codes gives the same
-    counts in any order.  Rows whose total is zero (an unseen parent
-    combination with zero smoothing) normalize to uniform.
+    ``ravel_multi_index`` computes.  The codes are built in place on the
+    ``(B * d, n)`` column rows by Horner's rule, table t's from its
+    parents' rows (an unused slot reads a row of zeros and has size 1)
+    and then row t; counting integer codes gives the same counts in any
+    order.  Rows whose total is zero (an unseen parent combination with
+    zero smoothing) normalize to uniform.
     """
-    by_col = _column_rows(values)
-    codes = by_col + batch.cell_start[:-1, None]
-    rows = batch.parent_cols + np.arange(0, len(by_col), batch.d)[:, None, None]
-    strides = batch.combo_strides * batch.sizes[:, None]
+    nets, n, d = values.shape
+    by_col = np.zeros((nets * d + 1, n), dtype=values.dtype)
+    by_col[:-1] = _column_rows(values)
+    used = batch.parents >= 0
+    rows = np.where(used, batch.parent_cols + np.arange(0, nets * d, d)[:, None, None], nets * d)
+    after = np.where(used, batch.sizes[batch.parent_cols], 1)
+    after = np.concatenate([after[:, :, 1:], batch.arity.reshape(nets, d, 1)], axis=2)
+    codes = np.zeros((nets * d, n), dtype=np.int64)
     for j in range(rows.shape[2]):
-        codes += by_col[rows[:, :, j].ravel()] * strides[:, :, j].reshape(-1, 1)
-    return np.bincount(codes.ravel(), minlength=batch.cell_start[-1]).astype(float) + smoothing
+        codes += by_col[rows[:, :, j].ravel()]
+        codes *= after[:, :, j].reshape(-1, 1)
+    codes += by_col[:-1]
+    codes += batch.cell_start[:-1, None]
+    counts = np.bincount(codes.ravel(), minlength=batch.cell_start[-1])
+    del codes
+    return np.add(counts, smoothing, dtype=float)
 
 
 def privatize_tables(batch, counts, epsilon, streams):
@@ -486,11 +522,10 @@ def privatize_tables(batch, counts, epsilon, streams):
     normalize to uniform; the structure is left untouched.
     """
     scale = (batch.d * 2.0) / epsilon
-    noise = [
-        g.laplace(0.0, scale, size=cells)
-        for cells, g in zip(np.diff(batch.cell_start).tolist(), streams)
-    ]
-    return np.maximum(counts + _concat(noise), 0.0)
+    cells = np.diff(batch.cell_start).tolist()
+    noised = _concat([g.laplace(0.0, scale, size=c) for c, g in zip(cells, streams)])
+    noised += counts
+    return np.maximum(noised, 0.0, out=noised)
 
 
 def _out_of_memory(cells, widest, tables="table"):

@@ -45,7 +45,8 @@ def padded(parent_lists, depth):
 
 # The cell counts each table batch's ``set_counts`` normalized: the arrays
 # ``estimate_tables`` and ``privatize_tables`` returned.  A batch keeps
-# only its probabilities, so the tests record the counts on the way in.
+# only its probabilities, normalized in place of the counts, so the tests
+# record a copy of the counts on the way in.
 SET_COUNTS = weakref.WeakKeyDictionary()
 
 
@@ -54,8 +55,8 @@ def record_set_counts(monkeypatch):
     real = generators._TableBatch.set_counts
 
     def set_counts(batch, counts, overflow):
+        SET_COUNTS[batch] = counts.copy()
         real(batch, counts, overflow)
-        SET_COUNTS[batch] = counts
 
     monkeypatch.setattr(generators._TableBatch, "set_counts", set_counts)
 
@@ -400,7 +401,7 @@ def test_normalize_rows_zero_rows_fall_back_to_uniform():
     assert tables(batch)[2][0].tolist() == [1 / 9] * 9
 
 
-def test_segment_sums_equal_add_reduce_of_each_segment():
+def test_segment_sums_equal_add_reduce_of_each_segment(monkeypatch):
     # Lengths 0-19 on both sides of _PAIRWISE, three segments each, and
     # lone segments of 20-27, laid out in shuffled order so the starts
     # are unsorted.  Segment i is the first column of the C-order
@@ -408,10 +409,14 @@ def test_segment_sums_equal_add_reduce_of_each_segment():
     # block's sum(axis=0) does: pairwise only when the step is 1.  With
     # nets the cells are (C, nets), and each network's column is summed
     # as a (C,) array alone.  Cancelling 1e16 terms make every summation
-    # order give its own bits.
-    for step in (1, 3):
-        for nets in (None, 1, 4):
-            check_segment_sums(step, nets)
+    # order give its own bits.  On a budget of 20 cells the groups are
+    # cut into pieces of at most 20 cells or one segment, a lone
+    # left-to-right one among them, with the same sums.
+    for batch_elements in (generators.BATCH_ELEMENTS, 20):
+        monkeypatch.setattr(generators, "BATCH_ELEMENTS", batch_elements)
+        for step in (1, 3):
+            for nets in (None, 1, 4):
+                check_segment_sums(step, nets)
 
 
 def check_segment_sums(step, nets):
@@ -425,7 +430,9 @@ def check_segment_sums(step, nets):
     pattern = np.array([1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 1e16, 0.5, 7.0, -2.5, 1e16])
     shape = (span.sum(),) if nets is None else (span.sum(), nets)
     cells = np.resize(pattern, shape) * g.uniform(0.5, 2.0, shape)
-    groups = generators._segment_groups(starts, lengths, step)
+    groups = list(generators._segment_groups(starts, lengths, step))
+    assert all(gather.size <= generators.BATCH_ELEMENTS or len(set(sel)) == 1
+               for sel, gather, _ in groups)
     sums = generators._segment_sums(cells, groups, len(lengths))
     columns = [cells] if nets is None else list(np.ascontiguousarray(cells.T))
     want = [
@@ -489,7 +496,12 @@ def stack(trainings):
 
 
 def assert_matches_reference(spec, trainings, seeds, n_syn=23):
+    # Sampling a chunk drops its probabilities once it has built their
+    # cumulative table, so every network is compared before it is sampled.
     chunks = list(generators.fit_batch(spec, trainings[0].schema, stack(trainings), seeds))
+    refs = [reference_fit(spec, t, seed=seed) for t, seed in zip(trainings, seeds)]
+    for (batch, b), ref in zip(networks(chunks), refs):
+        assert_same_network(batch, b, ref)
     syn_seeds = [derive(s, "sample") for s in seeds]
     ends = np.cumsum([len(batch) for batch in chunks]).tolist()
     cols = np.concatenate([
@@ -498,10 +510,7 @@ def assert_matches_reference(spec, trainings, seeds, n_syn=23):
     ])
     assert cols.shape == (len(trainings), trainings[0].schema.ncols, n_syn)
     assert cols.dtype == (np.uint8 if max(trainings[0].schema.sizes) <= 256 else np.uint16)
-    nets = networks(chunks)
-    for (batch, b), training, seed, syn_seed, syn in zip(nets, trainings, seeds, syn_seeds, cols):
-        ref = reference_fit(spec, training, seed=seed)
-        assert_same_network(batch, b, ref)
+    for ref, syn_seed, syn in zip(refs, syn_seeds, cols):
         expected = reference_sample(ref, n_syn, syn_seed)
         assert syn.T.astype(np.int64).tobytes() == expected.values.tobytes()
 
@@ -584,11 +593,11 @@ def test_training_set_dtype_does_not_change_fits(monkeypatch, spec, batch_elemen
         values = stack(trainings).astype(dtype)
         chunks = list(generators.fit_batch(spec, schema, values, seeds))
         assert len(chunks) > 1 or batch_elements != 700
-        samples = [generators.sample_columns(chunk, 31, seeds[:len(chunk)]) for chunk in chunks]
-        fits[dtype] = [
-            [b.parents.tobytes(), b.probs.tobytes(), b.cumulative().tobytes(), s.tobytes()]
-            for b, s in zip(chunks, samples)
-        ]
+        # Read before sampling, which drops a chunk's probabilities.
+        fits[dtype] = [[b.parents.tobytes(), b.probs.tobytes()] for b in chunks]
+        for fit, chunk in zip(fits[dtype], chunks):
+            sampled = generators.sample_columns(chunk, 31, seeds[: len(chunk)])
+            fit += [chunk.cumulative().tobytes(), sampled.tobytes()]
     assert fits[np.uint8] == fits[np.uint16] == fits[np.int64]
 
 

@@ -47,8 +47,9 @@ EXTRA_BATCHES = 8
 
 class Chunks:
     """What the table chunks of a stage held: ``bytes``, every array of
-    each chunk's ``_TableBatch`` once its cumulative table is built, and
-    ``alive``, how many other chunks were alive as each was built."""
+    each chunk's ``_TableBatch`` at its largest, as its cumulative table
+    is built and before its probabilities are dropped, and ``alive``,
+    how many other chunks were alive as each was built."""
 
     def __init__(self):
         self.bytes, self.alive = [], []
@@ -62,21 +63,28 @@ class Chunks:
 @pytest.fixture
 def chunks(monkeypatch):
     seen = Chunks()
-    init, sample = generators._TableBatch.__init__, generators._TableBatch.sample
+    init, cumulative = generators._TableBatch.__init__, generators._TableBatch.cumulative
 
     def spy_init(self, *args):
         seen.alive.append(len(seen.batches))
         init(self, *args)
         seen.batches.add(self)
 
-    def spy_sample(self, *args):
-        out = sample(self, *args)
-        seen.bytes.append(sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray)))
-        return out
+    def spy_cumulative(self):
+        building = self.probs is not None
+        held = array_bytes(self)
+        cum = cumulative(self)
+        if building:
+            seen.bytes.append(held + cum.nbytes)
+        return cum
 
     monkeypatch.setattr(generators._TableBatch, "__init__", spy_init)
-    monkeypatch.setattr(generators._TableBatch, "sample", spy_sample)
+    monkeypatch.setattr(generators._TableBatch, "cumulative", spy_cumulative)
     return seen
+
+
+def array_bytes(batch):
+    return sum(v.nbytes for v in vars(batch).values() if isinstance(v, np.ndarray))
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +165,7 @@ def test_wide_network_mixture_holds_one_table_chunk(wide, chunks):
 def test_structure_chunks_are_weighed_by_their_pair_tables(monkeypatch):
     # 64 sets of 20 rows over 10 columns of 60 levels: a network's codes
     # are 20 * 10 * 9 = 1,800 values, but its pair tables 90 * 60 * 60 =
-    # 324,000 cells, each held twice as floats.  Weighed by their codes
+    # 324,000 cells, held as int64 counts and as floats.  Weighed by their codes
     # alone, the networks would be learned in chunks of 36 and 28, at a
     # traced peak of about 360 MB; each network's pair cells outweigh a
     # batch, so each is a structure chunk of its own.
@@ -177,6 +185,66 @@ def test_structure_chunks_are_weighed_by_their_pair_tables(monkeypatch):
     _, peak = traced_peak(lambda: generators.fit_batch(SPEC, schema, values, list(range(64))))
     assert learned == [1] * 64
     assert peak < 30 * 2**20
+
+
+def test_table_chunk_holds_its_counts_and_one_more_cell_array(wide):
+    # A table chunk is fit, normalized in place and its cumulative table
+    # built holding, besides its row layout and its counts (which become
+    # its probabilities, dropped once the table is built), one more
+    # cell-sized float64 array or the cumulative table, whichever is
+    # larger.  The slack is one level's temporaries, two row-sized
+    # arrays, plus 256 KiB.  On the wide input the padded cumulative
+    # table outweighs the cells; on eight columns of 40 levels it does
+    # not.  A fit that held the counts, the row totals repeated to every
+    # cell and the uniform buffer at once peaked 0.5 and 6 MB over.
+    d_aux = wide[0]
+    g = np.random.default_rng(3)
+    equal = np.empty((300, 8), dtype=np.int64)
+    equal[:, 0] = g.integers(0, 40, 300)
+    for c in range(1, 8):
+        equal[:, c] = np.where(g.random(300) < 0.7, equal[:, c - 1], g.integers(0, 40, 300))
+    schema = data.Schema(tuple(data.Column(f"c{c}", data.ORDERED, 40) for c in range(8)))
+    for schema, values in ((d_aux.schema, d_aux.values), (schema, equal)):
+        fits = generators.fit_batch(SPEC, schema, values[None].astype(schema.dtype), [5])
+        held = []
+
+        def fit_and_build():
+            batch = next(fits)  # its structure was learned at the call
+            held.append(array_bytes(batch))
+            return batch, batch.cumulative()
+
+        (batch, cum), peak = traced_peak(fit_and_build)
+        cells, rows = 8 * batch.cell_start[-1], len(batch.row_arity)
+        assert batch.probs is None and array_bytes(batch) == held[0] - cells + cum.nbytes
+        assert cells > 4 * 2 * rows * 8  # the cell array outweighs the slack's row arrays
+        assert peak <= held[0] + max(cum.nbytes, cells) + 2 * rows * 8 + 2**18
+
+
+def test_structure_chunk_holds_its_codes_and_two_pair_cell_arrays(tmp_path):
+    # One structure chunk, four 150-row sets over 10 columns of 2 to 16
+    # levels, holds its int64 pair codes while they are counted, then
+    # their int64 counts and the joint, one pair-cell float array, and
+    # frees both before the MI terms are computed.  The slack is the
+    # marginals, two arrays of the nonzero cells and 64 KiB.  Keeping
+    # every intermediate to the end peaked about 0.3 MB over this bound.
+    # The nonzero cells are fewer than the pair cells.
+    pool = data.load_csv(write_wide_csv(tmp_path / "wide.csv", 10, 600, 16))
+    schema, n, d = pool.schema, 150, pool.schema.ncols
+    plan = generators._pair_plan(schema.sizes)  # built before the traced stage
+    nets = generators.batch_size(max(n * d * (d - 1), plan.ncells))
+    assert nets == 4
+    g = np.random.default_rng(6)
+    rows = [g.choice(len(pool.values), n, replace=False) for _ in range(nets)]
+    values = pool.values[np.stack(rows)].astype(schema.dtype)
+    orders = np.stack([g.permutation(d) for _ in range(nets)])
+    _, peak = traced_peak(lambda: generators.learn_structure(values, schema.sizes, 3, orders, 0.0))
+    step = np.argsort(orders, axis=1)
+    reads = step[:, plan.a_cols] > step[:, plan.b_cols]
+    terms, _ = generators._pair_information(values, plan, reads)
+    codes = 8 * n * np.count_nonzero(reads)
+    cells = 8 * nets * plan.ncells
+    assert 8 * len(terms) < cells
+    assert peak <= codes + 2 * cells + 8 * nets * plan.nmarg + 2 * terms.nbytes + 2**16
 
 
 WIDE_RUN = """

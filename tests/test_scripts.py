@@ -18,9 +18,13 @@ def test_ab_commands_runs_one_tree_against_itself():
     )
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[-2].startswith("B/A wall: median ratio ")
-    # Then each side's traced peak over one more command.
-    assert re.fullmatch(r"tracemalloc peak over one command: A \d+\.\d KB, B \d+\.\d KB", lines[-1])
+    assert lines[-3].startswith("B/A wall: median ratio ")
+    # Then each side's traced peak over one more command, and its median
+    # peak RSS over fresh-process commands.
+    assert re.fullmatch(r"tracemalloc peak over one command: A \d+\.\d KB, B \d+\.\d KB", lines[-2])
+    assert re.fullmatch(
+        r"fresh-process ru_maxrss over 3 commands: A median \d+ KB, B median \d+ KB", lines[-1]
+    )
     digests = [line.rsplit("outputs ", 1)[1] for line in lines if line.startswith(("A ", "B "))]
     assert len(digests) == 2 and digests[0] == digests[1]
 
@@ -45,7 +49,8 @@ def test_ab_commands_exits_1_when_the_outputs_differ(tmp_path):
     )
     assert out.returncode == 1, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[-1].startswith("tracemalloc peak over one command: ")
+    assert lines[-2].startswith("tracemalloc peak over one command: ")
+    assert lines[-1].startswith("fresh-process ru_maxrss over 3 commands: ")
     digests = [line.rsplit("outputs ", 1)[1] for line in lines if line.startswith(("A ", "B "))]
     assert len(digests) == 2 and digests[0] != digests[1]
     assert out.stderr.strip().endswith("the two sides' outputs differ")
