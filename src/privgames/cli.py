@@ -34,19 +34,10 @@ from .seeds import derive, rng
 
 THREADS_ENV_VAR = "PRIVGAMES_THREADS"
 
-RESULTS_COLUMNS = "record_id,game,n_eval,auc,radius,alpha,beta"
-COMPARISON_COLUMNS = "record_id,risk_traditional,risk_model_seeded,delta,abs_delta"
-CONVERGENCE_COLUMNS = "record_id,game,n_eval,auc_mean,auc_std,radius"
-AUDIT_COLUMNS = "record_id,alpha,beta,bound,flagged"
-
 UNDEFINED_TOKEN = "undefined"
 
 # A run whose failed records were left out of its outputs exits 1.
 _EXIT_CODE = {"complete": 0, "partial": 1}
-
-
-def _timestamp():
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _write_file(path, lines):
@@ -54,35 +45,34 @@ def _write_file(path, lines):
     data_mod.write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_table(path, kind, cfg_hash, status, columns, rows, log):
-    """Write one output table: header line, column line, then ``rows``."""
-    fields = {"config": cfg_hash, "status": status, "generated": _timestamp()}
-    _write_file(path, data_mod.table_lines(kind, fields, columns, rows))
+def _write_table(path, kind, cfg_hash, status, rows, log, footer=()):
+    """Write one output table: header line, column line, ``rows`` (tuples
+    of values), then the ready lines of ``footer``."""
+    generated = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    fields = {"config": cfg_hash, "status": status, "generated": generated}
+    _write_file(path, data_mod.table_lines(kind, fields, rows) + list(footer))
     log(f"wrote {path}")
 
 
-def read_result_rows(path):
-    """Parse a results file into (config_hash, status, ordered {record_id: auc}).
-
-    Raises ConfigError, naming the file and line, for another header or
-    column line, an auc that is not a number in [0, 1], or a repeated id.
-    """
-    fields, lines = data_mod.read_table(path, "results", RESULTS_COLUMNS)
-    ncols = RESULTS_COLUMNS.count(",") + 1
-    rows = {}
-    for no, parts in lines:
-        if len(parts) != ncols:
-            raise ConfigError(f"{path}, line {no}: expected {ncols} fields, got {len(parts)}")
-        try:
-            auc = float(parts[3])
-        except ValueError:
-            raise ConfigError(f"{path}, line {no}: auc {parts[3]!r} is not a number") from None
-        if not 0.0 <= auc <= 1.0:
-            raise ConfigError(f"{path}, line {no}: auc {parts[3]!r} is not in [0, 1]")
-        if parts[0] in rows:
-            raise ConfigError(f"{path}, line {no}: record id {parts[0]!r} appears twice")
-        rows[parts[0]] = auc
-    return fields.get("config", ""), fields.get("status", ""), rows
+def read_result_rows(path, game=None):
+    """(config hash, status, ordered {record_id: auc}) of a results file
+    (see ``data.read_table``).  A status other than complete or partial, a
+    config other than 12 lowercase hex digits, a repeated record id, or a
+    row of another game than ``game`` also raises ConfigError."""
+    fields, rows = data_mod.read_table(path, "results")
+    cfg_hash, status = fields.get("config", ""), fields.get("status", "")
+    if status not in _EXIT_CODE:
+        raise ConfigError(f"{path}, line 1: status {status!r} is not complete or partial")
+    if len(cfg_hash) != 12 or not set(cfg_hash) <= set("0123456789abcdef"):
+        raise ConfigError(f"{path}, line 1: config {cfg_hash!r} is not 12 lowercase hex digits")
+    aucs = {}
+    for no, _, (rid, kind, _, auc, *_) in rows:
+        if game is not None and kind != game:
+            raise ConfigError(f"{path}, line {no}: game {kind!r} is not {game}")
+        if rid in aucs:
+            raise ConfigError(f"{path}, line {no}: record id {rid!r} appears twice")
+        aucs[rid] = auc
+    return cfg_hash, status, aucs
 
 
 # ----------------------------------------------------------- environment
@@ -313,10 +303,7 @@ def result_row(cfg, transcript, auc):
     n_eval = len(transcript.runs)
     alpha, beta = risk.empirical_rates(transcript, 0.5)
     radius = risk.hoeffding_radius(n_eval // 2, cfg.rho)
-    return (
-        f"{transcript.record_id},{transcript.game_kind},{n_eval},"
-        f"{auc!r},{radius!r},{alpha!r},{beta!r}"
-    )
+    return transcript.record_id, transcript.game_kind, n_eval, auc, radius, alpha, beta
 
 
 def cmd_run(cfg, threads=1, log=print):
@@ -353,7 +340,7 @@ def cmd_run(cfg, threads=1, log=print):
     for i, kind in enumerate(cfg.game_kinds):
         _write_table(
             os.path.join(cfg.out_dir, f"results_{kind}.csv"), "results", cfg_hash,
-            status, RESULTS_COLUMNS, [rows[i] for rows in per_record], log,
+            status, [rows[i] for rows in per_record], log,
         )
     return _EXIT_CODE[status]
 
@@ -367,9 +354,10 @@ def _record_sort_key(rid):
 
 
 def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, log=print):
-    """Join two result tables into the comparison file."""
-    hash_t, status_t, rows_t = read_result_rows(results_t)
-    hash_ms, status_ms, rows_ms = read_result_rows(results_ms)
+    """Join a traditional and a model-seeded result table into the
+    comparison file; a row of the other game in either raises ConfigError."""
+    hash_t, status_t, rows_t = read_result_rows(results_t, games.TRADITIONAL)
+    hash_ms, status_ms, rows_ms = read_result_rows(results_ms, games.MODEL_SEEDED)
     for path, rows in ((results_t, rows_t), (results_ms, rows_ms)):
         if not rows:
             raise ConfigError(f"{path}: no record rows below the column header")
@@ -389,32 +377,28 @@ def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, l
 
     ids = sorted(rows_t, key=_record_sort_key)
     pairs = [(rows_t[rid], rows_ms[rid]) for rid in ids]
-    lines = [
-        f"{rid},{rt!r},{rms!r},{rt - rms!r},{abs(rt - rms)!r}"
-        for rid, (rt, rms) in zip(ids, pairs)
-    ]
+    rows = [(rid, rt, rms, rt - rms, abs(rt - rms)) for rid, (rt, rms) in zip(ids, pairs)]
 
-    rmsd_value = risk.rmsd(pairs)
     try:
         mr_value = repr(risk.miss_rate(pairs, threshold))
     except PrivGamesError:
         mr_value = UNDEFINED_TOKEN
-    lines.append(f"summary,n_records,{len(pairs)}")
-    lines.append(f"summary,threshold,{threshold!r}")
-    lines.append(f"summary,rmsd,{rmsd_value!r}")
-    lines.append(f"summary,miss_rate,{mr_value}")
-    abs_deltas = [abs(rt - rms) for rt, rms in pairs]
-    summary = risk.summarize_distribution(abs_deltas)
-    for q, v in sorted(summary.percentiles.items()):
-        lines.append(f"summary,abs_delta_p{q},{v!r}")
-    for i, count in enumerate(summary.bin_counts):
-        lo = summary.bin_edges[i]
-        hi = summary.bin_edges[i + 1]
-        lines.append(f"hist,{lo!r},{hi!r},{count}")
+    summary = risk.summarize_distribution([abs_delta for *_, abs_delta in rows])
+    footer = [
+        f"summary,n_records,{len(pairs)}",
+        f"summary,threshold,{threshold!r}",
+        f"summary,rmsd,{risk.rmsd(pairs)!r}",
+        f"summary,miss_rate,{mr_value}",
+        *(f"summary,abs_delta_p{q},{v!r}" for q, v in sorted(summary.percentiles.items())),
+        *(
+            f"hist,{lo!r},{hi!r},{count}"
+            for lo, hi, count in zip(summary.bin_edges, summary.bin_edges[1:], summary.bin_counts)
+        ),
+    ]
 
     cfg_hash = hash_t if hash_t == hash_ms else "mixed"
     status = "partial" if "partial" in (status_t, status_ms) else "complete"
-    _write_table(out_path, "comparison", cfg_hash, status, COMPARISON_COLUMNS, lines, log)
+    _write_table(out_path, "comparison", cfg_hash, status, rows, log, footer)
     return 0
 
 
@@ -466,8 +450,7 @@ def convergence_table(cfg, threads=1, log=print):
                 values = np.array([aucs[kind, n_eval, rep] for rep in range(len(adversaries))])
                 radius = risk.hoeffding_radius(n_eval // 2, cfg.rho)
                 rows.append(
-                    f"{rid},{kind},{n_eval},{float(values.mean())!r},"
-                    f"{float(values.std(ddof=1))!r},{radius!r}"
+                    (rid, kind, n_eval, float(values.mean()), float(values.std(ddof=1)), radius)
                 )
         return rows, "convergence grid done"
 
@@ -479,7 +462,7 @@ def cmd_convergence(cfg, threads=1, log=print):
     rows, status = convergence_table(cfg, threads=threads, log=log)
     _write_table(
         os.path.join(cfg.out_dir, "convergence.csv"), "convergence",
-        cfg.config_hash(), status, CONVERGENCE_COLUMNS, rows, log,
+        cfg.config_hash(), status, rows, log,
     )
     return _EXIT_CODE[status]
 
@@ -503,17 +486,14 @@ def cmd_dp_audit(cfg, threads=1, log=print):
         points = risk.dp_audit_points(
             transcript, cfg.generator_spec.epsilon, delta=0.0, rho=cfg.rho
         )
-        rows = [
-            f"{rid},{alpha!r},{beta!r},{bound!r},{int(flagged)}"
-            for alpha, beta, bound, flagged in points
-        ]
+        rows = [(rid, alpha, beta, bound, int(flagged)) for alpha, beta, bound, flagged in points]
         flagged_total = sum(int(flagged) for *_, flagged in points)
         return (rows, flagged_total), f"{len(points)} trade-off points audited"
 
     per_record, status = _each_record(cfg, evaluate, log, _attack_seed(cfg))
     _write_table(
         os.path.join(cfg.out_dir, "dp_audit.csv"), "dp-audit", cfg.config_hash(),
-        status, AUDIT_COLUMNS, [row for rows, _ in per_record for row in rows], log,
+        status, [row for rows, _ in per_record for row in rows], log,
     )
     log(f"{sum(f for _, f in per_record)} flagged points in {len(per_record)} audited records")
     return _EXIT_CODE[status]

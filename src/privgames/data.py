@@ -10,9 +10,9 @@ one ``(B, n, d)`` array of the schema's narrowest unsigned dtype, drawn
 from open streams (``sample_training_sets``).
 
 Every file privgames writes, tables and transcripts alike, is a
-``# privgames-<kind> v1 key=value ...`` header, a column line and
-comma-separated rows: ``table_lines`` builds one, ``write_text`` lands it
-atomically, and ``read_table`` reads it back.
+``# privgames-<kind> v1 key=value ...`` header, its kind's ``TABLES``
+column line and comma-separated rows: ``table_lines`` builds one,
+``write_text`` lands it atomically, and ``read_table`` reads it back.
 """
 
 import csv
@@ -21,6 +21,7 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -31,6 +32,32 @@ CATEGORICAL = "categorical"
 ORDERED = "ordered"
 
 DEFAULT_BINS = 10
+
+# How a table field reads back: (parse, what it is not, rule), a rule
+# being (predicate, what it is not) or None, as in ``config.KEYS``.
+_TEXT = (str, "text", None)
+_INT = (int, "an integer", None)
+_NUMBER = (float, "a number", None)
+_UNIT = (float, "a number", (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))
+_BIT = (int, "an integer", (lambda v: v in (0, 1), "0 or 1"))
+_FINITE = (float, "a number", (math.isfinite, "finite"))
+_SEED = (int, "an integer", (lambda v: 0 <= v < 2**64, "in [0, 2**64)"))
+
+# Each kind of file privgames writes: its column line, and a reader per
+# column, or None where no command reads the kind back.
+TABLES = {
+    "results": (
+        "record_id,game,n_eval,auc,radius,alpha,beta",
+        (_TEXT, _TEXT, _INT, _UNIT, _NUMBER, _UNIT, _UNIT),
+    ),
+    "comparison": ("record_id,risk_traditional,risk_model_seeded,delta,abs_delta", None),
+    "convergence": (
+        "record_id,game,n_eval,auc_mean,auc_std,radius",
+        (_TEXT, _TEXT, _INT, _UNIT, _NUMBER, _NUMBER),
+    ),
+    "dp-audit": ("record_id,alpha,beta,bound,flagged", (_TEXT, _UNIT, _UNIT, _NUMBER, _BIT)),
+    "transcript": ("run_index,secret_bit,score,run_seed", (_INT, _BIT, _FINITE, _SEED)),
+}
 
 
 @dataclass(frozen=True)
@@ -190,10 +217,15 @@ def _open_utf8(path, newline=None, error=CsvParseError):
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def table_lines(kind, fields, columns, rows):
-    """Header line (``fields`` as ``key=value``), ``columns``, then ``rows``."""
+def table_lines(kind, fields, rows):
+    """Header line (``fields`` as ``key=value``), the kind's column line,
+    then one line per tuple of ``rows``: its values in column order, each
+    as ``format(value)``, which for a float is its repr."""
+    columns = TABLES[kind][0]
     header = " ".join([f"# privgames-{kind} v1"] + [f"{k}={v}" for k, v in fields.items()])
-    return [header, columns, *rows]
+    # One format string per table: formatting a row costs no per-value dispatch.
+    row = ",".join(["{}"] * (columns.count(",") + 1)).format
+    return [header, columns, *starmap(row, rows)]
 
 
 def write_text(path, text):
@@ -212,11 +244,14 @@ def write_text(path, text):
         raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
-def read_table(path, kind, columns):
-    """Header ``{key: value}`` and ``(line number, fields)`` rows of a
-    ``kind`` file, blank lines skipped.  A file that cannot be read, bytes
-    that are not UTF-8, a last line without its newline (a file cut short)
-    or another header or column line raise ConfigError naming the file."""
+def read_table(path, kind):
+    """Header ``{key: value}`` and ``(line number, fields, values)`` rows
+    of a ``kind`` file, blank lines skipped: ``values`` are the fields as
+    the ``TABLES`` readers parse them (text for a kind without readers).
+    A file that cannot be read, bytes that are not UTF-8, a last line
+    without its newline (a file cut short), another header or column line,
+    and a row its columns refuse raise ConfigError naming file and line."""
+    columns, readers = TABLES[kind]
     try:
         with _open_utf8(path, error=ConfigError) as fh:
             lines = list(enumerate(fh, start=1))
@@ -230,13 +265,32 @@ def read_table(path, kind, columns):
         raise ConfigError(f"{path}, line 1: not a version-1 {kind} file")
     # A header value runs up to the next " key=", so it may hold spaces.
     fields = dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", lines[0][1][len(prefix):]))
-    body = [(no, line) for no, line in lines[1:] if line.strip()]
+    body = [(no, line.split(",")) for no, line in lines[1:] if line.strip()]
     if not body:
         raise ConfigError(f"{path}: no column header after line 1")
     no, found = body[0]
-    if found != columns:
-        raise ConfigError(f"{path}, line {no}: unexpected column header {found!r}")
-    return fields, [(no, line.split(",")) for no, line in body[1:]]
+    if found != columns.split(","):
+        raise ConfigError(f"{path}, line {no}: unexpected column header {','.join(found)!r}")
+    if readers is None:
+        return fields, [(no, parts, tuple(parts)) for no, parts in body[1:]]
+    return fields, [
+        (no, parts, _read_row(path, no, found, parts, readers)) for no, parts in body[1:]
+    ]
+
+
+def _read_row(path, no, columns, parts, readers):
+    if len(parts) != len(readers):
+        raise ConfigError(f"{path}, line {no}: expected {len(readers)} fields, got {len(parts)}")
+    values = []
+    for column, text, (parse, what, rule) in zip(columns, parts, readers):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise ConfigError(f"{path}, line {no}: {column} {text!r} is not {what}") from None
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{path}, line {no}: {column} {text!r} is not {rule[1]}")
+        values.append(value)
+    return tuple(values)
 
 
 def parse_schema_sidecar(path):

@@ -22,55 +22,38 @@ record, kind and adversary that differ only in ``n_eval`` and master
 seed (a convergence study's points and repetitions), and ``run_game``
 is a grid of one.  A grid checks the preconditions once, draws every
 game's bit permutation from one ``seeds.Streams`` of the games' bit
-seeds, then plays the rounds of all its games, game after game, in
-spans of consecutive rounds that may cross game boundaries.  A span
-derives its rounds' run, data, fit and adversary seeds in one
-``seeds.derive_many`` call each, hashes its data seeds through one
-``seeds.Streams``, builds its training sets as one ``(B, n, d)`` array
-of the schema's narrow dtype and fits them in one
-``generators.fit_batch`` call, which hands the networks over one table
-chunk, its table batch, at a time: each chunk is scored in one
-adversary call before the next chunk's tables are built.  A span holds
-at most a ``threads``-th of the grid's rounds (a window of ``threads``
-spans then runs in a thread pool) and at most ``generators.batch_size``
-rounds of a round's weight: its training set's cells plus the
-``ROUND_ELEMENTS`` its seeds, hashed streams and per-round arrays hold.
-So a span stays within the batch budget like every other batched stage,
+seeds, then plays the rounds of all its games in spans of consecutive
+rounds that may cross game boundaries (``_play``).  A span derives each
+kind of its rounds' seeds in one ``seeds.derive_many`` call, builds its
+training sets as one ``(B, n, d)`` array of the schema's narrow dtype
+and fits them in one ``generators.fit_batch`` call, which hands the
+networks over one table chunk, its table batch, at a time: each chunk
+is scored in one adversary call before the next chunk's tables are
+built.  A span holds at most ``generators.batch_size`` rounds of a
+round's weight (``_span_rounds``), so it stays within the batch budget
 however large its games.  Each game's transcript, one ``RUN_DTYPE``
 array of (secret bit, score, run seed) rows, is yielded once its last
 span is scored, the same bytes whatever the spans.
 
 Traditional rounds gather their pool draws in one pass
 (``data.sample_training_sets``) and model-seeded rounds copy
-``d_target`` and overwrite x's rows in out-rounds.  A mixture round
-trains on its drawn partial with its own spec, so it is fit alone, one
-``fit_batch`` call and one chunk per round.  No round builds a
+``d_target`` and overwrite x's rows in out-rounds.  No round builds a
 ``SeedSequence`` of its own, and only a network's traditional round
 builds a Generator on its data stream, for its pool draw: model-seeded
 references (fixed ones every game's at once) and the mixture's partial
 are each stream's first ``integers``, which ``Streams.integers``
 computes for a whole span.  A toy fit reads nothing of its set but
 whether x is in it, which every game makes true exactly when the round's
-bit is 1, so after the preconditions toy rounds build no set: a span's
-fits are ``generators.toy_fits`` of its bit array, one array of release
-probabilities, and the traditional and model-seeded games derive no data
-or fit seed for them.  The mixture still draws each round's partial,
-whose spec the fit takes, and refuses specs that mix the toy with a
-network kind.  An adversary is a function ``adversary(fits, seeds) ->
-scores`` of one chunk: one membership score per round's fit, each given
-its round's adversary seed.  A network chunk is its table batch, which
-``fit_batch`` yields, and a toy chunk its array of release
-probabilities, so a toy span draws its release bits in one
-``generators.release_bits`` call.  The counting-query adversary samples
-a network chunk's releases in one ``generators.sample_columns`` call,
-one ``(k, d, n)`` array of narrow columns, and scores them as one
-array, but each logit stays one dot product per release (see
-``attack``).  A transcript file is a ``data.table_lines`` table of one
-row per round, headed by the hash of the experiment config that the
-command stamps on it, and read back strictly by ``load_transcript``.
+bit is 1, so toy rounds build no set: a span's fits are
+``generators.toy_fits`` of its bit array, and its release bits are one
+``generators.release_bits`` call.  An adversary is a function
+``adversary(fits, seeds) -> scores`` of one chunk, a network's table
+batch or a toy's array of release probabilities: one membership score
+per round's fit, each given its round's adversary seed (see ``attack``).
+A transcript file is a ``data.TABLES`` transcript of one row per round,
+headed by the config hash that its command stamps on it.
 """
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -85,7 +68,6 @@ TRADITIONAL = "traditional"
 MODEL_SEEDED = "model_seeded"
 
 GAME_KINDS = (TRADITIONAL, MODEL_SEEDED)
-TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed"
 # One row of a transcript; a uint64 holds every derived seed.
 RUN_DTYPE = np.dtype([("secret_bit", np.int64), ("score", np.float64), ("run_seed", np.uint64)])
 
@@ -525,10 +507,9 @@ def transcript_to_text(transcript):
         config=transcript.config_hash, game=transcript.game_kind,
         n_eval=len(transcript.runs), record=transcript.record_id,
     )
-    rows = [
-        f"{i},{b},{score!r},{seed}" for i, (b, score, seed) in enumerate(transcript.runs.tolist())
-    ]
-    return "\n".join(data_mod.table_lines("transcript", fields, TRANSCRIPT_COLUMNS, rows)) + "\n"
+    runs = transcript.runs
+    rows = zip(range(len(runs)), *(runs[name].tolist() for name in RUN_DTYPE.names))
+    return "\n".join(data_mod.table_lines("transcript", fields, rows)) + "\n"
 
 
 def save_transcript(transcript, path):
@@ -537,41 +518,26 @@ def save_transcript(transcript, path):
 
 
 def load_transcript(path):
-    """Read a transcript written by save_transcript.
+    """Read a transcript written by save_transcript (see ``data.read_table``).
 
-    Raises ConfigError, naming the file and line, for another header,
-    column line or game kind, a row that is not four numbers, a run
-    index other than the row's position, a secret bit other than 0 or 1,
-    a score that is not finite, a run seed outside [0, 2**64), or an
-    n_eval other than the row count.
+    Also raises ConfigError, naming the file and line, for a header game
+    kind other than traditional or model_seeded, a run index other than
+    the row's position, or a header n_eval other than the row count.
     """
-    fields, rows = data_mod.read_table(path, "transcript", TRANSCRIPT_COLUMNS)
+    fields, rows = data_mod.read_table(path, "transcript")
     game_kind = fields.get("game", "")
     if game_kind not in GAME_KINDS:
         raise ConfigError(f"{path}, line 1: unknown game kind {game_kind!r}")
-    runs = []
-    for no, row in rows:
-        if len(row) != 4:
-            raise ConfigError(f"{path}, line {no}: expected 4 fields, got {len(row)}")
-        try:
-            index, bit, score, seed = int(row[0]), int(row[1]), float(row[2]), int(row[3])
-        except ValueError:
-            raise ConfigError(f"{path}, line {no}: {','.join(row)!r} is not numeric") from None
-        if index != len(runs):
-            raise ConfigError(f"{path}, line {no}: run_index {row[0]!r} is not {len(runs)}")
-        if bit not in (0, 1):
-            raise ConfigError(f"{path}, line {no}: secret_bit {row[1]!r} is not 0 or 1")
-        if not math.isfinite(score):
-            raise ConfigError(f"{path}, line {no}: score {row[2]!r} is not finite")
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"{path}, line {no}: run_seed {row[3]!r} is outside [0, 2**64)")
-        runs.append((bit, score, seed))
+    for at, (no, raw, (index, *_)) in enumerate(rows):
+        if index != at:
+            raise ConfigError(f"{path}, line {no}: run_index {raw[0]!r} is not {at}")
     n_eval = fields.get("n_eval", "")
-    if n_eval != str(len(runs)):
+    if n_eval != str(len(rows)):
         raise ConfigError(
-            f"{path}, line 1: header n_eval={n_eval} does not match the {len(runs)} round rows"
+            f"{path}, line 1: header n_eval={n_eval} does not match the {len(rows)} round rows"
         )
     return GameTranscript(
-        np.array(runs, dtype=RUN_DTYPE), record_id=fields.get("record", ""), game_kind=game_kind,
+        np.array([run[1:] for *_, run in rows], dtype=RUN_DTYPE),
+        record_id=fields.get("record", ""), game_kind=game_kind,
         config_hash=fields.get("config", ""),
     )

@@ -275,9 +275,8 @@ def test_criterion_6_convergence_scaling(tmp_path):
     cfg = load_experiment_config(str(path))
     rows, _ = cli.convergence_table(cfg, log=silent)
     stds = {}
-    for row in rows:
-        _, kind, n, _, std, _ = row.split(",")
-        stds[(kind, int(n))] = float(std)
+    for _, kind, n, _, std, _ in rows:
+        stds[(kind, n)] = std
     ratios = {
         kind: stds[(kind, 1600)] / stds[(kind, 100)]
         for kind in ("traditional", "model_seeded")
@@ -335,8 +334,8 @@ def run_criterion_7(tmp_dir):
     _, _, rows_t = cli.read_result_rows(results_t)
     _, _, rows_ms = cli.read_result_rows(results_ms)
     max_gap = max(abs(rows_ms[r] - rows_t[r]) for r in rows_t)
-    _, cmp_rows = data.read_table(cmp_path, "comparison", cli.COMPARISON_COLUMNS)
-    rmsd_value = next(float(p[2]) for _, p in cmp_rows if p[:2] == ["summary", "rmsd"])
+    _, cmp_rows = data.read_table(cmp_path, "comparison")
+    rmsd_value = next(float(p[2]) for _, p, _ in cmp_rows if p[:2] == ["summary", "rmsd"])
     bodies = {
         "traditional": file_body(results_t),
         "model_seeded": file_body(results_ms),

@@ -1,4 +1,5 @@
-"""The package names the benchmark harness reads still exist.
+"""The package names the benchmark harness reads still exist, and the
+column lines it pins are the ones the package declares.
 
 ``benchmark/tracer.py`` wraps every name of its ``TRACED`` table, and
 ``benchmark/child.py`` calls ``cli`` and ``config`` functions with
@@ -13,7 +14,7 @@ import importlib
 import inspect
 import os
 
-from privgames import config
+from privgames import config, data
 
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmark")
 
@@ -70,3 +71,21 @@ def test_every_name_the_child_reads_resolves():
                 ]
     assert {"cli.cmd_run", "config.load_experiment_config", "cfg.out_dir"} <= seen
     assert missing == []
+
+
+def test_check_pins_the_declared_columns():
+    # benchmark/check.py reads the output tables independently of the
+    # package, so it keeps its own copies of their column lines.
+    pinned = {
+        target.id: ast.literal_eval(node.value)
+        for node in _parse("check.py").body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_COLUMNS")
+    }
+    assert pinned == {
+        "RESULTS_COLUMNS": data.TABLES["results"][0],
+        "COMPARISON_COLUMNS": data.TABLES["comparison"][0],
+        "CONVERGENCE_COLUMNS": data.TABLES["convergence"][0],
+        "AUDIT_COLUMNS": data.TABLES["dp-audit"][0],
+    }

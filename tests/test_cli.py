@@ -65,7 +65,7 @@ def test_run_writes_results_and_transcripts(tmp_path):
         lines = open(path).read().splitlines()
         assert lines[0].startswith("# privgames-results v1 config=")
         assert "status=complete" in lines[0]
-        assert lines[1] == cli.RESULTS_COLUMNS
+        assert lines[1] == data.TABLES["results"][0]
         assert len(lines) == 2 + 3
         for rid in (0, 1, 2):
             t = games.load_transcript(
@@ -466,29 +466,29 @@ def test_non_utf8_input_exits_1(tmp_path, capsys, bad):
 # --------------------------------------------------------------- compare
 
 
-def write_results(path, cfg_hash, rows, status="complete"):
+def write_results(path, game, cfg_hash, rows, status="complete"):
     lines = [
         f"# privgames-results v1 config={cfg_hash} status={status} generated=2026-01-01T00:00:00Z",
-        cli.RESULTS_COLUMNS,
+        data.TABLES["results"][0],
     ]
     for rid, auc in rows:
-        lines.append(f"{rid},traditional,200,{auc!r},0.1,0.2,0.3")
+        lines.append(f"{rid},{game},200,{auc!r},0.1,0.2,0.3")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def comparison_summary(path):
     """Summary rows of a comparison file as {name: token}."""
-    _, rows = data.read_table(path, "comparison", cli.COMPARISON_COLUMNS)
-    return {parts[1]: parts[2] for _, parts in rows if parts[0] == "summary"}
+    _, rows = data.read_table(path, "comparison")
+    return {parts[1]: parts[2] for _, parts, _ in rows if parts[0] == "summary"}
 
 
 def test_compare_hand_built_footer_values(tmp_path):
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")
     out = str(tmp_path / "cmp.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.9), ("2", 0.85)])
-    write_results(ms, "aaaaaaaaaaaa", [("0", 0.9), ("1", 0.95), ("2", 0.7)])
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.9), ("2", 0.85)])
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", [("0", 0.9), ("1", 0.95), ("2", 0.7)])
     assert cli.main(["compare", t, ms, "--out", out]) == 0
 
     summary = comparison_summary(out)
@@ -512,8 +512,8 @@ def test_compare_undefined_miss_rate_token(tmp_path):
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")
     out = str(tmp_path / "cmp.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.6)])
-    write_results(ms, "aaaaaaaaaaaa", [("0", 0.55), ("1", 0.5)])
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.6)])
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", [("0", 0.55), ("1", 0.5)])
     assert cli.main(["compare", t, ms, "--out", out]) == 0
     summary = comparison_summary(out)
     assert summary["miss_rate"] == cli.UNDEFINED_TOKEN
@@ -521,9 +521,11 @@ def test_compare_undefined_miss_rate_token(tmp_path):
 
 def test_compare_identical_files_rmsd_zero(tmp_path):
     t = str(tmp_path / "t.csv")
+    ms = str(tmp_path / "ms.csv")
     out = str(tmp_path / "cmp.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.6)])
-    assert cli.main(["compare", t, t, "--out", out]) == 0
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.6)])
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.6)])
+    assert cli.main(["compare", t, ms, "--out", out]) == 0
     assert float(comparison_summary(out)["rmsd"]) == 0.0
 
 
@@ -531,8 +533,8 @@ def test_compare_mixed_hashes_refused_then_allowed(tmp_path, capsys):
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")
     out = str(tmp_path / "cmp.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)])
-    write_results(ms, "bbbbbbbbbbbb", [("0", 0.9)])
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
+    write_results(ms, "model_seeded", "bbbbbbbbbbbb", [("0", 0.9)])
     assert cli.main(["compare", t, ms, "--out", out]) == 2
     assert "--allow-mixed" in capsys.readouterr().err
     assert not os.path.exists(out)
@@ -549,8 +551,8 @@ def test_compare_carries_partial_status(tmp_path, status_t, status_ms, expected)
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")
     out = str(tmp_path / "cmp.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)], status=status_t)
-    write_results(ms, "aaaaaaaaaaaa", [("0", 0.9)], status=status_ms)
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)], status=status_t)
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", [("0", 0.9)], status=status_ms)
     assert cli.read_result_rows(ms)[1] == status_ms
     assert cli.main(["compare", t, ms, "--out", out]) == 0
     assert f"status={expected} " in open(out).read().splitlines()[0]
@@ -560,8 +562,8 @@ def test_compare_mismatched_ids_lists_them(tmp_path, capsys):
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")
     out = str(tmp_path / "cmp.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5), ("3", 0.7)])
-    write_results(ms, "aaaaaaaaaaaa", [("0", 0.9), ("5", 0.2)])
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5), ("3", 0.7)])
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", [("0", 0.9), ("5", 0.2)])
     assert cli.main(["compare", t, ms, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "3" in err and "5" in err
@@ -569,14 +571,14 @@ def test_compare_mismatched_ids_lists_them(tmp_path, capsys):
 
 def test_compare_threshold_validation(tmp_path):
     t = str(tmp_path / "t.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)])
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
     assert cli.main(["compare", t, t, "--threshold", "1.5"]) == 2
 
 
 def test_compare_header_only_results_file_exits_2(tmp_path, capsys):
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)])
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
     with open(ms, "w") as fh:
         fh.write(
             "# privgames-results v1 config=aaaaaaaaaaaa status=complete "
@@ -598,9 +600,11 @@ def test_compare_missing_file_exits_2(tmp_path, capsys):
 
 def test_compare_unwritable_out_exits_2(tmp_path, capsys):
     t = str(tmp_path / "t.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)])
+    ms = str(tmp_path / "ms.csv")
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", [("0", 0.5)])
     out = str(tmp_path / "missing-dir" / "cmp.csv")
-    assert cli.main(["compare", t, t, "--out", out]) == 2
+    assert cli.main(["compare", t, ms, "--out", out]) == 2
     err = capsys.readouterr().err
     assert f"error: {out}: cannot write (No such file or directory)" in err
     assert "Traceback" not in err
@@ -609,8 +613,8 @@ def test_compare_unwritable_out_exits_2(tmp_path, capsys):
 def test_compare_results_file_without_rows_exits_2(tmp_path, capsys):
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5)])
-    write_results(ms, "aaaaaaaaaaaa", [])
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", [])
     assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
     assert f"error: {ms}: no record rows" in capsys.readouterr().err
 
@@ -622,24 +626,67 @@ def test_compare_results_file_without_rows_exits_2(tmp_path, capsys):
     ("1,traditional,200,inf,0.1,0.2,0.3", "auc 'inf' is not in [0, 1]"),
     ("1,traditional,200,1.5,0.1,0.2,0.3", "auc '1.5' is not in [0, 1]"),
     ("0,traditional,200,0.6,0.1,0.2,0.3", "record id '0' appears twice"),
+    ("1,traditional,x,0.6,0.1,0.2,0.3", "n_eval 'x' is not an integer"),
+    ("1,traditional,200,0.6,zzz,0.2,0.3", "radius 'zzz' is not a number"),
+    ("1,traditional,200,0.6,0.1,abc,0.3", "alpha 'abc' is not a number"),
+    ("1,traditional,200,0.6,0.1,0.2,", "beta '' is not a number"),
+    ("1,traditional,200,0.6,0.1,1.5,0.3", "alpha '1.5' is not in [0, 1]"),
 ])
 def test_compare_malformed_row_exits_2(tmp_path, capsys, row, message):
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")
-    write_results(t, "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.6)])
-    write_results(ms, "aaaaaaaaaaaa", [("0", 0.5)])
-    with open(ms, "a") as fh:
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", [("0", 0.5), ("1", 0.6)])
+    with open(t, "a") as fh:
         fh.write(row + "\n")
     assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
     err = capsys.readouterr().err
-    assert f"{ms}, line 4" in err and message in err
+    assert f"{t}, line 4" in err and message in err
+
+
+def test_compare_swapped_files_exits_2(tmp_path, capsys):
+    # Swapped, the model-seeded AUCs would land under risk_traditional
+    # and every delta would flip its sign.
+    t = str(tmp_path / "t.csv")
+    ms = str(tmp_path / "ms.csv")
+    out = str(tmp_path / "cmp.csv")
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", [("0", 0.9)])
+    assert cli.main(["compare", ms, t, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {ms}, line 3: game 'model_seeded' is not traditional" in err
+    assert not os.path.exists(out)
+    assert cli.main(["compare", t, t, "--out", out]) == 2
+    assert f"error: {t}, line 3: game 'traditional' is not model_seeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, message", [
+    ("config=aaaaaaaaaaaa status=bogus", "status 'bogus' is not complete or partial"),
+    ("config=aaaaaaaaaaaa", "status '' is not complete or partial"),
+    ("status=complete", "config '' is not 12 lowercase hex digits"),
+    ("config=AAAAAAAAAAAA status=complete", "config 'AAAAAAAAAAAA' is not 12 lowercase hex"),
+    ("config=aaaaaaaaaaa status=complete", "config 'aaaaaaaaaaa' is not 12 lowercase hex"),
+    ("config=mixed status=complete", "config 'mixed' is not 12 lowercase hex"),
+])
+def test_compare_results_header_must_name_its_run(tmp_path, capsys, header, message):
+    t = str(tmp_path / "t.csv")
+    ms = str(tmp_path / "ms.csv")
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
+    with open(ms, "w") as fh:
+        fh.write(f"# privgames-results v1 {header}\n{data.TABLES['results'][0]}\n")
+        fh.write("0,model_seeded,200,0.9,0.1,0.2,0.3\n")
+    assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
+    assert f"error: {ms}, line 1: {message}" in capsys.readouterr().err
 
 
 def test_compare_orders_numeric_ids_first(tmp_path):
     t = str(tmp_path / "t.csv")
+    ms = str(tmp_path / "ms.csv")
     out = str(tmp_path / "cmp.csv")
-    write_results(t, "aaaaaaaaaaaa", [("\u00b2", 0.5), ("10", 0.6), ("b", 0.7), ("2", 0.8)])
-    assert cli.main(["compare", t, t, "--out", out]) == 0
+    rows = [("\u00b2", 0.5), ("10", 0.6), ("b", 0.7), ("2", 0.8)]
+    write_results(t, "traditional", "aaaaaaaaaaaa", rows)
+    write_results(ms, "model_seeded", "aaaaaaaaaaaa", rows)
+    assert cli.main(["compare", t, ms, "--out", out]) == 0
     rows = [ln.split(",")[0] for ln in open(out, encoding="utf-8").read().splitlines()[2:6]]
     assert rows == ["2", "10", "b", "\u00b2"]
 
@@ -673,7 +720,7 @@ def test_convergence_rows_and_radius(tmp_path):
 
     assert cli.main(["convergence", "--config", str(cfg_path)]) == 0
     lines = open(out / "convergence.csv").read().splitlines()
-    assert lines[1] == cli.CONVERGENCE_COLUMNS
+    assert lines[1] == data.TABLES["convergence"][0]
     rows = [ln.split(",") for ln in lines[2:]]
     assert len(rows) == 4  # 2 game kinds x 2 grid points
     for parts in rows:
@@ -824,8 +871,7 @@ def test_convergence_constant_adversary_has_zero_std(tmp_path, monkeypatch):
     rows, status = cli.convergence_table(cfg, log=silent)
     assert status == "complete"
     for row in rows:
-        parts = row.split(",")
-        assert float(parts[4]) == 0.0  # all repetitions score identically
+        assert row[4] == 0.0  # all repetitions score identically
 
 
 # --------------------------------------------------------------- dp-audit
@@ -875,7 +921,7 @@ def test_dp_audit_writes_points(tmp_path, capsys):
     assert cli.main(["dp-audit", "--config", str(cfg_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0 flagged points in 1 audited records"
     lines = open(out / "dp_audit.csv").read().splitlines()
-    assert lines[1] == cli.AUDIT_COLUMNS
+    assert lines[1] == data.TABLES["dp-audit"][0]
     assert len(lines) > 2
     for parts in (ln.split(",") for ln in lines[2:]):
         assert parts[0] == "0"

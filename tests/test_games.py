@@ -558,14 +558,14 @@ _TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed\n"
 
 @pytest.mark.parametrize("row, message", [
     ("1,2", "line 4: expected 4 fields, got 2"),
-    ("x,1,0.5,3", "line 4: 'x,1,0.5,3' is not numeric"),
+    ("x,1,0.5,3", "line 4: run_index 'x' is not an integer"),
     ("1,3,0.5,3", "line 4: secret_bit '3' is not 0 or 1"),
     ("1,0,nan,3", "line 4: score 'nan' is not finite"),
     ("1,0,-inf,3", "line 4: score '-inf' is not finite"),
     ("", "line 1: header n_eval=2 does not match the 1 round rows"),
     ("0,0,0.5,3", "line 4: run_index '0' is not 1"),
-    ("1,0,0.5,-1", r"line 4: run_seed '-1' is outside \[0, 2\*\*64\)"),
-    (f"1,0,0.5,{2**64}", rf"line 4: run_seed '{2**64}' is outside \[0, 2\*\*64\)"),
+    ("1,0,0.5,-1", r"line 4: run_seed '-1' is not in \[0, 2\*\*64\)"),
+    (f"1,0,0.5,{2**64}", rf"line 4: run_seed '{2**64}' is not in \[0, 2\*\*64\)"),
     ("1,0,0.5\udcff,3", r"not UTF-8 text \(invalid start byte\)"),
     # Whole files, for defects above the second round row.
     (

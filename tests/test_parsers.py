@@ -1,5 +1,8 @@
 """Property tests: every parser either parses its input or raises a
-PrivGamesError subclass, never another exception."""
+PrivGamesError subclass, never another exception, and every typed table
+reads back the values it was written with."""
+
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -75,7 +78,7 @@ def test_transcript_parser_parses_or_raises(tmp_path, raw):
 
 _RESULTS = (
     "# privgames-results v1 config=0123456789ab status=complete generated=2026-01-01T00:00:00Z\n"
-    f"{cli.RESULTS_COLUMNS}\n"
+    f"{data.TABLES['results'][0]}\n"
     "0,traditional,200,0.5,0.1,0.2,0.3\n3,traditional,200,0.75,0.1,0.2,0.3\n"
 )
 
@@ -86,11 +89,54 @@ def test_results_parser_parses_or_raises(tmp_path, raw):
     path = tmp_path / "results.csv"
     path.write_bytes(raw)
     _parses_or_raises_privgames_error(cli.read_result_rows, str(path))
-    # Joined with itself, every parsed row reaches the comparison maths.
+    # Joined with its model-seeded twin, every parsed row reaches the
+    # comparison maths.
+    twin = tmp_path / "twin.csv"
+    twin.write_text(_RESULTS.replace("traditional", "model_seeded"))
     out = str(tmp_path / "cmp.csv")
     _parses_or_raises_privgames_error(
-        lambda: cli.cmd_compare(str(path), str(path), 0.8, out, log=lambda _: None)
+        lambda: cli.cmd_compare(str(path), str(twin), 0.8, out, log=lambda _: None)
     )
+
+
+# Values each typed table's columns accept.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n"))
+_UNIT = st.floats(0.0, 1.0)
+_NUMBER = st.floats(allow_nan=False)
+_BIT = st.sampled_from([0, 1])
+_ROWS = {
+    "results": st.tuples(_TEXT, _TEXT, st.integers(), _UNIT, _NUMBER, _UNIT, _UNIT),
+    "convergence": st.tuples(_TEXT, _TEXT, st.integers(), _UNIT, _NUMBER, _NUMBER),
+    "dp-audit": st.tuples(_TEXT, _UNIT, _UNIT, _NUMBER, _BIT),
+    "transcript": st.tuples(
+        st.integers(), _BIT, st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(0, 2**64 - 1),
+    ),
+}
+
+
+def _bits(row):
+    """A row with each float as its IEEE bytes, so -0.0 differs from 0.0."""
+    return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in row]
+
+
+def test_every_typed_table_is_round_tripped():
+    assert set(_ROWS) == {kind for kind, (_, readers) in data.TABLES.items() if readers}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(_ROWS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.lists(_ROWS[kind], max_size=5))
+))
+def test_typed_table_reads_back_what_it_wrote(tmp_path, kind_rows):
+    kind, rows = kind_rows
+    path = tmp_path / "table.csv"
+    lines = data.table_lines(kind, {"config": "0123456789ab", "status": "complete"}, rows)
+    data.write_text(path, "\n".join(lines) + "\n")
+    fields, back = data.read_table(path, kind)
+    assert fields == {"config": "0123456789ab", "status": "complete"}
+    assert [no for no, _, _ in back] == list(range(3, 3 + len(rows)))
+    assert [_bits(values) for *_, values in back] == [_bits(row) for row in rows]
 
 
 _CSV = "name,level,amount,flag\na,0,1.5,x\nb,2,-3,y\na,1,0.25,x\n\"c,d\",4,7e1,z\n"
