@@ -49,22 +49,16 @@ def _write_table(path, kind, cfg_hash, status, rows, log, footer=()):
     """Write one output table: header line, column line, ``rows`` (tuples
     of values), then the ready lines of ``footer``."""
     generated = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    fields = {"config": cfg_hash, "status": status, "generated": generated}
-    _write_file(path, data_mod.table_lines(kind, fields, rows) + list(footer))
+    header = cfg_hash, status, generated
+    _write_file(path, data_mod.table_lines(kind, header, rows) + list(footer))
     log(f"wrote {path}")
 
 
 def read_result_rows(path, game=None):
     """(config hash, status, ordered {record_id: auc}) of a results file
-    (see ``data.read_table``).  A status other than complete or partial, a
-    config other than 12 lowercase hex digits, a repeated record id, or a
-    row of another game than ``game`` also raises ConfigError."""
-    fields, rows = data_mod.read_table(path, "results")
-    cfg_hash, status = fields.get("config", ""), fields.get("status", "")
-    if status not in _EXIT_CODE:
-        raise ConfigError(f"{path}, line 1: status {status!r} is not complete or partial")
-    if len(cfg_hash) != 12 or not set(cfg_hash) <= set("0123456789abcdef"):
-        raise ConfigError(f"{path}, line 1: config {cfg_hash!r} is not 12 lowercase hex digits")
+    (see ``data.read_table``).  A repeated record id, or a row of another
+    game than ``game``, also raises ConfigError."""
+    header, rows = data_mod.read_table(path, "results")
     aucs = {}
     for no, _, (rid, kind, _, auc, *_) in rows:
         if game is not None and kind != game:
@@ -72,7 +66,7 @@ def read_result_rows(path, game=None):
         if rid in aucs:
             raise ConfigError(f"{path}, line {no}: record id {rid!r} appears twice")
         aucs[rid] = auc
-    return cfg_hash, status, aucs
+    return header["config"], header["status"], aucs
 
 
 # ----------------------------------------------------------- environment
@@ -503,23 +497,16 @@ def cmd_dp_audit(cfg, threads=1, log=print):
 
 
 def _default_threads():
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer (got {raw!r})")
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1 (got {value})")
-    return value
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
+    return data_mod.read_value(raw, data_mod.COUNT, THREADS_ENV_VAR, ConfigError)
 
 
 def _load_config_with_overrides(args):
     cfg = config_mod.load_experiment_config(args.config)
     if getattr(args, "seed", None) is not None:
-        seed = config_mod.checked("experiment.master_seed", args.seed, f"--seed {args.seed}")
-        cfg = replace(cfg, master_seed=seed)
+        reader = config_mod.reader("experiment.master_seed")
+        where = "--seed (experiment.master_seed)"
+        cfg = replace(cfg, master_seed=data_mod.read_value(args.seed, reader, where, ConfigError))
     if getattr(args, "out", None):
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "records", None):
@@ -530,14 +517,13 @@ def _load_config_with_overrides(args):
 
 def _add_run_style_options(sub):
     sub.add_argument("--config", required=True, help="experiment config file")
-    sub.add_argument("--seed", type=int, help="override experiment.master_seed")
+    sub.add_argument("--seed", help="override experiment.master_seed")
     sub.add_argument("--out", help="override output.dir")
     sub.add_argument(
         "--records", help="override records.selection (ids:... | first:K | random:K)"
     )
     sub.add_argument(
         "--threads",
-        type=int,
         help="split each game's batch of rounds into this many chunks, fit and "
         f"scored in a thread pool (default ${THREADS_ENV_VAR} or 1)",
     )
@@ -559,7 +545,7 @@ def build_parser():
     p_cmp = sub.add_parser("compare", help="join traditional and model-seeded results")
     p_cmp.add_argument("results_traditional")
     p_cmp.add_argument("results_model_seeded")
-    p_cmp.add_argument("--threshold", type=float, default=risk.DEFAULT_THRESHOLD)
+    p_cmp.add_argument("--threshold", default=repr(risk.DEFAULT_THRESHOLD))
     p_cmp.add_argument("--out", default="comparison.csv")
     p_cmp.add_argument(
         "--allow-mixed",
@@ -581,20 +567,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "compare":
-            if not 0.0 < args.threshold < 1.0:
-                raise ConfigError(
-                    f"--threshold must be in (0, 1) (got {args.threshold})"
-                )
+            reader = config_mod.reader("output.high_risk_threshold")
             return cmd_compare(
                 args.results_traditional,
                 args.results_model_seeded,
-                args.threshold,
+                data_mod.read_value(args.threshold, reader, "--threshold", ConfigError),
                 args.out,
                 allow_mixed=args.allow_mixed,
             )
-        threads = args.threads if args.threads is not None else _default_threads()
-        if threads < 1:
-            raise ConfigError(f"--threads must be >= 1 (got {threads})")
+        threads = _default_threads() if args.threads is None else data_mod.read_value(
+            args.threads, data_mod.COUNT, "--threads", ConfigError
+        )
         cfg = _load_config_with_overrides(args)
         if args.command == "run":
             return cmd_run(cfg, threads=threads)

@@ -2,23 +2,23 @@
 
 The config file is key-value text with sections.  ``KEYS`` is the one
 declaration of what it may hold: each key's section, the field it fills,
-how it parses, its default and its range.  One loop over it parses every
-key, and a section or key it does not declare is an error that suggests
-the closest declared name.  Every invalid field is reported as
-``section.key`` so a failing run names what to fix.  A canonical JSON
-snapshot of the parsed config is hashed into every output file header,
-letting downstream commands refuse to join results produced under
-different configurations.
+its reader (how it parses and the range it takes, see ``data.read_value``)
+and its default.  One loop over it reads every key, and a section or key
+it does not declare is an error that suggests the closest declared name.
+Every invalid field is reported as ``section.key`` so a failing run names
+what to fix.  A canonical JSON snapshot of the parsed config is hashed
+into every output file header, letting downstream commands refuse to
+join results produced under different configurations.
 """
 
 import configparser
 import hashlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 
 from . import attack, corpora, games, generators
+from .data import COUNT, FINITE, INT, SEED, TEXT, one_of, read_value
 from .errors import ConfigError, DomainError
 from .risk import DEFAULT_RHO, DEFAULT_THRESHOLD
 
@@ -67,92 +67,68 @@ class ExperimentConfig:
 REQUIRED = object()  # a KEYS default: the key has none and must be set
 
 
-def _finite(raw):
-    value = float(raw)
-    # nan passes every range check (nan < 0 is False); inf means no setting.
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
-
-
 def _split(item):
     return lambda raw: tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
-def _at_least(low):
-    return lambda v: v >= low, f">= {low}"
+def _ruled(reader, test, what):
+    """``reader`` (see ``data.read_value``) with the rule ``(test, what)``."""
+    return reader[:2] + ((test, what),)
 
 
-def _one_of(names):
-    return lambda v: v in names, "one of " + ", ".join(names)
-
-
-# How a raw value is parsed, and what it must look like if that fails.
-_STR = (str, "text")
-_INT = (int, "an integer")
-_FLOAT = (_finite, "a finite number")
-_INTS = (_split(int), "comma-separated integers")
-_NAMES = (_split(str), "comma-separated names")
-
-_EVEN = (lambda v: v >= 2 and v % 2 == 0, "an even number >= 2")
-_SEED = (lambda v: 0 <= v <= 2**64 - 1, "in [0, 2**64 - 1]")  # a stream seed
-_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+# How a raw value reads (see ``data.read_value``).
+_NATURAL = _ruled(INT, lambda v: v >= 0, ">= 0")
+_INTS = (_split(int), "comma-separated integers", None)
+_NAMES = (_split(str), "comma-separated names", None)
+_EVEN = _ruled(INT, lambda v: v >= 2 and v % 2 == 0, "an even number >= 2")
+_UNIT = _ruled(FINITE, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 _SPEC = generators.GeneratorSpec  # its field defaults are the [generator] defaults
 
 # Every key a config file may set: (section, key, ExperimentConfig field or
-# spec.<GeneratorSpec field>, parse, default or REQUIRED, range rule).  A
-# rule is (predicate, what it accepts), checked on a value the file sets;
-# a list whose default is not empty must not be empty either.
+# spec.<GeneratorSpec field>, reader, default or REQUIRED).  A reader's
+# rule is checked on a value the file sets; a list whose default is not
+# empty must not be empty either.
 KEYS = (
-    ("data", "dataset", "dataset", _STR, REQUIRED, None),
-    ("data", "schema", "schema_sidecar", _STR, "", None),
-    ("data", "aux_size", "aux_size", _INT, REQUIRED, _at_least(1)),
-    ("data", "eval_size", "eval_size", _INT, REQUIRED, _at_least(1)),
-    ("data", "target_size", "target_size", _INT, REQUIRED, _at_least(1)),
-    ("generator", "kind", "spec.kind", _STR, generators.BAYNET, _one_of(generators.KINDS)),
-    ("generator", "max_parents", "spec.max_parents", _INT, _SPEC.max_parents, _at_least(0)),
-    ("generator", "epsilon", "spec.epsilon", _FLOAT, _SPEC.epsilon, None),
-    ("generator", "p_in", "spec.p_in", _FLOAT, _SPEC.p_in, None),
-    ("generator", "p_out", "spec.p_out", _FLOAT, _SPEC.p_out, None),
-    ("generator", "smoothing", "spec.smoothing", _FLOAT, _SPEC.smoothing, None),
-    ("generator", "mi_floor", "spec.mi_floor", _FLOAT, _SPEC.mi_floor, None),
-    ("attack", "n_shadow", "n_shadow", _INT, 50, _EVEN),
-    ("attack", "k_values", "k_values", _INTS, attack.DEFAULT_K_VALUES,
-     (lambda ks: min(ks) >= 1, "integers >= 1")),
-    ("attack", "queries_per_k", "queries_per_k", _INT, attack.DEFAULT_QUERIES_PER_K, _at_least(1)),
-    ("attack", "epochs", "epochs", _INT, attack.DEFAULT_EPOCHS, _at_least(1)),
-    ("attack", "learning_rate", "learning_rate", _FLOAT, attack.DEFAULT_LEARNING_RATE,
-     (lambda v: v > 0, "> 0")),
-    ("attack", "l2", "l2", _FLOAT, attack.DEFAULT_L2, _at_least(0)),
-    ("attack", "syn_size", "syn_size", _INT, None, _at_least(1)),  # None: target_size
-    ("game", "n_eval", "n_eval", _INT, REQUIRED, _EVEN),
-    ("game", "kinds", "game_kinds", _NAMES, games.GAME_KINDS, (
-        lambda ks: set(ks) <= set(games.GAME_KINDS) and len(set(ks)) == len(ks),
+    ("data", "dataset", "dataset", TEXT, REQUIRED),
+    ("data", "schema", "schema_sidecar", TEXT, ""),
+    ("data", "aux_size", "aux_size", COUNT, REQUIRED),
+    ("data", "eval_size", "eval_size", COUNT, REQUIRED),
+    ("data", "target_size", "target_size", COUNT, REQUIRED),
+    ("generator", "kind", "spec.kind", one_of(generators.KINDS), generators.BAYNET),
+    ("generator", "max_parents", "spec.max_parents", _NATURAL, _SPEC.max_parents),
+    ("generator", "epsilon", "spec.epsilon", FINITE, _SPEC.epsilon),
+    ("generator", "p_in", "spec.p_in", FINITE, _SPEC.p_in),
+    ("generator", "p_out", "spec.p_out", FINITE, _SPEC.p_out),
+    ("generator", "smoothing", "spec.smoothing", FINITE, _SPEC.smoothing),
+    ("generator", "mi_floor", "spec.mi_floor", FINITE, _SPEC.mi_floor),
+    ("attack", "n_shadow", "n_shadow", _EVEN, 50),
+    ("attack", "k_values", "k_values",
+     _ruled(_INTS, lambda ks: all(k >= 1 for k in ks), "integers >= 1"), attack.DEFAULT_K_VALUES),
+    ("attack", "queries_per_k", "queries_per_k", COUNT, attack.DEFAULT_QUERIES_PER_K),
+    ("attack", "epochs", "epochs", COUNT, attack.DEFAULT_EPOCHS),
+    ("attack", "learning_rate", "learning_rate", _ruled(FINITE, lambda v: v > 0, "> 0"),
+     attack.DEFAULT_LEARNING_RATE),
+    ("attack", "l2", "l2", _ruled(FINITE, lambda v: v >= 0, ">= 0"), attack.DEFAULT_L2),
+    ("attack", "syn_size", "syn_size", COUNT, None),  # None: target_size
+    ("game", "n_eval", "n_eval", _EVEN, REQUIRED),
+    ("game", "kinds", "game_kinds", _ruled(
+        _NAMES, lambda ks: set(ks) <= set(games.GAME_KINDS) and len(set(ks)) == len(ks),
         "distinct names from " + ", ".join(games.GAME_KINDS),
-    )),
-    ("game", "reference_mode", "reference_mode", _STR, games.REFERENCE_PER_RUN,
-     _one_of((games.REFERENCE_PER_RUN, games.REFERENCE_FIXED))),
-    ("records", "selection", "record_selection", _STR, "random:10", None),
-    ("experiment", "master_seed", "master_seed", _INT, 0, _SEED),
-    ("output", "dir", "out_dir", _STR, "out", None),
-    ("output", "high_risk_threshold", "high_risk_threshold", _FLOAT, DEFAULT_THRESHOLD, _UNIT),
-    ("output", "rho", "rho", _FLOAT, DEFAULT_RHO, _UNIT),
-    ("convergence", "grid", "n_eval_grid", _INTS, (), (
-        lambda g: all(n >= 2 and n % 2 == 0 for n in g) and len(set(g)) == len(g),
+    ), games.GAME_KINDS),
+    ("game", "reference_mode", "reference_mode",
+     one_of((games.REFERENCE_PER_RUN, games.REFERENCE_FIXED)), games.REFERENCE_PER_RUN),
+    ("records", "selection", "record_selection", TEXT, "random:10"),
+    ("experiment", "master_seed", "master_seed", SEED, 0),
+    ("output", "dir", "out_dir", TEXT, "out"),
+    ("output", "high_risk_threshold", "high_risk_threshold", _UNIT, DEFAULT_THRESHOLD),
+    ("output", "rho", "rho", _UNIT, DEFAULT_RHO),
+    ("convergence", "grid", "n_eval_grid", _ruled(
+        _INTS, lambda g: all(n >= 2 and n % 2 == 0 for n in g) and len(set(g)) == len(g),
         "distinct positive even numbers",
-    )),
-    ("convergence", "repetitions", "repetitions", _INT, 0, _at_least(0)),
+    ), ()),
+    ("convergence", "repetitions", "repetitions", _NATURAL, 0),
 )
-
-
-def checked(name, value, raw):
-    """``value``, parsed from ``raw`` for the key ``name`` (``section.key``),
-    once its ``KEYS`` range rule accepts it; else a ConfigError naming the key."""
-    rule = next(row[5] for row in KEYS if f"{row[0]}.{row[1]}" == name)
-    if rule and not rule[0](value):
-        raise ConfigError(f"{name} must be {rule[1]} (got {raw!r})")
-    return value
 
 
 def _unknown(path, what, name, known):
@@ -179,6 +155,16 @@ def _check_names(parser, path):
                 raise _unknown(path, "key", f"{section}.{key}", elsewhere or names)
 
 
+# A record selection's mode, and what follows it.
+_MODE = one_of(("ids", "first", "random"))
+_IDS = _ruled(_INTS, lambda ids: ids and len(set(ids)) == len(ids), "one or more distinct ids")
+
+
+def reader(name):
+    """The ``KEYS`` reader of the key ``name`` (``section.key``)."""
+    return next(row[3] for row in KEYS if f"{row[0]}.{row[1]}" == name)
+
+
 def parse_record_selection(text):
     """Split a selection spec into its mode and payload.
 
@@ -186,28 +172,9 @@ def parse_record_selection(text):
     rows, ``random:K`` a seeded uniform draw of K rows.
     """
     mode, _, arg = text.partition(":")
-    mode = mode.strip()
-    if mode == "ids":
-        try:
-            ids = tuple(int(tok) for tok in arg.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"records.selection ids must be integers (got {arg!r})")
-        if not ids:
-            raise ConfigError("records.selection ids list is empty")
-        if len(set(ids)) != len(ids):
-            raise ConfigError("records.selection ids contain duplicates")
-        return "ids", ids
-    if mode in ("first", "random"):
-        try:
-            k = int(arg)
-        except ValueError:
-            raise ConfigError(f"records.selection needs an integer count (got {arg!r})")
-        if k < 1:
-            raise ConfigError(f"records.selection count must be >= 1 (got {k})")
-        return mode, k
-    raise ConfigError(
-        f"records.selection must be ids:..., first:K, or random:K (got {text!r})"
-    )
+    mode = read_value(mode.strip(), _MODE, "records.selection mode", ConfigError)
+    reader = _IDS if mode == "ids" else COUNT
+    return mode, read_value(arg, reader, f"records.selection {mode}", ConfigError)
 
 
 def load_experiment_config(path):
@@ -223,7 +190,7 @@ def load_experiment_config(path):
     _check_names(parser, path)
 
     fields, spec = {}, {}
-    for section, key, field, (parse, what), default, _ in KEYS:
+    for section, key, field, reader, default in KEYS:
         name = f"{section}.{key}"
         try:
             raw = parser.get(section, key, fallback=None)
@@ -234,14 +201,9 @@ def load_experiment_config(path):
                 raise ConfigError(f"{name} is required")
             value = default
         else:
-            raw = raw.strip()
-            try:
-                value = parse(raw)
-            except ValueError:
-                raise ConfigError(f"{name} must be {what} (got {raw!r})") from None
+            value = read_value(raw.strip(), reader, name, ConfigError)
             if value == () and default != ():
                 raise ConfigError(f"{name} is empty")
-            checked(name, value, raw)
         target, _, attr = field.rpartition(".")
         (spec if target else fields)[attr] = value
 

@@ -21,7 +21,7 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import starmap, zip_longest
 
 import numpy as np
 
@@ -33,30 +33,79 @@ ORDERED = "ordered"
 
 DEFAULT_BINS = 10
 
-# How a table field reads back: (parse, what it is not, rule), a rule
-# being (predicate, what it is not) or None, as in ``config.KEYS``.
-_TEXT = (str, "text", None)
-_INT = (int, "an integer", None)
+GAME_KINDS = ("traditional", "model_seeded")
+
+
+def read_value(text, reader, where, error):
+    """``text`` read by ``reader``: ``(parse, what, rule)``, ``rule`` None or
+    ``(predicate, what)``.  Text that ``parse`` refuses (ValueError), or
+    whose value fails the rule, raises ``error("<where> '<text>' is not <what>")``."""
+    parse, what, rule = reader
+    try:
+        value = parse(text)
+    except ValueError:
+        raise error(f"{where} {text!r} is not {what}") from None
+    if rule is not None and not rule[0](value):
+        raise error(f"{where} {text!r} is not {rule[1]}")
+    return value
+
+
+def _finite(text):
+    # nan, inf and overflow such as 1e999 parse as floats but are no
+    # setting and cannot be binned: refuse them.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def one_of(names):
+    """The reader of a name from ``names``."""
+    return str, "text", (names.__contains__, "one of " + ", ".join(names))
+
+
+TEXT = (str, "text", None)
+INT = (int, "an integer", None)
+FINITE = (_finite, "a finite number", None)
+SEED = (int, "an integer", (lambda v: 0 <= v < 2**64, "in [0, 2**64)"))
+COUNT = (int, "an integer", (lambda v: v >= 1, ">= 1"))
 _NUMBER = (float, "a number", None)
 _UNIT = (float, "a number", (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))
 _BIT = (int, "an integer", (lambda v: v in (0, 1), "0 or 1"))
-_FINITE = (float, "a number", (math.isfinite, "finite"))
-_SEED = (int, "an integer", (lambda v: 0 <= v < 2**64, "in [0, 2**64)"))
+_SCORE = (float, "a number", (math.isfinite, "finite"))
+_HINT_KIND = one_of((CATEGORICAL, ORDERED, "continuous"))
+_HEX12 = re.compile("[0-9a-f]{12}").fullmatch
+_HASH = (str, "text", (_HEX12, "12 lowercase hex digits"))
+_MIXED = (str, "text", (lambda v: v == "mixed" or _HEX12(v), "12 lowercase hex digits or mixed"))
+_RUN_HEADER = (("config", _HASH), ("status", one_of(("complete", "partial"))), ("generated", TEXT))
 
-# Each kind of file privgames writes: its column line, and a reader per
-# column, or None where no command reads the kind back.
+# Each kind of file privgames writes: its column line, a reader per
+# column (None where no command reads the kind back), and its header keys
+# in written order, each with its reader.
 TABLES = {
     "results": (
         "record_id,game,n_eval,auc,radius,alpha,beta",
-        (_TEXT, _TEXT, _INT, _UNIT, _NUMBER, _UNIT, _UNIT),
+        (TEXT, TEXT, INT, _UNIT, _NUMBER, _UNIT, _UNIT),
+        _RUN_HEADER,
     ),
-    "comparison": ("record_id,risk_traditional,risk_model_seeded,delta,abs_delta", None),
+    "comparison": (
+        "record_id,risk_traditional,risk_model_seeded,delta,abs_delta",
+        None,
+        (("config", _MIXED),) + _RUN_HEADER[1:],
+    ),
     "convergence": (
         "record_id,game,n_eval,auc_mean,auc_std,radius",
-        (_TEXT, _TEXT, _INT, _UNIT, _NUMBER, _NUMBER),
+        (TEXT, TEXT, INT, _UNIT, _NUMBER, _NUMBER),
+        _RUN_HEADER,
     ),
-    "dp-audit": ("record_id,alpha,beta,bound,flagged", (_TEXT, _UNIT, _UNIT, _NUMBER, _BIT)),
-    "transcript": ("run_index,secret_bit,score,run_seed", (_INT, _BIT, _FINITE, _SEED)),
+    "dp-audit": (
+        "record_id,alpha,beta,bound,flagged", (TEXT, _UNIT, _UNIT, _NUMBER, _BIT), _RUN_HEADER
+    ),
+    "transcript": (
+        "run_index,secret_bit,score,run_seed",
+        (INT, _BIT, _SCORE, SEED),
+        (("config", _HASH), ("game", one_of(GAME_KINDS)), ("n_eval", INT), ("record", TEXT)),
+    ),
 }
 
 
@@ -217,15 +266,16 @@ def _open_utf8(path, newline=None, error=CsvParseError):
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def table_lines(kind, fields, rows):
-    """Header line (``fields`` as ``key=value``), the kind's column line,
+def table_lines(kind, header, rows):
+    """Header line (the kind's ``TABLES`` header keys, each ``key=value``
+    with its value from the tuple ``header``), the kind's column line,
     then one line per tuple of ``rows``: its values in column order, each
     as ``format(value)``, which for a float is its repr."""
-    columns = TABLES[kind][0]
-    header = " ".join([f"# privgames-{kind} v1"] + [f"{k}={v}" for k, v in fields.items()])
+    columns, _, keys = TABLES[kind]
+    pairs = [f"{key}={value}" for (key, _), value in zip(keys, header, strict=True)]
     # One format string per table: formatting a row costs no per-value dispatch.
     row = ",".join(["{}"] * (columns.count(",") + 1)).format
-    return [header, columns, *starmap(row, rows)]
+    return [" ".join([f"# privgames-{kind} v1", *pairs]), columns, *starmap(row, rows)]
 
 
 def write_text(path, text):
@@ -246,12 +296,13 @@ def write_text(path, text):
 
 def read_table(path, kind):
     """Header ``{key: value}`` and ``(line number, fields, values)`` rows
-    of a ``kind`` file, blank lines skipped: ``values`` are the fields as
-    the ``TABLES`` readers parse them (text for a kind without readers).
+    of a ``kind`` file, blank lines skipped: header and row values as the
+    ``TABLES`` readers parse them (row text for a kind without readers).
     A file that cannot be read, bytes that are not UTF-8, a last line
     without its newline (a file cut short), another header or column line,
-    and a row its columns refuse raise ConfigError naming file and line."""
-    columns, readers = TABLES[kind]
+    a header key missing, repeated, extra or out of order, and a value its
+    reader refuses raise ConfigError naming file and line."""
+    columns, readers, keys = TABLES[kind]
     try:
         with _open_utf8(path, error=ConfigError) as fh:
             lines = list(enumerate(fh, start=1))
@@ -264,7 +315,14 @@ def read_table(path, kind):
     if not lines or not lines[0][1].startswith(prefix):
         raise ConfigError(f"{path}, line 1: not a version-1 {kind} file")
     # A header value runs up to the next " key=", so it may hold spaces.
-    fields = dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", lines[0][1][len(prefix):]))
+    pairs = re.findall(r"(\w+)=(.*?)(?= \w+=|$)", lines[0][1][len(prefix):])
+    found, names = [key for key, _ in pairs], [key for key, _ in keys]
+    if found != names:
+        raise ConfigError(f"{path}, line 1: header {_misplaced(found, names)}")
+    header = {
+        key: read_value(text, reader, f"{path}, line 1: {key}", ConfigError)
+        for (key, text), (_, reader) in zip(pairs, keys)
+    }
     body = [(no, line.split(",")) for no, line in lines[1:] if line.strip()]
     if not body:
         raise ConfigError(f"{path}: no column header after line 1")
@@ -272,25 +330,31 @@ def read_table(path, kind):
     if found != columns.split(","):
         raise ConfigError(f"{path}, line {no}: unexpected column header {','.join(found)!r}")
     if readers is None:
-        return fields, [(no, parts, tuple(parts)) for no, parts in body[1:]]
-    return fields, [
-        (no, parts, _read_row(path, no, found, parts, readers)) for no, parts in body[1:]
-    ]
+        return header, [(no, parts, tuple(parts)) for no, parts in body[1:]]
+    rows = []
+    for no, parts in body[1:]:
+        where = f"{path}, line {no}:"
+        if len(parts) != len(readers):
+            raise ConfigError(f"{where} expected {len(readers)} fields, got {len(parts)}")
+        values = [
+            read_value(text, reader, f"{where} {column}", ConfigError)
+            for column, text, reader in zip(found, parts, readers)
+        ]
+        rows.append((no, parts, tuple(values)))
+    return header, rows
 
 
-def _read_row(path, no, columns, parts, readers):
-    if len(parts) != len(readers):
-        raise ConfigError(f"{path}, line {no}: expected {len(readers)} fields, got {len(parts)}")
-    values = []
-    for column, text, (parse, what, rule) in zip(columns, parts, readers):
-        try:
-            value = parse(text)
-        except ValueError:
-            raise ConfigError(f"{path}, line {no}: {column} {text!r} is not {what}") from None
-        if rule is not None and not rule[0](value):
-            raise ConfigError(f"{path}, line {no}: {column} {text!r} is not {rule[1]}")
-        values.append(value)
-    return tuple(values)
+def _misplaced(found, names):
+    """What is wrong with header keys ``found`` where ``names`` belong,
+    naming the first key out of place."""
+    key, wanted = next((k, n) for k, n in zip_longest(found, names) if k != n)
+    if found.count(key) > 1:
+        return f"key {key!r} appears twice"
+    if key is not None and key not in names:
+        return f"key {key!r} is not one of {', '.join(names)}"
+    if wanted not in found:
+        return f"key {wanted!r} is missing"
+    return f"key {key!r} is out of order"
 
 
 def parse_schema_sidecar(path):
@@ -312,28 +376,22 @@ def parse_schema_sidecar(path):
             if "=" not in line:
                 raise CsvParseError(f"{path}: line {lineno}: expected 'name = kind'")
             name, _, decl = line.partition("=")
-            name = name.strip()
-            decl = decl.strip()
             kind, _, arg = decl.partition(":")
-            kind = kind.strip()
-            arg = arg.strip()
+            name, kind, arg = name.strip(), kind.strip(), arg.strip()
             if name in hints:
                 raise CsvParseError(f"{path}: line {lineno}: column {name!r} is declared twice")
+            where = f"{path}: line {lineno}: column {name!r}:"
+            kind = read_value(kind, _HINT_KIND, where, DomainError)
             if kind == CATEGORICAL:
                 if arg:
-                    raise CsvParseError(
-                        f"{path}: line {lineno}: column {name!r}: "
-                        f"categorical takes no argument, got {arg!r}"
-                    )
+                    raise CsvParseError(f"{where} categorical takes no argument, got {arg!r}")
                 hints[name] = ColumnHint(CATEGORICAL)
             elif kind == ORDERED:
-                levels = _parse_count(path, lineno, name, arg) if arg else None
+                levels = read_value(arg, COUNT, where, CsvParseError) if arg else None
                 hints[name] = ColumnHint(ORDERED, levels=levels)
-            elif kind == "continuous":
-                bins = _parse_count(path, lineno, name, arg) if arg else DEFAULT_BINS
-                hints[name] = ColumnHint("continuous", bins=bins)
             else:
-                raise DomainError(f"{path}: line {lineno}: unknown column kind {kind!r}")
+                bins = read_value(arg, COUNT, where, CsvParseError) if arg else DEFAULT_BINS
+                hints[name] = ColumnHint(kind, bins=bins)
     return hints
 
 
@@ -410,11 +468,7 @@ def load_csv(path, hints=None):
         elif hint.kind == ORDERED:
             if hint.levels is not None and hint.levels < 1:
                 raise DomainError(f"column {name!r}: levels must be >= 1")
-            try:
-                ints = list(map(int, raw))
-            except ValueError:
-                # Parse cell by cell only to name the first bad one.
-                ints = [_parse_int(path, i + 2, name, v) for i, v in enumerate(raw)]
+            ints = _read_cells(path, name, raw, INT)
             top = max(ints, default=-1)
             if min(ints, default=0) < 0:
                 raise DomainError(f"{path}: column {name!r} has negative levels")
@@ -426,9 +480,7 @@ def load_csv(path, hints=None):
             values[:, j] = ints
             columns.append(Column(name, ORDERED, size))
         elif hint.kind == "continuous":
-            floats = np.array(
-                [_parse_float(path, i + 2, name, v) for i, v in enumerate(raw)]
-            )
+            floats = np.array(_read_cells(path, name, raw, FINITE))
             bins = hint.bins
             if bins < 1:
                 raise DomainError(f"column {name!r}: bins must be >= 1")
@@ -441,34 +493,16 @@ def load_csv(path, hints=None):
     return Dataset(Schema(tuple(columns)), values)
 
 
-def _parse_int(path, lineno, name, text):
+def _read_cells(path, name, raw, reader):
+    """Column ``name``'s cells (CSV lines 2, 3, ...) read by ``reader``."""
     try:
-        return int(text)
+        return list(map(reader[0], raw))
     except ValueError:
-        raise CsvParseError(
-            f"{path}: line {lineno}: column {name!r}: {text!r} is not an integer"
-        )
-
-
-def _parse_count(path, lineno, name, text):
-    count = _parse_int(path, lineno, name, text)
-    if count < 1:
-        raise CsvParseError(f"{path}: line {lineno}: column {name!r}: {text!r} is not >= 1")
-    return count
-
-
-def _parse_float(path, lineno, name, text):
-    # nan, inf and overflow such as 1e999 parse as floats but cannot be
-    # binned: reject them rather than let them shift every bin edge.
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not math.isfinite(value):
-        raise CsvParseError(
-            f"{path}: line {lineno}: column {name!r}: {text!r} is not a finite number"
-        )
-    return value
+        # Read cell by cell only to name the first bad one.
+        return [
+            read_value(v, reader, f"{path}: line {no}: column {name!r}:", CsvParseError)
+            for no, v in enumerate(raw, start=2)
+        ]
 
 
 def split(pool, sizes, seed):

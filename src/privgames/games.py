@@ -51,7 +51,8 @@ bit is 1, so toy rounds build no set: a span's fits are
 batch or a toy's array of release probabilities: one membership score
 per round's fit, each given its round's adversary seed (see ``attack``).
 A transcript file is a ``data.TABLES`` transcript of one row per round,
-headed by the config hash that its command stamps on it.
+headed by the config hash that its command stamps on it: only a stamped
+transcript reads back.
 """
 
 from contextlib import nullcontext
@@ -64,10 +65,8 @@ from . import generators
 from .errors import ConfigError, PreconditionError, SizeError
 from .seeds import Streams, derive_many
 
-TRADITIONAL = "traditional"
-MODEL_SEEDED = "model_seeded"
-
-GAME_KINDS = (TRADITIONAL, MODEL_SEEDED)
+GAME_KINDS = data_mod.GAME_KINDS
+TRADITIONAL, MODEL_SEEDED = GAME_KINDS
 # One row of a transcript; a uint64 holds every derived seed.
 RUN_DTYPE = np.dtype([("secret_bit", np.int64), ("score", np.float64), ("run_seed", np.uint64)])
 
@@ -503,13 +502,10 @@ def toy_bit_adversary():
 
 def transcript_to_text(transcript):
     """Line-oriented text form: header, column names, one row per round."""
-    fields = dict(
-        config=transcript.config_hash, game=transcript.game_kind,
-        n_eval=len(transcript.runs), record=transcript.record_id,
-    )
     runs = transcript.runs
+    header = transcript.config_hash, transcript.game_kind, len(runs), transcript.record_id
     rows = zip(range(len(runs)), *(runs[name].tolist() for name in RUN_DTYPE.names))
-    return "\n".join(data_mod.table_lines("transcript", fields, rows)) + "\n"
+    return "\n".join(data_mod.table_lines("transcript", header, rows)) + "\n"
 
 
 def save_transcript(transcript, path):
@@ -520,24 +516,20 @@ def save_transcript(transcript, path):
 def load_transcript(path):
     """Read a transcript written by save_transcript (see ``data.read_table``).
 
-    Also raises ConfigError, naming the file and line, for a header game
-    kind other than traditional or model_seeded, a run index other than
-    the row's position, or a header n_eval other than the row count.
+    Also raises ConfigError, naming the file and line, for a run index
+    other than the row's position, or a header n_eval other than the row
+    count.
     """
-    fields, rows = data_mod.read_table(path, "transcript")
-    game_kind = fields.get("game", "")
-    if game_kind not in GAME_KINDS:
-        raise ConfigError(f"{path}, line 1: unknown game kind {game_kind!r}")
+    header, rows = data_mod.read_table(path, "transcript")
     for at, (no, raw, (index, *_)) in enumerate(rows):
         if index != at:
             raise ConfigError(f"{path}, line {no}: run_index {raw[0]!r} is not {at}")
-    n_eval = fields.get("n_eval", "")
-    if n_eval != str(len(rows)):
+    n_eval = header["n_eval"]
+    if n_eval != len(rows):
         raise ConfigError(
             f"{path}, line 1: header n_eval={n_eval} does not match the {len(rows)} round rows"
         )
     return GameTranscript(
         np.array([run[1:] for *_, run in rows], dtype=RUN_DTYPE),
-        record_id=fields.get("record", ""), game_kind=game_kind,
-        config_hash=fields.get("config", ""),
+        record_id=header["record"], game_kind=header["game"], config_hash=header["config"],
     )

@@ -234,7 +234,7 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     cfg_path, out = toy_config(tmp_path)
     assert cli.main(["run", "--config", cfg_path, "--seed", "-5"]) == 2
     err = capsys.readouterr().err
-    assert "error: experiment.master_seed must be in [0, 2**64 - 1] (got '--seed -5')" in err
+    assert "error: --seed (experiment.master_seed) '-5' is not in [0, 2**64)" in err
     assert not os.path.exists(out)
 
 
@@ -245,7 +245,7 @@ def test_seed_override_must_fit_in_64_bits(tmp_path, capsys, seed, code):
     cfg_path, out = toy_config(tmp_path)
     assert cli.main(["run", "--config", cfg_path, "--seed", str(seed)]) == code
     if code:
-        message = f"experiment.master_seed must be in [0, 2**64 - 1] (got '--seed {seed}')"
+        message = f"--seed (experiment.master_seed) '{seed}' is not in [0, 2**64)"
         assert f"error: {message}" in capsys.readouterr().err
     assert os.path.exists(out) == (code == 0)
 
@@ -348,7 +348,7 @@ def test_non_finite_ini_float_exits_2(tmp_path, capsys):
     path.write_text(text)
     assert cli.main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "must be a finite number" in err
+    assert err.startswith("error: ") and "generator.smoothing 'nan' is not a finite number" in err
 
 
 @pytest.mark.parametrize(
@@ -660,10 +660,19 @@ def test_compare_swapped_files_exits_2(tmp_path, capsys):
     assert f"error: {t}, line 3: game 'traditional' is not model_seeded" in capsys.readouterr().err
 
 
+_GENERATED = "generated=2026-01-01T00:00:00Z"
+
+
+def write_results_header(path, header):
+    with open(path, "w") as fh:
+        fh.write(f"# privgames-results v1 {header}\n{data.TABLES['results'][0]}\n")
+        fh.write("0,model_seeded,200,0.9,0.1,0.2,0.3\n")
+
+
 @pytest.mark.parametrize("header, message", [
-    ("config=aaaaaaaaaaaa status=bogus", "status 'bogus' is not complete or partial"),
-    ("config=aaaaaaaaaaaa", "status '' is not complete or partial"),
-    ("status=complete", "config '' is not 12 lowercase hex digits"),
+    ("config=aaaaaaaaaaaa status=bogus", "status 'bogus' is not one of complete, partial"),
+    ("config=aaaaaaaaaaaa status=", "status '' is not one of complete, partial"),
+    ("config= status=complete", "config '' is not 12 lowercase hex digits"),
     ("config=AAAAAAAAAAAA status=complete", "config 'AAAAAAAAAAAA' is not 12 lowercase hex"),
     ("config=aaaaaaaaaaa status=complete", "config 'aaaaaaaaaaa' is not 12 lowercase hex"),
     ("config=mixed status=complete", "config 'mixed' is not 12 lowercase hex"),
@@ -672,11 +681,32 @@ def test_compare_results_header_must_name_its_run(tmp_path, capsys, header, mess
     t = str(tmp_path / "t.csv")
     ms = str(tmp_path / "ms.csv")
     write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
-    with open(ms, "w") as fh:
-        fh.write(f"# privgames-results v1 {header}\n{data.TABLES['results'][0]}\n")
-        fh.write("0,model_seeded,200,0.9,0.1,0.2,0.3\n")
+    write_results_header(ms, f"{header} {_GENERATED}")
     assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
     assert f"error: {ms}, line 1: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, message", [
+    ("config=aaaaaaaaaaaa status=complete", "key 'generated' is missing"),
+    (f"config=aaaaaaaaaaaa {_GENERATED}", "key 'status' is missing"),
+    (f"status=complete {_GENERATED}", "key 'config' is missing"),
+    (f"config=aaaaaaaaaaaa config=bbbbbbbbbbbb status=complete {_GENERATED}",
+     "key 'config' appears twice"),
+    (f"config=aaaaaaaaaaaa status=partial status=complete {_GENERATED}",
+     "key 'status' appears twice"),
+    (f"config=aaaaaaaaaaaa status=complete {_GENERATED} run=3",
+     "key 'run' is not one of config, status, generated"),
+    (f"status=complete config=aaaaaaaaaaaa {_GENERATED}", "key 'status' is out of order"),
+])
+def test_compare_results_header_holds_its_declared_keys(tmp_path, capsys, header, message):
+    # Each declared key once and in order: a repeated key once joined
+    # with its last value.
+    t = str(tmp_path / "t.csv")
+    ms = str(tmp_path / "ms.csv")
+    write_results(t, "traditional", "aaaaaaaaaaaa", [("0", 0.5)])
+    write_results_header(ms, header)
+    assert cli.main(["compare", t, ms, "--out", str(tmp_path / "cmp.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {ms}, line 1: header {message}\n"
 
 
 def test_compare_orders_numeric_ids_first(tmp_path):

@@ -129,7 +129,7 @@ def test_master_seed_must_fit_in_64_bits(tmp_path, seed, ok):
     if ok:
         assert load_experiment_config(path).master_seed == seed
     else:
-        message = rf"experiment\.master_seed must be in \[0, 2\*\*64 - 1\] \(got '{seed}'\)"
+        message = rf"experiment\.master_seed '{seed}' is not in \[0, 2\*\*64\)"
         with pytest.raises(ConfigError, match=message):
             load_experiment_config(path)
 
@@ -315,7 +315,7 @@ def test_duplicate_convergence_grid_entry_rejected(tmp_path):
 def test_non_finite_float_rejected(tmp_path, section, key, value):
     # nan slips through every "x < 0" range check after the parse.
     text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
-    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be a finite number"):
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} '{value}' is not a finite number"):
         load_experiment_config(write(tmp_path, text))
 
 

@@ -460,6 +460,8 @@ def test_transcript_text_roundtrip(tmp_path):
     t = games.run_model_seeded(
         (1,), d_target, d_eval, games.toy_bit_adversary(), config, record_id="rec 7"
     )
+    # A command stamps its config hash; only a stamped transcript reads back.
+    t = dataclasses.replace(t, config_hash="0123456789ab")
     path = tmp_path / "t.txt"
     games.save_transcript(t, path)
     assert path.read_text(encoding="utf-8") == games.transcript_to_text(t)
@@ -536,6 +538,7 @@ def test_failed_save_leaves_previous_transcript(tmp_path, monkeypatch):
     new = games.run_model_seeded(
         (1,), d_target, d_eval, adv, dataclasses.replace(config, master_seed=5)
     )
+    old, new = (dataclasses.replace(t, config_hash="0123456789ab") for t in (old, new))
     assert not np.array_equal(new.runs, old.runs)
     path = tmp_path / "t.txt"
     games.save_transcript(old, path)
@@ -552,7 +555,9 @@ def test_failed_save_leaves_previous_transcript(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]  # no t.txt.tmp
 
 
-_TRANSCRIPT_HEADER = "# privgames-transcript v1 config=abc game=traditional n_eval=2 record=r\n"
+_TRANSCRIPT_HEADER = (
+    "# privgames-transcript v1 config=0123456789ab game=traditional n_eval=2 record=r\n"
+)
 _TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed\n"
 
 
@@ -575,7 +580,17 @@ _TRANSCRIPT_COLUMNS = "run_index,secret_bit,score,run_seed\n"
     (
         _TRANSCRIPT_HEADER.replace("traditional", "whatever")
         + _TRANSCRIPT_COLUMNS + "0,1,0.5,9\n1,0,0.5,3\n",
-        "line 1: unknown game kind 'whatever'",
+        "line 1: game 'whatever' is not one of traditional, model_seeded",
+    ),
+    (
+        _TRANSCRIPT_HEADER.replace("0123456789ab", "abc")
+        + _TRANSCRIPT_COLUMNS + "0,1,0.5,9\n1,0,0.5,3\n",
+        "line 1: config 'abc' is not 12 lowercase hex digits",
+    ),
+    (
+        _TRANSCRIPT_HEADER.replace("n_eval=2", "n_eval=x")
+        + _TRANSCRIPT_COLUMNS + "0,1,0.5,9\n1,0,0.5,3\n",
+        "line 1: n_eval 'x' is not an integer",
     ),
     (
         _TRANSCRIPT_HEADER + _TRANSCRIPT_COLUMNS + "5,1,0.5,9\n5,0,0.5,3\n",
@@ -591,6 +606,24 @@ def test_transcript_malformed_row_names_line(tmp_path, row, message):
     with pytest.raises(ConfigError, match=message) as exc:
         games.load_transcript(path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("keys, message", [
+    ("config=0123456789ab config=0123456789ab game=traditional n_eval=2 record=r",
+     "key 'config' appears twice"),
+    ("config=0123456789ab n_eval=2 record=r", "key 'game' is missing"),
+    ("config=0123456789ab game=traditional n_eval=2", "key 'record' is missing"),
+    ("config=0123456789ab game=traditional n_eval=2 record=r seed=3",
+     "key 'seed' is not one of config, game, n_eval, record"),
+    ("game=traditional config=0123456789ab n_eval=2 record=r", "key 'game' is out of order"),
+])
+def test_transcript_header_keys_are_its_declared_keys(tmp_path, keys, message):
+    path = tmp_path / "t.txt"
+    path.write_text(
+        f"# privgames-transcript v1 {keys}\n{_TRANSCRIPT_COLUMNS}0,1,0.5,9\n1,0,0.5,3\n"
+    )
+    with pytest.raises(ConfigError, match=f"t.txt, line 1: header {message}$"):
+        games.load_transcript(path)
 
 
 # ------------------------------------------------ per-round reference

@@ -2,13 +2,16 @@
 PrivGamesError subclass, never another exception, and every typed table
 reads back the values it was written with."""
 
+import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_config import _FULL
 
-from privgames import cli, data, games
+from privgames import cli, config, data, games
 from privgames.errors import CsvParseError, PrivGamesError
 
 SETTINGS = settings(
@@ -99,13 +102,25 @@ def test_results_parser_parses_or_raises(tmp_path, raw):
     )
 
 
-# Values each typed table's columns accept.
+@SETTINGS
+@given(_mangled(_FULL))
+def test_config_parser_parses_or_raises(tmp_path, raw):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(raw)
+    try:
+        assert isinstance(config.load_experiment_config(str(path)), config.ExperimentConfig)
+    except PrivGamesError:
+        pass
+
+
+# Values each table's columns accept; the comparison's read back as text.
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n"))
 _UNIT = st.floats(0.0, 1.0)
 _NUMBER = st.floats(allow_nan=False)
 _BIT = st.sampled_from([0, 1])
 _ROWS = {
     "results": st.tuples(_TEXT, _TEXT, st.integers(), _UNIT, _NUMBER, _UNIT, _UNIT),
+    "comparison": st.tuples(_TEXT, _TEXT, _TEXT, _TEXT, _TEXT),
     "convergence": st.tuples(_TEXT, _TEXT, st.integers(), _UNIT, _NUMBER, _NUMBER),
     "dp-audit": st.tuples(_TEXT, _UNIT, _UNIT, _NUMBER, _BIT),
     "transcript": st.tuples(
@@ -120,23 +135,66 @@ def _bits(row):
     return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in row]
 
 
+# Header values each kind's writer may write: a header value holds no
+# "=" (it would start another key) and no line break.
+_HASH = st.text("0123456789abcdef", min_size=12, max_size=12)
+_STATUS = st.sampled_from(["complete", "partial"])
+_HEADER_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="=\r\n")
+)
+_HEADERS = dict.fromkeys(["results", "convergence", "dp-audit"], st.tuples(_HASH, _STATUS))
+_HEADERS["comparison"] = st.tuples(st.one_of(_HASH, st.just("mixed")), _STATUS)
+_HEADERS["transcript"] = st.tuples(
+    _HASH, st.sampled_from(games.GAME_KINDS), st.integers(), _HEADER_TEXT
+)
+
+
 def test_every_typed_table_is_round_tripped():
-    assert set(_ROWS) == {kind for kind, (_, readers) in data.TABLES.items() if readers}
+    assert set(_ROWS) == set(_HEADERS) == set(data.TABLES)
 
 
 @SETTINGS
 @given(st.sampled_from(sorted(_ROWS)).flatmap(
-    lambda kind: st.tuples(st.just(kind), st.lists(_ROWS[kind], max_size=5))
+    lambda kind: st.tuples(st.just(kind), _HEADERS[kind], st.lists(_ROWS[kind], max_size=5))
 ))
-def test_typed_table_reads_back_what_it_wrote(tmp_path, kind_rows):
-    kind, rows = kind_rows
+def test_typed_table_reads_back_what_it_wrote(tmp_path, case):
+    kind, header, rows = case
     path = tmp_path / "table.csv"
-    lines = data.table_lines(kind, {"config": "0123456789ab", "status": "complete"}, rows)
-    data.write_text(path, "\n".join(lines) + "\n")
+    if kind == "transcript":
+        data.write_text(path, "\n".join(data.table_lines(kind, header, rows)) + "\n")
+    else:
+        cli._write_table(str(path), kind, *header, rows, log=lambda _: None)
+        header += (re.search("generated=(.*)", path.read_text().splitlines()[0])[1],)
     fields, back = data.read_table(path, kind)
-    assert fields == {"config": "0123456789ab", "status": "complete"}
+    assert fields == dict(zip([key for key, _ in data.TABLES[kind][2]], header))
     assert [no for no, _, _ in back] == list(range(3, 3 + len(rows)))
     assert [_bits(values) for *_, values in back] == [_bits(row) for row in rows]
+
+
+@SETTINGS
+@given(_HASH, st.sampled_from(games.GAME_KINDS), _HEADER_TEXT, st.lists(st.tuples(
+    _BIT, st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 2**64 - 1),
+), max_size=5))
+def test_stamped_transcript_reads_back_what_it_wrote(tmp_path, cfg_hash, kind, record, runs):
+    transcript = games.GameTranscript(np.array(runs, dtype=games.RUN_DTYPE), record, kind, cfg_hash)
+    path = tmp_path / "t.txt"
+    data.write_text(path, games.transcript_to_text(transcript))
+    back = games.load_transcript(path)
+    assert (back.config_hash, back.game_kind, back.record_id) == (cfg_hash, kind, record)
+    assert back.runs.tobytes() == transcript.runs.tobytes()
+
+
+def test_header_declarations_list_the_keys_each_writer_emits(tmp_path):
+    first = {}
+    for kind in sorted(set(data.TABLES) - {"transcript"}):
+        path = tmp_path / f"{kind}.csv"
+        cli._write_table(str(path), kind, "0123456789ab", "complete", [], log=lambda _: None)
+        first[kind] = path.read_text().splitlines()[0]
+    runs = np.zeros(2, dtype=games.RUN_DTYPE)
+    transcript = games.GameTranscript(runs, "7", games.TRADITIONAL, "0123456789ab")
+    first["transcript"] = games.transcript_to_text(transcript).splitlines()[0]
+    for kind, line in first.items():
+        assert re.findall(r" (\w+)=", line) == [key for key, _ in data.TABLES[kind][2]], kind
 
 
 _CSV = "name,level,amount,flag\na,0,1.5,x\nb,2,-3,y\na,1,0.25,x\n\"c,d\",4,7e1,z\n"
