@@ -25,15 +25,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORTS = os.path.join(ROOT, ".bench_out")
 
 # Traced names with no caller on any command path: the batch functions
-# (fit_batch, sample_columns, release_bits, toy_fits, ...) replaced them.
-# Counters derived from their wraps are stale with them.  The generators
-# layer's fit stages (learn_structure, estimate_tables, privatize_tables)
-# are the batch functions themselves, so their spans are live.
+# (fit_batch, sample_columns, release_bits, toy_fits, ...) replaced them,
+# the stacked trainer (train_meta_classifiers) replaced the one-record
+# trainers and build_adversary, and every command plays its games as one
+# games.run_games grid, not through run_traditional or run_model_seeded.
+# Counters derived from their wraps are stale with them: games.rounds
+# counts the rounds of run_traditional and run_model_seeded.  The
+# generators layer's fit stages (learn_structure, estimate_tables,
+# privatize_tables) are the batch functions themselves, so their spans
+# are live.
 STALE = (
     "data.contains", "data.append_record",
     "generators.fit", "generators.sample", "generators.release_bit",
-    "attack.extract_features",
+    "attack.extract_features", "attack.train_meta_classifier", "attack.train_attack",
     "games.traditional_dataset", "games.model_seeded_dataset",
+    "games.run_traditional", "games.run_model_seeded", "games.rounds",
+    "cli.build_adversary",
 )
 
 
@@ -49,7 +56,8 @@ def _spread(values):
 
 
 def _zero_reason(name):
-    return "stale" if name.rsplit(".", 1)[0] in STALE else "not_run"
+    stale = name in STALE or name.rsplit(".", 1)[0] in STALE
+    return "stale" if stale else "not_run"
 
 
 def workload_summary(name, end_to_end, seeds, trace_seed):

@@ -23,16 +23,21 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import islice
 
 import numpy as np
 
 from . import attack, corpora, games, generators, risk
 from . import config as config_mod
 from . import data as data_mod
-from .errors import ConfigError, JoinError, PrivGamesError, TrainingError
+from .errors import ConfigError, JoinError, PrivGamesError, TrainingError, failure
 from .seeds import derive, rng
 
 THREADS_ENV_VAR = "PRIVGAMES_THREADS"
+# Worker threads a command may ask for: far more than any machine here
+# runs usefully, and few enough that a typo starts no flood of threads.
+MAX_THREADS = 64
+_THREADS = (int, "an integer", (range(1, MAX_THREADS + 1).__contains__, f"in [1, {MAX_THREADS}]"))
 
 UNDEFINED_TOKEN = "undefined"
 
@@ -151,23 +156,12 @@ def build_bank(cfg, schema):
     )
 
 
-def _failure(exc):
-    """A record's failure as a PrivGamesError: a MemoryError becomes one
-    that says the record ran out of memory.  It keeps no traceback or
-    context, whose frames would hold the failed record's arrays while
-    the other records run."""
-    if isinstance(exc, MemoryError):
-        exc = PrivGamesError(f"out of memory: {exc}")
-    exc.__traceback__ = exc.__context__ = exc.__cause__ = None
-    return exc
-
-
 def build_adversaries(cfg, bank, d_aux, targets):
     """One adversary per ``(x, seed)`` of ``targets``, in order.
 
     Toy generators release a bit, so their adversary reads it and
     nothing is trained: every target gets the same adversary object, so
-    ``convergence`` plays a toy record's repetitions as one grid.
+    a toy record's games play in spans that cross repetitions.
     Everything else gets a meta-classifier over the query bank: each
     target's shadow stage runs in turn, then one
     ``attack.train_meta_classifiers`` call trains every target whose
@@ -186,7 +180,7 @@ def build_adversaries(cfg, bank, d_aux, targets):
                 n=cfg.target_size, n_shadow=cfg.n_shadow, seed=seed,
             ))
         except (PrivGamesError, MemoryError) as exc:
-            built.append(_failure(exc))
+            built.append(failure(exc))
     shadowed = [i for i, item in enumerate(built) if not isinstance(item, PrivGamesError)]
     if not shadowed:
         return built
@@ -200,7 +194,7 @@ def build_adversaries(cfg, bank, d_aux, targets):
         )
     except (TrainingError, MemoryError) as exc:
         for i in shadowed:
-            built[i] = _failure(exc)
+            built[i] = failure(exc)
         return built
     for i, meta in zip(shadowed, metas):
         built[i] = attack.meta_classifier_adversary(meta, bank, targets[i][0], n_syn=cfg.syn_size)
@@ -216,39 +210,25 @@ def build_adversary(cfg, bank, d_aux, x, seed):
 
 
 def game_config(cfg, kind, master_seed, n_eval):
-    return games.GameConfig(
-        n_eval=n_eval,
-        dataset_size=cfg.target_size,
-        generator_spec=cfg.generator_spec,
-        master_seed=master_seed,
-        game_kind=kind,
-        reference_mode=cfg.reference_mode,
-    )
+    spec = cfg.generator_spec
+    return games.GameConfig(n_eval, cfg.target_size, spec, master_seed, kind, cfg.reference_mode)
 
 
-def play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads):
-    seed = derive(cfg.master_seed, f"game-{kind}", rid)
-    return games.run_game(
-        x, d_eval, d_target, adversary, game_config(cfg, kind, seed, cfg.n_eval),
-        record_id=str(rid), threads=threads,
-    )
+def _each_record(cfg, log, attack_seeds, record_games, evaluate, threads, subdirs=()):
+    """Play every selected record's games as one ``games.run_games`` grid
+    and evaluate the records in order; returns (outputs, status).
 
-
-def _each_record(cfg, evaluate, log, attack_seeds, subdirs=()):
-    """Evaluate every selected record in order; returns (outputs, status).
-
-    ``attack_seeds(rid)`` lists the seeds of the adversaries record
-    ``rid`` needs.  Every record's adversaries are built by one
-    ``build_adversaries`` call before the first record is evaluated, so
-    all their meta-classifiers train in one stacked descent.
-    ``evaluate(rid, x, d_eval, d_target, adversaries)`` then returns one
-    record's output and a one-line summary, logged as
-    ``record <id>: ...``.  A record whose adversary could not be built,
-    or whose evaluation raises a PrivGamesError or runs out of memory,
-    is logged at its turn and left out; the other records still run and
-    the status becomes ``partial``.  Makes ``cfg.out_dir`` and
-    ``subdirs`` below it first (ConfigError if not).  Before anything
-    else it sets the process's malloc thresholds (``_keep_batch_memory``).
+    One ``build_adversaries`` call builds the adversaries of every
+    record's ``attack_seeds(rid)``, so their meta-classifiers train in one
+    stack.  ``record_games(rid, adversaries)`` lists a record's games as
+    ``(GameConfig, adversary)`` pairs.  ``evaluate(rid, transcripts)``
+    reads them from an iterator that raises the record's error in place
+    of a failed game's, so it writes nothing before it has read them all,
+    and returns the record's output and a summary, logged as ``record
+    <id>: ...``.  A failed record is logged at its turn and left out; the
+    others still run and the status becomes ``partial``.  Sets the malloc
+    thresholds (``_keep_batch_memory``) first, and makes ``cfg.out_dir``
+    and ``subdirs`` below it before any game (ConfigError if not).
     """
     _keep_batch_memory()
     _, d_aux, d_eval, d_target = load_environment(cfg)
@@ -266,28 +246,40 @@ def _each_record(cfg, evaluate, log, attack_seeds, subdirs=()):
         cfg, bank, d_aux,
         [(d_target.record(rid), seed) for rid in record_ids for seed in seeds[rid]],
     ))
+    grid = [
+        [games.Game(d_target.record(rid), str(rid), config, adversary)
+         for config, adversary in record_games(rid, [next(built) for _ in seeds[rid]])]
+        for rid in record_ids
+    ]
+    played = iter(games.run_games([g for gs in grid for g in gs], d_eval, d_target, threads))
     outputs = []
     status = "complete"
-    for rid in record_ids:
-        adversaries = [next(built) for _ in seeds[rid]]
+    for rid, record_grid in zip(record_ids, grid):
+        record = islice(played, len(record_grid))
         try:
-            for adversary in adversaries:
-                if isinstance(adversary, PrivGamesError):
-                    raise adversary
-            output, summary = evaluate(rid, d_target.record(rid), d_eval, d_target, adversaries)
+            output, summary = evaluate(rid, map(games.checked, record))
         except (PrivGamesError, MemoryError) as exc:
-            log(f"record evaluation failed: record {rid}: {_failure(exc)}")
+            log(f"record evaluation failed: record {rid}: {failure(exc)}")
             status = "partial"
             continue
+        finally:
+            for _ in record:  # a failed record's remaining games
+                pass
         outputs.append(output)
         log(f"record {rid}: {summary}")
     return outputs, status
 
 
-def _attack_seed(cfg):
-    """``attack_seeds`` of ``run`` and ``dp-audit``: one adversary per
-    record."""
-    return lambda rid: [derive(cfg.master_seed, "attack", rid)]
+def _one_game_per_kind(cfg, kinds):
+    """``attack_seeds`` and ``record_games`` of ``run`` and ``dp-audit``:
+    one adversary per record, which scores one game of each of ``kinds``."""
+
+    def record_games(rid, adversaries):
+        (adversary,) = adversaries
+        seeds = [derive(cfg.master_seed, f"game-{kind}", rid) for kind in kinds]
+        return [(game_config(cfg, k, s, cfg.n_eval), adversary) for k, s in zip(kinds, seeds)]
+
+    return (lambda rid: [derive(cfg.master_seed, "attack", rid)]), record_games
 
 
 # -------------------------------------------------------------------- run
@@ -310,13 +302,10 @@ def cmd_run(cfg, threads=1, log=print):
     transcripts_dir = os.path.join(cfg.out_dir, "transcripts")
     cfg_hash = cfg.config_hash()
 
-    def evaluate(rid, x, d_eval, d_target, adversaries):
-        # A record lands in the outputs with all its games or not at all.
-        (adversary,) = adversaries
-        transcripts = [
-            play_game(cfg, kind, rid, x, d_eval, d_target, adversary, threads)
-            for kind in cfg.game_kinds
-        ]
+    def evaluate(rid, transcripts):
+        # A record lands in the outputs with all its games or not at all:
+        # its transcripts are written once every game is read.
+        transcripts = list(transcripts)
         aucs = [risk.roc_auc(t) for t in transcripts]
         record_rows = [result_row(cfg, t, auc) for t, auc in zip(transcripts, aucs)]
         summary = []
@@ -329,7 +318,8 @@ def cmd_run(cfg, threads=1, log=print):
         return record_rows, ", ".join(summary)
 
     per_record, status = _each_record(
-        cfg, evaluate, log, _attack_seed(cfg), subdirs=("transcripts",)
+        cfg, log, *_one_game_per_kind(cfg, cfg.game_kinds), evaluate, threads,
+        subdirs=("transcripts",),
     )
     for i, kind in enumerate(cfg.game_kinds):
         _write_table(
@@ -402,10 +392,7 @@ def cmd_compare(results_t, results_ms, threshold, out_path, allow_mixed=False, l
 def convergence_table(cfg, threads=1, log=print):
     """Rows of the convergence study, with the run status: the spread of
     the AUC estimate per (record, game, n_eval) across repeated
-    evaluations, each repetition with a freshly built adversary.  The
-    games of one record, kind and adversary are one ``games.run_games``
-    grid: a toy record's repetitions share their adversary, so it plays
-    one grid per kind."""
+    evaluations, each repetition with a freshly built adversary."""
     if not cfg.n_eval_grid:
         raise ConfigError("convergence.grid is required for this command")
     if cfg.repetitions < 2:
@@ -418,37 +405,32 @@ def convergence_table(cfg, threads=1, log=print):
             derive(cfg.master_seed, f"conv-attack-{rid}", rep) for rep in range(cfg.repetitions)
         ]
 
-    def evaluate(rid, x, d_eval, d_target, adversaries):
+    def record_games(rid, adversaries):
         base = derive(cfg.master_seed, "convergence", rid)
-        reps = {}
-        for rep, adversary in enumerate(adversaries):
-            reps.setdefault(adversary, []).append(rep)
-        aucs = {}
-        for adversary, group in reps.items():
-            for kind in cfg.game_kinds:
-                cells = [(n_eval, rep) for rep in group for n_eval in cfg.n_eval_grid]
-                configs = [
-                    game_config(cfg, kind, derive(derive(base, kind, n_eval), "rep", rep), n_eval)
-                    for n_eval, rep in cells
-                ]
-                transcripts = games.run_games(
-                    x, d_eval, d_target, adversary, configs,
-                    record_id=str(rid), threads=threads,
-                )
-                # Each transcript is dropped as soon as its AUC is read.
-                for auc, (n_eval, rep) in zip(map(risk.roc_auc, transcripts), cells):
-                    aucs[kind, n_eval, rep] = auc
+        return [
+            (game_config(cfg, kind, derive(derive(base, kind, n_eval), "rep", rep), n_eval),
+             adversary)
+            for rep, adversary in enumerate(adversaries)
+            for kind in cfg.game_kinds
+            for n_eval in cfg.n_eval_grid
+        ]
+
+    def evaluate(rid, transcripts):
+        # Each transcript is dropped as soon as its AUC is read.
+        aucs = np.array([risk.roc_auc(t) for t in transcripts]).reshape(
+            cfg.repetitions, len(cfg.game_kinds), len(cfg.n_eval_grid)
+        )
         rows = []
-        for kind in cfg.game_kinds:
-            for n_eval in cfg.n_eval_grid:
-                values = np.array([aucs[kind, n_eval, rep] for rep in range(len(adversaries))])
+        for k, kind in enumerate(cfg.game_kinds):
+            for j, n_eval in enumerate(cfg.n_eval_grid):
+                values = np.array(aucs[:, k, j])
                 radius = risk.hoeffding_radius(n_eval // 2, cfg.rho)
                 rows.append(
                     (rid, kind, n_eval, float(values.mean()), float(values.std(ddof=1)), radius)
                 )
         return rows, "convergence grid done"
 
-    per_record, status = _each_record(cfg, evaluate, log, attack_seeds)
+    per_record, status = _each_record(cfg, log, attack_seeds, record_games, evaluate, threads)
     return [row for rows in per_record for row in rows], status
 
 
@@ -472,11 +454,8 @@ def cmd_dp_audit(cfg, threads=1, log=print):
             f"(got {cfg.generator_spec.kind!r})"
         )
 
-    def evaluate(rid, x, d_eval, d_target, adversaries):
-        (adversary,) = adversaries
-        transcript = play_game(
-            cfg, games.MODEL_SEEDED, rid, x, d_eval, d_target, adversary, threads
-        )
+    def evaluate(rid, transcripts):
+        (transcript,) = transcripts
         points = risk.dp_audit_points(
             transcript, cfg.generator_spec.epsilon, delta=0.0, rho=cfg.rho
         )
@@ -484,7 +463,9 @@ def cmd_dp_audit(cfg, threads=1, log=print):
         flagged_total = sum(int(flagged) for *_, flagged in points)
         return (rows, flagged_total), f"{len(points)} trade-off points audited"
 
-    per_record, status = _each_record(cfg, evaluate, log, _attack_seed(cfg))
+    per_record, status = _each_record(
+        cfg, log, *_one_game_per_kind(cfg, [games.MODEL_SEEDED]), evaluate, threads
+    )
     _write_table(
         os.path.join(cfg.out_dir, "dp_audit.csv"), "dp-audit", cfg.config_hash(),
         status, [row for rows, _ in per_record for row in rows], log,
@@ -496,9 +477,12 @@ def cmd_dp_audit(cfg, threads=1, log=print):
 # ------------------------------------------------------------------- main
 
 
-def _default_threads():
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    return data_mod.read_value(raw, data_mod.COUNT, THREADS_ENV_VAR, ConfigError)
+def _default_threads(text=None):
+    """The worker thread count, ``--threads`` ``text`` or, if None,
+    $PRIVGAMES_THREADS or 1, read as an integer in [1, MAX_THREADS]."""
+    where = THREADS_ENV_VAR if text is None else "--threads"
+    text = os.environ.get(THREADS_ENV_VAR, "1") if text is None else text
+    return data_mod.read_value(text, _THREADS, where, ConfigError)
 
 
 def _load_config_with_overrides(args):
@@ -524,8 +508,9 @@ def _add_run_style_options(sub):
     )
     sub.add_argument(
         "--threads",
-        help="split each game's batch of rounds into this many chunks, fit and "
-        f"scored in a thread pool (default ${THREADS_ENV_VAR} or 1)",
+        help="play the command's grid of game rounds in spans of at most an N-th of "
+        f"it, N at a time in a thread pool (1 to {MAX_THREADS}; default "
+        f"${THREADS_ENV_VAR} or 1)",
     )
 
 
@@ -575,9 +560,7 @@ def main(argv=None):
                 args.out,
                 allow_mixed=args.allow_mixed,
             )
-        threads = _default_threads() if args.threads is None else data_mod.read_value(
-            args.threads, data_mod.COUNT, "--threads", ConfigError
-        )
+        threads = _default_threads(args.threads)
         cfg = _load_config_with_overrides(args)
         if args.command == "run":
             return cmd_run(cfg, threads=threads)

@@ -77,6 +77,9 @@ _HINT_KIND = one_of((CATEGORICAL, ORDERED, "continuous"))
 _HEX12 = re.compile("[0-9a-f]{12}").fullmatch
 _HASH = (str, "text", (_HEX12, "12 lowercase hex digits"))
 _MIXED = (str, "text", (lambda v: v == "mixed" or _HEX12(v), "12 lowercase hex digits or mixed"))
+# One ``key=value`` of a header line: a value runs up to the next
+# " key=", so it may hold spaces.
+_HEADER_PAIR = re.compile(r"(\w+)=(.*?)(?= \w+=|$)")
 _RUN_HEADER = (("config", _HASH), ("status", one_of(("complete", "partial"))), ("generated", TEXT))
 
 # Each kind of file privgames writes: its column line, a reader per
@@ -270,12 +273,19 @@ def table_lines(kind, header, rows):
     """Header line (the kind's ``TABLES`` header keys, each ``key=value``
     with its value from the tuple ``header``), the kind's column line,
     then one line per tuple of ``rows``: its values in column order, each
-    as ``format(value)``, which for a float is its repr."""
+    as ``format(value)``, which for a float is its repr.  A header value
+    that ``read_table`` would not read back as written, or that holds a
+    line break, raises DomainError naming its key."""
     columns, _, keys = TABLES[kind]
-    pairs = [f"{key}={value}" for (key, _), value in zip(keys, header, strict=True)]
+    texts = [(key, format(value)) for (key, _), value in zip(keys, header, strict=True)]
+    line = " ".join(f"{key}={text}" for key, text in texts)
+    back = _HEADER_PAIR.findall(line)
+    for at, (key, text) in enumerate(texts):
+        if back[at : at + 1] != [(key, text)] or "".join(text.splitlines()) != text:
+            raise DomainError(f"{kind} header {key}={text!r} would not read back")
     # One format string per table: formatting a row costs no per-value dispatch.
     row = ",".join(["{}"] * (columns.count(",") + 1)).format
-    return [" ".join([f"# privgames-{kind} v1", *pairs]), columns, *starmap(row, rows)]
+    return [f"# privgames-{kind} v1 {line}", columns, *starmap(row, rows)]
 
 
 def write_text(path, text):
@@ -314,8 +324,7 @@ def read_table(path, kind):
     prefix = f"# privgames-{kind} v1 "
     if not lines or not lines[0][1].startswith(prefix):
         raise ConfigError(f"{path}, line 1: not a version-1 {kind} file")
-    # A header value runs up to the next " key=", so it may hold spaces.
-    pairs = re.findall(r"(\w+)=(.*?)(?= \w+=|$)", lines[0][1][len(prefix):])
+    pairs = _HEADER_PAIR.findall(lines[0][1][len(prefix):])
     found, names = [key for key, _ in pairs], [key for key, _ in keys]
     if found != names:
         raise ConfigError(f"{path}, line 1: header {_misplaced(found, names)}")

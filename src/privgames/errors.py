@@ -47,3 +47,13 @@ class UndefinedMissRateError(PrivGamesError):
 
 class JoinError(PrivGamesError):
     """Two result files do not cover the same record identifiers."""
+
+
+def failure(exc):
+    """A record's failure as a PrivGamesError (a MemoryError becomes one
+    that says so), without the traceback or context whose frames would
+    hold the failed record's arrays while the other records run."""
+    if isinstance(exc, MemoryError):
+        exc = PrivGamesError(f"out of memory: {exc}")
+    exc.__traceback__ = exc.__context__ = exc.__cause__ = None
+    return exc

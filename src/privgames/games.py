@@ -17,30 +17,31 @@ Bits are balanced exactly (half 1, half 0) rather than i.i.d., so both
 empirical rates are estimated from n_eval / 2 rounds each.  Every round
 derives its own seed from the master seed and its index, which makes
 transcripts independent of execution order and of how rounds are
-grouped.  So games are played as grids: ``run_games`` plays games of one
-record, kind and adversary that differ only in ``n_eval`` and master
-seed (a convergence study's points and repetitions), and ``run_game``
-is a grid of one.  A grid checks the preconditions once, draws every
-game's bit permutation from one ``seeds.Streams`` of the games' bit
-seeds, then plays the rounds of all its games in spans of consecutive
-rounds that may cross game boundaries (``_play``).  A span derives each
-kind of its rounds' seeds in one ``seeds.derive_many`` call, builds its
-training sets as one ``(B, n, d)`` array of the schema's narrow dtype
-and fits them in one ``generators.fit_batch`` call, which hands the
-networks over one table chunk, its table batch, at a time: each chunk
-is scored in one adversary call before the next chunk's tables are
-built.  A span holds at most ``generators.batch_size`` rounds of a
-round's weight (``_span_rounds``), so it stays within the batch budget
-however large its games.  Each game's transcript, one ``RUN_DTYPE``
-array of (secret bit, score, run seed) rows, is yielded once its last
-span is scored, the same bytes whatever the spans.
+grouped.  So every command plays all its records' games as one grid,
+``run_games``, the one way to play a game: a list of ``Game``s, each with
+its record, config and adversary.  A grid checks each game's
+preconditions before any round is played, draws every game's bit
+permutation from one ``seeds.Streams`` of the games' bit seeds, then
+plays the rounds in spans of consecutive rounds that may cross game and
+kind boundaries, but not a change of record or adversary (``_play``).
+A span derives each kind of its rounds' seeds in one
+``seeds.derive_many`` call, builds its training sets as one
+``(B, n, d)`` array of the schema's narrow dtype and fits them in one
+``generators.fit_batch`` call, which hands the networks over one table
+chunk at a time: each is scored in one adversary call before the next
+chunk's tables are built.  A span holds at most
+``generators.batch_size`` rounds of a round's weight (``_span_rounds``),
+so it stays within the batch budget however large its games.  Each
+game's transcript, one ``RUN_DTYPE`` array of (secret bit, score, run
+seed) rows, is yielded once its last span is scored, the same bytes
+whatever the spans; a failed game yields its record's error instead.
 
 Traditional rounds gather their pool draws in one pass
 (``data.sample_training_sets``) and model-seeded rounds copy
 ``d_target`` and overwrite x's rows in out-rounds.  No round builds a
 ``SeedSequence`` of its own, and only a network's traditional round
 builds a Generator on its data stream, for its pool draw: model-seeded
-references (fixed ones every game's at once) and the mixture's partial
+references (fixed ones once per game) and the mixture's partial
 are each stream's first ``integers``, which ``Streams.integers``
 computes for a whole span.  A toy fit reads nothing of its set but
 whether x is in it, which every game makes true exactly when the round's
@@ -57,12 +58,13 @@ transcript reads back.
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import data as data_mod
 from . import generators
-from .errors import ConfigError, PreconditionError, SizeError
+from .errors import ConfigError, PreconditionError, PrivGamesError, SizeError, failure
 from .seeds import Streams, derive_many
 
 GAME_KINDS = data_mod.GAME_KINDS
@@ -85,25 +87,13 @@ REFERENCE_FIXED = "fixed"
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Shared configuration of one game evaluation.
-
-    Parameters
-    ----------
-    n_eval : int
-        Number of rounds; must be even so the secret bits balance.
-    dataset_size : int
-        Training dataset size n used by the traditional game and checked
-        against the released model's dataset in the model-seeded game.
-    generator_spec : GeneratorSpec
-        Generator fit fresh in every round.
-    master_seed : int
-        Root of every derived seed in the evaluation.
-    game_kind : str
-        ``"traditional"`` or ``"model_seeded"``.
-    reference_mode : str
-        Model-seeded only: ``"per_run"`` draws fresh reference records
-        each out-round, ``"fixed"`` draws them once and reuses them.
-    """
+    """One game: ``n_eval`` rounds (even, so the secret bits balance) on
+    training sets of ``dataset_size`` records (the released model's, in
+    the model-seeded game), each fit fresh with ``generator_spec``; every
+    seed derives from ``master_seed``.  ``game_kind`` is ``"traditional"``
+    or ``"model_seeded"``; a model-seeded game draws fresh reference
+    records each out-round (``reference_mode`` ``"per_run"``) or once
+    (``"fixed"``)."""
 
     n_eval: int
     dataset_size: int
@@ -138,6 +128,17 @@ class GameTranscript:
         self.runs.flags.writeable = False
 
 
+@dataclass(frozen=True, eq=False)
+class Game:
+    """One game of a grid: its target record ``x`` and record id, its
+    config, and the adversary that scores its rounds (see ``_play``)."""
+
+    x: tuple
+    record_id: str
+    config: GameConfig
+    adversary: object
+
+
 def _span_rounds(total, set_cells, threads):
     """Rounds per span: a ``threads``-th of the grid's ``total``, and no
     more rounds than ``generators.batch_size`` holds of a round's weight,
@@ -145,33 +146,42 @@ def _span_rounds(total, set_cells, threads):
     return min(generators.batch_size(set_cells + ROUND_ELEMENTS), -(-total // threads))
 
 
-def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_tag="data"):
-    """Play the games of a grid; yields each game's transcript, in order,
-    once its last round is scored.
+def _play(grid, fit_rounds, threads, set_cells, data_tag="data", errors=()):
+    """Play the ``Game`` list ``grid``; yields, in order, each game's
+    transcript once its last round is scored, or its record's error.
 
-    The rounds of all games, game after game, are played in spans of
-    consecutive rounds that may cross game boundaries.
-    ``fit_rounds(secret, streams, seeds, game)`` builds the training sets
-    of a span with the secret bit array ``secret`` and returns their
-    fits as an iterable of chunks of consecutive rounds (``fit_batch``'s
-    iterator, or a list of one toy chunk), round i fit with
-    ``seeds[i]``; ``streams[i]`` is round i's data stream, opened only by
-    rounds that draw, and ``game[i]`` the index in ``configs`` of its
-    game.  Each chunk is scored before the next is drawn
+    Spans of consecutive rounds may cross games, but not a change of
+    record (a run of games with one record id) or adversary.
+    ``fit_rounds(secret, streams, seeds, pieces)`` returns the fits of a
+    span's rounds, with secret bits ``secret``, as an iterable of chunks
+    of consecutive rounds, round i fit with ``seeds[i]`` on data stream
+    ``streams[i]``; ``pieces`` lists its ``(game, a, b)``, rounds a..b-1
+    of each game.  Each chunk is scored before the next is drawn
     (``generators.score_chunks``).  A training set holds at most
-    ``set_cells`` values, and a span holds ``_span_rounds`` rounds,
-    within the batch budget.  With ``data_tag`` None the rounds draw
-    nothing: ``fit_rounds(secret)`` returns their fits from the bits
-    alone, and no data or fit seed is derived."""
-    kind = configs[0].game_kind
-    sizes = np.array([c.n_eval for c in configs])
+    ``set_cells`` values.  With ``data_tag`` None, ``fit_rounds(secret)``
+    returns the fits from the bits alone.  A game of ``errors``, (game,
+    error) pairs, or a span that raises a PrivGamesError or runs out of
+    memory (``errors.failure``), fails its record: each of its games
+    yields the error, and none of its later spans is played.
+    """
+    sizes = np.array([game.config.n_eval for game in grid])
     ends = np.cumsum(sizes)
     firsts = ends - sizes
     total = int(ends[-1])
     # Only a master seed's low 64 bits count, as in ``derive``.
-    masters = np.array([int(c.master_seed) % 2**64 for c in configs], dtype=np.uint64)
+    masters = np.array([int(g.config.master_seed) % 2**64 for g in grid], dtype=np.uint64)
     bit_streams = Streams(derive_many(masters, "bits"))
     size = _span_rounds(total, set_cells, threads)
+    new = [g == 0 or game.record_id != grid[g - 1].record_id for g, game in enumerate(grid)]
+    record = np.cumsum(new)
+    failed = {record[g]: error for g, error in errors}
+    cut = [new[g] or game.adversary is not grid[g - 1].adversary for g, game in enumerate(grid)]
+    cuts = [*np.flatnonzero(cut), len(grid)]
+    spans = (
+        (lo, min(lo + size, ends[b - 1]), record[a])
+        for a, b in zip(cuts, cuts[1:])
+        for lo in range(firsts[a], ends[b - 1], size)
+    )
     started = {}  # game -> its runs, from its first span to its last
 
     def span_fits(lo, hi, pieces):
@@ -179,24 +189,29 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
         arrays die on return, before the first chunk is fit and scored."""
         game = np.searchsorted(ends, np.arange(lo, hi), side="right")
         run_seeds = derive_many(masters[game], "run", np.arange(lo, hi) - firsts[game])
-        secret = np.concatenate([runs["secret_bit"][a:b] for runs, a, b in pieces])
+        secret = np.concatenate([started[g]["secret_bit"][a:b] for g, a, b in pieces])
         if data_tag is None:
             return run_seeds, fit_rounds(secret)
         streams = Streams(derive_many(run_seeds, data_tag))
-        return run_seeds, fit_rounds(secret, streams, derive_many(run_seeds, "fit"), game)
+        return run_seeds, fit_rounds(secret, streams, derive_many(run_seeds, "fit"), pieces)
 
-    def play(lo, hi):
+    def play(lo, hi, _):
+        """Rounds lo..hi-1 played, or their record's error."""
         first, last = np.searchsorted(ends, [lo, hi - 1], side="right").tolist()
         pieces = [
-            (started[g], max(lo, firsts[g]) - firsts[g], min(hi, ends[g]) - firsts[g])
+            (g, max(lo, firsts[g]) - firsts[g], min(hi, ends[g]) - firsts[g])
             for g in range(first, last + 1)
         ]
-        run_seeds, chunks = span_fits(lo, hi, pieces)
-        scores = generators.score_chunks(adversary, chunks, derive_many(run_seeds, "adversary"))
+        try:
+            run_seeds, chunks = span_fits(lo, hi, pieces)
+            adversary_seeds = derive_many(run_seeds, "adversary")
+            scores = generators.score_chunks(grid[first].adversary, chunks, adversary_seeds)
+        except (PrivGamesError, MemoryError) as exc:
+            return failure(exc)
         at = 0
-        for runs, a, b in pieces:
-            runs["run_seed"][a:b] = run_seeds[at : at + b - a]
-            runs["score"][a:b] = scores[at : at + b - a]
+        for g, a, b in pieces:
+            started[g]["run_seed"][a:b] = run_seeds[at : at + b - a]
+            started[g]["score"][a:b] = scores[at : at + b - a]
             at += b - a
 
     opened = done = 0
@@ -204,19 +219,27 @@ def _play(configs, record_id, adversary, fit_rounds, threads, set_cells, data_ta
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        # A window of one span per thread runs at a time.
-        for lo in range(0, total, size * threads):
-            window = range(lo, min(lo + size * threads, total), size)
-            his = [min(a + size, total) for a in window]
-            while opened < len(configs) and firsts[opened] < his[-1]:
-                # numpy's permutation shuffles a copy: shuffle the bits in place.
-                runs = started[opened] = np.zeros(sizes[opened], dtype=RUN_DTYPE)
-                runs["secret_bit"][: sizes[opened] // 2] = 1
-                bit_streams[opened].shuffle(runs["secret_bit"])
+        while done < len(grid):
+            # A window of one span per thread runs at a time; a failed
+            # record's spans are skipped.
+            window = list(islice((s for s in spans if s[2] not in failed), threads))
+            end = window[-1][1] if window else total
+            while opened < len(grid) and firsts[opened] < end:
+                if record[opened] not in failed:
+                    # numpy's permutation shuffles a copy: shuffle the bits in place.
+                    runs = started[opened] = np.zeros(sizes[opened], dtype=RUN_DTYPE)
+                    runs["secret_bit"][: sizes[opened] // 2] = 1
+                    bit_streams[opened].shuffle(runs["secret_bit"])
                 opened += 1
-            list(run(play, window, his))  # re-raises a span's error
-            while done < opened and ends[done] <= his[-1]:
-                yield GameTranscript(started.pop(done), str(record_id), kind)
+            for (*_, r), error in zip(window, run(play, *zip(*window)) if window else ()):
+                if error is not None:
+                    failed.setdefault(r, error)
+            while done < len(grid) and (record[done] in failed or ends[done] <= end):
+                runs = started.pop(done, None)
+                game = grid[done]
+                yield failed.get(record[done]) or GameTranscript(
+                    runs, str(game.record_id), game.config.game_kind
+                )
                 done += 1
 
 
@@ -245,37 +268,20 @@ def traditional_dataset(pool, x, n, b, seed):
     return data_mod.Dataset(pool.schema, values)
 
 
+def checked(result):
+    """A grid's transcript ``result``; raises it if it is an error."""
+    if isinstance(result, PrivGamesError):
+        raise result
+    return result
+
+
 def run_traditional(x, d_eval, adversary, config, record_id="", threads=1):
-    """Play the dataset-resampling game for one record.
-
-    Parameters
-    ----------
-    x : record tuple
-        Target record; must conform to the evaluation pool's schema.
-    d_eval : Dataset
-        Evaluation pool the per-round datasets are resampled from.
-    adversary : callable
-        ``adversary(fits, seeds)`` returns a membership score in [0, 1]
-        for each round's fit in a chunk, given the round's adversary
-        seed.
-    config : GameConfig
-    record_id : str
-    threads : int
-        When > 1, the rounds are split into this many chunks, each fit
-        and scored as one batch in a thread pool; the transcript is
-        identical either way.
-
-    Returns
-    -------
-    GameTranscript
-        A grid of one game (see ``run_games``).
-    """
+    """Play the dataset-resampling game for record ``x``, each round's
+    set drawn from ``d_eval`` without x's copies, as a grid of one game
+    (see ``run_games``), whose error it raises."""
     if config.game_kind != TRADITIONAL:
         raise ConfigError(f"config is for {config.game_kind!r}, not traditional")
-    (transcript,) = run_games(
-        x, d_eval, None, adversary, [config], record_id=record_id, threads=threads
-    )
-    return transcript
+    return checked(*run_games([Game(x, record_id, config, adversary)], d_eval, threads=threads))
 
 
 def _model_seeded_sets(d_target, x_positions, ref_values, secret, streams, fixed_refs):
@@ -313,91 +319,89 @@ def model_seeded_dataset(d_target, x_positions, ref_values, b, seed, fixed_refs=
 
 
 def run_model_seeded(x, d_target, d_eval, adversary, config, record_id="", threads=1):
-    """Play the fixed-dataset game for one record of the released model.
-
-    ``d_target`` is the dataset the released generator was trained on;
-    ``x`` must appear in it.  Out-rounds replace every copy of x with a
-    reference record drawn uniformly from the evaluation records not in
-    ``d_target``, so all round datasets have the same size.  A grid of
-    one game (see ``run_games``).
-    """
+    """Play the fixed-dataset game for record ``x`` of the model released
+    on ``d_target``, as a grid of one game (see ``run_games``), whose
+    error it raises."""
     if config.game_kind != MODEL_SEEDED:
         raise ConfigError(f"config is for {config.game_kind!r}, not model_seeded")
-    (transcript,) = run_games(
-        x, d_eval, d_target, adversary, [config], record_id=record_id, threads=threads
-    )
-    return transcript
+    grid = [Game(x, record_id, config, adversary)]
+    return checked(*run_games(grid, d_eval, d_target, threads=threads))
 
 
-def run_games(x, d_eval, d_target, adversary, configs, record_id="", threads=1):
-    """Play a grid of games of one kind for one record, every round scored
-    by ``adversary``; returns an iterator over the transcripts, in the
-    order of ``configs``, each yielded as soon as its last round is scored.
+def run_games(grid, d_eval, d_target=None, threads=1):
+    """Play the ``Game`` list ``grid``; returns an iterator over their
+    transcripts, in order, each yielded once its last round is scored, or
+    a failed game's record's error (see ``_play``).
 
-    The games may differ only in ``n_eval`` and ``master_seed``, or
-    ConfigError is raised.  The preconditions are checked once, at the
-    call (see ``run_traditional`` and ``run_model_seeded``); a fixed-
-    reference game draws its references as the first ``integers`` of
-    the stream of ``derive(master_seed, "reference")``, every game's at
-    once.  Each transcript has the bytes of its game played alone.
+    A traditional round draws its set from ``d_eval`` without x's copies.
+    A model-seeded round trains on ``d_target``, out-rounds with x's
+    copies replaced by references from the ``d_eval`` records not in it;
+    a fixed game's are the first ``integers`` of the stream of
+    ``derive(master_seed, "reference")``.  The games share their
+    generator spec and ``dataset_size``, or ConfigError is raised.  Each
+    game's preconditions, its adversary not being a PrivGamesError first,
+    are checked before any round is played.  Each transcript has the
+    bytes of its game played alone.
     """
-    if not configs:
+    if not grid:
         raise ConfigError("a grid needs at least one game")
-    shared = {(c.game_kind, c.dataset_size, c.generator_spec, c.reference_mode) for c in configs}
-    if len(shared) > 1:
-        raise ConfigError("the games of a grid may differ only in n_eval and master_seed")
-    first = configs[0]
-    spec = first.generator_spec
-    if first.game_kind == TRADITIONAL:
-        data_mod.validate_record(d_eval.schema, x)
-        pool = traditional_pool(x, d_eval)
-        n = first.dataset_size
-        if pool.n < n:
-            raise SizeError(
-                f"evaluation pool has {pool.n} usable records, need {n} per round"
+    spec, n = grid[0].config.generator_spec, grid[0].config.dataset_size
+    if any((g.config.generator_spec, g.config.dataset_size) != (spec, n) for g in grid):
+        raise ConfigError("the games of a grid must share generator_spec and dataset_size")
+    if any(g.config.game_kind == MODEL_SEEDED for g in grid):
+        # The reference pool: evaluation records outside the released data.
+        ref_values = data_mod.rows_not_in(d_eval, d_target)
+
+    copies = {}  # (kind, x) -> x's rows in d_eval, or in d_target
+
+    def sets_of(game):
+        """``game``'s preconditions checked; returns the function that
+        builds its rounds' training sets from their bits and streams."""
+        x, config = game.x, game.config
+        if isinstance(game.adversary, PrivGamesError):
+            raise game.adversary
+        key = config.game_kind, tuple(x)
+        if key not in copies:
+            source = d_eval if config.game_kind == TRADITIONAL else d_target
+            copies[key] = data_mod.value_equal_indices(source, x)
+        if config.game_kind == TRADITIONAL:
+            usable = d_eval.n - len(copies[key])
+            if usable < n:
+                raise SizeError(f"evaluation pool has {usable} usable records, need {n} per round")
+            # A span builds the pool it draws from: a grid holds no pool.
+            return lambda secret, streams: data_mod.sample_training_sets(
+                traditional_pool(x, d_eval), x, n, secret.tolist(), streams
             )
-
-        def fit_rounds(secret, streams, seeds, game):
-            values = data_mod.sample_training_sets(pool, x, n, secret.tolist(), streams)
-            return generators.fit_batch(spec, pool.schema, values, seeds)
-
-        set_cells = n * len(x)
-    else:
-        data_mod.validate_record(d_target.schema, x)
         if d_eval.schema != d_target.schema:
             raise PreconditionError(
                 "evaluation pool has a different schema than the training dataset"
             )
-        if first.dataset_size != d_target.n:
+        if n != d_target.n:
             raise ConfigError(
-                f"dataset_size {first.dataset_size} does not match the released "
+                f"dataset_size {n} does not match the released "
                 f"training dataset of {d_target.n} records"
             )
-        x_positions = data_mod.value_equal_indices(d_target, x)
+        x_positions = copies[key]
         if len(x_positions) == 0:
             raise PreconditionError("target record is not in the released training dataset")
-        # The reference pool: evaluation records outside the released data.
-        ref_values = data_mod.rows_not_in(d_eval, d_target)
         if len(ref_values) == 0:
             raise SizeError(
                 "no reference records: every evaluation record appears in the training dataset"
             )
         fixed = None
-        if first.reference_mode == REFERENCE_FIXED and spec.kind != generators.TOY:
-            masters = [c.master_seed for c in configs]
-            picks = Streams(derive_many(masters, "reference")).integers(
-                len(ref_values), len(x_positions)
-            )
-            fixed = ref_values[picks]
+        if config.reference_mode == REFERENCE_FIXED and spec.kind != generators.TOY:
+            picks = Streams(derive_many([config.master_seed], "reference"))
+            fixed = ref_values[picks.integers(len(ref_values), len(x_positions))[0]]
+        return lambda secret, streams: _model_seeded_sets(
+            d_target, x_positions, ref_values, secret, streams, fixed
+        )
 
-        def fit_rounds(secret, streams, seeds, game):
-            values = _model_seeded_sets(
-                d_target, x_positions, ref_values, secret, streams,
-                None if fixed is None else fixed[game],
-            )
-            return generators.fit_batch(spec, d_target.schema, values, seeds)
-
-        set_cells = d_target.values.size
+    builders, errors = {}, []
+    for g, game in enumerate(grid):
+        try:
+            builders[g] = sets_of(game)
+        except (PrivGamesError, MemoryError) as exc:
+            errors.append((g, failure(exc)))
     if spec.kind == generators.TOY:
         # A toy fit reads nothing of its set but whether x is in it, and
         # both games put x there exactly when the round's bit is 1: the
@@ -406,23 +410,18 @@ def run_games(x, d_eval, d_target, adversary, configs, record_id="", threads=1):
         def toy_rounds(secret):
             return [generators.toy_fits(spec, secret)]
 
-        return _play(configs, record_id, adversary, toy_rounds, threads, 0, data_tag=None)
-    return _play(configs, record_id, adversary, fit_rounds, threads, set_cells)
+        return _play(grid, toy_rounds, threads, 0, data_tag=None, errors=errors)
 
+    def fit_rounds(secret, streams, seeds, pieces):
+        sets, at = [], 0
+        for g, a, b in pieces:
+            sets.append(builders[g](secret[at : at + b - a], streams[at : at + b - a]))
+            at += b - a
+        values = sets[0] if len(sets) == 1 else np.concatenate(sets)
+        return generators.fit_batch(spec, d_eval.schema, values, seeds)
 
-def run_game(x, d_eval, d_target, adversary, config, record_id="", threads=1):
-    """Play the game named by ``config.game_kind`` for one record.
-
-    The traditional game resamples from ``d_eval``; the model-seeded
-    game holds ``d_target`` fixed and draws references from ``d_eval``.
-    """
-    if config.game_kind == TRADITIONAL:
-        return run_traditional(
-            x, d_eval, adversary, config, record_id=record_id, threads=threads
-        )
-    return run_model_seeded(
-        x, d_target, d_eval, adversary, config, record_id=record_id, threads=threads
-    )
+    set_cells = n * d_eval.schema.ncols
+    return _play(grid, fit_rounds, threads, set_cells, errors=errors)
 
 
 def run_traditional_mixture(
@@ -437,7 +436,7 @@ def run_traditional_mixture(
     round uses ``config.generator_spec``.  At least two partials are
     required and none may contain x, and the specs are all toy or all
     network kinds: one adversary scores every round.  A grid of one game
-    (see ``run_games``).
+    (see ``run_games``), whose error it raises.
     """
     if config.game_kind != TRADITIONAL:
         raise ConfigError(f"config is for {config.game_kind!r}, not traditional")
@@ -466,7 +465,7 @@ def run_traditional_mixture(
         # [drawn partial, bit] of every spec's two toy fits.
         probs = np.stack([generators.toy_fits(spec, [0, 1]) for spec in specs])
 
-        def fit_rounds(secret, streams, seeds, game):
+        def fit_rounds(secret, streams, seeds, pieces):
             return [probs[streams.integers(len(partials), 1)[:, 0], secret]]
 
         set_cells = 0
@@ -476,7 +475,7 @@ def run_traditional_mixture(
         rows = {(j, 0): part.values for j, part in enumerate(partials)}
         rows.update({(j, 1): np.vstack([part.values, [x]]) for j, part in enumerate(partials)})
 
-        def fit_rounds(secret, streams, seeds, game):
+        def fit_rounds(secret, streams, seeds, pieces):
             drawn = streams.integers(len(partials), 1)[:, 0].tolist()
             for i, key in enumerate(zip(drawn, secret.tolist())):
                 yield from generators.fit_batch(
@@ -484,10 +483,8 @@ def run_traditional_mixture(
                 )
 
         set_cells = max(v.size for v in rows.values())
-    (transcript,) = _play(
-        [config], record_id, adversary, fit_rounds, threads, set_cells, "mixture"
-    )
-    return transcript
+    grid = [Game(x, record_id, config, adversary)]
+    return checked(*_play(grid, fit_rounds, threads, set_cells, "mixture"))
 
 
 def toy_bit_adversary():

@@ -398,12 +398,12 @@ def test_criterion_8_determinism(
         c7_cfg, bank, d_aux, d_target7.record(rid),
         derive(c7_cfg.master_seed, "attack", rid),
     )
+    game_seed = derive(c7_cfg.master_seed, f"game-{games.MODEL_SEEDED}", rid)
+    config = cli.game_config(c7_cfg, games.MODEL_SEEDED, game_seed, c7_cfg.n_eval)
+    grid = [games.Game(d_target7.record(rid), str(rid), config, adv)]
     runs = {}
     for threads in (1, 8):
-        t = cli.play_game(
-            c7_cfg, games.MODEL_SEEDED, rid, d_target7.record(rid),
-            d_eval, d_target7, adv, threads,
-        )
+        (t,) = games.run_games(grid, d_eval, d_target7, threads)
         runs[threads] = t.runs.tolist()
     attack_threads_same = runs[1] == runs[8]
 

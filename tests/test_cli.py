@@ -2,11 +2,12 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import weakref
 
 import pytest
 
-from privgames import attack, cli, corpora, data, games, generators, risk, seeds
+from privgames import attack, cli, corpora, data, errors, games, generators, risk, seeds
 from privgames.config import load_experiment_config
 from privgames.errors import FitError, PrivGamesError, TrainingError
 from privgames.seeds import derive
@@ -140,16 +141,36 @@ def output_bodies(out):
 def use_reference_games(monkeypatch):
     """Play every game of a command through ``reference_run_game``, one
     round at a time, each round's training set built on its own: a
-    ``run_games`` grid config by config."""
+    ``run_games`` grid game by game."""
     from reference import reference_run_game
 
-    def run_games(x, d_eval, d_target, adversary, configs, record_id="", threads=1):
+    def run_games(grid, d_eval, d_target=None, threads=1):
         return [
-            reference_run_game(x, d_eval, d_target, adversary, config, record_id)
-            for config in configs
+            reference_run_game(g.x, d_eval, d_target, g.adversary, g.config, g.record_id)
+            for g in grid
         ]
 
     monkeypatch.setattr(games, "run_games", run_games)
+
+
+def fail_in_the_grid(monkeypatch, attack_seeds):
+    """Give every target whose attack seed is in ``attack_seeds`` an
+    adversary that raises a PrivGamesError when it scores: a failure
+    inside the command's one grid.  Returns the list of chunk sizes it
+    was called with."""
+    real = cli.build_adversaries
+    calls = []
+
+    def failing(fits, seeds):
+        calls.append(len(fits))
+        raise PrivGamesError("induced failure")
+
+    def build_adversaries(cfg, bank, d_aux, targets):
+        built = real(cfg, bank, d_aux, targets)
+        return [failing if seed in attack_seeds else a for a, (_, seed) in zip(built, targets)]
+
+    monkeypatch.setattr(cli, "build_adversaries", build_adversaries)
+    return calls
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_GENERATORS))
@@ -220,6 +241,28 @@ def test_bad_threads_env_var_is_config_error(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", cfg_path]) == 2
 
 
+@pytest.mark.parametrize("how", ["option", "env"])
+@pytest.mark.parametrize("count", ["65", "100000"])
+def test_thread_count_above_the_bound_exits_2_at_parse_time(
+    tmp_path, monkeypatch, capsys, how, count
+):
+    # The count is read before the config, so a missing config file is
+    # never reached, and no thread is started.
+    argv = ["run", "--config", str(tmp_path / "nope.ini")]
+    if how == "option":
+        argv += ["--threads", count]
+        where = "--threads"
+    else:
+        monkeypatch.setenv(cli.THREADS_ENV_VAR, count)
+        where = cli.THREADS_ENV_VAR
+    before = threading.active_count()
+    assert cli.main(argv) == 2
+    assert threading.active_count() == before
+    err = capsys.readouterr().err
+    assert err == f"error: {where} '{count}' is not in [1, {cli.MAX_THREADS}]\n"
+    assert cli.MAX_THREADS == 64 and cli._default_threads("64") == 64
+
+
 def test_seed_override_changes_scores(tmp_path):
     cfg_a, out_a = toy_config(tmp_path, "a")
     cfg_b, out_b = toy_config(tmp_path, "b")
@@ -265,10 +308,10 @@ def test_out_override(tmp_path):
 
 
 def test_out_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
-    # The output directories are made once, before the first record.
+    # The output directories are made once, before the grid is played.
     cfg_path, _ = toy_config(tmp_path)
     played = []
-    monkeypatch.setattr(cli, "play_game", lambda *args: played.append(args))
+    monkeypatch.setattr(games, "run_games", lambda *args: played.append(args))
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
     assert cli.main(["run", "--config", cfg_path, "--out", str(taken)]) == 2
@@ -286,19 +329,18 @@ def test_record_id_out_of_range_is_config_error(tmp_path):
 def test_partial_failure_marks_status_and_exit_code(tmp_path, monkeypatch):
     cfg_path, out = toy_config(tmp_path)
     cfg = load_experiment_config(cfg_path)
+    alone = {}
+    for rid in ("0", "2"):
+        assert cli.main(["run", "--config", cfg_path, "--records", f"ids:{rid}",
+                         "--out", str(tmp_path / f"alone{rid}")]) == 0
+        alone.update(record_outputs(str(tmp_path / f"alone{rid}")))
 
-    real = cli.play_game
-    calls = []
-
-    def failing(cfg_, kind, rid, *args, **kwargs):
-        calls.append(rid)
-        if rid == 1:
-            raise PrivGamesError("induced failure")
-        return real(cfg_, kind, rid, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "play_game", failing)
+    # Record 1's adversary raises on its one span of 2 x 40 rounds, in
+    # the grid that plays all three records.
+    calls = fail_in_the_grid(monkeypatch, {derive(cfg.master_seed, "attack", 1)})
     logged = []
     assert cli.cmd_run(cfg, log=logged.append) == 1
+    assert calls == [80]
     for kind in ("traditional", "model_seeded"):
         lines = open(os.path.join(out, f"results_{kind}.csv")).read().splitlines()
         assert "status=partial" in lines[0]
@@ -307,6 +349,8 @@ def test_partial_failure_marks_status_and_exit_code(tmp_path, monkeypatch):
     assert sorted(os.listdir(os.path.join(out, "transcripts"))) == [
         f"record{rid}_{kind}.txt" for rid in (0, 2) for kind in ("model_seeded", "traditional")
     ]
+    # with the bytes they have when run alone.
+    assert record_outputs(out) == alone
     failures = [m for m in logged if m.startswith("record evaluation failed")]
     assert len(failures) == 1 and "record 1" in failures[0]
 
@@ -777,12 +821,13 @@ def test_toy_convergence_body_matches_reference_games(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["1", "8"])
 def test_baynet_convergence_body_matches_reference_games(tmp_path, monkeypatch, threads):
-    # A network record plays one grid per repetition and kind, and one
-    # span of 10 rounds (the whole grid) fits the rounds of the 4- and the
-    # 6-round game in one fit_batch; at 8 threads a span is two rounds,
-    # and one window of spans plays both games.  The body is that of
-    # every game played alone, round by round, with every network fit and
-    # sampled by the per-network reference.
+    # The command's 80 rounds are one grid.  Each repetition of a network
+    # record has an adversary of its own, so one span of 20 rounds fits
+    # the rounds of its four games, of both kinds, in one fit_batch; at 8
+    # threads a span is 10 rounds, and one window of spans plays games of
+    # both records.  The body is that of every game played alone, round by
+    # round, with every network fit and sampled by the per-network
+    # reference.
     from reference import reference_fit_batch, reference_sample_batch
 
     text = (
@@ -808,11 +853,12 @@ def test_baynet_convergence_body_matches_reference_games(tmp_path, monkeypatch, 
 
 
 def test_toy_convergence_hashes_round_streams_once_per_span(tmp_path, monkeypatch):
-    # The 2 x 5 toy games of a kind share one adversary, so they are one
-    # grid: one hash of the games' bit seeds, then one span of the whole
-    # 60-round grid (far below a toy span's batch budget), which hashes
-    # its release streams once.  Played game by game, every game hashed
-    # its bit seed and its release streams on its own.
+    # The command's 2 x 2 x 5 toy games are one grid, and its one record's
+    # games share one adversary: one hash of the games' bit seeds, then
+    # one span of the whole 120-round grid (far below a toy span's batch
+    # budget), which hashes its release streams once.  Played game by
+    # game, every game hashed its bit seed and its release streams on its
+    # own.
     calls = []
     real = seeds._seed_words
 
@@ -829,8 +875,8 @@ def test_toy_convergence_hashes_round_streams_once_per_span(tmp_path, monkeypatc
     n_games = 2 * 5 * 2
     assert cli.main(["convergence", "--config", str(path)]) == 0
     assert len(calls) < n_games
-    # Per kind: the 10 games' bit seeds, then the spans' release streams.
-    assert calls[-4:] == [10, 60] * 2
+    # The 20 games' bit seeds, then the span's release streams.
+    assert calls[-2:] == [20, 120]
 
 
 def test_toy_convergence_builds_no_fitted_generator(tmp_path, monkeypatch):
@@ -994,15 +1040,14 @@ def test_failed_record_is_left_out(tmp_path, monkeypatch, capsys, command, table
         text = AUDIT_TEMPLATE.format(out=out, selection="first:3")
     cfg_path.write_text(text)
 
-    real = games.run_games
-
-    def failing(*args, record_id, **kwargs):
-        if record_id == "1":
-            raise PrivGamesError("induced failure")
-        return real(*args, record_id=record_id, **kwargs)
-
-    monkeypatch.setattr(games, "run_games", failing)
+    master_seed = load_experiment_config(str(cfg_path)).master_seed
+    if command == "convergence":
+        seeds_1 = {derive(master_seed, "conv-attack-1", rep) for rep in range(2)}
+    else:
+        seeds_1 = {derive(master_seed, "attack", 1)}
+    calls = fail_in_the_grid(monkeypatch, seeds_1)
     assert cli.main([command, "--config", str(cfg_path)]) == 1
+    assert len(calls) == 1
     lines = open(out / table).read().splitlines()
     assert "status=partial" in lines[0]
     # Records 0 and 2 run to completion on either side of the failure.
@@ -1118,7 +1163,7 @@ def test_a_failed_records_error_holds_none_of_its_arrays(raised):
     try:
         stage(table)
     except (PrivGamesError, MemoryError) as exc:
-        kept = cli._failure(exc)
+        kept = errors.failure(exc)
     del table
     assert alive() is None
     assert isinstance(kept, PrivGamesError)

@@ -1,11 +1,12 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from privgames import data, games, generators, oracle, risk, seeds
-from privgames.errors import ConfigError, PreconditionError, SizeError
+from privgames.errors import ConfigError, DomainError, PreconditionError, PrivGamesError, SizeError
 from privgames.seeds import derive, derive_many
 
 
@@ -20,6 +21,13 @@ def toy_spec(p_in=0.8, p_out=0.2):
 def blind_adversary(gens, seeds):
     """Ignores the release: every round scores 0.5."""
     return [0.5] * len(gens)
+
+
+def play_alone(x, d_eval, d_target, adversary, config, threads=1):
+    """``config``'s game for record ``x`` played as a grid of one; raises
+    its error."""
+    (result,) = games.run_games([games.Game(x, "", config, adversary)], d_eval, d_target, threads)
+    return games.checked(result)
 
 
 def toy_setup(n_eval=200, seed=99, p_in=0.8, p_out=0.2, kind=games.MODEL_SEEDED):
@@ -58,7 +66,7 @@ def test_balanced_bits():
     # its master seed sets.
     def bits(n_eval, seed):
         _, d_eval, d_target, config = toy_setup(n_eval=n_eval, seed=seed)
-        return games.run_game((1,), d_eval, d_target, blind_adversary, config).runs["secret_bit"]
+        return play_alone((1,), d_eval, d_target, blind_adversary, config).runs["secret_bit"]
 
     for n in (2, 10, 400):
         assert bits(n, 3).sum() == n // 2
@@ -626,6 +634,20 @@ def test_transcript_header_keys_are_its_declared_keys(tmp_path, keys, message):
         games.load_transcript(path)
 
 
+@pytest.mark.parametrize("record_id", ["a b=c", "a\nb", "a\rb"], ids=["pair", "lf", "cr"])
+def test_transcript_header_that_would_not_read_back_is_refused(tmp_path, record_id):
+    # "a b=c" would read back as record=a and a key b; a line break would
+    # end the header line.  Either is refused before the file is written.
+    runs = np.zeros(2, dtype=games.RUN_DTYPE)
+    transcript = games.GameTranscript(runs, record_id, games.TRADITIONAL, "0123456789ab")
+    path = tmp_path / "t.txt"
+    with pytest.raises(DomainError, match=re.escape(f"transcript header record={record_id!r}")):
+        games.save_transcript(transcript, path)
+    assert not path.exists()
+    games.save_transcript(dataclasses.replace(transcript, record_id="a b"), path)
+    assert games.load_transcript(path).record_id == "a b"
+
+
 # ------------------------------------------------ per-round reference
 
 # A game derives its seeds as arrays (derive_many), opens its streams a
@@ -710,7 +732,7 @@ def _play(game, spec, threads, reference):
     elif reference:
         t = ref.reference_run_game(x, d_eval, d_target, adversary, config)
     else:
-        t = games.run_game(x, d_eval, d_target, adversary, config, threads=threads)
+        t = play_alone(x, d_eval, d_target, adversary, config, threads=threads)
     return games.transcript_to_text(t)
 
 
@@ -730,6 +752,11 @@ def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batchin
     assert batched == _play(game, spec, threads, reference=True)
 
 
+def _flipped(adversary):
+    """An adversary whose scores are 1 minus ``adversary``'s."""
+    return lambda fits, seeds: [1.0 - score for score in adversary(fits, seeds)]
+
+
 @pytest.mark.parametrize("cap", ["one-round", "seven", "default", "whole-grid"])
 @pytest.mark.parametrize("game", ["traditional", "per_run", "fixed"])
 @pytest.mark.parametrize(
@@ -738,42 +765,54 @@ def test_transcript_matches_per_round_reference(monkeypatch, spec, game, batchin
     ids=["toy", "baynet"],
 )
 def test_grid_transcripts_match_per_game_reference(monkeypatch, spec, game, cap):
-    # A grid plays its games' rounds in spans that cross game boundaries:
+    # A grid of two records, each with a traditional, a per-run and a
+    # fixed-reference model-seeded game, ``game`` first.  Its rounds are
+    # played in spans that cross game and kind boundaries but not records:
     # spans of 7 rounds hold the end of one game and the start of the
-    # next, and a network span fits them in one fit_batch.  These rounds
-    # are light, so the default span holds the whole 30-round grid.
-    # Whatever the cap, each game's transcript is the bytes of that game
-    # played alone by the per-round reference.
+    # next, and a network span fits them in one fit_batch.  A network
+    # record's games are scored by an adversary of its own, but for the
+    # second record's last game, so a span ends there too; the toy games
+    # share one adversary.
+    # These rounds are light, so the default span holds the whole 40-round
+    # grid.  Whatever the cap, each game's transcript is the bytes of that
+    # game played alone by the per-round reference.
     import reference as ref
 
     x, d_eval, d_target, _, adversary, _ = _world(game, spec, reference=False)
     *_, ref_adversary, _ = _world(game, spec, reference=True)
-    kind = games.TRADITIONAL if game == "traditional" else games.MODEL_SEEDED
-    mode = games.REFERENCE_FIXED if game == "fixed" else games.REFERENCE_PER_RUN
-    n = d_target.n if kind == games.MODEL_SEEDED else 8
-    configs = [
-        games.GameConfig(n_eval, n, spec, seed, kind, reference_mode=mode)
-        for n_eval, seed in ((4, 31), (10, 32), (6, 33), (10, 34))
-    ]
+    adversaries = [[(adversary, ref_adversary)] * 3, [(adversary, ref_adversary)] * 3]
+    if spec.kind != generators.TOY:
+        adversaries[1][:2] = [(_flipped(adversary), _flipped(ref_adversary))] * 2
+    kinds = {
+        "traditional": (games.TRADITIONAL, games.REFERENCE_PER_RUN),
+        "per_run": (games.MODEL_SEEDED, games.REFERENCE_PER_RUN),
+        "fixed": (games.MODEL_SEEDED, games.REFERENCE_FIXED),
+    }
+    names = list(kinds)
+    order = names[names.index(game):] + names[: names.index(game)]
+    sizes, seeds_ = iter((4, 10, 6, 10, 4, 6)), iter(range(31, 37))
+    grid, alone = [], []
+    for rid, record, scorers in zip(("7", "8"), (x, d_target.record(0)), adversaries):
+        for name, (adv, ref_adv) in zip(order, scorers):
+            kind, mode = kinds[name]
+            config = games.GameConfig(
+                next(sizes), d_target.n, spec, next(seeds_), kind, reference_mode=mode
+            )
+            grid.append(games.Game(record, rid, config, adv))
+            alone.append(ref.reference_run_game(record, d_eval, d_target, ref_adv, config, rid))
     spans = []
     default = games._span_rounds
 
     def span_rounds(total, set_cells, threads):
-        caps = {"one-round": 1, "seven": 7, "whole-grid": 30}
+        caps = {"one-round": 1, "seven": 7, "whole-grid": 40}
         size = caps.get(cap) or default(total, set_cells, threads)
         spans.append(size)
         return size
 
     monkeypatch.setattr(games, "_span_rounds", span_rounds)
-    grid = games.run_games(x, d_eval, d_target, adversary, configs, record_id="7")
-    texts = [games.transcript_to_text(t) for t in grid]
-    assert spans == [{"one-round": 1, "seven": 7, "default": 30, "whole-grid": 30}[cap]]
-    assert texts == [
-        games.transcript_to_text(
-            ref.reference_run_game(x, d_eval, d_target, ref_adversary, config, record_id="7")
-        )
-        for config in configs
-    ]
+    texts = [games.transcript_to_text(t) for t in games.run_games(grid, d_eval, d_target)]
+    assert spans == [{"one-round": 1, "seven": 7, "default": 40, "whole-grid": 40}[cap]]
+    assert texts == [games.transcript_to_text(t) for t in alone]
 
 
 def test_toy_game_larger_than_a_span_stays_within_the_batch_budget(monkeypatch):
@@ -794,35 +833,89 @@ def test_toy_game_larger_than_a_span_stays_within_the_batch_budget(monkeypatch):
         return toy_fits(spec, members)
 
     monkeypatch.setattr(generators, "toy_fits", spy)
-    games.run_game((1,), d_eval, d_target, adversary, config)  # fills the lru caches
+    play_alone((1,), d_eval, d_target, adversary, config)  # fills the lru caches
     spans.clear()
     tracemalloc.start()
     try:
-        played = games.run_game((1,), d_eval, d_target, adversary, config)
+        played = play_alone((1,), d_eval, d_target, adversary, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert spans == [size] * (8000 // size) + [8000 % size]
     assert peak <= games.RUN_DTYPE.itemsize * 8000 + 8 * games.ROUND_ELEMENTS * size + 65536
     monkeypatch.setattr(games, "_span_rounds", lambda total, set_cells, threads: 1)
-    alone = games.run_game((1,), d_eval, d_target, adversary, config)
+    alone = play_alone((1,), d_eval, d_target, adversary, config)
     assert games.transcript_to_text(played) == games.transcript_to_text(alone)
 
 
-def test_grid_refuses_games_that_differ_in_more_than_size_and_seed():
+def test_grid_refuses_games_that_differ_in_spec_or_dataset_size():
+    # One fit_batch call takes one (B, n, d) array: the games of a grid
+    # share their generator spec and dataset_size, and may differ in all
+    # else, kind and reference mode included.
     _, d_eval, d_target, config = toy_setup(n_eval=10)
     for other in (
-        dataclasses.replace(config, game_kind=games.TRADITIONAL),
-        dataclasses.replace(config, reference_mode=games.REFERENCE_FIXED),
+        dataclasses.replace(config, dataset_size=5),
         dataclasses.replace(config, generator_spec=toy_spec(0.7, 0.2)),
     ):
-        with pytest.raises(ConfigError, match="differ only in n_eval and master_seed"):
-            games.run_games((1,), d_eval, d_target, blind_adversary, [config, other])
+        with pytest.raises(ConfigError, match="must share generator_spec and dataset_size"):
+            games.run_games(
+                [games.Game((1,), "", c, blind_adversary) for c in (config, other)],
+                d_eval, d_target,
+            )
     with pytest.raises(ConfigError, match="at least one game"):
-        games.run_games((1,), d_eval, d_target, blind_adversary, [])
-    grid = [config, dataclasses.replace(config, n_eval=4, master_seed=5)]
-    transcripts = games.run_games((1,), d_eval, d_target, blind_adversary, grid)
-    assert [len(t.runs) for t in transcripts] == [10, 4]
+        games.run_games([], d_eval, d_target)
+    configs = [
+        config,
+        dataclasses.replace(config, n_eval=4, master_seed=5),
+        dataclasses.replace(config, game_kind=games.TRADITIONAL),
+        dataclasses.replace(config, reference_mode=games.REFERENCE_FIXED),
+    ]
+    grid = [games.Game((1,), "", c, blind_adversary) for c in configs]
+    transcripts = list(games.run_games(grid, d_eval, d_target))
+    assert [len(t.runs) for t in transcripts] == [10, 4, 10, 10]
+    assert [t.game_kind for t in transcripts] == [
+        games.MODEL_SEEDED, games.MODEL_SEEDED, games.TRADITIONAL, games.MODEL_SEEDED
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("where", ["precondition", "adversary error", "span"])
+def test_a_failed_game_fails_its_record_alone(where, threads):
+    # Record "b" fails: its model-seeded game's target is not in d_target,
+    # its adversary is an error, or its adversary raises on its first
+    # span.  Each of b's games yields b's error, no later span of b is
+    # played, and records "a" and "c" keep the transcripts they have alone.
+    _, d_eval, d_target, config = toy_setup(n_eval=10)
+    traditional = dataclasses.replace(config, game_kind=games.TRADITIONAL)
+    calls = []
+
+    def failing(fits, seeds):
+        calls.append(len(fits))
+        raise PrivGamesError("induced failure")
+
+    x_b, adversary_b = (1,), failing
+    if where == "precondition":
+        x_b, adversary_b = (9,), blind_adversary
+    elif where == "adversary error":
+        adversary_b = PrivGamesError("no adversary")
+    grid = [
+        games.Game(x, rid, c, adversary)
+        for rid, x, adversary in (
+            ("a", (1,), blind_adversary), ("b", x_b, adversary_b), ("c", (2,), blind_adversary)
+        )
+        for c in (traditional, config)
+    ]
+    results = list(games.run_games(grid, d_eval, d_target, threads))
+    error = results[2]
+    assert isinstance(error, PrivGamesError) and results[3] is error
+    assert error.__traceback__ is None
+    # b's two games are one span of 20 rounds.
+    assert calls == ([20] if where == "span" else [])
+    for game, result in zip(grid, results):
+        if game.record_id != "b":
+            alone = play_alone(game.x, d_eval, d_target, game.adversary, game.config)
+            assert result.record_id == game.record_id
+            assert result.runs.tobytes() == alone.runs.tobytes()
 
 
 NETWORK_SPEC = generators.GeneratorSpec(generators.INDEPENDENT)
@@ -880,7 +973,7 @@ def test_data_streams_opened_only_for_rounds_that_draw(
         monkeypatch.setattr(games, "_model_seeded_sets", no_sets)
     _, d_eval, d_target, config = toy_setup(n_eval=40, kind=kind)
     config = dataclasses.replace(config, generator_spec=spec, reference_mode=mode)
-    runs = games.run_game((1,), d_eval, d_target, blind_adversary, config, threads=threads).runs
+    runs = play_alone((1,), d_eval, d_target, blind_adversary, config, threads=threads).runs
     assert len(opens) == opened + 1
     expected = []
     if spec == NETWORK_SPEC and (kind, mode) == (games.MODEL_SEEDED, games.REFERENCE_PER_RUN):

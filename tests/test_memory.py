@@ -139,7 +139,8 @@ def test_wide_game_span_holds_one_table_chunk(wide, chunks):
     # 20 rounds of 1,200 values make one span.
     assert games._span_rounds(20, 100 * len(x), 1) == 20
     chunks.clear()
-    transcript, peak = traced_peak(lambda: games.run_game(x, d_eval, None, adversary, config))
+    grid = [games.Game(x, "", config, adversary)]
+    (transcript,), peak = traced_peak(lambda: list(games.run_games(grid, d_eval)))
     assert len(transcript.runs) == 20
     assert_one_chunk_of_tables(peak, chunks)
 
